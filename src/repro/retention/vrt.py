@@ -16,10 +16,19 @@ The headline analysis (:meth:`VRTModel.integrity_violations`) replays
 the VRL refresh schedule against VRT-degraded retention and counts rows
 that would lose data — zero at the calibrated guard, nonzero without it
 (see ``repro.experiments.ablations`` and the integration tests).
+
+The replay is one masked fixed point over all distinct rows at once
+(the idiom of :meth:`~repro.mprsf.MPRSFCalculator.mprsf_for_points`):
+rows are deduplicated on ``(retention in 0.1 ms, period, mprsf)``, and
+every leak and restore step runs over the still-live keys as a single
+array operation.  Each step is elementwise the same arithmetic as the
+per-row scalar loop, so the counts are exact (architecture invariant
+14; the scalar loop lives on in ``tests/test_vrt.py`` as the oracle).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,29 +143,31 @@ class VRTModel:
         Returns:
             The number of rows whose charge crosses the failure
             threshold at least once.
+
+        Raises:
+            ValueError: naming this method, when the schedule does not
+                match the profile's row count, a period is not positive,
+                an MPRSF value is negative, or ``n_generations < 1``.
         """
-        from ..model.leakage import LeakageModel
         from ..model.trfc import RefreshLatencyModel
 
+        where = "VRTModel.integrity_violations"
         if len(row_period) != len(profile.row_retention) or len(mprsf) != len(row_period):
-            raise ValueError("row_period/mprsf must match the profile's row count")
+            raise ValueError(f"{where}: row_period/mprsf must match the profile's row count")
+        row_period = np.asarray(row_period, dtype=float)
+        mprsf = np.asarray(mprsf)
+        if not np.all(row_period > 0):
+            bad = row_period[~(row_period > 0)][0]
+            raise ValueError(f"{where}: refresh periods must be positive, got {bad}")
+        if np.any(mprsf < 0):
+            raise ValueError(f"{where}: mprsf must be non-negative, got {mprsf.min()}")
+        if n_generations < 1:
+            raise ValueError(f"{where}: n_generations must be >= 1, got {n_generations}")
         model = RefreshLatencyModel(tech, profile.geometry)
-        leakage = LeakageModel(tech)
-        partial = model.partial_refresh()
-        full = model.full_refresh()
-        degraded = self.degraded_retention(profile)
-
-        violations = 0
-        cache: dict[tuple[int, float, int], bool] = {}
-        for retention, period, m in zip(degraded, row_period, mprsf):
-            key = (int(retention * 1e4), float(period), int(m))
-            if key not in cache:
-                cache[key] = self._row_fails(
-                    leakage, model, partial, full, retention, period, int(m), n_generations
-                )
-            if cache[key]:
-                violations += 1
-        return violations
+        fails = self._failing_rows(
+            model, self.degraded_retention(profile), row_period, mprsf, n_generations
+        )
+        return int(np.count_nonzero(fails))
 
     def integrity_report(
         self,
@@ -182,14 +193,64 @@ class VRTModel:
         return VRTReport(total_violations=total, raidr_baseline=baseline)
 
     @staticmethod
-    def _row_fails(leakage, model, partial, full, retention, period, mprsf, n_generations):
-        fraction = 1.0
-        fail = leakage.tech.fail_fraction
-        for _ in range(n_generations):
-            for refresh_index in range(mprsf + 1):
-                fraction = leakage.fraction_after(fraction, period, retention)
-                if fraction < fail:
-                    return True
-                timing = full if refresh_index == mprsf else partial
-                fraction = model.restored_fraction(fraction, timing)
-        return False
+    def _failing_rows(
+        model,
+        retention: np.ndarray,
+        row_period: np.ndarray,
+        mprsf: np.ndarray,
+        n_generations: int,
+    ) -> np.ndarray:
+        """Per-row failure mask of the schedule replay (inputs pre-validated).
+
+        Rows sharing a ``(int(retention * 1e4), period, mprsf)`` key share
+        the verdict of the key's *first* row, evaluated at that row's
+        exact retention.  Each live key leaks by its precomputed decay
+        factor per step and fails if it drops below ``fail_fraction``;
+        otherwise it is restored — fully on the last step of each
+        generation, partially on the others — and retires after
+        ``n_generations * (mprsf + 1)`` steps.
+        """
+        from ..model.leakage import LeakageModel
+
+        if len(retention) == 0:
+            return np.zeros(0, dtype=bool)
+        leakage = LeakageModel(model.tech)
+        counts = np.asarray(mprsf).astype(np.int64)
+        keys = np.stack(
+            [np.trunc(retention * 1e4), row_period, counts.astype(float)], axis=1
+        )
+        _, first, inverse = np.unique(
+            keys, axis=0, return_index=True, return_inverse=True
+        )
+        # One decay factor per key through the scalar chain fraction_after
+        # uses (math.exp, not np.exp), so every leak step is the same double.
+        decay = np.array(
+            [
+                math.exp(-p / leakage.tau(r))
+                for r, p in zip(retention[first], row_period[first])
+            ]
+        )
+        m = counts[first]
+        steps = n_generations * (m + 1)
+        partial = model.partial_refresh()
+        full = model.full_refresh()
+        fail = model.tech.fail_fraction
+
+        key_fails = np.zeros(len(first), dtype=bool)
+        active = np.arange(len(first))
+        fraction = np.ones(len(first))  # immediately after a full refresh
+        step = 0
+        while active.size:
+            fraction = fraction * decay[active]
+            dead = fraction < fail
+            if dead.any():
+                key_fails[active[dead]] = True
+                active, fraction = active[~dead], fraction[~dead]
+            is_full = step % (m[active] + 1) == m[active]
+            for mask, timing in ((is_full, full), (~is_full, partial)):
+                if mask.any():
+                    fraction[mask] = model.restored_fractions(fraction[mask], timing)
+            step += 1
+            live = steps[active] > step
+            active, fraction = active[live], fraction[live]
+        return key_fails[inverse.reshape(-1)]

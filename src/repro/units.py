@@ -7,6 +7,8 @@ code and tests self-documenting, e.g. ``64 * MS`` or ``24 * FF``.
 
 from __future__ import annotations
 
+import math
+
 # --- time ---------------------------------------------------------------
 S = 1.0
 MS = 1e-3
@@ -47,7 +49,11 @@ def to_cycles(time_s: float, clock_period_s: float) -> int:
     integer multiples of the clock period; any fractional remainder must
     round *up* (the controller cannot issue mid-cycle), so this is a
     ceiling division with a small epsilon guard against floating-point
-    noise (e.g. ``3.0000000004`` cycles must not become 4).
+    noise (e.g. ``3.0000000004`` cycles must not become 4).  The guard
+    is ``1e-9`` cycles or four ulps of the cycle ratio, whichever is
+    larger: at refresh-period magnitudes (10^7-10^8 cycles) one ulp of
+    the ratio exceeds ``1e-9``, and an exact multiple ``k * period``
+    must still quantize to ``k``.
 
     Args:
         time_s: continuous delay in seconds (must be >= 0).
@@ -61,9 +67,7 @@ def to_cycles(time_s: float, clock_period_s: float) -> int:
     if time_s < 0:
         raise ValueError(f"delay must be non-negative, got {time_s}")
     ratio = time_s / clock_period_s
-    eps = 1e-9
-    import math
-
+    eps = max(1e-9, 4 * math.ulp(ratio))
     return max(0, math.ceil(ratio - eps))
 
 

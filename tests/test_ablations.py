@@ -56,6 +56,20 @@ class TestGuardAblation:
         assert by_guard["0.75"] >= by_guard["1.00"]
 
 
+class TestGuardAblationPins:
+    """The default 8192x32 guard ablation's violation columns, pinned."""
+
+    @pytest.mark.parametrize(
+        "seed, partial_induced, raidr_inherited",
+        [(2018, [7, 3, 0, 0, 0, 0], 6), (7, [5, 2, 0, 0, 0, 0], 10)],
+    )
+    def test_violation_columns(self, seed, partial_induced, raidr_inherited):
+        result = run_guard_ablation(seed=seed)
+        assert result.column("guard") == ["1.00", "0.90", "0.80", "0.75", "0.60", "0.50"]
+        assert result.column("partial-induced violations") == partial_induced
+        assert result.column("RAIDR-inherited violations") == [raidr_inherited] * 6
+
+
 class TestGeometryAblation:
     def test_covers_table1_geometries(self):
         result = run_geometry_ablation()

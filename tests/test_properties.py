@@ -1,16 +1,17 @@
 """Property-based tests (hypothesis) on core invariants."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.controller import SaturatingCounter
 from repro.model import LeakageModel, PostSensingModel, PreSensingModel
 from repro.mprsf import MPRSFCalculator
 from repro.retention import RefreshBinning, RetentionProfile
-from repro.sim import MemoryTrace, load_trace, save_trace
+from repro.sim import DRAMTiming, MemoryTrace, load_trace, period_cycles, save_trace
 from repro.technology import BankGeometry, DEFAULT_GEOMETRY, DEFAULT_TECH
 from repro.units import to_cycles
 
@@ -22,15 +23,44 @@ class TestToCyclesProperties:
         t=st.floats(min_value=0, max_value=1e-3, allow_nan=False),
         period=st.floats(min_value=1e-12, max_value=1e-6, allow_nan=False),
     )
+    @example(t=1e-4, period=1e-12)
     def test_cycles_cover_delay(self, t, period):
         """The quantized window covers the delay up to the float-noise guard.
 
-        ``to_cycles`` deliberately ignores delays below 1e-9 of a cycle
-        (they are floating-point noise, not physics), so the coverage
-        guarantee carries that same tolerance.
+        ``to_cycles`` deliberately ignores delays below its noise guard
+        (floating-point noise, not physics), so coverage is asserted in
+        ratio space, the quantity the guard acts on: ``cycles * period``
+        can round below ``t`` by an ulp even when the count is right.
         """
         cycles = to_cycles(t, period)
-        assert cycles * period >= t - 1e-9 * period
+        ratio = t / period
+        assert cycles >= ratio - max(1e-9, 4 * math.ulp(ratio))
+
+    @given(
+        k=st.integers(min_value=10**7, max_value=10**8),
+        period=st.floats(min_value=1e-10, max_value=1e-8),
+    )
+    @example(k=99_999_999, period=2.1e-9)
+    def test_exact_multiples_at_refresh_magnitudes(self, k, period):
+        """An exact multiple of the clock quantizes to its multiplier.
+
+        Refresh periods are 10^7-10^8 controller cycles, where one ulp
+        of the cycle ratio exceeds an absolute 1e-9 guard.
+        """
+        assert to_cycles(k * period, period) == k
+
+    @settings(max_examples=50)
+    @given(
+        ks=st.lists(st.integers(min_value=10**7, max_value=10**8), min_size=1, max_size=16),
+        tck=st.floats(min_value=1e-10, max_value=1e-8),
+    )
+    def test_period_cycles_matches_per_row_to_cycles(self, ks, tck):
+        """``sim.schedule.period_cycles`` equals per-row ``to_cycles``."""
+        periods = np.array([k * tck for k in ks])
+        policy = SimpleNamespace(row_periods=lambda: periods)
+        got = period_cycles(policy, DRAMTiming(tck=tck))
+        assert got.tolist() == [to_cycles(float(p), tck) for p in periods]
+        assert got.tolist() == ks
 
     @given(
         t=st.floats(min_value=1e-12, max_value=1e-3, allow_nan=False),
