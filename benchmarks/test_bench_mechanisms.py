@@ -12,8 +12,12 @@ Two trajectories, both recorded into the committed
   statistics identical.
 * **matrix serving** — the ``vrl-dram mechanisms`` driver's grid of
   ``mechanism-matrix`` cells through a bare runner, in cells per
-  second.  Informational (cycle-level engine compute dominates); the
-  floor only catches pathological per-cell overhead.
+  second.  Since ``BankSimulator.run`` prices a run as one merged busy
+  chain instead of an event loop, ChargeCache's per-request latency
+  hook is most of what is left.  The floor sits above what the
+  per-event engine reached (24-52 cells/s), at under half of the
+  merged chain's rate (170-215 cells/s on a 2-vCPU host where the
+  per-event engine ran at 24-26).
 """
 
 import time
@@ -36,9 +40,9 @@ DURATION_SECONDS = 1.0
 MATRIX_MECHANISMS = ("fixed", "darp", "chargecache", "avatar")
 MATRIX_CELLS = len(MATRIX_MECHANISMS) * 2
 
-#: Pathology floor, matrix cells/s (engine compute dominates; this only
-#: catches a lost batch or a per-cell service respawn).
-FLOOR_CELLS = 2.0
+#: Floor, matrix cells/s: a per-event engine loop, a lost batch or a
+#: per-cell service respawn all fall below it.
+FLOOR_CELLS = 80.0
 
 
 class TestMechanismEvaluationThroughput:

@@ -7,9 +7,8 @@ per benchmark and policy, reporting mean request latency, the
 refresh-attributed stall cycles, and row-hit rates — the
 RAIDR-paper-style performance view the DAC format squeezed out.
 
-Cycle-level simulation walks every request, so the default duration is
-shorter than Fig. 4's; refresh behaviour reaches steady state within a
-few 256 ms generations.
+The default duration is shorter than Fig. 4's; refresh behaviour
+reaches steady state within a few 256 ms generations.
 """
 
 from __future__ import annotations

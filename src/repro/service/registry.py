@@ -108,8 +108,9 @@ def run_experiment(
             **(
                 {"benchmarks": opts["benchmarks"]} if opts["benchmarks"] else {}
             ),
-            # The matrix runs every point on the cycle-level engine;
-            # cap the horizon so `--all` stays tractable.
+            # The merged-chain engine no longer needs a short horizon
+            # for speed; the cap stays only so the committed
+            # `mechanisms` output digests keep their 0.2 s cells.
             duration_seconds=min(opts["duration"], 0.2),
             nbits=opts["nbits"],
             seed=opts["seed"],

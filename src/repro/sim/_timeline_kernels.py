@@ -1,7 +1,6 @@
-"""Batch kernels of the fused timeline: numpy scatter ops + numba loops.
+"""Batch kernels of the fused timeline.
 
-Two interchangeable implementations of the same two kernels, both
-operating on the closed-form automaton of
+Both kernels operate on the closed-form automaton of
 :class:`~repro.controller.refresh.TimelineSpec`:
 
 * :func:`segmented_fulls` — per-row full-refresh counts (and
@@ -9,20 +8,22 @@ operating on the closed-form automaton of
   cadence restarts handled as segments and accumulated with
   ``np.add.at`` scatter ops;
 * :func:`crossing_kinds` — per-crossing kind codes for flattened
-  ``(row, ordinal)`` crossing batches (the rank simulator needs the
-  kind of every crossing, not just totals, to place busy intervals).
+  ``(row, ordinal)`` crossing batches, optionally with the same
+  access-driven restarts (the rank simulator and the bank engine need
+  the kind of every crossing, not just totals, to place busy windows).
 
-The numba backend is auto-detected: when ``numba`` is importable the
-loop variants are ``@njit``-compiled, otherwise the *same* functions
-run as pure Python (so their logic is always testable) and the public
-entry points fall back to the vectorized numpy forms.  Backend choice
-never changes results — ``tests/test_timeline_fused.py`` pins the loop
-and numpy variants bit-identical on randomized inputs.
+:func:`segmented_fulls` has a second, loop-form implementation that is
+``@njit``-compiled when ``numba`` is importable; otherwise the *same*
+function runs as pure Python (so its logic is always testable) and the
+entry point uses the vectorized numpy form.  Backend choice never
+changes results — ``tests/test_timeline_fused.py`` pins the loop and
+numpy variants bit-identical on randomized inputs.
 """
 
 from __future__ import annotations
 
 import os
+from typing import Optional
 
 import numpy as np
 
@@ -78,23 +79,10 @@ def _segmented_fulls_loop(counts, phase, cycle_len, reset_rows, reset_ordinals,
     return fulls, final_phase
 
 
-def _crossing_kinds_loop(rows, ordinals, phase, cycle_len, kinds):
-    """Loop form of the per-crossing kind evaluation (numba-compilable)."""
-    for i in range(rows.shape[0]):
-        row = rows[i]
-        if (ordinals[i] + phase[row] + 1) % cycle_len[row] == 0:
-            kinds[i] = 0
-        else:
-            kinds[i] = 1
-    return kinds
-
-
 if NUMBA_AVAILABLE:  # pragma: no cover - exercised only where numba is installed
     _segmented_fulls_jit = njit(cache=True)(_segmented_fulls_loop)
-    _crossing_kinds_jit = njit(cache=True)(_crossing_kinds_loop)
 else:
     _segmented_fulls_jit = _segmented_fulls_loop
-    _crossing_kinds_jit = _crossing_kinds_loop
 
 
 def _closed_form(counts, phase, cycle_len):
@@ -126,7 +114,8 @@ def segmented_fulls(
         reset_rows: rows with access-driven cadence restarts, sorted by
             ``(row, ordinal)`` and unique; empty for reset-free runs.
         reset_ordinals: matching window-relative crossing ordinals in
-            ``[0, counts[row])``.
+            ``[0, counts[row]]``; a reset at ``counts[row]`` (after the
+            row's last crossing) only zeroes its final phase.
         use_numba: run the jitted loop kernel (falls back to the pure
             numpy scatter form when numba is unavailable).
 
@@ -178,26 +167,47 @@ def crossing_kinds(
     ordinals: np.ndarray,
     phase: np.ndarray,
     cycle_len: np.ndarray,
-    use_numba: bool = False,
+    reset_rows: Optional[np.ndarray] = None,
+    reset_ordinals: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Kind code of every crossing in a flattened reset-free batch.
+    """Kind code of every crossing in a flattened batch.
 
     Args:
         rows: crossing row indices (any order), ``(n_crossings,)``.
         ordinals: per-row crossing ordinals matching ``rows``.
         phase: per-row cadence phase at batch entry.
         cycle_len: per-row cadence.
-        use_numba: run the jitted loop kernel when numba is available.
+        reset_rows: rows with access-driven cadence restarts, sorted by
+            ``(row, ordinal)`` and unique (as :func:`segmented_fulls`
+            takes them); ``None`` or empty for a reset-free batch.
+        reset_ordinals: matching crossing ordinals of the restarts.
 
     Returns:
         ``uint8`` kind codes (``KIND_FULL`` = 0 / ``KIND_PARTIAL`` = 1):
         crossing ``k`` of a row is full iff
-        ``(k + phase) % cycle_len == cycle_len - 1``.
+        ``(k + phase + 1) % cycle_len == 0`` — or, when the row's last
+        restart at or before ``k`` is at ordinal ``j``, iff
+        ``(k - j + 1) % cycle_len == 0``.
     """
-    if use_numba and jit_failure_forced():
-        raise RuntimeError(f"injected jit failure ({FORCE_JIT_FAILURE_ENV} is set)")
+    rows = np.asarray(rows, dtype=np.int64)
+    ordinals = np.asarray(ordinals, dtype=np.int64)
+    # cadence[i]: crossings into the cadence, counting crossing i itself.
+    cadence = phase[rows]
+    cadence += ordinals
+    cadence += 1
+    if reset_rows is not None and len(reset_rows):
+        # Key (row, ordinal) pairs into one sorted axis so one
+        # searchsorted finds each crossing's last restart at or before it.
+        span = int(max(ordinals.max(initial=0), reset_ordinals.max())) + 1
+        keys = rows * span
+        keys += ordinals
+        last = np.searchsorted(reset_rows * span + reset_ordinals, keys, side="right")
+        del keys
+        last -= 1
+        np.maximum(last, 0, out=last)
+        restarted = (reset_rows[last] == rows) & (reset_ordinals[last] <= ordinals)
+        cadence[restarted] = ordinals[restarted] - reset_ordinals[last[restarted]] + 1
+    cadence %= cycle_len[rows]
     kinds = np.empty(len(rows), dtype=np.uint8)
-    if use_numba and NUMBA_AVAILABLE:  # pragma: no cover - numba-only images
-        return _crossing_kinds_jit(rows, ordinals, phase, cycle_len, kinds)
-    np.not_equal((ordinals + phase[rows] + 1) % cycle_len[rows], 0, out=kinds.view(bool))
+    np.not_equal(cadence, 0, out=kinds.view(bool))
     return kinds

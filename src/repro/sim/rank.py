@@ -38,6 +38,7 @@ from .schedule import (
     ALL_BANK_ROWS_PER_REF,
     all_bank_ref_interval,
     all_bank_trfc,
+    crossing_stream,
     deadline_counts,
     first_deadlines,
     period_cycles,
@@ -420,15 +421,13 @@ class RankSimulator:
 
         Each bank's refreshes pop from the shared heap in ``(due, row)``
         order and chain FCFS on that bank alone, so per bank the whole
-        timeline is: flatten every row's crossings, sort by
-        ``(due, row)`` (the heap's tie-break), price the kinds with the
-        batched automaton kernel, and solve the busy chain with
-        :func:`~repro.sim.timeline.service_starts`.  Bit-identical to
-        :meth:`_run_per_bank` (invariant 11).
+        timeline is: the bank's :func:`~repro.sim.schedule.crossing_stream`,
+        the kinds from the batched automaton kernel, and the busy chain
+        from :func:`~repro.sim.timeline.service_starts`.  Bit-identical
+        to :meth:`_run_per_bank` (invariant 11).
         """
         all_starts: list[np.ndarray] = []
         all_ends: list[np.ndarray] = []
-        n_rows = self.geometry.rows
         for bank_index, policy in enumerate(self.policies):
             periods = period_cycles(policy, self.timing)
             first = first_deadlines(
@@ -438,14 +437,9 @@ class RankSimulator:
             spec = policy.timeline_spec()
             total = int(counts.sum())
             if total:
-                row_ids = np.repeat(np.arange(n_rows, dtype=np.int64), counts)
-                row_offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
-                ordinals = np.arange(total, dtype=np.int64) - np.repeat(
-                    row_offsets, counts
+                dues, row_ids, ordinals = crossing_stream(
+                    first, periods, duration_cycles
                 )
-                dues = first[row_ids] + ordinals * periods[row_ids]
-                order = np.lexsort((row_ids, dues))
-                row_ids, ordinals, dues = row_ids[order], ordinals[order], dues[order]
                 kinds = crossing_kinds(row_ids, ordinals, spec.phase, spec.cycle_len)
                 latencies = spec.kind_latencies[kinds].astype(np.int64)
                 starts = service_starts(dues, latencies)

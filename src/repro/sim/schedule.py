@@ -51,6 +51,7 @@ __all__ = [
     "CONVENTIONAL_PERIOD",
     "all_bank_ref_interval",
     "all_bank_trfc",
+    "crossing_stream",
     "deadline_counts",
     "first_deadlines",
     "period_cycles",
@@ -167,6 +168,39 @@ def window_deadline_counts(
     )
 
 
+def crossing_stream(
+    first: np.ndarray, periods_cycles: np.ndarray, duration_cycles: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every deadline before the horizon, in issue order.
+
+    Flattens each row's deadlines ``f, f+P, ...`` and sorts them by
+    ``(due, row)`` — exactly the order a ``(due, row)`` min-heap that
+    re-pushes each popped row one period later would pop them, so the
+    result is the refresh stream an event loop would issue.
+
+    Returns:
+        ``(dues, rows, ordinals)`` — ``int64`` arrays of the due cycle,
+        the row, and the row's crossing ordinal (0 for its first
+        deadline) of every crossing.
+    """
+    first = np.asarray(first, dtype=np.int64)
+    periods_cycles = np.asarray(periods_cycles, dtype=np.int64)
+    counts = deadline_counts(first, periods_cycles, duration_cycles)
+    rows = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
+    ordinals = np.arange(len(rows), dtype=np.int64)
+    ordinals -= np.repeat(np.cumsum(counts) - counts, counts)
+    dues = periods_cycles[rows]
+    dues *= ordinals
+    dues += first[rows]
+    # Rows are laid out ascending, so a stable sort on the due cycle
+    # alone breaks ties by row, like the heap.
+    order = np.argsort(dues, kind="stable")
+    dues = dues[order]
+    rows = rows[order]
+    ordinals = ordinals[order]
+    return dues, rows, ordinals
+
+
 def row_deadlines(
     first_due: int, period_cycles_row: int, duration_cycles: int
 ) -> np.ndarray:
@@ -221,6 +255,10 @@ def should_defer_refresh(
     are posted and tolerate latency, so the refresh proceeds under the
     write drain — DARP's write-refresh parallelization.
 
+    The rule is elementwise: given arrays (one entry per refresh), it
+    returns the boolean mask of refreshes to defer, which is how the
+    bank engine finds the deferral windows of a whole in-order chain.
+
     Args:
         start_cycle: cycle the refresh would start if issued now.
         latency_cycles: the refresh's planned blocking window.
@@ -231,9 +269,10 @@ def should_defer_refresh(
             original deadline plus the policy's
             ``refresh_slack_cycles``.
     """
-    if read_at is None or read_is_write:
+    if read_at is None:
         return False
-    return read_at < start_cycle + latency_cycles and read_at < defer_limit
+    collides = (read_at < start_cycle + latency_cycles) & (read_at < defer_limit)
+    return collides & np.logical_not(read_is_write)
 
 
 def all_bank_ref_interval(timing: DRAMTiming, rows: int) -> int:

@@ -110,3 +110,26 @@ class RequestStats:
         self.total_latency_cycles += latency
         self.max_latency_cycles = max(self.max_latency_cycles, latency)
         self.refresh_stall_cycles += refresh_stall
+
+    def record_batch(
+        self,
+        is_write: np.ndarray,
+        latency: np.ndarray,
+        hit: np.ndarray,
+        refresh_stall: np.ndarray,
+    ) -> None:
+        """Record a batch of serviced requests (vectorized path).
+
+        Equal to calling :meth:`record` once per entry, in any order.
+        """
+        n = len(latency)
+        n_writes = int(np.count_nonzero(is_write))
+        self.n_requests += n
+        self.n_writes += n_writes
+        self.n_reads += n - n_writes
+        self.row_hits += int(np.count_nonzero(hit))
+        self.total_latency_cycles += int(latency.sum())
+        self.max_latency_cycles = max(
+            self.max_latency_cycles, int(latency.max(initial=0))
+        )
+        self.refresh_stall_cycles += int(refresh_stall.sum())

@@ -62,6 +62,7 @@ __all__ = [
     "NUMBA_AVAILABLE",
     "FusedTimeline",
     "TimelineReport",
+    "access_resets",
     "service_starts",
     "union_length",
 ]
@@ -164,44 +165,6 @@ class FusedTimeline:
             self._counts_cache = (duration_cycles, cached)
         return cached
 
-    def _access_resets(
-        self, trace: Optional[MemoryTrace], counts: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Unique (row, crossing-ordinal) cadence resets from a trace.
-
-        An access at cycle ``c`` lands in the interval that ends at the
-        first deadline strictly after ``c`` (refresh wins ties, so an
-        access *on* a deadline affects the next interval): ordinal 0
-        for ``c < first``, else ``(c - first) // period + 1``.  Ordinals
-        at or past the row's crossing count (accesses beyond the
-        horizon) are inert.  One vectorized pass over the whole trace —
-        the round walk's per-accessed-row Python loop is gone too.
-        """
-        empty = np.empty(0, dtype=np.int64)
-        if trace is None or len(trace) == 0:
-            return empty, empty
-        n = self.policy.n_rows
-        rows = np.asarray(trace.rows, dtype=np.int64)
-        cycles = np.asarray(trace.cycles, dtype=np.int64)
-        in_bank = (rows >= 0) & (rows < n)
-        rows, cycles = rows[in_bank], cycles[in_bank]
-        if len(rows) == 0:
-            return empty, empty
-        first = self._first[rows]
-        ordinals = np.where(
-            cycles < first, 0, (cycles - first) // self._periods[rows] + 1
-        )
-        live = ordinals < counts[rows]
-        rows, ordinals = rows[live], ordinals[live]
-        if len(rows) == 0:
-            return empty, empty
-        order = np.lexsort((ordinals, rows))
-        rows, ordinals = rows[order], ordinals[order]
-        fresh = np.empty(len(rows), dtype=bool)
-        fresh[0] = True
-        fresh[1:] = (rows[1:] != rows[:-1]) | (ordinals[1:] != ordinals[:-1])
-        return rows[fresh], ordinals[fresh]
-
     def _note_downgrade(self, came_from: str, reason: str) -> None:
         """Record a backend downgrade and switch to the numpy kernels."""
         self.downgraded_from = came_from
@@ -264,8 +227,10 @@ class FusedTimeline:
             )
             return stats
 
-        if spec.resets_on_access:
-            reset_rows, reset_ordinals = self._access_resets(trace, counts)
+        if spec.resets_on_access and trace is not None:
+            reset_rows, reset_ordinals = access_resets(
+                trace.rows, trace.cycles, self._first, self._periods, counts
+            )
         else:
             reset_rows = reset_ordinals = np.empty(0, dtype=np.int64)
 
@@ -334,7 +299,71 @@ class FusedTimeline:
                 yield epoch_counts, reset_rows, reset_ordinals
 
 
-def service_starts(dues: np.ndarray, busy_cycles: np.ndarray) -> np.ndarray:
+def access_resets(
+    rows: np.ndarray,
+    cycles: np.ndarray,
+    first: np.ndarray,
+    periods_cycles: np.ndarray,
+    counts: Optional[np.ndarray] = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Unique (row, crossing-ordinal) cadence resets of a set of accesses.
+
+    An access at cycle ``c`` lands in the interval that ends at the
+    first deadline strictly after ``c`` (refresh wins ties, so an
+    access *on* a deadline affects the next interval): ordinal 0 for
+    ``c < first``, else ``(c - first) // period + 1``.  Rows outside
+    the bank are inert.  One vectorized pass over all accesses, no
+    per-row Python.
+
+    Args:
+        rows: accessed rows.
+        cycles: matching access cycles.
+        first: per-row first deadlines (from
+            :func:`~repro.sim.schedule.first_deadlines`).
+        periods_cycles: per-row periods in cycles.
+        counts: per-row crossing counts of the horizon.  When given,
+            accesses at or past a row's last crossing are dropped: they
+            restart no crossing of the horizon.  The bank engine leaves
+            it ``None`` for its served requests, because such an access
+            still restarts the counter the run ends with.
+
+    Returns:
+        ``(reset_rows, reset_ordinals)`` sorted by ``(row, ordinal)``
+        and unique — the form :func:`segmented_fulls` and
+        :func:`~repro.sim._timeline_kernels.crossing_kinds` take.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    cycles = np.asarray(cycles, dtype=np.int64)
+    in_bank = (rows >= 0) & (rows < len(first))
+    if not in_bank.all():
+        rows, cycles = rows[in_bank], cycles[in_bank]
+    del in_bank
+    # (c - first) // period + 1, which is <= 0 exactly when c < first.
+    ordinals = cycles - first[rows]
+    ordinals //= periods_cycles[rows]
+    ordinals += 1
+    np.maximum(ordinals, 0, out=ordinals)
+    if counts is not None:
+        live = ordinals < counts[rows]
+        rows, ordinals = rows[live], ordinals[live]
+    if len(rows) == 0:
+        return rows, ordinals
+    # One sorted-unique pass over (row, ordinal) packed into one key.
+    span = int(ordinals.max()) + 1
+    keys = rows * span
+    keys += ordinals
+    del ordinals
+    keys.sort()
+    fresh = np.empty(len(keys), dtype=bool)
+    fresh[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=fresh[1:])
+    keys = keys[fresh]
+    return keys // span, keys % span
+
+
+def service_starts(
+    dues: np.ndarray, busy_cycles: np.ndarray, busy_until: int = 0
+) -> np.ndarray:
     """Start cycles of back-to-back operations on one busy resource.
 
     The bank's FCFS recurrence ``start_i = max(due_i, finish_{i-1})``
@@ -343,12 +372,20 @@ def service_starts(dues: np.ndarray, busy_cycles: np.ndarray) -> np.ndarray:
     back-to-back since operation ``j`` starts at ``due_j + P_i - P_j``,
     so ``start_i = max_{j<=i}(due_j - P_j) + P_i`` — one
     ``np.maximum.accumulate``, no Python loop.  ``dues`` must be sorted
-    ascending (the order the event loop pops them).
+    ascending (the order the event loop pops them).  ``busy_until`` is
+    the finish of whatever ran before the first operation; the chain
+    served back-to-back from it starts at ``busy_until + P_i``.
     """
     if len(dues) == 0:
         return np.empty(0, dtype=np.int64)
-    prefix = np.concatenate(([0], np.cumsum(busy_cycles)[:-1]))
-    return np.maximum.accumulate(dues - prefix) + prefix
+    prefix = np.cumsum(busy_cycles)
+    prefix -= busy_cycles
+    starts = dues - prefix
+    np.maximum.accumulate(starts, out=starts)
+    if busy_until:
+        np.maximum(starts, busy_until, out=starts)
+    starts += prefix
+    return starts
 
 
 def union_length(starts: np.ndarray, ends: np.ndarray, horizon: int) -> int:

@@ -4,9 +4,10 @@ The three-way differential harness
 (``tests/test_differential_engine_fastpath.py``) pins the fused
 timeline against the engine end to end; this module tests its parts:
 
-* **kernel equivalence** — the numba-compilable loop kernels and the
-  vectorized numpy scatter kernels are bit-identical on randomized
-  inputs, and both match a brute-force walk of Algorithm 1's counter;
+* **kernel equivalence** — the numba-compilable loop kernel and the
+  vectorized numpy scatter kernel are bit-identical on randomized
+  inputs and match a brute-force walk of Algorithm 1's counter, and
+  reset-aware per-crossing kinds agree with the segment totals;
 * **epoch windowing** — chunked evaluation is bit-neutral vs the
   one-shot pass, for any epoch size;
 * **busy-chain closed forms** — :func:`service_starts` matches the
@@ -25,6 +26,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.controller import KIND_FULL, build_policy
 from repro.retention import RefreshBinning, RetentionProfiler
@@ -40,7 +43,6 @@ from repro.sim import (
     union_length,
 )
 from repro.sim._timeline_kernels import (
-    _crossing_kinds_loop,
     _segmented_fulls_loop,
     crossing_kinds,
     segmented_fulls,
@@ -131,19 +133,41 @@ class TestKernelEquivalence:
         assert np.array_equal(loop_fulls, numpy_fulls), f"seed={seed}"
         assert np.array_equal(loop_phase, numpy_phase), f"seed={seed}"
 
-    @pytest.mark.parametrize("seed", range(5))
-    def test_crossing_kinds_loop_matches_numpy(self, seed):
-        rng = np.random.default_rng(200 + seed)
-        n_rows = 16
-        cycle_len = rng.integers(1, 9, size=n_rows).astype(np.int64)
-        phase = rng.integers(0, cycle_len).astype(np.int64)
-        rows = rng.integers(0, n_rows, size=300).astype(np.int64)
-        ordinals = rng.integers(0, 50, size=300).astype(np.int64)
-        numpy_kinds = crossing_kinds(rows, ordinals, phase, cycle_len)
-        loop_kinds = _crossing_kinds_loop(
-            rows, ordinals, phase, cycle_len, np.empty(len(rows), dtype=np.uint8)
-        )
-        assert np.array_equal(numpy_kinds, loop_kinds), f"seed={seed}"
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), trailing=st.booleans())
+    def test_crossing_kinds_with_resets_sum_to_segmented_fulls(self, seed, trailing):
+        """Per row, reset-aware kinds count ``segmented_fulls``' fulls and
+        end at its final phase — the crossings since the later of the
+        last full (exclusive) and the last reset, in any batch order."""
+        rng = np.random.default_rng(seed)
+        n_rows = 24
+        counts, phase, cycle_len, rrows, rords = _random_segments(rng, n_rows)
+        if trailing:
+            # A reset after a row's last crossing only zeroes its phase.
+            extra = np.flatnonzero(rng.random(n_rows) < 0.3)
+            pairs = set(zip(rrows.tolist(), rords.tolist()))
+            pairs = sorted(pairs | {(int(r), int(counts[r])) for r in extra})
+            rrows = np.array([r for r, _ in pairs], dtype=np.int64)
+            rords = np.array([o for _, o in pairs], dtype=np.int64)
+        rows = np.repeat(np.arange(n_rows, dtype=np.int64), counts)
+        ordinals = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
+        order = rng.permutation(len(rows))
+        rows, ordinals = rows[order], ordinals[order]
+
+        kinds = crossing_kinds(rows, ordinals, phase, cycle_len, rrows, rords)
+        fulls, final_phase = segmented_fulls(counts, phase, cycle_len, rrows, rords)
+
+        is_full = kinds == KIND_FULL
+        assert np.array_equal(np.bincount(rows[is_full], minlength=n_rows), fulls)
+        for row in range(n_rows):
+            anchor, start = 0, int(phase[row])
+            row_resets = rords[rrows == row]
+            if len(row_resets):
+                anchor, start = int(row_resets.max()), 0
+            row_fulls = ordinals[(rows == row) & is_full]
+            if len(row_fulls) and row_fulls.max() >= anchor:
+                anchor, start = int(row_fulls.max()) + 1, 0
+            assert final_phase[row] == start + counts[row] - anchor, f"row {row}"
 
     def test_crossing_kinds_matches_cadence(self):
         """Crossing ``k`` is full exactly when the counter saturates."""
