@@ -70,6 +70,11 @@ __all__ = [
 #: Valid kernel backends of the fused timeline.
 BACKENDS = ("auto", "numpy", "numba")
 
+#: Bytes of reset bitmap :func:`access_resets` may always allocate.
+_RESET_BITMAP_FLOOR = 1 << 20
+#: Bitmap bytes allowed per access: the int64 keys already take 8.
+_RESET_BITMAP_PER_ACCESS = 8
+
 
 @dataclass(frozen=True)
 class TimelineReport:
@@ -313,7 +318,13 @@ def access_resets(
     access *on* a deadline affects the next interval): ordinal 0 for
     ``c < first``, else ``(c - first) // period + 1``.  Rows outside
     the bank are inert.  One vectorized pass over all accesses, no
-    per-row Python.
+    per-row Python: each access marks its packed ``row * span +
+    ordinal`` key in a boolean bitmap, and the set bits, read back in
+    order, are the resets already sorted and unique.  The bitmap covers
+    the whole bank unless that would exceed
+    ``max(_RESET_BITMAP_FLOOR, _RESET_BITMAP_PER_ACCESS * n_accesses)``
+    bytes; then it is filled and read one window of keys of that size
+    at a time, so memory stays bounded.
 
     Args:
         rows: accessed rows.
@@ -338,27 +349,55 @@ def access_resets(
     if not in_bank.all():
         rows, cycles = rows[in_bank], cycles[in_bank]
     del in_bank
+    if len(rows) == 0:
+        return rows, np.empty(0, dtype=np.int64)
     # (c - first) // period + 1, which is <= 0 exactly when c < first.
-    ordinals = cycles - first[rows]
-    ordinals //= periods_cycles[rows]
+    ordinals = cycles - np.take(first, rows)
+    ordinals //= np.take(periods_cycles, rows)
     ordinals += 1
     np.maximum(ordinals, 0, out=ordinals)
-    if counts is not None:
-        live = ordinals < counts[rows]
-        rows, ordinals = rows[live], ordinals[live]
-    if len(rows) == 0:
-        return rows, ordinals
-    # One sorted-unique pass over (row, ordinal) packed into one key.
     span = int(ordinals.max()) + 1
     keys = rows * span
     keys += ordinals
     del ordinals
-    keys.sort()
-    fresh = np.empty(len(keys), dtype=bool)
-    fresh[0] = True
-    np.not_equal(keys[1:], keys[:-1], out=fresh[1:])
-    keys = keys[fresh]
-    return keys // span, keys % span
+    limit = max(_RESET_BITMAP_FLOOR, _RESET_BITMAP_PER_ACCESS * len(keys))
+    if len(first) * span <= limit:
+        marked = _set_bits(keys, len(first) * span)
+    else:
+        marked = _windowed_set_bits(keys, limit)
+    del keys
+    reset_rows, reset_ordinals = np.divmod(marked, span)
+    if counts is not None:
+        live = reset_ordinals < counts[reset_rows]
+        reset_rows, reset_ordinals = reset_rows[live], reset_ordinals[live]
+    return reset_rows, reset_ordinals
+
+
+def _set_bits(keys: np.ndarray, size: int) -> np.ndarray:
+    """Distinct ``keys`` in ``[0, size)``, ascending, via a bitmap."""
+    seen = np.zeros(size, dtype=bool)
+    seen[keys] = True
+    return np.flatnonzero(seen)
+
+
+def _windowed_set_bits(keys: np.ndarray, limit: int) -> np.ndarray:
+    """:func:`_set_bits` one ``limit``-key window at a time.
+
+    Each window starts at the smallest key not yet read, so empty
+    stretches of the key range cost nothing and the windows come out in
+    ascending order.
+    """
+    found = []
+    while len(keys):
+        start = int(keys.min())
+        inside = keys < start + limit
+        window = keys[inside]
+        window -= start
+        bits = _set_bits(window, int(window.max()) + 1)
+        bits += start
+        found.append(bits)
+        keys = keys[~inside]
+    return np.concatenate(found)
 
 
 def service_starts(

@@ -46,7 +46,7 @@ class MemoryTrace:
                 f"array lengths differ: cycles={n}, rows={len(self.rows)}, "
                 f"is_write={len(self.is_write)}"
             )
-        if n and (np.diff(self.cycles) < 0).any():
+        if n and (self.cycles[1:] < self.cycles[:-1]).any():
             raise ValueError("request cycles must be non-decreasing")
         if n and (self.rows < 0).any():
             raise ValueError("rows must be non-negative")

@@ -13,6 +13,7 @@ snapshot.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -41,6 +42,14 @@ class WorkloadSpec:
     description: str
 
     def __post_init__(self) -> None:
+        # NaN and inf slip past some of the range checks below, and the
+        # trace generator would then draw garbage rows instead of failing.
+        for field in (
+            "zipf_alpha", "requests_per_second", "write_fraction", "streaming_fraction"
+        ):
+            value = getattr(self, field)
+            if not math.isfinite(value):
+                raise ValueError(f"{self.name}: {field} must be finite, got {value}")
         if self.footprint_rows <= 0:
             raise ValueError(f"{self.name}: footprint must be positive")
         if self.zipf_alpha < 0:

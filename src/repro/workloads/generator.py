@@ -9,12 +9,18 @@ working-set block of rows.  Each request is either:
   scanner (models tiling/scan phases).
 
 Determinism: the RNG is seeded from the workload name and an explicit
-seed, so the full Fig. 4 suite is reproducible bit-for-bit.
+seed, so the full Fig. 4 suite is reproducible bit-for-bit.  A trace
+depends only on the generator's ``exponential`` / ``random`` /
+``permutation`` / ``integers`` stream, not on numpy's ``choice``
+internals: Zipf ranks come from :func:`_sample_categorical`, which
+returns exactly what ``Generator.choice(len(p), n, p=p)`` returns from
+the same ``random(n)`` draw.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 
 import numpy as np
 
@@ -24,10 +30,59 @@ from ..technology import BankGeometry, DEFAULT_GEOMETRY
 from .benchmarks import PARSEC_WORKLOADS, WorkloadSpec
 
 
+#: Guide-table buckets per category (rounded up to a power of two).
+_BUCKETS_PER_CATEGORY = 8
+#: Largest guide table; wider distributions fall back more often.
+_MAX_BUCKETS = 1 << 20
+#: Samples resolved per vectorized block (bounds the temporaries).
+_SAMPLE_BLOCK = 1 << 16
+
+
 def _seed_for(name: str, seed: int) -> int:
     """A stable per-workload RNG seed derived from the name."""
     digest = hashlib.sha256(f"{name}:{seed}".encode()).digest()
     return int.from_bytes(digest[:8], "little")
+
+
+def _sample_categorical(
+    rng: np.random.Generator, probabilities: np.ndarray, size: int
+) -> np.ndarray:
+    """``size`` indices drawn from ``probabilities``, as ``choice`` draws them.
+
+    ``Generator.choice(len(p), size, p=p)`` draws ``u = rng.random(size)``
+    and returns ``#(cdf <= u)`` for ``cdf = p.cumsum() / p.cumsum()[-1]``
+    by binary search.  This returns the same indices from the same single
+    ``random`` draw, so the generator's stream and end state are
+    unchanged, but resolves most samples with one compare: ``u`` in
+    guide bucket ``b = floor(u * K)`` (``K`` a power of two, so
+    ``u * K`` and ``b / K`` are exact) has an index in
+    ``[#(cdf <= b/K), #(cdf < (b+1)/K)]``.  A bucket holding at most one
+    CDF boundary settles with ``cdf[base] <= u``; samples in the few
+    buckets holding more go to ``np.searchsorted``.  Blocks of
+    :data:`_SAMPLE_BLOCK` samples keep the temporaries small, so the
+    peak is ``choice``'s own ``u`` and index arrays.
+    """
+    cdf = probabilities.cumsum()
+    cdf /= cdf[-1]
+    uniforms = rng.random(size)
+    n_buckets = min(
+        _MAX_BUCKETS, 1 << (_BUCKETS_PER_CATEGORY * len(cdf) - 1).bit_length()
+    )
+    edges = np.arange(n_buckets + 1, dtype=float) / n_buckets
+    base = np.searchsorted(cdf, edges[:-1], side="right")
+    crowded = np.searchsorted(cdf, edges[1:], side="left") - base > 1
+    del edges
+    indices = np.empty(size, dtype=np.int64)
+    for start in range(0, size, _SAMPLE_BLOCK):
+        u = uniforms[start:start + _SAMPLE_BLOCK]
+        bucket = (u * n_buckets).astype(np.intp)
+        block = base[bucket]
+        block += cdf[block] <= u
+        slow = np.flatnonzero(crowded[bucket])
+        if len(slow):
+            block[slow] = np.searchsorted(cdf, u[slow], side="right")
+        indices[start:start + _SAMPLE_BLOCK] = block
+    return indices
 
 
 class TraceGenerator:
@@ -69,19 +124,21 @@ class TraceGenerator:
 
     def generate(self, duration_seconds: float) -> MemoryTrace:
         """Generate a trace covering ``duration_seconds`` of bank time."""
-        if duration_seconds <= 0:
-            raise ValueError(f"duration must be positive, got {duration_seconds}")
+        if not math.isfinite(duration_seconds) or duration_seconds <= 0:
+            raise ValueError(
+                f"duration must be positive and finite, got {duration_seconds}"
+            )
         spec = self.spec
         n_requests = max(1, int(spec.requests_per_second * duration_seconds))
 
         # Poisson arrivals, rescaled to exactly fill the duration.
-        gaps = self.rng.exponential(1.0, size=n_requests)
-        arrival_seconds = np.cumsum(gaps)
-        arrival_seconds *= duration_seconds / arrival_seconds[-1]
-        cycles = np.minimum(
-            (arrival_seconds / self.timing.tck).astype(np.int64),
-            self.timing.cycles(duration_seconds) - 1,
-        )
+        arrivals = self.rng.exponential(1.0, size=n_requests)
+        np.cumsum(arrivals, out=arrivals)
+        arrivals *= duration_seconds / arrivals[-1]
+        arrivals /= self.timing.tck
+        cycles = arrivals.astype(np.int64)
+        del arrivals
+        np.minimum(cycles, self.timing.cycles(duration_seconds) - 1, out=cycles)
 
         is_streaming = self.rng.random(n_requests) < spec.streaming_fraction
         n_streaming = int(np.count_nonzero(is_streaming))
@@ -90,15 +147,18 @@ class TraceGenerator:
         # permutation of the working set (hot rows are scattered, not
         # the first N physical rows).
         permutation = self.rng.permutation(self.footprint)
-        local_ranks = self.rng.choice(
-            self.footprint, size=n_requests - n_streaming, p=self._zipf_probabilities()
+        local_ranks = _sample_categorical(
+            self.rng, self._zipf_probabilities(), n_requests - n_streaming
         )
         rows = np.empty(n_requests, dtype=np.int64)
         rows[~is_streaming] = permutation[local_ranks]
+        del local_ranks
 
-        # Streaming accesses: a wrap-around scan of the working set.
+        # Streaming accesses: a wrap-around scan of the working set, i.e.
+        # (scan_start + i) % footprint, tiled from one rotated lap.
         scan_start = int(self.rng.integers(0, self.footprint))
-        rows[is_streaming] = (scan_start + np.arange(n_streaming)) % self.footprint
+        lap = np.roll(np.arange(self.footprint, dtype=np.int64), -scan_start)
+        rows[is_streaming] = np.resize(lap, n_streaming)
 
         rows += self.base_row
         is_write = self.rng.random(n_requests) < spec.write_fraction

@@ -13,6 +13,9 @@ timeline against the engine end to end; this module tests its parts:
 * **busy-chain closed forms** — :func:`service_starts` matches the
   FCFS recurrence and :func:`union_length` matches the rank
   simulator's interval-union bookkeeping;
+* **access resets** — the bitmap :func:`access_resets` returns exactly
+  what the sort-unique of packed keys it replaced returns, whole-bank
+  and blocked;
 * **rank fused path** — per-bank and all-bank refresh-only runs match
   the event loop bit for bit (stats, blocked cycles, counter state);
 * **scalar fallback** — a policy customizing only scalar hooks (the
@@ -23,6 +26,7 @@ timeline against the engine end to end; this module tests its parts:
 
 import importlib.util
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -42,12 +46,15 @@ from repro.sim import (
     service_starts,
     union_length,
 )
+from repro.sim import timeline as timeline_module
 from repro.sim._timeline_kernels import (
     _segmented_fulls_loop,
     crossing_kinds,
     segmented_fulls,
 )
 from repro.sim.rank import _union_length
+from repro.sim.schedule import deadline_counts
+from repro.sim.timeline import access_resets
 from repro.technology import BankGeometry, DEFAULT_TECH
 from repro.units import MS
 
@@ -263,6 +270,105 @@ class TestBusyChainClosedForms:
                                   np.empty(0, dtype=np.int64))) == 0
         assert union_length(np.empty(0, dtype=np.int64),
                             np.empty(0, dtype=np.int64), 100) == 0
+
+
+def _sort_unique_resets(rows, cycles, first, periods_cycles, counts=None):
+    """The sort-unique ``access_resets`` the bitmap replaced (the oracle)."""
+    rows = np.asarray(rows, dtype=np.int64)
+    cycles = np.asarray(cycles, dtype=np.int64)
+    in_bank = (rows >= 0) & (rows < len(first))
+    if not in_bank.all():
+        rows, cycles = rows[in_bank], cycles[in_bank]
+    del in_bank
+    # (c - first) // period + 1, which is <= 0 exactly when c < first.
+    ordinals = cycles - first[rows]
+    ordinals //= periods_cycles[rows]
+    ordinals += 1
+    np.maximum(ordinals, 0, out=ordinals)
+    if counts is not None:
+        live = ordinals < counts[rows]
+        rows, ordinals = rows[live], ordinals[live]
+    if len(rows) == 0:
+        return rows, ordinals
+    # One sorted-unique pass over (row, ordinal) packed into one key.
+    span = int(ordinals.max()) + 1
+    keys = rows * span
+    keys += ordinals
+    del ordinals
+    keys.sort()
+    fresh = np.empty(len(keys), dtype=bool)
+    fresh[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=fresh[1:])
+    keys = keys[fresh]
+    return keys // span, keys % span
+
+
+def _assert_same_resets(got, want):
+    for got_array, want_array in zip(got, want):
+        assert got_array.dtype == np.int64
+        np.testing.assert_array_equal(got_array, want_array)
+
+
+class TestAccessResets:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_rows=st.integers(1, 48),
+        n_accesses=st.integers(0, 400),
+        max_period=st.sampled_from([1, 3, 40, 1_000]),
+        with_counts=st.booleans(),
+        floor=st.sampled_from([None, 1, 37, 256]),
+    )
+    def test_bitmap_matches_sort_unique(
+        self, seed, n_rows, n_accesses, max_period, with_counts, floor
+    ):
+        """Out-of-bank rows, the ``counts`` filter, accesses past a row's
+        last crossing (kept when ``counts`` is ``None``), empty input, and
+        with a small bitmap floor the blocked path over many windows."""
+        rng = np.random.default_rng(seed)
+        periods = rng.integers(1, max_period + 1, size=n_rows).astype(np.int64)
+        first = rng.integers(0, periods + 1).astype(np.int64)
+        duration = int(rng.integers(1, 60)) * max_period
+        counts = deadline_counts(first, periods, duration) if with_counts else None
+        rows = rng.integers(-3, n_rows + 3, size=n_accesses).astype(np.int64)
+        cycles = np.sort(rng.integers(0, duration + 3 * max_period, size=n_accesses))
+        want = _sort_unique_resets(rows, cycles, first, periods, counts)
+        if floor is None:
+            got = access_resets(rows, cycles, first, periods, counts)
+        else:
+            with mock.patch.object(timeline_module, "_RESET_BITMAP_FLOOR", floor):
+                got = access_resets(rows, cycles, first, periods, counts)
+        _assert_same_resets(got, want)
+
+    @pytest.mark.parametrize("with_counts", [False, True])
+    def test_wide_span_takes_blocked_path(self, with_counts):
+        """A span whose whole-bank bitmap passes the memory bound is read
+        in windows, with the same result."""
+        n_rows = 16
+        first = np.zeros(n_rows, dtype=np.int64)
+        periods = np.ones(n_rows, dtype=np.int64)
+        rows = np.array([0, 0, 5, 5, 5, 9, 15, 15, 3], dtype=np.int64)
+        cycles = np.array(
+            [0, 3_000_000, 7, 7, 2_999_999, 11, 4_000_000, 1_500_000, 20],
+            dtype=np.int64,
+        )
+        span = int(cycles.max()) + 2
+        assert n_rows * span > timeline_module._RESET_BITMAP_FLOOR
+        counts = deadline_counts(first, periods, 3_500_000) if with_counts else None
+        _assert_same_resets(
+            access_resets(rows, cycles, first, periods, counts),
+            _sort_unique_resets(rows, cycles, first, periods, counts),
+        )
+
+    def test_empty_and_out_of_bank_inputs(self):
+        first = np.array([5, 9], dtype=np.int64)
+        periods = np.array([10, 10], dtype=np.int64)
+        for rows in ([], [-1, 2, 7]):
+            rows = np.array(rows, dtype=np.int64)
+            cycles = np.arange(len(rows), dtype=np.int64)
+            got = access_resets(rows, cycles, first, periods)
+            assert [len(a) for a in got] == [0, 0]
+            assert all(a.dtype == np.int64 for a in got)
 
 
 class TestRankFusedPath:
