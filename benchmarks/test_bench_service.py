@@ -1,37 +1,29 @@
-"""Serving-layer throughput: queries/s warm-local and via the socket.
+"""Sweep-client throughput: queries/s of a warm ``LocalClient.sweep``.
 
-Times the two client paths of the service layer (PR 6's tentpole) on a
-warm result cache, where serving overhead — key hashing, batching,
-future fan-out, and for the remote path JSON-lines framing over a local
-socket — dominates and compute does not:
+Times the drivers' sweep path on a warm result cache, where the
+per-sweep overhead — key hashing, the cache read path, checkpoint and
+manifest bookkeeping in the runner — dominates and compute does not:
 
-* ``local`` — ``LocalService.submit`` of a block of cached queries;
-* ``socket`` — the same block through ``RemoteClient.sweep`` against an
-  in-thread asyncio server;
-* ``dedup`` — a block of identical queries, resolved single-flight.
+* ``local`` — ``LocalClient.sweep`` of a block of cached queries.
 
-Floors are deliberately conservative (an order of magnitude under a
+The floor is deliberately conservative (an order of magnitude under a
 cold CI box) — the committed trajectory in ``BENCH_service.json`` is
-the real record; the assertions only catch pathological regressions
-like a per-query runner invocation or a lost batch coalesce.
+the real record; the assertion only catches pathological regressions
+like a per-query runner invocation.
 """
 
-import asyncio
-import contextlib
-import threading
 import time
 
 from bench_utils import record_service_bench
 from repro.runner import ExperimentRunner, ResultCache
-from repro.service import LocalService, Query, RemoteClient, ServiceServer
+from repro.service import LocalClient, Query
 from repro.technology import DEFAULT_TECH
 
 #: Distinct warm queries per timed sweep (tiny bank: overhead dominates).
 SWEEP_SIZE = 32
 
-#: Pathology floors, queries/s (see module docstring).
+#: Pathology floor, queries/s (see module docstring).
 FLOOR_LOCAL = 20.0
-FLOOR_SOCKET = 10.0
 
 QUERIES = [
     Query(kind="temperature-point", tech=DEFAULT_TECH, rows=64, cols=8,
@@ -51,92 +43,33 @@ def _best_of(fn, rounds):
     return best, result
 
 
-@contextlib.contextmanager
-def _served(service):
-    """An in-thread asyncio server over ``service``, yielding its port."""
-    box, ready = {}, threading.Event()
-
-    def run():
-        async def main():
-            server = ServiceServer(service=service)
-            await server.start()
-            box["server"], box["loop"] = server, asyncio.get_running_loop()
-            box["port"] = server.port
-            ready.set()
-            await server.serve_forever(install_signal_handlers=False)
-
-        asyncio.run(main())
-
-    thread = threading.Thread(target=run, daemon=True)
-    thread.start()
-    assert ready.wait(timeout=15)
-    try:
-        yield box["port"]
-    finally:
-        with contextlib.suppress(Exception):
-            asyncio.run_coroutine_threadsafe(
-                box["server"].shutdown(), box["loop"]
-            ).result(timeout=30)
-        thread.join(timeout=30)
-
-
 class TestServiceThroughput:
     def test_warm_query_throughput(self, benchmark, tmp_path):
-        """Warm local, socket, and dedup paths clear their floors."""
-        runner = ExperimentRunner(cache=ResultCache(tmp_path))
-        service = LocalService(runner=runner)
-        primed = service.submit(QUERIES)  # populate the cache
-        assert all(r.ok for r in primed)
+        """The warm local sweep clears its floor."""
+        client = LocalClient(ExperimentRunner(cache=ResultCache(tmp_path)))
+        primed = client.sweep(QUERIES)  # populate the cache
+        assert not primed.failures
 
-        seconds = {}
-        seconds["local"], warm = _best_of(
-            lambda: service.submit(QUERIES), rounds=5
-        )
-        assert all(r.ok and r.cache_hit for r in warm)
-        assert [r.payload for r in warm] == [r.payload for r in primed]
-
-        dedup_block = [QUERIES[0]] * SWEEP_SIZE
-        seconds["dedup"], deduped = _best_of(
-            lambda: service.submit(dedup_block), rounds=5
-        )
-        assert sum(r.dedup_hit for r in deduped) == SWEEP_SIZE - 1
+        seconds, warm = _best_of(lambda: client.sweep(QUERIES), rounds=5)
+        assert warm.hit_rate == 1.0
+        assert warm.results == primed.results
 
         # pytest-benchmark record of the headline (warm local) path.
-        benchmark.pedantic(service.submit, args=(QUERIES,), rounds=3)
+        benchmark.pedantic(client.sweep, args=(QUERIES,), rounds=3)
 
-        with _served(service) as port:
-            with RemoteClient("127.0.0.1", port) as client:
-                client.sweep(QUERIES)  # warm the connection
-                seconds["socket"], report = _best_of(
-                    lambda: client.sweep(QUERIES), rounds=5
-                )
-                assert not report.failures
-                assert report.results == [r.payload for r in primed]
-        stats = service.snapshot()
-
-        throughput = {
-            path: SWEEP_SIZE / elapsed for path, elapsed in seconds.items()
-        }
-        overhead = seconds["socket"] / seconds["local"]
+        throughput = {"local": SWEEP_SIZE / seconds}
         benchmark.extra_info["sweep_size"] = SWEEP_SIZE
-        benchmark.extra_info["socket_vs_local_overhead"] = overhead
-        for path, rate in throughput.items():
-            benchmark.extra_info[f"{path}_queries_per_s"] = rate
+        benchmark.extra_info["local_queries_per_s"] = throughput["local"]
         record_service_bench(
             "service/warm",
             {
                 "sweep_size": SWEEP_SIZE,
                 "queries_per_s": throughput,
-                "socket_vs_local_overhead": overhead,
-                "hit_rate": stats["hit_rate"],
+                "hit_rate": warm.hit_rate,
             },
         )
         print(
             f"\nservice: {SWEEP_SIZE} warm queries — "
-            + ", ".join(
-                f"{path} {rate:,.0f}/s" for path, rate in throughput.items()
-            )
-            + f", socket overhead {overhead:.1f}x"
+            f"local {throughput['local']:,.0f}/s"
         )
         assert throughput["local"] >= FLOOR_LOCAL
-        assert throughput["socket"] >= FLOOR_SOCKET

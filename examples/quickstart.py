@@ -64,19 +64,19 @@ def main() -> None:
     print(f"  reduction: {100 * (1 - ours.refresh_cycles / base.refresh_cycles):.1f}% "
           f"(paper reports 34% on average)")
 
-    # 5. The same comparison as two typed queries to the simulation
-    #    service — what the sweep drivers and `vrl-dram serve` speak.
-    from repro.service import LocalService, Query
+    # 5. The same comparison as two typed queries — what the sweep
+    #    drivers hand to their client.
+    from repro.service import LocalClient, Query
 
     queries = [
         Query(kind="refresh-overhead", tech=tech, rows=8192, cols=32,
               policy=name, benchmark="canneal", duration_seconds=1.0)
         for name in ("raidr", "vrl-access")
     ]
-    with LocalService() as service:
-        served = [r.payload["refresh_cycles"] for r in service.submit(queries)]
-    print(f"\nvia the service layer: RAIDR {served[0]} vs VRL-Access {served[1]} "
-          f"refresh cycles (cached, batched, and bit-reproducible)")
+    report = LocalClient().sweep(queries)
+    swept = [payload["refresh_cycles"] for payload in report.results]
+    print(f"\nvia the sweep client: RAIDR {swept[0]} vs VRL-Access {swept[1]} "
+          f"refresh cycles (cacheable and bit-reproducible)")
 
 
 if __name__ == "__main__":

@@ -34,14 +34,14 @@ from repro.workloads import PARSEC_WORKLOADS, TraceGenerator
 
 def rank_view() -> None:
     print("== 8-bank rank: refresh mode comparison ==")
-    # The sweep drivers execute through a service client; sharing one
-    # across several studies shares its cache, batcher, and worker pool
-    # (a RemoteClient pointed at `vrl-dram serve` works identically).
-    with LocalClient() as client:
-        result = run_rank_comparison(
-            geometry=BankGeometry(512, 32), n_banks=8, duration_seconds=0.3,
-            client=client,
-        )
+    # The sweep drivers execute through a LocalClient; sharing one
+    # across several studies shares its runner (cache, worker count,
+    # manifests).
+    client = LocalClient()
+    result = run_rank_comparison(
+        geometry=BankGeometry(512, 32), n_banks=8, duration_seconds=0.3,
+        client=client,
+    )
     print(result.format())
     print()
 

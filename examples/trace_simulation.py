@@ -6,11 +6,10 @@ server-style workload (``bgsave``) to show what the refresh overhead
 means for demand requests: queueing behind refreshes, row-buffer
 interference, and the refresh-power comparison the paper quotes.
 
-The four policy runs are submitted as one block of typed queries to the
-in-process simulation service (`repro.service`): the batcher fuses them
-into a single runner invocation (sharing the memoized trace and
-retention profile across policies), and a re-run answers every query
-from the content-addressed cache.
+The four policy runs are swept as one block of typed queries through
+`repro.service.LocalClient`: one runner invocation computes them
+(sharing the memoized trace and retention profile across policies),
+and with a result cache a re-run answers every query from disk.
 
 Run:  python examples/trace_simulation.py [--duration 0.25]
 """
@@ -23,7 +22,7 @@ from repro import (
     RefreshLatencyModel,
     RefreshPowerModel,
 )
-from repro.service import LocalService, Query
+from repro.service import LocalClient, Query
 from repro.sim.stats import RefreshStats, RequestStats
 from repro.technology import DEFAULT_GEOMETRY
 from repro.workloads import PARSEC_WORKLOADS, TraceGenerator
@@ -70,17 +69,17 @@ def main() -> None:
               f"{'mean lat':>8} {'hit%':>5} {'stall cy':>9} {'ref power':>10}")
     print(header)
     print("-" * len(header))
-    with LocalService() as service:
-        for name, result in zip(POLICIES, service.submit(queries)):
-            r = RefreshStats(**result.payload["refresh"])
-            q = RequestStats(**result.payload["requests"])
-            watts = power.refresh_power(r, full, partial)
-            print(
-                f"{name:<12} {r.total_refreshes:>9} {100 * r.partial_fraction:>7.1f}% "
-                f"{100 * r.overhead:>5.2f}% {q.mean_latency_cycles:>8.2f} "
-                f"{100 * q.row_hit_rate:>4.1f}% {q.refresh_stall_cycles:>9} "
-                f"{1e6 * watts:>8.2f}uW"
-            )
+    report = LocalClient().sweep(queries)
+    for name, payload in zip(POLICIES, report.results):
+        r = RefreshStats(**payload["refresh"])
+        q = RequestStats(**payload["requests"])
+        watts = power.refresh_power(r, full, partial)
+        print(
+            f"{name:<12} {r.total_refreshes:>9} {100 * r.partial_fraction:>7.1f}% "
+            f"{100 * r.overhead:>5.2f}% {q.mean_latency_cycles:>8.2f} "
+            f"{100 * q.row_hit_rate:>4.1f}% {q.refresh_stall_cycles:>9} "
+            f"{1e6 * watts:>8.2f}uW"
+        )
 
 
 if __name__ == "__main__":

@@ -48,9 +48,9 @@ def run_baseline_comparison(
         benchmark: workload name for the access-aware policies; ``None``
             runs refresh-only.
         seed: profiling / trace seed.
-        runner: experiment executor to wrap in a transient in-process
-            service; defaults to a serial, uncached one.
-        client: service client (local or remote) to sweep through
+        runner: experiment executor to sweep through; defaults to
+            a serial, uncached one.
+        client: :class:`~repro.service.LocalClient` to sweep through
             instead; results are bit-identical either way.
     """
     queries = [
@@ -66,8 +66,7 @@ def run_baseline_comparison(
         )
         for mechanism in BASELINE_MECHANISMS
     ]
-    with driver_client(client, runner) as service:
-        report = service.sweep(queries, experiment="baselines")
+    report = driver_client(client, runner).sweep(queries, experiment="baselines")
 
     descriptions = {
         "fixed-64ms": "conventional JEDEC 1x",

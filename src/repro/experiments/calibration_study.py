@@ -51,9 +51,9 @@ def run_calibration_study(
             technology default partial target).
         start_lo / start_hi: bounds of the starting-charge profile.
         n_points: lanes per calibration (points in the profile).
-        runner: experiment executor to wrap in a transient in-process
-            service; defaults to a serial, uncached one.
-        client: service client (local or remote) to sweep through
+        runner: experiment executor to sweep through; defaults to
+            a serial, uncached one.
+        client: :class:`~repro.service.LocalClient` to sweep through
             instead; results are bit-identical either way.
     """
     queries = [
@@ -69,8 +69,7 @@ def run_calibration_study(
         )
         for target in targets
     ]
-    with driver_client(client, runner) as service:
-        report = service.sweep(queries, experiment="calibrate")
+    report = driver_client(client, runner).sweep(queries, experiment="calibrate")
 
     rows = []
     dropped = []

@@ -6,36 +6,29 @@ Examples::
     vrl-dram fig4 --jobs 4              # fan sweep cells across 4 workers
     vrl-dram table1 --no-spice
     vrl-dram all --jobs 0 --no-cache    # one worker per CPU, recompute all
-    vrl-dram serve --jobs 4 --port 7718 # long-lived simulation service
-    vrl-dram fig4 --connect :7718       # run the sweep through the service
 
-Every experiment dispatches through the service layer
+Every experiment dispatches through the registry
 (:mod:`repro.service`): the sweep verbs (``fig4``, ``performance``,
-``rank``, ``baselines``, ``mechanisms``, ``temperature``) submit typed
-queries to a
-client — by default an in-process one built from ``--jobs`` /
-``--cache-dir`` / ``--no-cache``, or, with ``--connect host:port``, a
-running ``vrl-dram serve`` instance shared by many clients.  Results
-are bit-identical either way (invariant 13).  Cells are cached on disk
-keyed by the full parameter set (see ``--cache-dir``), fanned out over
-worker processes, and each sweep writes an observability manifest to
-``--runs-dir``.  A warm re-run only recomputes cells whose parameters
-(or the package/result-schema version) changed.
-
-``vrl-dram serve`` starts the asyncio server: it coalesces compatible
-in-flight queries from concurrent clients into single runner batches,
-answers repeats from the shared cache with single-flight dedup, and
-streams per-batch telemetry to subscribers.  SIGTERM drains in-flight
-cells and flushes the final ``service`` manifest before exit.
+``rank``, ``baselines``, ``mechanisms``, ``temperature``,
+``calibrate``) hand typed queries to a
+:class:`~repro.service.LocalClient` built from ``--jobs`` /
+``--cache-dir`` / ``--no-cache``, which runs them through the
+:class:`~repro.runner.ExperimentRunner` on the calling thread.  Cells
+are cached on disk keyed by the full parameter set (see
+``--cache-dir``), fanned out over worker processes, and each sweep
+writes an observability manifest to ``--runs-dir``.  A warm re-run
+only recomputes cells whose parameters (or the package/result-schema
+version) changed.
 
 Fault tolerance: a failing cell no longer aborts the sweep — it is
 retried ``--retries`` times (exponential backoff), reaped by a watchdog
 after ``--cell-timeout`` seconds, and finally reported as a failed cell
-in the manifest while the rest of the grid completes.  Ctrl-C flushes a
-partial manifest; ``--resume <manifest>`` picks the run back up,
-recomputing only the unfinished cells.  ``--chaos`` arms the
-deterministic fault-injection harness (see :mod:`repro.runner.faults`)
-to rehearse exactly these failure modes::
+in the manifest while the rest of the grid completes.  Ctrl-C or
+SIGTERM flushes a partial ``"interrupted"`` manifest and exits 130;
+``--resume <manifest>`` picks the run back up, recomputing only the
+unfinished cells.  ``--chaos`` arms the deterministic fault-injection
+harness (see :mod:`repro.runner.faults`) to rehearse exactly these
+failure modes::
 
     vrl-dram fig4 --jobs 4 --retries 2 --cell-timeout 600
     vrl-dram fig4 --resume runs/20260806T120000.123456.json
@@ -54,13 +47,9 @@ from typing import Optional
 from ..runner import ExperimentRunner, ResultCache, latest_manifest, parse_faults
 from ..service import (
     LocalClient,
-    LocalService,
-    RemoteClient,
-    ServiceError,
     experiment_names,
     experiment_options,
     run_experiment,
-    serve,
 )
 
 #: Default directory for the per-run observability manifests.
@@ -92,21 +81,6 @@ def _runner_for(args: argparse.Namespace) -> ExperimentRunner:
     )
 
 
-def _client_for(args: argparse.Namespace):
-    """The service client the experiment verbs sweep through.
-
-    ``--connect host:port`` talks to a running ``vrl-dram serve``;
-    otherwise an in-process client wraps the runner built from
-    ``--jobs`` / ``--cache-dir`` / ``--no-cache`` (one client per
-    ``main`` call, so ``vrl-dram all`` shares its worker pool,
-    per-process trace builds, cache, and batcher across experiments).
-    """
-    if args.connect:
-        host, _, port = args.connect.rpartition(":")
-        return RemoteClient(host or "127.0.0.1", int(port))
-    return LocalClient(runner=_runner_for(args))
-
-
 def _mechanism_names() -> list[str]:
     """Registered mechanism names, straight from the registry.
 
@@ -128,9 +102,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "experiment",
-        choices=sorted(experiment_names()) + ["all", "serve"],
-        help="which paper artifact to regenerate (or 'serve' to start "
-        "the simulation service)",
+        choices=sorted(experiment_names()) + ["all"],
+        help="which paper artifact to regenerate",
     )
     parser.add_argument("--duration", type=float, default=1.0, help="fig4: seconds of simulated time")
     parser.add_argument(
@@ -213,40 +186,6 @@ def build_parser() -> argparse.ArgumentParser:
         "cell '*' striking every cell; actions: raise, hang, kill, interrupt, "
         "nan, diverge, jitfail; also via $VRL_DRAM_FAULTS)",
     )
-    parser.add_argument(
-        "--connect",
-        metavar="HOST:PORT",
-        default=None,
-        help="run the sweep verbs through a running 'vrl-dram serve' "
-        "instead of in-process (host defaults to 127.0.0.1)",
-    )
-    parser.add_argument(
-        "--host",
-        default="127.0.0.1",
-        help="serve: bind address",
-    )
-    parser.add_argument(
-        "--port",
-        type=int,
-        default=0,
-        help="serve: TCP port (0 picks a free one, printed in the banner)",
-    )
-    parser.add_argument(
-        "--batch-window",
-        type=float,
-        default=0.0,
-        metavar="SECONDS",
-        help="serve: linger this long after a query arrives so concurrent "
-        "clients coalesce into one batch (0 = batch only what is queued)",
-    )
-    parser.add_argument(
-        "--drain-timeout",
-        type=float,
-        default=60.0,
-        metavar="SECONDS",
-        help="serve: seconds a SIGTERM drain may spend finishing in-flight "
-        "cells before queued queries are failed instead",
-    )
     parser.set_defaults(spice=True)
     return parser
 
@@ -274,36 +213,11 @@ def _validate_args(args: argparse.Namespace) -> Optional[str]:
                 f"--mechanisms: unknown {', '.join(unknown)}; "
                 f"registered: {', '.join(registered)}"
             )
-    if args.connect is not None:
-        if args.experiment == "serve":
-            return "--connect cannot be combined with the serve verb"
-        _, _, port = args.connect.rpartition(":")
-        if not port.isdigit():
-            return f"--connect expects HOST:PORT, got {args.connect!r}"
-    if args.batch_window < 0:
-        return f"--batch-window must be >= 0, got {args.batch_window:g}"
-    if args.drain_timeout <= 0:
-        return f"--drain-timeout must be > 0 seconds, got {args.drain_timeout:g}"
     return None
 
 
-def _serve(args: argparse.Namespace) -> int:
-    """The ``vrl-dram serve`` verb: run the service until SIGTERM."""
-    service = LocalService(
-        runner=_runner_for(args),
-        batch_window=args.batch_window,
-        manifest_on_close=True,
-    )
-    return serve(
-        service,
-        host=args.host,
-        port=args.port,
-        drain_timeout=args.drain_timeout,
-    )
-
-
 def main(argv: list[str] | None = None) -> int:
-    """Run one (or all) experiments — or the service — from the CLI."""
+    """Run one (or all) experiments from the CLI."""
     args = build_parser().parse_args(argv)
     problem = _validate_args(args)
     if problem is not None:
@@ -311,13 +225,8 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     if not args.runs_dir:
         args.runs_dir = None
-    if args.experiment == "serve":
-        return _serve(args)
-    try:
-        client = _client_for(args)
-    except (ServiceError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    # One client per call, so `vrl-dram all` shares its runner and cache.
+    client = LocalClient(_runner_for(args))
     options = experiment_options(vars(args))
     names = (
         sorted(experiment_names()) if args.experiment == "all" else [args.experiment]
@@ -333,9 +242,6 @@ def main(argv: list[str] | None = None) -> int:
                 directory = Path(args.csv)
                 directory.mkdir(parents=True, exist_ok=True)
                 result.to_csv(directory / f"{name}.csv")
-    except ServiceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except KeyboardInterrupt:
         hint = ""
         if args.runs_dir is not None:
@@ -345,8 +251,6 @@ def main(argv: list[str] | None = None) -> int:
                 pass
         print(f"\ninterrupted{hint}", file=sys.stderr)
         return 130
-    finally:
-        client.close()
     return 0
 
 

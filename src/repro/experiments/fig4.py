@@ -51,10 +51,10 @@ def run_fig4(
         nbits: VRL counter width.
         seed: retention-profiling / trace-generation seed.
         include_power: also compute the refresh power ratio.
-        runner: experiment executor to wrap in a transient in-process
-            service; defaults to a serial, uncached one (results are
-            identical for any runner configuration).
-        client: service client (local or remote) to sweep through
+        runner: experiment executor to sweep through; defaults to
+            a serial, uncached one (results are identical for any
+            runner configuration).
+        client: :class:`~repro.service.LocalClient` to sweep through
             instead; results are bit-identical either way.
     """
     names = list(benchmarks) if benchmarks else list(PARSEC_WORKLOADS)
@@ -79,8 +79,7 @@ def run_fig4(
         )
         for policy, bench in grid
     ]
-    with driver_client(client, runner) as service:
-        report = service.sweep(queries, experiment="fig4")
+    report = driver_client(client, runner).sweep(queries, experiment="fig4")
     stats = {
         pair: RefreshStats(**payload)
         for pair, payload in zip(grid, report.results)

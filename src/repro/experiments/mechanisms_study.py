@@ -9,10 +9,9 @@ cycle-level engine, reporting *both* sides of the trade —
 refresh-cycle totals (what RAIDR/AVATAR/VRL optimize) and demand-side
 read latency / refresh stalls (what DARP and ChargeCache optimize).
 
-Every matrix point is one ``mechanism-matrix`` service query, so the
-sweep caches, dedups, and distributes like every other experiment, and
-the driver is bit-identical through a local or remote client
-(invariant 13).
+Every matrix point is one ``mechanism-matrix`` query, so the sweep
+caches and distributes like every other experiment, and the driver is
+bit-identical to a raw runner run of the same cells (invariant 13).
 """
 
 from __future__ import annotations
@@ -75,9 +74,9 @@ def run_mechanism_matrix(
             — keep it modest).
         nbits: VRL counter width.
         seed: profiling / trace seed.
-        runner: experiment executor to wrap in a transient in-process
-            service; defaults to a serial, uncached one.
-        client: service client (local or remote) to sweep through
+        runner: experiment executor to sweep through; defaults to
+            a serial, uncached one.
+        client: :class:`~repro.service.LocalClient` to sweep through
             instead; results are bit-identical either way.
     """
     unknown = [name for name in mechanisms if name not in MECHANISMS]
@@ -119,8 +118,7 @@ def run_mechanism_matrix(
         )
         for benchmark, temperature, rows, mechanism in grid
     ]
-    with driver_client(client, runner) as service:
-        report = service.sweep(queries, experiment="mechanisms")
+    report = driver_client(client, runner).sweep(queries, experiment="mechanisms")
 
     descriptions = {info.name: info.description for info in MECHANISMS.describe()}
     rows = []

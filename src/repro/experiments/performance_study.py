@@ -48,9 +48,9 @@ def run_performance_study(
         duration_seconds: simulated time per (benchmark, policy) pair.
         benchmarks: benchmark names; defaults to a four-workload subset.
         seed: profiling / trace seed.
-        runner: experiment executor to wrap in a transient in-process
-            service; defaults to a serial, uncached one.
-        client: service client (local or remote) to sweep through
+        runner: experiment executor to sweep through; defaults to
+            a serial, uncached one.
+        client: :class:`~repro.service.LocalClient` to sweep through
             instead; results are bit-identical either way.
     """
     names = list(benchmarks) if benchmarks else list(DEFAULT_BENCHMARKS)
@@ -75,8 +75,7 @@ def run_performance_study(
         )
         for bench, policy in grid
     ]
-    with driver_client(client, runner) as service:
-        report = service.sweep(queries, experiment="performance")
+    report = driver_client(client, runner).sweep(queries, experiment="performance")
     outcomes = {
         pair: (RefreshStats(**payload["refresh"]), RequestStats(**payload["requests"]))
         for pair, payload in zip(grid, report.results)

@@ -47,9 +47,9 @@ def run_rank_comparison(
         n_banks: banks per rank (DDR3: 8).
         duration_seconds: simulated horizon.
         seed: base profiling seed (each bank gets its own profile).
-        runner: experiment executor to wrap in a transient in-process
-            service; defaults to a serial, uncached one.
-        client: service client (local or remote) to sweep through
+        runner: experiment executor to sweep through; defaults to
+            a serial, uncached one.
+        client: :class:`~repro.service.LocalClient` to sweep through
             instead; results are bit-identical either way.
     """
     queries = [
@@ -65,8 +65,7 @@ def run_rank_comparison(
         )
         for mode in RANK_MODES
     ]
-    with driver_client(client, runner) as service:
-        report = service.sweep(queries, experiment="rank")
+    report = driver_client(client, runner).sweep(queries, experiment="rank")
 
     rows = []
     baseline_cycles = None

@@ -41,9 +41,9 @@ def run_temperature_study(
         temperatures: operating points in degC (profiles are referenced
             at 45 degC).
         seed: profiling seed.
-        runner: experiment executor to wrap in a transient in-process
-            service; defaults to a serial, uncached one.
-        client: service client (local or remote) to sweep through
+        runner: experiment executor to sweep through; defaults to
+            a serial, uncached one.
+        client: :class:`~repro.service.LocalClient` to sweep through
             instead; results are bit-identical either way.
     """
     queries = [
@@ -57,8 +57,7 @@ def run_temperature_study(
         )
         for temperature in temperatures
     ]
-    with driver_client(client, runner) as service:
-        report = service.sweep(queries, experiment="temperature")
+    report = driver_client(client, runner).sweep(queries, experiment="temperature")
 
     rows = []
     baseline_raidr = None

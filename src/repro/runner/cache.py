@@ -47,8 +47,8 @@ def register_result_schema(kind: str, version: int) -> None:
     The version is folded into every :func:`cache_key` for that kind,
     so bumping it when the kind's *result* shape changes (new fields,
     renamed counters, changed units) invalidates exactly that kind's
-    cached entries — the stale-cache trap that opens once many clients
-    share one cache through the service layer.  Kinds register their
+    cached entries — the stale-cache trap that opens once many runs
+    share one cache directory.  Kinds register their
     versions at import time in :mod:`repro.runner.cells`.
     """
     _RESULT_SCHEMAS[kind] = int(version)

@@ -1,7 +1,7 @@
 """Experiment registry: one dispatch table for CLI, examples, tests.
 
 Maps every ``vrl-dram`` experiment verb to a thin closure over its
-driver.  Sweep drivers receive the service client (their execution
+driver.  Sweep drivers receive the sweep client (their execution
 backend); figure/table drivers compute inline but dispatch through the
 same table — so the CLI, the examples, and anything else that wants "an
 experiment by name" share one code path.
@@ -25,7 +25,7 @@ EXPERIMENT_DEFAULTS: dict[str, Any] = {
     "spice": True,
 }
 
-#: Verbs whose drivers sweep through the service client.
+#: Verbs whose drivers sweep through the client.
 SWEEP_EXPERIMENTS = (
     "fig4", "performance", "rank", "baselines", "mechanisms", "temperature",
     "calibrate",
@@ -64,8 +64,8 @@ def run_experiment(
 
     Args:
         name: a verb from :data:`EXPERIMENT_NAMES`.
-        client: service client for the sweep verbs (``None`` builds a
-            transient serial in-process one per sweep).
+        client: :class:`~repro.service.LocalClient` for the sweep
+            verbs (``None`` builds a serial, uncached one per sweep).
         **options: CLI-style options (see :data:`EXPERIMENT_DEFAULTS`);
             unknown keys are rejected.
     """

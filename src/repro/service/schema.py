@@ -1,37 +1,25 @@
-"""Typed query schema of the simulation service.
+"""Typed query schema of the sweep layer.
 
-A :class:`Query` is the service-level request unit: one policy ×
+A :class:`Query` is the sweep-level request unit: one policy ×
 technology × temperature × workload × geometry point, expressed as a
 typed dataclass instead of the raw parameter dicts the sweep drivers
 used to assemble by hand.  Every query lowers to exactly one runner
 :class:`~repro.runner.cells.Cell` (:meth:`Query.to_cell`), and its
 canonical content address (:meth:`Query.key`) is the *same* SHA-256
 key the :class:`~repro.runner.cache.ResultCache` uses — so queries,
-sweep drivers, and warm caches all speak one keyspace.
-
-:class:`QueryResult` is the service-level answer: the cell payload plus
-the serving telemetry (cache hit, single-flight dedup, batch ordinal,
-worker, wall time).  Both ends serialize to JSON dicts
-(:meth:`to_dict` / :meth:`from_dict`) for the line protocol of
-:mod:`repro.service.server`.
-
-:class:`ServiceStats` holds the shared serving counters every backend
-(in-process :class:`~repro.service.local.LocalService` or the asyncio
-server) maintains and streams as telemetry.
+sweep drivers, and warm caches all speak one keyspace.  Queries
+serialize to JSON dicts (:meth:`Query.to_dict` /
+:meth:`Query.from_dict`).
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 from typing import Any, Mapping, Optional
 
 from ..runner import Cell, cache_key
 from ..runner.cells import CELL_KINDS
 from ..technology import TechnologyParams
-
-#: Wire-protocol version of the service layer (bumped on breaking
-#: changes to the query/result JSON shapes or the server line protocol).
-SERVICE_PROTOCOL = 1
 
 #: The parameter names each cell kind consumes, in the exact order the
 #: pre-service sweep drivers emitted them.  ``Query.params()`` projects
@@ -199,12 +187,12 @@ class Query:
         return cache_key(self.kind, self.params())
 
     def to_dict(self) -> dict[str, Any]:
-        """JSON-wire form (``from_dict`` round-trips it)."""
+        """JSON form (``from_dict`` round-trips it)."""
         return {"kind": self.kind, "label": self.label, "params": self.params()}
 
     @classmethod
     def from_dict(cls, record: Mapping[str, Any]) -> "Query":
-        """Rebuild a query from its :meth:`to_dict` wire form."""
+        """Rebuild a query from its :meth:`to_dict` form."""
         kind = record.get("kind")
         params = record.get("params")
         if not isinstance(kind, str) or not isinstance(params, Mapping):
@@ -221,99 +209,3 @@ class Query:
         return cls.from_dict(
             {"kind": cell.kind, "label": cell.label, "params": dict(cell.params)}
         )
-
-
-@dataclass
-class QueryResult:
-    """The service's answer to one query.
-
-    ``payload`` is the cell payload (``None`` if the computation failed
-    — then ``error`` carries the structured
-    :meth:`~repro.runner.errors.CellError.to_dict` record).  The
-    remaining fields are serving telemetry: ``cache_hit`` (answered
-    from the shared on-disk cache or a resume checkpoint),
-    ``dedup_hit`` (coalesced onto an identical in-flight query by the
-    single-flight layer), ``batch`` (ordinal of the batch that served
-    it; ``-1`` when unknown), ``manifest`` (path of the run manifest
-    the serving batch wrote, empty when manifests are disabled),
-    ``worker`` and ``wall_seconds`` straight from the runner outcome.
-    """
-
-    key: str
-    label: str = ""
-    kind: str = ""
-    payload: Optional[dict] = None
-    cache_hit: bool = False
-    dedup_hit: bool = False
-    wall_seconds: float = 0.0
-    worker: str = ""
-    batch: int = -1
-    manifest: str = ""
-    error: Optional[dict] = None
-
-    @property
-    def ok(self) -> bool:
-        """Did the query produce a payload?"""
-        return self.error is None and self.payload is not None
-
-    def as_dedup(self) -> "QueryResult":
-        """A copy marked as served by single-flight coalescing."""
-        return replace(self, dedup_hit=True)
-
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-wire form (``from_dict`` round-trips it)."""
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, record: Mapping[str, Any]) -> "QueryResult":
-        known = {f.name for f in fields(cls)}
-        return cls(**{k: v for k, v in record.items() if k in known})
-
-
-@dataclass
-class ServiceStats:
-    """Aggregate serving counters (shared by every backend).
-
-    ``queries`` counts every query accepted; each is then served
-    exactly one way: from the cache/checkpoint (``cache_hits``), by
-    coalescing onto an identical in-flight computation
-    (``dedup_hits``), by fresh computation (``computed``), or not at
-    all (``failed``).  ``batches`` / ``batched_queries`` /
-    ``max_batch_size`` describe how the batcher packed computations;
-    ``coalesced_batches`` counts batches that fused more than one
-    query into one runner invocation.
-    """
-
-    queries: int = 0
-    sweeps: int = 0
-    cache_hits: int = 0
-    dedup_hits: int = 0
-    computed: int = 0
-    failed: int = 0
-    batches: int = 0
-    batched_queries: int = 0
-    coalesced_batches: int = 0
-    max_batch_size: int = 0
-    busy_seconds: float = 0.0
-
-    def record_batch(self, size: int) -> None:
-        """Account one dispatched batch of ``size`` unique queries."""
-        self.batches += 1
-        self.batched_queries += size
-        self.max_batch_size = max(self.max_batch_size, size)
-        if size > 1:
-            self.coalesced_batches += 1
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of queries answered without fresh computation."""
-        if not self.queries:
-            return 0.0
-        return (self.cache_hits + self.dedup_hits) / self.queries
-
-    def snapshot(self) -> dict[str, Any]:
-        """The counters as a plain dict, with ``hit_rate`` included."""
-        record = asdict(self)
-        record["hit_rate"] = round(self.hit_rate, 4)
-        record["busy_seconds"] = round(self.busy_seconds, 6)
-        return record

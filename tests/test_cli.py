@@ -1,12 +1,21 @@
 """Tests for the vrl-dram command-line interface."""
 
-import json
+import os
+import signal
+import subprocess
+import sys
+import threading
+import time
 from pathlib import Path
 
 import pytest
 
 from repro.experiments.cli import build_parser, default_cache_dir, main
 from repro.runner import latest_manifest, load_manifest
+from repro.service import SWEEP_EXPERIMENTS, LocalClient, Query
+from repro.technology import DEFAULT_TECH
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture(autouse=True)
@@ -63,6 +72,24 @@ class TestParser:
     def test_default_cache_dir_honours_env(self, monkeypatch):
         monkeypatch.setenv("VRL_DRAM_CACHE", "/tmp/elsewhere")
         assert default_cache_dir() == Path("/tmp/elsewhere")
+
+    @pytest.mark.parametrize(
+        "argv, token",
+        [
+            (["serve"], "serve"),
+            (["fig4", "--connect", "127.0.0.1:8765"], "--connect"),
+            (["fig4", "--host", "127.0.0.1"], "--host"),
+            (["fig4", "--port", "8765"], "--port"),
+            (["fig4", "--batch-window", "0.01"], "--batch-window"),
+            (["fig4", "--drain-timeout", "5"], "--drain-timeout"),
+        ],
+        ids=["serve", "connect", "host", "port", "batch-window", "drain-timeout"],
+    )
+    def test_serving_verb_and_flags_are_gone(self, argv, token, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
+        assert token in capsys.readouterr().err
 
 
 class TestMain:
@@ -234,3 +261,123 @@ class TestFaultToleranceFlags:
             ]
 
         assert strip(clean) == strip(chaotic)
+
+
+def _cli_env() -> dict:
+    """Environment for a child ``python -m repro.experiments.cli``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+    return env
+
+
+def _default_sigint() -> None:
+    # A child inherits an ignored SIGINT from a background parent, and
+    # Python only maps SIGINT to KeyboardInterrupt when it starts at the
+    # default disposition.
+    signal.signal(signal.SIGINT, signal.SIG_DFL)
+
+
+def _wait_for_checkpoint_line(runs: Path, proc: subprocess.Popen) -> None:
+    """Block until the sweep's checkpoint holds one completed cell."""
+    deadline = time.monotonic() + 120
+    while time.monotonic() < deadline:
+        assert proc.poll() is None, "sweep exited before it was signalled"
+        lines = [
+            line
+            for path in runs.glob("*.checkpoint.jsonl")
+            for line in path.read_text().splitlines()
+        ]
+        if lines:
+            return
+        time.sleep(0.05)
+    raise AssertionError("no checkpoint line within 120 s")
+
+
+class TestInterruptContract:
+    """Ctrl-C and SIGTERM stop a sweep where it is, leave an
+    ``"interrupted"`` manifest and a resume hint, and exit 130."""
+
+    SWEEP = ["temperature", "--jobs", "1", "--no-cache"]
+
+    @pytest.mark.parametrize("verb", SWEEP_EXPERIMENTS)
+    def test_interrupt_inside_cell_exits_130_with_resume_hint(
+        self, verb, tmp_path, capsys
+    ):
+        runs = tmp_path / "runs"
+        argv = [verb, "--jobs", "1", "--no-cache", "--chaos", "interrupt@1",
+                "--runs-dir", str(runs)]
+        assert main(argv) == 130
+        assert "resume with: --resume" in capsys.readouterr().err
+        manifest = load_manifest(latest_manifest(runs))
+        assert manifest["experiment"] == verb
+        assert manifest["status"] == "interrupted"
+        assert len(manifest["cells"]) == 1  # the cell before the interrupt
+
+    @pytest.mark.parametrize(
+        "signum", [signal.SIGTERM, signal.SIGINT], ids=["sigterm", "sigint"]
+    )
+    def test_signal_mid_sweep_flushes_then_resumes(self, signum, tmp_path):
+        runs = tmp_path / "runs"
+        command = [sys.executable, "-m", "repro.experiments.cli"] + self.SWEEP + [
+            "--runs-dir", str(runs),
+        ]
+        proc = subprocess.Popen(
+            command + ["--chaos", "hang@1=60"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=_cli_env(),
+            cwd=tmp_path,
+            preexec_fn=_default_sigint,
+        )
+        try:
+            _wait_for_checkpoint_line(runs, proc)
+            proc.send_signal(signum)
+            _, err = proc.communicate(timeout=10)
+        finally:
+            if proc.poll() is None:  # pragma: no cover - cleanup on failure
+                proc.kill()
+                proc.communicate()
+        assert proc.returncode == 130, err
+        assert "resume with: --resume" in err
+        interrupted = latest_manifest(runs)
+        manifest = load_manifest(interrupted)
+        assert manifest["status"] == "interrupted"
+        assert len(manifest["cells"]) == 1
+
+        resumed = subprocess.run(
+            command + ["--resume", str(interrupted)],
+            capture_output=True,
+            text=True,
+            env=_cli_env(),
+            cwd=tmp_path,
+            timeout=120,
+        )
+        assert resumed.returncode == 0, resumed.stderr
+        final = load_manifest(latest_manifest(runs))
+        assert final["status"] == "complete"
+        assert (final["cache"]["hits"], final["cache"]["misses"]) == (1, 4)
+
+
+class TestSweepHygiene:
+    def test_cli_import_leaves_asyncio_unloaded(self):
+        code = "import sys, repro.experiments.cli; print('asyncio' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env=_cli_env(),
+            check=True,
+        ).stdout
+        assert out.strip() == "False"
+
+    def test_local_client_sweep_starts_no_thread(self, monkeypatch):
+        def refuse(thread):
+            raise AssertionError(f"sweep started thread {thread.name!r}")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        query = Query(kind="temperature-point", tech=DEFAULT_TECH, rows=64,
+                      cols=8, temperature=45.0, seed=7)
+        with LocalClient() as client:
+            report = client.sweep([query])
+        assert report.results[0] is not None

@@ -3,7 +3,7 @@
 Each registered verb is executed through ``main()`` exactly as a user
 would (``--jobs 1 --no-cache`` on tiny inputs), asserting the exit
 code, the completion banner, and a non-empty CSV table — the cheapest
-possible guarantee that no verb's wiring (parser → registry → service
+possible guarantee that no verb's wiring (parser → registry → sweep
 client → driver) is broken.
 """
 
@@ -48,4 +48,4 @@ def test_all_verbs_are_covered():
 
     parser = build_parser()
     action = next(a for a in parser._actions if a.dest == "experiment")
-    assert set(action.choices) == set(experiment_names()) | {"all", "serve"}
+    assert set(action.choices) == set(experiment_names()) | {"all"}

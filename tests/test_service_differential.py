@@ -1,30 +1,28 @@
-"""Invariant 13: service execution ≡ direct execution, bit for bit.
+"""Invariant 13: driver ≡ runner, bit for bit.
 
-Three ways to run the same experiment — handing the driver a bare
-``ExperimentRunner`` (wrapped in a transient in-process service),
-handing it a shared ``LocalClient``, and routing it through the asyncio
-socket server — must produce bit-identical ``ExperimentResult`` headers
-and rows.  Below the drivers, a raw ``runner.run`` of the hand-built
-cells must produce payloads bit-identical to the service answering the
-equivalent typed queries, with batching, dedup, and caching all in
-play.  No tolerance: repeatability here is exact equality.
+Two ways to run the same experiment — handing the driver a bare
+``ExperimentRunner`` and handing it a shared ``LocalClient`` — must
+produce bit-identical ``ExperimentResult`` headers and rows, cold or
+warm.  Below the drivers, a raw ``runner.run`` of the hand-built cells
+must produce payloads bit-identical to ``LocalClient.sweep`` of the
+equivalent typed queries, at any ``jobs``, with queries repeated in a
+block, and after an interrupted sweep is resumed.  No tolerance:
+repeatability here is exact equality.
 """
-
-import asyncio
-import contextlib
-import threading
 
 import pytest
 
-from repro.experiments import run_fig4, run_mechanism_matrix, run_temperature_study
-from repro.runner import ExperimentRunner
-from repro.service import (
-    LocalClient,
-    LocalService,
-    Query,
-    RemoteClient,
-    ServiceServer,
+from repro.experiments import (
+    run_baseline_comparison,
+    run_calibration_study,
+    run_fig4,
+    run_mechanism_matrix,
+    run_performance_study,
+    run_rank_comparison,
+    run_temperature_study,
 )
+from repro.runner import ExperimentRunner, ResultCache, latest_manifest
+from repro.service import LocalClient, Query
 from repro.technology import DEFAULT_TECH, BankGeometry
 
 GEOMETRY = BankGeometry(128, 16)
@@ -39,38 +37,12 @@ MECH_KWARGS = dict(
     benchmarks=("blackscholes",), temperatures=(45.0,), duration_seconds=0.05,
     seed=5,
 )
-
-
-@contextlib.contextmanager
-def remote_client():
-    """A RemoteClient against a throwaway in-thread server."""
-    box, ready = {}, threading.Event()
-
-    def run():
-        async def main():
-            server = ServiceServer(service=LocalService())
-            await server.start()
-            box["server"] = server
-            box["loop"] = asyncio.get_running_loop()
-            box["port"] = server.port
-            ready.set()
-            await server.serve_forever(install_signal_handlers=False)
-
-        asyncio.run(main())
-
-    thread = threading.Thread(target=run, daemon=True)
-    thread.start()
-    assert ready.wait(timeout=15)
-    client = RemoteClient("127.0.0.1", box["port"])
-    try:
-        yield client
-    finally:
-        client.close()
-        with contextlib.suppress(Exception):
-            asyncio.run_coroutine_threadsafe(
-                box["server"].shutdown(), box["loop"]
-            ).result(timeout=30)
-        thread.join(timeout=30)
+RANK_KWARGS = dict(geometry=GEOMETRY, n_banks=2, duration_seconds=0.05, seed=5)
+BASELINE_KWARGS = dict(geometry=GEOMETRY, duration_seconds=0.05, seed=5)
+PERF_KWARGS = dict(
+    geometry=GEOMETRY, duration_seconds=0.02, benchmarks=["swaptions"], seed=5
+)
+CALIB_KWARGS = dict(geometry=GEOMETRY, targets=(None,), n_points=4)
 
 
 def _table(result):
@@ -84,8 +56,15 @@ def _table(result):
         (run_fig4, FIG4_KWARGS),
         (run_temperature_study, TEMP_KWARGS),
         (run_mechanism_matrix, MECH_KWARGS),
+        (run_rank_comparison, RANK_KWARGS),
+        (run_baseline_comparison, BASELINE_KWARGS),
+        (run_performance_study, PERF_KWARGS),
+        (run_calibration_study, CALIB_KWARGS),
     ],
-    ids=["fig4", "temperature", "mechanisms"],
+    ids=[
+        "fig4", "temperature", "mechanisms", "rank", "baselines",
+        "performance", "calibrate",
+    ],
 )
 class TestDriverPathsIdentical:
     def test_runner_vs_local_client(self, driver, kwargs):
@@ -94,15 +73,7 @@ class TestDriverPathsIdentical:
             via_client = driver(client=client, **kwargs)
         assert _table(via_runner) == _table(via_client)
 
-    def test_runner_vs_socket_server(self, driver, kwargs):
-        via_runner = driver(runner=ExperimentRunner(), **kwargs)
-        with remote_client() as client:
-            via_socket = driver(client=client, **kwargs)
-        assert _table(via_runner) == _table(via_socket)
-
     def test_warm_rerun_identical_through_shared_client(self, driver, kwargs, tmp_path):
-        from repro.runner import ResultCache
-
         runner = ExperimentRunner(cache=ResultCache(tmp_path))
         with LocalClient(runner=runner) as client:
             cold = driver(client=client, **kwargs)
@@ -111,7 +82,7 @@ class TestDriverPathsIdentical:
 
 
 class TestCellLevelEquivalence:
-    """Below the drivers: raw runner payloads == service payloads."""
+    """Below the drivers: raw runner payloads == client payloads."""
 
     QUERIES = [
         Query(kind="temperature-point", tech=DEFAULT_TECH, rows=64, cols=8,
@@ -125,23 +96,37 @@ class TestCellLevelEquivalence:
 
     def test_direct_runner_equals_service(self):
         direct = ExperimentRunner().run([q.to_cell() for q in self.QUERIES])
-        with LocalService() as service:
-            served = service.submit(self.QUERIES)
-        assert [r.payload for r in served] == direct.results
-
-    def test_dedup_and_batching_do_not_perturb_payloads(self):
-        doubled = [q for q in self.QUERIES for _ in (0, 1)]
-        direct = ExperimentRunner().run([q.to_cell() for q in self.QUERIES])
-        with LocalService() as service:
-            served = service.submit(doubled)
-            stats = service.snapshot()
-        assert stats["dedup_hits"] == len(self.QUERIES)
-        expected = [p for p in direct.results for _ in (0, 1)]
-        assert [r.payload for r in served] == expected
+        swept = LocalClient().sweep(self.QUERIES)
+        assert swept.results == direct.results
 
     def test_parallel_service_equals_serial_service(self):
-        with LocalService(jobs=1) as serial:
-            one = serial.submit(self.QUERIES)
-        with LocalService(jobs=2) as parallel:
-            two = parallel.submit(self.QUERIES)
-        assert [r.payload for r in one] == [r.payload for r in two]
+        one = LocalClient(ExperimentRunner(jobs=1)).sweep(self.QUERIES)
+        two = LocalClient(ExperimentRunner(jobs=2)).sweep(self.QUERIES)
+        assert one.results == two.results
+
+    def test_repeated_queries_do_not_perturb_payloads(self):
+        direct = ExperimentRunner().run([q.to_cell() for q in self.QUERIES])
+        swept = LocalClient().sweep(self.QUERIES + self.QUERIES)
+        n = len(self.QUERIES)
+        assert swept.results[:n] == swept.results[n:] == direct.results
+
+    def test_warm_sweep_equals_cold_sweep(self, tmp_path):
+        client = LocalClient(ExperimentRunner(cache=ResultCache(tmp_path)))
+        cold = client.sweep(self.QUERIES)
+        warm = client.sweep(self.QUERIES)
+        assert cold.hit_rate == 0.0 and warm.hit_rate == 1.0
+        assert warm.results == cold.results
+
+    def test_resumed_sweep_equals_uninterrupted_sweep(self, tmp_path):
+        direct = ExperimentRunner().run([q.to_cell() for q in self.QUERIES])
+        interrupted = LocalClient(
+            ExperimentRunner(runs_dir=tmp_path, faults="interrupt@2")
+        )
+        with pytest.raises(KeyboardInterrupt):
+            interrupted.sweep(self.QUERIES)
+        resumed = LocalClient(
+            ExperimentRunner(resume_from=latest_manifest(tmp_path))
+        ).sweep(self.QUERIES)
+        assert [o.worker for o in resumed.outcomes[:2]] == ["resume", "resume"]
+        assert resumed.cache_hits == 2
+        assert resumed.results == direct.results

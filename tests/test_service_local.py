@@ -1,24 +1,23 @@
-"""In-process service backend: batching, single-flight dedup, shutdown.
+"""LocalClient: the sweep client returns the runner's own report.
 
-The serving guarantees every backend must uphold, tested without a
-socket: a block of queries becomes one coalesced batch per cell kind;
-identical in-flight queries compute once and fan out as dedup hits;
-repeats hit the shared cache; counters account for every query exactly
-once; close() drains in-flight work (flushing manifests) and fails
-late submissions loudly.
+A sweep runs on the calling thread, so the runner's contracts hold
+end to end: results come back in input order, repeats hit the shared
+cache, a failing cell is reported rather than raised, an interrupt
+propagates after flushing an ``"interrupted"`` manifest, and the
+report's ``notes()`` carry the same ``runner ...`` keys the drivers
+attach to their results.
 """
-
-import threading
 
 import pytest
 
-from repro.runner import ExperimentRunner, ResultCache, latest_manifest, load_manifest
-from repro.service import (
-    LocalClient,
-    LocalService,
-    Query,
-    ServiceClosed,
+from repro.runner import (
+    ExperimentRunner,
+    ResultCache,
+    RunReport,
+    latest_manifest,
+    load_manifest,
 )
+from repro.service import LocalClient, Query, driver_client
 from repro.technology import DEFAULT_TECH
 
 
@@ -27,165 +26,28 @@ def _temp_query(temperature=45.0, seed=7, rows=64):
                  cols=8, temperature=temperature, seed=seed)
 
 
-def _policy_query(policy="vrl", seed=7):
-    return Query(kind="refresh-overhead", tech=DEFAULT_TECH, rows=64, cols=8,
-                 policy=policy, seed=seed, duration_seconds=0.2)
-
-
-class TestBatching:
-    def test_block_submit_is_one_batch_per_kind(self):
-        queries = [_temp_query(t) for t in (40.0, 50.0, 60.0)] + [
-            _policy_query(p) for p in ("raidr", "vrl")
-        ]
-        with LocalService() as service:
-            results = service.submit(queries, experiment="mix")
-            stats = service.snapshot()
-        assert all(r.ok for r in results)
-        assert stats["queries"] == 5
-        assert stats["batches"] == 2  # one per cell kind
-        assert stats["max_batch_size"] == 3
-        assert stats["coalesced_batches"] == 2
-        assert stats["computed"] == 5
-
-    def test_results_in_input_order(self):
-        temps = (65.0, 45.0, 55.0)
-        with LocalService() as service:
-            results = service.submit([_temp_query(t) for t in temps])
-        assert [r.label for r in results] == [f"temp/{t:.0f}C" for t in temps]
-
-    def test_batch_ordinals_recorded(self):
-        with LocalService() as service:
-            first = service.query(_temp_query(40.0))
-            second = service.query(_temp_query(50.0))
-        assert first.batch != second.batch
-
-
-class TestSingleFlightAndCache:
-    def test_identical_queries_compute_once(self):
-        query = _temp_query()
-        with LocalService() as service:
-            results = service.submit([query, query, query])
-            stats = service.snapshot()
-        payloads = [r.payload for r in results]
-        assert payloads[0] == payloads[1] == payloads[2]
-        assert stats["computed"] == 1
-        assert stats["dedup_hits"] == 2
-        assert sum(r.dedup_hit for r in results) == 2
-
-    def test_repeat_sweep_hits_shared_cache(self, tmp_path):
-        runner = ExperimentRunner(cache=ResultCache(tmp_path))
-        query = _temp_query()
-        with LocalService(runner=runner) as service:
-            cold = service.query(query)
-            warm = service.query(query)
-            stats = service.snapshot()
-        assert not cold.cache_hit and warm.cache_hit
-        assert warm.payload == cold.payload
-        assert stats["computed"] == 1 and stats["cache_hits"] == 1
-
-    def test_hit_rate_accounts_every_query(self):
-        query = _temp_query()
-        with LocalService() as service:
-            service.submit([query, query, _temp_query(99.0)])
-            stats = service.snapshot()
-        assert stats["computed"] + stats["dedup_hits"] == stats["queries"]
-        assert stats["hit_rate"] == pytest.approx(1 / 3, abs=1e-4)
-
-    def test_concurrent_submitters_coalesce(self):
-        # Many threads asking for the same point must share one
-        # computation between them (cache, dedup, or the one compute).
-        query = _temp_query()
-        service = LocalService(batch_window=0.2)
-        results = [None] * 8
-        barrier = threading.Barrier(8)
-
-        def ask(i):
-            barrier.wait(timeout=10)
-            results[i] = service.query(query)
-
-        threads = [threading.Thread(target=ask, args=(i,)) for i in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        stats = service.close()
-        assert all(r.ok for r in results)
-        assert stats["computed"] == 1
-        assert stats["dedup_hits"] == 7
-
-
-class TestTelemetry:
-    def test_batch_records_stream_to_callbacks(self):
-        records = []
-        with LocalService() as service:
-            service.add_telemetry(records.append)
-            service.submit([_temp_query(40.0), _temp_query(50.0)],
-                           experiment="teledemo")
-        assert len(records) == 1
-        record = records[0]
-        assert record["event"] == "batch"
-        assert record["size"] == 2
-        assert record["computed"] == 2
-        assert record["experiments"] == ["teledemo"]
-        assert record["stats"]["queries"] == 2
-
-    def test_removed_callback_stops_receiving(self):
-        records = []
-        with LocalService() as service:
-            service.add_telemetry(records.append)
-            service.query(_temp_query(40.0))
-            service.remove_telemetry(records.append)
-            service.query(_temp_query(50.0))
-        assert len(records) == 1
-
-
-class TestShutdown:
-    def test_close_returns_final_snapshot_and_is_idempotent(self):
-        service = LocalService()
-        service.query(_temp_query())
-        first = service.close()
-        assert first["queries"] == 1
-        assert service.close() == first
-
-    def test_submit_after_close_raises(self):
-        service = LocalService()
-        service.close()
-        with pytest.raises(ServiceClosed):
-            service.submit([_temp_query()])
-
-    def test_drain_finishes_queued_queries(self):
-        service = LocalService()
-        futures = service.submit_futures(
-            [_temp_query(t) for t in (40.0, 50.0, 60.0)]
-        )
-        service.close(drain=True)
-        results = [f.result(timeout=30) for f in futures]
-        assert all(r.ok for r in results)
-
-    def test_manifest_on_close_writes_service_manifest(self, tmp_path):
-        service = LocalService(runs_dir=tmp_path, manifest_on_close=True)
-        service.query(_temp_query())
-        service.close()
-        manifest = load_manifest(latest_manifest(tmp_path))
-        assert manifest["experiment"] == "service"
-        assert manifest["status"] == "drained"
-        assert manifest["service"]["queries"] == 1
-
-    def test_transient_service_writes_no_service_manifest(self, tmp_path):
-        # Driver-owned services must not shadow the experiment manifest.
-        with LocalService(runs_dir=tmp_path) as service:
-            service.query(_temp_query())
-        manifest = load_manifest(latest_manifest(tmp_path))
-        assert manifest["experiment"] != "service"
-
-
 class TestLocalClient:
-    def test_report_mirrors_runner_notes_shape(self):
+    def test_repeat_sweep_hits_shared_cache(self, tmp_path):
+        client = LocalClient(ExperimentRunner(cache=ResultCache(tmp_path)))
+        query = _temp_query()
+        cold = client.sweep([query])
+        warm = client.sweep([query])
+        assert not cold.outcomes[0].cache_hit and warm.outcomes[0].cache_hit
+        assert warm.results == cold.results
+
+    def test_sweep_returns_runner_report(self):
         with LocalClient() as client:
-            report = client.sweep(
-                [_temp_query(40.0), _temp_query(40.0), _temp_query(50.0)],
-                experiment="notes",
-            )
+            report = client.sweep([_temp_query()], experiment="plain")
+        assert isinstance(report, RunReport)
+        assert report.experiment == "plain"
+
+    def test_report_mirrors_runner_notes_shape(self, tmp_path):
+        client = LocalClient(ExperimentRunner(cache=ResultCache(tmp_path)))
+        client.sweep([_temp_query(40.0)])
+        report = client.sweep(
+            [_temp_query(40.0), _temp_query(50.0), _temp_query(60.0)],
+            experiment="notes",
+        )
         notes = report.notes()
         assert notes["runner"].startswith("3 cells, jobs=1, 1 cached / 2 computed")
         assert "runner failures" not in notes
@@ -193,20 +55,78 @@ class TestLocalClient:
         assert report.cache_hits == 1
         assert [p is not None for p in report.results] == [True, True, True]
 
-    def test_shared_service_not_closed_by_client(self):
-        service = LocalService()
-        with LocalClient(service=service) as client:
-            client.query(_temp_query())
-        assert not service.closed
-        service.close()
+    def test_results_in_input_order(self):
+        temps = (65.0, 45.0, 55.0)
+        report = LocalClient().sweep([_temp_query(t) for t in temps])
+        assert [o.label for o in report.outcomes] == [f"temp/{t:.0f}C" for t in temps]
+        assert report.results == [o.payload for o in report.outcomes]
 
-    def test_owned_service_closed_by_client(self):
+    def test_hit_rate_accounts_every_query(self, tmp_path):
+        client = LocalClient(ExperimentRunner(cache=ResultCache(tmp_path)))
+        client.sweep([_temp_query(40.0)])
+        report = client.sweep([_temp_query(40.0), _temp_query(50.0), _temp_query(60.0)])
+        assert report.cache_hits + report.cache_misses == len(report.outcomes) == 3
+        assert report.hit_rate == pytest.approx(1 / 3)
+
+    def test_failed_cell_is_reported_not_raised(self):
+        client = LocalClient(ExperimentRunner(faults="raise@1"))
+        report = client.sweep([_temp_query(t) for t in (40.0, 50.0, 60.0)])
+        assert [p is not None for p in report.results] == [True, False, True]
+        assert [o.label for o in report.failures] == ["temp/50C"]
+        assert report.failures[0].error.kind == "exception"
+        assert report.notes()["runner failures"].startswith("1/3 cells failed")
+
+    def test_interrupt_propagates_after_flushing_manifest(self, tmp_path):
+        client = LocalClient(ExperimentRunner(runs_dir=tmp_path, faults="interrupt@1"))
+        with pytest.raises(KeyboardInterrupt):
+            client.sweep([_temp_query(t) for t in (40.0, 50.0, 60.0)],
+                         experiment="ctrl-c")
+        manifest = load_manifest(latest_manifest(tmp_path))
+        assert manifest["experiment"] == "ctrl-c"
+        assert manifest["status"] == "interrupted"
+        assert [c["label"] for c in manifest["cells"]] == ["temp/40C"]
+
+    def test_sweep_writes_the_experiment_manifest(self, tmp_path):
+        client = LocalClient(ExperimentRunner(runs_dir=tmp_path))
+        report = client.sweep([_temp_query()], experiment="plain")
+        assert report.manifest_path == latest_manifest(tmp_path)
+        manifest = load_manifest(report.manifest_path)
+        assert manifest["experiment"] == "plain"
+        assert manifest["status"] == "complete"
+        assert report.notes()["runner manifest"] == str(report.manifest_path)
+
+    def test_empty_sweep_returns_empty_report(self):
+        report = LocalClient().sweep([], experiment="nothing")
+        assert report.outcomes == [] and report.results == []
+        assert report.status == "complete"
+        assert report.hit_rate == 0.0
+
+    def test_default_runner_is_serial_and_uncached(self):
+        runner = LocalClient().runner
+        assert runner.jobs == 1
+        assert runner.cache is None and runner.runs_dir is None
+
+    def test_context_manager_leaves_client_usable(self):
         client = LocalClient()
-        client.query(_temp_query())
-        client.close()
-        with pytest.raises(ServiceClosed):
-            client.service.submit([_temp_query()])
+        with client as entered:
+            assert entered is client
+        assert client.sweep([_temp_query()]).results[0] is not None
 
-    def test_service_and_runner_are_exclusive(self):
+
+class TestDriverClient:
+    def test_explicit_client_is_returned_as_is(self):
+        client = LocalClient()
+        assert driver_client(client=client) is client
+
+    def test_bare_runner_is_wrapped(self):
+        runner = ExperimentRunner(jobs=2)
+        assert driver_client(runner=runner).runner is runner
+
+    def test_neither_builds_serial_uncached_default(self):
+        client = driver_client()
+        assert isinstance(client, LocalClient)
+        assert client.runner.jobs == 1 and client.runner.cache is None
+
+    def test_client_and_runner_are_exclusive(self):
         with pytest.raises(ValueError, match="not both"):
-            LocalClient(service=LocalService(), runner=ExperimentRunner())
+            driver_client(client=LocalClient(), runner=ExperimentRunner())

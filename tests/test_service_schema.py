@@ -1,16 +1,16 @@
-"""Query schema: validation, canonical keys, wire round-trips.
+"""Query schema: validation, canonical keys, JSON round-trips.
 
-The schema is the contract between every service backend and the
+The schema is the contract between the sweep client and the
 drivers: a typed ``Query`` must (1) reject malformed requests loudly,
 (2) hash to exactly the cache key of the equivalent hand-built runner
 cell — one keyspace for drivers, clients, and warm caches — and
-(3) survive the JSON wire round-trip bit-for-bit.
+(3) survive the JSON round-trip bit-for-bit.
 """
 
 import pytest
 
 from repro.runner import Cell, cache_key, tech_params
-from repro.service import KIND_PARAMS, Query, QueryResult
+from repro.service import KIND_PARAMS, Query
 from repro.technology import DEFAULT_TECH
 
 TECH = tech_params(DEFAULT_TECH)
@@ -134,23 +134,3 @@ class TestWireRoundTrip:
     def test_malformed_record_rejected(self):
         with pytest.raises(ValueError, match="malformed query record"):
             Query.from_dict({"kind": "refresh-overhead"})
-
-    def test_result_round_trip(self):
-        result = QueryResult(
-            key="k", label="x", kind="engine-run", payload={"a": 1},
-            cache_hit=True, wall_seconds=0.5, worker="w3", batch=2,
-        )
-        clone = QueryResult.from_dict(result.to_dict())
-        assert clone == result
-        assert clone.ok
-
-    def test_failed_result_not_ok(self):
-        failed = QueryResult(key="k", error={"kind": "exception"})
-        assert not failed.ok
-        assert QueryResult.from_dict(failed.to_dict()).error == failed.error
-
-    def test_as_dedup_marks_copy_only(self):
-        result = QueryResult(key="k", payload={"a": 1})
-        copy = result.as_dedup()
-        assert copy.dedup_hit and not result.dedup_hit
-        assert copy.payload == result.payload
