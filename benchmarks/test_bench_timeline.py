@@ -6,8 +6,7 @@ of simulated time) for every evaluation strategy side by side:
 
 * ``scalar`` — the pre-refactor per-row ``refresh_row`` loop;
 * ``loop`` — the PR 3 round walk (one batched ``decide`` per round);
-* ``fused`` — the fused ndarray timeline (numpy kernels);
-* ``numba`` — the jitted kernels, when numba is installed.
+* ``fused`` — the fused ndarray timeline (numpy kernels).
 
 Asserts the tentpole acceptance bar — fused >= 10x the round walk on a
 warm evaluator, statistics bit-identical across all strategies — and
@@ -26,13 +25,13 @@ from bench_utils import (
     scalar_reference,
 )
 from repro.controller import build_policy
-from repro.sim import NUMBA_AVAILABLE, RefreshOverheadEvaluator
+from repro.sim import RefreshOverheadEvaluator
 from repro.technology import DEFAULT_TECH
 
 DURATION_SECONDS = 1.0
 
-#: Warm evaluator backends timed side by side (numba when installed).
-TIMED_BACKENDS = ("loop", "fused") + (("numba",) if NUMBA_AVAILABLE else ())
+#: Warm evaluator backends timed side by side.
+TIMED_BACKENDS = ("loop", "fused")
 
 #: Acceptance floors for fused-vs-round-walk speedup.  The tentpole's
 #: >= 10x bar is pinned on the VRL policies (the paper's headline,
@@ -109,7 +108,6 @@ class TestTimelineThroughput:
                 "row_intervals": intervals,
                 "row_intervals_per_s": throughput,
                 "speedup_fused_vs_loop": speedup,
-                "numba_available": NUMBA_AVAILABLE,
             },
         )
         print(

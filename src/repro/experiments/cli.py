@@ -182,9 +182,9 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SPEC",
         default=None,
         help="arm deterministic fault injection, e.g. 'raise@2,kill@0' or "
-        "'nan@0,diverge@1,jitfail@*' (action@cell[:attempt|*][=seconds] with "
+        "'nan@0,diverge@1' (action@cell[:attempt|*][=seconds] with "
         "cell '*' striking every cell; actions: raise, hang, kill, interrupt, "
-        "nan, diverge, jitfail; also via $VRL_DRAM_FAULTS)",
+        "nan, diverge; also via $VRL_DRAM_FAULTS)",
     )
     parser.set_defaults(spice=True)
     return parser

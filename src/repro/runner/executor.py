@@ -34,8 +34,8 @@ Fault tolerance (see ``docs/architecture.md`` for the full semantics):
   the unfinished cells;
 * the :mod:`~repro.runner.faults` plan (``faults=`` argument or the
   ``VRL_DRAM_FAULTS`` env var) deterministically injects raise / hang /
-  kill faults — and the numeric chaos actions ``nan`` / ``diverge`` /
-  ``jitfail`` — into chosen cells for chaos testing.  Fault cell
+  kill faults — and the numeric chaos actions ``nan`` / ``diverge`` —
+  into chosen cells for chaos testing.  Fault cell
   indices count the *computed* cells (cache misses) in submission
   order; ``*`` strikes every computed cell.
 

@@ -7,14 +7,12 @@ used to assemble by hand.  Every query lowers to exactly one runner
 :class:`~repro.runner.cells.Cell` (:meth:`Query.to_cell`), and its
 canonical content address (:meth:`Query.key`) is the *same* SHA-256
 key the :class:`~repro.runner.cache.ResultCache` uses — so queries,
-sweep drivers, and warm caches all speak one keyspace.  Queries
-serialize to JSON dicts (:meth:`Query.to_dict` /
-:meth:`Query.from_dict`).
+sweep drivers, and warm caches all speak one keyspace.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from typing import Any, Mapping, Optional
 
 from ..runner import Cell, cache_key
@@ -185,27 +183,3 @@ class Query:
     def key(self) -> str:
         """Canonical content address (the ``ResultCache`` key)."""
         return cache_key(self.kind, self.params())
-
-    def to_dict(self) -> dict[str, Any]:
-        """JSON form (``from_dict`` round-trips it)."""
-        return {"kind": self.kind, "label": self.label, "params": self.params()}
-
-    @classmethod
-    def from_dict(cls, record: Mapping[str, Any]) -> "Query":
-        """Rebuild a query from its :meth:`to_dict` form."""
-        kind = record.get("kind")
-        params = record.get("params")
-        if not isinstance(kind, str) or not isinstance(params, Mapping):
-            raise ValueError(f"malformed query record: {record!r}")
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(params) - known)
-        if unknown:
-            raise ValueError(f"unknown query parameters: {', '.join(unknown)}")
-        return cls(kind=kind, label=str(record.get("label", "")), **params)
-
-    @classmethod
-    def from_cell(cls, cell: Cell) -> "Query":
-        """Lift a runner cell back into the typed schema."""
-        return cls.from_dict(
-            {"kind": cell.kind, "label": cell.label, "params": dict(cell.params)}
-        )

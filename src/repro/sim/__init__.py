@@ -20,8 +20,7 @@ bank" under each policy.  This package is that simulator:
   integration and differential tests);
 * :mod:`~repro.sim.timeline` — the fused ndarray timeline behind the
   fastpath's default backend: all deadline crossings of a horizon
-  priced in one batched kernel call, zero Python-level loops, with an
-  auto-detected optional numba backend;
+  priced in one batched numpy kernel call, zero Python-level loops;
 * :mod:`~repro.sim.rank` — multi-bank rank simulation comparing JEDEC
   all-bank refresh against the per-bank row-targeted mode VRL needs;
 * :mod:`~repro.sim.stats` — result containers;
@@ -29,7 +28,6 @@ bank" under each policy.  This package is that simulator:
   Markov prediction of VRL-Access behaviour from window coverage.
 """
 
-from .backends import validate_backend
 from .bank import Bank
 from .engine import BankSimulator, SimulationResult
 from .fastpath import RefreshOverheadEvaluator
@@ -43,16 +41,9 @@ from .schedule import (
     period_cycles,
     refresh_wins_tie,
     row_deadlines,
-    window_deadline_counts,
 )
 from .stats import RefreshStats, RequestStats
-from .timeline import (
-    NUMBA_AVAILABLE,
-    FusedTimeline,
-    TimelineReport,
-    service_starts,
-    union_length,
-)
+from .timeline import FusedTimeline, TimelineReport, service_starts, union_length
 from .timing import DRAMTiming
 from .trace_stats import (
     TraceStatistics,
@@ -64,7 +55,6 @@ from .trace_stats import (
 from .trace import MemoryTrace, load_trace, merge_traces, save_trace
 
 __all__ = [
-    "validate_backend",
     "Bank",
     "BankSimulator",
     "SimulationResult",
@@ -79,10 +69,8 @@ __all__ = [
     "period_cycles",
     "refresh_wins_tie",
     "row_deadlines",
-    "window_deadline_counts",
     "RefreshStats",
     "RequestStats",
-    "NUMBA_AVAILABLE",
     "FusedTimeline",
     "TimelineReport",
     "service_starts",

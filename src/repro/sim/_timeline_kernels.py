@@ -12,77 +12,16 @@ Both kernels operate on the closed-form automaton of
   access-driven restarts (the rank simulator and the bank engine need
   the kind of every crossing, not just totals, to place busy windows).
 
-:func:`segmented_fulls` has a second, loop-form implementation that is
-``@njit``-compiled when ``numba`` is importable; otherwise the *same*
-function runs as pure Python (so its logic is always testable) and the
-entry point uses the vectorized numpy form.  Backend choice never
-changes results — ``tests/test_timeline_fused.py`` pins the loop and
-numpy variants bit-identical on randomized inputs.
+``tests/test_timeline_fused.py`` pins :func:`segmented_fulls` against a
+per-row loop of the same segment arithmetic and a brute-force walk on
+randomized inputs.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Optional
 
 import numpy as np
-
-try:  # pragma: no cover - exercised only where numba is installed
-    from numba import njit
-
-    NUMBA_AVAILABLE = True
-except ImportError:  # pragma: no cover - the default in slim images
-    njit = None
-    NUMBA_AVAILABLE = False
-
-#: Environment variable that makes every jitted-kernel request fail.
-#: Set by the runner's ``jitfail`` chaos action to exercise the
-#: numba -> numpy auto-downgrade ladder deterministically (a real numba
-#: miscompile cannot be provoked on demand, and slim images have no
-#: numba at all).
-FORCE_JIT_FAILURE_ENV = "VRL_DRAM_FORCE_JIT_FAILURE"
-
-
-def jit_failure_forced() -> bool:
-    """Whether the chaos harness is forcing jitted kernels to fail."""
-    return os.environ.get(FORCE_JIT_FAILURE_ENV, "") not in ("", "0")
-
-
-def _segmented_fulls_loop(counts, phase, cycle_len, reset_rows, reset_ordinals,
-                          fulls, final_phase):
-    """Loop form of the segment arithmetic (numba-compilable).
-
-    ``fulls`` / ``final_phase`` arrive prefilled with the reset-free
-    closed form; rows that appear in ``reset_rows`` (sorted by row,
-    then ordinal) are recomputed segment by segment.  A reset at
-    ordinal ``k`` restarts the cadence *before* the ``k``-th crossing's
-    decision, exactly like the round walk's access-then-decide order.
-    """
-    i = 0
-    n = reset_rows.shape[0]
-    while i < n:
-        row = reset_rows[i]
-        m1 = cycle_len[row]
-        start = phase[row]
-        prev = 0
-        full_count = 0
-        while i < n and reset_rows[i] == row:
-            ordinal = reset_ordinals[i]
-            full_count += (ordinal - prev + start) // m1
-            start = 0
-            prev = ordinal
-            i += 1
-        tail = counts[row] - prev
-        full_count += tail // m1
-        fulls[row] = full_count
-        final_phase[row] = tail % m1
-    return fulls, final_phase
-
-
-if NUMBA_AVAILABLE:  # pragma: no cover - exercised only where numba is installed
-    _segmented_fulls_jit = njit(cache=True)(_segmented_fulls_loop)
-else:
-    _segmented_fulls_jit = _segmented_fulls_loop
 
 
 def _closed_form(counts, phase, cycle_len):
@@ -103,40 +42,31 @@ def segmented_fulls(
     cycle_len: np.ndarray,
     reset_rows: np.ndarray,
     reset_ordinals: np.ndarray,
-    use_numba: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row full-refresh counts over a whole timeline window.
+    """Per-row full-refresh counts over a whole horizon.
 
     Args:
-        counts: crossings of each row inside the window, ``(n_rows,)``.
-        phase: cadence phase of each row at window entry.
+        counts: crossings of each row inside the horizon, ``(n_rows,)``.
+        phase: cadence phase of each row at horizon start.
         cycle_len: per-row cadence (``mprsf + 1``; 1 = always full).
         reset_rows: rows with access-driven cadence restarts, sorted by
             ``(row, ordinal)`` and unique; empty for reset-free runs.
-        reset_ordinals: matching window-relative crossing ordinals in
+        reset_ordinals: matching crossing ordinals in
             ``[0, counts[row]]``; a reset at ``counts[row]`` (after the
             row's last crossing) only zeroes its final phase.
-        use_numba: run the jitted loop kernel (falls back to the pure
-            numpy scatter form when numba is unavailable).
 
     Returns:
         ``(fulls, final_phase)`` — ``int64 (n_rows,)`` arrays; partials
         are ``counts - fulls``.
     """
-    if use_numba and jit_failure_forced():
-        raise RuntimeError(f"injected jit failure ({FORCE_JIT_FAILURE_ENV} is set)")
     fulls, final_phase = _closed_form(counts, phase, cycle_len)
     if len(reset_rows) == 0:
         return fulls, final_phase
-    if use_numba and NUMBA_AVAILABLE:  # pragma: no cover - numba-only images
-        return _segmented_fulls_jit(
-            counts, phase, cycle_len, reset_rows, reset_ordinals, fulls, final_phase
-        )
 
     # Vectorized segment arithmetic.  Entry i closes the segment that
     # ends at its reset: length ordinal_i - prev_boundary, starting at
     # the row's entry phase for the first reset of the row and at 0
-    # afterwards.  The tail segment (last reset -> window end) carries
+    # afterwards.  The tail segment (last reset -> horizon end) carries
     # the row's final phase.
     first_of_row = np.empty(len(reset_rows), dtype=bool)
     first_of_row[0] = True

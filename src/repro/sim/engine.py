@@ -43,8 +43,8 @@ stepping an event loop:
 Deferral moves refreshes in time only: refresh kinds follow in-order
 issue, as :mod:`~repro.sim.schedule` promises.  The heap-driven event
 loop this replaces is kept in ``tests/`` as the differential oracle.
-:meth:`BankSimulator.refresh_stats` prices the refresh half alone
-through the fused timeline (invariant 11).
+:class:`~repro.sim.fastpath.RefreshOverheadEvaluator` prices the
+refresh half alone through the fused timeline (invariant 11).
 """
 
 from __future__ import annotations
@@ -182,27 +182,6 @@ class BankSimulator:
                 f"policy {policy.name!r} sets both reorders_refresh and "
                 "modulates_access; the engine supports one or the other"
             )
-
-    def refresh_stats(
-        self,
-        duration_cycles: int,
-        trace: Optional[MemoryTrace] = None,
-        backend: str = "auto",
-    ) -> RefreshStats:
-        """Refresh accounting only, via the fused timeline.
-
-        Bit-identical to ``run(...).refresh`` (invariant 11) at a small
-        fraction of the cost: callers that need only the Fig. 4 metric —
-        not queueing or row-buffer behaviour — get the fused path
-        without leaving the engine's API.  ``backend`` follows
-        :class:`~repro.sim.fastpath.RefreshOverheadEvaluator`;
-        ``"auto"`` falls back to the round walk for policies the closed
-        form cannot represent.
-        """
-        from .fastpath import RefreshOverheadEvaluator
-
-        evaluator = RefreshOverheadEvaluator(self.policy, self.timing, backend=backend)
-        return evaluator.evaluate(duration_cycles, trace)
 
     def run(
         self,

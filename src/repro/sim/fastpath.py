@@ -15,7 +15,7 @@ Two equivalent evaluation strategies live behind
   crossings of the horizon in one batched kernel call, with zero
   Python-level loops;
 * the **round walk** (the PR 3 fastpath, kept as a reference oracle and
-  as the fallback for customized policies) — walk scheduling *rounds*:
+  as the path for customized policies) — walk scheduling *rounds*:
   round ``k`` gathers every row whose ``k``-th deadline falls before
   the horizon, applies at most one batched ``on_access_rows`` for the
   rows that were accessed in that interval (computed with one
@@ -34,7 +34,8 @@ methods still work here: ``backend="auto"`` detects them (see
 :meth:`~repro.controller.refresh.RefreshPolicy.supports_fused_timeline`)
 and drives the round walk, whose kernel entry points transparently fall
 back to looping the scalar methods (see
-:mod:`repro.controller.refresh`).
+:mod:`repro.controller.refresh`).  Every other policy takes the fused
+timeline, and a failure there raises to the caller.
 """
 
 from __future__ import annotations
@@ -44,8 +45,6 @@ from typing import Optional
 import numpy as np
 
 from ..controller.refresh import RefreshPolicy
-from ..guard import NumericalError
-from .backends import validate_backend
 from .schedule import deadline_counts, first_deadlines, period_cycles, row_deadlines
 from .stats import RefreshStats
 from .timeline import FusedTimeline
@@ -53,7 +52,7 @@ from .timing import DRAMTiming
 from .trace import MemoryTrace
 
 #: Evaluation strategies of :class:`RefreshOverheadEvaluator`.
-EVALUATOR_BACKENDS = ("auto", "fused", "numba", "loop")
+EVALUATOR_BACKENDS = ("auto", "fused", "loop")
 
 
 class RefreshOverheadEvaluator:
@@ -65,18 +64,9 @@ class RefreshOverheadEvaluator:
             the cycle clock).
         backend: ``"auto"`` routes supported policies through the fused
             timeline and everything else through the round walk;
-            ``"fused"`` / ``"numba"`` force the fused timeline (numpy /
-            jitted kernels) and raise for unsupported policies;
-            ``"loop"`` forces the PR 3 round walk (the differential
-            oracle).
-        shadow_verify: cross-check cadence for ``backend="auto"``:
-            every ``shadow_verify``-th evaluation (plus the first) is
-            replayed in full through the round-walk oracle and compared.
-            A disagreement permanently downgrades the evaluator to the
-            loop backend (with the downgrade recorded in
-            :attr:`downgrades`) and the oracle's statistics are
-            returned.  ``0`` (the default) disables the cross-check;
-            each verified evaluation costs one extra oracle replay.
+            ``"fused"`` forces the fused timeline and raises for
+            unsupported policies; ``"loop"`` forces the round walk (the
+            differential oracle).
     """
 
     def __init__(
@@ -84,20 +74,16 @@ class RefreshOverheadEvaluator:
         policy: RefreshPolicy,
         timing: DRAMTiming,
         backend: str = "auto",
-        shadow_verify: int = 0,
     ):
-        validate_backend(backend, EVALUATOR_BACKENDS)
-        if shadow_verify < 0:
-            raise ValueError(f"shadow_verify must be >= 0, got {shadow_verify}")
+        if backend not in EVALUATOR_BACKENDS:
+            raise ValueError(
+                f"backend must be one of {EVALUATOR_BACKENDS}, got {backend!r}"
+            )
         self.policy = policy
         self.timing = timing
-        self._auto = backend == "auto"
         if backend == "auto" and not policy.supports_fused_timeline():
             backend = "loop"
         self.backend = backend
-        self.shadow_verify = shadow_verify
-        self.downgrades: list[dict] = []
-        self._evaluations = 0
         self._timeline: Optional[FusedTimeline] = None
 
     @property
@@ -110,8 +96,7 @@ class RefreshOverheadEvaluator:
         if self.backend == "loop":
             return None
         if self._timeline is None:
-            kernel = {"auto": "auto", "fused": "numpy", "numba": "numba"}[self.backend]
-            self._timeline = FusedTimeline(self.policy, self.timing, backend=kernel)
+            self._timeline = FusedTimeline(self.policy, self.timing)
         return self._timeline
 
     def _accesses_by_row(self, trace: Optional[MemoryTrace]) -> dict[int, np.ndarray]:
@@ -166,22 +151,6 @@ class RefreshOverheadEvaluator:
             had_access[row, : counts[row]] = np.diff(np.concatenate(([0], seen))) > 0
         return had_access
 
-    def _note_downgrade(self, came_from: str, reason: str) -> None:
-        """Permanently drop to the round-walk oracle and record why."""
-        self.downgrades.append(
-            {"from": came_from, "to": "loop", "reason": reason}
-        )
-        self.backend = "loop"
-        self._timeline = None
-
-    def _shadow_due(self) -> bool:
-        """Whether this evaluation should be replayed through the oracle."""
-        if not self.shadow_verify:
-            return False
-        return (
-            self._evaluations == 1 or self._evaluations % self.shadow_verify == 0
-        )
-
     def evaluate(
         self,
         duration_cycles: int,
@@ -191,12 +160,7 @@ class RefreshOverheadEvaluator:
 
         Dispatches to the configured backend; every backend returns
         bit-identical statistics (the three-way differential harness
-        pins this).  Under ``backend="auto"`` an unexpected fused-path
-        failure (anything other than input validation or a finite-value
-        guard) permanently downgrades the evaluator to the round-walk
-        oracle, and sampled evaluations are optionally shadow-verified
-        against the oracle (see ``shadow_verify``); both events land in
-        :attr:`downgrades`.
+        pins this).
 
         Args:
             duration_cycles: simulation horizon; refreshes due at or
@@ -207,49 +171,7 @@ class RefreshOverheadEvaluator:
         timeline = self.timeline
         if timeline is None:
             return self._evaluate_loop(duration_cycles, trace)
-        try:
-            stats = timeline.evaluate(duration_cycles, trace)
-        except (ValueError, NumericalError):
-            raise
-        except Exception as exc:
-            if not self._auto:
-                raise
-            self._note_downgrade("fused", f"{type(exc).__name__}: {exc}")
-            return self._evaluate_loop(duration_cycles, trace)
-        if timeline.downgraded_from is not None and not any(
-            d["from"] == timeline.downgraded_from for d in self.downgrades
-        ):
-            # Surface the timeline's internal numba -> numpy drop so one
-            # telemetry point covers the whole ladder (the evaluator
-            # itself stays on the fused path: numpy kernels are exact).
-            self.downgrades.append(
-                {
-                    "from": timeline.downgraded_from,
-                    "to": "numpy",
-                    "reason": timeline.downgrade_reason,
-                }
-            )
-        self._evaluations += 1
-        if self._auto and self._shadow_due():
-            oracle = self._evaluate_loop(duration_cycles, trace)
-            fused_key = (
-                stats.full_refreshes,
-                stats.partial_refreshes,
-                stats.refresh_cycles,
-            )
-            oracle_key = (
-                oracle.full_refreshes,
-                oracle.partial_refreshes,
-                oracle.refresh_cycles,
-            )
-            if fused_key != oracle_key:
-                self._note_downgrade(
-                    "fused",
-                    "shadow verify disagreement: fused "
-                    f"(full, partial, cycles)={fused_key} vs oracle {oracle_key}",
-                )
-                return oracle
-        return stats
+        return timeline.evaluate(duration_cycles, trace)
 
     def _evaluate_loop(
         self,
@@ -259,7 +181,7 @@ class RefreshOverheadEvaluator:
         """The PR 3 round walk: one batched ``decide`` per scheduling round.
 
         Kept verbatim as the reference oracle the fused timeline is
-        differentially tested against, and as the fallback for policies
+        differentially tested against, and as the path for policies
         whose customization the closed-form timeline cannot represent.
         """
         if duration_cycles <= 0:

@@ -29,10 +29,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..controller.refresh import RefreshPolicy
-from ..guard import NumericalError
 from ..technology import BankGeometry, DEFAULT_GEOMETRY
 from ._timeline_kernels import crossing_kinds
-from .backends import validate_backend
 from .bank import Bank
 from .schedule import (
     ALL_BANK_ROWS_PER_REF,
@@ -67,11 +65,6 @@ class RankResult:
             refreshing (rank-level unavailability).
         duration_cycles: simulated horizon.
         mode: ``"per-bank"`` or ``"all-bank"``.
-        downgraded_from: backend originally selected when an automatic
-            fallback kicked in (``"fused"``), ``None`` when the run
-            completed on the backend it started on.
-        downgrade_reason: one-line cause of the downgrade (empty when
-            ``downgraded_from`` is ``None``).
     """
 
     per_bank_refresh: list[RefreshStats]
@@ -79,8 +72,6 @@ class RankResult:
     blocked_cycles: int
     duration_cycles: int
     mode: str
-    downgraded_from: Optional[str] = None
-    downgrade_reason: str = ""
 
     @property
     def total_refresh_cycles(self) -> int:
@@ -220,11 +211,12 @@ class RankSimulator:
                 otherwise; ``"fused"`` forces the fused path (raises if
                 the run is not refresh-only fused-representable);
                 ``"loop"`` forces the event loop (the differential
-                oracle).  Under ``"auto"``, an unexpected fused-path
-                failure falls back to the event loop with the downgrade
-                recorded on the result.
+                oracle).
         """
-        validate_backend(backend, RANK_BACKENDS)
+        if backend not in RANK_BACKENDS:
+            raise ValueError(
+                f"backend must be one of {RANK_BACKENDS}, got {backend!r}"
+            )
         if duration_cycles is None:
             if trace is None or len(trace) == 0:
                 raise ValueError("need a trace or an explicit duration")
@@ -234,8 +226,8 @@ class RankSimulator:
         if backend == "fused" and not self._fused_eligible(trace):
             raise ValueError(
                 "backend='fused' needs a refresh-only run (no trace) with "
-                "fused-representable policies; use backend='auto' for automatic "
-                "fallback to the event loop"
+                "fused-representable policies; backend='auto' selects the event "
+                "loop for other runs"
             )
 
         for bank in self.banks:
@@ -247,7 +239,6 @@ class RankSimulator:
             RefreshStats(duration_cycles=duration_cycles) for _ in self.policies
         ]
         request_stats = RequestStats()
-        blocked_intervals: list[tuple[int, int]] = []
 
         if trace is not None and len(trace):
             if bank_of_row is None:
@@ -268,53 +259,29 @@ class RankSimulator:
         fused = backend == "fused" or (
             backend == "auto" and self._fused_eligible(trace)
         )
-        downgraded_from: Optional[str] = None
-        downgrade_reason = ""
-        if fused:
-            try:
-                if self.all_bank_refresh:
-                    blocked = self._run_all_bank_fused(duration_cycles, refresh_stats)
-                else:
-                    blocked = self._run_per_bank_fused(duration_cycles, refresh_stats)
-            except (ValueError, NumericalError):
-                raise
-            except Exception as exc:
-                if backend != "auto":
-                    raise
-                # The fused walk may have mutated policy/bank state and
-                # partially filled the stats before failing; rewind
-                # everything and replay through the event-loop oracle.
-                downgraded_from = "fused"
-                downgrade_reason = f"{type(exc).__name__}: {exc}"
-                for bank in self.banks:
-                    bank.reset()
-                for policy in self.policies:
-                    policy.reset()
-                refresh_stats[:] = [
-                    RefreshStats(duration_cycles=duration_cycles)
-                    for _ in self.policies
-                ]
-                fused = False
-        if not fused:
-            if self.all_bank_refresh:
-                self._run_all_bank(
-                    trace, banks_for_requests, duration_cycles, refresh_stats,
-                    request_stats, blocked_intervals,
-                )
-            else:
-                self._run_per_bank(
-                    trace, banks_for_requests, duration_cycles, refresh_stats,
-                    request_stats, blocked_intervals,
-                )
-            blocked = _union_length(blocked_intervals, duration_cycles)
+        if fused and self.all_bank_refresh:
+            blocked = self._run_all_bank_fused(duration_cycles, refresh_stats)
+        elif fused:
+            blocked = self._run_per_bank_fused(duration_cycles, refresh_stats)
+        else:
+            run_loop = self._run_all_bank if self.all_bank_refresh else self._run_per_bank
+            blocked_starts: list[int] = []
+            blocked_ends: list[int] = []
+            run_loop(
+                trace, banks_for_requests, duration_cycles, refresh_stats,
+                request_stats, blocked_starts, blocked_ends,
+            )
+            blocked = union_length(
+                np.asarray(blocked_starts, dtype=np.int64),
+                np.asarray(blocked_ends, dtype=np.int64),
+                duration_cycles,
+            )
         return RankResult(
             per_bank_refresh=refresh_stats,
             requests=request_stats,
             blocked_cycles=blocked,
             duration_cycles=duration_cycles,
             mode="all-bank" if self.all_bank_refresh else "per-bank",
-            downgraded_from=downgraded_from,
-            downgrade_reason=downgrade_reason,
         )
 
     def _serve_request(self, bank_index, arrival, row, is_write, request_stats):
@@ -347,7 +314,7 @@ class RankSimulator:
 
     def _run_per_bank(
         self, trace, banks_for_requests, duration_cycles, refresh_stats,
-        request_stats, blocked_intervals,
+        request_stats, blocked_starts, blocked_ends,
     ):
         heap, periods_by_bank = self._per_bank_heap()
         n_requests = len(trace) if trace is not None else 0
@@ -405,7 +372,8 @@ class RankSimulator:
                 command = self.policies[bank_index].refresh_row(row)
                 outcome = self.banks[bank_index].refresh(due, command.latency_cycles)
                 refresh_stats[bank_index].record(command)
-                blocked_intervals.append((outcome.start_cycle, outcome.finish_cycle))
+                blocked_starts.append(outcome.start_cycle)
+                blocked_ends.append(outcome.finish_cycle)
                 period = int(periods_by_bank[bank_index][row])
                 heapq.heappush(heap, (due + period, bank_index, row))
             else:
@@ -479,7 +447,7 @@ class RankSimulator:
 
     def _run_all_bank(
         self, trace, banks_for_requests, duration_cycles, refresh_stats,
-        request_stats, blocked_intervals,
+        request_stats, blocked_starts, blocked_ends,
     ):
         trfc = all_bank_trfc(self.policies[0].tau_full)
         refresh_dues = list(self._all_bank_refreshes(duration_cycles))
@@ -505,7 +473,8 @@ class RankSimulator:
                     # One REF covers several rows; count row-refreshes so
                     # the totals are comparable with per-bank modes.
                     stats.full_refreshes += ALL_BANK_ROWS_PER_REF
-                blocked_intervals.append((start, start + trfc))
+                blocked_starts.append(start)
+                blocked_ends.append(start + trfc)
                 due_index += 1
             else:
                 row = int(trace.rows[request_index])
@@ -515,19 +484,3 @@ class RankSimulator:
                                     is_write, request_stats)
                 request_index += 1
 
-
-def _union_length(intervals: list[tuple[int, int]], horizon: int) -> int:
-    """Total length of the union of [start, end) intervals, clipped to horizon."""
-    if not intervals:
-        return 0
-    intervals = sorted(intervals)
-    total = 0
-    current_start, current_end = intervals[0]
-    for start, end in intervals[1:]:
-        if start > current_end:
-            total += min(current_end, horizon) - min(current_start, horizon)
-            current_start, current_end = start, end
-        else:
-            current_end = max(current_end, end)
-    total += min(current_end, horizon) - min(current_start, horizon)
-    return max(0, total)

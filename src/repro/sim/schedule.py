@@ -58,7 +58,6 @@ __all__ = [
     "refresh_wins_tie",
     "row_deadlines",
     "should_defer_refresh",
-    "window_deadline_counts",
 ]
 
 #: Rows of every bank covered by one all-bank ``REF`` command.  A JEDEC
@@ -139,33 +138,6 @@ def deadline_counts(
     live = first < duration_cycles
     counts[live] = (duration_cycles - 1 - first[live]) // periods_cycles[live] + 1
     return counts
-
-
-def window_deadline_counts(
-    first: np.ndarray,
-    periods_cycles: np.ndarray,
-    start_cycle: int,
-    stop_cycle: int,
-) -> np.ndarray:
-    """Number of deadlines of each row due in ``[start_cycle, stop_cycle)``.
-
-    The epoch slice of :func:`deadline_counts`: the fused timeline
-    processes long horizons in windows, and the deadlines of a window
-    are exactly those before ``stop_cycle`` minus those before
-    ``start_cycle`` — so epoch-by-epoch evaluation walks the same
-    crossings, in the same per-row order, as a single full-horizon
-    pass (property-tested in ``tests/test_schedule_properties.py``).
-
-    Returns:
-        ``int64`` array of per-row deadline counts within the window.
-    """
-    if stop_cycle < start_cycle:
-        raise ValueError(
-            f"window must be non-decreasing, got [{start_cycle}, {stop_cycle})"
-        )
-    return deadline_counts(first, periods_cycles, stop_cycle) - deadline_counts(
-        first, periods_cycles, start_cycle
-    )
 
 
 def crossing_stream(

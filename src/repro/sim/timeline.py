@@ -11,9 +11,8 @@ timeline of deadline crossings can be evaluated at once:
 1. **compile** — per-row quantized periods and staggered first
    deadlines come once from :mod:`~repro.sim.schedule` at construction
    (compile-once / evaluate-many, like ``circuit.CircuitSession``);
-2. **precompute crossings** — per-row crossing counts per epoch via
-   :func:`~repro.sim.schedule.deadline_counts` /
-   :func:`~repro.sim.schedule.window_deadline_counts`, and access-driven
+2. **precompute crossings** — per-row crossing counts of the horizon
+   via :func:`~repro.sim.schedule.deadline_counts`, and access-driven
    cadence resets as one vectorized pass over the whole trace (interval
    index per access in O(n_accesses), no per-row Python);
 3. **evaluate** — one batched kernel call
@@ -25,11 +24,9 @@ Results are bit-identical to the cycle-level engine and the round-walk
 fastpath (invariant 11; three-way differential harness in
 ``tests/test_differential_engine_fastpath.py``).  Policies whose
 customization the closed form cannot represent report
-``supports_fused_timeline() == False`` and every consumer falls back
-to the round walk — never silently unsupported.
-
-An optional numba backend jit-compiles the same kernels; it is
-auto-detected and falls back to pure numpy.
+``supports_fused_timeline() == False``; :class:`FusedTimeline` refuses
+them and the evaluator prices them with the round walk instead.  A
+failure inside the fused kernels raises to the caller.
 """
 
 from __future__ import annotations
@@ -40,35 +37,20 @@ from typing import Optional
 import numpy as np
 
 from ..controller.refresh import RefreshPolicy
-from ..guard import NumericalError, assert_finite
-from ._timeline_kernels import (
-    FORCE_JIT_FAILURE_ENV,
-    NUMBA_AVAILABLE,
-    jit_failure_forced,
-    segmented_fulls,
-)
-from .backends import validate_backend
-from .schedule import (
-    deadline_counts,
-    first_deadlines,
-    period_cycles,
-    window_deadline_counts,
-)
+from ..guard import assert_finite
+from ._timeline_kernels import segmented_fulls
+from .schedule import deadline_counts, first_deadlines, period_cycles
 from .stats import RefreshStats
 from .timing import DRAMTiming
 from .trace import MemoryTrace
 
 __all__ = [
-    "NUMBA_AVAILABLE",
     "FusedTimeline",
     "TimelineReport",
     "access_resets",
     "service_starts",
     "union_length",
 ]
-
-#: Valid kernel backends of the fused timeline.
-BACKENDS = ("auto", "numpy", "numba")
 
 #: Bytes of reset bitmap :func:`access_resets` may always allocate.
 _RESET_BITMAP_FLOOR = 1 << 20
@@ -84,21 +66,10 @@ class TimelineReport:
         crossings: deadline crossings evaluated (the work unit the
             benchmarks report as rows·intervals).
         resets: access-driven cadence restarts applied.
-        epochs: timeline windows the horizon was split into.
-        backend: kernel backend that ran (``"numpy"`` or ``"numba"``).
-        downgraded_from: backend originally selected when an automatic
-            downgrade occurred (e.g. ``"numba"`` after a jit failure),
-            else ``None``.
-        downgrade_reason: one-line cause of the downgrade (empty when
-            no downgrade occurred).
     """
 
     crossings: int
     resets: int
-    epochs: int
-    backend: str
-    downgraded_from: Optional[str] = None
-    downgrade_reason: str = ""
 
 
 class FusedTimeline:
@@ -113,50 +84,20 @@ class FusedTimeline:
     Args:
         policy: refresh policy; must satisfy
             :meth:`~repro.controller.refresh.RefreshPolicy.supports_fused_timeline`
-            (callers wanting automatic fallback use
-            :class:`~repro.sim.fastpath.RefreshOverheadEvaluator` with
-            ``backend="auto"``).
+            (:class:`~repro.sim.fastpath.RefreshOverheadEvaluator` with
+            ``backend="auto"`` picks the round walk for the others).
         timing: command timings (cycle clock and deadline quantization).
-        backend: ``"auto"`` (numba when installed, else numpy),
-            ``"numpy"``, or ``"numba"`` (raises if numba is missing).
-        epoch_cycles: split horizons into windows of this many cycles;
-            ``None`` evaluates the whole horizon as one epoch.  Epoch
-            splitting bounds the working set for very long horizons and
-            is bit-neutral (the window decomposition is property-tested
-            against the one-shot pass).
     """
 
-    def __init__(
-        self,
-        policy: RefreshPolicy,
-        timing: DRAMTiming,
-        backend: str = "auto",
-        epoch_cycles: Optional[int] = None,
-    ):
+    def __init__(self, policy: RefreshPolicy, timing: DRAMTiming):
         if not policy.supports_fused_timeline():
             raise ValueError(
                 f"policy {policy.name!r} customizes the decision surface without a "
                 "matching timeline_spec; use the round-walk evaluator "
-                "(RefreshOverheadEvaluator backend='auto' falls back automatically)"
+                "(RefreshOverheadEvaluator backend='auto' selects it)"
             )
-        validate_backend(backend, BACKENDS)
-        if epoch_cycles is not None and epoch_cycles <= 0:
-            raise ValueError(f"epoch_cycles must be positive, got {epoch_cycles}")
         self.policy = policy
         self.timing = timing
-        self.epoch_cycles = epoch_cycles
-        self._strict = backend != "auto"
-        self._use_numba = NUMBA_AVAILABLE if backend == "auto" else backend == "numba"
-        self.backend = "numba" if self._use_numba else "numpy"
-        self.downgraded_from: Optional[str] = None
-        self.downgrade_reason: str = ""
-        if backend == "auto" and not NUMBA_AVAILABLE and jit_failure_forced():
-            # No jitted kernel exists to fail at runtime on this image;
-            # the chaos harness still wants the downgrade telemetry path
-            # exercised, so record the numba -> numpy downgrade up front.
-            self._note_downgrade(
-                "numba", f"injected jit failure ({FORCE_JIT_FAILURE_ENV} is set)"
-            )
         self._periods = period_cycles(policy, timing)
         self._first = first_deadlines(self._periods)
         self._counts_cache: tuple[int, np.ndarray] = (-1, np.empty(0, dtype=np.int64))
@@ -170,13 +111,6 @@ class FusedTimeline:
             self._counts_cache = (duration_cycles, cached)
         return cached
 
-    def _note_downgrade(self, came_from: str, reason: str) -> None:
-        """Record a backend downgrade and switch to the numpy kernels."""
-        self.downgraded_from = came_from
-        self.downgrade_reason = reason
-        self._use_numba = False
-        self.backend = "numpy"
-
     def evaluate(
         self,
         duration_cycles: int,
@@ -188,35 +122,12 @@ class FusedTimeline:
         :meth:`repro.sim.fastpath.RefreshOverheadEvaluator.evaluate`
         and the cycle-level engine's refresh accounting.
 
-        On ``backend="auto"``, a jitted-kernel failure downgrades the
-        evaluator to the numpy kernels and replays the evaluation —
-        bit-identical by invariant 11 — with the downgrade recorded in
-        :attr:`last_report`.  Forced backends stay strict and raise.
-
         Args:
             duration_cycles: simulation horizon; refreshes due at or
                 after it are not issued.
             trace: demand accesses (only their (row, cycle) structure
                 matters, and only for access-coupled policies).
         """
-        try:
-            return self._evaluate_once(duration_cycles, trace)
-        except (ValueError, NumericalError):
-            raise
-        except Exception as exc:
-            if self._strict or not self._use_numba:
-                raise
-            self._note_downgrade(self.backend, f"{type(exc).__name__}: {exc}")
-            # Replay is safe: the failed attempt mutated only local
-            # state (policy.reset() reruns, commit had not happened).
-            return self._evaluate_once(duration_cycles, trace)
-
-    def _evaluate_once(
-        self,
-        duration_cycles: int,
-        trace: Optional[MemoryTrace] = None,
-    ) -> RefreshStats:
-        """One evaluation on the currently-selected kernel backend."""
         if duration_cycles <= 0:
             raise ValueError(f"duration must be positive, got {duration_cycles}")
         self.policy.reset()
@@ -225,11 +136,7 @@ class FusedTimeline:
         counts = self._counts(duration_cycles)
         total_crossings = int(counts.sum())
         if total_crossings == 0:
-            self.last_report = TimelineReport(
-                0, 0, 1, self.backend,
-                downgraded_from=self.downgraded_from,
-                downgrade_reason=self.downgrade_reason,
-            )
+            self.last_report = TimelineReport(0, 0)
             return stats
 
         if spec.resets_on_access and trace is not None:
@@ -239,24 +146,12 @@ class FusedTimeline:
         else:
             reset_rows = reset_ordinals = np.empty(0, dtype=np.int64)
 
-        phase = spec.phase
-        total_fulls = 0
-        epochs = 0
-        for epoch_counts, epoch_rows, epoch_ordinals in self._epochs(
-            duration_cycles, counts, reset_rows, reset_ordinals
-        ):
-            epochs += 1
-            fulls, phase = segmented_fulls(
-                epoch_counts,
-                phase,
-                spec.cycle_len,
-                epoch_rows,
-                epoch_ordinals,
-                use_numba=self._use_numba,
-            )
-            total_fulls += int(fulls.sum())
+        fulls, phase = segmented_fulls(
+            counts, spec.phase, spec.cycle_len, reset_rows, reset_ordinals
+        )
         spec.commit(phase)
 
+        total_fulls = int(fulls.sum())
         stats.full_refreshes = total_fulls
         stats.partial_refreshes = total_crossings - total_fulls
         stats.refresh_cycles = int(
@@ -265,43 +160,9 @@ class FusedTimeline:
         )
         assert_finite(float(stats.refresh_cycles), "sim.timeline.evaluate", "refresh_cycles")
         self.last_report = TimelineReport(
-            crossings=total_crossings,
-            resets=int(len(reset_rows)),
-            epochs=epochs,
-            backend=self.backend,
-            downgraded_from=self.downgraded_from,
-            downgrade_reason=self.downgrade_reason,
+            crossings=total_crossings, resets=int(len(reset_rows))
         )
         return stats
-
-    def _epochs(self, duration_cycles, counts, reset_rows, reset_ordinals):
-        """Yield per-epoch (counts, reset rows, epoch-relative ordinals).
-
-        Single-epoch runs pass the precomputed arrays through untouched;
-        windowed runs slice the horizon into ``epoch_cycles`` chunks and
-        rebase reset ordinals onto each window's first crossing.
-        """
-        if self.epoch_cycles is None or self.epoch_cycles >= duration_cycles:
-            yield counts, reset_rows, reset_ordinals
-            return
-        for start in range(0, duration_cycles, self.epoch_cycles):
-            stop = min(start + self.epoch_cycles, duration_cycles)
-            epoch_counts = window_deadline_counts(
-                self._first, self._periods, start, stop
-            )
-            base = deadline_counts(self._first, self._periods, start)
-            if len(reset_rows):
-                global_base = base[reset_rows]
-                in_window = (reset_ordinals >= global_base) & (
-                    reset_ordinals < global_base + epoch_counts[reset_rows]
-                )
-                yield (
-                    epoch_counts,
-                    reset_rows[in_window],
-                    (reset_ordinals - global_base)[in_window],
-                )
-            else:
-                yield epoch_counts, reset_rows, reset_ordinals
 
 
 def access_resets(

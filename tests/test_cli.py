@@ -229,8 +229,9 @@ class TestFaultToleranceFlags:
         err = capsys.readouterr().err
         assert "does not exist" in err and len(err.strip().splitlines()) == 1
 
-    def test_malformed_chaos_spec_rejected(self, capsys):
-        assert main(self.FIG4 + ["--chaos", "explode@1"]) == 2
+    @pytest.mark.parametrize("spec", ["explode@1", "jitfail@*"])
+    def test_malformed_chaos_spec_rejected(self, capsys, spec):
+        assert main(self.FIG4 + ["--chaos", spec]) == 2
         err = capsys.readouterr().err
         assert "--chaos" in err and len(err.strip().splitlines()) == 1
 

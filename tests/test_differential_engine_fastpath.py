@@ -23,9 +23,8 @@ Two layers of equivalence are asserted on every case:
   ChargeCache lookups/hits);
 * the three refresh statistics are bit-identical across *all*
   refresh-evaluation strategies (invariant 11): the engine, the round
-  walk (``backend="loop"``), the fused timeline (``backend="fused"``),
-  and — when numba is installed — the jitted fused kernels
-  (``backend="numba"``).
+  walk (``backend="loop"``), and the fused timeline
+  (``backend="fused"``).
 
 Failure messages carry the case's seeds so any discrepancy reproduces
 from the log alone.
@@ -45,7 +44,6 @@ from repro.controller.counters import CounterFile
 from repro.controller.mechanisms import ChargeCachePolicy, DARPPolicy
 from repro.retention import RefreshBinning, RetentionProfiler, TemperatureModel
 from repro.sim import (
-    NUMBA_AVAILABLE,
     Bank,
     BankSimulator,
     DRAMTiming,
@@ -72,7 +70,7 @@ TIMING = DRAMTiming.from_technology(DEFAULT_TECH)
 POLICY_NAMES = ("fixed", "raidr", "vrl", "vrl-access")
 
 #: Every evaluator strategy differentially pinned against the engine.
-BACKENDS = ("loop", "fused") + (("numba",) if NUMBA_AVAILABLE else ())
+BACKENDS = ("loop", "fused")
 
 
 def _policy(name, geometry, profile_seed, nbits=2, temperature=None):

@@ -38,8 +38,7 @@ TABLE1_COLUMNS = ("bank size", "single cell", "our model", "paper (S/C/M)")
 
 #: Fixed recipe of the pinned fused-timeline run: refresh statistics
 #: plus the timeline-only telemetry (crossings, resets) no other
-#: artifact records.  The kernel backend is deliberately *not* pinned —
-#: numpy and numba images must produce the same file.
+#: artifact records.
 TIMELINE_RECIPE = dict(
     rows=1024,
     cols=32,

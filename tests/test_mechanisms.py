@@ -18,8 +18,8 @@ Pins the tentpole invariants of the mechanism registry refactor:
   the conservative rate, deterministically per seed;
 * **differential** — every new mechanism prices identically through
   the fused timeline, the round walk, and the cycle-level engine
-  (``auto`` ≡ ``loop`` ≡ engine), and a scalar-only subclass of each
-  downgrades to the round walk with results unchanged.
+  (``auto`` ≡ ``loop`` ≡ engine), and ``auto`` selects the round walk
+  for a scalar-only subclass of each, with results unchanged.
 """
 
 import numpy as np
@@ -580,7 +580,7 @@ class TestMechanismDifferential:
 
     @pytest.mark.parametrize("name", NEW_MECHANISMS)
     def test_scalar_subclass_falls_back_identically(self, name):
-        """A scalar-only subclass downgrades to the round walk, results
+        """``auto`` selects the round walk for a scalar-only subclass, results
         unchanged and identical to the engine (PR 6's fallback contract
         extended to every new mechanism)."""
         base = _policy(name, BankGeometry(32, 8))
@@ -612,12 +612,13 @@ class TestMechanismDifferential:
             results[label] = _refresh_tuple(stats)
         assert results["auto"] == results["loop"] == results["engine"]
 
-    def test_downgrade_never_changes_statistics(self):
-        """Invariant 15 second half: an auto downgrade is stats-neutral.
+    def test_capability_selection_never_changes_statistics(self):
+        """Invariant 15 second half: ``auto``'s capability selection is
+        stats-neutral.
 
         Force the fused path and the loop path on the same mechanism and
-        compare — the downgrade decision can only pick between results
-        that are already identical."""
+        compare — the selection can only pick between results that are
+        already identical."""
         geometry = BankGeometry(48, 8)
         duration = TIMING.cycles(500 * MS)
         for name in NEW_MECHANISMS:

@@ -203,7 +203,7 @@ class TestCalibrationSweepCell:
     def test_registered(self):
         assert "calibration-sweep" in CELL_KINDS
 
-    def test_cell_runs_and_query_round_trips(self):
+    def test_cell_runs_from_query_params(self):
         query = Query(
             kind="calibration-sweep",
             tech=TECH,
@@ -215,7 +215,6 @@ class TestCalibrationSweepCell:
             n_points=4,
         )
         assert query.label == "calibrate/0.95x4"
-        assert Query.from_dict(query.to_dict()) == query
         payload = CELL_KINDS["calibration-sweep"](query.params())
         assert payload["tau_partial_cycles"] > 0
         assert len(payload["circuit_fractions"]) == 4

@@ -6,12 +6,18 @@ from hypothesis import given, settings, strategies as st
 
 from repro.retention import RetentionProfiler, TemperatureModel, VRTModel, VRTParameters
 from repro.sim import MemoryTrace, merge_traces, predicted_full_fraction
-from repro.sim.rank import _union_length
+from repro.sim.timeline import union_length
 from repro.technology import BankGeometry, DEFAULT_TECH
 
 interval = st.tuples(
     st.integers(min_value=0, max_value=500), st.integers(min_value=1, max_value=200)
 ).map(lambda p: (p[0], p[0] + p[1]))
+
+
+def _union(intervals, horizon):
+    starts = np.array([s for s, _ in intervals], dtype=np.int64)
+    ends = np.array([e for _, e in intervals], dtype=np.int64)
+    return union_length(starts, ends, horizon)
 
 
 class TestUnionLengthProperties:
@@ -22,13 +28,13 @@ class TestUnionLengthProperties:
         covered = np.zeros(horizon, dtype=bool)
         for start, end in intervals:
             covered[start:min(end, horizon)] = True
-        assert _union_length(intervals, horizon) == int(covered.sum())
+        assert _union(intervals, horizon) == int(covered.sum())
 
     @given(intervals=st.lists(interval, max_size=20))
     @settings(max_examples=40)
     def test_bounded_by_sum_and_horizon(self, intervals):
         horizon = 800
-        total = _union_length(intervals, horizon)
+        total = _union(intervals, horizon)
         assert 0 <= total <= min(horizon, sum(e - s for s, e in intervals))
 
 

@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.controller import build_policy
 from repro.retention import RefreshBinning, RetentionProfiler
 from repro.sim import DRAMTiming, MemoryTrace, RankSimulator
-from repro.sim.rank import _union_length
+from repro.sim import rank as rank_module
+from repro.sim.timeline import union_length
 from repro.technology import BankGeometry, DEFAULT_TECH
 from repro.units import MS
 
@@ -35,24 +37,95 @@ def _trace(n, duration, seed=0):
     )
 
 
+def _union_length(intervals, horizon):
+    """Merge sorted ``[start, end)`` tuples one by one (the oracle)."""
+    if not intervals:
+        return 0
+    intervals = sorted(intervals)
+    total = 0
+    current_start, current_end = intervals[0]
+    for start, end in intervals[1:]:
+        if start > current_end:
+            total += min(current_end, horizon) - min(current_start, horizon)
+            current_start, current_end = start, end
+        else:
+            current_end = max(current_end, end)
+    total += min(current_end, horizon) - min(current_start, horizon)
+    return max(0, total)
+
+
+def _union(intervals, horizon):
+    """:func:`union_length` over a list of ``(start, end)`` tuples."""
+    starts = np.array([s for s, _ in intervals], dtype=np.int64)
+    ends = np.array([e for _, e in intervals], dtype=np.int64)
+    return union_length(starts, ends, horizon)
+
+
 class TestUnionLength:
     def test_empty(self):
-        assert _union_length([], 100) == 0
+        assert _union([], 100) == 0
 
     def test_disjoint(self):
-        assert _union_length([(0, 10), (20, 30)], 100) == 20
+        assert _union([(0, 10), (20, 30)], 100) == 20
 
     def test_overlapping_merged(self):
-        assert _union_length([(0, 10), (5, 15)], 100) == 15
+        assert _union([(0, 10), (5, 15)], 100) == 15
 
     def test_clipped_to_horizon(self):
-        assert _union_length([(90, 120)], 100) == 10
+        assert _union([(90, 120)], 100) == 10
 
     def test_nested(self):
-        assert _union_length([(0, 100), (10, 20)], 1000) == 100
+        assert _union([(0, 100), (10, 20)], 1000) == 100
 
     def test_unsorted_input(self):
-        assert _union_length([(20, 30), (0, 10)], 100) == 20
+        assert _union([(20, 30), (0, 10)], 100) == 20
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        intervals=st.lists(
+            st.tuples(st.integers(0, 1_500), st.integers(0, 300)).map(
+                lambda p: (p[0], p[0] + p[1])
+            ),
+            max_size=40,
+        ),
+        horizon=st.integers(1, 1_200),
+    )
+    def test_matches_interval_merge_oracle(self, intervals, horizon):
+        """Touching, nested and empty intervals, and ones that start or
+        end past the horizon, give the oracle's length."""
+        assert _union(intervals, horizon) == _union_length(intervals, horizon)
+
+
+class TestEventLoopBlockedCycles:
+    @pytest.mark.parametrize("all_bank", [False, True])
+    def test_blocked_cycles_are_the_union_of_refresh_windows(
+        self, monkeypatch, all_bank
+    ):
+        """A traced run hands one busy window per refresh command to
+        :func:`union_length`, and its blocked cycles equal the
+        interval-merge oracle over those windows."""
+        seen = []
+
+        def spy(starts, ends, horizon):
+            seen.append((starts.tolist(), ends.tolist(), horizon))
+            return union_length(starts, ends, horizon)
+
+        monkeypatch.setattr(rank_module, "union_length", spy)
+        duration = TIMING.cycles(128 * MS)
+        result = RankSimulator(
+            _policies("vrl"), TIMING, GEO, all_bank_refresh=all_bank
+        ).run(_trace(600, duration), duration)
+        [(starts, ends, horizon)] = seen
+        assert horizon == duration
+        if all_bank:
+            rows_per_ref = rank_module.ALL_BANK_ROWS_PER_REF
+            commands = result.per_bank_refresh[0].full_refreshes // rows_per_ref
+        else:
+            commands = sum(s.total_refreshes for s in result.per_bank_refresh)
+        assert len(starts) == len(ends) == commands > 0
+        assert result.blocked_cycles == _union_length(
+            list(zip(starts, ends)), horizon
+        )
 
 
 class TestRankValidation:

@@ -13,7 +13,9 @@ deterministic fault-injection harness in ``repro.runner.faults``):
    checkpoint a ``resume_from=`` run replays, recomputing only the
    unfinished cells (verified via the hit/miss counters);
 4. a solver ``ConvergenceError`` thrown deep inside a cell's circuit
-   surfaces as a failed outcome with the solver's message intact.
+   surfaces as a failed outcome with the solver's message intact, and
+   so does a failure inside the fused refresh timeline — there is no
+   other pricing path to replay the cell on.
 """
 
 import json
@@ -65,6 +67,23 @@ def _cell(i: int) -> Cell:
 CELLS = [_cell(i) for i in range(6)]
 
 
+def _rank_cell(mode: str) -> Cell:
+    """A small refresh-only rank cell (always priced by the fused path)."""
+    return Cell(
+        "rank-mode",
+        {
+            "tech": TECH,
+            "rows": 64,
+            "cols": 8,
+            "n_banks": 2,
+            "mode": mode,
+            "seed": 100,
+            "duration_seconds": 0.1,
+        },
+        label=f"rank-{mode}",
+    )
+
+
 @pytest.fixture(scope="module")
 def baseline():
     """Payloads of a fault-free serial run (the equivalence reference)."""
@@ -95,16 +114,24 @@ class TestFaultGrammar:
         assert not parse_faults("raise@0,interrupt@1").needs_pool()
 
     def test_wildcard_cell_strikes_everything(self):
-        plan = parse_faults("jitfail@*")
-        assert plan.for_cell(0, 0).action == "jitfail"
-        assert plan.for_cell(999, 0).action == "jitfail"
+        plan = parse_faults("raise@*")
+        assert plan.for_cell(0, 0).action == "raise"
+        assert plan.for_cell(999, 0).action == "raise"
         assert plan.for_cell(0, 1) is None  # attempt filter still applies
 
     def test_numeric_actions_parse(self):
-        plan = parse_faults("nan@0, diverge@1, jitfail@*")
+        plan = parse_faults("nan@0, diverge@1")
         assert plan.for_cell(0, 0).action == "nan"
         assert plan.for_cell(1, 0).action == "diverge"
-        assert plan.for_cell(2, 0).action == "jitfail"
+        assert plan.for_cell(2, 0) is None
+
+    def test_jitfail_is_not_an_action(self):
+        with pytest.raises(ValueError) as info:
+            parse_faults("jitfail@*")
+        message = str(info.value)
+        assert "'jitfail'" in message
+        for action in ("raise", "hang", "kill", "interrupt", "nan", "diverge"):
+            assert repr(action) in message
 
     @pytest.mark.parametrize(
         "bad",
@@ -117,7 +144,7 @@ class TestFaultGrammar:
             "@3",
             "raise@-1",
             "nan@**",
-            "jitfail@1.5",
+            "nan@1.5",
             "hang@0=0",
             "raise@1:",
             "=@",
@@ -484,15 +511,36 @@ class TestNumericChaosActions:
         assert convergence["netlist"].startswith("chaos-diverge")
         assert convergence["attempts"]  # the full rescue ladder was walked
 
-    def test_jitfail_wildcard_degrades_row_wise_bit_identical(self, baseline):
-        import os
+    @pytest.mark.parametrize(
+        "cell,kernel",
+        [
+            (CELLS[0], "repro.sim.timeline.segmented_fulls"),
+            (_rank_cell("vrl"), "repro.sim.rank.crossing_kinds"),
+            (_rank_cell("all-bank"), "repro.sim.rank.service_starts"),
+        ],
+        ids=["refresh-overhead", "rank-per-bank", "rank-all-bank"],
+    )
+    def test_fused_timeline_failure_is_a_failed_cell(
+        self, monkeypatch, tmp_path, cell, kernel
+    ):
+        """A fused-kernel bug fails the cell loudly, with its type on record."""
 
-        from repro.sim._timeline_kernels import FORCE_JIT_FAILURE_ENV
+        def broken_kernel(*args, **kwargs):
+            raise RuntimeError("fused kernel exploded")
 
-        report = ExperimentRunner(faults="jitfail@*").run(CELLS, "numeric-chaos")
-        assert not report.failures
-        assert report.results == baseline  # downgrade is bit-identical
-        assert FORCE_JIT_FAILURE_ENV not in os.environ  # state cleared
+        monkeypatch.setattr(kernel, broken_kernel)
+        report = ExperimentRunner(jobs=1, runs_dir=tmp_path).run(
+            [cell], "fused-failure"
+        )
+        assert [o.ok for o in report.outcomes] == [False]
+        assert [f.label for f in report.failures] == [cell.label]
+        assert report.failures[0].error.exception_type == "RuntimeError"
+        manifest = load_manifest(report.manifest_path)
+        entry = manifest["cells"][0]
+        assert entry["status"] == "failed"
+        assert entry["error"]["exception_type"] == "RuntimeError"
+        assert "fused kernel exploded" in entry["error"]["message"]
+        assert [f["exception_type"] for f in manifest["failures"]] == ["RuntimeError"]
 
     def test_unconsumed_nan_is_a_loud_failure(self):
         from repro import guard
@@ -510,21 +558,6 @@ class TestNumericChaosActions:
             ensure_faults_observed(spec)
         assert not guard.injection_armed()
         clear_fault_state()  # idempotent
-
-    def test_clear_fault_state_pops_the_jit_env(self):
-        import os
-
-        from repro.runner.faults import (
-            FaultSpec,
-            clear_fault_state,
-            execute_fault,
-        )
-        from repro.sim._timeline_kernels import FORCE_JIT_FAILURE_ENV
-
-        execute_fault(FaultSpec("jitfail", None))
-        assert os.environ[FORCE_JIT_FAILURE_ENV] == "1"
-        clear_fault_state()
-        assert FORCE_JIT_FAILURE_ENV not in os.environ
 
 
 class TestDriverFailureTolerance:

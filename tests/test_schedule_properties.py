@@ -2,7 +2,7 @@
 
 :mod:`repro.sim.schedule` is the single source of truth for deadline
 placement, and the fused timeline leans on its closed forms much harder
-than the event loops do (whole-horizon counts, epoch windowing).  These
+than the event loops do (whole-horizon counts).  These
 hypothesis tests pin each closed form against a brute-force oracle that
 simply materializes the deadline stream:
 
@@ -10,20 +10,17 @@ simply materializes the deadline stream:
   offset, exactly, and always inside the row's first period;
 * **deadline counts** — :func:`deadline_counts` equals counting an
   explicit ``arange`` of dues, for any horizon;
-* **epoch decomposition** — :func:`window_deadline_counts` over any
-  partition of the horizon tiles the full-horizon counts exactly (the
-  invariant the fused timeline's epoch mode rests on);
 * **bit-exact quantization** — vectorized :func:`period_cycles` equals
   the scalar ``timing.cycles(row_period(r))`` path row for row;
 * **tie-breaking** — :func:`refresh_wins_tie` is exactly
   ``due <= request``;
-* **all-bank REF pacing** — the tREFI stream tiles across epoch
-  boundaries and covers every row once per conventional period.
+* **all-bank REF pacing** — the tREFI stream covers every row once per
+  conventional period.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from repro.controller import build_policy
 from repro.retention import RefreshBinning, RetentionProfiler
@@ -35,7 +32,6 @@ from repro.sim import (
     first_deadlines,
     period_cycles,
     refresh_wins_tie,
-    window_deadline_counts,
 )
 from repro.sim.schedule import CONVENTIONAL_PERIOD
 from repro.technology import BankGeometry, DEFAULT_TECH
@@ -96,38 +92,6 @@ class TestDeadlineCounts:
             )
             assert counts[row] == oracle, f"row={row}"
 
-    @given(
-        periods=periods_lists,
-        boundaries=st.lists(
-            st.integers(min_value=0, max_value=60_000), min_size=0, max_size=6
-        ),
-        duration=st.integers(min_value=1, max_value=60_000),
-    )
-    def test_window_decomposition_tiles_exactly(
-        self, periods, boundaries, duration
-    ):
-        """Any partition of the horizon sums window counts to the whole,
-        and each window matches the brute-force count of its slice."""
-        periods = np.asarray(periods, dtype=np.int64)
-        first = first_deadlines(periods)
-        edges = sorted({0, duration, *(b for b in boundaries if b <= duration)})
-        total = np.zeros(len(periods), dtype=np.int64)
-        for start, stop in zip(edges[:-1], edges[1:]):
-            window = window_deadline_counts(first, periods, start, stop)
-            for row in range(len(periods)):
-                oracle = _brute_force_count(
-                    int(first[row]), int(periods[row]), start, stop
-                )
-                assert window[row] == oracle, f"row={row} [{start},{stop})"
-            total += window
-        assert np.array_equal(total, deadline_counts(first, periods, duration))
-
-    def test_window_rejects_decreasing_bounds(self):
-        first = np.array([0], dtype=np.int64)
-        periods = np.array([10], dtype=np.int64)
-        with pytest.raises(ValueError, match="non-decreasing"):
-            window_deadline_counts(first, periods, 5, 4)
-
 
 class TestPeriodQuantization:
     @pytest.mark.parametrize("name", ["fixed", "raidr", "vrl", "vrl-access"])
@@ -158,27 +122,6 @@ class TestRefreshWinsTie:
 
 
 class TestAllBankPacing:
-    @settings(max_examples=40)
-    @given(
-        rows=st.integers(min_value=1, max_value=20_000),
-        boundaries=st.lists(
-            st.integers(min_value=0, max_value=10**7), min_size=0, max_size=5
-        ),
-        duration=st.integers(min_value=1, max_value=10**7),
-    )
-    def test_ref_stream_tiles_across_epochs(self, rows, boundaries, duration):
-        """Counting REFs per epoch window sums to the whole horizon —
-        the fused all-bank path and epoch-windowed evaluation agree on
-        where every command lands."""
-        interval = all_bank_ref_interval(TIMING, rows)
-        dues = np.arange(0, duration, interval, dtype=np.int64)
-        edges = sorted({0, duration, *(b for b in boundaries if b <= duration)})
-        per_window = [
-            int(np.count_nonzero((dues >= start) & (dues < stop)))
-            for start, stop in zip(edges[:-1], edges[1:])
-        ]
-        assert sum(per_window) == len(dues)
-
     @given(
         groups=st.integers(min_value=1, max_value=25_000),
     )

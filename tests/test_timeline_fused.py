@@ -1,18 +1,17 @@
-"""Unit tests of the fused timeline: kernels, epochs, rank path, fallback.
+"""Unit tests of the fused timeline: kernels, rank path, capability selection.
 
 The three-way differential harness
 (``tests/test_differential_engine_fastpath.py``) pins the fused
 timeline against the engine end to end; this module tests its parts:
 
-* **kernel equivalence** — the numba-compilable loop kernel and the
-  vectorized numpy scatter kernel are bit-identical on randomized
-  inputs and match a brute-force walk of Algorithm 1's counter, and
-  reset-aware per-crossing kinds agree with the segment totals;
-* **epoch windowing** — chunked evaluation is bit-neutral vs the
-  one-shot pass, for any epoch size;
+* **kernel equivalence** — the vectorized scatter kernel is
+  bit-identical to a per-row loop of the same segment arithmetic on
+  randomized inputs and matches a brute-force walk of Algorithm 1's
+  counter, and reset-aware per-crossing kinds agree with the segment
+  totals;
 * **busy-chain closed forms** — :func:`service_starts` matches the
-  FCFS recurrence and :func:`union_length` matches the rank
-  simulator's interval-union bookkeeping;
+  FCFS recurrence and :func:`union_length` matches the interval-merge
+  oracle kept in ``tests/test_rank.py``;
 * **access resets** — the bitmap :func:`access_resets` returns exactly
   what the sort-unique of packed keys it replaced returns, whole-bank
   and blocked;
@@ -21,7 +20,9 @@ timeline against the engine end to end; this module tests its parts:
 * **scalar fallback** — a policy customizing only scalar hooks (the
   ``examples/custom_policy.py`` VRL-Temp) reports
   ``supports_fused_timeline() == False``, every ``auto`` consumer
-  falls back to the round walk, and forcing ``fused`` raises.
+  selects the round walk, and forcing ``fused`` raises;
+* **fail loud** — a failure inside the fused kernels raises out of the
+  evaluator and the rank simulator; no other path replays the input.
 """
 
 import importlib.util
@@ -36,7 +37,6 @@ from hypothesis import strategies as st
 from repro.controller import KIND_FULL, build_policy
 from repro.retention import RefreshBinning, RetentionProfiler
 from repro.sim import (
-    NUMBA_AVAILABLE,
     BankSimulator,
     DRAMTiming,
     FusedTimeline,
@@ -46,17 +46,14 @@ from repro.sim import (
     service_starts,
     union_length,
 )
+from repro.sim import rank as rank_module
 from repro.sim import timeline as timeline_module
-from repro.sim._timeline_kernels import (
-    _segmented_fulls_loop,
-    crossing_kinds,
-    segmented_fulls,
-)
-from repro.sim.rank import _union_length
+from repro.sim._timeline_kernels import crossing_kinds, segmented_fulls
 from repro.sim.schedule import deadline_counts
 from repro.sim.timeline import access_resets
 from repro.technology import BankGeometry, DEFAULT_TECH
 from repro.units import MS
+from tests.test_rank import _union_length
 
 TIMING = DRAMTiming.from_technology(DEFAULT_TECH)
 
@@ -87,6 +84,37 @@ def _random_segments(rng, n_rows):
         np.asarray(reset_rows, dtype=np.int64),
         np.asarray(reset_ordinals, dtype=np.int64),
     )
+
+
+def _segmented_fulls_loop(counts, phase, cycle_len, reset_rows, reset_ordinals,
+                          fulls, final_phase):
+    """Per-row loop form of the segment arithmetic (the oracle).
+
+    ``fulls`` / ``final_phase`` arrive prefilled with the reset-free
+    closed form; rows that appear in ``reset_rows`` (sorted by row,
+    then ordinal) are recomputed segment by segment.  A reset at
+    ordinal ``k`` restarts the cadence *before* the ``k``-th crossing's
+    decision, exactly like the round walk's access-then-decide order.
+    """
+    i = 0
+    n = reset_rows.shape[0]
+    while i < n:
+        row = reset_rows[i]
+        m1 = cycle_len[row]
+        start = phase[row]
+        prev = 0
+        full_count = 0
+        while i < n and reset_rows[i] == row:
+            ordinal = reset_ordinals[i]
+            full_count += (ordinal - prev + start) // m1
+            start = 0
+            prev = ordinal
+            i += 1
+        tail = counts[row] - prev
+        full_count += tail // m1
+        fulls[row] = full_count
+        final_phase[row] = tail % m1
+    return fulls, final_phase
 
 
 def _bruteforce_fulls(counts, phase, cycle_len, reset_rows, reset_ordinals):
@@ -124,9 +152,7 @@ class TestKernelEquivalence:
 
     @pytest.mark.parametrize("seed", range(10))
     def test_loop_kernel_matches_numpy_kernel(self, seed):
-        """The numba-compilable loop form ≡ the vectorized scatter form
-        (run as pure Python here, so it is covered with or without
-        numba installed)."""
+        """The per-row loop form ≡ the vectorized scatter form."""
         rng = np.random.default_rng(100 + seed)
         counts, phase, cycle_len, rrows, rords = _random_segments(rng, 24)
         numpy_fulls, numpy_phase = segmented_fulls(
@@ -188,45 +214,8 @@ class TestKernelEquivalence:
             False, True, False, False, True, False,
         ]
 
-    @pytest.mark.skipif(not NUMBA_AVAILABLE, reason="numba not installed")
-    def test_jitted_kernels_match_numpy(self):
-        rng = np.random.default_rng(7)
-        counts, phase, cycle_len, rrows, rords = _random_segments(rng, 32)
-        plain = segmented_fulls(counts, phase, cycle_len, rrows, rords)
-        jitted = segmented_fulls(
-            counts, phase, cycle_len, rrows, rords, use_numba=True
-        )
-        assert np.array_equal(plain[0], jitted[0])
-        assert np.array_equal(plain[1], jitted[1])
 
-
-class TestEpochWindowing:
-    @pytest.mark.parametrize("n_epochs", [2, 7, 64])
-    def test_chunked_evaluation_is_bit_neutral(self, n_epochs):
-        geometry = BankGeometry(48, 8)
-        duration = TIMING.cycles(900 * MS)
-        rng = np.random.default_rng(11)
-        trace = MemoryTrace(
-            np.sort(rng.integers(0, duration, 800)).astype(np.int64),
-            rng.integers(0, geometry.rows, 800).astype(np.int64),
-            rng.random(800) < 0.5,
-            name="epochs",
-        )
-        policy_a = _policy("vrl-access", geometry)
-        whole = FusedTimeline(policy_a, TIMING).evaluate(duration, trace)
-        policy_b = _policy("vrl-access", geometry)
-        timeline = FusedTimeline(
-            policy_b, TIMING, epoch_cycles=max(1, duration // n_epochs)
-        )
-        chunked = timeline.evaluate(duration, trace)
-        assert (whole.full_refreshes, whole.partial_refreshes,
-                whole.refresh_cycles) == (
-            chunked.full_refreshes, chunked.partial_refreshes,
-            chunked.refresh_cycles,
-        )
-        assert np.array_equal(policy_a.rcount.values, policy_b.rcount.values)
-        assert timeline.last_report.epochs >= n_epochs
-
+class TestTimelineReport:
     def test_report_telemetry(self):
         geometry = BankGeometry(32, 8)
         policy = _policy("vrl", geometry)
@@ -235,8 +224,6 @@ class TestEpochWindowing:
         report = timeline.last_report
         assert report.crossings == stats.full_refreshes + stats.partial_refreshes
         assert report.resets == 0
-        assert report.epochs == 1
-        assert report.backend == ("numba" if NUMBA_AVAILABLE else "numpy")
 
 
 class TestBusyChainClosedForms:
@@ -261,7 +248,7 @@ class TestBusyChainClosedForms:
         ends = starts + rng.integers(1, 200, size=n)
         horizon = int(rng.integers(1, 6_000))
         want = _union_length(
-            [(int(s), int(e)) for s, e in zip(starts, ends)], horizon
+            sorted((int(s), int(e)) for s, e in zip(starts, ends)), horizon
         )
         assert union_length(starts, ends, horizon) == want, f"seed={seed}"
 
@@ -437,6 +424,33 @@ class TestRankFusedPath:
                 duration_cycles=1000, backend="warp"
             )
 
+    @pytest.mark.parametrize("all_bank", [False, True])
+    def test_auto_uses_the_event_loop_for_traced_runs(self, all_bank):
+        """auto ≡ loop on a traced run (only the event loop serves it)."""
+        geometry = BankGeometry(32, 8)
+        duration = TIMING.cycles(200 * MS)
+        rng = np.random.default_rng(9)
+        trace = MemoryTrace(
+            np.sort(rng.integers(0, duration, 80)).astype(np.int64),
+            rng.integers(0, geometry.rows, 80).astype(np.int64),
+            rng.random(80) < 0.5,
+            name="traced",
+        )
+        results = [
+            RankSimulator(
+                [_policy("vrl", geometry, profile_seed=s) for s in (1, 2)],
+                TIMING, geometry, all_bank_refresh=all_bank,
+            ).run(trace=trace, duration_cycles=duration, backend=backend)
+            for backend in ("auto", "loop")
+        ]
+        auto, loop = results
+        assert auto.blocked_cycles == loop.blocked_cycles
+        assert auto.requests.n_requests == len(trace)
+        assert auto.requests == loop.requests
+        assert [s.refresh_cycles for s in auto.per_bank_refresh] == [
+            s.refresh_cycles for s in loop.per_bank_refresh
+        ]
+
 
 class TestEvaluatorBackends:
     def test_invalid_backend_rejected(self):
@@ -444,23 +458,136 @@ class TestEvaluatorBackends:
         with pytest.raises(ValueError, match="backend"):
             RefreshOverheadEvaluator(policy, TIMING, backend="warp")
 
-    @pytest.mark.skipif(NUMBA_AVAILABLE, reason="numba is installed")
-    def test_numba_backend_raises_without_numba(self):
-        policy = _policy("vrl", BankGeometry(32, 8))
-        with pytest.raises(ValueError, match="numba"):
-            RefreshOverheadEvaluator(policy, TIMING, backend="numba")
+    @pytest.mark.parametrize(
+        "build,error",
+        [
+            (lambda p: RefreshOverheadEvaluator(p, TIMING, backend="numba"), ValueError),
+            (lambda p: RefreshOverheadEvaluator(p, TIMING, shadow_verify=1), TypeError),
+            (lambda p: FusedTimeline(p, TIMING, backend="numpy"), TypeError),
+            (lambda p: FusedTimeline(p, TIMING, epoch_cycles=1_000), TypeError),
+        ],
+        ids=["evaluator-numba", "shadow_verify", "timeline-backend", "epoch_cycles"],
+    )
+    def test_removed_options_are_rejected(self, build, error):
+        """One pricing path per input: no kernel or verification knobs."""
+        with pytest.raises(error, match="backend must be one of|unexpected keyword"):
+            build(_policy("vrl", BankGeometry(32, 8)))
+
+    @pytest.mark.parametrize("backend", ["auto", "fused", "loop"])
+    def test_every_listed_backend_prices_identically(self, backend):
+        """Each accepted value is kept as given and prices the same stats."""
+        geometry = BankGeometry(32, 8)
+        duration = TIMING.cycles(300 * MS)
+        rng = np.random.default_rng(6)
+        trace = MemoryTrace(
+            np.sort(rng.integers(0, duration, 60)).astype(np.int64),
+            rng.integers(0, geometry.rows, 60).astype(np.int64),
+            rng.random(60) < 0.5,
+            name="priced",
+        )
+        evaluator = RefreshOverheadEvaluator(
+            _policy("vrl-access", geometry), TIMING, backend=backend
+        )
+        assert evaluator.backend == backend
+        got = evaluator.evaluate(duration, trace)
+        want = RefreshOverheadEvaluator(
+            _policy("vrl-access", geometry), TIMING, backend="loop"
+        ).evaluate(duration, trace)
+        assert got.full_refreshes == want.full_refreshes
+        assert got.partial_refreshes == want.partial_refreshes
+        assert got.refresh_cycles == want.refresh_cycles
+
+    @pytest.mark.parametrize("owner", ["evaluator", "rank"])
+    def test_unknown_backend_is_a_one_line_value_error(self, owner):
+        geometry = BankGeometry(32, 8)
+        policy = _policy("vrl", geometry)
+        with pytest.raises(ValueError) as raised:
+            if owner == "evaluator":
+                RefreshOverheadEvaluator(policy, TIMING, backend="gpu")
+            else:
+                RankSimulator([policy], TIMING, geometry).run(
+                    duration_cycles=1000, backend="gpu"
+                )
+        message = str(raised.value)
+        assert "\n" not in message
+        assert message.startswith("backend must be one of ('auto', 'fused', 'loop')")
+        assert message.endswith("got 'gpu'")
 
     def test_refresh_stats_matches_run(self):
-        """BankSimulator.refresh_stats ≡ run().refresh (fused vs engine)."""
+        """The evaluator's fused path ≡ ``BankSimulator.run().refresh``."""
         geometry = BankGeometry(48, 8)
         duration = TIMING.cycles(700 * MS)
         policy = _policy("vrl", geometry)
-        simulator = BankSimulator(policy, TIMING)
-        fused = simulator.refresh_stats(duration)
-        engine = simulator.run(duration_cycles=duration).refresh
+        fused = RefreshOverheadEvaluator(policy, TIMING).evaluate(duration)
+        engine = BankSimulator(policy, TIMING).run(duration_cycles=duration).refresh
         assert fused.full_refreshes == engine.full_refreshes
         assert fused.partial_refreshes == engine.partial_refreshes
         assert fused.refresh_cycles == engine.refresh_cycles
+
+
+def _broken_kernel(*args, **kwargs):
+    raise RuntimeError("fused kernel exploded")
+
+
+class TestFailLoud:
+    """A fused-kernel failure raises; no other path replays the input."""
+
+    @pytest.mark.parametrize("backend", ["auto", "fused"])
+    @pytest.mark.parametrize("kernel", ["segmented_fulls", "access_resets"])
+    def test_evaluator_raises_fused_kernel_failure(self, monkeypatch, backend, kernel):
+        monkeypatch.setattr(timeline_module, kernel, _broken_kernel)
+        geometry = BankGeometry(32, 8)
+        duration = TIMING.cycles(100 * MS)
+        rng = np.random.default_rng(4)
+        trace = MemoryTrace(
+            np.sort(rng.integers(0, duration, 50)).astype(np.int64),
+            rng.integers(0, geometry.rows, 50).astype(np.int64),
+            rng.random(50) < 0.5,
+            name="fail-loud",
+        )
+        evaluator = RefreshOverheadEvaluator(
+            _policy("vrl-access", geometry), TIMING, backend=backend
+        )
+        with pytest.raises(RuntimeError, match="fused kernel exploded"):
+            evaluator.evaluate(duration, trace)
+
+    @pytest.mark.parametrize("backend", ["auto", "fused"])
+    @pytest.mark.parametrize(
+        "all_bank,kernel",
+        [
+            (False, "crossing_kinds"),
+            (False, "service_starts"),
+            (True, "service_starts"),
+            (True, "union_length"),
+        ],
+    )
+    def test_rank_raises_fused_kernel_failure(
+        self, monkeypatch, backend, all_bank, kernel
+    ):
+        monkeypatch.setattr(rank_module, kernel, _broken_kernel)
+        geometry = BankGeometry(32, 8)
+        policies = [_policy("vrl", geometry, profile_seed=s) for s in (1, 2)]
+        simulator = RankSimulator(
+            policies, TIMING, geometry, all_bank_refresh=all_bank
+        )
+        with pytest.raises(RuntimeError, match="fused kernel exploded"):
+            simulator.run(duration_cycles=TIMING.cycles(100 * MS), backend=backend)
+
+    @pytest.mark.parametrize("owner", ["timeline", "evaluator", "rank"])
+    def test_input_validation_raises_before_pricing(self, owner):
+        geometry = BankGeometry(32, 8)
+        policy = _policy("vrl", geometry)
+        if owner == "timeline":
+            price = FusedTimeline(policy, TIMING).evaluate
+        elif owner == "evaluator":
+            price = RefreshOverheadEvaluator(policy, TIMING).evaluate
+        else:
+            simulator = RankSimulator([policy], TIMING, geometry)
+
+            def price(duration):
+                return simulator.run(duration_cycles=duration)
+        with pytest.raises(ValueError, match="duration must be positive"):
+            price(0)
 
 
 def _load_custom_policy_module():
