@@ -1,6 +1,6 @@
 # Convenience targets for the VRL-DRAM reproduction.
 
-.PHONY: install test bench bench-report repro clean
+.PHONY: install test bench bench-report importtime repro clean
 
 install:
 	pip install -e . --no-build-isolation || python setup.py develop
@@ -13,6 +13,11 @@ bench:
 
 bench-report:
 	python scripts/bench_report.py
+
+# The 20 largest cumulative entries (microseconds) of the CLI's import graph.
+importtime:
+	PYTHONPATH=src python -X importtime -c "import repro.experiments.cli" 2>&1 \
+		| sort -t '|' -k 2 -n -r | head -n 20
 
 repro:
 	vrl-dram all

@@ -16,21 +16,105 @@ Two delay criteria are exposed (see DESIGN.md §4):
   Section 3.1 ``tau_pre`` = 2 controller cycles.
 * ``"settle"`` — time until charge sharing is 95% complete
   (``U(t) <= 0.05``); this is what Table 1 reports in device cycles.
+
+Both criteria invert the closed-form ``U(t)`` with :func:`_brentq`, an
+in-module port of scipy's C ``brentq`` that returns the same double
+(scipy's ``brentq`` stays in ``tests/test_presensing.py`` as the
+oracle).  Keeping SciPy out of this module keeps it out of the CLI's
+import graph: SciPy loads only where a verb solves a circuit.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from ..technology import BankGeometry, TechnologyParams
 from ..units import to_cycles
 
 #: Criterion names accepted by :meth:`PreSensingModel.delay`.
 CRITERIA = ("sense-margin", "settle")
+
+#: Brent defaults, as in scipy's ``brentq``.
+_BRENT_RTOL = 4 * sys.float_info.epsilon
+_BRENT_MAXITER = 100
+
+
+def _brentq(f, xa, xb, xtol, maxiter=_BRENT_MAXITER):
+    """Root of ``f`` in ``[xa, xb]`` by Brent's method.
+
+    A line-for-line port of scipy's C ``brentq`` (``Zeros/brentq.c``):
+    the same iterates in plain IEEE double arithmetic, so the root is
+    the same double scipy's ``brentq`` returns.
+
+    Raises:
+        ValueError: if ``f(xa)`` and ``f(xb)`` have the same sign, or
+            ``f`` returns NaN.
+        RuntimeError: if ``maxiter`` iterations do not converge.
+    """
+
+    def call(x):
+        fx = f(x)
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    xpre, xcur = xa, xb
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:
+                    # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:
+                    # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:
+                # C yields inf or NaN here, which fails the test below.
+                stry = math.nan
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = call(xcur)
+    raise RuntimeError(
+        f"PreSensingModel._solve_u: Brent's method failed to converge after "
+        f"{maxiter} iterations, value is {xcur}"
+    )
 
 
 class PreSensingModel:
@@ -246,7 +330,7 @@ class PreSensingModel:
         t_hi = 50.0 * self.r_pre * max(self.cbl, self.tech.cs)
         if self.u(t_hi) > target:
             raise ValueError(f"charge sharing never reaches U={target}")
-        return float(brentq(lambda t: self.u(t) - target, 0.0, t_hi, xtol=1e-15))
+        return float(_brentq(lambda t: self.u(t) - target, 0.0, t_hi, xtol=1e-15))
 
     def delay_cycles(
         self,

@@ -20,11 +20,17 @@ the paper's 8192x32 bank reproduces the Fig. 3b bin populations (see
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..units import MS
+
+
+def _norm_cdf(z: float) -> float:
+    """Standard normal CDF, ``Phi(z) = erfc(-z / sqrt 2) / 2``."""
+    return 0.5 * math.erfc(-z / math.sqrt(2.0))
 
 
 @dataclass(frozen=True)
@@ -102,14 +108,12 @@ class RetentionDistribution:
         correction is negligible at the calibrated parameters (the
         sub-floor mass is ~1e-5 of the tail).
         """
-        from scipy.stats import norm
-
         if t <= 0:
             return 0.0
         z_bulk = (np.log(t) - np.log(self.bulk_median)) / self.bulk_sigma
         z_tail = (np.log(t) - np.log(self.tail_median)) / self.tail_sigma
         return float(
-            (1 - self.tail_weight) * norm.cdf(z_bulk) + self.tail_weight * norm.cdf(z_tail)
+            (1 - self.tail_weight) * _norm_cdf(z_bulk) + self.tail_weight * _norm_cdf(z_tail)
         )
 
     def histogram(

@@ -37,6 +37,24 @@ from ..technology import TechnologyParams
 from .profiler import RetentionProfile
 
 
+def _group_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group equal rows of a 2-D ``keys`` array.
+
+    Returns ``(first, inverse)`` as ``np.unique(keys, axis=0,
+    return_index=True, return_inverse=True)`` does: the first row of each
+    distinct key, in lexicographic key order, and each row's group.  One
+    stable ``np.lexsort`` replaces ``unique``'s structured-view sort.
+    """
+    order = np.lexsort(keys.T[::-1])
+    ordered = keys[order]
+    starts = np.empty(len(order), dtype=bool)
+    starts[:1] = True
+    np.any(ordered[1:] != ordered[:-1], axis=1, out=starts[1:])
+    inverse = np.empty_like(order)
+    inverse[order] = np.cumsum(starts) - 1
+    return order[starts], inverse
+
+
 @dataclass(frozen=True)
 class VRTParameters:
     """Population parameters of the two-state VRT model.
@@ -219,9 +237,7 @@ class VRTModel:
         keys = np.stack(
             [np.trunc(retention * 1e4), row_period, counts.astype(float)], axis=1
         )
-        _, first, inverse = np.unique(
-            keys, axis=0, return_index=True, return_inverse=True
-        )
+        first, inverse = _group_rows(keys)
         # One decay factor per key through the scalar chain fraction_after
         # uses (math.exp, not np.exp), so every leak step is the same double.
         decay = np.array(
@@ -253,4 +269,4 @@ class VRTModel:
             step += 1
             live = steps[active] > step
             active, fraction = active[live], fraction[live]
-        return key_fails[inverse.reshape(-1)]
+        return key_fails[inverse]

@@ -1,5 +1,6 @@
 """Tests for the vrl-dram command-line interface."""
 
+import json
 import os
 import signal
 import subprocess
@@ -382,3 +383,40 @@ class TestSweepHygiene:
         with LocalClient() as client:
             report = client.sweep([query])
         assert report.results[0] is not None
+
+
+_IMPORT_GRAPH_PROBE = """
+import contextlib, io, json, sys
+import repro.experiments.cli as cli
+at_import = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+before = set(sys.modules)
+for argv in (
+    ["ablation-guard"],
+    ["mechanisms"],
+    ["fig4", "--duration", "0.02", "--benchmarks", "blackscholes"],
+):
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = cli.main(argv + ["--jobs", "1", "--no-cache", "--runs-dir", ""])
+    assert rc == 0, (argv, rc)
+print(json.dumps({"at_import": at_import, "loaded": sorted(set(sys.modules) - before)}))
+"""
+
+
+class TestImportGraph:
+    """The CLI's import graph is SciPy-free (invariant 16); no timing asserted."""
+
+    def test_cli_and_scipy_free_verbs_load_no_scipy(self, tmp_path):
+        out = subprocess.run(
+            [sys.executable, "-c", _IMPORT_GRAPH_PROBE],
+            capture_output=True,
+            text=True,
+            env=_cli_env(),
+            cwd=tmp_path,
+            check=True,
+        ).stdout
+        graph = json.loads(out.splitlines()[-1])
+        assert graph["at_import"] == []
+        late = [
+            m for m in graph["loaded"] if m.split(".")[0] in ("scipy", "repro")
+        ]
+        assert late == [], f"verbs imported {len(late)} modules after start-up: {late[:5]}"

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.stats import norm
 
 from repro.retention import RetentionDistribution
 from repro.units import MS
@@ -92,6 +93,22 @@ class TestCdf:
         for t in (0.5, 1.0, 2.0):
             empirical = np.count_nonzero(samples < t) / len(samples)
             assert dist.cdf(t) == pytest.approx(empirical, abs=0.01)
+
+    @pytest.mark.parametrize(
+        "dist",
+        [
+            RetentionDistribution(),
+            RetentionDistribution(tail_weight=0.3, tail_sigma=1.7, bulk_sigma=0.05),
+        ],
+        ids=["default", "heavy-tail"],
+    )
+    def test_matches_scipy_norm_cdf(self, dist):
+        w = dist.tail_weight
+        for t in np.geomspace(1e-4, 1e3, 701):
+            z_bulk = (np.log(t) - np.log(dist.bulk_median)) / dist.bulk_sigma
+            z_tail = (np.log(t) - np.log(dist.tail_median)) / dist.tail_sigma
+            want = (1 - w) * norm.cdf(z_bulk) + w * norm.cdf(z_tail)
+            assert dist.cdf(float(t)) == pytest.approx(want, rel=0, abs=1e-15)
 
 
 class TestHistogram:

@@ -1,10 +1,19 @@
 """Unit tests for the pre-sensing model (Eq. 3-8)."""
 
+import functools
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import brentq as scipy_brentq
 
 from repro.model import PreSensingModel
-from repro.technology import BankGeometry, DEFAULT_GEOMETRY, DEFAULT_TECH
+from repro.model import presensing
+from repro.model.presensing import _brentq
+from repro.technology import BankGeometry, DEFAULT_GEOMETRY, DEFAULT_TECH, TABLE1_GEOMETRIES
 
 TECH = DEFAULT_TECH
 
@@ -178,3 +187,127 @@ class TestDelay:
     def test_paper_section31_value(self, model):
         """tau_pre = 2 controller cycles (Sec. 3.1)."""
         assert model.delay_cycles(TECH.tck_ctrl, criterion="sense-margin") == 2
+
+
+def _same_double(a, b):
+    return float(a).hex() == float(b).hex()
+
+
+def _outcome(solver, f, a, b, xtol):
+    """The root as an exact hex string, or the exception type raised."""
+    try:
+        return float(solver(f, a, b, xtol=xtol)).hex()
+    except (ValueError, RuntimeError) as exc:
+        return type(exc)
+
+
+class TestBrentOracle:
+    """``_brentq`` returns scipy's ``brentq`` root bit for bit, and fails alike."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        geometry=st.sampled_from(TABLE1_GEOMETRIES),
+        criterion=st.sampled_from(("sense-margin", "settle")),
+        settle_fraction=st.floats(0.5, 0.99),
+        pattern=st.lists(st.integers(0, 1), min_size=8, max_size=8),
+    )
+    def test_solve_u_roots_match_scipy(self, geometry, criterion, settle_fraction, pattern):
+        roots = []
+
+        def both(f, a, b, xtol):
+            ours = _brentq(f, a, b, xtol)
+            roots.append((ours, scipy_brentq(f, a, b, xtol=xtol)))
+            return ours
+
+        model = PreSensingModel(TECH, geometry)
+        with mock.patch.object(presensing, "_brentq", both):
+            model.delay(criterion=criterion, settle_fraction=settle_fraction, pattern=pattern)
+        assert len(roots) == 1
+        assert _same_double(*roots[0])
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        shape=st.sampled_from(("tanh", "cubic", "expm1", "logistic", "atan")),
+        root=st.floats(-1e3, 1e3),
+        scale=st.floats(1e-3, 1e3),
+        below=st.floats(1e-6, 1e3),
+        above=st.floats(1e-6, 1e3),
+        decreasing=st.booleans(),
+        swap=st.booleans(),
+        xtol=st.sampled_from((5e-324, 1e-15, 2e-12, 1e-6)),
+    )
+    def test_monotone_smooth_roots_match_scipy(
+        self, shape, root, scale, below, above, decreasing, swap, xtol
+    ):
+        g = {
+            "tanh": lambda y: math.tanh(y),
+            "cubic": lambda y: y**3 + y,
+            "expm1": lambda y: math.expm1(min(y, 700.0)),
+            "logistic": lambda y: 1.0 / (1.0 + math.exp(-max(y, -700.0))) - 0.5,
+            "atan": lambda y: math.atan(y) + 1e-3 * y,
+        }[shape]
+        sign = -1.0 if decreasing else 1.0
+
+        def f(x):
+            return sign * g(scale * (x - root))
+
+        a, b = root - below, root + above
+        if swap:
+            a, b = b, a
+        # A bracket rounded onto one side of the root, or a root at 0 with
+        # a subnormal xtol, must fail the same way in both.
+        assert _outcome(_brentq, f, a, b, xtol) == _outcome(scipy_brentq, f, a, b, xtol)
+
+    def test_endpoint_root_is_returned(self):
+        for a, b in ((0.0, 1.0), (-1.0, 0.0)):
+            assert _brentq(lambda x: x, a, b, 1e-15) == scipy_brentq(lambda x: x, a, b) == 0.0
+
+    @pytest.mark.parametrize("a, b", [(-1.0, 1.0), (2.0, 3.0), (-3.0, -2.0)])
+    def test_same_sign_bracket_raises_value_error(self, a, b):
+        def f(x):
+            return x * x + 1.0
+
+        with pytest.raises(ValueError, match="different signs"):
+            scipy_brentq(f, a, b, xtol=1e-15)
+        with pytest.raises(ValueError, match="different signs"):
+            _brentq(f, a, b, 1e-15)
+
+    @pytest.mark.parametrize("nan_at", ["a", "b", "interior"])
+    def test_nan_raises_value_error(self, nan_at):
+        def f(x):
+            if (nan_at == "a" and x == -1.0) or (nan_at == "b" and x == 2.0):
+                return math.nan
+            if nan_at == "interior" and -1.0 < x < 2.0:
+                return math.nan
+            return x
+
+        with pytest.raises(ValueError, match="NaN"):
+            scipy_brentq(f, -1.0, 2.0, xtol=1e-15)
+        with pytest.raises(ValueError, match="NaN"):
+            _brentq(f, -1.0, 2.0, 1e-15)
+
+    @pytest.mark.parametrize("maxiter", [0, 1, 3])
+    def test_maxiter_exhaustion_raises_runtime_error(self, maxiter):
+        def f(x):
+            return math.tanh(x - 0.3)
+
+        with pytest.raises(RuntimeError):
+            scipy_brentq(f, -1.0, 2.0, xtol=1e-15, maxiter=maxiter)
+        with pytest.raises(RuntimeError, match=r"PreSensingModel\._solve_u"):
+            _brentq(f, -1.0, 2.0, 1e-15, maxiter=maxiter)
+
+    def test_solve_u_surfaces_non_convergence(self, model):
+        starved = functools.partial(_brentq, maxiter=2)
+        with mock.patch.object(presensing, "_brentq", starved):
+            with pytest.raises(RuntimeError, match=r"PreSensingModel\._solve_u"):
+                model.delay(criterion="settle")
+
+    def test_solve_u_converges_well_inside_maxiter(self, model):
+        """The Table 1 targets need far fewer than the default 100 iterations."""
+        starved = functools.partial(_brentq, maxiter=50)
+        for geometry in TABLE1_GEOMETRIES:
+            m = PreSensingModel(TECH, geometry)
+            for criterion in ("sense-margin", "settle"):
+                want = m.delay(criterion=criterion)
+                with mock.patch.object(presensing, "_brentq", starved):
+                    assert m.delay(criterion=criterion) == want

@@ -15,6 +15,7 @@ from repro.retention import (
     VRTParameters,
     VRTReport,
 )
+from repro.retention.vrt import _group_rows
 from repro.technology import BankGeometry, DEFAULT_TECH
 
 TECH = DEFAULT_TECH
@@ -254,3 +255,45 @@ class TestVectorizedReplay:
         empty = np.zeros(0)
         got = VRTModel._failing_rows(model, empty, empty, empty.astype(int), 8)
         assert got.shape == (0,) and got.dtype == bool
+
+
+class TestGroupRows:
+    """The lexsort grouping equals ``np.unique(axis=0)``'s partition."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        data=st.data(),
+        n_rows=st.integers(0, 400),
+        pools=st.lists(
+            st.lists(
+                st.floats(0.0, 1e9, allow_nan=False, allow_subnormal=False),
+                min_size=1,
+                max_size=5,
+            ),
+            min_size=3,
+            max_size=3,
+        ),
+    )
+    def test_matches_unique_axis0(self, data, n_rows, pools):
+        # Few distinct values per column, so most keys repeat many times.
+        picks = [
+            data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=n_rows, max_size=n_rows))
+            for pool in pools
+        ]
+        keys = np.stack(
+            [np.asarray(pool, dtype=float)[np.asarray(p, dtype=int)] for pool, p in zip(pools, picks)],
+            axis=1,
+        )
+        first, inverse = _group_rows(keys)
+        _, want_first, want_inverse = np.unique(
+            keys, axis=0, return_index=True, return_inverse=True
+        )
+        assert np.array_equal(first, want_first)
+        assert np.array_equal(inverse, want_inverse.reshape(-1))
+        assert np.array_equal(keys[first][inverse], keys)
+
+    def test_first_occurrence_and_key_order(self):
+        keys = np.array([[2.0, 1.0, 0.0], [1.0, 5.0, 1.0], [2.0, 1.0, 0.0], [1.0, 5.0, 0.0]])
+        first, inverse = _group_rows(keys)
+        assert first.tolist() == [3, 1, 0]
+        assert inverse.tolist() == [2, 1, 2, 0]
