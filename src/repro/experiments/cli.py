@@ -38,6 +38,7 @@ failure modes::
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import time
@@ -95,7 +96,17 @@ def _mechanism_names() -> list[str]:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The CLI argument parser (exposed for the tests)."""
+    """The CLI argument parser (exposed for the tests).
+
+    Built once per process and set of registered mechanisms: a
+    mechanism registered at runtime gets a fresh parser whose
+    ``--mechanisms`` help lists it.
+    """
+    return _parser(tuple(_mechanism_names()))
+
+
+@functools.cache
+def _parser(mechanisms: tuple[str, ...]) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vrl-dram",
         description="Reproduce the figures and tables of VRL-DRAM (DAC 2018).",
@@ -115,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="NAME",
         help="mechanisms: subset of registered mechanism names "
-        f"(registered: {', '.join(_mechanism_names())})",
+        f"(registered: {', '.join(mechanisms)})",
     )
     parser.add_argument("--nbits", type=int, default=2, help="fig4: counter width")
     parser.add_argument("--seed", type=int, default=2018, help="profiling/trace RNG seed")

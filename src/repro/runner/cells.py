@@ -18,7 +18,7 @@ did.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from typing import Any, Callable, Mapping, Optional
 
@@ -64,8 +64,13 @@ class Cell:
 
 
 def tech_params(tech: TechnologyParams) -> dict[str, Any]:
-    """A :class:`TechnologyParams` as a JSON-primitive dict (cache-keyable)."""
-    return asdict(tech)
+    """A :class:`TechnologyParams` as a JSON-primitive dict (cache-keyable).
+
+    A shallow field projection: every field is an ``int`` or a
+    ``float``, so this equals ``dataclasses.asdict(tech)`` (same keys,
+    same order, same cache key) without its recursive deep copy.
+    """
+    return {spec.name: getattr(tech, spec.name) for spec in fields(tech)}
 
 
 # --------------------------------------------------------------------- #

@@ -10,11 +10,13 @@
    the historical serial drivers), or fanned out over a
    ``ProcessPoolExecutor`` otherwise;
 3. fresh results are written back to the cache *and* streamed to an
-   incremental checkpoint as each cell finishes, and a
+   incremental checkpoint as each cell finishes (after the run's hits,
+   so a resume replays both; a run with no miss writes no checkpoint),
+   and a
    :class:`RunReport` collects per-cell wall time, hit/miss counters,
    failures, and worker utilization — surfaced in
    ``ExperimentResult.notes`` and persisted as a
-   ``runs/<timestamp>.json`` manifest.
+   ``runs/<stamp>.json`` manifest.
 
 Fault tolerance (see ``docs/architecture.md`` for the full semantics):
 
@@ -78,6 +80,7 @@ from .manifest import (
     CheckpointWriter,
     load_checkpoint,
     resolve_resume_source,
+    run_stamp,
     write_manifest,
 )
 
@@ -366,22 +369,27 @@ class ExperimentRunner:
 
         checkpoint: Optional[CheckpointWriter] = None
         if self.runs_dir is not None:
-            stamp = started.strftime("%Y%m%dT%H%M%S.%f")
             checkpoint = CheckpointWriter(
-                self.runs_dir / f"{stamp}.checkpoint.jsonl"
+                self.runs_dir / f"{run_stamp(report.started_at)}.checkpoint.jsonl"
             )
 
         keys = [cache_key(cell.kind, cell.params) for cell in cells]
         outcomes: list[Optional[CellOutcome]] = [None] * len(cells)
+        # Hits reach the checkpoint only once a miss makes the run
+        # resumable: an all-hit run has nothing to resume.
+        unwritten_hits: list[CellOutcome] = []
+
+        def checkpoint_hits() -> None:
+            """Append the held-back hits (input order) to the checkpoint."""
+            if checkpoint is not None:
+                for outcome in unwritten_hits:
+                    checkpoint.append(outcome.checkpoint_entry())
+            unwritten_hits.clear()
 
         def complete(index: int, outcome: CellOutcome) -> None:
-            """Record one finished cell: slot, cache, checkpoint."""
+            """Record one computed cell: slot, cache, checkpoint."""
             outcomes[index] = outcome
-            if (
-                outcome.ok
-                and not outcome.cache_hit
-                and self.cache is not None
-            ):
+            if outcome.ok and self.cache is not None:
                 self.cache.put(
                     outcome.key,
                     outcome.payload,
@@ -403,29 +411,33 @@ class ExperimentRunner:
                 elif self.cache is not None:
                     payload = self.cache.get(key)
                 if payload is not None:
-                    complete(
-                        index,
-                        CellOutcome(
-                            label=cell.label,
-                            kind=cell.kind,
-                            key=key,
-                            payload=payload,
-                            wall_seconds=time.perf_counter() - t_cell,
-                            cache_hit=True,
-                            worker=worker,
-                        ),
+                    outcomes[index] = CellOutcome(
+                        label=cell.label,
+                        kind=cell.kind,
+                        key=key,
+                        payload=payload,
+                        wall_seconds=time.perf_counter() - t_cell,
+                        cache_hit=True,
+                        worker=worker,
                     )
+                    unwritten_hits.append(outcomes[index])
                 else:
                     misses.append(index)
 
             if misses:
+                checkpoint_hits()
                 self._compute_misses(cells, keys, misses, complete)
+            else:
+                unwritten_hits.clear()  # all hits: no checkpoint
         except KeyboardInterrupt:
             report.status = "interrupted"
             raise
         finally:
             self._restore_sigterm_handler(previous_sigterm)
             if checkpoint is not None:
+                # A lookup pass cut short keeps the hits it found, so
+                # the "interrupted" manifest stays resumable.
+                checkpoint_hits()
                 checkpoint.close()
                 if checkpoint.records:
                     report.checkpoint_path = checkpoint.path

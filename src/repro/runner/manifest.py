@@ -1,8 +1,12 @@
 """Run manifests: one JSON observability record per runner invocation.
 
 Every :class:`~repro.runner.executor.ExperimentRunner` run can persist a
-manifest to ``<runs_dir>/<timestamp>.json`` capturing what was computed,
-what came from cache, and how the workers were used:
+manifest to ``<runs_dir>/<stamp>.json`` capturing what was computed,
+what came from cache, and how the workers were used.  ``<stamp>`` is
+the run's UTC start time (:func:`run_stamp`), so a run's manifest and
+its checkpoint share one stem.  Manifests are compact one-line JSON
+(``python -m json.tool <manifest>`` pretty-prints one); laid out, a
+record reads:
 
 ```json
 {
@@ -37,10 +41,13 @@ equivalence tests: a warm re-run of an unchanged sweep must show a
 
 ## Checkpoints
 
-Alongside the end-of-run manifest, the runner streams an incremental
-checkpoint — one JSON line per completed cell, **payload included** —
-to ``<runs_dir>/<start-stamp>.checkpoint.jsonl`` (see
-:class:`CheckpointWriter`).  Because lines are flushed as cells finish,
+Alongside the end-of-run manifest, a run that computes at least one
+cell streams an incremental checkpoint — one JSON line per completed
+cell, **payload included**: first its cache hits, then each computed
+cell as it finishes — to ``<runs_dir>/<stamp>.checkpoint.jsonl`` (see
+:class:`CheckpointWriter`).  A run served entirely from cache has
+nothing to resume, writes no checkpoint, and records ``"checkpoint":
+null``.  Because lines are flushed as cells finish,
 a crash or Ctrl-C loses at most the in-flight cells; a later run armed
 with ``ExperimentRunner(resume_from=...)`` / ``vrl-dram --resume``
 replays the checkpoint (:func:`load_checkpoint`) and recomputes only
@@ -61,21 +68,33 @@ from typing import Any, Mapping, Optional, TextIO, Union
 MANIFEST_SCHEMA = 1
 
 
-def write_manifest(runs_dir: Union[str, Path], record: Mapping[str, Any]) -> Path:
-    """Write one run record as ``<runs_dir>/<timestamp>.json``.
+def run_stamp(started_at: str) -> str:
+    """The file stem of a run: its ISO start time as ``YYYYmmddTHHMMSS.ffffff``.
 
-    The filename is the run's UTC start time (microsecond precision); a
-    numeric suffix disambiguates in the unlikely event of a collision.
+    The manifest and the checkpoint of one run are both named from the
+    run's ``started_at``, so they share this stem.
+    """
+    started = datetime.fromisoformat(started_at).astimezone(timezone.utc)
+    return started.strftime("%Y%m%dT%H%M%S.%f")
+
+
+def write_manifest(runs_dir: Union[str, Path], record: Mapping[str, Any]) -> Path:
+    """Write one run record as ``<runs_dir>/<stamp>.json``.
+
+    The stem is the record's ``started_at`` (:func:`run_stamp`, UTC,
+    microsecond precision); a numeric suffix disambiguates in the
+    unlikely event of a collision.  The JSON is compact, which lets
+    CPython use its C encoder.
     """
     runs_dir = Path(runs_dir)
     runs_dir.mkdir(parents=True, exist_ok=True)
-    stamp = datetime.now(timezone.utc).strftime("%Y%m%dT%H%M%S.%f")
+    stamp = run_stamp(record["started_at"])
     path = runs_dir / f"{stamp}.json"
     suffix = 0
     while path.exists():
         suffix += 1
         path = runs_dir / f"{stamp}-{suffix}.json"
-    path.write_text(json.dumps({"schema": MANIFEST_SCHEMA, **record}, indent=2))
+    path.write_text(json.dumps({"schema": MANIFEST_SCHEMA, **record}))
     return path
 
 
@@ -191,7 +210,7 @@ def resolve_resume_source(path: Union[str, Path]) -> Path:
     if not checkpoint:
         raise ValueError(
             f"{path}: manifest has no checkpoint to resume from "
-            "(was the run started with a runs dir?)"
+            "(the run computed no cell, or had no runs dir)"
         )
     checkpoint_path = Path(checkpoint)
     if not checkpoint_path.is_absolute():

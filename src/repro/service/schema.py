@@ -12,10 +12,10 @@ sweep drivers, and warm caches all speak one keyspace.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Any, Mapping, Optional
 
-from ..runner import Cell, cache_key
+from ..runner import Cell, cache_key, tech_params
 from ..runner.cells import CELL_KINDS
 from ..technology import TechnologyParams
 
@@ -118,7 +118,7 @@ class Query:
                 f"unknown query kind {self.kind!r}; registered: {sorted(CELL_KINDS)}"
             )
         if isinstance(self.tech, TechnologyParams):
-            object.__setattr__(self, "tech", asdict(self.tech))
+            object.__setattr__(self, "tech", tech_params(self.tech))
         elif not isinstance(self.tech, Mapping):
             raise TypeError(
                 "tech must be a TechnologyParams or its asdict() mapping, "

@@ -70,6 +70,21 @@ class TestParser:
         assert args.no_cache is True
         assert args.runs_dir == "/tmp/r"
 
+    def test_parser_is_built_once_per_mechanism_set(self):
+        from repro.controller import MECHANISMS
+
+        assert build_parser() is build_parser()
+        before = build_parser()
+        MECHANISMS.register("x", lambda **kwargs: None, description="test")
+        try:
+            parser = build_parser()
+            assert parser is not before
+            action = next(a for a in parser._actions if a.dest == "mechanisms")
+            assert "x" in action.help.split("registered: ")[1].rstrip(")").split(", ")
+        finally:
+            MECHANISMS.unregister("x")
+        assert build_parser() is before
+
     def test_default_cache_dir_honours_env(self, monkeypatch):
         monkeypatch.setenv("VRL_DRAM_CACHE", "/tmp/elsewhere")
         assert default_cache_dir() == Path("/tmp/elsewhere")

@@ -23,6 +23,7 @@ from repro.runner import (
     shared_build_cache_info,
     tech_params,
 )
+from repro.runner.manifest import run_stamp
 from repro.technology import BankGeometry, DEFAULT_TECH
 
 GEO = BankGeometry(256, 16)
@@ -126,13 +127,33 @@ class TestManifest:
 
     def test_manifests_do_not_collide(self, tmp_path):
         runner = ExperimentRunner(runs_dir=tmp_path)
-        cell = Cell(
-            "temperature-point",
-            {"tech": tech_params(DEFAULT_TECH), "rows": 64, "cols": 8,
-             "temperature": 55.0, "seed": 11},
-        )
+        cell = _temperature_cell()
         paths = {runner.run([cell]).manifest_path for _ in range(3)}
         assert len(paths) == 3
+
+
+    def test_manifest_and_checkpoint_share_the_start_stamp(self, tmp_path):
+        report = ExperimentRunner(runs_dir=tmp_path).run([_temperature_cell()])
+        assert report.checkpoint_path.name.endswith(".checkpoint.jsonl")
+        stem = report.checkpoint_path.name[: -len(".checkpoint.jsonl")]
+        assert report.manifest_path.name == f"{stem}.json"
+        assert stem == run_stamp(load_manifest(report.manifest_path)["started_at"])
+
+    def test_latest_manifest_is_the_later_run(self, tmp_path):
+        runner = ExperimentRunner(runs_dir=tmp_path)
+        first = runner.run([_temperature_cell()], "first")
+        second = runner.run([_temperature_cell()], "second")
+        assert first.manifest_path != second.manifest_path
+        assert latest_manifest(tmp_path) == second.manifest_path
+        assert load_manifest(latest_manifest(tmp_path))["experiment"] == "second"
+
+
+def _temperature_cell() -> Cell:
+    return Cell(
+        "temperature-point",
+        {"tech": tech_params(DEFAULT_TECH), "rows": 64, "cols": 8,
+         "temperature": 55.0, "seed": 11},
+    )
 
 
 class TestRunnerValidation:

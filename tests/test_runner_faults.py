@@ -18,7 +18,9 @@ deterministic fault-injection harness in ``repro.runner.faults``):
    other pricing path to replay the cell on.
 """
 
+import itertools
 import json
+import os
 
 import pytest
 
@@ -368,6 +370,82 @@ class TestInterruptResume:
         runner = ExperimentRunner(resume_from=tmp_path / "nope.json")
         with pytest.raises(FileNotFoundError, match="does not exist"):
             runner.run(CELLS, "chaos")
+
+    def test_all_hit_run_writes_no_checkpoint_and_no_fsync(
+        self, tmp_path, monkeypatch
+    ):
+        cache = ResultCache(tmp_path / "cache")
+        ExperimentRunner(cache=cache).run(CELLS, "fill")
+        fsyncs = []
+        real_fsync = os.fsync
+
+        def counting_fsync(fd):
+            fsyncs.append(fd)
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", counting_fsync)
+        runs = tmp_path / "runs"
+        report = ExperimentRunner(cache=cache, runs_dir=runs).run(CELLS, "warm")
+        assert report.cache_hits == len(CELLS)
+        assert sorted(runs.iterdir()) == [report.manifest_path]
+        assert fsyncs == []
+        assert report.checkpoint_path is None
+        manifest = load_manifest(report.manifest_path)
+        assert manifest["checkpoint"] is None
+        assert manifest["cache"]["hit_rate"] == 1.0
+
+    def test_mixed_run_checkpoints_hits_then_computed_cells(
+        self, baseline, tmp_path
+    ):
+        cache = ResultCache(tmp_path / "cache")
+        ExperimentRunner(cache=cache).run(CELLS[1::2], "fill")
+        report = ExperimentRunner(cache=cache, runs_dir=tmp_path / "runs").run(
+            CELLS, "mixed"
+        )
+        assert (report.cache_hits, report.cache_misses) == (3, 3)
+        lines = [
+            json.loads(line)
+            for line in report.checkpoint_path.read_text().splitlines()
+        ]
+        assert [(r["label"], r["cache_hit"]) for r in lines] == [
+            ("cell1", True), ("cell3", True), ("cell5", True),
+            ("cell0", False), ("cell2", False), ("cell4", False),
+        ]
+        by_label = {o.label: o for o in report.outcomes}
+        assert lines == [by_label[r["label"]].checkpoint_entry() for r in lines]
+        assert report.results == baseline
+
+    @pytest.mark.parametrize("k", [2, 5])
+    def test_interrupt_in_lookup_pass_checkpoints_the_hits_found(
+        self, k, baseline, tmp_path, monkeypatch
+    ):
+        cache = ResultCache(tmp_path / "cache")
+        ExperimentRunner(cache=cache).run(CELLS, "fill")
+        calls = itertools.count(1)
+        real_get = ResultCache.get
+
+        def get(self, key):
+            if next(calls) == k:
+                raise KeyboardInterrupt
+            return real_get(self, key)
+
+        monkeypatch.setattr(ResultCache, "get", get)
+        runs = tmp_path / "runs"
+        with pytest.raises(KeyboardInterrupt):
+            ExperimentRunner(cache=cache, runs_dir=runs).run(CELLS, "warm")
+        monkeypatch.undo()
+
+        manifest_path = latest_manifest(runs)
+        manifest = load_manifest(manifest_path)
+        assert manifest["status"] == "interrupted"
+        assert len(manifest["cells"]) == k - 1
+        checkpoint = load_checkpoint(manifest["checkpoint"])
+        assert len(checkpoint) == k - 1
+        # No cache on the resume: only the cells past the interrupt run.
+        resumed = ExperimentRunner(resume_from=manifest_path).run(CELLS, "warm")
+        assert (resumed.cache_hits, resumed.cache_misses) == (k - 1, len(CELLS) - k + 1)
+        assert [o.worker for o in resumed.outcomes[: k - 1]] == ["resume"] * (k - 1)
+        assert resumed.results == baseline
 
     def test_torn_checkpoint_line_is_skipped(self, tmp_path):
         path = tmp_path / "torn.checkpoint.jsonl"

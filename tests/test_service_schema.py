@@ -6,11 +6,17 @@ and (2) hash to exactly the cache key of the equivalent hand-built
 runner cell — one keyspace for drivers, clients, and warm caches.
 """
 
+import hashlib
+import typing
+from dataclasses import asdict, fields
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.runner import Cell, cache_key, tech_params
-from repro.service import KIND_PARAMS, Query
-from repro.technology import DEFAULT_TECH
+from repro.service import KIND_PARAMS, LocalClient, Query, run_experiment
+from repro.technology import DEFAULT_TECH, TechnologyParams
 
 TECH = tech_params(DEFAULT_TECH)
 
@@ -114,3 +120,91 @@ class TestCanonicalKeys:
         assert cell.kind == query.kind
         assert cell.label == query.label
         assert cell.params == query.params()
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _random_tech(draw):
+    """A ``TechnologyParams`` with every field drawn at random."""
+    hints = typing.get_type_hints(TechnologyParams)
+    values = {
+        spec.name: draw(st.integers() if hints[spec.name] is int else _FINITE)
+        for spec in fields(TechnologyParams)
+    }
+    return TechnologyParams(**values)
+
+
+class TestTechProjection:
+    """``tech_params`` is a shallow projection equal to ``asdict``."""
+
+    def test_every_field_is_int_or_float(self):
+        # A nested (mutable) field would make the shallow projection
+        # share state with the params object, and change what ``asdict``
+        # returns; it must fail here first.
+        hints = typing.get_type_hints(TechnologyParams)
+        for spec in fields(TechnologyParams):
+            assert hints[spec.name] in (int, float), spec.name
+
+    def test_default_tech_matches_asdict(self):
+        projected = tech_params(DEFAULT_TECH)
+        assert projected == asdict(DEFAULT_TECH)
+        assert list(projected) == list(asdict(DEFAULT_TECH))
+
+    @settings(max_examples=60, deadline=None)
+    @given(_random_tech())
+    def test_random_tech_matches_asdict(self, tech):
+        projected = tech_params(tech)
+        assert projected == asdict(tech)
+        assert list(projected) == list(asdict(tech))
+        assert [type(v) for v in projected.values()] == [
+            type(v) for v in asdict(tech).values()
+        ]
+        query = _query(tech=tech)
+        assert query.tech == asdict(tech)
+        assert query.key() == cache_key(
+            "refresh-overhead", {**query.params(), "tech": asdict(tech)}
+        )
+
+
+class _Captured(Exception):
+    """Stops a driver at its sweep, once its queries are recorded."""
+
+
+class _KeyRecorder(LocalClient):
+    """A client that records each sweep's query keys and runs nothing."""
+
+    def __init__(self):
+        super().__init__()
+        self.keys: dict[str, list[str]] = {}
+
+    def sweep(self, queries, experiment=""):
+        self.keys[experiment] = [query.key() for query in queries]
+        raise _Captured
+
+
+class TestPinnedWarmKeys:
+    """The cache keys of the five warm sweep verbs at seed 2018.
+
+    A changed digest means every existing user cache entry of these
+    verbs turns into a miss.  Only a deliberate change (a package or
+    result-schema version bump) may move it.
+    """
+
+    VERBS = ("fig4", "baselines", "rank", "temperature", "calibrate")
+    DIGEST = "959265175dedeab7700340c13fb784dee2bd8582cdd457d173e72e29b605f9a9"
+    FIG4_FIRST = "4551a750555ddedceaf2b70da9db643bdb231129a6b2794671a8d8fe9b7da9f4"
+
+    def test_keys_are_pinned(self):
+        client = _KeyRecorder()
+        for verb in self.VERBS:
+            with pytest.raises(_Captured):
+                run_experiment(verb, client=client, seed=2018)
+        assert {verb: len(keys) for verb, keys in client.keys.items()} == {
+            "fig4": 39, "baselines": 6, "rank": 5, "temperature": 5,
+            "calibrate": 3,
+        }
+        every = sorted(key for keys in client.keys.values() for key in keys)
+        assert hashlib.sha256("\n".join(every).encode()).hexdigest() == self.DIGEST
+        assert client.keys["fig4"][0] == self.FIG4_FIRST
