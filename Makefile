@@ -1,6 +1,6 @@
 # Convenience targets for the VRL-DRAM reproduction.
 
-.PHONY: install test bench bench-report importtime repro clean
+.PHONY: install test bench bench-report importtime peakrss repro clean
 
 install:
 	pip install -e . --no-build-isolation || python setup.py develop
@@ -18,6 +18,13 @@ bench-report:
 importtime:
 	PYTHONPATH=src python -X importtime -c "import repro.experiments.cli" 2>&1 \
 		| sort -t '|' -k 2 -n -r | head -n 20
+
+# Peak RSS of a cold, uncached `vrl-dram fig4 --duration 6` (the child's ru_maxrss).
+peakrss:
+	PYTHONPATH=src python -c "import resource, subprocess, sys; \
+	subprocess.run([sys.executable, '-m', 'repro.experiments.cli', 'fig4', '--duration', '6', \
+	'--no-cache', '--runs-dir', ''], check=True, stdout=subprocess.DEVNULL); \
+	print('fig4 --duration 6 peak RSS: %.1f MB' % (resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024))"
 
 repro:
 	vrl-dram all

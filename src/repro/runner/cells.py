@@ -10,10 +10,11 @@ payload.
 
 Heavy intermediate objects (retention profiles, binnings, traces) are
 memoized **per process** with keyed LRU caches, so a worker computing
-several cells of the same sweep builds each workload trace and each
-profile exactly once and shares it across policies — rather than
-regenerating it per cell, which is what the pre-runner serial drivers
-did.
+several cells of the same sweep builds each profile once and shares it
+across policies, rather than regenerating it per cell, which is what
+the pre-runner serial drivers did.  Workload traces are built only for
+cells whose pricing reads them, and the trace memo keeps one trace at
+a time (see :func:`_trace`).
 """
 
 from __future__ import annotations
@@ -96,7 +97,7 @@ def _profile_binning(frozen_tech: tuple, rows: int, cols: int, seed: int):
     return profile, binning
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=1)
 def _trace(
     frozen_tech: tuple,
     rows: int,
@@ -105,13 +106,44 @@ def _trace(
     seed: int,
     duration_seconds: float,
 ):
-    """One workload trace, built once per process and shared across policies."""
+    """One workload trace; the memo holds only the most recent one.
+
+    Cells whose pricing reads the trace call this back to back for one
+    workload (the engine sweeps are benchmark-major, and in Fig. 4 only
+    the VRL-Access column reads a trace), so a single slot still builds
+    each trace once per sweep while keeping at most one alive.  Cells
+    whose evaluator ignores the trace never call it (see
+    :attr:`~repro.sim.RefreshOverheadEvaluator.reads_trace`).
+    """
     tech = _tech(frozen_tech)
     timing = DRAMTiming.from_technology(tech)
     spec = PARSEC_WORKLOADS[benchmark]
     return TraceGenerator(spec, timing, BankGeometry(rows, cols), seed).generate(
         duration_seconds
     )
+
+
+def _benchmark(params: Mapping[str, Any]) -> Optional[str]:
+    """A cell's ``benchmark`` param (``None`` = refresh-only), checked by name.
+
+    Checked as the params are read, so an unknown workload fails the
+    cell whether or not its pricing goes on to build a trace.
+    """
+    name = params.get("benchmark")
+    if not name:
+        return None
+    if name not in PARSEC_WORKLOADS:
+        raise KeyError(
+            f"unknown workload {name!r}; available: {list(PARSEC_WORKLOADS)}"
+        )
+    return name
+
+
+def _cell_trace(frozen: tuple, rows: int, cols: int, benchmark: str,
+                params: Mapping[str, Any]):
+    """The memoized trace of a cell's workload, seed and duration."""
+    return _trace(frozen, rows, cols, benchmark, int(params["seed"]),
+                  float(params["duration_seconds"]))
 
 
 def shared_build_cache_info() -> dict[str, Any]:
@@ -134,6 +166,7 @@ def _refresh_overhead_cell(params: Mapping[str, Any]) -> dict:
     ``benchmark`` (``None`` = refresh-only), ``seed``,
     ``duration_seconds``.
     """
+    benchmark = _benchmark(params)
     frozen = _freeze(params["tech"])
     tech = _tech(frozen)
     timing = DRAMTiming.from_technology(tech)
@@ -143,13 +176,13 @@ def _refresh_overhead_cell(params: Mapping[str, Any]) -> dict:
         params["policy"], tech, profile, binning, nbits=int(params["nbits"])
     )
     duration_cycles = timing.cycles(float(params["duration_seconds"]))
+    evaluator = RefreshOverheadEvaluator(policy, timing)
     trace = (
-        _trace(frozen, rows, cols, params["benchmark"], int(params["seed"]),
-               float(params["duration_seconds"]))
-        if params.get("benchmark")
+        _cell_trace(frozen, rows, cols, benchmark, params)
+        if benchmark and evaluator.reads_trace
         else None
     )
-    stats = RefreshOverheadEvaluator(policy, timing).evaluate(duration_cycles, trace)
+    stats = evaluator.evaluate(duration_cycles, trace)
     return {
         "full_refreshes": stats.full_refreshes,
         "partial_refreshes": stats.partial_refreshes,
@@ -164,6 +197,7 @@ def _engine_run_cell(params: Mapping[str, Any]) -> dict:
     Same params as ``refresh-overhead``; returns both refresh and
     demand-request statistics.
     """
+    benchmark = _benchmark(params)
     frozen = _freeze(params["tech"])
     tech = _tech(frozen)
     timing = DRAMTiming.from_technology(tech)
@@ -173,12 +207,7 @@ def _engine_run_cell(params: Mapping[str, Any]) -> dict:
         params["policy"], tech, profile, binning, nbits=int(params["nbits"])
     )
     duration_cycles = timing.cycles(float(params["duration_seconds"]))
-    trace = (
-        _trace(frozen, rows, cols, params["benchmark"], int(params["seed"]),
-               float(params["duration_seconds"]))
-        if params.get("benchmark")
-        else None
-    )
+    trace = _cell_trace(frozen, rows, cols, benchmark, params) if benchmark else None
     result = BankSimulator(policy, timing, BankGeometry(rows, cols)).run(
         trace=trace, duration_cycles=duration_cycles
     )
@@ -241,6 +270,7 @@ def _baseline_mechanism_cell(params: Mapping[str, Any]) -> dict:
     ``fgr-2x``/``fgr-4x``), ``benchmark`` (optional), ``seed``,
     ``duration_seconds``.
     """
+    benchmark = _benchmark(params)
     frozen = _freeze(params["tech"])
     tech = _tech(frozen)
     timing = DRAMTiming.from_technology(tech)
@@ -257,13 +287,13 @@ def _baseline_mechanism_cell(params: Mapping[str, Any]) -> dict:
         policy = fixed if name == "fixed" else build_policy(name, tech, profile, binning)
         longest_op = getattr(policy, "tau_full", fixed.tau_full)
     duration_cycles = timing.cycles(float(params["duration_seconds"]))
+    evaluator = RefreshOverheadEvaluator(policy, timing)
     trace = (
-        _trace(frozen, rows, cols, params["benchmark"], int(params["seed"]),
-               float(params["duration_seconds"]))
-        if params.get("benchmark")
+        _cell_trace(frozen, rows, cols, benchmark, params)
+        if benchmark and evaluator.reads_trace
         else None
     )
-    stats = RefreshOverheadEvaluator(policy, timing).evaluate(duration_cycles, trace)
+    stats = evaluator.evaluate(duration_cycles, trace)
     return {
         "name": policy.name,
         "refresh_cycles": stats.refresh_cycles,
@@ -311,6 +341,7 @@ def _mechanism_matrix_cell(params: Mapping[str, Any]) -> dict:
     """
     from ..controller import MECHANISMS
 
+    benchmark = _benchmark(params)
     frozen = _freeze(params["tech"])
     tech = _tech(frozen)
     timing = DRAMTiming.from_technology(tech)
@@ -325,12 +356,7 @@ def _mechanism_matrix_cell(params: Mapping[str, Any]) -> dict:
     )
     info = MECHANISMS.get(mechanism)
     duration_cycles = timing.cycles(float(params["duration_seconds"]))
-    trace = (
-        _trace(frozen, rows, cols, params["benchmark"], int(params["seed"]),
-               float(params["duration_seconds"]))
-        if params.get("benchmark")
-        else None
-    )
+    trace = _cell_trace(frozen, rows, cols, benchmark, params) if benchmark else None
     result = BankSimulator(policy, timing, BankGeometry(rows, cols)).run(
         trace=trace, duration_cycles=duration_cycles
     )

@@ -99,6 +99,20 @@ class RefreshOverheadEvaluator:
             self._timeline = FusedTimeline(self.policy, self.timing)
         return self._timeline
 
+    @property
+    def reads_trace(self) -> bool:
+        """Can a demand trace change what :meth:`evaluate` returns?
+
+        On the fused backend only access-coupled policies
+        (``timeline_spec().resets_on_access``) read the trace; for every
+        other policy ``evaluate(d, trace)`` equals ``evaluate(d, None)``,
+        so callers may skip building the trace.  The round walk is
+        conservatively ``True``: it drives the policy's own access hooks.
+        """
+        if self.backend == "loop":
+            return True
+        return self.policy.timeline_spec().resets_on_access
+
     def _accesses_by_row(self, trace: Optional[MemoryTrace]) -> dict[int, np.ndarray]:
         """Sorted access-cycle arrays keyed by row (empty without a trace)."""
         if trace is None or len(trace) == 0:

@@ -199,6 +199,40 @@ class TestCalibrate:
             TauPartialOptimizer(TECH).calibrate(np.array([]))
 
 
+class TestCalibrateSolvesEachTransientOnce:
+    """Targets that quantize to one timing share one batched transient."""
+
+    def test_default_targets_run_two_transients(self, monkeypatch):
+        from repro.circuit import BatchedCircuitSession
+        from repro.experiments.calibration_study import (
+            DEFAULT_POINTS,
+            DEFAULT_START_HI,
+            DEFAULT_START_LO,
+            DEFAULT_TARGETS,
+        )
+
+        calls = []
+        original = BatchedCircuitSession.simulate_batch
+
+        def counting(self, *args, **kwargs):
+            calls.append(args[0])
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(BatchedCircuitSession, "simulate_batch", counting)
+        optimizer = TauPartialOptimizer(TECH)
+        starts = np.linspace(DEFAULT_START_LO, DEFAULT_START_HI, DEFAULT_POINTS)
+        results = [optimizer.calibrate(starts, target) for target in DEFAULT_TARGETS]
+        assert len(calls) == 2
+        default, ninety = results[0], results[1]
+        assert default.tau_partial_cycles == ninety.tau_partial_cycles
+        assert np.array_equal(default.circuit_fractions, ninety.circuit_fractions)
+        # Each call hands out its own array: mutating one leaves the memo intact.
+        default.circuit_fractions[:] = 0.0
+        again = optimizer.calibrate(starts, DEFAULT_TARGETS[0])
+        assert np.array_equal(again.circuit_fractions, ninety.circuit_fractions)
+        assert len(calls) == 2
+
+
 class TestCalibrationSweepCell:
     def test_registered(self):
         assert "calibration-sweep" in CELL_KINDS

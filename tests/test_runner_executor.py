@@ -177,8 +177,9 @@ class TestRunnerValidation:
 
 class TestSharedBuilds:
     def test_traces_built_once_per_process(self):
-        """Cells of the same sweep share one trace build per workload
-        (the run_all fix: no per-cell trace regeneration)."""
+        """Only the cells whose pricing reads a trace ask the memo for
+        one (VRL-Access, one per workload), each workload is built at
+        most once, and the memo keeps at most one trace alive."""
         before = shared_build_cache_info()["trace"]
         _fig4()  # serial: 3 policies x 2 benchmarks in this process
         after = shared_build_cache_info()["trace"]
@@ -186,5 +187,6 @@ class TestSharedBuilds:
             before["hits"] + before["misses"]
         )
         new_misses = after["misses"] - before["misses"]
-        assert new_calls == 6
+        assert new_calls == 2
         assert new_misses <= 2  # at most one build per workload
+        assert after["currsize"] <= 1
