@@ -1,6 +1,6 @@
 # Convenience targets for the VRL-DRAM reproduction.
 
-.PHONY: install test bench bench-report importtime peakrss repro clean
+.PHONY: install test bench bench-report importtime peakrss loc repro clean
 
 install:
 	pip install -e . --no-build-isolation || python setup.py develop
@@ -25,6 +25,15 @@ peakrss:
 	subprocess.run([sys.executable, '-m', 'repro.experiments.cli', 'fig4', '--duration', '6', \
 	'--no-cache', '--runs-dir', ''], check=True, stdout=subprocess.DEVNULL); \
 	print('fig4 --duration 6 peak RSS: %.1f MB' % (resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024))"
+
+# Lines of Python in each src/repro subpackage, the top-level modules, and the total.
+loc:
+	@python -c "import pathlib; root = pathlib.Path('src/repro'); \
+	count = lambda paths: sum(len(p.read_text().splitlines()) for p in paths); \
+	packages = sorted(d for d in root.iterdir() if (d / '__init__.py').is_file()); \
+	[print('%7d  %s' % (count(d.rglob('*.py')), d)) for d in packages]; \
+	print('%7d  %s' % (count(root.glob('*.py')), root / '*.py')); \
+	print('%7d  total' % count(root.rglob('*.py')))"
 
 repro:
 	vrl-dram all

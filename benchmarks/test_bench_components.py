@@ -7,7 +7,7 @@ before they slow the figure reproductions down.
 
 import numpy as np
 
-from repro.circuit import TransientSolver, build_equalization_circuit
+from repro.circuit import CircuitSession, build_equalization_circuit
 from repro.controller import build_policy
 from repro.mprsf import MPRSFCalculator
 from repro.model import RefreshLatencyModel
@@ -76,7 +76,7 @@ class TestCircuitKernels:
 
         def run():
             circuit = build_equalization_circuit(TECH, geometry)
-            return TransientSolver(circuit).run(t_stop=2e-9, dt=2e-12, record=["bl"])
+            return CircuitSession(circuit).simulate(t_stop=2e-9, dt=2e-12, record=["bl"])
 
         result = benchmark.pedantic(run, rounds=3, iterations=1)
         assert abs(result["bl"][-1] - TECH.veq) < 0.02

@@ -7,7 +7,7 @@ reference re-implementation of the pre-refactor per-row scalar loop.
 The acceptance bar for the kernel refactor is >= 5x; the assertion
 here keeps the speedup visible in the benchmark trajectory, recorded
 both in ``extra_info`` and in the committed ``BENCH_timeline.json``
-(see ``test_bench_timeline.py`` for the per-backend breakdown).
+(see ``test_bench_timeline.py`` for the per-strategy breakdown).
 """
 
 import time

@@ -1,15 +1,16 @@
-"""Per-backend throughput of the fused timeline (the PR's tentpole bar).
+"""Throughput of the fused timeline against the round walk and the scalar walk.
 
 Measures warm-evaluator refresh-evaluation throughput in
 **row-intervals per second** on the Fig. 4 default bank (8192x32, 1 s
 of simulated time) for every evaluation strategy side by side:
 
 * ``scalar`` — the pre-refactor per-row ``refresh_row`` loop;
-* ``loop`` — the PR 3 round walk (one batched ``decide`` per round);
-* ``fused`` — the fused ndarray timeline (numpy kernels).
+* ``loop`` — :func:`~repro.sim.fastpath.round_walk` (one batched
+  ``decide`` per round);
+* ``fused`` — a warm evaluator's fused ndarray timeline (numpy kernels).
 
-Asserts the tentpole acceptance bar — fused >= 10x the round walk on a
-warm evaluator, statistics bit-identical across all strategies — and
+Asserts the acceptance bar — fused >= 10x the round walk, statistics
+bit-identical across all strategies — and
 merges every number into the committed ``BENCH_timeline.json`` so the
 trajectory stays comparable across PRs.
 """
@@ -25,13 +26,10 @@ from bench_utils import (
     scalar_reference,
 )
 from repro.controller import build_policy
-from repro.sim import RefreshOverheadEvaluator
+from repro.sim import RefreshOverheadEvaluator, round_walk
 from repro.technology import DEFAULT_TECH
 
 DURATION_SECONDS = 1.0
-
-#: Warm evaluator backends timed side by side.
-TIMED_BACKENDS = ("loop", "fused")
 
 #: Acceptance floors for fused-vs-round-walk speedup.  The tentpole's
 #: >= 10x bar is pinned on the VRL policies (the paper's headline,
@@ -67,41 +65,39 @@ class TestTimelineThroughput:
         stats = {"scalar": scalar_reference(policy, TIMING, duration_cycles)}
         seconds = {"scalar": time.perf_counter() - start}
 
-        evaluators = {
-            backend: RefreshOverheadEvaluator(policy, TIMING, backend=backend)
-            for backend in TIMED_BACKENDS
-        }
-        for backend, evaluator in evaluators.items():
-            evaluator.evaluate(duration_cycles)  # warm: compile + caches
-            rounds = 3 if backend == "loop" else 15
-            seconds[backend], stats[backend] = _best_of(
-                lambda e=evaluator: e.evaluate(duration_cycles), rounds
-            )
+        seconds["loop"], stats["loop"] = _best_of(
+            lambda: round_walk(policy, TIMING, duration_cycles), 3
+        )
+        evaluator = RefreshOverheadEvaluator(policy, TIMING)
+        evaluator.evaluate(duration_cycles)  # warm: compile + caches
+        seconds["fused"], stats["fused"] = _best_of(
+            lambda: evaluator.evaluate(duration_cycles), 15
+        )
 
         reference = stats["scalar"]
-        for backend, got in stats.items():
+        for strategy, got in stats.items():
             assert (
                 got.full_refreshes, got.partial_refreshes, got.refresh_cycles
             ) == (
                 reference.full_refreshes,
                 reference.partial_refreshes,
                 reference.refresh_cycles,
-            ), f"backend {backend!r} diverged from the scalar walk"
+            ), f"strategy {strategy!r} diverged from the scalar walk"
 
         # pytest-benchmark record of the headline (fused) strategy.
         benchmark.pedantic(
-            evaluators["fused"].evaluate, args=(duration_cycles,),
+            evaluator.evaluate, args=(duration_cycles,),
             rounds=5, iterations=1,
         )
 
         throughput = {
-            backend: intervals / elapsed for backend, elapsed in seconds.items()
+            strategy: intervals / elapsed for strategy, elapsed in seconds.items()
         }
         speedup = seconds["loop"] / seconds["fused"]
         benchmark.extra_info["row_intervals"] = intervals
         benchmark.extra_info["speedup_fused_vs_loop"] = speedup
-        for backend, rate in throughput.items():
-            benchmark.extra_info[f"{backend}_row_intervals_per_s"] = rate
+        for strategy, rate in throughput.items():
+            benchmark.extra_info[f"{strategy}_row_intervals_per_s"] = rate
         record_timeline_bench(
             f"timeline/{policy_name}",
             {
@@ -113,7 +109,7 @@ class TestTimelineThroughput:
         print(
             f"\n{policy_name}: {intervals} row-intervals — "
             + ", ".join(
-                f"{backend} {rate:,.0f}/s" for backend, rate in throughput.items()
+                f"{strategy} {rate:,.0f}/s" for strategy, rate in throughput.items()
             )
             + f", fused vs loop {speedup:.1f}x"
         )

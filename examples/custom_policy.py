@@ -15,12 +15,14 @@ batch kernel (``decide`` / ``on_access_rows``): the kernel detects
 scalar-only overrides and transparently falls back to looping them, so
 this policy runs unmodified through the vectorized
 :class:`~repro.sim.fastpath.RefreshOverheadEvaluator` below.  The same
-detection steers the evaluator's fused-timeline backend: a policy like
-this one reports ``supports_fused_timeline() == False``, so
-``backend="auto"`` drops to the round walk instead of mispricing the
-custom decisions (``tests/test_timeline_fused.py`` pins the results
-identical either way).  Policies that want the vectorized fast surface
-override ``_decide_batch`` / ``_on_access_batch`` instead (see
+detection picks the evaluator's pricing path: a policy like this one
+reports ``supports_fused_timeline() == False``, so the evaluator prices
+it with the round walk (:func:`~repro.sim.fastpath.round_walk`) instead
+of mispricing the custom decisions with the fused timeline
+(``tests/test_timeline_fused.py`` pins the results to the cycle-level
+engine's).  The rank simulator, which prices with the fused timeline
+only, refuses such a policy.  Policies that want the vectorized fast
+surface override ``_decide_batch`` / ``_on_access_batch`` instead (see
 ``docs/architecture.md``).
 
 Run:  python examples/custom_policy.py

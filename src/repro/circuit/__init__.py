@@ -22,8 +22,6 @@ Typical use::
     result = session.simulate(t_stop=2e-9, dt=2e-12)
     v_bitline = result["bl"]
     print(result.stats.summary())
-
-:class:`TransientSolver` remains as a one-shot convenience wrapper.
 """
 
 from .netlist import (
@@ -50,7 +48,6 @@ from .solver import (
     ConvergenceError,
     SolverStats,
     TransientResult,
-    TransientSolver,
 )
 from .measure import combined_stats, crossing_time, delivered_energy, settle_time, value_at
 from .dram_circuits import (
@@ -89,7 +86,6 @@ __all__ = [
     "RescueAttempt",
     "SolverStats",
     "TransientResult",
-    "TransientSolver",
     "combined_stats",
     "crossing_time",
     "delivered_energy",

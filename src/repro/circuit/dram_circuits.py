@@ -1,7 +1,7 @@
 """Netlist builders for the DRAM circuits of Fig. 2 of the paper.
 
 Each builder returns a :class:`~repro.circuit.netlist.Circuit` wired from
-the technology parameters, ready for :class:`TransientSolver`:
+the technology parameters, ready for :class:`~repro.circuit.solver.CircuitSession`:
 
 * :func:`build_equalization_circuit` — Fig. 2a: a bitline pair with the
   equalization transistors M2/M3 driving ``V_eq`` (used for Fig. 5).

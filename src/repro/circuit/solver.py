@@ -26,8 +26,6 @@ land on the run's stats, and a final failure raises
 
 Every run returns :class:`SolverStats` telemetry (Newton iterations,
 factorizations, accepted/rejected steps, subdivisions, rescues).
-:class:`TransientSolver` remains as a thin fixed-step wrapper for
-existing call sites.
 
 Dense linear algebra is used below :data:`SPARSE_THRESHOLD` unknowns;
 larger systems (many coupled bitlines) stamp directly into a
@@ -135,7 +133,7 @@ class TransientResult:
 
     Index with a node name to get its voltage trace as a numpy array::
 
-        result = TransientSolver(circuit).run(t_stop=1e-9, dt=1e-12)
+        result = CircuitSession(circuit).simulate(t_stop=1e-9, dt=1e-12)
         v = result["bl"]          # np.ndarray, same length as result.time
         v0 = result.at("bl", 0.5e-9)  # linear interpolation
     """
@@ -171,7 +169,7 @@ class TransientResult:
         if source_name not in self.currents:
             raise KeyError(
                 f"no recorded current for {source_name!r}; pass record_currents "
-                f"to TransientSolver.run"
+                f"to CircuitSession.simulate"
             )
         return self.currents[source_name]
 
@@ -627,53 +625,3 @@ class CircuitSession:
             return NewtonProbe(None, iters, delta, worst)
         except SingularSystemError as exc:
             return NewtonProbe(None, iters, delta, worst, singular=str(exc))
-
-
-class TransientSolver:
-    """Fixed-step backward-Euler transient analysis of a :class:`Circuit`.
-
-    Thin wrapper over :class:`CircuitSession` kept for compatibility;
-    new code that runs a netlist more than once should hold a session
-    directly to amortize compilation.
-
-    Args:
-        circuit: the netlist to simulate.
-        abstol: Newton convergence tolerance on node voltages (volts).
-        max_newton: maximum Newton iterations per time point before the
-            step is retried with damping and finally aborted.
-    """
-
-    def __init__(self, circuit: Circuit, abstol: float = 1e-6, max_newton: int = 60):
-        self.circuit = circuit
-        self.abstol = abstol
-        self.max_newton = max_newton
-        self._session = CircuitSession(circuit, abstol=abstol, max_newton=max_newton)
-
-    @property
-    def session(self) -> CircuitSession:
-        """The underlying compiled session."""
-        return self._session
-
-    def run(
-        self,
-        t_stop: float,
-        dt: float,
-        record: Optional[List[str]] = None,
-        record_currents: Optional[List[str]] = None,
-    ) -> TransientResult:
-        """Simulate from 0 to ``t_stop`` with fixed step ``dt``.
-
-        Args:
-            t_stop: end time in seconds.
-            dt: time step in seconds.
-            record: node names to record; defaults to every node.
-            record_currents: voltage-source names whose branch currents
-                to record (for power/energy measurement).
-
-        Returns:
-            A :class:`TransientResult` with one sample per accepted step,
-            including the initial condition at ``t = 0``.
-        """
-        return self._session.simulate(
-            t_stop, dt, record=record, record_currents=record_currents
-        )

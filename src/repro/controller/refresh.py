@@ -254,8 +254,9 @@ class RefreshPolicy:
         length 1 with no access coupling.  Subclasses that change the
         decision kernel must override this *together with* their batch
         hooks, or the fused timeline will refuse them (see
-        :meth:`supports_fused_timeline`) and the simulators fall back to
-        the round-by-round kernel walk.
+        :meth:`supports_fused_timeline`): the refresh-overhead evaluator
+        and the bank engine fall back to slower exact walks, and the
+        rank simulator rejects the policy.
         """
         n = self.n_rows
         return TimelineSpec(
@@ -274,9 +275,10 @@ class RefreshPolicy:
         subclass overriding ``refresh_row`` / ``on_access`` (the scalar
         style, e.g. ``examples/custom_policy.py``) or ``_decide_batch``
         / ``_on_access_batch`` without providing a matching
-        ``timeline_spec`` gets ``False`` here, and every fused-timeline
-        consumer falls back to looping the batch kernel — trading speed
-        for fidelity, never silently dropping the customization.
+        ``timeline_spec`` gets ``False`` here.  The refresh-overhead
+        evaluator and the bank engine then take slower exact walks —
+        trading speed for fidelity — and the rank simulator refuses the
+        policy; none silently drops the customization.
         """
         cls = type(self)
         return not any(

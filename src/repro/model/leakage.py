@@ -93,12 +93,3 @@ class LeakageModel:
         if fraction_start <= fail:
             return 0.0
         return self.tau(retention_time, pattern_factor) * math.log(fraction_start / fail)
-
-    def verify_definition(self, retention_time: float) -> float:
-        """Sanity check: a fully charged cell fails exactly at its retention time.
-
-        Returns the relative error between :meth:`time_to_failure` from
-        full charge and ``retention_time`` (should be ~0; used by tests).
-        """
-        t_fail = self.time_to_failure(1.0, retention_time)
-        return abs(t_fail - retention_time) / retention_time

@@ -230,7 +230,7 @@ def _diverge(spec: FaultSpec) -> None:
     import math
 
     from ..circuit.netlist import Circuit, Element
-    from ..circuit.solver import TransientSolver
+    from ..circuit.solver import CircuitSession
 
     class _ChaosChatter(Element):
         def __init__(self):
@@ -246,7 +246,7 @@ def _diverge(spec: FaultSpec) -> None:
 
     circuit = Circuit(name=f"chaos-diverge-cell-{_cell_label(spec)}")
     circuit.add(_ChaosChatter())
-    TransientSolver(circuit).run(t_stop=2e-10, dt=1e-10)
+    CircuitSession(circuit).simulate(t_stop=2e-10, dt=1e-10)
     raise InjectedFault(
         "unreachable: divergent chaos circuit converged"
     )  # pragma: no cover

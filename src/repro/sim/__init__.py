@@ -11,18 +11,19 @@ bank" under each policy.  This package is that simulator:
 * :mod:`~repro.sim.bank` — a cycle-level single-bank model (row buffer,
   ACT/PRE/CAS timings, refresh blocking);
 * :mod:`~repro.sim.schedule` — the shared refresh-deadline semantics
-  (staggered first deadlines, interval arithmetic, refresh-wins-ties
-  arbitration, all-bank REF pacing) every simulator consumes;
+  (staggered first deadlines, interval arithmetic, DARP deferral,
+  all-bank REF pacing) every simulator consumes;
 * :mod:`~repro.sim.engine` — the cycle-level trace-driven simulator;
 * :mod:`~repro.sim.fastpath` — an exact, bank-vectorized evaluator of
-  refresh overhead driving the policies' batch kernel, used for the
-  full Fig. 4 sweep (validated against the cycle-level engine in the
-  integration and differential tests);
-* :mod:`~repro.sim.timeline` — the fused ndarray timeline behind the
-  fastpath's default backend: all deadline crossings of a horizon
-  priced in one batched numpy kernel call, zero Python-level loops;
-* :mod:`~repro.sim.rank` — multi-bank rank simulation comparing JEDEC
-  all-bank refresh against the per-bank row-targeted mode VRL needs;
+  refresh overhead, used for the full Fig. 4 sweep (validated against
+  the cycle-level engine in the integration and differential tests),
+  and the round walk it uses for scalar-only policies;
+* :mod:`~repro.sim.timeline` — the fused ndarray timeline that prices
+  every fused-representable policy: all deadline crossings of a
+  horizon in one batched numpy kernel call, zero Python-level loops;
+* :mod:`~repro.sim.rank` — refresh-only multi-bank rank simulation
+  comparing JEDEC all-bank refresh against the per-bank row-targeted
+  mode VRL needs;
 * :mod:`~repro.sim.stats` — result containers;
 * :mod:`~repro.sim.trace_stats` — trace analysis and the closed-form
   Markov prediction of VRL-Access behaviour from window coverage.
@@ -30,7 +31,7 @@ bank" under each policy.  This package is that simulator:
 
 from .bank import Bank
 from .engine import BankSimulator, SimulationResult
-from .fastpath import RefreshOverheadEvaluator
+from .fastpath import RefreshOverheadEvaluator, round_walk
 from .rank import RankResult, RankSimulator
 from .schedule import (
     ALL_BANK_ROWS_PER_REF,
@@ -39,7 +40,6 @@ from .schedule import (
     deadline_counts,
     first_deadlines,
     period_cycles,
-    refresh_wins_tie,
     row_deadlines,
 )
 from .stats import RefreshStats, RequestStats
@@ -59,6 +59,7 @@ __all__ = [
     "BankSimulator",
     "SimulationResult",
     "RefreshOverheadEvaluator",
+    "round_walk",
     "RankResult",
     "RankSimulator",
     "ALL_BANK_ROWS_PER_REF",
@@ -67,7 +68,6 @@ __all__ = [
     "deadline_counts",
     "first_deadlines",
     "period_cycles",
-    "refresh_wins_tie",
     "row_deadlines",
     "RefreshStats",
     "RequestStats",

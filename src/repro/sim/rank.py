@@ -14,24 +14,26 @@ view, which is where conventional DDR refresh actually operates:
   parallelism during refresh.
 
 A :class:`RankSimulator` runs one refresh policy instance per bank (each
-bank gets its own retention profile slice) against a bank-annotated
-trace, reporting both per-bank refresh overhead and the rank-level
-*blocked-time* fraction — the probability an arriving request finds its
-target bank refreshing.
+bank gets its own retention profile slice) over a refresh-only horizon,
+reporting per-bank refresh overhead and the rank-level *blocked* time:
+the cycles during which at least one bank is refreshing.  With no
+demand requests to arbitrate, each mode's whole timeline is a closed
+form priced by one path (:meth:`RankSimulator._run_per_bank_fused`,
+:meth:`RankSimulator._run_all_bank_fused`).  Request-side effects of
+refresh are the single-bank engine's job
+(:class:`~repro.sim.engine.BankSimulator`).
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from ..controller.refresh import RefreshPolicy
 from ..technology import BankGeometry, DEFAULT_GEOMETRY
 from ._timeline_kernels import crossing_kinds
-from .bank import Bank
 from .schedule import (
     ALL_BANK_ROWS_PER_REF,
     all_bank_ref_interval,
@@ -40,8 +42,6 @@ from .schedule import (
     deadline_counts,
     first_deadlines,
     period_cycles,
-    refresh_wins_tie,
-    should_defer_refresh,
 )
 from .stats import RefreshStats, RequestStats
 from .timeline import service_starts, union_length
@@ -50,9 +50,6 @@ from .trace import MemoryTrace
 
 __all__ = ["ALL_BANK_ROWS_PER_REF", "RankResult", "RankSimulator"]
 
-#: Evaluation strategies of :meth:`RankSimulator.run`.
-RANK_BACKENDS = ("auto", "fused", "loop")
-
 
 @dataclass
 class RankResult:
@@ -60,7 +57,9 @@ class RankResult:
 
     Attributes:
         per_bank_refresh: refresh statistics per bank.
-        requests: aggregate demand-request statistics.
+        requests: demand-request statistics; always empty, since a rank
+            run serves no requests (the same field as
+            :class:`~repro.sim.engine.SimulationResult`'s).
         blocked_cycles: cycles during which at least one bank was busy
             refreshing (rank-level unavailability).
         duration_cycles: simulated horizon.
@@ -99,7 +98,8 @@ class RankSimulator:
 
     Args:
         policies: one refresh policy per bank (their ``n_rows`` must all
-            match the geometry).
+            match the geometry, and each must support the fused
+            timeline).
         timing: command timings.
         geometry: per-bank geometry.
         all_bank_refresh: use JEDEC all-bank REF every tREFI instead of
@@ -124,275 +124,63 @@ class RankSimulator:
                     f"bank {index}: policy rows {policy.n_rows} != geometry rows "
                     f"{geometry.rows}"
                 )
+            if not policy.supports_fused_timeline():
+                raise ValueError(
+                    f"RankSimulator: bank {index} policy {policy.name!r} customizes "
+                    "the decision surface without a matching timeline_spec"
+                )
         self.policies = list(policies)
         self.timing = timing
         self.geometry = geometry
         self.all_bank_refresh = all_bank_refresh
-        self.banks = [Bank(timing, geometry) for _ in policies]
 
     @property
     def n_banks(self) -> int:
         """Number of banks in the rank."""
         return len(self.policies)
 
-    # ------------------------------------------------------------------ #
-    # Refresh event streams                                               #
-    # ------------------------------------------------------------------ #
-
-    def _per_bank_heap(self) -> tuple[list[tuple[int, int, int]], list[np.ndarray]]:
-        """(due, bank, row) heap for row-targeted refresh, plus per-bank periods.
-
-        First deadlines stagger across rows *and* banks via the shared
-        :func:`~repro.sim.schedule.first_deadlines` so refreshes spread
-        out exactly like the single-bank simulators'.
-        """
-        heap = []
-        periods_by_bank = []
-        for bank_index, policy in enumerate(self.policies):
-            periods = period_cycles(policy, self.timing)
-            periods_by_bank.append(periods)
-            first = first_deadlines(periods, bank_index=bank_index, n_banks=self.n_banks)
-            heap.extend(
-                (due, bank_index, row) for row, due in enumerate(first.tolist())
-            )
-        heapq.heapify(heap)
-        return heap, periods_by_bank
-
-    def _all_bank_refreshes(self, duration_cycles: int):
-        """Yield REF due-cycles for JEDEC all-bank pacing.
-
-        Every row of every bank must be covered once per conventional
-        64 ms period; the command interval comes from the shared
-        :func:`~repro.sim.schedule.all_bank_ref_interval`.
-        """
-        interval = all_bank_ref_interval(self.timing, self.geometry.rows)
-        due = 0
-        while due < duration_cycles:
-            yield due
-            due += interval
-
-    # ------------------------------------------------------------------ #
-    # Simulation                                                          #
-    # ------------------------------------------------------------------ #
-
-    def _fused_eligible(self, trace: Optional[MemoryTrace]) -> bool:
-        """Can this run take the fused timeline instead of the event loop?
-
-        Refresh-only runs have no refresh/request interleaving to
-        arbitrate, so the whole rank timeline is a closed form: all-bank
-        pacing always qualifies; per-bank mode additionally needs every
-        policy's automaton to be fused-representable.
-        """
-        if trace is not None and len(trace):
-            return False
-        if self.all_bank_refresh:
-            return True
-        return all(policy.supports_fused_timeline() for policy in self.policies)
-
-    def run(
-        self,
-        trace: Optional[MemoryTrace] = None,
-        duration_cycles: Optional[int] = None,
-        bank_of_row: Optional[np.ndarray] = None,
-        backend: str = "auto",
-    ) -> RankResult:
-        """Simulate the rank.
+    def run(self, duration_cycles: int) -> RankResult:
+        """Price ``duration_cycles`` of refresh-only rank time.
 
         Args:
-            trace: demand requests; rows index into a per-bank address
-                space and are assigned to banks by ``bank_of_row`` or
-                round-robin on the low row bits.
-            duration_cycles: horizon (required if no trace).
-            bank_of_row: optional per-request bank indices, shape
-                ``(len(trace),)``.
-            backend: ``"auto"`` uses the fused rank timeline for
-                refresh-only runs (bit-identical to the event loop,
-                orders of magnitude faster) and the event loop
-                otherwise; ``"fused"`` forces the fused path (raises if
-                the run is not refresh-only fused-representable);
-                ``"loop"`` forces the event loop (the differential
-                oracle).
+            duration_cycles: horizon; refreshes due at or after it are
+                not issued.
         """
-        if backend not in RANK_BACKENDS:
+        if isinstance(duration_cycles, MemoryTrace):
             raise ValueError(
-                f"backend must be one of {RANK_BACKENDS}, got {backend!r}"
+                "RankSimulator.run takes a duration in cycles, not a MemoryTrace: "
+                "a rank run is refresh-only"
             )
-        if duration_cycles is None:
-            if trace is None or len(trace) == 0:
-                raise ValueError("need a trace or an explicit duration")
-            duration_cycles = trace.duration_cycles + 1
         if duration_cycles <= 0:
             raise ValueError(f"duration must be positive, got {duration_cycles}")
-        if backend == "fused" and not self._fused_eligible(trace):
-            raise ValueError(
-                "backend='fused' needs a refresh-only run (no trace) with "
-                "fused-representable policies; backend='auto' selects the event "
-                "loop for other runs"
-            )
-
-        for bank in self.banks:
-            bank.reset()
         for policy in self.policies:
             policy.reset()
-
         refresh_stats = [
             RefreshStats(duration_cycles=duration_cycles) for _ in self.policies
         ]
-        request_stats = RequestStats()
-
-        if trace is not None and len(trace):
-            if bank_of_row is None:
-                banks_for_requests = (trace.rows % self.n_banks).astype(np.int64)
-            else:
-                banks_for_requests = np.asarray(bank_of_row, dtype=np.int64)
-                if banks_for_requests.shape != (len(trace),):
-                    raise ValueError(
-                        f"bank_of_row shape {banks_for_requests.shape} != ({len(trace)},)"
-                    )
-                if (banks_for_requests < 0).any() or (
-                    banks_for_requests >= self.n_banks
-                ).any():
-                    raise ValueError("bank indices out of range")
-        else:
-            banks_for_requests = None
-
-        fused = backend == "fused" or (
-            backend == "auto" and self._fused_eligible(trace)
-        )
-        if fused and self.all_bank_refresh:
+        if self.all_bank_refresh:
             blocked = self._run_all_bank_fused(duration_cycles, refresh_stats)
-        elif fused:
-            blocked = self._run_per_bank_fused(duration_cycles, refresh_stats)
         else:
-            run_loop = self._run_all_bank if self.all_bank_refresh else self._run_per_bank
-            blocked_starts: list[int] = []
-            blocked_ends: list[int] = []
-            run_loop(
-                trace, banks_for_requests, duration_cycles, refresh_stats,
-                request_stats, blocked_starts, blocked_ends,
-            )
-            blocked = union_length(
-                np.asarray(blocked_starts, dtype=np.int64),
-                np.asarray(blocked_ends, dtype=np.int64),
-                duration_cycles,
-            )
+            blocked = self._run_per_bank_fused(duration_cycles, refresh_stats)
         return RankResult(
             per_bank_refresh=refresh_stats,
-            requests=request_stats,
+            requests=RequestStats(),
             blocked_cycles=blocked,
             duration_cycles=duration_cycles,
             mode="all-bank" if self.all_bank_refresh else "per-bank",
         )
 
-    def _serve_request(self, bank_index, arrival, row, is_write, request_stats):
-        bank = self.banks[bank_index]
-        policy = self.policies[bank_index]
-        stall = max(0, bank.busy_until - arrival)
-        if policy.modulates_access:
-            base, hit = bank.peek_service(row)
-            adjusted = int(policy.access_latency_cycles(row, base, hit, arrival))
-            outcome = bank.service(arrival, row, latency_cycles=adjusted)
-        else:
-            outcome = bank.service(arrival, row)
-        policy.on_access(row)
-        request_stats.record(is_write, outcome.latency_cycles, outcome.row_hit, stall)
-
-    def _next_bank_read(self, bank_index, request_index, read_arrivals, read_ptrs):
-        """Arrival cycle of ``bank_index``'s next unserved *read*, or ``None``.
-
-        ``read_arrivals[bank_index]`` holds the sorted (request_index,
-        arrival) pairs of the bank's reads; the lazy pointer advances
-        monotonically past already-served requests, so the scan is
-        amortized O(1) per arbitration.
-        """
-        indices, arrivals = read_arrivals[bank_index]
-        ptr = read_ptrs[bank_index]
-        while ptr < len(indices) and indices[ptr] < request_index:
-            ptr += 1
-        read_ptrs[bank_index] = ptr
-        return int(arrivals[ptr]) if ptr < len(indices) else None
-
-    def _run_per_bank(
-        self, trace, banks_for_requests, duration_cycles, refresh_stats,
-        request_stats, blocked_starts, blocked_ends,
-    ):
-        heap, periods_by_bank = self._per_bank_heap()
-        n_requests = len(trace) if trace is not None else 0
-        request_index = 0
-        # Per-bank deferral state for reordering mechanisms (DARP): the
-        # sorted read arrivals of each reordering bank, a lazy pointer
-        # past served requests, and the policy's planning latency/slack.
-        any_reorders = any(p.reorders_refresh for p in self.policies)
-        read_arrivals = {}
-        read_ptrs = {}
-        plan_latency = {}
-        slack = {}
-        if any_reorders and n_requests:
-            for bank_index, policy in enumerate(self.policies):
-                if not policy.reorders_refresh:
-                    continue
-                mask = (banks_for_requests == bank_index) & ~trace.is_write
-                indices = np.nonzero(mask)[0].astype(np.int64)
-                read_arrivals[bank_index] = (
-                    indices, trace.cycles[indices].astype(np.int64)
-                )
-                read_ptrs[bank_index] = 0
-                plan_latency[bank_index] = int(policy.kind_latencies[0])
-                slack[bank_index] = int(policy.refresh_slack_cycles)
-        while True:
-            next_due = heap[0][0] if heap else None
-            next_req = (
-                int(trace.cycles[request_index]) if request_index < n_requests else None
-            )
-            do_ref = next_due is not None and next_due < duration_cycles
-            do_req = next_req is not None and next_req < duration_cycles
-            if not do_ref and not do_req:
-                break
-            service_refresh = do_ref and (
-                not do_req or refresh_wins_tie(next_due, next_req)
-            )
-            if service_refresh and do_req:
-                bank_index = heap[0][1]
-                if bank_index in read_ptrs:
-                    # DARP arbitration: the due bank yields to its own
-                    # colliding pending read within the slack budget;
-                    # the rank then serves the globally next request
-                    # (FCFS), which may target another bank.
-                    read_at = self._next_bank_read(
-                        bank_index, request_index, read_arrivals, read_ptrs
-                    )
-                    start = max(next_due, self.banks[bank_index].busy_until)
-                    if should_defer_refresh(
-                        start, plan_latency[bank_index], read_at, False,
-                        next_due + slack[bank_index],
-                    ):
-                        service_refresh = False
-            if service_refresh:
-                due, bank_index, row = heapq.heappop(heap)
-                command = self.policies[bank_index].refresh_row(row)
-                outcome = self.banks[bank_index].refresh(due, command.latency_cycles)
-                refresh_stats[bank_index].record(command)
-                blocked_starts.append(outcome.start_cycle)
-                blocked_ends.append(outcome.finish_cycle)
-                period = int(periods_by_bank[bank_index][row])
-                heapq.heappush(heap, (due + period, bank_index, row))
-            else:
-                row = int(trace.rows[request_index])
-                is_write = bool(trace.is_write[request_index])
-                bank_index = int(banks_for_requests[request_index])
-                self._serve_request(bank_index, next_req, row % self.geometry.rows,
-                                    is_write, request_stats)
-                request_index += 1
-
     def _run_per_bank_fused(self, duration_cycles, refresh_stats):
         """Fused refresh-only per-bank run; returns rank blocked cycles.
 
-        Each bank's refreshes pop from the shared heap in ``(due, row)``
-        order and chain FCFS on that bank alone, so per bank the whole
-        timeline is: the bank's :func:`~repro.sim.schedule.crossing_stream`,
-        the kinds from the batched automaton kernel, and the busy chain
-        from :func:`~repro.sim.timeline.service_starts`.  Bit-identical
-        to :meth:`_run_per_bank` (invariant 11).
+        Each bank's refreshes issue in ``(due, row)`` order and chain
+        FCFS on that bank alone, so per bank the whole timeline is: the
+        bank's :func:`~repro.sim.schedule.crossing_stream`, the kinds
+        from the batched automaton kernel, and the busy chain from
+        :func:`~repro.sim.timeline.service_starts`.  Bit-identical to a
+        ``(due, bank, row)`` heap loop driving each bank's
+        ``refresh_row`` (invariant 11; ``tests/test_rank.py`` keeps that
+        loop as the oracle).
         """
         all_starts: list[np.ndarray] = []
         all_ends: list[np.ndarray] = []
@@ -430,7 +218,7 @@ class RankSimulator:
         Every REF occupies all banks for the same tRFC, so the banks'
         busy chains are identical; one
         :func:`~repro.sim.timeline.service_starts` over the tREFI-paced
-        due cycles reproduces :meth:`_run_all_bank` bit for bit.
+        due cycles prices them all.
         """
         trfc = all_bank_trfc(self.policies[0].tau_full)
         interval = all_bank_ref_interval(self.timing, self.geometry.rows)
@@ -444,43 +232,3 @@ class RankSimulator:
             # totals are comparable with per-bank modes.
             stats.full_refreshes = ALL_BANK_ROWS_PER_REF * len(dues)
         return union_length(starts, starts + trfc, duration_cycles)
-
-    def _run_all_bank(
-        self, trace, banks_for_requests, duration_cycles, refresh_stats,
-        request_stats, blocked_starts, blocked_ends,
-    ):
-        trfc = all_bank_trfc(self.policies[0].tau_full)
-        refresh_dues = list(self._all_bank_refreshes(duration_cycles))
-        n_requests = len(trace) if trace is not None else 0
-        request_index = 0
-        due_index = 0
-        while True:
-            next_due = refresh_dues[due_index] if due_index < len(refresh_dues) else None
-            next_req = (
-                int(trace.cycles[request_index]) if request_index < n_requests else None
-            )
-            do_ref = next_due is not None
-            do_req = next_req is not None and next_req < duration_cycles
-            if not do_ref and not do_req:
-                break
-            if do_ref and (not do_req or refresh_wins_tie(next_due, next_req)):
-                start = next_due
-                for bank_index, bank in enumerate(self.banks):
-                    outcome = bank.refresh(next_due, trfc)
-                    start = max(start, outcome.start_cycle)
-                    stats = refresh_stats[bank_index]
-                    stats.refresh_cycles += trfc
-                    # One REF covers several rows; count row-refreshes so
-                    # the totals are comparable with per-bank modes.
-                    stats.full_refreshes += ALL_BANK_ROWS_PER_REF
-                blocked_starts.append(start)
-                blocked_ends.append(start + trfc)
-                due_index += 1
-            else:
-                row = int(trace.rows[request_index])
-                is_write = bool(trace.is_write[request_index])
-                bank_index = int(banks_for_requests[request_index])
-                self._serve_request(bank_index, next_req, row % self.geometry.rows,
-                                    is_write, request_stats)
-                request_index += 1
-

@@ -17,14 +17,14 @@ engine-vs-fastpath harness pins all consumers to it:
   quantized period; a deadline at or past the simulation horizon is
   never issued;
 * **tie-breaking** — a refresh due at cycle ``c`` is serviced before a
-  demand request arriving at ``c`` (the controller prioritizes
-  deadline-bound refreshes), so an access on a deadline affects only
-  the *next* interval;
+  demand request arriving at ``c`` (the controller cannot postpone a
+  deadline-bound refresh indefinitely without violating retention), so
+  an access on a deadline affects only the *next* interval;
 * **all-bank REF pacing** — the JEDEC baseline's command interval and
   tRFC derive from :data:`CONVENTIONAL_PERIOD` and
   :data:`ALL_BANK_ROWS_PER_REF` here, not from per-simulator literals;
 * **out-of-order deferral** — mechanisms whose ``reorders_refresh``
-  capability flag is set (DARP) override the tie rule through
+  capability flag is set (DARP) override in-order issue through
   :func:`should_defer_refresh`: a due refresh yields to colliding
   latency-critical reads within the policy's postpone slack and fills
   the first idle window instead, while posted writes never defer it
@@ -55,7 +55,6 @@ __all__ = [
     "deadline_counts",
     "first_deadlines",
     "period_cycles",
-    "refresh_wins_tie",
     "row_deadlines",
     "should_defer_refresh",
 ]
@@ -182,23 +181,6 @@ def row_deadlines(
     return np.arange(first_due, duration_cycles, period_cycles_row, dtype=np.int64)
 
 
-def refresh_wins_tie(refresh_due: int, request_at: Optional[int]) -> bool:
-    """Should the refresh due at ``refresh_due`` be serviced next?
-
-    Engine-identical arbitration: the controller cannot postpone a
-    deadline-bound refresh indefinitely without violating retention, so
-    a refresh is serviced before any demand request arriving at the
-    same cycle — an access landing exactly on a deadline therefore
-    resets counters for the *next* interval only.
-
-    Args:
-        refresh_due: due cycle of the earliest pending refresh.
-        request_at: arrival cycle of the earliest pending demand
-            request, or ``None`` if there is none to arbitrate against.
-    """
-    return request_at is None or refresh_due <= request_at
-
-
 def should_defer_refresh(
     start_cycle: int,
     latency_cycles: int,
@@ -208,8 +190,9 @@ def should_defer_refresh(
 ) -> bool:
     """Out-of-order arbitration for reordering mechanisms (DARP).
 
-    Called only when :func:`refresh_wins_tie` already awarded the slot
-    to the refresh: a ``reorders_refresh`` controller overrides that
+    Called only when in-order issue already awarded the slot to the
+    refresh (it is due at or before the pending request's arrival): a
+    ``reorders_refresh`` controller overrides that
     award and serves the pending demand request first when the bank's
     next *read* would collide with the refresh window — i.e. it arrives
     before ``start_cycle + latency_cycles``, where ``start_cycle`` is

@@ -84,8 +84,8 @@ class FusedTimeline:
     Args:
         policy: refresh policy; must satisfy
             :meth:`~repro.controller.refresh.RefreshPolicy.supports_fused_timeline`
-            (:class:`~repro.sim.fastpath.RefreshOverheadEvaluator` with
-            ``backend="auto"`` picks the round walk for the others).
+            (:class:`~repro.sim.fastpath.RefreshOverheadEvaluator` prices
+            the others with :func:`~repro.sim.fastpath.round_walk`).
         timing: command timings (cycle clock and deadline quantization).
     """
 
@@ -93,8 +93,8 @@ class FusedTimeline:
         if not policy.supports_fused_timeline():
             raise ValueError(
                 f"policy {policy.name!r} customizes the decision surface without a "
-                "matching timeline_spec; use the round-walk evaluator "
-                "(RefreshOverheadEvaluator backend='auto' selects it)"
+                "matching timeline_spec; price it with round_walk "
+                "(RefreshOverheadEvaluator does so for such policies)"
             )
         self.policy = policy
         self.timing = timing

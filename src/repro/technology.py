@@ -202,11 +202,6 @@ class TechnologyParams:
         return 1.0 / (self.beta_n(wl_ratio) * vov)
 
     @property
-    def ron_eq(self) -> float:
-        """ON resistance of an equalization transistor M2/M3 at ``V_bl = V_eq``."""
-        return self.ron_nmos(self.wl_eq, self.vpp - self.veq)
-
-    @property
     def ron_access(self) -> float:
         """ON resistance of the cell access transistor M1 with boosted gate."""
         return self.ron_nmos(self.wl_access, self.vpp - self.veq)

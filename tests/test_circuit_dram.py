@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.circuit import (
-    TransientSolver,
+    CircuitSession,
     build_charge_sharing_circuit,
     build_sense_amplifier_circuit,
     simulate_equalization,
@@ -54,9 +54,9 @@ class TestChargeSharing:
         assert result["cell2"][-1] == pytest.approx(result["bl2"][-1], abs=5e-3)
 
     def test_zero_cell_pulls_bitline_down(self):
-        result = TransientSolver(
+        result = CircuitSession(
             build_charge_sharing_circuit(TECH, SMALL, data_pattern=[0, 0, 0, 0, 0])
-        ).run(t_stop=15e-9, dt=20e-12, record=["bl2"])
+        ).simulate(t_stop=15e-9, dt=20e-12, record=["bl2"])
         assert result["bl2"][-1] < TECH.veq - 0.05
 
     def test_larger_bank_smaller_swing(self):
@@ -67,13 +67,13 @@ class TestChargeSharing:
         assert swing_large < swing_small
 
     def test_alternating_pattern_reduces_victim_swing(self):
-        ones = TransientSolver(
+        ones = CircuitSession(
             build_charge_sharing_circuit(TECH, SMALL, data_pattern=[1, 1, 1, 1, 1])
-        ).run(t_stop=15e-9, dt=20e-12, record=["bl2"])
-        alt = TransientSolver(
+        ).simulate(t_stop=15e-9, dt=20e-12, record=["bl2"])
+        alt = CircuitSession(
             # Victim (middle) stores 1, neighbours store 0.
             build_charge_sharing_circuit(TECH, SMALL, data_pattern=[1, 0, 1, 0, 1])
-        ).run(t_stop=15e-9, dt=20e-12, record=["bl2"])
+        ).simulate(t_stop=15e-9, dt=20e-12, record=["bl2"])
         swing_ones = ones["bl2"][-1] - TECH.veq
         swing_alt = alt["bl2"][-1] - TECH.veq
         assert 0 < swing_alt < swing_ones
@@ -89,13 +89,13 @@ class TestSenseAmplifier:
     @pytest.mark.parametrize("delta_v,hi,lo", [(0.1, "bl", "blb"), (-0.1, "blb", "bl")])
     def test_latches_correct_direction(self, delta_v, hi, lo):
         circuit = build_sense_amplifier_circuit(TECH, SMALL, delta_v=delta_v)
-        result = TransientSolver(circuit).run(t_stop=30e-9, dt=20e-12, record=["bl", "blb"])
+        result = CircuitSession(circuit).simulate(t_stop=30e-9, dt=20e-12, record=["bl", "blb"])
         assert result[hi][-1] > 0.9 * TECH.vdd
         assert result[lo][-1] < 0.1 * TECH.vdd
 
     def test_small_differential_still_resolves(self):
         circuit = build_sense_amplifier_circuit(TECH, SMALL, delta_v=0.02)
-        result = TransientSolver(circuit).run(t_stop=40e-9, dt=20e-12, record=["bl", "blb"])
+        result = CircuitSession(circuit).simulate(t_stop=40e-9, dt=20e-12, record=["bl", "blb"])
         assert result["bl"][-1] > result["blb"][-1] + 1.0
 
 

@@ -6,9 +6,9 @@ import pytest
 from repro.circuit import (
     Capacitor,
     Circuit,
+    CircuitSession,
     GND,
     Resistor,
-    TransientSolver,
     VoltageSource,
     delivered_energy,
 )
@@ -30,7 +30,7 @@ def _rc_charge_circuit(r=1e3, c=1e-12, v=1.0):
 class TestBranchCurrents:
     def test_recorded_current_matches_ohms_law(self):
         circuit, _ = _rc_charge_circuit()
-        result = TransientSolver(circuit).run(
+        result = CircuitSession(circuit).simulate(
             t_stop=5e-9, dt=5e-12, record=["out"], record_currents=["V1"]
         )
         i = result.current("V1")
@@ -41,15 +41,16 @@ class TestBranchCurrents:
     def test_unknown_source_rejected(self):
         circuit, _ = _rc_charge_circuit()
         with pytest.raises(KeyError, match="no voltage source"):
-            TransientSolver(circuit).run(
+            CircuitSession(circuit).simulate(
                 t_stop=1e-12, dt=1e-13, record_currents=["nope"]
             )
 
     def test_current_not_recorded_raises(self):
         circuit, _ = _rc_charge_circuit()
-        result = TransientSolver(circuit).run(t_stop=1e-12, dt=1e-13)
-        with pytest.raises(KeyError, match="no recorded current"):
+        result = CircuitSession(circuit).simulate(t_stop=1e-12, dt=1e-13)
+        with pytest.raises(KeyError, match="no recorded current") as raised:
             result.current("V1")
+        assert "CircuitSession.simulate" in str(raised.value)
 
 
 class TestDeliveredEnergy:
@@ -58,7 +59,7 @@ class TestDeliveredEnergy:
         (half stored, half dissipated)."""
         r, c, v = 1e3, 1e-12, 1.0
         circuit, source = _rc_charge_circuit(r, c, v)
-        result = TransientSolver(circuit).run(
+        result = CircuitSession(circuit).simulate(
             t_stop=20 * r * c, dt=r * c / 200, record=["out"], record_currents=["V1"]
         )
         energy = delivered_energy(result, source)
@@ -69,7 +70,7 @@ class TestDeliveredEnergy:
         source = VoltageSource("V1", "a", GND, 1.0)
         circuit.add(source)
         circuit.add(Capacitor("C1", "a", GND, 1e-12, ic=1.0))  # already charged
-        result = TransientSolver(circuit).run(
+        result = CircuitSession(circuit).simulate(
             t_stop=1e-9, dt=1e-11, record_currents=["V1"]
         )
         assert abs(delivered_energy(result, source)) < 1e-18
@@ -87,7 +88,7 @@ class TestRefreshEnergyCrossValidation:
             TECH, DEFAULT_GEOMETRY, phases, v_cell_initial=TECH.v_fail
         )
         source = next(e for e in circuit.elements if e.name == "V_dd_rail")
-        result = TransientSolver(circuit).run(
+        result = CircuitSession(circuit).simulate(
             t_stop=19 * tck, dt=20e-12, record=["cell"], record_currents=["V_dd_rail"]
         )
         e_full = delivered_energy(result, source)
@@ -111,7 +112,7 @@ class TestRefreshEnergyCrossValidation:
             TECH, DEFAULT_GEOMETRY, phases, v_cell_initial=TECH.v_fail
         )
         source = next(e for e in circuit.elements if e.name == "V_dd_rail")
-        result = TransientSolver(circuit).run(
+        result = CircuitSession(circuit).simulate(
             t_stop=19 * tck, dt=20e-12, record=["cell"], record_currents=["V_dd_rail"]
         )
         e_circuit = delivered_energy(result, source)

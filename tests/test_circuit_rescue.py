@@ -14,6 +14,7 @@ import pytest
 from repro.circuit import (
     Capacitor,
     Circuit,
+    CircuitSession,
     ConvergenceError,
     ConvergenceReport,
     Element,
@@ -21,7 +22,6 @@ from repro.circuit import (
     RescueAttempt,
     Resistor,
     SolverStats,
-    TransientSolver,
     VoltageSource,
     step,
 )
@@ -198,7 +198,7 @@ class TestRunRescueUnit:
 
 class TestSolverRescue:
     def test_cubic_chatter_completes_via_gmin(self):
-        result = TransientSolver(_chattering_circuit()).run(t_stop=1e-9, dt=1e-10)
+        result = CircuitSession(_chattering_circuit()).simulate(t_stop=1e-9, dt=1e-10)
         stats = result.stats
         assert stats.rescues >= 1
         report = stats.rescue_reports[0]
@@ -209,7 +209,7 @@ class TestSolverRescue:
         assert "rescues=" in stats.summary() and "gmin" in stats.summary()
 
     def test_converging_netlist_never_touches_the_ladder(self, monkeypatch):
-        reference = TransientSolver(_rc_circuit()).run(t_stop=2e-9, dt=1e-11)
+        reference = CircuitSession(_rc_circuit()).simulate(t_stop=2e-9, dt=1e-11)
         assert reference.stats.rescues == 0
         assert reference.stats.rescue_reports == []
         assert "rescues" not in reference.stats.summary()
@@ -217,12 +217,12 @@ class TestSolverRescue:
         # Emptying both ladders changes nothing: rescue is never entered.
         monkeypatch.setattr(rescue, "GMIN_LADDER", ())
         monkeypatch.setattr(rescue, "SOURCE_LADDER", ())
-        emptied = TransientSolver(_rc_circuit()).run(t_stop=2e-9, dt=1e-11)
+        emptied = CircuitSession(_rc_circuit()).simulate(t_stop=2e-9, dt=1e-11)
         for node in reference.nodes:
             np.testing.assert_array_equal(reference[node], emptied[node])
 
     def test_adaptive_path_rescues_too(self):
-        result = TransientSolver(_chattering_circuit()).session.simulate(
+        result = CircuitSession(_chattering_circuit()).simulate(
             1e-9, 1e-10, adaptive=True
         )
         assert result.stats.rescues >= 1
@@ -230,7 +230,7 @@ class TestSolverRescue:
         assert result["a"][-1] == pytest.approx(-1.7692923542386314)
 
     def test_stats_merge_carries_rescue_telemetry(self):
-        first = TransientSolver(_chattering_circuit()).run(t_stop=1e-9, dt=1e-10)
+        first = CircuitSession(_chattering_circuit()).simulate(t_stop=1e-9, dt=1e-10)
         merged = SolverStats.combined([first.stats, first.stats])
         assert merged.rescues == 2 * first.stats.rescues
         assert len(merged.rescue_reports) == 2 * len(first.stats.rescue_reports)

@@ -23,8 +23,8 @@ Two layers of equivalence are asserted on every case:
   ChargeCache lookups/hits);
 * the three refresh statistics are bit-identical across *all*
   refresh-evaluation strategies (invariant 11): the engine, the round
-  walk (``backend="loop"``), and the fused timeline
-  (``backend="fused"``).
+  walk (:func:`~repro.sim.fastpath.round_walk`), and the evaluator's
+  fused timeline.
 
 Failure messages carry the case's seeds so any discrepancy reproduces
 from the log alone.
@@ -53,13 +53,13 @@ from repro.sim import (
     RequestStats,
     SimulationResult,
     merge_traces,
+    round_walk,
 )
 from repro.sim import engine
 from repro.sim.schedule import (
     crossing_stream,
     first_deadlines,
     period_cycles,
-    refresh_wins_tie,
     should_defer_refresh,
 )
 from repro.technology import BankGeometry, DEFAULT_TECH
@@ -69,8 +69,13 @@ TIMING = DRAMTiming.from_technology(DEFAULT_TECH)
 
 POLICY_NAMES = ("fixed", "raidr", "vrl", "vrl-access")
 
-#: Every evaluator strategy differentially pinned against the engine.
-BACKENDS = ("loop", "fused")
+#: Every refresh-pricing path differentially pinned against the engine.
+PRICING_PATHS = {
+    "round-walk": round_walk,
+    "fused": lambda policy, timing, duration_cycles, trace: RefreshOverheadEvaluator(
+        policy, timing
+    ).evaluate(duration_cycles, trace),
+}
 
 
 def _policy(name, geometry, profile_seed, nbits=2, temperature=None):
@@ -129,8 +134,9 @@ def reference_bank_run(policy, timing, geometry, trace, duration_cycles):
         do_request = next_request_at is not None and next_request_at < duration_cycles
         if not do_refresh and not do_request:
             break
+        # Refresh wins ties: a request arriving on a deadline waits.
         service_refresh = do_refresh and (
-            not do_request or refresh_wins_tie(next_refresh_due, next_request_at)
+            not do_request or next_refresh_due <= next_request_at
         )
         if service_refresh and reorders and do_request:
             start = max(next_refresh_due, bank.busy_until)
@@ -227,7 +233,7 @@ def _assert_engine_matches_oracle(policy, trace, duration_cycles, context=""):
 
 
 def _assert_equivalent(policy, trace, duration_cycles, context=""):
-    """Pin the engine to the oracle and every evaluator backend to the engine.
+    """Pin the engine to the oracle and every pricing path to the engine.
 
     ``context`` (seeds, temperatures, geometry) is embedded in the
     failure message so a red case reproduces from the log alone.
@@ -238,13 +244,11 @@ def _assert_equivalent(policy, trace, duration_cycles, context=""):
         engine.refresh.partial_refreshes,
         engine.refresh.refresh_cycles,
     )
-    for backend in BACKENDS:
-        fast = RefreshOverheadEvaluator(policy, TIMING, backend=backend).evaluate(
-            duration_cycles, trace
-        )
+    for label, price in PRICING_PATHS.items():
+        fast = price(policy, TIMING, duration_cycles, trace)
         got = (fast.full_refreshes, fast.partial_refreshes, fast.refresh_cycles)
         assert got == want, (
-            f"backend={backend!r} diverged from engine: "
+            f"{label} diverged from engine: "
             f"(full, partial, cycles) {got} != {want} "
             f"[policy={policy.name!r} rows={policy.n_rows} "
             f"duration={duration_cycles} {context}]"
@@ -287,7 +291,7 @@ class TestRandomizedDifferential:
     @pytest.mark.parametrize("case_seed", range(4))
     def test_random_temperature(self, case_seed):
         """Temperature-scaled retention profiles shift every period bin;
-        the quantized schedules must still agree across all backends."""
+        the quantized schedules must still agree across all pricing paths."""
         rng = np.random.default_rng(3000 + case_seed)
         geometry = BankGeometry(int(rng.integers(16, 97)), 8)
         temperature = float(rng.uniform(30.0, 70.0))

@@ -6,9 +6,9 @@ import pytest
 from repro.circuit import (
     Capacitor,
     Circuit,
+    CircuitSession,
     GND,
     NMOS,
-    TransientSolver,
     VoltageSource,
 )
 from repro.circuit.solver import ConvergenceError, MAX_SUBDIVISIONS
@@ -33,7 +33,7 @@ class TestSolverFailureModes:
 
         circuit.add(VoltageSource("Vg", "gate", GND, step(0.0, 1.6, 5e-9, t_rise=1e-12)))
         # dt far coarser than the gate rise time.
-        result = TransientSolver(circuit).run(t_stop=10e-9, dt=1e-9)
+        result = CircuitSession(circuit).simulate(t_stop=10e-9, dt=1e-9)
         assert result["a"][-1] == pytest.approx(0.0, abs=0.01)
 
     def test_isolated_node_regularized(self):
@@ -41,7 +41,7 @@ class TestSolverFailureModes:
         the system singular."""
         circuit = Circuit()
         circuit.add(Capacitor("C1", "float", GND, 1e-12, ic=0.7))
-        result = TransientSolver(circuit).run(t_stop=1e-10, dt=1e-11)
+        result = CircuitSession(circuit).simulate(t_stop=1e-10, dt=1e-11)
         assert result["float"][-1] == pytest.approx(0.7, abs=1e-6)
 
     def test_subdivision_limit_is_finite(self):
@@ -53,7 +53,7 @@ class TestSolverFailureModes:
         circuit.add(VoltageSource("V1", "a", GND, 1.0))
         circuit.add(VoltageSource("V2", "a", GND, 2.0))
         with pytest.raises(ConvergenceError, match="singular|subdivisions"):
-            TransientSolver(circuit).run(t_stop=1e-11, dt=1e-12)
+            CircuitSession(circuit).simulate(t_stop=1e-11, dt=1e-12)
 
 
 class TestEngineEdgeCases:

@@ -19,7 +19,7 @@ from repro.controller import build_policy
 from repro.experiments import run_fig4, run_table1
 from repro.retention import RefreshBinning, RetentionProfiler
 from repro.runner import ExperimentRunner, ResultCache
-from repro.sim import DRAMTiming, RefreshOverheadEvaluator
+from repro.sim import DRAMTiming, RefreshOverheadEvaluator, round_walk
 from repro.technology import BankGeometry, DEFAULT_TECH
 from repro.workloads import PARSEC_WORKLOADS, TraceGenerator
 
@@ -50,12 +50,12 @@ TIMELINE_RECIPE = dict(
 )
 
 
-def timeline_golden_rows(backend="fused"):
+def timeline_golden_rows(oracle=False):
     """CSV lines of the pinned fused-timeline run (mirrors regenerate.py).
 
-    ``backend="loop"`` produces the same statistic columns with
-    timeline telemetry blanked — used to assert the round walk still
-    agrees with the pinned fused numbers.
+    ``oracle=True`` prices with :func:`round_walk` instead: the same
+    statistic columns with timeline telemetry blanked — used to assert
+    the round walk still agrees with the pinned fused numbers.
     """
     recipe = TIMELINE_RECIPE
     timing = DRAMTiming.from_technology(DEFAULT_TECH)
@@ -71,7 +71,7 @@ def timeline_golden_rows(backend="fused"):
         policy = build_policy(
             name, DEFAULT_TECH, profile, binning, nbits=recipe["nbits"]
         )
-        evaluator = RefreshOverheadEvaluator(policy, timing, backend=backend)
+        evaluator = RefreshOverheadEvaluator(policy, timing)
         for benchmark in recipe["benchmarks"]:
             trace = (
                 TraceGenerator(
@@ -81,10 +81,11 @@ def timeline_golden_rows(backend="fused"):
                 if benchmark
                 else None
             )
-            stats = evaluator.evaluate(duration, trace)
-            if backend == "loop":
+            if oracle:
+                stats = round_walk(policy, timing, duration, trace)
                 crossings = resets = ""
             else:
+                stats = evaluator.evaluate(duration, trace)
                 report = evaluator.timeline.last_report
                 crossings, resets = report.crossings, report.resets
             lines.append(
@@ -146,6 +147,6 @@ class TestTimelineGolden:
             line.rsplit(",", 2)[0] for line in read_golden("timeline_fused.csv")
         ]
         loop_stats = [
-            line.rsplit(",", 2)[0] for line in timeline_golden_rows(backend="loop")
+            line.rsplit(",", 2)[0] for line in timeline_golden_rows(oracle=True)
         ]
         assert loop_stats == golden_stats

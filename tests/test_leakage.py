@@ -19,7 +19,8 @@ def model():
 class TestTau:
     def test_tau_pins_retention_definition(self, model):
         """Full charge decays exactly to the fail threshold at T_ret."""
-        assert model.verify_definition(0.3) < 1e-9
+        t_fail = model.time_to_failure(1.0, 0.3)
+        assert abs(t_fail - 0.3) / 0.3 < 1e-9
 
     def test_pattern_factor_shortens_tau(self, model):
         assert model.tau(0.3, pattern_factor=0.85) < model.tau(0.3, pattern_factor=1.0)

@@ -17,9 +17,9 @@ Pins the tentpole invariants of the mechanism registry refactor:
   rows that stay clean for the full streak and pins failing rows at
   the conservative rate, deterministically per seed;
 * **differential** — every new mechanism prices identically through
-  the fused timeline, the round walk, and the cycle-level engine
-  (``auto`` ≡ ``loop`` ≡ engine), and ``auto`` selects the round walk
-  for a scalar-only subclass of each, with results unchanged.
+  the evaluator's fused timeline, :func:`round_walk`, and the
+  cycle-level engine, and the evaluator takes the round walk for a
+  scalar-only subclass of each, with results unchanged.
 """
 
 import numpy as np
@@ -41,8 +41,8 @@ from repro.sim import (
     BankSimulator,
     DRAMTiming,
     MemoryTrace,
-    RankSimulator,
     RefreshOverheadEvaluator,
+    round_walk,
 )
 from repro.sim.schedule import should_defer_refresh
 from repro.technology import BankGeometry, DEFAULT_TECH
@@ -317,36 +317,6 @@ class TestDARP:
             > 0
         )
 
-    def test_rank_reorder_invariance(self):
-        geometry = BankGeometry(32, 8)
-        duration = TIMING.cycles(300 * MS)
-        rng = np.random.default_rng(9)
-        n = 1500
-        trace = MemoryTrace(
-            np.sort(rng.integers(0, duration, n)).astype(np.int64),
-            rng.integers(0, geometry.rows * 4, n).astype(np.int64),
-            rng.random(n) < 0.3,
-            name="rank-darp",
-        )
-
-        def run(name):
-            policies = [
-                build_policy(name, DEFAULT_TECH, *_profile_binning(geometry, 10 + b))
-                for b in range(4)
-            ]
-            return RankSimulator(policies, TIMING, geometry).run(
-                trace, duration_cycles=duration
-            )
-
-        fixed, darp = run("fixed"), run("darp")
-        for a, b in zip(fixed.per_bank_refresh, darp.per_bank_refresh):
-            assert _refresh_tuple(a) == _refresh_tuple(b)
-        assert darp.requests.n_requests == fixed.requests.n_requests
-        assert (
-            darp.requests.total_latency_cycles
-            <= fixed.requests.total_latency_cycles
-        )
-
 
 # ------------------------------------------------------------------ #
 # ChargeCache                                                         #
@@ -554,35 +524,32 @@ class TestMechanismDifferential:
 
     @pytest.mark.parametrize("name", NEW_MECHANISMS)
     @pytest.mark.parametrize("with_trace", (False, True))
-    def test_auto_loop_engine_identical(self, name, with_trace):
-        """Refresh pricing is backend-invariant despite the new seams."""
+    def test_fused_round_walk_engine_identical(self, name, with_trace):
+        """Refresh pricing is path-invariant despite the new seams."""
         geometry = BankGeometry(48, 8)
         duration = TIMING.cycles(600 * MS)
         trace = _trace(geometry, duration, n=800) if with_trace else None
         results = {}
-        for label in ("auto", "fused", "loop", "engine"):
+        for label in ("evaluator", "round-walk", "engine"):
             policy = _policy(name, geometry)
             if label == "engine":
                 stats = BankSimulator(policy, TIMING).run(
                     trace=trace, duration_cycles=duration
                 ).refresh
+            elif label == "round-walk":
+                stats = round_walk(policy, TIMING, duration, trace)
             else:
-                stats = RefreshOverheadEvaluator(
-                    policy, TIMING, backend=label
-                ).evaluate(duration, trace)
+                evaluator = RefreshOverheadEvaluator(policy, TIMING)
+                assert evaluator.backend == "fused"
+                stats = evaluator.evaluate(duration, trace)
             results[label] = _refresh_tuple(stats)
-        assert (
-            results["auto"]
-            == results["fused"]
-            == results["loop"]
-            == results["engine"]
-        )
+        assert results["evaluator"] == results["round-walk"] == results["engine"]
 
     @pytest.mark.parametrize("name", NEW_MECHANISMS)
     def test_scalar_subclass_falls_back_identically(self, name):
-        """``auto`` selects the round walk for a scalar-only subclass, results
-        unchanged and identical to the engine (PR 6's fallback contract
-        extended to every new mechanism)."""
+        """The evaluator takes the round walk for a scalar-only subclass,
+        results unchanged and identical to the engine (the fallback
+        contract extended to every new mechanism)."""
         base = _policy(name, BankGeometry(32, 8))
 
         class Scalar(type(base)):
@@ -599,33 +566,33 @@ class TestMechanismDifferential:
         duration = TIMING.cycles(400 * MS)
         trace = _trace(geometry, duration, n=300)
         results = {}
-        for label in ("auto", "loop", "engine"):
+        for label in ("evaluator", "round-walk", "engine"):
             policy = make()
             if label == "engine":
                 stats = BankSimulator(policy, TIMING).run(
                     trace=trace, duration_cycles=duration
                 ).refresh
+            elif label == "round-walk":
+                stats = round_walk(policy, TIMING, duration, trace)
             else:
-                evaluator = RefreshOverheadEvaluator(policy, TIMING, backend=label)
+                evaluator = RefreshOverheadEvaluator(policy, TIMING)
                 assert evaluator.backend == "loop"
                 stats = evaluator.evaluate(duration, trace)
             results[label] = _refresh_tuple(stats)
-        assert results["auto"] == results["loop"] == results["engine"]
+        assert results["evaluator"] == results["round-walk"] == results["engine"]
 
     def test_capability_selection_never_changes_statistics(self):
-        """Invariant 15 second half: ``auto``'s capability selection is
-        stats-neutral.
+        """Invariant 15 second half: the evaluator's capability selection
+        is stats-neutral.
 
-        Force the fused path and the loop path on the same mechanism and
-        compare — the selection can only pick between results that are
-        already identical."""
+        Price each mechanism on the fused path and with the round walk
+        and compare — the selection can only pick between results that
+        are already identical."""
         geometry = BankGeometry(48, 8)
         duration = TIMING.cycles(500 * MS)
         for name in NEW_MECHANISMS:
             fused = RefreshOverheadEvaluator(
-                _policy(name, geometry), TIMING, backend="fused"
+                _policy(name, geometry), TIMING
             ).evaluate(duration)
-            loop = RefreshOverheadEvaluator(
-                _policy(name, geometry), TIMING, backend="loop"
-            ).evaluate(duration)
+            loop = round_walk(_policy(name, geometry), TIMING, duration)
             assert _refresh_tuple(fused) == _refresh_tuple(loop), name

@@ -1,13 +1,32 @@
-"""Tests for the multi-bank rank simulator."""
+"""Tests for the multi-bank rank simulator.
+
+:func:`reference_rank_run` is the refresh-only rank event loop the
+fused per-bank and all-bank paths replaced, kept here as their oracle:
+a ``(due, bank, row)`` heap driving each bank's scalar ``refresh_row``
+FCFS on that bank, or the JEDEC ``REF`` cadence blocking every bank.
+"""
+
+import copy
+import functools
+import heapq
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.controller import build_policy
+from repro.controller import RefreshCommand, build_policy
 from repro.retention import RefreshBinning, RetentionProfiler
-from repro.sim import DRAMTiming, MemoryTrace, RankSimulator
-from repro.sim import rank as rank_module
+from repro.sim import (
+    ALL_BANK_ROWS_PER_REF,
+    DRAMTiming,
+    MemoryTrace,
+    RankSimulator,
+    RefreshStats,
+    all_bank_ref_interval,
+    all_bank_trfc,
+    first_deadlines,
+    period_cycles,
+)
 from repro.sim.timeline import union_length
 from repro.technology import BankGeometry, DEFAULT_TECH
 from repro.units import MS
@@ -17,14 +36,8 @@ TIMING = DRAMTiming.from_technology(TECH)
 GEO = BankGeometry(64, 8)
 N_BANKS = 4
 
-
-def _policies(name, seeds=range(N_BANKS)):
-    policies = []
-    for seed in seeds:
-        profile = RetentionProfiler(seed=100 + seed).profile(GEO)
-        binning = RefreshBinning().assign(profile)
-        policies.append(build_policy(name, TECH, profile, binning))
-    return policies
+#: Mechanisms the fused rank paths are pinned against the oracle on.
+RANK_MECHANISMS = ("fixed", "raidr", "vrl", "vrl-access", "darp")
 
 
 def _trace(n, duration, seed=0):
@@ -35,6 +48,99 @@ def _trace(n, duration, seed=0):
         is_write=rng.random(n) < 0.3,
         name="rank-trace",
     )
+
+
+@functools.lru_cache(maxsize=None)
+def _built(name, rows, seed):
+    """One bank's policy, built once per (mechanism, rows, seed)."""
+    geometry = BankGeometry(rows, 8)
+    profile = RetentionProfiler(seed=100 + seed).profile(geometry)
+    return build_policy(name, TECH, profile, RefreshBinning().assign(profile))
+
+
+def _policies(name, seeds=range(N_BANKS), rows=GEO.rows):
+    """Fresh copies of one policy per bank seed."""
+    return [copy.deepcopy(_built(name, rows, seed)) for seed in seeds]
+
+
+def reference_rank_run(policies, timing, geometry, duration_cycles, all_bank_refresh):
+    """The refresh-only rank event loop: the fused paths' oracle.
+
+    Per-bank mode pops ``(due, bank, row)`` deadlines from one heap,
+    lets the bank's policy decide each with ``refresh_row``, starts the
+    refresh once that bank is free, and re-pushes the row one period
+    later.  All-bank mode issues a ``REF`` every
+    :func:`all_bank_ref_interval` cycles that occupies every bank for
+    :func:`all_bank_trfc`.  Returns the per-bank statistics and the
+    blocked cycles (the interval-merge union of every busy window).
+    """
+    n_banks = len(policies)
+    stats = [RefreshStats(duration_cycles=duration_cycles) for _ in policies]
+    windows = []
+    for policy in policies:
+        policy.reset()
+    if all_bank_refresh:
+        trfc = all_bank_trfc(policies[0].tau_full)
+        busy_until = 0
+        interval = all_bank_ref_interval(timing, geometry.rows)
+        for due in range(0, duration_cycles, interval):
+            start = max(due, busy_until)
+            busy_until = start + trfc
+            windows.append((start, busy_until))
+            for bank_stats in stats:
+                bank_stats.refresh_cycles += trfc
+                bank_stats.full_refreshes += ALL_BANK_ROWS_PER_REF
+        return stats, _union_length(windows, duration_cycles)
+    periods = [period_cycles(policy, timing) for policy in policies]
+    heap = [
+        (int(due), bank, row)
+        for bank in range(n_banks)
+        for row, due in enumerate(
+            first_deadlines(periods[bank], bank_index=bank, n_banks=n_banks)
+        )
+    ]
+    heapq.heapify(heap)
+    busy_until = [0] * n_banks
+    while heap and heap[0][0] < duration_cycles:
+        due, bank, row = heapq.heappop(heap)
+        command = policies[bank].refresh_row(row)
+        start = max(due, busy_until[bank])
+        busy_until[bank] = start + command.latency_cycles
+        windows.append((start, busy_until[bank]))
+        stats[bank].record(command)
+        heapq.heappush(heap, (due + int(periods[bank][row]), bank, row))
+    return stats, _union_length(windows, duration_cycles)
+
+
+def _refresh_tuple(stats):
+    return (stats.full_refreshes, stats.partial_refreshes, stats.refresh_cycles,
+            stats.duration_cycles)
+
+
+def _policy_state(policy):
+    """A policy's mutable end state: its counter file, when it has one."""
+    rcount = getattr(policy, "rcount", None)
+    return None if rcount is None else rcount.values.tolist()
+
+
+def _assert_fused_matches_oracle(name, rows, n_banks, duration, all_bank):
+    fused_policies = _policies(name, range(n_banks), rows)
+    oracle_policies = _policies(name, range(n_banks), rows)
+    geometry = BankGeometry(rows, 8)
+    got = RankSimulator(
+        fused_policies, TIMING, geometry, all_bank_refresh=all_bank
+    ).run(duration)
+    want_stats, want_blocked = reference_rank_run(
+        oracle_policies, TIMING, geometry, duration, all_bank
+    )
+    where = f"[{name} rows={rows} banks={n_banks} duration={duration} all_bank={all_bank}]"
+    assert got.blocked_cycles == want_blocked, where
+    assert [_refresh_tuple(s) for s in got.per_bank_refresh] == [
+        _refresh_tuple(s) for s in want_stats
+    ], where
+    assert [_policy_state(p) for p in fused_policies] == [
+        _policy_state(p) for p in oracle_policies
+    ], where
 
 
 def _union_length(intervals, horizon):
@@ -96,36 +202,52 @@ class TestUnionLength:
         assert _union(intervals, horizon) == _union_length(intervals, horizon)
 
 
-class TestEventLoopBlockedCycles:
+class TestFusedMatchesOracle:
+    """Invariant 11 on the rank: fused ≡ the refresh-only event loop."""
+
+    @pytest.mark.parametrize("on_ref_grid", [False, True])
     @pytest.mark.parametrize("all_bank", [False, True])
-    def test_blocked_cycles_are_the_union_of_refresh_windows(
-        self, monkeypatch, all_bank
-    ):
-        """A traced run hands one busy window per refresh command to
-        :func:`union_length`, and its blocked cycles equal the
-        interval-merge oracle over those windows."""
-        seen = []
-
-        def spy(starts, ends, horizon):
-            seen.append((starts.tolist(), ends.tolist(), horizon))
-            return union_length(starts, ends, horizon)
-
-        monkeypatch.setattr(rank_module, "union_length", spy)
-        duration = TIMING.cycles(128 * MS)
-        result = RankSimulator(
-            _policies("vrl"), TIMING, GEO, all_bank_refresh=all_bank
-        ).run(_trace(600, duration), duration)
-        [(starts, ends, horizon)] = seen
-        assert horizon == duration
-        if all_bank:
-            rows_per_ref = rank_module.ALL_BANK_ROWS_PER_REF
-            commands = result.per_bank_refresh[0].full_refreshes // rows_per_ref
-        else:
-            commands = sum(s.total_refreshes for s in result.per_bank_refresh)
-        assert len(starts) == len(ends) == commands > 0
-        assert result.blocked_cycles == _union_length(
-            list(zip(starts, ends)), horizon
+    @pytest.mark.parametrize("name", RANK_MECHANISMS)
+    def test_pinned_configuration(self, name, all_bank, on_ref_grid):
+        """800 ms, or a horizon landing exactly on an all-bank REF."""
+        duration = (
+            60 * all_bank_ref_interval(TIMING, GEO.rows)
+            if on_ref_grid
+            else TIMING.cycles(800 * MS)
         )
+        _assert_fused_matches_oracle(name, GEO.rows, N_BANKS, duration, all_bank)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        name=st.sampled_from(RANK_MECHANISMS),
+        rows=st.sampled_from([16, 32, 48]),
+        n_banks=st.integers(1, 4),
+        horizon=st.one_of(
+            st.tuples(st.just("ms"), st.integers(1, 600), st.just(0)),
+            st.tuples(st.just("refs"), st.integers(1, 150), st.sampled_from([-1, 0, 1])),
+        ),
+        all_bank=st.booleans(),
+    )
+    def test_fused_rank_matches_oracle(self, name, rows, n_banks, horizon, all_bank):
+        """Per-bank stats, blocked cycles and policy end state agree over
+        drawn bank counts, row counts, refresh modes and horizons — in
+        milliseconds, or on and one cycle either side of the REF grid."""
+        unit, amount, offset = horizon
+        if unit == "ms":
+            duration = TIMING.cycles(amount * MS)
+        else:
+            duration = amount * all_bank_ref_interval(TIMING, rows) + offset
+        _assert_fused_matches_oracle(name, rows, n_banks, duration, all_bank)
+
+    def test_repeated_runs_start_fresh(self):
+        """Each run resets the policies: a second run prices the same."""
+        simulator = RankSimulator(_policies("vrl"), TIMING, GEO)
+        duration = TIMING.cycles(300 * MS)
+        first, second = simulator.run(duration), simulator.run(duration)
+        assert first.blocked_cycles == second.blocked_cycles
+        assert [_refresh_tuple(s) for s in first.per_bank_refresh] == [
+            _refresh_tuple(s) for s in second.per_bank_refresh
+        ]
 
 
 class TestRankValidation:
@@ -138,24 +260,44 @@ class TestRankValidation:
         with pytest.raises(ValueError, match="rows"):
             RankSimulator([policy], TIMING, BankGeometry(32, 8))
 
-    def test_requires_duration_or_trace(self):
+    @pytest.mark.parametrize("duration", [0, -5])
+    def test_requires_positive_duration(self, duration):
         sim = RankSimulator(_policies("raidr"), TIMING, GEO)
-        with pytest.raises(ValueError, match="duration"):
-            sim.run()
+        with pytest.raises(ValueError, match="duration must be positive"):
+            sim.run(duration)
 
-    def test_bad_bank_indices(self):
+    def test_trace_is_a_one_line_value_error(self):
         sim = RankSimulator(_policies("raidr"), TIMING, GEO)
-        duration = TIMING.cycles(10 * MS)
-        trace = _trace(10, duration)
-        with pytest.raises(ValueError, match="out of range"):
-            sim.run(trace, duration, bank_of_row=np.full(10, N_BANKS))
+        with pytest.raises(ValueError) as raised:
+            sim.run(_trace(10, TIMING.cycles(10 * MS)))
+        message = str(raised.value)
+        assert "\n" not in message
+        assert message.startswith("RankSimulator.run")
+        assert "MemoryTrace" in message
 
-    def test_bank_of_row_shape(self):
+    @pytest.mark.parametrize("keyword", ["trace", "backend", "bank_of_row"])
+    def test_traced_run_options_are_gone(self, keyword):
         sim = RankSimulator(_policies("raidr"), TIMING, GEO)
-        duration = TIMING.cycles(10 * MS)
-        trace = _trace(10, duration)
-        with pytest.raises(ValueError, match="shape"):
-            sim.run(trace, duration, bank_of_row=np.zeros(5, dtype=int))
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            sim.run(duration_cycles=1000, **{keyword: None})
+
+    @pytest.mark.parametrize("all_bank", [False, True])
+    def test_scalar_only_policy_rejected_at_construction(self, all_bank):
+        policies = _policies("vrl")
+        base = type(policies[1])
+
+        class ScalarVRL(base):
+            def refresh_row(self, row) -> RefreshCommand:
+                return super().refresh_row(row)
+
+        policies[1].__class__ = ScalarVRL
+        assert not policies[1].supports_fused_timeline()
+        with pytest.raises(ValueError) as raised:
+            RankSimulator(policies, TIMING, GEO, all_bank_refresh=all_bank)
+        message = str(raised.value)
+        assert "\n" not in message
+        assert message.startswith("RankSimulator: bank 1 policy 'vrl'")
+        assert "timeline_spec" in message
 
 
 class TestPerBankMode:
@@ -176,12 +318,13 @@ class TestPerBankMode:
         per_bank = [s.overhead for s in result.per_bank_refresh]
         assert max(per_bank) <= result.blocked_fraction <= sum(per_bank) + 1e-9
 
-    def test_requests_routed_to_banks(self):
-        sim = RankSimulator(_policies("raidr"), TIMING, GEO)
-        duration = TIMING.cycles(32 * MS)
-        trace = _trace(400, duration)
-        result = sim.run(trace, duration)
-        assert result.requests.n_requests == 400
+    @pytest.mark.parametrize("all_bank", [False, True])
+    def test_result_serves_no_requests(self, all_bank):
+        result = RankSimulator(
+            _policies("raidr"), TIMING, GEO, all_bank_refresh=all_bank
+        ).run(TIMING.cycles(32 * MS))
+        assert result.requests.n_requests == 0
+        assert result.requests.total_latency_cycles == 0
 
     def test_vrl_reduces_rank_refresh_cycles(self):
         duration = TIMING.cycles(1024 * MS)
@@ -200,13 +343,9 @@ class TestAllBankMode:
         duration = TIMING.trefi * 10
         result = sim.run(duration_cycles=duration)
         assert result.mode == "all-bank"
-        expected_refs = len(list(sim._all_bank_refreshes(duration)))
+        expected_refs = len(range(0, duration, all_bank_ref_interval(TIMING, GEO.rows)))
         counts = {s.full_refreshes for s in result.per_bank_refresh}
-        # Every bank saw every REF (each covering several rows).  The
-        # constant lives in the shared schedule layer; sim.rank
-        # re-exports it for back-compat.
-        from repro.sim.schedule import ALL_BANK_ROWS_PER_REF
-
+        # Every bank saw every REF (each covering several rows).
         assert counts == {expected_refs * ALL_BANK_ROWS_PER_REF}
 
     def test_per_bank_mode_blocks_rank_less(self):

@@ -25,7 +25,7 @@ import os
 import pytest
 
 from repro.circuit.netlist import Circuit, Element
-from repro.circuit.solver import MAX_SUBDIVISIONS, ConvergenceError, TransientSolver
+from repro.circuit.solver import MAX_SUBDIVISIONS, CircuitSession, ConvergenceError
 from repro.runner import (
     Cell,
     CellError,
@@ -504,7 +504,7 @@ def _divergent_cell(params):
     """Test-only cell kind: run a circuit whose Newton solve diverges."""
     circuit = Circuit(name="chatter-test")
     circuit.add(_DivergentSource())
-    TransientSolver(circuit).run(t_stop=1e-9, dt=1e-10)
+    CircuitSession(circuit).simulate(t_stop=1e-9, dt=1e-10)
     raise AssertionError("unreachable: divergent circuit converged")
 
 
@@ -519,7 +519,7 @@ class TestSolverFailurePropagation:
         """The PR 2 chattering netlist now *completes* via the rescue ladder."""
         circuit = Circuit(name="chatter-direct")
         circuit.add(_ChatteringSource())
-        result = TransientSolver(circuit).run(t_stop=1e-9, dt=1e-10)
+        result = CircuitSession(circuit).simulate(t_stop=1e-9, dt=1e-10)
         assert result.stats.rescues >= 1
         assert result.stats.rescue_reports[0].stage == "gmin"
         assert result.stats.rescue_reports[0].converged
@@ -530,7 +530,7 @@ class TestSolverFailurePropagation:
         circuit = Circuit(name="divergent-direct")
         circuit.add(_DivergentSource())
         with pytest.raises(ConvergenceError, match="subdivisions") as info:
-            TransientSolver(circuit).run(t_stop=1e-9, dt=1e-10)
+            CircuitSession(circuit).simulate(t_stop=1e-9, dt=1e-10)
         assert "rescue ladder exhausted" in str(info.value)
         assert info.value.report is not None
         assert not info.value.report.converged

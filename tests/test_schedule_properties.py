@@ -12,8 +12,10 @@ simply materializes the deadline stream:
   explicit ``arange`` of dues, for any horizon;
 * **bit-exact quantization** — vectorized :func:`period_cycles` equals
   the scalar ``timing.cycles(row_period(r))`` path row for row;
-* **tie-breaking** — :func:`refresh_wins_tie` is exactly
-  ``due <= request``;
+* **tie-breaking** — refresh wins ties: an access landing exactly on a
+  deadline restarts the *next* interval's cadence in
+  :func:`~repro.sim.timeline.access_resets`, which counts the
+  materialized deadlines at or before the access;
 * **all-bank REF pacing** — the tREFI stream covers every row once per
   conventional period.
 """
@@ -31,9 +33,9 @@ from repro.sim import (
     deadline_counts,
     first_deadlines,
     period_cycles,
-    refresh_wins_tie,
 )
 from repro.sim.schedule import CONVENTIONAL_PERIOD
+from repro.sim.timeline import access_resets
 from repro.technology import BankGeometry, DEFAULT_TECH
 
 TIMING = DRAMTiming.from_technology(DEFAULT_TECH)
@@ -111,14 +113,26 @@ class TestPeriodQuantization:
 
 class TestRefreshWinsTie:
     @given(
-        due=st.integers(min_value=0, max_value=10**9),
-        request=st.one_of(st.none(), st.integers(min_value=0, max_value=10**9)),
+        first=st.integers(min_value=0, max_value=5_000),
+        period=st.integers(min_value=1, max_value=5_000),
+        crossings=st.integers(min_value=0, max_value=20),
+        offset=st.sampled_from([-1, 0, 1]),
     )
-    def test_exact_oracle(self, due, request):
-        """Refresh is serviced first iff due at or before the request."""
-        assert refresh_wins_tie(due, request) == (
-            request is None or due <= request
+    def test_access_on_a_deadline_resets_the_next_interval(
+        self, first, period, crossings, offset
+    ):
+        """An access at cycle ``c`` lands in the interval after every
+        deadline due at or before ``c``: a deadline on ``c`` is served
+        first."""
+        cycle = max(0, first + crossings * period + offset)
+        _, ordinals = access_resets(
+            np.array([0], dtype=np.int64),
+            np.array([cycle], dtype=np.int64),
+            np.array([first], dtype=np.int64),
+            np.array([period], dtype=np.int64),
         )
+        served_first = len(np.arange(first, cycle + 1, period))
+        assert ordinals.tolist() == [served_first]
 
 
 class TestAllBankPacing:

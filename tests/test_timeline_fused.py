@@ -1,4 +1,4 @@
-"""Unit tests of the fused timeline: kernels, rank path, capability selection.
+"""Unit tests of the fused timeline: kernels, evaluator paths, fail-loud.
 
 The three-way differential harness
 (``tests/test_differential_engine_fastpath.py``) pins the fused
@@ -15,12 +15,14 @@ timeline against the engine end to end; this module tests its parts:
 * **access resets** — the bitmap :func:`access_resets` returns exactly
   what the sort-unique of packed keys it replaced returns, whole-bank
   and blocked;
-* **rank fused path** — per-bank and all-bank refresh-only runs match
-  the event loop bit for bit (stats, blocked cycles, counter state);
+* **evaluator paths** — the evaluator takes no ``backend=``; its
+  read-only ``backend`` follows the policy, and its fused path matches
+  :func:`round_walk`, the oracle (the rank's fused paths are pinned
+  against their event-loop oracle in ``tests/test_rank.py``);
 * **scalar fallback** — a policy customizing only scalar hooks (the
   ``examples/custom_policy.py`` VRL-Temp) reports
-  ``supports_fused_timeline() == False``, every ``auto`` consumer
-  selects the round walk, and forcing ``fused`` raises;
+  ``supports_fused_timeline() == False``, the evaluator prices it with
+  the round walk, and the fused timeline and the rank refuse it;
 * **fail loud** — a failure inside the fused kernels raises out of the
   evaluator and the rank simulator; no other path replays the input.
 """
@@ -43,6 +45,7 @@ from repro.sim import (
     MemoryTrace,
     RankSimulator,
     RefreshOverheadEvaluator,
+    round_walk,
     service_starts,
     union_length,
 )
@@ -358,124 +361,42 @@ class TestAccessResets:
             assert all(a.dtype == np.int64 for a in got)
 
 
-class TestRankFusedPath:
-    @pytest.mark.parametrize("all_bank", [False, True])
-    @pytest.mark.parametrize("policy_name", ["raidr", "vrl"])
-    def test_fused_matches_loop(self, all_bank, policy_name):
-        geometry = BankGeometry(64, 8)
-        duration = TIMING.cycles(800 * MS)
-        loop_policies = [
-            _policy(policy_name, geometry, profile_seed=s) for s in range(1, 5)
-        ]
-        fused_policies = [
-            _policy(policy_name, geometry, profile_seed=s) for s in range(1, 5)
-        ]
-        loop = RankSimulator(
-            loop_policies, TIMING, geometry, all_bank_refresh=all_bank
-        ).run(duration_cycles=duration, backend="loop")
-        fused = RankSimulator(
-            fused_policies, TIMING, geometry, all_bank_refresh=all_bank
-        ).run(duration_cycles=duration, backend="fused")
-        assert fused.blocked_cycles == loop.blocked_cycles
-        assert fused.mode == loop.mode
-        for got, want in zip(fused.per_bank_refresh, loop.per_bank_refresh):
-            assert got.full_refreshes == want.full_refreshes
-            assert got.partial_refreshes == want.partial_refreshes
-            assert got.refresh_cycles == want.refresh_cycles
-        if not all_bank and policy_name == "vrl":
-            for got, want in zip(fused_policies, loop_policies):
-                assert np.array_equal(got.rcount.values, want.rcount.values)
-
-    def test_auto_uses_fused_for_refresh_only(self):
-        """auto ≡ loop on a refresh-only run (the fused path serves it)."""
-        geometry = BankGeometry(48, 8)
-        duration = TIMING.cycles(600 * MS)
-        policies = [_policy("vrl", geometry, profile_seed=s) for s in (1, 2)]
-        auto = RankSimulator(policies, TIMING, geometry).run(
-            duration_cycles=duration
-        )
-        loop = RankSimulator(
-            [_policy("vrl", geometry, profile_seed=s) for s in (1, 2)],
-            TIMING, geometry,
-        ).run(duration_cycles=duration, backend="loop")
-        assert auto.blocked_cycles == loop.blocked_cycles
-        assert [s.refresh_cycles for s in auto.per_bank_refresh] == [
-            s.refresh_cycles for s in loop.per_bank_refresh
-        ]
-
-    def test_fused_rejects_traced_runs(self):
-        geometry = BankGeometry(32, 8)
-        policies = [_policy("vrl", geometry)]
-        trace = MemoryTrace(
-            np.array([10], dtype=np.int64), np.array([3], dtype=np.int64),
-            np.array([False]), name="one",
-        )
-        with pytest.raises(ValueError, match="refresh-only"):
-            RankSimulator(policies, TIMING, geometry).run(
-                trace=trace, backend="fused",
-                duration_cycles=TIMING.cycles(100 * MS),
-            )
-
-    def test_invalid_backend_rejected(self):
-        geometry = BankGeometry(32, 8)
-        policies = [_policy("vrl", geometry)]
-        with pytest.raises(ValueError, match="backend"):
-            RankSimulator(policies, TIMING, geometry).run(
-                duration_cycles=1000, backend="warp"
-            )
-
-    @pytest.mark.parametrize("all_bank", [False, True])
-    def test_auto_uses_the_event_loop_for_traced_runs(self, all_bank):
-        """auto ≡ loop on a traced run (only the event loop serves it)."""
-        geometry = BankGeometry(32, 8)
-        duration = TIMING.cycles(200 * MS)
-        rng = np.random.default_rng(9)
-        trace = MemoryTrace(
-            np.sort(rng.integers(0, duration, 80)).astype(np.int64),
-            rng.integers(0, geometry.rows, 80).astype(np.int64),
-            rng.random(80) < 0.5,
-            name="traced",
-        )
-        results = [
-            RankSimulator(
-                [_policy("vrl", geometry, profile_seed=s) for s in (1, 2)],
-                TIMING, geometry, all_bank_refresh=all_bank,
-            ).run(trace=trace, duration_cycles=duration, backend=backend)
-            for backend in ("auto", "loop")
-        ]
-        auto, loop = results
-        assert auto.blocked_cycles == loop.blocked_cycles
-        assert auto.requests.n_requests == len(trace)
-        assert auto.requests == loop.requests
-        assert [s.refresh_cycles for s in auto.per_bank_refresh] == [
-            s.refresh_cycles for s in loop.per_bank_refresh
-        ]
-
-
 class TestEvaluatorBackends:
-    def test_invalid_backend_rejected(self):
-        policy = _policy("vrl", BankGeometry(32, 8))
-        with pytest.raises(ValueError, match="backend"):
-            RefreshOverheadEvaluator(policy, TIMING, backend="warp")
-
     @pytest.mark.parametrize(
-        "build,error",
+        "build",
         [
-            (lambda p: RefreshOverheadEvaluator(p, TIMING, backend="numba"), ValueError),
-            (lambda p: RefreshOverheadEvaluator(p, TIMING, shadow_verify=1), TypeError),
-            (lambda p: FusedTimeline(p, TIMING, backend="numpy"), TypeError),
-            (lambda p: FusedTimeline(p, TIMING, epoch_cycles=1_000), TypeError),
+            lambda p: RefreshOverheadEvaluator(p, TIMING, backend="fused"),
+            lambda p: RefreshOverheadEvaluator(p, TIMING, backend="loop"),
+            lambda p: RefreshOverheadEvaluator(p, TIMING, backend="numba"),
+            lambda p: RefreshOverheadEvaluator(p, TIMING, shadow_verify=1),
+            lambda p: FusedTimeline(p, TIMING, backend="numpy"),
+            lambda p: FusedTimeline(p, TIMING, epoch_cycles=1_000),
         ],
-        ids=["evaluator-numba", "shadow_verify", "timeline-backend", "epoch_cycles"],
+        ids=[
+            "evaluator-fused", "evaluator-loop", "evaluator-numba",
+            "shadow_verify", "timeline-backend", "epoch_cycles",
+        ],
     )
-    def test_removed_options_are_rejected(self, build, error):
-        """One pricing path per input: no kernel or verification knobs."""
-        with pytest.raises(error, match="backend must be one of|unexpected keyword"):
+    def test_removed_options_are_rejected(self, build):
+        """One pricing path per input: no backend, kernel or verification knobs."""
+        with pytest.raises(TypeError, match="unexpected keyword"):
             build(_policy("vrl", BankGeometry(32, 8)))
 
-    @pytest.mark.parametrize("backend", ["auto", "fused", "loop"])
-    def test_every_listed_backend_prices_identically(self, backend):
-        """Each accepted value is kept as given and prices the same stats."""
+    @pytest.mark.parametrize("name", ["fixed", "raidr", "vrl", "vrl-access"])
+    def test_backend_follows_the_policy(self, name):
+        evaluator = RefreshOverheadEvaluator(_policy(name, BankGeometry(32, 8)), TIMING)
+        assert evaluator.backend == "fused"
+        assert isinstance(evaluator.timeline, FusedTimeline)
+
+    def test_backend_is_read_only(self):
+        evaluator = RefreshOverheadEvaluator(_policy("vrl", BankGeometry(32, 8)), TIMING)
+        with pytest.raises(AttributeError):
+            evaluator.backend = "loop"
+
+    @pytest.mark.parametrize("with_trace", [False, True])
+    @pytest.mark.parametrize("name", ["fixed", "raidr", "vrl", "vrl-access"])
+    def test_fused_matches_round_walk(self, name, with_trace):
+        """The evaluator's fused path ≡ :func:`round_walk`, the oracle."""
         geometry = BankGeometry(32, 8)
         duration = TIMING.cycles(300 * MS)
         rng = np.random.default_rng(6)
@@ -484,34 +405,14 @@ class TestEvaluatorBackends:
             rng.integers(0, geometry.rows, 60).astype(np.int64),
             rng.random(60) < 0.5,
             name="priced",
+        ) if with_trace else None
+        got = RefreshOverheadEvaluator(_policy(name, geometry), TIMING).evaluate(
+            duration, trace
         )
-        evaluator = RefreshOverheadEvaluator(
-            _policy("vrl-access", geometry), TIMING, backend=backend
-        )
-        assert evaluator.backend == backend
-        got = evaluator.evaluate(duration, trace)
-        want = RefreshOverheadEvaluator(
-            _policy("vrl-access", geometry), TIMING, backend="loop"
-        ).evaluate(duration, trace)
+        want = round_walk(_policy(name, geometry), TIMING, duration, trace)
         assert got.full_refreshes == want.full_refreshes
         assert got.partial_refreshes == want.partial_refreshes
         assert got.refresh_cycles == want.refresh_cycles
-
-    @pytest.mark.parametrize("owner", ["evaluator", "rank"])
-    def test_unknown_backend_is_a_one_line_value_error(self, owner):
-        geometry = BankGeometry(32, 8)
-        policy = _policy("vrl", geometry)
-        with pytest.raises(ValueError) as raised:
-            if owner == "evaluator":
-                RefreshOverheadEvaluator(policy, TIMING, backend="gpu")
-            else:
-                RankSimulator([policy], TIMING, geometry).run(
-                    duration_cycles=1000, backend="gpu"
-                )
-        message = str(raised.value)
-        assert "\n" not in message
-        assert message.startswith("backend must be one of ('auto', 'fused', 'loop')")
-        assert message.endswith("got 'gpu'")
 
     def test_refresh_stats_matches_run(self):
         """The evaluator's fused path ≡ ``BankSimulator.run().refresh``."""
@@ -532,9 +433,8 @@ def _broken_kernel(*args, **kwargs):
 class TestFailLoud:
     """A fused-kernel failure raises; no other path replays the input."""
 
-    @pytest.mark.parametrize("backend", ["auto", "fused"])
     @pytest.mark.parametrize("kernel", ["segmented_fulls", "access_resets"])
-    def test_evaluator_raises_fused_kernel_failure(self, monkeypatch, backend, kernel):
+    def test_evaluator_raises_fused_kernel_failure(self, monkeypatch, kernel):
         monkeypatch.setattr(timeline_module, kernel, _broken_kernel)
         geometry = BankGeometry(32, 8)
         duration = TIMING.cycles(100 * MS)
@@ -545,25 +445,21 @@ class TestFailLoud:
             rng.random(50) < 0.5,
             name="fail-loud",
         )
-        evaluator = RefreshOverheadEvaluator(
-            _policy("vrl-access", geometry), TIMING, backend=backend
-        )
+        evaluator = RefreshOverheadEvaluator(_policy("vrl-access", geometry), TIMING)
         with pytest.raises(RuntimeError, match="fused kernel exploded"):
             evaluator.evaluate(duration, trace)
 
-    @pytest.mark.parametrize("backend", ["auto", "fused"])
     @pytest.mark.parametrize(
         "all_bank,kernel",
         [
             (False, "crossing_kinds"),
             (False, "service_starts"),
+            (False, "union_length"),
             (True, "service_starts"),
             (True, "union_length"),
         ],
     )
-    def test_rank_raises_fused_kernel_failure(
-        self, monkeypatch, backend, all_bank, kernel
-    ):
+    def test_rank_raises_fused_kernel_failure(self, monkeypatch, all_bank, kernel):
         monkeypatch.setattr(rank_module, kernel, _broken_kernel)
         geometry = BankGeometry(32, 8)
         policies = [_policy("vrl", geometry, profile_seed=s) for s in (1, 2)]
@@ -571,9 +467,9 @@ class TestFailLoud:
             policies, TIMING, geometry, all_bank_refresh=all_bank
         )
         with pytest.raises(RuntimeError, match="fused kernel exploded"):
-            simulator.run(duration_cycles=TIMING.cycles(100 * MS), backend=backend)
+            simulator.run(duration_cycles=TIMING.cycles(100 * MS))
 
-    @pytest.mark.parametrize("owner", ["timeline", "evaluator", "rank"])
+    @pytest.mark.parametrize("owner", ["timeline", "evaluator", "round-walk", "rank"])
     def test_input_validation_raises_before_pricing(self, owner):
         geometry = BankGeometry(32, 8)
         policy = _policy("vrl", geometry)
@@ -581,6 +477,9 @@ class TestFailLoud:
             price = FusedTimeline(policy, TIMING).evaluate
         elif owner == "evaluator":
             price = RefreshOverheadEvaluator(policy, TIMING).evaluate
+        elif owner == "round-walk":
+            def price(duration):
+                return round_walk(policy, TIMING, duration)
         else:
             simulator = RankSimulator([policy], TIMING, geometry)
 
@@ -618,17 +517,27 @@ class TestScalarFallback:
         policy = self._custom_policy(BankGeometry(32, 8))
         assert not policy.supports_fused_timeline()
 
-    def test_forced_fused_raises(self):
+    def test_fused_timeline_refuses_it(self):
         policy = self._custom_policy(BankGeometry(32, 8))
-        with pytest.raises(ValueError, match="timeline_spec"):
+        with pytest.raises(ValueError, match="timeline_spec") as raised:
             FusedTimeline(policy, TIMING)
-        with pytest.raises(ValueError, match="round walk|timeline_spec"):
-            RefreshOverheadEvaluator(policy, TIMING, backend="fused").evaluate(
-                TIMING.cycles(100 * MS)
-            )
+        assert "round_walk" in str(raised.value)
+        assert "backend" not in str(raised.value)
 
-    def test_auto_falls_back_and_matches_engine(self):
-        """``auto`` ≡ ``loop`` ≡ engine for the scalar-only policy."""
+    def test_rank_refuses_it(self):
+        geometry = BankGeometry(32, 8)
+        with pytest.raises(ValueError, match="RankSimulator: bank 0 policy 'vrl-temp'"):
+            RankSimulator([self._custom_policy(geometry)], TIMING, geometry)
+
+    def test_evaluator_takes_the_round_walk(self):
+        policy = self._custom_policy(BankGeometry(32, 8))
+        evaluator = RefreshOverheadEvaluator(policy, TIMING)
+        assert evaluator.backend == "loop"
+        assert evaluator.timeline is None
+        assert evaluator.reads_trace
+
+    def test_round_walk_matches_engine(self):
+        """evaluator ≡ ``round_walk`` ≡ engine for the scalar-only policy."""
         geometry = BankGeometry(32, 8)
         duration = TIMING.cycles(800 * MS)
         rng = np.random.default_rng(3)
@@ -639,23 +548,21 @@ class TestScalarFallback:
             name="fallback",
         )
         results = {}
-        for label in ("auto", "loop", "engine"):
+        for label in ("evaluator", "round-walk", "engine"):
             policy = self._custom_policy(geometry)
             if label == "engine":
                 stats = BankSimulator(policy, TIMING).run(
                     trace=trace, duration_cycles=duration
                 ).refresh
+            elif label == "round-walk":
+                stats = round_walk(policy, TIMING, duration, trace)
             else:
-                evaluator = RefreshOverheadEvaluator(
-                    policy, TIMING, backend=label
-                )
-                assert evaluator.backend == "loop"
-                stats = evaluator.evaluate(duration, trace)
+                stats = RefreshOverheadEvaluator(policy, TIMING).evaluate(duration, trace)
             results[label] = (
                 stats.full_refreshes, stats.partial_refreshes,
                 stats.refresh_cycles,
             )
-        assert results["auto"] == results["loop"] == results["engine"]
+        assert results["evaluator"] == results["round-walk"] == results["engine"]
 
     def test_builtin_policies_stay_fused(self):
         geometry = BankGeometry(32, 8)

@@ -13,7 +13,7 @@ import copy
 
 import pytest
 
-from repro.controller import MECHANISMS, FGRPolicy, build_policy
+from repro.controller import MECHANISMS, FGRPolicy, RefreshCommand, build_policy
 from repro.retention import RefreshBinning, RetentionProfiler
 from repro.runner import compute_cell, shared_build_cache_info, tech_params
 from repro.sim import DRAMTiming, RefreshOverheadEvaluator
@@ -97,7 +97,15 @@ class TestReadsTraceOracle:
 
     def test_round_walk_is_conservative(self, bank):
         policy = _cell_policy("raidr", bank)
-        assert RefreshOverheadEvaluator(policy, TIMING, backend="loop").reads_trace
+
+        class ScalarRAIDR(type(policy)):
+            def refresh_row(self, row) -> RefreshCommand:
+                return super().refresh_row(row)
+
+        policy.__class__ = ScalarRAIDR
+        evaluator = RefreshOverheadEvaluator(policy, TIMING)
+        assert evaluator.backend == "loop"
+        assert evaluator.reads_trace
 
 
 class TestUnknownBenchmarkFails:
