@@ -11,24 +11,28 @@ lanes and advances them in lockstep —
   only things that differ between lanes;
 * each Newton round assembles and solves only the still-active lanes
   (per-lane convergence masks: converged lanes stop iterating);
-* the dense path solves the stacked ``(k, size+1, size+1)`` systems in
-  one LAPACK call, the sparse path factors one block-diagonal CSC
-  matrix, and device-free circuits share a single factorization across
-  every lane and step;
+* the dense path linearizes every lane's devices in one vectorized call
+  and solves each lane with the scalar path's own LAPACK ``dgesv``, the
+  sparse path factors one block-diagonal CSC matrix, and device-free
+  circuits share a single factorization across every lane and step;
 * a lane that batched Newton cannot converge (or whose system goes
   singular) falls back to the inherited scalar path for that one step —
   subdivision halving and then the gmin/source-stepping rescue ladder
   (:mod:`repro.circuit.rescue`) run *per lane*, never aborting or
   perturbing the healthy lanes.
 
-Numerical contract (architecture invariant 14): each lane's waveform
-matches a scalar :class:`~repro.circuit.solver.CircuitSession` run of
-the same circuit/overrides to within the documented 2 mV circuit
-envelope; the shared-factorization (device-free) and reference-fallback
-paths are bit-identical, and the dense device path differs only by the
-independently-compiled LAPACK batch kernel (sub-microvolt in practice).
-Circuits with opaque user elements fall back to per-lane scalar
-simulation, preserving exact scalar semantics including rescues.
+Numerical contract (architecture invariant 14): on the dense device
+path each lane of a fixed-step batch is bit-identical to a scalar
+:class:`~repro.circuit.solver.CircuitSession` run of the same circuit
+and overrides, by construction — the same stamps and the same ``dgesv``
+on the same system.  The reference-fallback path is bit-identical too,
+the shared-factorization (device-free) path agrees to machine
+precision, and the sparse block-diagonal SuperLU path stays within the
+documented 2 mV circuit envelope.  Adaptive batches share one step
+controller (the worst lane sets the step), so their lanes stay within
+that envelope of solo adaptive runs.  Circuits with opaque user
+elements fall back to per-lane scalar simulation, preserving exact
+scalar semantics including rescues.
 """
 
 from __future__ import annotations
@@ -518,26 +522,31 @@ class BatchedCircuitSession(CircuitSession):
             )
             active = np.arange(n_lanes)
             for _ in range(self.max_newton):
-                X_next, solved = iterate(XP_new[active], active)
-                stats.newton_iterations += int(np.count_nonzero(solved))
-                if not solved.all():
+                XP_active = XP_new[active]
+                X_next, solved = iterate(XP_active, active)
+                n_solved = int(np.count_nonzero(solved))
+                stats.newton_iterations += n_solved
+                if n_solved < active.size:
                     active = active[solved]
                     X_next = X_next[solved]
+                    XP_active = XP_active[solved]
                     if active.size == 0:
                         break
                 if n_nodes:
-                    diff = np.abs(X_next[:, :n_nodes] - XP_new[active, :n_nodes])
+                    diff = np.abs(X_next[:, :n_nodes] - XP_active[:, :n_nodes])
                     delta = diff.max(axis=1)
                 else:
                     delta = np.zeros(active.size)
                 damp = delta > _MAX_NEWTON_STEP
-                if damp.any():
+                if not damp.any():
+                    XP_new[active, :size] = X_next
+                else:
                     idx = active[damp]
                     XP_new[idx, :size] += (X_next[damp] - XP_new[idx, :size]) * (
                         _MAX_NEWTON_STEP / delta[damp]
                     )[:, None]
-                if not damp.all():
-                    XP_new[active[~damp], :size] = X_next[~damp]
+                    if not damp.all():
+                        XP_new[active[~damp], :size] = X_next[~damp]
                 done = delta < self.abstol
                 converged[active[done]] = True
                 active = active[~done]

@@ -10,11 +10,17 @@ and partitions the circuit (:meth:`Circuit.partition`):
   size.  They are flattened into COO index/value arrays and summed into
   a cached base matrix per distinct ``dt``.
 * **Nonlinear devices** (square-law MOSFETs) are lowered to parallel
-  numpy arrays (``beta``/``vt``/``lambda``/polarity plus terminal
-  indices).  Each Newton iteration evaluates every device's current and
-  small-signal conductances in a handful of vectorized expressions and
-  scatter-adds them into a *copy* of the cached linear base — no Python
-  per-element loop, no re-stamping of linear parts.
+  parameter arrays (``beta``/``vt``/``lambda``/polarity plus terminal
+  indices).  A one-lane Newton round linearizes them on Python floats
+  (:meth:`CompiledCircuit._linearize`, cheaper than numpy calls on a
+  handful of devices) and scatter-adds the stamps, through positions
+  cached per swap pattern, into a *copy* of the cached linear base and
+  the step's RHS held in one padded ``[G | I]`` buffer — one
+  ``np.add.at``, no re-stamping of linear parts.  Batched rounds
+  evaluate every lane's devices in one vectorized
+  :meth:`CompiledCircuit._device_stamps` call.  The two laws are the
+  same operations in the same order, so their stamps are bit-identical
+  (``tests/test_circuit_linearize.py``).
 * **The sparsity pattern** is precomputed.  Above
   :data:`~repro.circuit.solver.SPARSE_THRESHOLD` unknowns the base is a
   CSC data vector over the exact union pattern (linear entries, both
@@ -40,10 +46,18 @@ Both assemblers expose the same two entry points consumed by
 * ``system_matrices(x, v_prev, t, dt)`` → the dense ``(G, I)`` pair for
   verification (architecture invariant 10: compiled and reference
   stamping produce identical MNA systems).
+
+The compiled assembler adds ``prepare_step_batched`` for
+:class:`~repro.circuit.batched.BatchedCircuitSession`: dense lanes are
+solved one ``dgesv`` call each, the scalar path's own LAPACK routine, so
+each lane is bit-identical to its scalar run (architecture invariant 14).
+Dense matrices are stored column-major, the layout LAPACK reads, so both
+paths have ``dgesv`` factor and solve their round buffers in place.
 """
 
 from __future__ import annotations
 
+import functools
 import warnings
 from typing import Callable, List, Optional, Tuple
 
@@ -79,6 +93,20 @@ _FET_STAMPS = (
     ("s", "g", "gm", -1.0),
     ("s", "s", "gm", +1.0),
 )
+
+
+@functools.cache
+def _lapack_dgesv():
+    """SciPy's LAPACK ``dgesv``, imported on first use: the CLI loads no
+    SciPy, and only circuit solves need it."""
+    from scipy.linalg.lapack import dgesv
+
+    return dgesv
+
+
+#: Swap patterns whose scatter positions a compiled circuit keeps; the
+#: cache is cleared when full (a pattern costs ten positions per device).
+_SCATTER_CACHE_SIZE = 1024
 
 
 def build_assembler(circuit: Circuit, size: int, sparse: bool):
@@ -209,9 +237,38 @@ class CompiledCircuit:
         f_d = np.array([f._indices[0] for f in nonlinear], dtype=np.intp).reshape(n_fet)
         f_g = np.array([f._indices[1] for f in nonlinear], dtype=np.intp).reshape(n_fet)
         f_s = np.array([f._indices[2] for f in nonlinear], dtype=np.intp).reshape(n_fet)
-        self._f_d_gather = np.where(f_d < 0, pad, f_d)
-        self._f_g_gather = np.where(f_g < 0, pad, f_g)
-        self._f_s_gather = np.where(f_s < 0, pad, f_s)
+        d_gather = np.where(f_d < 0, pad, f_d)
+        g_gather = np.where(f_g < 0, pad, f_g)
+        s_gather = np.where(f_s < 0, pad, f_s)
+        # One gather of every (drain, gate, source) terminal, with the
+        # matching polarity per entry.
+        self._f_gather = np.concatenate([d_gather, g_gather, s_gather])
+        self._f_params = (
+            self._f_beta,
+            self._f_vt,
+            self._f_lam,
+            self._f_pol,
+            np.tile(self._f_pol, 3),
+        )
+        # ... and as columns, against ``(n, L)`` lane arrays.
+        self._f_lane_params = tuple(p[:, None] for p in self._f_params)
+        # The same parameters as Python scalars for the one-lane round.
+        self._fets = list(
+            zip(
+                d_gather.tolist(),
+                g_gather.tolist(),
+                s_gather.tolist(),
+                self._f_beta.tolist(),
+                self._f_vt.tolist(),
+                self._f_lam.tolist(),
+                self._f_pol.tolist(),
+            )
+        )
+        # Scatter positions of one round's device stamps into the padded
+        # [G | I] buffer, keyed by the devices' swap pattern.
+        self._scatter_cache: dict = {}
+        # Per-lane-count round buffers and scatter tables of batched steps.
+        self._lane_cache: dict = {}
 
         if sparse:
             self._build_sparse_structure(f_d, f_g, f_s)
@@ -257,29 +314,61 @@ class CompiledCircuit:
                 rhs[swapped][dev, 1] = s_eff if s_eff >= 0 else pad_pos
         return pos[False], pos[True], rhs[False], rhs[True]
 
+    def _set_scatter_tables(self, pos_normal, pos_swapped, rhs_normal, rhs_swapped) -> None:
+        """Positions of the device stamps in a padded ``[G | I]`` buffer.
+
+        One table per orientation, ``(10 n,)``, in stamp order: every
+        device's eight Jacobian stamps (device-major, following
+        :data:`_FET_STAMPS`), every drain RHS row, then every source RHS
+        row.  ``_entry_device`` maps each entry to its device, so a swap
+        mask picks each device's orientation.
+        """
+        n = len(pos_normal)
+        offset = self._rhs_offset
+
+        def table(pos, rhs):
+            return np.concatenate([pos.ravel(), rhs[:, 0] + offset, rhs[:, 1] + offset])
+
+        self._index_normal = table(pos_normal, rhs_normal)
+        self._index_swapped = table(pos_swapped, rhs_swapped)
+        devices = np.arange(n, dtype=np.intp)
+        self._entry_device = np.concatenate([np.repeat(devices, 8), devices, devices])
+        # Where each stamp value sits in :meth:`_device_stamps`' six rows
+        # (gds, gm, ieq, -gds, -gm, -ieq), in stamp order.
+        gds, gm, ieq, neg_gds, neg_gm, neg_ieq = (devices + r * n for r in range(6))
+        jacobian = np.stack((gds, gds, neg_gds, neg_gds, gm, neg_gm, neg_gm, gm), axis=-1)
+        self._stamp_order = np.concatenate([jacobian.ravel(), neg_ieq, ieq])
+
     def _build_dense_structure(self, f_d, f_g, f_s) -> None:
-        """Dense backend: flat indices into a ``(size+1, size+1)`` pad matrix."""
+        """Dense backend: flat indices into a ``(size+1, size+1)`` pad matrix.
+
+        The matrix is stored column-major (entry ``(i, j)`` at flat index
+        ``j * stride + i``), the layout LAPACK reads, so a round hands
+        ``dgesv`` its buffer without a transposing copy.
+        """
         size = self.size
         stride = size + 1
-        self._lin_flat = self._lin_rows * stride + self._lin_cols
+        self._lin_flat = self._lin_cols * stride + self._lin_rows
         self._diag_flat = np.arange(self.n_nodes, dtype=np.intp) * stride + np.arange(
             self.n_nodes, dtype=np.intp
         )
         pad_pos = size * stride + size  # the (size, size) discard cell
 
         def locate(i: int, j: int) -> int:
-            return int(i) * stride + int(j)
+            return int(j) * stride + int(i)
 
-        (
-            self._pos_normal,
-            self._pos_swapped,
-            self._rhs_normal,
-            self._rhs_swapped,
-        ) = self._fet_positions(f_d, f_g, f_s, locate, pad_pos)
-        # RHS scatter targets index the padded I vector directly (pad row
-        # = size), not the flat matrix; rebuild them with that mapping.
-        self._rhs_normal = np.where(self._rhs_normal == pad_pos, size, self._rhs_normal)
-        self._rhs_swapped = np.where(self._rhs_swapped == pad_pos, size, self._rhs_swapped)
+        pos_normal, pos_swapped, rhs_normal, rhs_swapped = self._fet_positions(
+            f_d, f_g, f_s, locate, pad_pos
+        )
+        # RHS scatter targets index the padded I vector (pad row = size),
+        # which follows the padded matrix in [G | I] buffers.
+        self._rhs_offset = stride * stride
+        self._set_scatter_tables(
+            pos_normal,
+            pos_swapped,
+            np.where(rhs_normal == pad_pos, size, rhs_normal),
+            np.where(rhs_swapped == pad_pos, size, rhs_swapped),
+        )
 
     def _build_sparse_structure(self, f_d, f_g, f_s) -> None:
         """Sparse backend: canonical CSC pattern + slot→data-offset maps."""
@@ -340,15 +429,19 @@ class CompiledCircuit:
         self._csc_indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
         self._lin_pos = slot_pos[: len(self._lin_rows)]
         pad_pos = nnz  # data vectors carry one discard slot at the end
+        # The padded I vector follows the data vector in [data | I] buffers.
+        self._rhs_offset = nnz + 1
 
         def map_pos(arr):
             out = slot_pos[np.where(arr >= 0, arr, 0)]
             return np.where(arr >= 0, out, pad_pos)
 
-        self._pos_normal = map_pos(pos_arrays[False])
-        self._pos_swapped = map_pos(pos_arrays[True])
-        self._rhs_normal = rhs_arrays[False]
-        self._rhs_swapped = rhs_arrays[True]
+        self._set_scatter_tables(
+            map_pos(pos_arrays[False]),
+            map_pos(pos_arrays[True]),
+            rhs_arrays[False],
+            rhs_arrays[True],
+        )
         self._diag_pos = slot_pos[np.asarray(diag_slots, dtype=np.intp)]
 
     # ------------------------------------------------------------------ #
@@ -359,45 +452,51 @@ class CompiledCircuit:
         """Values of the linear conductance entries at step size ``dt``."""
         return self._lin_const + self._lin_coef / dt
 
+    def _assemble_linear(self, dt: float) -> np.ndarray:
+        """The padded dense matrix (column-major: its transpose as a C
+        array) or CSC data vector (with its discard slot) holding every
+        linear stamp at step size ``dt``."""
+        vals = self._linear_values(dt)
+        if self.sparse:
+            base = np.zeros(self._nnz + 1)
+            np.add.at(base, self._lin_pos, vals)
+        else:
+            base = np.zeros((self.size + 1, self.size + 1))
+            np.add.at(base.ravel(), self._lin_flat, vals)
+        return base
+
     def _linear_base(self, dt: float, stats) -> tuple:
         """The cached ``(base, factor)`` pair for step size ``dt``.
 
-        ``base`` is the padded dense matrix or the CSC data vector with
-        all linear stamps applied.  ``factor`` is a reusable
+        ``base`` is :meth:`_assemble_linear`'s.  ``factor`` is a reusable
         factorization when the circuit has no nonlinear devices (the
         matrix is then constant for the whole ``dt``), else ``None``.
         """
         if self._lin_cache_dt == dt:
             return self._lin_cache_base, self._lin_cache_factor
         size = self.size
-        vals = self._linear_values(dt)
+        base = self._assemble_linear(dt)
         factor = None
-        if self.sparse:
-            base = np.zeros(self._nnz + 1)
-            np.add.at(base, self._lin_pos, vals)
-            if self.n_devices == 0:
-                data = base[: self._nnz].copy()
-                zero = data[self._diag_pos] == 0.0
-                if zero.any():
-                    data[self._diag_pos[zero]] = 1e-12
-                try:
-                    factor = self._sparse_factor(data, stats)
-                except SingularSystemError:
-                    # Leave the cached factor empty: the per-iteration
-                    # path retries (with any rescue gmin applied) and
-                    # raises there if the system is truly singular.
-                    factor = None
-        else:
-            base = np.zeros((size + 1, size + 1))
-            np.add.at(base.ravel(), self._lin_flat, vals)
-            if self.n_devices == 0:
-                G = base[:size, :size].copy()
-                flat = G.ravel()
-                diag = np.arange(self.n_nodes, dtype=np.intp) * (size + 1)
-                zero = flat[diag] == 0.0
-                if zero.any():
-                    flat[diag[zero]] = 1e-12
-                factor = self._dense_factor(G, stats)
+        if self.n_devices == 0 and self.sparse:
+            data = base[: self._nnz].copy()
+            zero = data[self._diag_pos] == 0.0
+            if zero.any():
+                data[self._diag_pos[zero]] = 1e-12
+            try:
+                factor = self._sparse_factor(data, stats)
+            except SingularSystemError:
+                # Leave the cached factor empty: the per-iteration
+                # path retries (with any rescue gmin applied) and
+                # raises there if the system is truly singular.
+                factor = None
+        elif self.n_devices == 0:
+            G = base.T[:size, :size].copy()
+            flat = G.ravel()
+            diag = np.arange(self.n_nodes, dtype=np.intp) * (size + 1)
+            zero = flat[diag] == 0.0
+            if zero.any():
+                flat[diag[zero]] = 1e-12
+            factor = self._dense_factor(G, stats)
         self._lin_cache_dt = dt
         self._lin_cache_base = base
         self._lin_cache_factor = factor
@@ -472,41 +571,51 @@ class CompiledCircuit:
         build, with matching scatter order for duplicate history rows.
         """
         L = XP_prev.shape[0]
-        I = np.zeros((L, self.size + 1))
+        stride = self.size + 1
+        I = np.zeros((L, stride))
         if len(self._h_coef):
-            hist = (self._h_coef / dt) * (
-                XP_prev[:, self._h_a] - XP_prev[:, self._h_b]
-            )
-            lanes = np.arange(L, dtype=np.intp)[:, None]
-            np.add.at(I, (lanes, self._h_row[None, :]), hist)
+            hist = (self._h_coef / dt) * (XP_prev[:, self._h_a] - XP_prev[:, self._h_b])
+            rows = self._h_row + (np.arange(L, dtype=np.intp) * stride)[:, None]
+            np.add.at(I.reshape(-1), rows.reshape(-1), hist.reshape(-1))
         scale = np.asarray(source_scale, dtype=float)
-        for row, wave in zip(self._vs_rows, self._vs_waves):
-            I[:, row] += scale * wave(t)
+        if self._vs_rows:
+            # Branch rows are distinct, so one fancy += adds each source
+            # exactly as a per-row loop would.
+            waves = np.array([wave(t) for wave in self._vs_waves], dtype=float)
+            I[:, self._vs_rows] += scale[..., None] * waves
         for ra, rb, wave in zip(self._is_rows_a, self._is_rows_b, self._is_waves):
             value = scale * wave(t)
             I[:, ra] -= value
             I[:, rb] += value
         return I
 
-    def _device_stamps(self, xp: np.ndarray):
+    def _device_stamps(self, xp: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Vectorized linearization of every MOSFET at iterate ``xp``.
 
-        Returns ``(pos, vals, rhs_pos, ieq)``: Jacobian scatter positions
-        and values ``(n, 8)``, RHS rows ``(n, 2)``, and equivalent
-        currents ``(n,)``.  The clamped form below is algebraically
-        identical to ``_MOSFET._ids`` in every operating region, so the
-        compiled system matches the reference one to rounding (a couple
-        of ulps from reassociated products).
+        Returns ``(swap, values)``: each device's drain/source swap flag
+        ``(n,)`` and its stamp values ``(10 n,)`` in scatter order —
+        every device's eight Jacobian stamps (device-major), every drain
+        ``-ieq``, then every source ``+ieq`` — whose positions
+        :meth:`_scatter_positions` gives.  The clamped form below is
+        algebraically identical to ``_MOSFET._ids`` in every operating
+        region, so the compiled system matches the reference one to
+        rounding (a couple of ulps from reassociated products).
 
         ``xp`` may also be a stacked ``(L, size + 1)`` batch of lane
-        states; every returned array then grows a leading lane axis.
+        states; both arrays then grow a trailing lane axis, ``(n, L)`` and
+        ``(10 n, L)``, so every operation runs on contiguous lane rows.
         The arithmetic is elementwise, so each lane's stamps are exactly
-        the values the unbatched call would produce for that lane.
+        the values the unbatched call would produce for that lane, and
+        exactly :meth:`_linearize`'s.
         """
-        beta, vt, lam, pol = self._f_beta, self._f_vt, self._f_lam, self._f_pol
-        vd = xp[..., self._f_d_gather] * pol
-        vg = xp[..., self._f_g_gather] * pol
-        vs = xp[..., self._f_s_gather] * pol
+        n = self.n_devices
+        params = self._f_params if xp.ndim == 1 else self._f_lane_params
+        beta, vt, lam, pol, pol3 = params
+        v = xp.T[self._f_gather]
+        v *= pol3
+        vd = v[:n]
+        vg = v[n : 2 * n]
+        vs = v[2 * n :]
         swap = vd < vs
         vgs = vg - np.minimum(vd, vs)
         vds = np.abs(vd - vs)
@@ -520,24 +629,103 @@ class CompiledCircuit:
         f = vov * vc - 0.5 * (vc * vc)
         bf = beta * f
         ids = bf * lam_term
-        gm = beta * vc * lam_term
-        gds = beta * (vov - vc) * lam_term + bf * lam + GMIN
-        ieq = (ids - gm * vgs - gds * vds) * pol
+        # gds, gm, ieq and their negations, six device rows.
+        out = np.empty((6,) + vd.shape)
+        gds, gm, ieq = out[0], out[1], out[2]
+        np.multiply(beta * vc, lam_term, out=gm)
+        np.add(beta * (vov - vc) * lam_term + bf * lam, GMIN, out=gds)
+        np.multiply(ids - gm * vgs - gds * vds, pol, out=ieq)
+        np.negative(out[:3], out=out[3:])
+        return swap, out.reshape((6 * n,) + vd.shape[1:])[self._stamp_order]
 
-        neg_gds = -gds
-        neg_gm = -gm
-        vals = np.empty(gds.shape + (8,))
-        vals[..., 0] = gds
-        vals[..., 1] = gds
-        vals[..., 2] = neg_gds
-        vals[..., 3] = neg_gds
-        vals[..., 4] = gm
-        vals[..., 5] = neg_gm
-        vals[..., 6] = neg_gm
-        vals[..., 7] = gm
-        pos = np.where(swap[..., None], self._pos_swapped, self._pos_normal)
-        rhs_pos = np.where(swap[..., None], self._rhs_swapped, self._rhs_normal)
-        return pos, vals, rhs_pos, ieq
+    def _linearize(self, xp: np.ndarray) -> Tuple[tuple, list]:
+        """One lane's device stamps, computed on Python floats.
+
+        Returns ``(swaps, values)``: the devices' swap pattern (the key
+        of :meth:`_scatter_index`) and, in scatter order, every device's
+        eight Jacobian stamps (device-major), every drain ``-ieq``, then
+        every source ``+ieq``.  Each value is bit-identical to
+        :meth:`_device_stamps`'s: the operations and their order are
+        the same, and the clamps follow numpy's rules — ``np.minimum(a,
+        b)`` is ``a if a < b else b`` and ``np.maximum(a, b)`` is ``a if
+        a > b else b`` (the second operand on ties, so signed zeros
+        match), with a NaN in either operand propagating.
+        """
+        xl = xp.tolist()
+        swaps = []
+        vals: list = []
+        drains = []
+        sources = []
+        for d, g, s, beta, vt, lam, pol in self._fets:
+            vd = xl[d] * pol
+            vg = xl[g] * pol
+            vs = xl[s] * pol
+            swap = vd < vs
+            swaps.append(swap)
+            vgs = vg - (vd if swap or vd != vd else vs)
+            vds = abs(vd - vs)
+            vov = vgs - vt
+            if not (vov > 0.0 or vov != vov):
+                vov = 0.0
+            vc = vds if vds < vov or vds != vds else vov
+            lam_term = 1.0 + lam * vds
+            bf = beta * (vov * vc - 0.5 * (vc * vc))
+            gm = beta * vc * lam_term
+            gds = beta * (vov - vc) * lam_term + bf * lam + GMIN
+            ieq = (bf * lam_term - gm * vgs - gds * vds) * pol
+            vals += (gds, gds, -gds, -gds, gm, -gm, -gm, gm)
+            drains.append(-ieq)
+            sources.append(ieq)
+        vals += drains
+        vals += sources
+        return tuple(swaps), vals
+
+    def _scatter_positions(self, swap: np.ndarray) -> np.ndarray:
+        """Positions of the stamp values for swap mask ``swap`` (``(n,)``)
+        in a padded ``[G | I]`` buffer (``[data | I]`` on the sparse
+        path)."""
+        return np.where(swap[..., self._entry_device], self._index_swapped, self._index_normal)
+
+    def _lane_context(self, n_lanes: int) -> tuple:
+        """Batched-step state reused across steps, cached per lane count.
+
+        Returns ``(buffer, lane_G, lane_I, normal, swapped)``: a round
+        buffer holding one padded ``[G | I]`` row per lane (``[data | I]``
+        on the sparse path); on the dense path each row's
+        Fortran-ordered matrix view and its RHS view (else ``None``);
+        and both orientations' stamp positions in that buffer,
+        ``(10 n, n_lanes)``.  One batched step uses the buffer at a time.
+        """
+        context = self._lane_cache.get(n_lanes)
+        if context is None:
+            offset = self._rhs_offset
+            width = offset + self.size + 1
+            buffer = np.empty((n_lanes, width))
+            lane_G = lane_I = None
+            if not self.sparse:
+                stride = self.size + 1
+                matrices = buffer[:, :offset].reshape(n_lanes, stride, stride)
+                lane_G = list(matrices.transpose(0, 2, 1))
+                lane_I = list(buffer[:, offset:])
+            rows = np.arange(n_lanes, dtype=np.intp) * width
+            context = self._lane_cache[n_lanes] = (
+                buffer,
+                lane_G,
+                lane_I,
+                self._index_normal[:, None] + rows,
+                self._index_swapped[:, None] + rows,
+            )
+        return context
+
+    def _scatter_index(self, swaps: tuple) -> np.ndarray:
+        """:meth:`_scatter_positions` for one lane, cached per swap pattern."""
+        index = self._scatter_cache.get(swaps)
+        if index is None:
+            index = self._scatter_positions(np.array(swaps, dtype=bool))
+            if len(self._scatter_cache) >= _SCATTER_CACHE_SIZE:
+                self._scatter_cache.clear()
+            self._scatter_cache[swaps] = index
+        return index
 
     def prepare_step(
         self,
@@ -560,6 +748,12 @@ class CompiledCircuit:
         every node diagonal, and a scale on the V/I source RHS terms.
         At the defaults the assembled system is bit-identical to the
         undeformed one.
+
+        A round works in one padded ``[G | I]`` buffer (``[data | I]``
+        on the sparse path) holding the step's linear base and RHS: the
+        devices, linearized on Python floats (:meth:`_linearize`), land
+        in it through a single ``np.add.at`` in the order separate
+        matrix and RHS scatters would take.
         """
         size = self.size
         base, factor = self._linear_base(dt, stats)
@@ -576,58 +770,63 @@ class CompiledCircuit:
 
             return iterate_linear
 
+        offset = self._rhs_offset
+        start = np.empty(offset + size + 1)
+        start[:offset] = base.ravel()
+        start[offset:] = I_base
+        work = np.empty_like(start)
+        I = work[offset : offset + size + 1]
+
+        def stamp(xp: np.ndarray) -> None:
+            np.copyto(work, start)
+            if self.n_devices:
+                swaps, vals = self._linearize(xp)
+                np.add.at(work, self._scatter_index(swaps), np.array(vals, dtype=float))
+
         if self.sparse:
+            data = work[: self._nnz]
+            diag_pos = self._diag_pos
 
             def iterate_sparse(xp: np.ndarray) -> np.ndarray:
-                data = base.copy()
-                I = I_base.copy()
-                pos, vals, rhs_pos, ieq = self._device_stamps(xp)
-                np.add.at(data, pos.ravel(), vals.ravel())
-                np.add.at(I, rhs_pos[:, 0], -ieq)
-                np.add.at(I, rhs_pos[:, 1], ieq)
-                data = data[: self._nnz]
+                stamp(xp)
                 if gshunt:
-                    data[self._diag_pos] += gshunt
-                zero = data[self._diag_pos] == 0.0
+                    data[diag_pos] += gshunt
+                zero = data[diag_pos] == 0.0
                 if zero.any():
-                    data[self._diag_pos[zero]] = 1e-12
+                    data[diag_pos[zero]] = 1e-12
                 return self._sparse_factor(data, stats)(I[:size])
 
             return iterate_sparse
 
-        from scipy.linalg.lapack import dgesv
-
-        pad_cell = size * (size + 1) + size  # flat index of (size, size)
+        dgesv = _lapack_dgesv()
+        stride = size + 1
+        G = work[:offset].reshape(stride, stride).T  # Fortran-ordered view
+        pad_cell = size * stride + size  # flat index of (size, size)
+        diag_flat = self._diag_flat
 
         def iterate_dense(xp: np.ndarray) -> np.ndarray:
-            G = base.copy()
-            I = I_base.copy()
-            if self.n_devices:
-                pos, vals, rhs_pos, ieq = self._device_stamps(xp)
-                np.add.at(G.ravel(), pos.ravel(), vals.ravel())
-                np.add.at(I, rhs_pos[:, 0], -ieq)
-                np.add.at(I, rhs_pos[:, 1], ieq)
-            flat = G.ravel()
+            stamp(xp)
             if gshunt:
-                flat[self._diag_flat] += gshunt
-            diag = flat[self._diag_flat]
-            zero = diag == 0.0
-            if zero.any():
-                flat[self._diag_flat[zero]] = 1e-12
-            # Reset the discard slot so the padded system is exactly
+                work[diag_flat] += gshunt
+            diag = work[diag_flat]
+            if not diag.all():
+                work[diag_flat[diag == 0.0]] = 1e-12
+            # Reset the discard slots so the padded system is exactly
             # block-diagonal ([G 0; 0 1], rhs 0): solving the (size+1)
             # system in one LAPACK call avoids slicing out a
             # non-contiguous (size, size) view, and the pad unknown
             # solves to exactly 0.
-            flat[pad_cell] = 1.0
+            work[pad_cell] = 1.0
             I[size] = 0.0
             stats.factorizations += 1
-            _lu, _piv, x_pad, info = dgesv(G, I)
+            # In place: the LU overwrites G and the solution I, both
+            # rebuilt from ``start`` next round.
+            info = dgesv(G, I, 1, 1)[3]
             if info != 0:
                 raise SingularSystemError(
                     f"LU factorization failed (LAPACK dgesv info={info})"
                 )
-            return x_pad[:size]
+            return I[:size].copy()
 
         return iterate_dense
 
@@ -693,16 +892,17 @@ class CompiledCircuit:
         scales.  There is no ``gshunt``: batched stepping never deforms
         the system — rescue is per-lane through :meth:`prepare_step`.
 
-        Solve backends per path:
+        The devices of all lanes are linearized by one vectorized
+        :meth:`_device_stamps` call.  Solve backends per path:
 
         * device-free + reusable factorization: one multi-RHS solve
           shared by every lane (bit-identical per lane in practice);
-        * dense with devices: stacked LAPACK ``gesv`` over the lane
-          axis — same elimination, independently compiled kernels, so
-          lanes agree with the scalar path to solver tolerance (the
-          documented 2 mV circuit envelope), not bit-for-bit;
+        * dense: the scalar path's own LAPACK ``dgesv``, one call per
+          active lane on that lane's padded system, so every lane is
+          bit-identical to its scalar run by construction;
         * sparse: one SuperLU factorization of the block-diagonal
-          system, reused across the lane axis.
+          system, reused across the lane axis (within the documented
+          2 mV circuit envelope of the scalar run).
         """
         size = self.size
         base, factor = self._linear_base(dt, stats)
@@ -721,36 +921,43 @@ class CompiledCircuit:
 
             return iterate_linear_batch
 
+        # Each round works in one padded [G | I] row per lane ([data | I]
+        # on the sparse path), like the scalar round.
+        n_lanes = XP_prev.shape[0]
+        offset = self._rhs_offset
+        base = base.reshape(-1)
+        buffer, lane_G, lane_I, normal, swapped = self._lane_context(n_lanes)
+
+        def stamp(XP, rows) -> np.ndarray:
+            k = len(rows)
+            work = buffer[:k]
+            work[:, :offset] = base
+            work[:, offset:] = I_all if k == n_lanes else I_all[rows]
+            if self.n_devices:
+                # Entry-major scatter (every lane's first stamp, then its
+                # second, ...): lanes own disjoint rows, so each lane's
+                # stamps still accumulate in stamp order.
+                swap, values = self._device_stamps(XP)
+                index = np.where(swap[self._entry_device], swapped[:, :k], normal[:, :k])
+                np.add.at(work.reshape(-1), index.reshape(-1), values.reshape(-1))
+            return work
+
         if self.sparse:
             nnz = self._nnz
 
             def iterate_sparse_batch(XP, rows):
                 k = XP.shape[0]
-                data = np.broadcast_to(base, (k, nnz + 1)).copy()
-                I = I_all[rows]
-                if self.n_devices:
-                    pos, vals, rhs_pos, ieq = self._device_stamps(XP)
-                    lane = np.arange(k, dtype=np.intp)
-                    np.add.at(
-                        data.ravel(),
-                        (pos + (lane * (nnz + 1))[:, None, None]).ravel(),
-                        vals.ravel(),
-                    )
-                    rhs_off = (lane * (size + 1))[:, None]
-                    np.add.at(
-                        I.ravel(), (rhs_pos[..., 0] + rhs_off).ravel(), (-ieq).ravel()
-                    )
-                    np.add.at(
-                        I.ravel(), (rhs_pos[..., 1] + rhs_off).ravel(), ieq.ravel()
-                    )
+                work = stamp(XP, rows)
+                data = work[:, :nnz]
+                I = work[:, offset : offset + size]
                 diag = data[:, self._diag_pos]
                 zero = diag == 0.0
                 if zero.any():
                     li, wi = np.nonzero(zero)
                     data[li, self._diag_pos[wi]] = 1e-12
                 try:
-                    solve = self._block_sparse_factor(data[:, :nnz], stats)
-                    X = solve(I[:, :size].ravel()).reshape(k, size)
+                    solve = self._block_sparse_factor(data, stats)
+                    X = solve(I.reshape(-1)).reshape(k, size)
                     return X, np.ones(k, dtype=bool)
                 except SingularSystemError:
                     # Identify the singular lane(s) individually; healthy
@@ -759,10 +966,8 @@ class CompiledCircuit:
                     solved = np.zeros(k, dtype=bool)
                     for lane_i in range(k):
                         try:
-                            lane_solve = self._sparse_factor(
-                                data[lane_i, :nnz].copy(), stats
-                            )
-                            X[lane_i] = lane_solve(I[lane_i, :size])
+                            lane_solve = self._sparse_factor(data[lane_i].copy(), stats)
+                            X[lane_i] = lane_solve(I[lane_i])
                             solved[lane_i] = True
                         except SingularSystemError:
                             pass
@@ -770,57 +975,24 @@ class CompiledCircuit:
 
             return iterate_sparse_batch
 
-        from scipy.linalg.lapack import dgesv
-
+        dgesv = _lapack_dgesv()
         stride = size + 1
-        pad_cell = size * stride + size
-        cells = stride * stride
-        buffers: dict = {}
+        pad_cell = size * stride + size  # flat index of (size, size)
 
         def iterate_dense_batch(XP, rows):
             k = XP.shape[0]
-            buf = buffers.get("G")
-            if buf is None or buf.shape[0] < k:
-                buf = buffers["G"] = np.empty((k, stride, stride))
-            G = buf[:k]
-            G[...] = base
-            I = I_all[rows]
-            if self.n_devices:
-                pos, vals, rhs_pos, ieq = self._device_stamps(XP)
-                lane = np.arange(k, dtype=np.intp)
-                np.add.at(
-                    G.reshape(-1),
-                    (pos + (lane * cells)[:, None, None]).ravel(),
-                    vals.ravel(),
-                )
-                rhs_off = (lane * stride)[:, None]
-                np.add.at(
-                    I.ravel(), (rhs_pos[..., 0] + rhs_off).ravel(), (-ieq).ravel()
-                )
-                np.add.at(I.ravel(), (rhs_pos[..., 1] + rhs_off).ravel(), ieq.ravel())
-            flat = G.reshape(k, cells)
-            diag = flat[:, self._diag_flat]
-            zero = diag == 0.0
-            if zero.any():
-                li, wi = np.nonzero(zero)
-                flat[li, self._diag_flat[wi]] = 1e-12
-            flat[:, pad_cell] = 1.0
-            I[:, size] = 0.0
+            work = stamp(XP, rows)
+            diag = work[:, self._diag_flat]
+            if not diag.all():
+                li, wi = np.nonzero(diag == 0.0)
+                work[li, self._diag_flat[wi]] = 1e-12
+            work[:, pad_cell] = 1.0
+            work[:, offset + size] = 0.0
             stats.factorizations += k
-            try:
-                X_pad = np.linalg.solve(G, I[:, :, None])[:, :, 0]
-                return X_pad[:, :size], np.ones(k, dtype=bool)
-            except np.linalg.LinAlgError:
-                # At least one lane is singular: fall back to per-lane
-                # solves to find out which, keeping the others alive.
-                X = np.zeros((k, size))
-                solved = np.zeros(k, dtype=bool)
-                for lane_i in range(k):
-                    _lu, _piv, x_pad, info = dgesv(G[lane_i], I[lane_i])
-                    if info == 0:
-                        X[lane_i] = x_pad[:size]
-                        solved[lane_i] = True
-                return X, solved
+            # Each lane's Fortran-ordered system, solved in place as the
+            # scalar round solves its buffer.
+            infos = [dgesv(lane_G[i], lane_I[i], 1, 1)[3] for i in range(k)]
+            return work[:, offset : offset + size].copy(), np.array(infos) == 0
 
         return iterate_dense_batch
 
@@ -841,28 +1013,21 @@ class CompiledCircuit:
         xp[:size] = x
         xp_prev = np.zeros(size + 1)
         xp_prev[:size] = v_prev
-        I = self._rhs_base(xp_prev, t, dt)
-        if self.sparse:
-            data = np.zeros(self._nnz + 1)
-            np.add.at(data, self._lin_pos, self._linear_values(dt))
-        else:
-            G = np.zeros((size + 1, size + 1))
-            np.add.at(G.ravel(), self._lin_flat, self._linear_values(dt))
+        offset = self._rhs_offset
+        work = np.concatenate([self._assemble_linear(dt).reshape(-1), self._rhs_base(xp_prev, t, dt)])
         if self.n_devices:
-            pos, vals, rhs_pos, ieq = self._device_stamps(xp)
-            target = data if self.sparse else G.ravel()
-            np.add.at(target, pos.ravel(), vals.ravel())
-            np.add.at(I, rhs_pos[:, 0], -ieq)
-            np.add.at(I, rhs_pos[:, 1], ieq)
+            swap, values = self._device_stamps(xp)
+            np.add.at(work, self._scatter_positions(swap), values)
+        I = work[offset : offset + size]
         if self.sparse:
             import scipy.sparse as sp
 
             matrix = sp.csc_matrix(
-                (data[: self._nnz], self._csc_indices, self._csc_indptr),
+                (work[: self._nnz], self._csc_indices, self._csc_indptr),
                 shape=(size, size),
             )
-            return matrix.toarray(), I[:size]
-        return G[:size, :size].copy(), I[:size]
+            return matrix.toarray(), I
+        return work[:offset].reshape(size + 1, size + 1).T[:size, :size].copy(), I
 
 
 class ReferenceAssembler:

@@ -608,7 +608,7 @@ class CircuitSession:
                 x_next = iterate(xp_new)
                 if n_nodes:
                     diff = np.abs(x_next[:n_nodes] - xp_new[:n_nodes])
-                    worst = int(np.argmax(diff))
+                    worst = int(diff.argmax())
                     delta = float(diff[worst])
                 else:
                     delta = 0.0

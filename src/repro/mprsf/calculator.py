@@ -260,8 +260,9 @@ class MPRSFCalculator:
 
         All starting charges run through one
         :class:`~repro.circuit.BatchedCircuitSession` transient — one
-        lane per point, one stacked LAPACK solve per Newton round —
-        instead of one full simulation each.  Per lane the waveform
+        lane per point, one vectorized device linearization per Newton
+        round — instead of one full simulation each.  The adaptive step
+        controller is shared by every lane, so per lane the waveform
         matches the scalar cross-check within the documented 2 mV
         circuit envelope (architecture invariant 14).
 
