@@ -70,7 +70,6 @@ from .controller import (
     build_policy,
 )
 from .sim import (
-    Bank,
     BankSimulator,
     DRAMTiming,
     MemoryTrace,
@@ -127,7 +126,6 @@ __all__ = [
     "VRLAccessPolicy",
     "VRLPolicy",
     "build_policy",
-    "Bank",
     "BankSimulator",
     "DRAMTiming",
     "MemoryTrace",

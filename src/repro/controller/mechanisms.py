@@ -108,18 +108,20 @@ class ChargeCachePolicy(RefreshPolicy):
     The table is modeled on the controller's counter hardware: a 1-bit
     :class:`~repro.controller.counters.CounterFile` holds the per-row
     valid bits (mirroring HCRAC's presence vector) while an ordered
-    map carries the expiry cycles and the FIFO-of-insertion eviction
-    order.  Lookup-then-insert per access, exactly the hardware's
-    single-ported behaviour, all inside
-    :meth:`access_latency_cycles` — the refresh side is untouched
-    conventional 64 ms, so refresh statistics stay fused-priceable.
+    map carries the expiry cycles in least-recently-used order: every
+    access, hit or not, renews its row's entry and moves it to the
+    back, and a new row arriving at a full table evicts the front.
+    Lookup-then-insert per access, exactly the hardware's
+    single-ported behaviour, all inside :meth:`access_latencies` — the
+    refresh side is untouched conventional 64 ms, so refresh
+    statistics stay fused-priceable.
 
     Args:
         n_rows: rows in the bank.
         tau_full: full-refresh latency in cycles.
         discount_cycles: activation cycles saved on a charge-cache hit.
         lifetime_cycles: cycles an entry stays valid after its access.
-        capacity: maximum tracked rows (FIFO eviction when full).
+        capacity: maximum tracked rows (LRU eviction when full).
         period: per-row refresh period in seconds.
     """
 
@@ -173,40 +175,49 @@ class ChargeCachePolicy(RefreshPolicy):
             return 0.0
         return self.hits / self.lookups
 
-    def _evict(self, row: int) -> None:
-        del self._expiry[row]
-        self.valid.reset(row)
+    def access_latencies(
+        self,
+        rows: np.ndarray,
+        base_cycles: np.ndarray,
+        row_hit: np.ndarray,
+        cycles: np.ndarray,
+    ) -> np.ndarray:
+        """Lookup-then-insert each request; discount still-charged activations.
 
-    def _lookup(self, row: int, cycle: int) -> bool:
-        self.lookups += 1
-        expiry = self._expiry.get(row)
-        if expiry is None:
-            return False
-        if cycle >= expiry:
-            self._evict(row)
-            return False
-        self.hits += 1
-        return True
-
-    def _insert(self, row: int, cycle: int) -> None:
-        if row in self._expiry:
-            self._expiry.move_to_end(row)
-        elif len(self._expiry) >= self.capacity:
-            oldest, _ = self._expiry.popitem(last=False)
-            self.valid.reset(oldest)
-        self._expiry[row] = cycle + self.lifetime_cycles
-        self.valid.increment(row)
-
-    def access_latency_cycles(
-        self, row: int, base_cycles: int, row_hit: bool, cycle: int
-    ) -> int:
-        """Lookup-then-insert; discount activations of still-charged rows."""
-        self._check_row(row)
-        hit = self._lookup(row, cycle)
-        self._insert(row, cycle)
-        if hit and not row_hit:
-            return max(1, base_cycles - self.discount_cycles)
-        return base_cycles
+        One in-order pass over the window: a tracked row whose expiry
+        is still ahead of the request's cycle is a hit; either way the
+        row becomes the most recently used entry with a fresh expiry,
+        evicting the least recently used one when a new row finds the
+        table full.  The valid bits are written once per call.
+        """
+        rows = self._check_rows(rows)
+        latencies = np.array(base_cycles, dtype=np.int64)
+        expiry = self._expiry
+        get, move_to_end, popitem = expiry.get, expiry.move_to_end, expiry.popitem
+        lifetime, capacity = self.lifetime_cycles, self.capacity
+        hits, evicted = [], []
+        hit, evict = hits.append, evicted.append
+        index = -1
+        for row, cycle in zip(rows.tolist(), cycles.tolist()):
+            index += 1
+            due = get(row)
+            if due is None:
+                if len(expiry) >= capacity:
+                    evict(popitem(False)[0])
+            else:
+                if cycle < due:
+                    hit(index)
+                move_to_end(row)
+            expiry[row] = cycle + lifetime
+        self.lookups += len(rows)
+        self.hits += len(hits)
+        if evicted:
+            self.valid.reset_rows(np.array(evicted, dtype=np.int64))
+        self.valid.increment_rows(np.fromiter(expiry, dtype=np.int64, count=len(expiry)))
+        discounted = np.array(hits, dtype=np.int64)
+        discounted = discounted[~row_hit[discounted]]
+        latencies[discounted] = np.maximum(1, latencies[discounted] - self.discount_cycles)
+        return latencies
 
     def reset(self) -> None:
         self._expiry.clear()

@@ -144,7 +144,7 @@ class RefreshPolicy:
     reorders_refresh = False
 
     #: Does the policy adjust demand-access latencies through
-    #: :meth:`access_latency_cycles`?
+    #: :meth:`access_latencies`?
     modulates_access = False
 
     #: How far past its deadline a deferred refresh may be pushed, in
@@ -313,26 +313,53 @@ class RefreshPolicy:
         self._check_row(row)
         self._on_access_batch(np.array([row], dtype=np.int64))
 
+    def access_latencies(
+        self,
+        rows: np.ndarray,
+        base_cycles: np.ndarray,
+        row_hit: np.ndarray,
+        cycles: np.ndarray,
+    ) -> np.ndarray:
+        """Service latencies (cycles) the simulators should charge accesses.
+
+        The access-latency hook of access-modulating mechanisms
+        (``modulates_access``): the bank engine classifies each demand
+        request's hit/miss/conflict latency and, for such policies,
+        routes a whole window of requests through here in one call —
+        ChargeCache discounts activations of still-charged rows, the
+        base policy returns ``base_cycles`` unchanged.  Requests come in
+        issue order with their arrival ``cycles`` (this is the only
+        policy entry point that sees the clock), and state such as a
+        cache carries from one call to the next, so a stream split into
+        calls anywhere prices as one call would.  The hook must return a
+        positive latency per request and must neither read nor write
+        refresh or :meth:`on_access` state: the engine prices refreshes
+        and access resets apart from it, so refresh statistics stay
+        identical whether or not it is consulted.
+
+        Args:
+            rows: 1-D ``int64`` rows of the requests, in issue order.
+            base_cycles: the bank's hit/miss/conflict latency of each.
+            row_hit: whether each request hits the open row.
+            cycles: each request's arrival cycle.
+
+        Returns:
+            An ``int64`` array of service latencies, one per request.
+        """
+        self._check_rows(rows)
+        return np.array(base_cycles, dtype=np.int64)
+
     def access_latency_cycles(
         self, row: int, base_cycles: int, row_hit: bool, cycle: int
     ) -> int:
-        """Service latency (cycles) the simulators should charge an access.
-
-        The access-latency hook of access-modulating mechanisms
-        (``modulates_access``): the simulators compute the bank's base
-        hit/miss/conflict latency and, for such policies, route it
-        through here before serving the request — ChargeCache returns a
-        discounted activation for still-charged rows, the base policy
-        returns ``base_cycles`` unchanged.  Called before
-        :meth:`on_access`, once per demand request, with the request's
-        arrival ``cycle``; implementations may keep time-stamped state
-        (this is the only policy entry point that sees the clock).
-        Must return a positive cycle count and must not affect refresh
-        decisions — refresh statistics stay identical whether or not
-        the hook is consulted.
-        """
+        """Service latency of one request: :meth:`access_latencies` on a one-request window."""
         self._check_row(row)
-        return base_cycles
+        return int(self.access_latencies(
+            np.array([row], dtype=np.int64),
+            np.array([base_cycles], dtype=np.int64),
+            np.array([row_hit], dtype=bool),
+            np.array([cycle], dtype=np.int64),
+        )[0])
 
     def reset(self) -> None:
         """Clear mutable state (counters) for a fresh simulation."""

@@ -14,7 +14,7 @@ flags the scheduling stack dispatches on:
 * ``reorders_refresh`` — the simulators apply the DARP idle-window
   arbitration (:func:`~repro.sim.schedule.should_defer_refresh`);
 * ``modulates_access`` — the simulators route demand latencies through
-  :meth:`~repro.controller.refresh.RefreshPolicy.access_latency_cycles`.
+  :meth:`~repro.controller.refresh.RefreshPolicy.access_latencies`.
 
 Flags default from the policy class attributes when ``policy=`` is
 passed at registration, so the registry can never drift from the class.

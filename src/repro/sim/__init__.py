@@ -8,12 +8,11 @@ bank" under each policy.  This package is that simulator:
   cycles;
 * :mod:`~repro.sim.trace` — memory-trace representation and I/O
   (Ramulator-compatible text format);
-* :mod:`~repro.sim.bank` — a cycle-level single-bank model (row buffer,
-  ACT/PRE/CAS timings, refresh blocking);
 * :mod:`~repro.sim.schedule` — the shared refresh-deadline semantics
   (staggered first deadlines, interval arithmetic, DARP deferral,
   all-bank REF pacing) every simulator consumes;
-* :mod:`~repro.sim.engine` — the cycle-level trace-driven simulator;
+* :mod:`~repro.sim.engine` — the cycle-level trace-driven simulator
+  (one bank: row buffer, ACT/PRE/CAS timings, refresh blocking);
 * :mod:`~repro.sim.fastpath` — an exact, bank-vectorized evaluator of
   refresh overhead, used for the full Fig. 4 sweep (validated against
   the cycle-level engine in the integration and differential tests),
@@ -29,7 +28,6 @@ bank" under each policy.  This package is that simulator:
   Markov prediction of VRL-Access behaviour from window coverage.
 """
 
-from .bank import Bank
 from .engine import BankSimulator, SimulationResult
 from .fastpath import RefreshOverheadEvaluator, round_walk
 from .rank import RankResult, RankSimulator
@@ -55,7 +53,6 @@ from .trace_stats import (
 from .trace import MemoryTrace, load_trace, merge_traces, save_trace
 
 __all__ = [
-    "Bank",
     "BankSimulator",
     "SimulationResult",
     "RefreshOverheadEvaluator",

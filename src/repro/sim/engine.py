@@ -2,14 +2,14 @@
 
 Interleaves two operation streams against one bank — demand requests
 from a :class:`~repro.sim.trace.MemoryTrace` and per-row refresh
-deadlines from the policy's periods — under the
-:class:`~repro.sim.bank.Bank` model: one operation at a time, an
-open-page row buffer, refreshes issued at their deadline (the
-controller cannot postpone them indefinitely without violating
-retention) and demand requests queued FCFS behind whatever the bank is
-doing.  A request pays the hit/miss/conflict latency of the row-buffer
-state it finds; a refresh pays its kind's tRFC, plus tRP when it must
-close an open row first, and leaves the bank precharged.
+deadlines from the policy's periods — under a single-bank model: one
+operation at a time, an open-page row buffer, refreshes issued at their
+deadline (the controller cannot postpone them indefinitely without
+violating retention) and demand requests queued FCFS behind whatever
+the bank is doing.  A request pays the hit/miss/conflict latency of
+the row-buffer state it finds; a refresh pays its kind's tRFC, plus
+tRP when it must close an open row first, and leaves the bank
+precharged.
 
 :meth:`BankSimulator.run` prices a whole run with numpy instead of
 stepping an event loop:
@@ -23,8 +23,10 @@ stepping an event loop:
    its ``refresh_row`` / ``on_access`` hooks;
 2. **requests** — the number of refreshes due at or before each
    arrival (refresh wins ties) fixes its row-buffer outcome with vector
-   ops; an access-modulating policy (ChargeCache) sees each base
-   latency once, in request order;
+   ops; an access-modulating policy (ChargeCache) prices each window's
+   base latencies in one
+   :meth:`~repro.controller.refresh.RefreshPolicy.access_latencies`
+   call, in request order;
 3. **merged chain** — one :func:`~repro.sim.timeline.service_starts`
    max-plus recurrence over the merged refresh and request operations
    gives every start, and latency, stall and refresh stall follow.  The
@@ -42,7 +44,8 @@ stepping an event loop:
 
 Deferral moves refreshes in time only: refresh kinds follow in-order
 issue, as :mod:`~repro.sim.schedule` promises.  The heap-driven event
-loop this replaces is kept in ``tests/`` as the differential oracle.
+loop this replaces is kept in ``tests/`` as the differential oracle,
+with the one-operation-at-a-time bank model it steps.
 :class:`~repro.sim.fastpath.RefreshOverheadEvaluator` prices the
 refresh half alone through the fused timeline (invariant 11).
 """
@@ -54,7 +57,13 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from ..controller.refresh import KIND_FULL, KIND_PARTIAL, RefreshKind, RefreshPolicy
+from ..controller.refresh import (
+    KIND_FULL,
+    KIND_PARTIAL,
+    RefreshKind,
+    RefreshPolicy,
+    _scalar_customized,
+)
 from ..technology import BankGeometry, DEFAULT_GEOMETRY
 from ._timeline_kernels import crossing_kinds, segmented_fulls
 from .schedule import (
@@ -92,18 +101,13 @@ class SimulationResult:
 
 @dataclass
 class _Streams:
-    """The run's two operation streams, each in issue order.
-
-    ``request_busy`` holds hooked service latencies precomputed by the
-    scalar walk, or is ``None`` when each window derives them.
-    """
+    """The run's two operation streams, each in issue order."""
 
     dues: np.ndarray
     refresh_latency: np.ndarray
     arrivals: np.ndarray
     rows: np.ndarray
     is_write: np.ndarray
-    request_busy: Optional[np.ndarray]
 
 
 class _State(NamedTuple):
@@ -161,7 +165,9 @@ class BankSimulator:
         ValueError: if the policy sets both ``reorders_refresh`` and
             ``modulates_access`` — deferral windows are replayed
             without the access-latency hook, so no mechanism may
-            combine the two.
+            combine the two — or if an access-modulating policy
+            overrides the one-request ``access_latency_cycles`` but not
+            the ``access_latencies`` hook the engine calls.
     """
 
     def __init__(
@@ -181,6 +187,13 @@ class BankSimulator:
             raise ValueError(
                 f"policy {policy.name!r} sets both reorders_refresh and "
                 "modulates_access; the engine supports one or the other"
+            )
+        if policy.modulates_access and _scalar_customized(
+            type(policy), "access_latency_cycles", "access_latencies"
+        ):
+            raise ValueError(
+                f"policy {policy.name!r} overrides access_latency_cycles but not "
+                "access_latencies, the window hook the engine calls"
             )
 
     def run(
@@ -229,22 +242,19 @@ class BankSimulator:
         periods = period_cycles(policy, self.timing)
         first = first_deadlines(periods)
         dues, refresh_rows, ordinals = crossing_stream(first, periods, duration_cycles)
-        request_busy = None
         if policy.supports_fused_timeline():
             kinds = self._fused_kinds(
                 refresh_rows, ordinals, first, periods, duration_cycles, rows, arrivals
             )
             refresh_latency = policy.kind_latencies[kinds].astype(np.int64, copy=False)
         else:
-            kinds, refresh_latency, request_busy = self._walk_kinds(
-                refresh_rows, dues, rows, arrivals
-            )
+            kinds, refresh_latency = self._walk_kinds(refresh_rows, dues, rows, arrivals)
         del refresh_rows, ordinals
         refresh_stats = RefreshStats(duration_cycles=duration_cycles)
         refresh_stats.record_batch(kinds, refresh_latency)
         del kinds
 
-        streams = _Streams(dues, refresh_latency, arrivals, rows, is_write, request_busy)
+        streams = _Streams(dues, refresh_latency, arrivals, rows, is_write)
         request_stats = RequestStats()
         state = _State(0, 0, 0, -1)
         while state.refresh < len(dues) or state.request < len(arrivals):
@@ -280,17 +290,28 @@ class BankSimulator:
             np.where(row_open, timing.row_conflict_latency, timing.row_miss_latency),
         ).astype(np.int64)
 
-    def _hooked_latency(self, row: int, base: int, hit: bool, arrival: int) -> int:
-        """One request through an access-modulating policy's latency hook.
+    def _access_latencies(self, rows, base, hit, arrivals) -> np.ndarray:
+        """A window of requests through an access-modulating policy's hook.
 
-        Checks the row and the returned latency exactly as the bank
-        does before it serves a request.
+        One :meth:`~repro.controller.refresh.RefreshPolicy.access_latencies`
+        call prices the requests in order.  Raises what the bank raises
+        for the first request it would refuse: the ``IndexError`` of an
+        out-of-range row, or the ``ValueError`` of a non-positive
+        latency — the hook sees only the requests ahead of a bad row.
         """
-        self._check_row(row)
-        adjusted = int(self.policy.access_latency_cycles(row, base, hit, arrival))
-        if adjusted <= 0:
-            raise ValueError(f"service latency must be positive, got {adjusted}")
-        return adjusted
+        bad = np.flatnonzero((rows < 0) | (rows >= self.geometry.rows))
+        valid = int(bad[0]) if len(bad) else len(rows)
+        latency = self.policy.access_latencies(
+            rows[:valid], base[:valid], hit[:valid], arrivals[:valid]
+        )
+        non_positive = np.flatnonzero(latency <= 0)
+        if len(non_positive):
+            raise ValueError(
+                f"service latency must be positive, got {int(latency[non_positive[0]])}"
+            )
+        if valid < len(rows):
+            self._check_row(int(rows[valid]))
+        return latency
 
     # ------------------------------------------------------------------ #
     # Refresh kinds                                                       #
@@ -323,26 +344,17 @@ class BankSimulator:
     def _walk_kinds(self, refresh_rows, dues, rows, arrivals):
         """Kinds from one in-order walk of a scalar-customized policy.
 
-        Calls ``refresh_row`` for every crossing and, per request, the
-        access-latency hook (for an access-modulating policy) then
-        ``on_access`` — the order the bank issues them in, with no bank
-        state needed.
+        Calls ``refresh_row`` for every crossing and ``on_access`` per
+        request — the order the bank issues them in, with no bank state
+        needed.  The access-latency hook is not part of the walk: it
+        sees no refresh or access state, so each chain window calls it
+        as for any other policy.
 
         Returns:
-            ``(kinds, refresh_latency, request_busy)``; ``request_busy``
-            holds the hooked service latency of every request, or is
-            ``None`` when the policy does not modulate access.
+            ``(kinds, refresh_latency)``.
         """
         policy = self.policy
         before = np.searchsorted(dues, arrivals, side="right")
-        request_busy = hit = None
-        if policy.modulates_access:
-            row_open = np.zeros(len(rows), dtype=bool)
-            np.equal(before[1:], before[:-1], out=row_open[1:])
-            hit = np.zeros(len(rows), dtype=bool)
-            np.equal(rows[1:], rows[:-1], out=hit[1:])
-            hit &= row_open
-            request_busy = self._service_latency(hit, row_open)
         kinds = np.empty(len(refresh_rows), dtype=np.uint8)
         latencies = np.empty(len(refresh_rows), dtype=np.int64)
 
@@ -357,16 +369,12 @@ class BankSimulator:
                 latencies[crossing] = command.latency_cycles
 
         issued = 0
-        for index, (row, stop) in enumerate(zip(rows.tolist(), before.tolist())):
+        for row, stop in zip(rows.tolist(), before.tolist()):
             issue(range(issued, stop))
             issued = stop
-            if request_busy is not None:
-                request_busy[index] = self._hooked_latency(
-                    row, int(request_busy[index]), bool(hit[index]), int(arrivals[index])
-                )
             policy.on_access(row)
         issue(range(issued, len(refresh_rows)))
-        return kinds, latencies, request_busy
+        return kinds, latencies
 
     # ------------------------------------------------------------------ #
     # Busy chain                                                          #
@@ -377,11 +385,12 @@ class BankSimulator:
 
         Merges the pending refreshes and requests in issue order
         (refresh wins ties), classifies each request against the row
-        buffer it finds, adds tRP to a refresh that closes an open row,
-        and solves the busy chain from ``state.busy_until``.  For a
-        reordering policy it also marks the refreshes
-        ``should_defer_refresh`` would yield to their next pending
-        request.
+        buffer it finds (routing the window's latencies through an
+        access-modulating policy's hook in one call), adds tRP to a
+        refresh that closes an open row, and solves the busy chain from
+        ``state.busy_until``.  For a reordering policy it also marks the
+        refreshes ``should_defer_refresh`` would yield to their next
+        pending request.
         """
         timing = self.timing
         n_requests = len(streams.arrivals)
@@ -414,18 +423,9 @@ class BankSimulator:
         open_rows[1:] = window_rows[:-1]
         request_open = row_open[positions]
         hit = request_open & (window_rows == open_rows)
-        if streams.request_busy is not None:
-            busy = streams.request_busy[requests]
-        else:
-            busy = self._service_latency(hit, request_open)
-            if self.policy.modulates_access:
-                busy[:] = [
-                    self._hooked_latency(row, base, row_hit, arrival)
-                    for row, base, row_hit, arrival in zip(
-                        window_rows.tolist(), busy.tolist(), hit.tolist(),
-                        window_arrivals.tolist(),
-                    )
-                ]
+        busy = self._service_latency(hit, request_open)
+        if self.policy.modulates_access:
+            busy = self._access_latencies(window_rows, busy, hit, window_arrivals)
 
         op_busy = np.empty(n_ops, dtype=np.int64)
         op_busy[positions] = busy

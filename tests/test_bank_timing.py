@@ -1,10 +1,11 @@
-"""Unit tests for DRAM timing and the cycle-level bank model."""
+"""Unit tests for DRAM timing and the oracle's cycle-level bank model."""
 
 import pytest
 
-from repro.sim import Bank, DRAMTiming
+from repro.sim import DRAMTiming
 from repro.technology import BankGeometry, DEFAULT_TECH
 from repro.units import MS
+from tests.reference_bank import Bank
 
 TECH = DEFAULT_TECH
 TIMING = DRAMTiming.from_technology(TECH)

@@ -44,7 +44,6 @@ from repro.controller.counters import CounterFile
 from repro.controller.mechanisms import ChargeCachePolicy, DARPPolicy
 from repro.retention import RefreshBinning, RetentionProfiler, TemperatureModel
 from repro.sim import (
-    Bank,
     BankSimulator,
     DRAMTiming,
     MemoryTrace,
@@ -64,6 +63,7 @@ from repro.sim.schedule import (
 )
 from repro.technology import BankGeometry, DEFAULT_TECH
 from repro.units import MS
+from tests.reference_bank import Bank, charge_cache_latency
 
 TIMING = DRAMTiming.from_technology(DEFAULT_TECH)
 
@@ -108,7 +108,10 @@ def reference_bank_run(policy, timing, geometry, trace, duration_cycles):
     requests from the trace in time order against one :class:`Bank`
     (refresh wins ties; a ``reorders_refresh`` policy defers a due
     refresh past a colliding read within its slack), calling the
-    policy's scalar hooks one event at a time.
+    policy's scalar hooks one event at a time.  ChargeCache's own
+    window hook is stepped one request at a time through
+    :func:`charge_cache_latency`; any other access hook is called
+    through its one-request view.
     """
     bank = Bank(timing, geometry)
     policy.reset()
@@ -163,7 +166,7 @@ def reference_bank_run(policy, timing, geometry, trace, duration_cycles):
             refresh_stall = stall if last_busy_was_refresh else 0
             if policy.modulates_access:
                 base, hit = bank.peek_service(row)
-                adjusted = int(policy.access_latency_cycles(row, base, hit, arrival))
+                adjusted = access_latency(policy, row, base, hit, arrival)
                 outcome = bank.service(arrival, row, latency_cycles=adjusted)
             else:
                 outcome = bank.service(arrival, row)
@@ -179,6 +182,13 @@ def reference_bank_run(policy, timing, geometry, trace, duration_cycles):
         policy_name=policy.name,
         trace_name=trace.name if trace is not None else "idle",
     )
+
+
+def access_latency(policy, row, base_cycles, row_hit, cycle):
+    """One request through ``policy``'s access hook, as the oracle steps it."""
+    if type(policy).access_latencies is ChargeCachePolicy.access_latencies:
+        return charge_cache_latency(policy, row, base_cycles, row_hit, cycle)
+    return policy.access_latency_cycles(row, base_cycles, row_hit, cycle)
 
 
 def _policy_state(policy):
@@ -686,10 +696,10 @@ class TestEngineErrors:
 
     def test_non_positive_hook_latency_raises(self):
         class ZeroLatency(ChargeCachePolicy):
-            def access_latency_cycles(self, row, base_cycles, row_hit, cycle):
-                return 0 if row == 7 else super().access_latency_cycles(
-                    row, base_cycles, row_hit, cycle
-                )
+            def access_latencies(self, rows, base_cycles, row_hit, cycles):
+                latencies = super().access_latencies(rows, base_cycles, row_hit, cycles)
+                latencies[rows == 7] = 0
+                return latencies
 
         geometry = BankGeometry(32, 8)
         duration_cycles = TIMING.cycles(200 * MS)

@@ -10,9 +10,10 @@ Pins the tentpole invariants of the mechanism registry refactor:
   refresh counts/kinds/cycles are identical to the conventional
   schedule (reorder-invariance), writes never defer, zero slack
   degenerates to baseline arbitration;
-* **ChargeCache** — the recently-accessed-row table (expiry, FIFO
-  capacity eviction, counter-file valid bits) discounts only
-  activations, never row-buffer hits, and never below one cycle;
+* **ChargeCache** — the recently-accessed-row table (expiry,
+  least-recently-used capacity eviction, counter-file valid bits)
+  discounts only activations, never row-buffer hits, and never below
+  one cycle;
 * **AVATAR** — the construction-time VRT profiling loop upgrades only
   rows that stay clean for the full streak and pins failing rows at
   the conservative rate, deterministically per seed;
@@ -367,7 +368,7 @@ class TestChargeCache:
         policy.access_latency_cycles(3, 18, False, 0)
         assert policy.access_latency_cycles(3, 18, False, 10) == 1
 
-    def test_capacity_fifo_eviction_maintains_valid_bits(self):
+    def test_capacity_lru_eviction_maintains_valid_bits(self):
         policy = self._policy(capacity=2)
         policy.access_latency_cycles(0, 18, False, 0)
         policy.access_latency_cycles(1, 18, False, 1)
@@ -378,7 +379,7 @@ class TestChargeCache:
         # Evicted row misses again.
         assert policy.access_latency_cycles(0, 18, False, 3) == 18
 
-    def test_reaccess_refreshes_entry_and_fifo_position(self):
+    def test_reaccess_renews_entry_and_lru_position(self):
         policy = self._policy(capacity=2, lifetime=100)
         policy.access_latency_cycles(0, 18, False, 0)
         policy.access_latency_cycles(1, 18, False, 1)
