@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from ..technology import TechnologyParams
 
 
@@ -48,6 +50,38 @@ class LeakageModel:
         if not 0 < pattern_factor <= 1:
             raise ValueError(f"pattern_factor must be in (0,1], got {pattern_factor}")
         return self.tech.retention_tau(retention_time * pattern_factor)
+
+    def decay_factors(self, retention, elapsed, pattern_factor=1.0) -> np.ndarray:
+        """Per-period decay factors ``exp(-elapsed / tau)``, elementwise.
+
+        The array form of ``math.exp(-elapsed / self.tau(retention,
+        pattern_factor))``: the division chain runs on numpy arrays with
+        the scalar chain's IEEE operations in the same order, and the
+        exponential stays one ``math.exp`` per element, so every factor
+        is the same double the scalar chain gives (architecture
+        invariant 14).  The arguments broadcast against each other.
+
+        Raises:
+            ValueError: :meth:`tau`'s error for the first element whose
+                ``pattern_factor`` is outside (0, 1] or whose effective
+                retention is not positive.  A NaN retention passes
+                through as a NaN factor, as it does in :meth:`tau`.
+        """
+        retention, elapsed, factor = np.broadcast_arrays(
+            np.asarray(retention, dtype=float),
+            np.asarray(elapsed, dtype=float),
+            np.asarray(pattern_factor, dtype=float),
+        )
+        effective = retention * factor
+        bad = ~((0 < factor) & (factor <= 1)) | (effective <= 0)
+        if bad.any():
+            # The scalar chain raises tau's own error for that element.
+            i = np.flatnonzero(bad)[0]
+            self.tau(float(retention.flat[i]), float(factor.flat[i]))
+        exponent = -elapsed / (-effective / math.log(self.tech.fail_fraction))
+        flat = exponent.reshape(-1).tolist()
+        decay = np.fromiter(map(math.exp, flat), dtype=float, count=len(flat))
+        return decay.reshape(exponent.shape)
 
     def fraction_after(
         self,

@@ -22,7 +22,6 @@ iterations (finite MPRSF) — exactly the behaviour of Fig. 1b.
 
 from __future__ import annotations
 
-import math
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -32,6 +31,7 @@ from ..guard import assert_finite
 from ..model.leakage import LeakageModel
 from ..model.trfc import RefreshLatencyModel, RefreshTiming
 from ..retention.data_patterns import DataPattern, worst_pattern
+from ..retention.profiler import group_rows
 from ..technology import BankGeometry, DEFAULT_GEOMETRY, TechnologyParams
 
 # Session-cache key: the refresh phase schedule plus the bank geometry
@@ -319,11 +319,14 @@ class MPRSFCalculator:
         MPRSF and drop out of the active set, so a profile's cost is
         bounded by its *slowest*-saturating point, not the sum.
 
-        Exactness (architecture invariant 14): the decay factor is
-        computed per point with the same scalar ``math.exp`` call chain
-        as :meth:`~repro.model.leakage.LeakageModel.fraction_after`, and
-        the restore step is bit-identical by construction, so the result
-        equals the scalar per-point loop *exactly* — not approximately.
+        Exactness (architecture invariant 14): the per-point decay
+        factors come from
+        :meth:`~repro.model.leakage.LeakageModel.decay_factors`, which
+        runs :meth:`~repro.model.leakage.LeakageModel.fraction_after`'s
+        division chain on arrays in the same IEEE order and keeps one
+        ``math.exp`` per point, and the restore step is bit-identical by
+        construction, so the result equals the scalar per-point loop
+        *exactly* — not approximately.
 
         Args:
             retention_times: profiled retention times (seconds), any
@@ -345,9 +348,9 @@ class MPRSFCalculator:
             raise ValueError(f"max_count must be non-negative, got {max_count}")
         flat_ret = ret.reshape(-1)
         flat_per = per.reshape(-1)
-        for p in flat_per:
-            if p <= 0:
-                raise ValueError(f"refresh period must be positive, got {p}")
+        bad = np.flatnonzero(flat_per <= 0)
+        if bad.size:
+            raise ValueError(f"refresh period must be positive, got {flat_per[bad[0]]}")
         pattern = pattern or worst_pattern()
         timing = partial_timing or self.model.partial_refresh()
         derating = pattern.retention_derating
@@ -359,15 +362,7 @@ class MPRSFCalculator:
         out = np.full(n, max_count, dtype=np.int64)
         if n == 0:
             return out.reshape(ret.shape)
-        # One decay factor per point, through the scalar transcendental
-        # (math.exp, not np.exp) so each point's leak arithmetic is the
-        # exact double mprsf_for_cell computes every period.
-        decay = np.array(
-            [
-                math.exp(-p / self.leakage.tau(r, derating))
-                for r, p in zip(flat_ret, flat_per)
-            ]
-        )
+        decay = self.leakage.decay_factors(flat_ret, flat_per, derating)
 
         active = np.arange(n)
         fraction = np.ones(n)  # immediately after a full refresh
@@ -399,10 +394,11 @@ class MPRSFCalculator:
         (:class:`~repro.retention.profiler.RetentionProfile`), evaluating
         the weakest cell suffices — MPRSF is monotone in retention time.
 
-        Rows are deduplicated on (retention rounded to 1 ms, period) —
-        8192 rows collapse to a few hundred distinct keys — and the
-        distinct points run through the vectorized
-        :meth:`mprsf_for_points` fixed point in one pass.
+        Rows are deduplicated on (retention rounded to 1 ms, period)
+        through :func:`~repro.retention.profiler.group_rows` — 8192 rows
+        collapse to a few hundred distinct keys — and the distinct
+        points run through the vectorized :meth:`mprsf_for_points` fixed
+        point in one pass.
         """
         if row_retention.shape != row_period.shape:
             raise ValueError(
@@ -417,7 +413,8 @@ class MPRSFCalculator:
         # them the results — are unchanged.
         quantized = np.rint(np.asarray(row_retention, dtype=float) * 1000.0)
         keys = np.stack([quantized, np.asarray(row_period, dtype=float)], axis=1)
-        uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
+        first, inverse = group_rows(keys)
+        uniq = keys[first]
         values = self.mprsf_for_points(
             uniq[:, 0] / 1000.0,
             uniq[:, 1],
@@ -426,5 +423,5 @@ class MPRSFCalculator:
             max_count,
             apply_guard,
         )
-        out[:] = values[inverse.reshape(-1)]
+        out[:] = values[inverse]
         return out

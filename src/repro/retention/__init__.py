@@ -7,7 +7,8 @@ package provides the reproduction's equivalent:
 * :mod:`~repro.retention.distribution` — a cell-level retention-time
   distribution calibrated to the Liu et al. [27] shape used in Fig. 3a;
 * :mod:`~repro.retention.profiler` — samples a bank's cells and reduces
-  to per-row minima (a row is only as strong as its weakest cell);
+  to per-row minima (a row is only as strong as its weakest cell), and
+  groups per-row keys (``group_rows``) for the MPRSF and VRT kernels;
 * :mod:`~repro.retention.binning` — RAIDR-style binning of rows into
   refresh-period buckets (Fig. 3b);
 * :mod:`~repro.retention.data_patterns` — the four data patterns of
@@ -24,7 +25,7 @@ package provides the reproduction's equivalent:
 from .binning import BinningResult, RefreshBinning, DEFAULT_PERIODS
 from .data_patterns import DataPattern, worst_pattern
 from .distribution import RetentionDistribution
-from .profiler import RetentionProfile, RetentionProfiler
+from .profiler import RetentionProfile, RetentionProfiler, group_rows
 from .storage import DeploymentArtifact, build_artifact, load_artifact, save_artifact
 from .temperature import TemperatureModel
 from .vrt import VRTModel, VRTParameters, VRTReport
@@ -38,6 +39,7 @@ __all__ = [
     "RetentionDistribution",
     "RetentionProfile",
     "RetentionProfiler",
+    "group_rows",
     "DeploymentArtifact",
     "build_artifact",
     "load_artifact",

@@ -114,3 +114,23 @@ class RetentionProfiler:
             row_retention=row_min,
             cell_retention=cells if keep_cells else None,
         )
+
+
+def group_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group equal rows of a 2-D ``keys`` array (one key per DRAM row).
+
+    Returns ``(first, inverse)`` as ``np.unique(keys, axis=0,
+    return_index=True, return_inverse=True)`` does: the first row of each
+    distinct key, in lexicographic key order, and each row's group, so
+    ``keys[first]`` is ``unique``'s array of distinct keys.  One stable
+    ``np.lexsort`` replaces ``unique``'s structured-view sort.  The MPRSF
+    row deduplication and the VRT replay both group through it.
+    """
+    order = np.lexsort(keys.T[::-1])
+    ordered = keys[order]
+    starts = np.empty(len(order), dtype=bool)
+    starts[:1] = True
+    np.any(ordered[1:] != ordered[:-1], axis=1, out=starts[1:])
+    inverse = np.empty_like(order)
+    inverse[order] = np.cumsum(starts) - 1
+    return order[starts], inverse

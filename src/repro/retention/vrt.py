@@ -28,31 +28,12 @@ per-row scalar loop, so the counts are exact (architecture invariant
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..technology import TechnologyParams
-from .profiler import RetentionProfile
-
-
-def _group_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Group equal rows of a 2-D ``keys`` array.
-
-    Returns ``(first, inverse)`` as ``np.unique(keys, axis=0,
-    return_index=True, return_inverse=True)`` does: the first row of each
-    distinct key, in lexicographic key order, and each row's group.  One
-    stable ``np.lexsort`` replaces ``unique``'s structured-view sort.
-    """
-    order = np.lexsort(keys.T[::-1])
-    ordered = keys[order]
-    starts = np.empty(len(order), dtype=bool)
-    starts[:1] = True
-    np.any(ordered[1:] != ordered[:-1], axis=1, out=starts[1:])
-    inverse = np.empty_like(order)
-    inverse[order] = np.cumsum(starts) - 1
-    return order[starts], inverse
+from .profiler import RetentionProfile, group_rows
 
 
 @dataclass(frozen=True)
@@ -167,24 +148,10 @@ class VRTModel:
                 match the profile's row count, a period is not positive,
                 an MPRSF value is negative, or ``n_generations < 1``.
         """
-        from ..model.trfc import RefreshLatencyModel
-
-        where = "VRTModel.integrity_violations"
-        if len(row_period) != len(profile.row_retention) or len(mprsf) != len(row_period):
-            raise ValueError(f"{where}: row_period/mprsf must match the profile's row count")
-        row_period = np.asarray(row_period, dtype=float)
-        mprsf = np.asarray(mprsf)
-        if not np.all(row_period > 0):
-            bad = row_period[~(row_period > 0)][0]
-            raise ValueError(f"{where}: refresh periods must be positive, got {bad}")
-        if np.any(mprsf < 0):
-            raise ValueError(f"{where}: mprsf must be non-negative, got {mprsf.min()}")
-        if n_generations < 1:
-            raise ValueError(f"{where}: n_generations must be >= 1, got {n_generations}")
-        model = RefreshLatencyModel(tech, profile.geometry)
-        fails = self._failing_rows(
-            model, self.degraded_retention(profile), row_period, mprsf, n_generations
+        model, retention, row_period, mprsf = self._replay_inputs(
+            tech, profile, row_period, mprsf, n_generations
         )
+        fails = self._failing_rows(model, retention, row_period, mprsf, n_generations)
         return int(np.count_nonzero(fails))
 
     def integrity_report(
@@ -203,12 +170,46 @@ class VRTModel:
         covers the modeled VRT population — while the RAIDR baseline's
         own VRT exposure (present with or without VRL) is reported
         separately.
+
+        Both counts equal :meth:`integrity_violations` of the schedule
+        and of its all-zero MPRSF; the two replays share one validation,
+        one refresh model and one degraded-retention draw (the draw
+        reseeds from ``seed``, so it is the same array either way).
         """
-        total = self.integrity_violations(tech, profile, row_period, mprsf, n_generations)
-        baseline = self.integrity_violations(
-            tech, profile, row_period, np.zeros_like(mprsf), n_generations
+        model, retention, row_period, mprsf = self._replay_inputs(
+            tech, profile, row_period, mprsf, n_generations
+        )
+        total, baseline = (
+            int(np.count_nonzero(self._failing_rows(model, retention, row_period, m, n_generations)))
+            for m in (mprsf, np.zeros_like(mprsf))
         )
         return VRTReport(total_violations=total, raidr_baseline=baseline)
+
+    def _replay_inputs(
+        self,
+        tech: TechnologyParams,
+        profile: RetentionProfile,
+        row_period: np.ndarray,
+        mprsf: np.ndarray,
+        n_generations: int,
+    ):
+        """Validate a schedule; return ``(model, retention, row_period, mprsf)``."""
+        from ..model.trfc import RefreshLatencyModel
+
+        where = "VRTModel.integrity_violations"
+        if len(row_period) != len(profile.row_retention) or len(mprsf) != len(row_period):
+            raise ValueError(f"{where}: row_period/mprsf must match the profile's row count")
+        row_period = np.asarray(row_period, dtype=float)
+        mprsf = np.asarray(mprsf)
+        if not np.all(row_period > 0):
+            bad = row_period[~(row_period > 0)][0]
+            raise ValueError(f"{where}: refresh periods must be positive, got {bad}")
+        if np.any(mprsf < 0):
+            raise ValueError(f"{where}: mprsf must be non-negative, got {mprsf.min()}")
+        if n_generations < 1:
+            raise ValueError(f"{where}: n_generations must be >= 1, got {n_generations}")
+        model = RefreshLatencyModel(tech, profile.geometry)
+        return model, self.degraded_retention(profile), row_period, mprsf
 
     @staticmethod
     def _failing_rows(
@@ -232,20 +233,15 @@ class VRTModel:
 
         if len(retention) == 0:
             return np.zeros(0, dtype=bool)
-        leakage = LeakageModel(model.tech)
         counts = np.asarray(mprsf).astype(np.int64)
         keys = np.stack(
             [np.trunc(retention * 1e4), row_period, counts.astype(float)], axis=1
         )
-        first, inverse = _group_rows(keys)
-        # One decay factor per key through the scalar chain fraction_after
-        # uses (math.exp, not np.exp), so every leak step is the same double.
-        decay = np.array(
-            [
-                math.exp(-p / leakage.tau(r))
-                for r, p in zip(retention[first], row_period[first])
-            ]
-        )
+        first, inverse = group_rows(keys)
+        # One decay factor per key: the scalar fraction_after chain's
+        # division on arrays, then math.exp (not np.exp) per key, so
+        # every leak step multiplies by the same double.
+        decay = LeakageModel(model.tech).decay_factors(retention[first], row_period[first])
         m = counts[first]
         steps = n_generations * (m + 1)
         partial = model.partial_refresh()

@@ -14,8 +14,8 @@ from repro.retention import (
     VRTModel,
     VRTParameters,
     VRTReport,
+    group_rows,
 )
-from repro.retention.vrt import _group_rows
 from repro.technology import BankGeometry, DEFAULT_TECH
 
 TECH = DEFAULT_TECH
@@ -284,7 +284,7 @@ class TestGroupRows:
             [np.asarray(pool, dtype=float)[np.asarray(p, dtype=int)] for pool, p in zip(pools, picks)],
             axis=1,
         )
-        first, inverse = _group_rows(keys)
+        first, inverse = group_rows(keys)
         _, want_first, want_inverse = np.unique(
             keys, axis=0, return_index=True, return_inverse=True
         )
@@ -294,6 +294,6 @@ class TestGroupRows:
 
     def test_first_occurrence_and_key_order(self):
         keys = np.array([[2.0, 1.0, 0.0], [1.0, 5.0, 1.0], [2.0, 1.0, 0.0], [1.0, 5.0, 0.0]])
-        first, inverse = _group_rows(keys)
+        first, inverse = group_rows(keys)
         assert first.tolist() == [3, 1, 0]
         assert inverse.tolist() == [2, 1, 2, 0]
