@@ -19,12 +19,16 @@ importtime:
 	PYTHONPATH=src python -X importtime -c "import repro.experiments.cli" 2>&1 \
 		| sort -t '|' -k 2 -n -r | head -n 20
 
-# Peak RSS of a cold, uncached `vrl-dram fig4 --duration 6` (the child's ru_maxrss).
+# Peak RSS of a cold, uncached `vrl-dram fig4 --duration 6` (the child's ru_maxrss);
+# fails above 110 MB (87 MB measured, so a trace hoard or trace-length
+# temporaries coming back fail it).
 peakrss:
 	PYTHONPATH=src python -c "import resource, subprocess, sys; \
 	subprocess.run([sys.executable, '-m', 'repro.experiments.cli', 'fig4', '--duration', '6', \
 	'--no-cache', '--runs-dir', ''], check=True, stdout=subprocess.DEVNULL); \
-	print('fig4 --duration 6 peak RSS: %.1f MB' % (resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024))"
+	peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024; \
+	print('fig4 --duration 6 peak RSS: %.1f MB (bound 110 MB)' % peak); \
+	sys.exit(peak > 110)"
 
 # Lines of Python in each src/repro subpackage, the top-level modules, and the total.
 loc:

@@ -79,7 +79,7 @@ from .sim import (
     load_trace,
     save_trace,
 )
-from .workloads import PARSEC_WORKLOADS, TraceGenerator, WorkloadSpec, generate_suite
+from .workloads import PARSEC_WORKLOADS, TraceGenerator, WorkloadSpec
 from .power import RefreshPowerModel
 from .area import AreaModel
 
@@ -137,7 +137,6 @@ __all__ = [
     "PARSEC_WORKLOADS",
     "TraceGenerator",
     "WorkloadSpec",
-    "generate_suite",
     "RefreshPowerModel",
     "AreaModel",
     "Cell",

@@ -19,8 +19,9 @@ a time (see :func:`_trace`).
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field, fields
-from functools import lru_cache
+from functools import lru_cache, update_wrapper
 from typing import Any, Callable, Mapping, Optional
 
 import numpy as np
@@ -97,7 +98,41 @@ def _profile_binning(frozen_tech: tuple, rows: int, cols: int, seed: int):
     return profile, binning
 
 
-@lru_cache(maxsize=1)
+_CacheInfo = namedtuple("_CacheInfo", "hits misses maxsize currsize")
+
+
+class _LatestOnly:
+    """One-slot memo that lets go of its value before it builds the next.
+
+    ``lru_cache(maxsize=1)`` evicts only once the new value exists, so
+    for the length of every build it holds two; this drops the held
+    value first, so at most one is alive at any time.  A call with the
+    held key is a hit.  :meth:`cache_info` has ``lru_cache``'s shape.
+    """
+
+    def __init__(self, build: Callable[..., Any]):
+        self._build = build
+        self._key: Optional[tuple] = None
+        self._value: Any = None
+        self.hits = self.misses = 0
+        update_wrapper(self, build)
+
+    def __call__(self, *key: Any) -> Any:
+        if self._key == key:
+            self.hits += 1
+            return self._value
+        self.misses += 1
+        self._key = self._value = None
+        self._value = self._build(*key)
+        self._key = key
+        return self._value
+
+    def cache_info(self) -> _CacheInfo:
+        """Hits, misses, slot count and slots in use, as ``lru_cache`` reports."""
+        return _CacheInfo(self.hits, self.misses, 1, int(self._key is not None))
+
+
+@_LatestOnly
 def _trace(
     frozen_tech: tuple,
     rows: int,
@@ -111,8 +146,9 @@ def _trace(
     Cells whose pricing reads the trace call this back to back for one
     workload (the engine sweeps are benchmark-major, and in Fig. 4 only
     the VRL-Access column reads a trace), so a single slot still builds
-    each trace once per sweep while keeping at most one alive.  Cells
-    whose evaluator ignores the trace never call it (see
+    each trace once per sweep, and since the slot is emptied before a
+    build, at most one trace is alive even while the next is generated.
+    Cells whose evaluator ignores the trace never call it (see
     :attr:`~repro.sim.RefreshOverheadEvaluator.reads_trace`).
     """
     tech = _tech(frozen_tech)

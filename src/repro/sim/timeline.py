@@ -56,6 +56,8 @@ __all__ = [
 _RESET_BITMAP_FLOOR = 1 << 20
 #: Bitmap bytes allowed per access: the int64 keys already take 8.
 _RESET_BITMAP_PER_ACCESS = 8
+#: Accesses :func:`access_resets` prices per block.
+_RESET_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -178,14 +180,17 @@ def access_resets(
     first deadline strictly after ``c`` (refresh wins ties, so an
     access *on* a deadline affects the next interval): ordinal 0 for
     ``c < first``, else ``(c - first) // period + 1``.  Rows outside
-    the bank are inert.  One vectorized pass over all accesses, no
-    per-row Python: each access marks its packed ``row * span +
-    ordinal`` key in a boolean bitmap, and the set bits, read back in
-    order, are the resets already sorted and unique.  The bitmap covers
-    the whole bank unless that would exceed
+    the bank are inert.  No per-row Python and no access-length
+    temporary: :data:`_RESET_BLOCK` accesses at a time, each access
+    marks its packed ``row * span + ordinal`` key in a boolean bitmap,
+    and the set bits, read back in order, are the resets already sorted
+    and unique.  ``span`` bounds the ordinals without reading them: it
+    is one past the largest ordinal the latest access could have in any
+    row.  The bitmap covers the whole bank unless that would exceed
     ``max(_RESET_BITMAP_FLOOR, _RESET_BITMAP_PER_ACCESS * n_accesses)``
     bytes; then it is filled and read one window of keys of that size
-    at a time, so memory stays bounded.
+    at a time, each window one more pass over the accesses, so memory
+    stays bounded.
 
     Args:
         rows: accessed rows.
@@ -206,59 +211,58 @@ def access_resets(
     """
     rows = np.asarray(rows, dtype=np.int64)
     cycles = np.asarray(cycles, dtype=np.int64)
-    in_bank = (rows >= 0) & (rows < len(first))
-    if not in_bank.all():
-        rows, cycles = rows[in_bank], cycles[in_bank]
-    del in_bank
-    if len(rows) == 0:
-        return rows, np.empty(0, dtype=np.int64)
-    # (c - first) // period + 1, which is <= 0 exactly when c < first.
-    ordinals = cycles - np.take(first, rows)
-    ordinals //= np.take(periods_cycles, rows)
-    ordinals += 1
-    np.maximum(ordinals, 0, out=ordinals)
-    span = int(ordinals.max()) + 1
-    keys = rows * span
-    keys += ordinals
-    del ordinals
-    limit = max(_RESET_BITMAP_FLOOR, _RESET_BITMAP_PER_ACCESS * len(keys))
-    if len(first) * span <= limit:
-        marked = _set_bits(keys, len(first) * span)
-    else:
-        marked = _windowed_set_bits(keys, limit)
-    del keys
+    if len(rows) == 0 or len(first) == 0:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    # (c - first) // period + 1 is largest at the latest access.
+    cap = max(0, int(((cycles.max() - first) // periods_cycles).max()) + 1)
+    span = cap + 1
+    size = len(first) * span
+    window = min(size, max(_RESET_BITMAP_FLOOR, _RESET_BITMAP_PER_ACCESS * len(rows)))
+    seen = np.zeros(window, dtype=bool)
+    found = []
+    start = 0
+    while start < size:
+        end = start + window
+        following = size
+        for keys in _reset_keys(rows, cycles, first, periods_cycles, span):
+            if window < size:
+                following = min(following, int(keys.min(where=keys >= end, initial=size)))
+                keys = keys[(keys >= start) & (keys < end)] - start
+            seen[keys] = True
+        bits = np.flatnonzero(seen)
+        bits += start
+        found.append(bits)
+        seen[:] = False
+        start = following
+    marked = np.concatenate(found) if len(found) > 1 else found[0]
+    del found
     reset_rows, reset_ordinals = np.divmod(marked, span)
+    del marked
     if counts is not None:
         live = reset_ordinals < counts[reset_rows]
         reset_rows, reset_ordinals = reset_rows[live], reset_ordinals[live]
     return reset_rows, reset_ordinals
 
 
-def _set_bits(keys: np.ndarray, size: int) -> np.ndarray:
-    """Distinct ``keys`` in ``[0, size)``, ascending, via a bitmap."""
-    seen = np.zeros(size, dtype=bool)
-    seen[keys] = True
-    return np.flatnonzero(seen)
+def _reset_keys(rows, cycles, first, periods_cycles, span):
+    """Each block's packed ``row * span + ordinal`` keys.
 
-
-def _windowed_set_bits(keys: np.ndarray, limit: int) -> np.ndarray:
-    """:func:`_set_bits` one ``limit``-key window at a time.
-
-    Each window starts at the smallest key not yet read, so empty
-    stretches of the key range cost nothing and the windows come out in
-    ascending order.
+    Accesses to rows outside the bank are left out.
     """
-    found = []
-    while len(keys):
-        start = int(keys.min())
-        inside = keys < start + limit
-        window = keys[inside]
-        window -= start
-        bits = _set_bits(window, int(window.max()) + 1)
-        bits += start
-        found.append(bits)
-        keys = keys[~inside]
-    return np.concatenate(found)
+    for start in range(0, len(rows), _RESET_BLOCK):
+        block_rows = rows[start:start + _RESET_BLOCK]
+        block_cycles = cycles[start:start + _RESET_BLOCK]
+        in_bank = (block_rows >= 0) & (block_rows < len(first))
+        if not in_bank.all():
+            block_rows, block_cycles = block_rows[in_bank], block_cycles[in_bank]
+        # (c - first) // period + 1, which is <= 0 exactly when c < first.
+        keys = np.take(first, block_rows)
+        np.subtract(block_cycles, keys, out=keys)
+        keys //= np.take(periods_cycles, block_rows)
+        keys += 1
+        np.maximum(keys, 0, out=keys)
+        keys += block_rows * span
+        yield keys
 
 
 def service_starts(

@@ -20,6 +20,8 @@ import numpy as np
 
 #: Default bytes-per-row shift for address->row mapping (8 KiB rows).
 DEFAULT_ROW_SHIFT = 13
+#: Requests per block of the construction-time ordering check.
+_CHECK_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -46,9 +48,12 @@ class MemoryTrace:
                 f"array lengths differ: cycles={n}, rows={len(self.rows)}, "
                 f"is_write={len(self.is_write)}"
             )
-        if n and (self.cycles[1:] < self.cycles[:-1]).any():
-            raise ValueError("request cycles must be non-decreasing")
-        if n and (self.rows < 0).any():
+        # Blockwise, so a check allocates no trace-length temporary.
+        for start in range(0, n - 1, _CHECK_BLOCK):
+            window = self.cycles[start:start + _CHECK_BLOCK + 1]
+            if (window[1:] < window[:-1]).any():
+                raise ValueError("request cycles must be non-decreasing")
+        if n and self.rows.min() < 0:
             raise ValueError("rows must be non-negative")
 
     def __len__(self) -> int:

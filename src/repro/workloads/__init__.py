@@ -10,12 +10,11 @@ row-coverage structure matters to VRL-Access.
 """
 
 from .benchmarks import PARSEC_WORKLOADS, WorkloadSpec, workload_names
-from .generator import TraceGenerator, generate_suite
+from .generator import TraceGenerator
 
 __all__ = [
     "PARSEC_WORKLOADS",
     "WorkloadSpec",
     "workload_names",
     "TraceGenerator",
-    "generate_suite",
 ]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.sim import MemoryTrace, load_trace, save_trace
+from repro.sim import trace as trace_module
 
 
 def _trace(n=5, name="t"):
@@ -55,6 +56,21 @@ class TestMemoryTrace:
                 np.zeros(2, dtype=np.int64),
                 np.zeros(2, dtype=bool),
             )
+
+    @pytest.mark.parametrize("descent", range(12))
+    def test_rejects_decreasing_cycles_at_any_block_boundary(self, monkeypatch, descent):
+        # Blocks of 4 over 13 requests: descents 3->4 and 7->8 straddle
+        # a block boundary, 11->12 reaches the short last block.
+        monkeypatch.setattr(trace_module, "_CHECK_BLOCK", 4)
+        cycles = np.arange(13, dtype=np.int64) * 10
+        cycles[descent + 1] = cycles[descent] - 1
+        with pytest.raises(ValueError, match="non-decreasing"):
+            MemoryTrace(cycles, np.zeros(13, dtype=np.int64), np.zeros(13, dtype=bool))
+
+    def test_accepts_equal_cycles_across_block_boundary(self, monkeypatch):
+        monkeypatch.setattr(trace_module, "_CHECK_BLOCK", 4)
+        cycles = np.repeat(np.arange(4, dtype=np.int64), [3, 2, 5, 3])
+        assert len(MemoryTrace(cycles, np.zeros(13, dtype=np.int64), np.zeros(13, dtype=bool))) == 13
 
     def test_rejects_negative_rows(self):
         with pytest.raises(ValueError, match="non-negative"):

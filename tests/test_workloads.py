@@ -13,10 +13,10 @@ from repro.workloads import (
     PARSEC_WORKLOADS,
     TraceGenerator,
     WorkloadSpec,
-    generate_suite,
     workload_names,
 )
 from repro.workloads.generator import _sample_categorical
+from tests.reference_trace import generate_suite
 
 TIMING = DRAMTiming.from_technology(DEFAULT_TECH)
 
