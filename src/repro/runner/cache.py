@@ -12,7 +12,13 @@ Entries are single JSON files named ``<digest>.json`` inside the cache
 directory.  Writes are atomic (temp file + ``os.replace``), and reads
 treat *any* malformed entry — truncated JSON, wrong schema, digest
 mismatch — as a miss: the cell is recomputed and the bad file replaced,
-never crashed on.
+never crashed on.  :attr:`ResultCache.discarded` counts those entries,
+and each run manifest reports how many of them the run met.
+
+A warm sweep keys and reads every cell, so both are kept cheap:
+:func:`cache_key` encodes an unchanged technology dict once rather than
+once per cell, and :meth:`ResultCache.get` reads an entry as bytes with
+one ``open``.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ import itertools
 import json
 import os
 import threading
+from operator import is_
 from pathlib import Path
 from typing import Any, Mapping, Optional, Union
 
@@ -59,11 +66,71 @@ def result_schema(kind: str) -> int:
     return _RESULT_SCHEMAS.get(kind, DEFAULT_RESULT_SCHEMA)
 
 
+#: The one encoder behind :func:`canonical_json` (``json.dumps`` with
+#: these options would build a new encoder on every call).
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+
 def canonical_json(value: Any) -> str:
     """Deterministic JSON serialization (sorted keys, compact, no NaN)."""
-    return json.dumps(
-        value, sort_keys=True, separators=(",", ":"), allow_nan=False
+    return _ENCODER.encode(value)
+
+
+#: Stands in for ``params["tech"]`` while the rest of a recipe is
+#: encoded; it encodes as ``_TECH_MARK``, which the encoded tech dict
+#: then replaces (see :func:`_recipe_json`).
+_TECH_SENTINEL = "\x00"
+_TECH_MARK = canonical_json(_TECH_SENTINEL)
+
+#: Values whose encoding cannot change while the object lives.
+_SCALARS = (str, int, float, type(None))
+
+
+#: The last tech dict encoded by :func:`_tech_json`: its keys then its
+#: values (strong references, so no id among them can be reused) and
+#: its encoding.  It starts out holding the empty dict.
+_tech_memo: tuple[tuple, str] = ((), "{}")
+
+
+def _tech_json(tech: dict) -> str:
+    """``canonical_json(tech)``, memoized on the identity of its items.
+
+    A hit needs the same key and value *objects* in the same order, so
+    equal values that encode differently (``-0.0`` and ``0.0``, ``1``
+    and ``True``) never share an encoding.  Only dicts of immutable
+    scalars are memoized; anything else is encoded afresh.
+    """
+    global _tech_memo
+    refs = (*tech, *tech.values())
+    held, encoded = _tech_memo
+    if len(refs) == len(held) and all(map(is_, refs, held)):
+        return encoded
+    encoded = canonical_json(tech)
+    if all(isinstance(value, _SCALARS) for value in tech.values()):
+        _tech_memo = (refs, encoded)
+    return encoded
+
+
+def _recipe_json(recipe: dict) -> str:
+    """``canonical_json(recipe)``, with ``recipe["params"]["tech"]`` spliced.
+
+    The tech dict (the bulk of every recipe, and the same for every
+    cell of a sweep) is encoded by :func:`_tech_json`; the rest of the
+    recipe is encoded around a sentinel that the encoded dict then
+    replaces.  The splice is taken only when the sentinel's encoding
+    occurs exactly once, so a param that happens to equal the sentinel
+    falls back to encoding the whole recipe.
+    """
+    params = recipe["params"]
+    tech = params.get("tech") if type(params) is dict else None
+    if type(tech) is not dict:
+        return canonical_json(recipe)
+    outer = canonical_json(
+        {**recipe, "params": {**params, "tech": _TECH_SENTINEL}}
     )
+    if outer.count(_TECH_MARK) != 1:
+        return canonical_json(recipe)
+    return outer.replace(_TECH_MARK, _tech_json(tech))
 
 
 def cache_key(
@@ -86,7 +153,7 @@ def cache_key(
     """
     if result_version is None:
         result_version = result_schema(kind)
-    recipe = canonical_json(
+    recipe = _recipe_json(
         {
             "kind": kind,
             "params": params,
@@ -103,10 +170,15 @@ class ResultCache:
 
     Args:
         directory: cache root; created on first write.
+
+    Attributes:
+        discarded: corrupt entries :meth:`get` has deleted so far.
     """
 
     def __init__(self, directory: Union[str, Path]):
         self.directory = Path(directory)
+        self._prefix = os.path.join(str(self.directory), "")
+        self.discarded = 0
 
     def path_for(self, key: str) -> Path:
         """Where the entry for ``key`` lives (whether or not it exists)."""
@@ -119,13 +191,13 @@ class ResultCache:
         mismatching key) counts as a miss and is deleted so the rerun's
         fresh result can take its place.
         """
-        path = self.path_for(key)
+        path = f"{self._prefix}{key}.json"
         try:
-            with path.open() as fh:
-                entry = json.load(fh)
+            with open(path, "rb") as fh:
+                entry = json.loads(fh.read())
         except FileNotFoundError:
             return None
-        except (json.JSONDecodeError, OSError, UnicodeDecodeError):
+        except (ValueError, OSError):  # JSONDecodeError, UnicodeDecodeError
             self._discard(path)
             return None
         if (
@@ -184,9 +256,9 @@ class ResultCache:
             return 0
         return sum(1 for _ in self.directory.glob("*.json"))
 
-    @staticmethod
-    def _discard(path: Path) -> None:
+    def _discard(self, path: str) -> None:
+        self.discarded += 1
         try:
-            path.unlink()
+            os.unlink(path)
         except OSError:  # pragma: no cover - racing unlink is fine
             pass

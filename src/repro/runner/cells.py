@@ -64,15 +64,41 @@ class Cell:
                 f"unknown cell kind {self.kind!r}; registered: {sorted(CELL_KINDS)}"
             )
 
+    @classmethod
+    def unchecked(cls, kind: str, params: Mapping[str, Any], label: str) -> "Cell":
+        """A cell whose ``kind`` the caller has already checked.
+
+        Skips :meth:`__post_init__`'s lookup; a typed
+        :class:`~repro.service.Query` validates its kind when it is
+        built, so lowering it need not do so again.
+        """
+        cell = object.__new__(cls)
+        cell.__dict__.update(kind=kind, params=params, label=label)
+        return cell
+
+
+#: The last projected :class:`TechnologyParams` and its projection.  The
+#: strong reference keeps the object alive, so its identity stays its own.
+_projected: tuple[Optional[TechnologyParams], dict[str, Any]] = (None, {})
+
 
 def tech_params(tech: TechnologyParams) -> dict[str, Any]:
     """A :class:`TechnologyParams` as a JSON-primitive dict (cache-keyable).
 
     A shallow field projection: every field is an ``int`` or a
     ``float``, so this equals ``dataclasses.asdict(tech)`` (same keys,
-    same order, same cache key) without its recursive deep copy.
+    same order, same cache key) without its recursive deep copy.  The
+    params object is frozen, so the last one projected is remembered
+    by identity and every call returns a fresh copy; the copies share
+    their value objects, which lets :func:`~repro.runner.cache.cache_key`
+    reuse one encoding of them.
     """
-    return {spec.name: getattr(tech, spec.name) for spec in fields(tech)}
+    global _projected
+    held, projection = _projected
+    if held is not tech:
+        projection = {spec.name: getattr(tech, spec.name) for spec in fields(tech)}
+        _projected = (tech, projection)
+    return dict(projection)
 
 
 # --------------------------------------------------------------------- #

@@ -174,7 +174,8 @@ class RunReport:
     ``outcomes`` is ordered like the input cells; ``results`` exposes
     just the payloads in the same order (``None`` where a cell failed
     every attempt).  ``status`` is ``"complete"`` unless the run was
-    interrupted mid-sweep.
+    interrupted mid-sweep.  ``cache_discarded`` counts the corrupt cache
+    entries this run's lookups deleted.
     """
 
     experiment: str
@@ -183,6 +184,7 @@ class RunReport:
     elapsed_seconds: float = 0.0
     started_at: str = ""
     cache_dir: Optional[str] = None
+    cache_discarded: int = 0
     manifest_path: Optional[Path] = None
     checkpoint_path: Optional[Path] = None
     status: str = "complete"
@@ -271,6 +273,7 @@ class RunReport:
                 "hits": self.cache_hits,
                 "misses": self.cache_misses,
                 "hit_rate": round(self.hit_rate, 4),
+                "discarded": self.cache_discarded,
                 "dir": self.cache_dir,
             },
             "workers": {
@@ -398,6 +401,7 @@ class ExperimentRunner:
             if checkpoint is not None:
                 checkpoint.append(outcome.checkpoint_entry())
 
+        discarded_before = self.cache.discarded if self.cache is not None else 0
         previous_sigterm = self._install_sigterm_handler()
         try:
             misses: list[int] = []
@@ -442,6 +446,8 @@ class ExperimentRunner:
                 if checkpoint.records:
                     report.checkpoint_path = checkpoint.path
             report.outcomes = [o for o in outcomes if o is not None]
+            if self.cache is not None:
+                report.cache_discarded = self.cache.discarded - discarded_before
             report.elapsed_seconds = time.perf_counter() - t0
             if self.runs_dir is not None:
                 try:

@@ -25,7 +25,8 @@ record reads:
   ],
   "failures": [],
   "checkpoint": "runs/20260806T120000.123456.checkpoint.jsonl",
-  "cache": {"hits": 0, "misses": 36, "hit_rate": 0.0, "dir": "…"},
+  "cache": {"hits": 0, "misses": 36, "hit_rate": 0.0, "discarded": 0,
+            "dir": "…"},
   "workers": {"jobs": 4, "busy_seconds": 6.1, "utilization": 0.79}
 }
 ```
@@ -37,7 +38,8 @@ structured :class:`~repro.runner.errors.CellError`), or
 
 The file doubles as the machine-readable audit trail for the golden /
 equivalence tests: a warm re-run of an unchanged sweep must show a
-``hit_rate`` above 0.9.
+``hit_rate`` above 0.9.  ``cache.discarded`` counts the corrupt cache
+entries the run found and deleted (each one also counts as a miss).
 
 ## Checkpoints
 
@@ -82,20 +84,34 @@ def write_manifest(runs_dir: Union[str, Path], record: Mapping[str, Any]) -> Pat
     """Write one run record as ``<runs_dir>/<stamp>.json``.
 
     The stem is the record's ``started_at`` (:func:`run_stamp`, UTC,
-    microsecond precision); a numeric suffix disambiguates in the
-    unlikely event of a collision.  The JSON is compact, which lets
+    microsecond precision).  The file is created exclusively, so two
+    runs that share a stamp never overwrite each other: the later one
+    takes the first free ``<stamp>-N.json``.  The runs directory is
+    created only when it is missing.  The JSON is compact, which lets
     CPython use its C encoder.
     """
     runs_dir = Path(runs_dir)
-    runs_dir.mkdir(parents=True, exist_ok=True)
     stamp = run_stamp(record["started_at"])
-    path = runs_dir / f"{stamp}.json"
+    text = json.dumps({"schema": MANIFEST_SCHEMA, **record})
+    try:
+        return _create_new(runs_dir, stamp, text)
+    except FileNotFoundError:
+        runs_dir.mkdir(parents=True, exist_ok=True)
+        return _create_new(runs_dir, stamp, text)
+
+
+def _create_new(runs_dir: Path, stamp: str, text: str) -> Path:
+    """Write ``text`` to the first of ``<stamp>.json``, ``<stamp>-1.json``,
+    ... that does not exist yet, creating it exclusively."""
     suffix = 0
-    while path.exists():
-        suffix += 1
-        path = runs_dir / f"{stamp}-{suffix}.json"
-    path.write_text(json.dumps({"schema": MANIFEST_SCHEMA, **record}))
-    return path
+    while True:
+        path = runs_dir / (f"{stamp}-{suffix}.json" if suffix else f"{stamp}.json")
+        try:
+            with path.open("x") as fh:
+                fh.write(text)
+            return path
+        except FileExistsError:
+            suffix += 1
 
 
 def load_manifest(path: Union[str, Path]) -> dict:

@@ -13,7 +13,7 @@ sweep drivers, and warm caches all speak one keyspace.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Mapping, Optional
+from typing import Any, Callable, Mapping, Optional
 
 from ..runner import Cell, cache_key, tech_params
 from ..runner.cells import CELL_KINDS
@@ -47,6 +47,28 @@ KIND_PARAMS: dict[str, tuple[str, ...]] = {
         "tech", "rows", "cols", "restore_fraction", "start_lo", "start_hi",
         "n_points",
     ),
+}
+
+
+def _optional_float(value: Any) -> Optional[float]:
+    return None if value is None else float(value)
+
+
+#: How ``Query.params()`` canonicalizes each typed field (names absent
+#: here pass through unchanged).
+_CANONICAL: dict[str, Callable[[Any], Any]] = {
+    "tech": dict,
+    "rows": int, "cols": int, "nbits": int, "n_banks": int, "seed": int,
+    "n_points": int,
+    "duration_seconds": float, "temperature": float, "start_lo": float,
+    "start_hi": float,
+    "restore_fraction": _optional_float,
+}
+
+#: ``KIND_PARAMS`` with each name paired with its canonicalizer.
+_KIND_FIELDS: dict[str, tuple[tuple[str, Optional[Callable[[Any], Any]]], ...]] = {
+    kind: tuple((name, _CANONICAL.get(name)) for name in names)
+    for kind, names in KIND_PARAMS.items()
 }
 
 #: Fields that must be non-``None`` for a kind to be computable.
@@ -162,23 +184,19 @@ class Query:
         historically passed, so the cache key of a query equals the
         cache key of the equivalent driver-built cell.
         """
-        out: dict[str, Any] = {}
-        for name in KIND_PARAMS[self.kind]:
-            value = getattr(self, name)
-            if name in ("rows", "cols", "nbits", "n_banks", "seed", "n_points"):
-                value = int(value)
-            elif name in ("duration_seconds", "temperature", "start_lo", "start_hi"):
-                value = float(value)
-            elif name == "restore_fraction":
-                value = None if value is None else float(value)
-            elif name == "tech":
-                value = dict(value)
-            out[name] = value
-        return out
+        return {
+            name: getattr(self, name) if canonical is None
+            else canonical(getattr(self, name))
+            for name, canonical in _KIND_FIELDS[self.kind]
+        }
 
     def to_cell(self) -> Cell:
-        """Lower to the runner's :class:`~repro.runner.cells.Cell`."""
-        return Cell(self.kind, self.params(), label=self.label)
+        """Lower to the runner's :class:`~repro.runner.cells.Cell`.
+
+        The kind was checked when the query was built, so the cell is
+        not checked again.
+        """
+        return Cell.unchecked(self.kind, self.params(), self.label)
 
     def key(self) -> str:
         """Canonical content address (the ``ResultCache`` key)."""
