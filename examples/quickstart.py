@@ -64,18 +64,18 @@ def main() -> None:
     print(f"  reduction: {100 * (1 - ours.refresh_cycles / base.refresh_cycles):.1f}% "
           f"(paper reports 34% on average)")
 
-    # 5. The same comparison as two typed queries — what the sweep
-    #    drivers hand to their client.
-    from repro.service import LocalClient, Query
+    # 5. The same comparison as two sweep cells — what the sweep
+    #    drivers hand to their experiment runner.
+    from repro.runner import Cell, ExperimentRunner
 
-    queries = [
-        Query(kind="refresh-overhead", tech=tech, rows=8192, cols=32,
-              policy=name, benchmark="canneal", duration_seconds=1.0)
+    cells = [
+        Cell.of("refresh-overhead", tech=tech, rows=8192, cols=32,
+                policy=name, benchmark="canneal", duration_seconds=1.0)
         for name in ("raidr", "vrl-access")
     ]
-    report = LocalClient().sweep(queries)
+    report = ExperimentRunner().run(cells)
     swept = [payload["refresh_cycles"] for payload in report.results]
-    print(f"\nvia the sweep client: RAIDR {swept[0]} vs VRL-Access {swept[1]} "
+    print(f"\nvia the experiment runner: RAIDR {swept[0]} vs VRL-Access {swept[1]} "
           f"refresh cycles (cacheable and bit-reproducible)")
 
 

@@ -26,7 +26,7 @@ from repro import (
     build_policy,
 )
 from repro.experiments import run_rank_comparison
-from repro.service import LocalClient
+from repro.runner import ExperimentRunner
 from repro.sim import predict_vrl_access_cycles, predicted_full_fraction, window_coverage
 from repro.technology import BankGeometry
 from repro.workloads import PARSEC_WORKLOADS, TraceGenerator
@@ -34,13 +34,13 @@ from repro.workloads import PARSEC_WORKLOADS, TraceGenerator
 
 def rank_view() -> None:
     print("== 8-bank rank: refresh mode comparison ==")
-    # The sweep drivers execute through a LocalClient; sharing one
-    # across several studies shares its runner (cache, worker count,
-    # manifests).
-    client = LocalClient()
+    # The sweep drivers execute through an ExperimentRunner; sharing
+    # one across several studies shares its cache, worker count and
+    # manifests.
+    runner = ExperimentRunner()
     result = run_rank_comparison(
         geometry=BankGeometry(512, 32), n_banks=8, duration_seconds=0.3,
-        client=client,
+        runner=runner,
     )
     print(result.format())
     print()

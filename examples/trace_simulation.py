@@ -6,10 +6,10 @@ server-style workload (``bgsave``) to show what the refresh overhead
 means for demand requests: queueing behind refreshes, row-buffer
 interference, and the refresh-power comparison the paper quotes.
 
-The four policy runs are swept as one block of typed queries through
-`repro.service.LocalClient`: one runner invocation computes them
+The four policy runs are swept as one block of `repro.runner.Cell`s
+through an `ExperimentRunner`: one runner invocation computes them
 (sharing the memoized trace and retention profile across policies),
-and with a result cache a re-run answers every query from disk.
+and with a result cache a re-run answers every cell from disk.
 
 Run:  python examples/trace_simulation.py [--duration 0.25]
 """
@@ -22,7 +22,7 @@ from repro import (
     RefreshLatencyModel,
     RefreshPowerModel,
 )
-from repro.service import LocalClient, Query
+from repro.runner import Cell, ExperimentRunner
 from repro.sim.stats import RefreshStats, RequestStats
 from repro.technology import DEFAULT_GEOMETRY
 from repro.workloads import PARSEC_WORKLOADS, TraceGenerator
@@ -51,9 +51,9 @@ def main() -> None:
     print(f"workload: {args.benchmark}  ({len(trace)} requests over "
           f"{1e3 * args.duration:.0f} ms, {trace.footprint_rows()} rows touched)\n")
 
-    queries = [
-        Query(
-            kind="engine-run",
+    cells = [
+        Cell.of(
+            "engine-run",
             tech=tech,
             rows=DEFAULT_GEOMETRY.rows,
             cols=DEFAULT_GEOMETRY.cols,
@@ -69,7 +69,7 @@ def main() -> None:
               f"{'mean lat':>8} {'hit%':>5} {'stall cy':>9} {'ref power':>10}")
     print(header)
     print("-" * len(header))
-    report = LocalClient().sweep(queries)
+    report = ExperimentRunner().run(cells)
     for name, payload in zip(POLICIES, report.results):
         r = RefreshStats(**payload["refresh"])
         q = RequestStats(**payload["requests"])

@@ -14,8 +14,8 @@ from __future__ import annotations
 from typing import Optional
 
 from ..retention import RetentionProfiler
-from ..runner import ExperimentRunner
-from ..service import Query, driver_client
+from ..runner import Cell, ExperimentRunner
+from ..service import LocalClient
 from ..technology import DEFAULT_GEOMETRY, DEFAULT_TECH, BankGeometry, TechnologyParams
 from .result import ExperimentResult
 
@@ -37,7 +37,6 @@ def run_baseline_comparison(
     benchmark: Optional[str] = "canneal",
     seed: int = RetentionProfiler.DEFAULT_SEED,
     runner: Optional[ExperimentRunner] = None,
-    client=None,
 ) -> ExperimentResult:
     """Compare six refresh mechanisms on one workload.
 
@@ -50,12 +49,10 @@ def run_baseline_comparison(
         seed: profiling / trace seed.
         runner: experiment executor to sweep through; defaults to
             a serial, uncached one.
-        client: :class:`~repro.service.LocalClient` to sweep through
-            instead; results are bit-identical either way.
     """
-    queries = [
-        Query(
-            kind="baseline-mechanism",
+    cells = [
+        Cell.of(
+            "baseline-mechanism",
             tech=tech,
             rows=geometry.rows,
             cols=geometry.cols,
@@ -66,7 +63,7 @@ def run_baseline_comparison(
         )
         for mechanism in BASELINE_MECHANISMS
     ]
-    report = driver_client(client, runner).sweep(queries, experiment="baselines")
+    report = LocalClient(runner).sweep(cells, experiment="baselines")
 
     descriptions = {
         "fixed-64ms": "conventional JEDEC 1x",

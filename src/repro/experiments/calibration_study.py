@@ -15,8 +15,8 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from ..runner import ExperimentRunner
-from ..service import Query, driver_client
+from ..runner import Cell, ExperimentRunner
+from ..service import LocalClient
 from ..technology import DEFAULT_GEOMETRY, DEFAULT_TECH, BankGeometry, TechnologyParams
 from .result import ExperimentResult
 
@@ -40,7 +40,6 @@ def run_calibration_study(
     start_hi: float = DEFAULT_START_HI,
     n_points: int = DEFAULT_POINTS,
     runner: Optional[ExperimentRunner] = None,
-    client=None,
 ) -> ExperimentResult:
     """Analytic-vs-circuit restoration residuals per restore target.
 
@@ -53,23 +52,21 @@ def run_calibration_study(
         n_points: lanes per calibration (points in the profile).
         runner: experiment executor to sweep through; defaults to
             a serial, uncached one.
-        client: :class:`~repro.service.LocalClient` to sweep through
-            instead; results are bit-identical either way.
     """
-    queries = [
-        Query(
-            kind="calibration-sweep",
+    cells = [
+        Cell.of(
+            "calibration-sweep",
             tech=tech,
             rows=geometry.rows,
             cols=geometry.cols,
-            restore_fraction=None if target is None else float(target),
-            start_lo=float(start_lo),
-            start_hi=float(start_hi),
-            n_points=int(n_points),
+            restore_fraction=target,
+            start_lo=start_lo,
+            start_hi=start_hi,
+            n_points=n_points,
         )
         for target in targets
     ]
-    report = driver_client(client, runner).sweep(queries, experiment="calibrate")
+    report = LocalClient(runner).sweep(cells, experiment="calibrate")
 
     rows = []
     dropped = []

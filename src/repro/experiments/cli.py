@@ -10,10 +10,10 @@ Examples::
 Every experiment dispatches through the registry
 (:mod:`repro.service`): the sweep verbs (``fig4``, ``performance``,
 ``rank``, ``baselines``, ``mechanisms``, ``temperature``,
-``calibrate``) hand typed queries to a
-:class:`~repro.service.LocalClient` built from ``--jobs`` /
-``--cache-dir`` / ``--no-cache``, which runs them through the
-:class:`~repro.runner.ExperimentRunner` on the calling thread.  Cells
+``calibrate``) build their cells with :meth:`~repro.runner.Cell.of`
+and run them through the :class:`~repro.runner.ExperimentRunner` built
+from ``--jobs`` / ``--cache-dir`` / ``--no-cache``, on the calling
+thread.  Cells
 are cached on disk keyed by the full parameter set (see
 ``--cache-dir``), fanned out over worker processes, and each sweep
 writes an observability manifest to ``--runs-dir``.  A warm re-run
@@ -46,12 +46,7 @@ from pathlib import Path
 from typing import Optional
 
 from ..runner import ExperimentRunner, ResultCache, latest_manifest, parse_faults
-from ..service import (
-    LocalClient,
-    experiment_names,
-    experiment_options,
-    run_experiment,
-)
+from ..service import experiment_names, experiment_options, run_experiment
 
 #: Default directory for the per-run observability manifests.
 DEFAULT_RUNS_DIR = "runs"
@@ -236,8 +231,8 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     if not args.runs_dir:
         args.runs_dir = None
-    # One client per call, so `vrl-dram all` shares its runner and cache.
-    client = LocalClient(_runner_for(args))
+    # One runner per call, so `vrl-dram all` shares its cache and workers.
+    runner = _runner_for(args)
     options = experiment_options(vars(args))
     names = (
         sorted(experiment_names()) if args.experiment == "all" else [args.experiment]
@@ -245,7 +240,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         for name in names:
             t0 = time.perf_counter()
-            result = run_experiment(name, client=client, **options)
+            result = run_experiment(name, runner=runner, **options)
             elapsed = time.perf_counter() - t0
             print(result.format())
             print(f"[{name} completed in {elapsed:.1f}s]\n")

@@ -18,8 +18,8 @@ import numpy as np
 from ..model import RefreshLatencyModel
 from ..power import RefreshPowerModel
 from ..retention import RetentionProfiler
-from ..runner import ExperimentRunner
-from ..service import Query, driver_client
+from ..runner import Cell, ExperimentRunner
+from ..service import LocalClient
 from ..sim.stats import RefreshStats
 from ..technology import DEFAULT_GEOMETRY, DEFAULT_TECH, BankGeometry, TechnologyParams
 from ..workloads import PARSEC_WORKLOADS
@@ -38,7 +38,6 @@ def run_fig4(
     seed: int = RetentionProfiler.DEFAULT_SEED,
     include_power: bool = True,
     runner: Optional[ExperimentRunner] = None,
-    client=None,
 ) -> ExperimentResult:
     """Run the full benchmark suite under the three policies.
 
@@ -54,8 +53,6 @@ def run_fig4(
         runner: experiment executor to sweep through; defaults to
             a serial, uncached one (results are identical for any
             runner configuration).
-        client: :class:`~repro.service.LocalClient` to sweep through
-            instead; results are bit-identical either way.
     """
     names = list(benchmarks) if benchmarks else list(PARSEC_WORKLOADS)
     for name in names:
@@ -65,9 +62,9 @@ def run_fig4(
             )
 
     grid = [(policy, bench) for policy in FIG4_POLICIES for bench in names]
-    queries = [
-        Query(
-            kind="refresh-overhead",
+    cells = [
+        Cell.of(
+            "refresh-overhead",
             tech=tech,
             rows=geometry.rows,
             cols=geometry.cols,
@@ -79,7 +76,7 @@ def run_fig4(
         )
         for policy, bench in grid
     ]
-    report = driver_client(client, runner).sweep(queries, experiment="fig4")
+    report = LocalClient(runner).sweep(cells, experiment="fig4")
     stats = {
         pair: RefreshStats(**payload)
         for pair, payload in zip(grid, report.results)

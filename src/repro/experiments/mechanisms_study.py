@@ -20,8 +20,8 @@ from typing import Optional, Sequence
 
 from ..controller import MECHANISMS
 from ..retention import RetentionProfiler
-from ..runner import ExperimentRunner
-from ..service import Query, driver_client
+from ..runner import Cell, ExperimentRunner
+from ..service import LocalClient
 from ..technology import DEFAULT_GEOMETRY, DEFAULT_TECH, BankGeometry, TechnologyParams
 from .result import ExperimentResult
 
@@ -56,7 +56,6 @@ def run_mechanism_matrix(
     nbits: int = 2,
     seed: int = RetentionProfiler.DEFAULT_SEED,
     runner: Optional[ExperimentRunner] = None,
-    client=None,
 ) -> ExperimentResult:
     """Run the mechanisms × workloads × temperatures matrix.
 
@@ -76,8 +75,6 @@ def run_mechanism_matrix(
         seed: profiling / trace seed.
         runner: experiment executor to sweep through; defaults to
             a serial, uncached one.
-        client: :class:`~repro.service.LocalClient` to sweep through
-            instead; results are bit-identical either way.
     """
     unknown = [name for name in mechanisms if name not in MECHANISMS]
     if unknown:
@@ -89,7 +86,7 @@ def run_mechanism_matrix(
     benchmarks = tuple(benchmarks)
     temperatures = tuple(float(t) for t in temperatures)
     row_counts = (
-        (geometry.rows,) if row_counts is None else tuple(int(r) for r in row_counts)
+        (geometry.rows,) if row_counts is None else tuple(row_counts)
     )
     if not benchmarks or not temperatures or not row_counts:
         raise ValueError(
@@ -103,9 +100,9 @@ def run_mechanism_matrix(
         for rows in row_counts
         for mechanism in mechanisms
     ]
-    queries = [
-        Query(
-            kind="mechanism-matrix",
+    cells = [
+        Cell.of(
+            "mechanism-matrix",
             tech=tech,
             rows=rows,
             cols=geometry.cols,
@@ -118,7 +115,7 @@ def run_mechanism_matrix(
         )
         for benchmark, temperature, rows, mechanism in grid
     ]
-    report = driver_client(client, runner).sweep(queries, experiment="mechanisms")
+    report = LocalClient(runner).sweep(cells, experiment="mechanisms")
 
     descriptions = {info.name: info.description for info in MECHANISMS.describe()}
     rows = []

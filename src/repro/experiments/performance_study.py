@@ -16,8 +16,8 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from ..retention import RetentionProfiler
-from ..runner import ExperimentRunner
-from ..service import Query, driver_client
+from ..runner import Cell, ExperimentRunner
+from ..service import LocalClient
 from ..sim.stats import RefreshStats, RequestStats
 from ..technology import DEFAULT_GEOMETRY, DEFAULT_TECH, BankGeometry, TechnologyParams
 from ..workloads import PARSEC_WORKLOADS
@@ -38,7 +38,6 @@ def run_performance_study(
     benchmarks: Optional[Sequence[str]] = None,
     seed: int = RetentionProfiler.DEFAULT_SEED,
     runner: Optional[ExperimentRunner] = None,
-    client=None,
 ) -> ExperimentResult:
     """Cycle-level request-latency comparison across refresh policies.
 
@@ -50,8 +49,6 @@ def run_performance_study(
         seed: profiling / trace seed.
         runner: experiment executor to sweep through; defaults to
             a serial, uncached one.
-        client: :class:`~repro.service.LocalClient` to sweep through
-            instead; results are bit-identical either way.
     """
     names = list(benchmarks) if benchmarks else list(DEFAULT_BENCHMARKS)
     for name in names:
@@ -61,9 +58,9 @@ def run_performance_study(
             )
 
     grid = [(bench, policy) for bench in names for policy in PERF_POLICIES]
-    queries = [
-        Query(
-            kind="engine-run",
+    cells = [
+        Cell.of(
+            "engine-run",
             tech=tech,
             rows=geometry.rows,
             cols=geometry.cols,
@@ -75,7 +72,7 @@ def run_performance_study(
         )
         for bench, policy in grid
     ]
-    report = driver_client(client, runner).sweep(queries, experiment="performance")
+    report = LocalClient(runner).sweep(cells, experiment="performance")
     outcomes = {
         pair: (RefreshStats(**payload["refresh"]), RequestStats(**payload["requests"]))
         for pair, payload in zip(grid, report.results)

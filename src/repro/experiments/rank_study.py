@@ -19,8 +19,8 @@ from __future__ import annotations
 from typing import Optional
 
 from ..retention import RetentionProfiler
-from ..runner import ExperimentRunner
-from ..service import Query, driver_client
+from ..runner import Cell, ExperimentRunner
+from ..service import LocalClient
 from ..technology import DEFAULT_TECH, BankGeometry, TechnologyParams
 from .result import ExperimentResult
 
@@ -35,7 +35,6 @@ def run_rank_comparison(
     duration_seconds: float = 0.5,
     seed: int = RetentionProfiler.DEFAULT_SEED,
     runner: Optional[ExperimentRunner] = None,
-    client=None,
 ) -> ExperimentResult:
     """Compare refresh modes at rank granularity.
 
@@ -49,12 +48,10 @@ def run_rank_comparison(
         seed: base profiling seed (each bank gets its own profile).
         runner: experiment executor to sweep through; defaults to
             a serial, uncached one.
-        client: :class:`~repro.service.LocalClient` to sweep through
-            instead; results are bit-identical either way.
     """
-    queries = [
-        Query(
-            kind="rank-mode",
+    cells = [
+        Cell.of(
+            "rank-mode",
             tech=tech,
             rows=geometry.rows,
             cols=geometry.cols,
@@ -65,7 +62,7 @@ def run_rank_comparison(
         )
         for mode in RANK_MODES
     ]
-    report = driver_client(client, runner).sweep(queries, experiment="rank")
+    report = LocalClient(runner).sweep(cells, experiment="rank")
 
     rows = []
     baseline_cycles = None

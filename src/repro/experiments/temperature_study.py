@@ -16,8 +16,8 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from ..retention import RetentionProfiler
-from ..runner import ExperimentRunner
-from ..service import Query, driver_client
+from ..runner import Cell, ExperimentRunner
+from ..service import LocalClient
 from ..technology import DEFAULT_GEOMETRY, DEFAULT_TECH, BankGeometry, TechnologyParams
 from .result import ExperimentResult
 
@@ -31,7 +31,6 @@ def run_temperature_study(
     temperatures: Sequence[float] = DEFAULT_TEMPERATURES,
     seed: int = RetentionProfiler.DEFAULT_SEED,
     runner: Optional[ExperimentRunner] = None,
-    client=None,
 ) -> ExperimentResult:
     """VRL deployment re-derived at each operating temperature.
 
@@ -43,21 +42,19 @@ def run_temperature_study(
         seed: profiling seed.
         runner: experiment executor to sweep through; defaults to
             a serial, uncached one.
-        client: :class:`~repro.service.LocalClient` to sweep through
-            instead; results are bit-identical either way.
     """
-    queries = [
-        Query(
-            kind="temperature-point",
+    cells = [
+        Cell.of(
+            "temperature-point",
             tech=tech,
             rows=geometry.rows,
             cols=geometry.cols,
-            temperature=float(temperature),
+            temperature=temperature,
             seed=seed,
         )
         for temperature in temperatures
     ]
-    report = driver_client(client, runner).sweep(queries, experiment="temperature")
+    report = LocalClient(runner).sweep(cells, experiment="temperature")
 
     rows = []
     baseline_raidr = None

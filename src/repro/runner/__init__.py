@@ -6,10 +6,14 @@ rank / baseline / temperature studies — are grids of independent cells
 each).  This package runs such grids:
 
 * :class:`~repro.runner.cells.Cell` — one picklable, hashable cell
-  recipe (kind + JSON-primitive params);
+  recipe (kind + JSON-primitive params), built from typed fields by
+  :meth:`~repro.runner.cells.Cell.of` against the kind's one
+  :class:`~repro.runner.cells.CellKind` entry in
+  :data:`~repro.runner.cells.CELL_KINDS`;
 * :class:`~repro.runner.cache.ResultCache` — content-addressed on-disk
   result store keyed by :func:`~repro.runner.cache.cache_key` over
-  (cell kind, full parameter set, package version);
+  (cell kind, full parameter set, package version, the kind's
+  payload-layout version);
 * :class:`~repro.runner.executor.ExperimentRunner` — cache-first
   executor fanning misses out over a process pool, reporting per-cell
   wall time, hit/miss counters and worker utilization in a
@@ -30,19 +34,11 @@ and one failing cell never aborts the sweep — it surfaces as a failed
 completes (asserted by ``tests/test_runner_faults.py``).
 """
 
-from .cache import (
-    CACHE_SCHEMA,
-    DEFAULT_RESULT_SCHEMA,
-    ResultCache,
-    cache_key,
-    canonical_json,
-    register_result_schema,
-    result_schema,
-)
+from .cache import CACHE_SCHEMA, ResultCache, cache_key, canonical_json
 from .cells import (
     CELL_KINDS,
-    RESULT_SCHEMAS,
     Cell,
+    CellKind,
     compute_cell,
     shared_build_cache_info,
     tech_params,
@@ -72,10 +68,9 @@ from .manifest import (
 __all__ = [
     "CACHE_SCHEMA",
     "CELL_KINDS",
-    "DEFAULT_RESULT_SCHEMA",
-    "RESULT_SCHEMAS",
     "Cell",
     "CellError",
+    "CellKind",
     "CellOutcome",
     "CheckpointWriter",
     "ERROR_KINDS",
@@ -97,9 +92,7 @@ __all__ = [
     "load_checkpoint",
     "load_manifest",
     "parse_faults",
-    "register_result_schema",
     "resolve_resume_source",
-    "result_schema",
     "shared_build_cache_info",
     "tech_params",
     "write_manifest",

@@ -33,37 +33,14 @@ from pathlib import Path
 from typing import Any, Mapping, Optional, Union
 
 from .. import __version__
+from .cells import CELL_KINDS
 
 #: Bumped when the on-disk entry layout changes (invalidates old caches).
 CACHE_SCHEMA = 1
 
-#: Fallback payload-layout version for kinds that never registered one.
-DEFAULT_RESULT_SCHEMA = 1
-
-#: Payload-layout version per cell kind (see :func:`register_result_schema`).
-_RESULT_SCHEMAS: dict[str, int] = {}
-
 #: Per-process tiebreaker so concurrent :meth:`ResultCache.put` calls in
 #: one thread (e.g. re-entrant signal handlers) still stage uniquely.
 _put_counter = itertools.count()
-
-
-def register_result_schema(kind: str, version: int) -> None:
-    """Declare the payload-layout version of one cell kind.
-
-    The version is folded into every :func:`cache_key` for that kind,
-    so bumping it when the kind's *result* shape changes (new fields,
-    renamed counters, changed units) invalidates exactly that kind's
-    cached entries — the stale-cache trap that opens once many runs
-    share one cache directory.  Kinds register their
-    versions at import time in :mod:`repro.runner.cells`.
-    """
-    _RESULT_SCHEMAS[kind] = int(version)
-
-
-def result_schema(kind: str) -> int:
-    """The registered payload-layout version of ``kind`` (default 1)."""
-    return _RESULT_SCHEMAS.get(kind, DEFAULT_RESULT_SCHEMA)
 
 
 #: The one encoder behind :func:`canonical_json` (``json.dumps`` with
@@ -147,12 +124,12 @@ def cache_key(
         version: package version; part of the key so upgrading the code
             invalidates all cached numbers.
         result_version: the kind's payload-layout version; defaults to
-            the registered one (:func:`result_schema`), so bumping a
-            kind's schema in :data:`repro.runner.cells.RESULT_SCHEMAS`
-            invalidates its cached entries without touching the others.
+            its :attr:`~repro.runner.cells.CellKind.schema_version` in
+            :data:`~repro.runner.cells.CELL_KINDS`, so bumping it
+            invalidates that kind's cached entries and no others.
     """
     if result_version is None:
-        result_version = result_schema(kind)
+        result_version = CELL_KINDS[kind].schema_version
     recipe = _recipe_json(
         {
             "kind": kind,

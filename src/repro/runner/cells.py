@@ -3,10 +3,12 @@
 A :class:`Cell` is one independent unit of an experiment sweep — e.g.
 one ``(benchmark, policy)`` pair of the Fig. 4 grid — described entirely
 by JSON primitives so it can (a) cross a process boundary and (b) be
-hashed into a content address for the on-disk cache.  Each cell kind has
-a compute function registered in :data:`CELL_KINDS` that rebuilds the
-simulation objects from the primitives and returns a JSON-serializable
-payload.
+hashed into a content address for the on-disk cache.  Each cell kind is
+declared once, as a :class:`CellKind` in :data:`CELL_KINDS`: the fields
+it consumes (and how :meth:`Cell.of` canonicalizes them), the ones it
+requires, its default label, its payload-layout version, and the
+compute function that rebuilds the simulation objects from the
+primitives and returns a JSON-serializable payload.
 
 Heavy intermediate objects (retention profiles, binnings, traces) are
 memoized **per process** with keyed LRU caches, so a worker computing
@@ -19,10 +21,13 @@ a time (see :func:`_trace`).
 
 from __future__ import annotations
 
+import math
+import numbers
+import operator
 from collections import namedtuple
 from dataclasses import dataclass, field, fields
 from functools import lru_cache, update_wrapper
-from typing import Any, Callable, Mapping, Optional
+from typing import Any, Callable, Mapping, Optional, Union
 
 import numpy as np
 
@@ -39,16 +44,18 @@ from ..sim import (
 from ..technology import BankGeometry, TechnologyParams
 from ..units import MS
 from ..workloads import PARSEC_WORKLOADS, TraceGenerator
-from .cache import register_result_schema
 
 
 @dataclass(frozen=True)
 class Cell:
     """One independently computable, cacheable unit of a sweep.
 
+    Build one with :meth:`of`, which checks the fields and projects
+    them onto the kind's params; the raw constructor takes a params
+    dict as is (tests, and cells read back for resume).
+
     Attributes:
-        kind: registered compute-function name (key of
-            :data:`CELL_KINDS`).
+        kind: registered cell kind (key of :data:`CELL_KINDS`).
         params: the complete recomputation recipe, JSON primitives only
             (hashed into the cache key).
         label: short human-readable tag for manifests and logs.
@@ -65,16 +72,82 @@ class Cell:
             )
 
     @classmethod
-    def unchecked(cls, kind: str, params: Mapping[str, Any], label: str) -> "Cell":
-        """A cell whose ``kind`` the caller has already checked.
+    def of(
+        cls,
+        kind: str,
+        *,
+        tech: Union[TechnologyParams, Mapping[str, Any]],
+        rows: int,
+        cols: int,
+        seed: int = 2018,
+        duration_seconds: float = 1.0,
+        policy: Optional[str] = None,
+        nbits: int = 2,
+        benchmark: Optional[str] = None,
+        mode: Optional[str] = None,
+        n_banks: Optional[int] = None,
+        mechanism: Optional[str] = None,
+        temperature: Optional[float] = None,
+        restore_fraction: Optional[float] = None,
+        start_lo: Optional[float] = None,
+        start_hi: Optional[float] = None,
+        n_points: Optional[int] = None,
+        label: str = "",
+    ) -> "Cell":
+        """A checked cell of ``kind`` from typed fields.
 
-        Skips :meth:`__post_init__`'s lookup; a typed
-        :class:`~repro.service.Query` validates its kind when it is
-        built, so lowering it need not do so again.
+        Only the fields in the kind's :attr:`CellKind.params` reach the
+        cell, in that order and canonicalized (``tech`` as a plain
+        dict, integer fields as ``int``, float fields as finite
+        ``float``), so equal requests share one cache key.
+
+        Args:
+            kind: a key of :data:`CELL_KINDS`.
+            tech: technology parameters (or their ``asdict()`` mapping).
+            rows / cols: bank geometry.
+            seed: profiling / trace RNG seed.
+            duration_seconds: simulated horizon.
+            policy: refresh policy (``refresh-overhead``, ``engine-run``).
+            nbits: VRL counter width.
+            benchmark: workload name, or ``None`` for refresh-only.
+            mode: rank refresh mode (``rank-mode``).
+            n_banks: banks per rank (``rank-mode``).
+            mechanism: refresh mechanism (``baseline-mechanism``,
+                ``mechanism-matrix``).
+            temperature: operating point in degC.
+            restore_fraction: calibrated restore target, or ``None``
+                for the technology default (``calibration-sweep``).
+            start_lo / start_hi / n_points: the starting-charge profile
+                (``calibration-sweep``).
+            label: manifest tag; defaults to the kind's own label.
+
+        Raises:
+            ValueError: unknown kind, a required field left ``None``, a
+                non-integer (or bool) in an integer field, or a
+                non-finite float; the message names kind and field.
+            TypeError: ``tech`` is neither params nor a mapping.
         """
-        cell = object.__new__(cls)
-        cell.__dict__.update(kind=kind, params=params, label=label)
-        return cell
+        values = locals()  # every argument by name; the kind picks its own
+        spec = CELL_KINDS.get(kind)
+        if spec is None:
+            raise ValueError(
+                f"unknown cell kind {kind!r}; registered: {sorted(CELL_KINDS)}"
+            )
+        missing = [name for name in spec.required if values[name] is None]
+        if missing:
+            raise ValueError(f"cell kind {kind!r} requires {', '.join(missing)}")
+        params = {}
+        for name, canonical in spec.params:
+            value = values[name]
+            if canonical is not None:
+                try:
+                    value = canonical(value)
+                except ValueError as exc:
+                    raise ValueError(
+                        f"cell kind {kind!r}, field {name!r}: {exc}"
+                    ) from None
+            params[name] = value
+        return cls(kind, params, label or spec.label(params))
 
 
 #: The last projected :class:`TechnologyParams` and its projection.  The
@@ -500,42 +573,162 @@ def _calibration_sweep_cell(params: Mapping[str, Any]) -> dict:
     }
 
 
-#: Registry of cell kinds to their compute functions.
-CELL_KINDS: dict[str, Callable[[Mapping[str, Any]], dict]] = {
-    "refresh-overhead": _refresh_overhead_cell,
-    "engine-run": _engine_run_cell,
-    "rank-mode": _rank_mode_cell,
-    "baseline-mechanism": _baseline_mechanism_cell,
-    "mechanism-matrix": _mechanism_matrix_cell,
-    "temperature-point": _temperature_point_cell,
-    "calibration-sweep": _calibration_sweep_cell,
-}
+# --------------------------------------------------------------------- #
+# Cell kinds                                                             #
+# --------------------------------------------------------------------- #
 
-#: Payload-layout version per cell kind.  Bump a kind's entry whenever
-#: its compute function changes the *shape or meaning* of the returned
-#: payload (new fields, renamed counters, changed units) — the version
-#: is folded into every cache key for that kind, so stale cached
-#: payloads of the old layout are never served to new readers.
-RESULT_SCHEMAS: dict[str, int] = {
-    "refresh-overhead": 1,
-    "engine-run": 1,
-    "rank-mode": 1,
-    "baseline-mechanism": 1,
-    "mechanism-matrix": 1,
-    "temperature-point": 1,
-    "calibration-sweep": 1,
-}
 
-for _kind, _schema in RESULT_SCHEMAS.items():
-    register_result_schema(_kind, _schema)
+@dataclass(frozen=True)
+class CellKind:
+    """One cell kind, declared once: its fields, label, compute and layout.
+
+    Attributes:
+        name: the kind's name (part of every cache key of its cells).
+        params: ``(field, canonicalizer)`` pairs, in key order: the
+            :meth:`Cell.of` fields the kind consumes and how each is
+            canonicalized (``None`` = as given).
+        required: fields :meth:`Cell.of` must not get as ``None``.
+        label: the default manifest label, from the canonical params.
+        fn: the compute function, params to JSON-serializable payload.
+        schema_version: the payload-layout version, folded into every
+            cache key of the kind.  Bump it whenever ``fn`` changes the
+            shape or meaning of its payload (new fields, renamed
+            counters, changed units), so stale cached payloads of the
+            old layout are never served.
+    """
+
+    name: str
+    params: tuple[tuple[str, Optional[Callable[[Any], Any]]], ...]
+    required: tuple[str, ...]
+    label: Callable[[Mapping[str, Any]], str]
+    fn: Callable[[Mapping[str, Any]], dict]
+    schema_version: int = 1
+
+
+def _tech_dict(tech: Any) -> dict[str, Any]:
+    """``tech`` as a JSON-primitive dict: params projected, a mapping copied."""
+    if isinstance(tech, TechnologyParams):
+        return tech_params(tech)
+    if isinstance(tech, Mapping):
+        return dict(tech)
+    raise TypeError(
+        "tech must be a TechnologyParams or its asdict() mapping, "
+        f"not {type(tech).__name__}"
+    )
+
+
+def _integer(value: Any) -> int:
+    """An ``int`` (numpy ints too); floats and bools would alias other keys."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"expected an integer, got {value!r}")
+
+
+def _finite(value: Any) -> float:
+    """A finite ``float``; NaN and infinities have no JSON encoding."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        number = float(value)
+        if math.isfinite(number):
+            return number
+    raise ValueError(f"expected a finite number, got {value!r}")
+
+
+def _optional_finite(value: Any) -> Optional[float]:
+    return None if value is None else _finite(value)
+
+
+def _workload(params: Mapping[str, Any]) -> str:
+    return params["benchmark"] or "refresh-only"
+
+
+def _policy_label(params: Mapping[str, Any]) -> str:
+    return f"{params['policy']}/{_workload(params)}"
+
+
+def _calibration_label(params: Mapping[str, Any]) -> str:
+    target = params["restore_fraction"]
+    target = "default" if target is None else f"{target:.2f}"
+    return f"calibrate/{target}x{params['n_points']}"
+
+
+#: The bank every kind is computed on; each kind's params start with it.
+_BANK = (("tech", _tech_dict), ("rows", _integer), ("cols", _integer))
+
+#: ``refresh-overhead`` and ``engine-run`` price one request two ways.
+_POLICY_PARAMS = (
+    *_BANK, ("policy", None), ("nbits", _integer), ("benchmark", None),
+    ("seed", _integer), ("duration_seconds", _finite),
+)
+
+#: Every cell kind by name: the one table the cells, their keys and
+#: the compute path read.
+CELL_KINDS: dict[str, CellKind] = {
+    spec.name: spec
+    for spec in (
+        CellKind(
+            "refresh-overhead", _POLICY_PARAMS, ("policy",), _policy_label,
+            _refresh_overhead_cell,
+        ),
+        CellKind(
+            "engine-run", _POLICY_PARAMS, ("policy",), _policy_label,
+            _engine_run_cell,
+        ),
+        CellKind(
+            "rank-mode",
+            (*_BANK, ("n_banks", _integer), ("mode", None), ("seed", _integer),
+             ("duration_seconds", _finite)),
+            ("n_banks", "mode"),
+            lambda p: f"rank/{p['mode']}",
+            _rank_mode_cell,
+        ),
+        CellKind(
+            "baseline-mechanism",
+            (*_BANK, ("mechanism", None), ("benchmark", None), ("seed", _integer),
+             ("duration_seconds", _finite)),
+            ("mechanism",),
+            lambda p: f"baseline/{p['mechanism']}",
+            _baseline_mechanism_cell,
+        ),
+        CellKind(
+            "mechanism-matrix",
+            (*_BANK, ("mechanism", None), ("nbits", _integer), ("benchmark", None),
+             ("temperature", _finite), ("seed", _integer),
+             ("duration_seconds", _finite)),
+            ("mechanism", "temperature"),
+            lambda p: (
+                f"matrix/{p['mechanism']}/{_workload(p)}"
+                f"/{p['temperature']:.0f}C/{p['rows']}r"
+            ),
+            _mechanism_matrix_cell,
+        ),
+        CellKind(
+            "temperature-point",
+            (*_BANK, ("temperature", _finite), ("seed", _integer)),
+            ("temperature",),
+            lambda p: f"temp/{p['temperature']:.0f}C",
+            _temperature_point_cell,
+        ),
+        CellKind(
+            "calibration-sweep",
+            (*_BANK, ("restore_fraction", _optional_finite),
+             ("start_lo", _finite), ("start_hi", _finite), ("n_points", _integer)),
+            ("start_lo", "start_hi", "n_points"),
+            _calibration_label,
+            _calibration_sweep_cell,
+        ),
+    )
+}
 
 
 def compute_cell(kind: str, params: Mapping[str, Any]) -> dict:
     """Run one cell's compute function and return its payload."""
     try:
-        fn = CELL_KINDS[kind]
+        spec = CELL_KINDS[kind]
     except KeyError:
         raise ValueError(
             f"unknown cell kind {kind!r}; registered: {sorted(CELL_KINDS)}"
         ) from None
-    return fn(params)
+    return spec.fn(params)

@@ -1,7 +1,7 @@
 """Experiment registry: one dispatch table for CLI, examples, tests.
 
 Maps every ``vrl-dram`` experiment verb to a thin closure over its
-driver.  Sweep drivers receive the sweep client (their execution
+driver.  Sweep drivers receive the experiment runner (their execution
 backend); figure/table drivers compute inline but dispatch through the
 same table — so the CLI, the examples, and anything else that wants "an
 experiment by name" share one code path.
@@ -13,7 +13,9 @@ keep the import graph acyclic (the drivers themselves import
 
 from __future__ import annotations
 
-from typing import Any, Mapping
+from typing import Any, Mapping, Optional
+
+from ..runner import ExperimentRunner
 
 #: Option defaults shared by every entry (mirrors the CLI flag defaults).
 EXPERIMENT_DEFAULTS: dict[str, Any] = {
@@ -25,7 +27,7 @@ EXPERIMENT_DEFAULTS: dict[str, Any] = {
     "spice": True,
 }
 
-#: Verbs whose drivers sweep through the client.
+#: Verbs whose drivers sweep their cells through the runner.
 SWEEP_EXPERIMENTS = (
     "fig4", "performance", "rank", "baselines", "mechanisms", "temperature",
     "calibrate",
@@ -57,15 +59,15 @@ EXPERIMENT_NAMES = (
 
 
 def run_experiment(
-    name: str, client=None, **options: Any
+    name: str, runner: Optional[ExperimentRunner] = None, **options: Any
 ):
     """Run one experiment by verb name, returning its
     :class:`~repro.experiments.result.ExperimentResult`.
 
     Args:
         name: a verb from :data:`EXPERIMENT_NAMES`.
-        client: :class:`~repro.service.LocalClient` for the sweep
-            verbs (``None`` builds a serial, uncached one per sweep).
+        runner: the executor the sweep verbs run their cells through
+            (``None`` builds a serial, uncached one per sweep).
         **options: CLI-style options (see :data:`EXPERIMENT_DEFAULTS`);
             unknown keys are rejected.
     """
@@ -86,7 +88,7 @@ def run_experiment(
             benchmarks=opts["benchmarks"] or None,
             nbits=opts["nbits"],
             seed=opts["seed"],
-            client=client,
+            runner=runner,
         ),
         "fig5": lambda: exp.run_fig5(),
         "table1": lambda: exp.run_table1(with_spice=opts["spice"]),
@@ -96,10 +98,10 @@ def run_experiment(
         "ablation-geometry": lambda: exp.run_geometry_ablation(),
         "ablation-bins": lambda: exp.run_bins_ablation(seed=opts["seed"]),
         "sensitivity": lambda: exp.run_sensitivity(),
-        "rank": lambda: exp.run_rank_comparison(seed=opts["seed"], client=client),
+        "rank": lambda: exp.run_rank_comparison(seed=opts["seed"], runner=runner),
         "validate": lambda: exp.run_validation(),
         "baselines": lambda: exp.run_baseline_comparison(
-            duration_seconds=opts["duration"], seed=opts["seed"], client=client
+            duration_seconds=opts["duration"], seed=opts["seed"], runner=runner
         ),
         "mechanisms": lambda: exp.run_mechanism_matrix(
             **(
@@ -114,17 +116,17 @@ def run_experiment(
             duration_seconds=min(opts["duration"], 0.2),
             nbits=opts["nbits"],
             seed=opts["seed"],
-            client=client,
+            runner=runner,
         ),
         "temperature": lambda: exp.run_temperature_study(
-            seed=opts["seed"], client=client
+            seed=opts["seed"], runner=runner
         ),
-        "calibrate": lambda: exp.run_calibration_study(client=client),
+        "calibrate": lambda: exp.run_calibration_study(runner=runner),
         "performance": lambda: exp.run_performance_study(
             duration_seconds=min(opts["duration"], 0.5),
             benchmarks=opts["benchmarks"] or None,
             seed=opts["seed"],
-            client=client,
+            runner=runner,
         ),
     }
     if name not in table:

@@ -9,12 +9,11 @@ substitution preserves the Fig. 4 behaviour: only the per-refresh-window
 row-coverage structure matters to VRL-Access.
 """
 
-from .benchmarks import PARSEC_WORKLOADS, WorkloadSpec, workload_names
+from .benchmarks import PARSEC_WORKLOADS, WorkloadSpec
 from .generator import TraceGenerator
 
 __all__ = [
     "PARSEC_WORKLOADS",
     "WorkloadSpec",
-    "workload_names",
     "TraceGenerator",
 ]

@@ -120,8 +120,3 @@ PARSEC_WORKLOADS: dict[str, WorkloadSpec] = {
         ),
     )
 }
-
-
-def workload_names() -> list[str]:
-    """Benchmark names in the canonical Fig. 4 order."""
-    return list(PARSEC_WORKLOADS)

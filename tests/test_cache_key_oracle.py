@@ -26,9 +26,8 @@ from hypothesis import strategies as st
 
 from repro import __version__
 from repro.runner import cache as cache_module
-from repro.runner import cache_key, tech_params
-from repro.runner.cache import CACHE_SCHEMA, result_schema
-from repro.service import Query
+from repro.runner import CELL_KINDS, Cell, cache_key, tech_params
+from repro.runner.cache import CACHE_SCHEMA
 from repro.technology import DEFAULT_TECH
 
 KIND = "refresh-overhead"
@@ -41,7 +40,7 @@ def oracle(kind, params):
         "params": params,
         "version": __version__,
         "schema": CACHE_SCHEMA,
-        "result_schema": result_schema(kind),
+        "result_schema": CELL_KINDS[kind].schema_version,
     }
     text = json.dumps(recipe, sort_keys=True, separators=(",", ":"), allow_nan=False)
     return hashlib.sha256(text.encode()).hexdigest()
@@ -176,9 +175,8 @@ class TestNaN:
 
 class TestEncodedOnce:
     def test_unchanged_tech_is_encoded_once_per_sweep(self, monkeypatch):
-        queries = [
-            Query(kind=KIND, tech=DEFAULT_TECH, rows=64, cols=8, policy="vrl",
-                  seed=seed)
+        cells = [
+            Cell.of(KIND, tech=DEFAULT_TECH, rows=64, cols=8, policy="vrl", seed=seed)
             for seed in range(5)
         ]
         cache_key(KIND, {"tech": {"other": 1.5}})  # evict the default tech
@@ -187,10 +185,10 @@ class TestEncodedOnce:
         monkeypatch.setattr(
             cache_module, "canonical_json", lambda value: encoded.append(value) or real(value)
         )
-        keys = [cache_key(q.kind, q.to_cell().params) for q in queries]
+        keys = [cache_key(cell.kind, cell.params) for cell in cells]
         # One encoding per recipe around the sentinel, one of the tech.
-        assert len(encoded) == len(queries) + 1
-        assert keys == [oracle(KIND, q.params()) for q in queries]
+        assert len(encoded) == len(cells) + 1
+        assert keys == [oracle(KIND, cell.params) for cell in cells]
 
 
 class TestTechProjectionMemo:

@@ -12,8 +12,8 @@ from pathlib import Path
 import pytest
 
 from repro.experiments.cli import build_parser, default_cache_dir, main
-from repro.runner import latest_manifest, load_manifest
-from repro.service import SWEEP_EXPERIMENTS, LocalClient, Query
+from repro.runner import Cell, latest_manifest, load_manifest
+from repro.service import SWEEP_EXPERIMENTS, LocalClient
 from repro.technology import DEFAULT_TECH
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -393,10 +393,9 @@ class TestSweepHygiene:
             raise AssertionError(f"sweep started thread {thread.name!r}")
 
         monkeypatch.setattr(threading.Thread, "start", refuse)
-        query = Query(kind="temperature-point", tech=DEFAULT_TECH, rows=64,
-                      cols=8, temperature=45.0, seed=7)
-        with LocalClient() as client:
-            report = client.sweep([query])
+        cell = Cell.of("temperature-point", tech=DEFAULT_TECH, rows=64,
+                       cols=8, temperature=45.0, seed=7)
+        report = LocalClient().sweep([cell])
         assert report.results[0] is not None
 
 

@@ -20,8 +20,7 @@ from hypothesis import given, settings, strategies as st
 from repro.mprsf import CalibrationResult, MPRSFCalculator, TauPartialOptimizer
 from repro.retention import DataPattern
 from repro.retention.temperature import TemperatureModel
-from repro.runner.cells import CELL_KINDS
-from repro.service import Query
+from repro.runner.cells import CELL_KINDS, Cell
 from repro.technology import BankGeometry, DEFAULT_TECH
 from repro.units import MS
 
@@ -237,9 +236,9 @@ class TestCalibrationSweepCell:
     def test_registered(self):
         assert "calibration-sweep" in CELL_KINDS
 
-    def test_cell_runs_from_query_params(self):
-        query = Query(
-            kind="calibration-sweep",
+    def test_cell_runs_from_its_params(self):
+        cell = Cell.of(
+            "calibration-sweep",
             tech=TECH,
             rows=512,
             cols=32,
@@ -248,15 +247,15 @@ class TestCalibrationSweepCell:
             start_hi=0.95,
             n_points=4,
         )
-        assert query.label == "calibrate/0.95x4"
-        payload = CELL_KINDS["calibration-sweep"](query.params())
+        assert cell.label == "calibrate/0.95x4"
+        payload = CELL_KINDS["calibration-sweep"].fn(cell.params)
         assert payload["tau_partial_cycles"] > 0
         assert len(payload["circuit_fractions"]) == 4
         assert payload["max_abs_error"] < 0.05
 
     def test_default_target_label(self):
-        query = Query(
-            kind="calibration-sweep",
+        cell = Cell.of(
+            "calibration-sweep",
             tech=TECH,
             rows=512,
             cols=32,
@@ -264,8 +263,8 @@ class TestCalibrationSweepCell:
             start_hi=0.95,
             n_points=4,
         )
-        assert query.label == "calibrate/defaultx4"
+        assert cell.label == "calibrate/defaultx4"
 
     def test_requires_profile_fields(self):
         with pytest.raises(ValueError, match="requires"):
-            Query(kind="calibration-sweep", tech=TECH, rows=512, cols=32)
+            Cell.of("calibration-sweep", tech=TECH, rows=512, cols=32)

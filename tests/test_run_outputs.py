@@ -26,7 +26,7 @@ from repro.runner import (
     load_manifest,
 )
 from repro.runner.manifest import run_stamp, write_manifest
-from repro.service import LocalClient, run_experiment
+from repro.service import run_experiment
 
 STARTED = "2026-08-06T12:00:00.123456+00:00"
 STAMP = run_stamp(STARTED)
@@ -196,9 +196,9 @@ class TestWarmCliCsv:
         assert outputs.problem("fig4", 2018, got, outputs.load_expected()) is None
 
     def test_runner_notes_reach_result_notes(self, tmp_path):
-        client = LocalClient(ExperimentRunner(cache=ResultCache(tmp_path)))
+        runner = ExperimentRunner(cache=ResultCache(tmp_path))
         result = run_experiment(
-            "fig4", client=client, duration=0.02, benchmarks=["blackscholes"]
+            "fig4", runner=runner, duration=0.02, benchmarks=["blackscholes"]
         )
         assert result.notes["runner"].startswith("3 cells")
         result.to_csv(tmp_path / "fig4.csv")

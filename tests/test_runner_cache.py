@@ -13,10 +13,12 @@ The three properties the result cache must uphold:
 """
 
 import json
+from dataclasses import replace
 
 import pytest
 
 from repro.runner import (
+    CELL_KINDS,
     Cell,
     ExperimentRunner,
     ResultCache,
@@ -116,10 +118,13 @@ class TestCacheHitEqualsColdRun:
 class TestResultSchemaInKey:
     """The per-kind payload-layout version is part of every cache key."""
 
-    def test_every_kind_has_a_registered_schema(self):
-        from repro.runner import CELL_KINDS, RESULT_SCHEMAS
-
-        assert set(RESULT_SCHEMAS) == set(CELL_KINDS)
+    @staticmethod
+    def _bump(monkeypatch, kind, by=1):
+        """Swap in ``kind``'s entry with its schema version bumped."""
+        spec = CELL_KINDS[kind]
+        monkeypatch.setitem(
+            CELL_KINDS, kind, replace(spec, schema_version=spec.schema_version + by)
+        )
 
     def test_result_version_changes_key(self):
         cell = _cell()
@@ -127,42 +132,32 @@ class TestResultSchemaInKey:
             cell.kind, cell.params, result_version=2
         )
 
-    def test_default_is_the_registered_version(self):
-        from repro.runner import result_schema
-
+    def test_default_is_the_kinds_schema_version(self):
         cell = _cell()
         assert cache_key(cell.kind, cell.params) == cache_key(
-            cell.kind, cell.params, result_version=result_schema(cell.kind)
+            cell.kind, cell.params,
+            result_version=CELL_KINDS[cell.kind].schema_version,
         )
 
-    def test_registered_bump_invalidates_cached_entry(self, tmp_path):
-        from repro.runner import register_result_schema, result_schema
-
+    def test_bumped_kind_invalidates_cached_entry(self, tmp_path, monkeypatch):
         cell = _cell()
         cache = ResultCache(tmp_path)
         assert ExperimentRunner(cache=cache).run([cell]).cache_misses == 1
         assert ExperimentRunner(cache=cache).run([cell]).cache_hits == 1
-        old = result_schema(cell.kind)
-        register_result_schema(cell.kind, old + 1)
-        try:
+        with monkeypatch.context() as patch:
+            self._bump(patch, cell.kind)
             report = ExperimentRunner(cache=cache).run([cell])
             assert report.cache_misses == 1  # stale layout never served
-        finally:
-            register_result_schema(cell.kind, old)
         assert ExperimentRunner(cache=cache).run([cell]).cache_hits == 1
 
-    def test_bump_leaves_other_kinds_untouched(self):
-        from repro.runner import register_result_schema, result_schema
-
+    def test_bump_leaves_other_kinds_untouched(self, monkeypatch):
         cell = _cell()
-        other = "temperature-point"
         before = cache_key(cell.kind, cell.params)
-        old = result_schema(other)
-        register_result_schema(other, old + 7)
-        try:
-            assert cache_key(cell.kind, cell.params) == before
-        finally:
-            register_result_schema(other, old)
+        self._bump(monkeypatch, "temperature-point", by=7)
+        assert cache_key(cell.kind, cell.params) == before
+        assert cache_key("temperature-point", cell.params) != cache_key(
+            "temperature-point", cell.params, result_version=1
+        )
 
 
 class TestCorruptionRecovery:

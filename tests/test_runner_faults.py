@@ -39,7 +39,7 @@ from repro.runner import (
     parse_faults,
     tech_params,
 )
-from repro.runner.cells import CELL_KINDS
+from repro.runner.cells import CELL_KINDS, CellKind
 from repro.technology import DEFAULT_TECH
 
 TECH = tech_params(DEFAULT_TECH)
@@ -513,7 +513,11 @@ class TestSolverFailurePropagation:
 
     @pytest.fixture()
     def divergent_kind(self, monkeypatch):
-        monkeypatch.setitem(CELL_KINDS, "divergent-circuit", _divergent_cell)
+        monkeypatch.setitem(
+            CELL_KINDS,
+            "divergent-circuit",
+            CellKind("divergent-circuit", (), (), lambda p: "bad", _divergent_cell),
+        )
 
     def test_chattering_circuit_is_rescued_by_gmin_stepping(self):
         """The PR 2 chattering netlist now *completes* via the rescue ladder."""

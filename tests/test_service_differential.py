@@ -1,13 +1,12 @@
 """Invariant 13: driver ≡ runner, bit for bit.
 
-Two ways to run the same experiment — handing the driver a bare
-``ExperimentRunner`` and handing it a shared ``LocalClient`` — must
-produce bit-identical ``ExperimentResult`` headers and rows, cold or
-warm.  Below the drivers, a raw ``runner.run`` of the hand-built cells
-must produce payloads bit-identical to ``LocalClient.sweep`` of the
-equivalent typed queries, at any ``jobs``, with queries repeated in a
-block, and after an interrupted sweep is resumed.  No tolerance:
-repeatability here is exact equality.
+A sweep driver handed a ``runner=`` must produce payloads bit-identical
+to ``ExperimentRunner.run`` on the same cells, and the same table on a
+warm rerun through a shared cached runner.  Below the drivers,
+``LocalClient.sweep`` (the boundary every driver hands its cells to)
+must return exactly ``runner.run``'s payloads, at any ``jobs``, with
+cells repeated in a block, and after an interrupted sweep is resumed.
+No tolerance: repeatability here is exact equality.
 """
 
 import pytest
@@ -21,8 +20,8 @@ from repro.experiments import (
     run_rank_comparison,
     run_temperature_study,
 )
-from repro.runner import ExperimentRunner, ResultCache, latest_manifest
-from repro.service import LocalClient, Query
+from repro.runner import Cell, ExperimentRunner, ResultCache, latest_manifest
+from repro.service import LocalClient
 from repro.technology import DEFAULT_TECH, BankGeometry
 
 GEOMETRY = BankGeometry(128, 16)
@@ -50,6 +49,19 @@ def _table(result):
     return (list(result.headers), [tuple(r) for r in result.rows])
 
 
+class _RecordingRunner(ExperimentRunner):
+    """A serial uncached runner that keeps each sweep's cells and payloads."""
+
+    def __init__(self):
+        super().__init__()
+        self.sweeps = []
+
+    def run(self, cells, experiment=""):
+        report = super().run(cells, experiment)
+        self.sweeps.append((list(cells), report.results))
+        return report
+
+
 @pytest.mark.parametrize(
     "driver, kwargs",
     [
@@ -67,66 +79,66 @@ def _table(result):
     ],
 )
 class TestDriverPathsIdentical:
-    def test_runner_vs_local_client(self, driver, kwargs):
-        via_runner = driver(runner=ExperimentRunner(), **kwargs)
-        with LocalClient() as client:
-            via_client = driver(client=client, **kwargs)
-        assert _table(via_runner) == _table(via_client)
+    def test_payloads_equal_runner_run_on_the_same_cells(self, driver, kwargs):
+        recorder = _RecordingRunner()
+        via_driver = driver(runner=recorder, **kwargs)
+        (cells, payloads), = recorder.sweeps
+        assert payloads == ExperimentRunner().run(cells).results
+        assert via_driver.rows  # the table was built from those payloads
 
-    def test_warm_rerun_identical_through_shared_client(self, driver, kwargs, tmp_path):
+    def test_warm_rerun_identical_through_shared_runner(self, driver, kwargs, tmp_path):
         runner = ExperimentRunner(cache=ResultCache(tmp_path))
-        with LocalClient(runner=runner) as client:
-            cold = driver(client=client, **kwargs)
-            warm = driver(client=client, **kwargs)
+        cold = driver(runner=runner, **kwargs)
+        warm = driver(runner=runner, **kwargs)
         assert _table(cold) == _table(warm)
 
 
 class TestCellLevelEquivalence:
-    """Below the drivers: raw runner payloads == client payloads."""
+    """Below the drivers: raw runner payloads == sweep-boundary payloads."""
 
-    QUERIES = [
-        Query(kind="temperature-point", tech=DEFAULT_TECH, rows=64, cols=8,
-              temperature=t, seed=9)
+    CELLS = [
+        Cell.of("temperature-point", tech=DEFAULT_TECH, rows=64, cols=8,
+                temperature=t, seed=9)
         for t in (45.0, 65.0, 85.0)
     ] + [
-        Query(kind="refresh-overhead", tech=DEFAULT_TECH, rows=64, cols=8,
-              policy=p, seed=9, duration_seconds=0.2)
+        Cell.of("refresh-overhead", tech=DEFAULT_TECH, rows=64, cols=8,
+                policy=p, seed=9, duration_seconds=0.2)
         for p in ("raidr", "vrl", "vrl-access")
     ]
 
     def test_direct_runner_equals_service(self):
-        direct = ExperimentRunner().run([q.to_cell() for q in self.QUERIES])
-        swept = LocalClient().sweep(self.QUERIES)
+        direct = ExperimentRunner().run(self.CELLS)
+        swept = LocalClient().sweep(self.CELLS)
         assert swept.results == direct.results
 
     def test_parallel_service_equals_serial_service(self):
-        one = LocalClient(ExperimentRunner(jobs=1)).sweep(self.QUERIES)
-        two = LocalClient(ExperimentRunner(jobs=2)).sweep(self.QUERIES)
+        one = LocalClient(ExperimentRunner(jobs=1)).sweep(self.CELLS)
+        two = LocalClient(ExperimentRunner(jobs=2)).sweep(self.CELLS)
         assert one.results == two.results
 
-    def test_repeated_queries_do_not_perturb_payloads(self):
-        direct = ExperimentRunner().run([q.to_cell() for q in self.QUERIES])
-        swept = LocalClient().sweep(self.QUERIES + self.QUERIES)
-        n = len(self.QUERIES)
+    def test_repeated_cells_do_not_perturb_payloads(self):
+        direct = ExperimentRunner().run(self.CELLS)
+        swept = LocalClient().sweep(self.CELLS + self.CELLS)
+        n = len(self.CELLS)
         assert swept.results[:n] == swept.results[n:] == direct.results
 
     def test_warm_sweep_equals_cold_sweep(self, tmp_path):
         client = LocalClient(ExperimentRunner(cache=ResultCache(tmp_path)))
-        cold = client.sweep(self.QUERIES)
-        warm = client.sweep(self.QUERIES)
+        cold = client.sweep(self.CELLS)
+        warm = client.sweep(self.CELLS)
         assert cold.hit_rate == 0.0 and warm.hit_rate == 1.0
         assert warm.results == cold.results
 
     def test_resumed_sweep_equals_uninterrupted_sweep(self, tmp_path):
-        direct = ExperimentRunner().run([q.to_cell() for q in self.QUERIES])
+        direct = ExperimentRunner().run(self.CELLS)
         interrupted = LocalClient(
             ExperimentRunner(runs_dir=tmp_path, faults="interrupt@2")
         )
         with pytest.raises(KeyboardInterrupt):
-            interrupted.sweep(self.QUERIES)
+            interrupted.sweep(self.CELLS)
         resumed = LocalClient(
             ExperimentRunner(resume_from=latest_manifest(tmp_path))
-        ).sweep(self.QUERIES)
+        ).sweep(self.CELLS)
         assert [o.worker for o in resumed.outcomes[:2]] == ["resume", "resume"]
         assert resumed.cache_hits == 2
         assert resumed.results == direct.results

@@ -1,4 +1,4 @@
-"""LocalClient: the sweep client returns the runner's own report.
+"""LocalClient: the sweep boundary returns the runner's own report.
 
 A sweep runs on the calling thread, so the runner's contracts hold
 end to end: results come back in input order, repeats hit the shared
@@ -11,41 +11,41 @@ attach to their results.
 import pytest
 
 from repro.runner import (
+    Cell,
     ExperimentRunner,
     ResultCache,
     RunReport,
     latest_manifest,
     load_manifest,
 )
-from repro.service import LocalClient, Query, driver_client
+from repro.service import LocalClient
 from repro.technology import DEFAULT_TECH
 
 
-def _temp_query(temperature=45.0, seed=7, rows=64):
-    return Query(kind="temperature-point", tech=DEFAULT_TECH, rows=rows,
-                 cols=8, temperature=temperature, seed=seed)
+def _temp_cell(temperature=45.0, seed=7, rows=64):
+    return Cell.of("temperature-point", tech=DEFAULT_TECH, rows=rows,
+                   cols=8, temperature=temperature, seed=seed)
 
 
 class TestLocalClient:
     def test_repeat_sweep_hits_shared_cache(self, tmp_path):
         client = LocalClient(ExperimentRunner(cache=ResultCache(tmp_path)))
-        query = _temp_query()
-        cold = client.sweep([query])
-        warm = client.sweep([query])
+        cell = _temp_cell()
+        cold = client.sweep([cell])
+        warm = client.sweep([cell])
         assert not cold.outcomes[0].cache_hit and warm.outcomes[0].cache_hit
         assert warm.results == cold.results
 
     def test_sweep_returns_runner_report(self):
-        with LocalClient() as client:
-            report = client.sweep([_temp_query()], experiment="plain")
+        report = LocalClient().sweep([_temp_cell()], experiment="plain")
         assert isinstance(report, RunReport)
         assert report.experiment == "plain"
 
     def test_report_mirrors_runner_notes_shape(self, tmp_path):
         client = LocalClient(ExperimentRunner(cache=ResultCache(tmp_path)))
-        client.sweep([_temp_query(40.0)])
+        client.sweep([_temp_cell(40.0)])
         report = client.sweep(
-            [_temp_query(40.0), _temp_query(50.0), _temp_query(60.0)],
+            [_temp_cell(40.0), _temp_cell(50.0), _temp_cell(60.0)],
             experiment="notes",
         )
         notes = report.notes()
@@ -57,20 +57,20 @@ class TestLocalClient:
 
     def test_results_in_input_order(self):
         temps = (65.0, 45.0, 55.0)
-        report = LocalClient().sweep([_temp_query(t) for t in temps])
+        report = LocalClient().sweep([_temp_cell(t) for t in temps])
         assert [o.label for o in report.outcomes] == [f"temp/{t:.0f}C" for t in temps]
         assert report.results == [o.payload for o in report.outcomes]
 
-    def test_hit_rate_accounts_every_query(self, tmp_path):
+    def test_hit_rate_accounts_every_cell(self, tmp_path):
         client = LocalClient(ExperimentRunner(cache=ResultCache(tmp_path)))
-        client.sweep([_temp_query(40.0)])
-        report = client.sweep([_temp_query(40.0), _temp_query(50.0), _temp_query(60.0)])
+        client.sweep([_temp_cell(40.0)])
+        report = client.sweep([_temp_cell(40.0), _temp_cell(50.0), _temp_cell(60.0)])
         assert report.cache_hits + report.cache_misses == len(report.outcomes) == 3
         assert report.hit_rate == pytest.approx(1 / 3)
 
     def test_failed_cell_is_reported_not_raised(self):
         client = LocalClient(ExperimentRunner(faults="raise@1"))
-        report = client.sweep([_temp_query(t) for t in (40.0, 50.0, 60.0)])
+        report = client.sweep([_temp_cell(t) for t in (40.0, 50.0, 60.0)])
         assert [p is not None for p in report.results] == [True, False, True]
         assert [o.label for o in report.failures] == ["temp/50C"]
         assert report.failures[0].error.kind == "exception"
@@ -79,7 +79,7 @@ class TestLocalClient:
     def test_interrupt_propagates_after_flushing_manifest(self, tmp_path):
         client = LocalClient(ExperimentRunner(runs_dir=tmp_path, faults="interrupt@1"))
         with pytest.raises(KeyboardInterrupt):
-            client.sweep([_temp_query(t) for t in (40.0, 50.0, 60.0)],
+            client.sweep([_temp_cell(t) for t in (40.0, 50.0, 60.0)],
                          experiment="ctrl-c")
         manifest = load_manifest(latest_manifest(tmp_path))
         assert manifest["experiment"] == "ctrl-c"
@@ -88,7 +88,7 @@ class TestLocalClient:
 
     def test_sweep_writes_the_experiment_manifest(self, tmp_path):
         client = LocalClient(ExperimentRunner(runs_dir=tmp_path))
-        report = client.sweep([_temp_query()], experiment="plain")
+        report = client.sweep([_temp_cell()], experiment="plain")
         assert report.manifest_path == latest_manifest(tmp_path)
         manifest = load_manifest(report.manifest_path)
         assert manifest["experiment"] == "plain"
@@ -105,28 +105,3 @@ class TestLocalClient:
         runner = LocalClient().runner
         assert runner.jobs == 1
         assert runner.cache is None and runner.runs_dir is None
-
-    def test_context_manager_leaves_client_usable(self):
-        client = LocalClient()
-        with client as entered:
-            assert entered is client
-        assert client.sweep([_temp_query()]).results[0] is not None
-
-
-class TestDriverClient:
-    def test_explicit_client_is_returned_as_is(self):
-        client = LocalClient()
-        assert driver_client(client=client) is client
-
-    def test_bare_runner_is_wrapped(self):
-        runner = ExperimentRunner(jobs=2)
-        assert driver_client(runner=runner).runner is runner
-
-    def test_neither_builds_serial_uncached_default(self):
-        client = driver_client()
-        assert isinstance(client, LocalClient)
-        assert client.runner.jobs == 1 and client.runner.cache is None
-
-    def test_client_and_runner_are_exclusive(self):
-        with pytest.raises(ValueError, match="not both"):
-            driver_client(client=LocalClient(), runner=ExperimentRunner())

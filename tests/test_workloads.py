@@ -13,7 +13,6 @@ from repro.workloads import (
     PARSEC_WORKLOADS,
     TraceGenerator,
     WorkloadSpec,
-    workload_names,
 )
 from repro.workloads.generator import _sample_categorical
 from tests.reference_trace import generate_suite
@@ -69,9 +68,6 @@ class TestCatalog:
     def test_names_keyed_consistently(self):
         for name, spec in PARSEC_WORKLOADS.items():
             assert spec.name == name
-
-    def test_workload_names_order(self):
-        assert workload_names() == list(PARSEC_WORKLOADS)
 
     def test_bgsave_is_streaming_write_heavy(self):
         spec = PARSEC_WORKLOADS["bgsave"]
