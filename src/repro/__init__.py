@@ -76,8 +76,6 @@ from .sim import (
     RefreshOverheadEvaluator,
     RefreshStats,
     SimulationResult,
-    load_trace,
-    save_trace,
 )
 from .workloads import PARSEC_WORKLOADS, TraceGenerator, WorkloadSpec
 from .power import RefreshPowerModel
@@ -132,8 +130,6 @@ __all__ = [
     "RefreshOverheadEvaluator",
     "RefreshStats",
     "SimulationResult",
-    "load_trace",
-    "save_trace",
     "PARSEC_WORKLOADS",
     "TraceGenerator",
     "WorkloadSpec",

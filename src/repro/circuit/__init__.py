@@ -36,26 +36,21 @@ from .netlist import (
     Resistor,
     VoltageSource,
 )
-from .waveforms import Waveform, constant, piecewise_linear, pulse, step
+from .waveforms import Waveform, constant, step
 from .rescue import ConvergenceReport, RescueAttempt
-from .batched import (
-    BatchedCircuitSession,
-    BatchedTransientResult,
-    ConvergenceFallbackError,
-)
+from .batched import BatchedCircuitSession, BatchedTransientResult
 from .solver import (
     CircuitSession,
     ConvergenceError,
     SolverStats,
     TransientResult,
 )
-from .measure import combined_stats, crossing_time, delivered_energy, settle_time, value_at
+from .measure import delivered_energy
 from .dram_circuits import (
     build_charge_sharing_circuit,
     build_equalization_circuit,
     build_refresh_circuit,
     build_sense_amplifier_circuit,
-    refresh_circuit_session,
     simulate_equalization,
     simulate_presensing,
     simulate_refresh_trajectory,
@@ -74,28 +69,20 @@ __all__ = [
     "VoltageSource",
     "Waveform",
     "constant",
-    "piecewise_linear",
-    "pulse",
     "step",
     "BatchedCircuitSession",
     "BatchedTransientResult",
     "CircuitSession",
     "ConvergenceError",
-    "ConvergenceFallbackError",
     "ConvergenceReport",
     "RescueAttempt",
     "SolverStats",
     "TransientResult",
-    "combined_stats",
-    "crossing_time",
     "delivered_energy",
-    "settle_time",
-    "value_at",
     "build_charge_sharing_circuit",
     "build_equalization_circuit",
     "build_refresh_circuit",
     "build_sense_amplifier_circuit",
-    "refresh_circuit_session",
     "simulate_equalization",
     "simulate_presensing",
     "simulate_refresh_trajectory",

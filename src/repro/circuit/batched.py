@@ -6,9 +6,8 @@ every retention point, varying only the cell's initial charge.  A
 MNA structure (:mod:`repro.circuit.compiled`) into ``L`` independent
 lanes and advances them in lockstep —
 
-* per-lane initial conditions (``lane_overrides``) and per-lane source
-  scales (``lane_source_scale``, the waveform parameter array) are the
-  only things that differ between lanes;
+* per-lane initial conditions (``lane_overrides``) are the only thing
+  that differs between lanes;
 * each Newton round assembles and solves only the still-active lanes
   (per-lane convergence masks: converged lanes stop iterating);
 * the dense path linearizes every lane's devices in one vectorized call
@@ -38,8 +37,8 @@ scalar semantics including rescues.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -50,8 +49,13 @@ from .solver import (
     _MAX_NEWTON_STEP,
     _SAFETY,
     _SHRINK_MIN,
-    CircuitSession,
+    DT_MAX_FACTOR,
+    DT_MIN_DIVISOR,
+    LTE_TOL,
+    MAX_NEWTON_ITERATIONS,
     MAX_SUBDIVISIONS,
+    NEWTON_ABSTOL,
+    CircuitSession,
     SolverStats,
     TransientResult,
 )
@@ -101,18 +105,6 @@ class BatchedTransientResult:
         )
 
 
-@dataclass
-class _LaneSpec:
-    """Resolved per-lane inputs: initial states and source scales."""
-
-    XP: np.ndarray  # (L, size + 1) padded initial states
-    source_scale: object  # scalar 1.0 or (L,) array
-    n_lanes: int = field(default=0)
-
-    def __post_init__(self) -> None:
-        self.n_lanes = self.XP.shape[0]
-
-
 class BatchedCircuitSession(CircuitSession):
     """A :class:`~repro.circuit.solver.CircuitSession` that also advances
     ``L`` replicas of the circuit in lockstep.
@@ -135,28 +127,22 @@ class BatchedCircuitSession(CircuitSession):
         record: Optional[List[str]] = None,
         *,
         lane_overrides: Dict[str, np.ndarray],
-        lane_source_scale: Optional[np.ndarray] = None,
         adaptive: bool = False,
-        lte_tol: float = 1e-4,
-        dt_min: Optional[float] = None,
-        dt_max: Optional[float] = None,
-        breakpoints: Optional[Sequence[float]] = None,
     ) -> BatchedTransientResult:
         """Simulate ``L`` lanes of this circuit from 0 to ``t_stop``.
 
         Args:
-            t_stop, dt, record, adaptive, lte_tol, dt_min, dt_max,
-                breakpoints: as in :meth:`CircuitSession.simulate`; the
+            t_stop, dt, record, adaptive: as in
+                :meth:`CircuitSession.simulate` (Newton to
+                :data:`~repro.circuit.solver.NEWTON_ABSTOL`; adaptive
+                steps to :data:`~repro.circuit.solver.LTE_TOL` within
+                ``dt / DT_MIN_DIVISOR`` and ``DT_MAX_FACTOR * dt``).  The
                 adaptive controller is shared across lanes (one step
                 sequence, sized by the worst lane's truncation error).
             lane_overrides: node name → ``(L,)`` array of per-lane
                 initial voltages, applied on top of the netlist initial
                 conditions.  Defines the lane count; every array must
                 share it, and at least one node is required.
-            lane_source_scale: optional ``(L,)`` array scaling every
-                V/I source waveform per lane (e.g. a supply-droop sweep).
-                Requires the compiled path; lanes with non-unit scale
-                cannot fall back to scalar rescue.
 
         Returns:
             A :class:`BatchedTransientResult` with per-node ``(L, n)``
@@ -182,14 +168,6 @@ class BatchedCircuitSession(CircuitSession):
         if n_lanes == 0:
             raise ValueError("lane_overrides arrays are empty (no lanes)")
 
-        scale: object = 1.0
-        if lane_source_scale is not None:
-            scale = np.asarray(lane_source_scale, dtype=float).reshape(-1)
-            if len(scale) != n_lanes:
-                raise ValueError(
-                    f"lane_source_scale has {len(scale)} lanes, expected {n_lanes}"
-                )
-
         record_nodes = record if record is not None else self.circuit.node_names
         indices = {node: self.circuit.node_id(node) for node in record_nodes}
         for node, idx in indices.items():
@@ -200,21 +178,8 @@ class BatchedCircuitSession(CircuitSession):
             # Opaque circuits: no static structure to batch.  Per-lane
             # scalar runs preserve exact scalar semantics (including
             # per-lane rescue isolation, trivially).
-            if lane_source_scale is not None:
-                raise ValueError(
-                    "lane_source_scale requires a compiled circuit "
-                    "(opaque elements fall back to per-lane scalar runs)"
-                )
             return self._simulate_batch_reference(
-                t_stop,
-                dt,
-                record_nodes,
-                arrays,
-                adaptive=adaptive,
-                lte_tol=lte_tol,
-                dt_min=dt_min,
-                dt_max=dt_max,
-                breakpoints=breakpoints,
+                t_stop, dt, record_nodes, arrays, adaptive
             )
 
         x = self.circuit.initial_state(size)
@@ -226,39 +191,17 @@ class BatchedCircuitSession(CircuitSession):
                 raise KeyError(f"cannot override ground node: {node}")
             XP[:, idx] = values
 
-        lanes = _LaneSpec(XP=XP, source_scale=scale)
         stats = SolverStats()
         if adaptive:
-            return self._run_adaptive_batch(
-                assembler,
-                lanes,
-                t_stop,
-                dt,
-                indices,
-                stats,
-                lte_tol=lte_tol,
-                dt_min=dt_min if dt_min is not None else dt / 16.0,
-                dt_max=dt_max if dt_max is not None else 32.0 * dt,
-                extra_breakpoints=breakpoints,
-            )
-        return self._run_fixed_batch(assembler, lanes, t_stop, dt, indices, stats)
+            return self._run_adaptive_batch(assembler, XP, t_stop, dt, indices, stats)
+        return self._run_fixed_batch(assembler, XP, t_stop, dt, indices, stats)
 
     # ------------------------------------------------------------------ #
     # reference fallback (opaque circuits)                                #
     # ------------------------------------------------------------------ #
 
     def _simulate_batch_reference(
-        self,
-        t_stop,
-        dt,
-        record_nodes,
-        arrays,
-        *,
-        adaptive,
-        lte_tol,
-        dt_min,
-        dt_max,
-        breakpoints,
+        self, t_stop, dt, record_nodes, arrays, adaptive
     ) -> BatchedTransientResult:
         """Per-lane scalar runs stacked into one batched result."""
         n_lanes = len(next(iter(arrays.values())))
@@ -271,10 +214,6 @@ class BatchedCircuitSession(CircuitSession):
                 dt,
                 record=record_nodes,
                 adaptive=adaptive,
-                lte_tol=lte_tol,
-                dt_min=dt_min,
-                dt_max=dt_max,
-                breakpoints=breakpoints,
                 initial_overrides=overrides,
             )
             results.append(result)
@@ -294,21 +233,19 @@ class BatchedCircuitSession(CircuitSession):
     # fixed-step path                                                     #
     # ------------------------------------------------------------------ #
 
-    def _run_fixed_batch(self, assembler, lanes, t_stop, dt, indices, stats):
+    def _run_fixed_batch(self, assembler, XP, t_stop, dt, indices, stats):
         """Uniform-step lockstep integration of every lane."""
         n_steps = int(round(t_stop / dt))
-        XP = lanes.XP
+        n_lanes = XP.shape[0]
         times = np.empty(n_steps + 1)
-        traces = {
-            node: np.empty((lanes.n_lanes, n_steps + 1)) for node in indices
-        }
+        traces = {node: np.empty((n_lanes, n_steps + 1)) for node in indices}
         times[0] = 0.0
         for node, idx in indices.items():
             traces[node][:, 0] = XP[:, idx]
 
         for step_index in range(1, n_steps + 1):
             t = step_index * dt
-            XP = self._advance_batch(assembler, XP, t - dt, dt, stats, lanes.source_scale)
+            XP = self._advance_batch(assembler, XP, t - dt, dt, stats)
             times[step_index] = t
             for node, idx in indices.items():
                 traces[node][:, step_index] = XP[:, idx]
@@ -317,12 +254,12 @@ class BatchedCircuitSession(CircuitSession):
         return BatchedTransientResult(
             time=times,
             voltages=traces,
-            n_lanes=lanes.n_lanes,
+            n_lanes=n_lanes,
             newton_iterations=stats.newton_iterations,
             stats=stats,
         )
 
-    def _advance_batch(self, assembler, XP, t_start, dt, stats, source_scale):
+    def _advance_batch(self, assembler, XP, t_start, dt, stats):
         """One lockstep time step; failed lanes retry through scalar rescue.
 
         Lanes batched Newton converges are committed directly.  Each
@@ -332,54 +269,21 @@ class BatchedCircuitSession(CircuitSession):
         the gmin/source-stepping rescue ladder — leaving every other
         lane's state untouched.
         """
-        XP_new, converged = self._newton_batch(
-            assembler, XP, t_start + dt, dt, stats, source_scale
-        )
+        XP_new, converged = self._newton_batch(assembler, XP, t_start + dt, dt, stats)
         stats.accepted_steps += int(np.count_nonzero(converged))
         if converged.all():
             return XP_new
-        self._check_rescuable(source_scale, ~converged)
         for lane in np.nonzero(~converged)[0]:
             XP_new[lane] = self._advance(
                 assembler, XP[lane].copy(), t_start, dt, 0, stats
             )
         return XP_new
 
-    @staticmethod
-    def _check_rescuable(source_scale, failed_mask) -> None:
-        """Scalar fallback assumes unscaled sources; refuse otherwise."""
-        if np.isscalar(source_scale) or np.ndim(source_scale) == 0:
-            if float(source_scale) == 1.0:
-                return
-            raise ConvergenceFallbackError(
-                "lane failed batched Newton under a non-unit source scale; "
-                "scalar rescue would solve a different circuit"
-            )
-        scales = np.asarray(source_scale)[np.asarray(failed_mask)]
-        if not np.all(scales == 1.0):
-            raise ConvergenceFallbackError(
-                "lane failed batched Newton under a non-unit source scale; "
-                "scalar rescue would solve a different circuit"
-            )
-
     # ------------------------------------------------------------------ #
     # adaptive path                                                       #
     # ------------------------------------------------------------------ #
 
-    def _run_adaptive_batch(
-        self,
-        assembler,
-        lanes,
-        t_stop,
-        dt_init,
-        indices,
-        stats,
-        *,
-        lte_tol,
-        dt_min,
-        dt_max,
-        extra_breakpoints,
-    ):
+    def _run_adaptive_batch(self, assembler, XP, t_stop, dt_init, indices, stats):
         """Shared-controller LTE stepping: one step sequence, worst lane rules.
 
         Identical control law to :meth:`CircuitSession._run_adaptive`
@@ -391,17 +295,18 @@ class BatchedCircuitSession(CircuitSession):
         predictor restarts exactly as it does for scalar rescues.
         """
         n_nodes = assembler.n_nodes
-        n_lanes = lanes.n_lanes
+        n_lanes = XP.shape[0]
+        dt_min = dt_init / DT_MIN_DIVISOR
+        dt_max = DT_MAX_FACTOR * dt_init
         dt_floor = dt_min / (2.0**MAX_SUBDIVISIONS)
-        bps = self._harvest_breakpoints(t_stop, extra_breakpoints)
+        bps = self._harvest_breakpoints(t_stop)
         t_eps = max(1e-18, 1e-12 * t_stop)
 
-        XP = lanes.XP
         ts = [0.0]
         samples = {node: [XP[:, idx].copy()] for node, idx in indices.items()}
 
         t = 0.0
-        dt = min(max(dt_init, dt_min), dt_max)
+        dt = dt_init  # within [dt_min, dt_max] by construction
         XP_hist: Optional[np.ndarray] = None
         dt_hist: Optional[float] = None
 
@@ -414,16 +319,13 @@ class BatchedCircuitSession(CircuitSession):
                 dt_try = bps[0] - t
                 at_break = True
 
-            XP_new, converged = self._newton_batch(
-                assembler, XP, t + dt_try, dt_try, stats, lanes.source_scale
-            )
+            XP_new, converged = self._newton_batch(assembler, XP, t + dt_try, dt_try, stats)
             rescued = False
             if not converged.all():
                 if converged.any() or dt_try / 2.0 < dt_floor:
                     # Healthy lanes keep their solutions; the failed
                     # ones go through per-lane halving/rescue at this
                     # exact step so the batch stays in lockstep.
-                    self._check_rescuable(lanes.source_scale, ~converged)
                     for lane in np.nonzero(~converged)[0]:
                         XP_new[lane] = self._advance(
                             assembler, XP[lane].copy(), t, dt_try, 0, stats
@@ -450,13 +352,13 @@ class BatchedCircuitSession(CircuitSession):
                     else 0.0
                 )
                 err = gap * dt_try / (dt_try + dt_hist)
-                if err > lte_tol and dt_try > dt_min * (1.0 + 1e-9):
+                if err > LTE_TOL and dt_try > dt_min * (1.0 + 1e-9):
                     stats.rejected_steps += n_lanes
                     stats.accepted_steps -= n_lanes
-                    shrink = max(_SHRINK_MIN, _SAFETY * math.sqrt(lte_tol / err))
+                    shrink = max(_SHRINK_MIN, _SAFETY * math.sqrt(LTE_TOL / err))
                     dt = max(dt_try * shrink, dt_min)
                     continue
-                grow = _SAFETY * math.sqrt(lte_tol / max(err, 1e-300))
+                grow = _SAFETY * math.sqrt(LTE_TOL / max(err, 1e-300))
                 dt_next = dt_try * min(max(grow, _SHRINK_MIN), _GROW_MAX)
             else:
                 dt_next = dt_try
@@ -472,7 +374,7 @@ class BatchedCircuitSession(CircuitSession):
             if at_break or rescued:
                 XP_hist = None
                 dt_hist = None
-                dt = min(dt_init, dt_max)
+                dt = dt_init
             else:
                 dt = min(max(dt_next, dt_min), dt_max)
 
@@ -500,7 +402,7 @@ class BatchedCircuitSession(CircuitSession):
     # batched Newton                                                      #
     # ------------------------------------------------------------------ #
 
-    def _newton_batch(self, assembler, XP, t, dt, stats, source_scale=1.0):
+    def _newton_batch(self, assembler, XP, t, dt, stats):
         """One backward-Euler step of every lane via damped Newton.
 
         Per-lane semantics match :meth:`CircuitSession._newton` exactly:
@@ -508,7 +410,8 @@ class BatchedCircuitSession(CircuitSession):
         post-update convergence test.  Lanes leave the active set the
         iteration they converge (their states freeze; no further solves
         are spent on them).  Returns ``(XP_new, converged)``; a lane
-        whose system went singular or which exhausted ``max_newton``
+        whose system went singular or which exhausted
+        :data:`~repro.circuit.solver.MAX_NEWTON_ITERATIONS`
         simply reports unconverged — the caller owns the per-lane
         fallback.
         """
@@ -517,11 +420,9 @@ class BatchedCircuitSession(CircuitSession):
         XP_new = XP.copy()
         converged = np.zeros(n_lanes, dtype=bool)
         try:
-            iterate = assembler.prepare_step_batched(
-                XP, t, dt, stats, source_scale=source_scale
-            )
+            iterate = assembler.prepare_step_batched(XP, t, dt, stats)
             active = np.arange(n_lanes)
-            for _ in range(self.max_newton):
+            for _ in range(MAX_NEWTON_ITERATIONS):
                 XP_active = XP_new[active]
                 X_next, solved = iterate(XP_active, active)
                 n_solved = int(np.count_nonzero(solved))
@@ -547,7 +448,7 @@ class BatchedCircuitSession(CircuitSession):
                     )[:, None]
                     if not damp.all():
                         XP_new[active[~damp], :size] = X_next[~damp]
-                done = delta < self.abstol
+                done = delta < NEWTON_ABSTOL
                 converged[active[done]] = True
                 active = active[~done]
                 if active.size == 0:
@@ -558,11 +459,3 @@ class BatchedCircuitSession(CircuitSession):
             pass
         return XP_new, converged
 
-
-class ConvergenceFallbackError(RuntimeError):
-    """A lane needed scalar rescue under per-lane source scaling.
-
-    The scalar rescue ladder re-solves the undeformed circuit; doing so
-    for a lane whose sources were scaled would silently answer a
-    different question, so the batch refuses instead.
-    """

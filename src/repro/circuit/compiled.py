@@ -560,13 +560,9 @@ class CompiledCircuit:
             I[rb] += value
         return I
 
-    def _rhs_base_batch(
-        self, XP_prev: np.ndarray, t: float, dt: float, source_scale=1.0
-    ) -> np.ndarray:
-        """Batched :meth:`_rhs_base`: one padded RHS row per lane.
+    def _rhs_base_batch(self, XP_prev: np.ndarray, t: float, dt: float) -> np.ndarray:
+        """Batched :meth:`_rhs_base` (unscaled sources): one padded RHS row per lane.
 
-        ``source_scale`` may be a scalar or an ``(L,)`` array of per-lane
-        supply scales (the batched session's waveform parameter array).
         Each lane's row is elementwise the vector the scalar path would
         build, with matching scatter order for duplicate history rows.
         """
@@ -577,14 +573,13 @@ class CompiledCircuit:
             hist = (self._h_coef / dt) * (XP_prev[:, self._h_a] - XP_prev[:, self._h_b])
             rows = self._h_row + (np.arange(L, dtype=np.intp) * stride)[:, None]
             np.add.at(I.reshape(-1), rows.reshape(-1), hist.reshape(-1))
-        scale = np.asarray(source_scale, dtype=float)
         if self._vs_rows:
             # Branch rows are distinct, so one fancy += adds each source
             # exactly as a per-row loop would.
             waves = np.array([wave(t) for wave in self._vs_waves], dtype=float)
-            I[:, self._vs_rows] += scale[..., None] * waves
+            I[:, self._vs_rows] += waves
         for ra, rb, wave in zip(self._is_rows_a, self._is_rows_b, self._is_waves):
-            value = scale * wave(t)
+            value = wave(t)
             I[:, ra] -= value
             I[:, rb] += value
         return I
@@ -870,14 +865,7 @@ class CompiledCircuit:
         stats.factorizations += 1
         return lu.solve
 
-    def prepare_step_batched(
-        self,
-        XP_prev: np.ndarray,
-        t: float,
-        dt: float,
-        stats,
-        source_scale=1.0,
-    ):
+    def prepare_step_batched(self, XP_prev: np.ndarray, t: float, dt: float, stats):
         """Batched counterpart of :meth:`prepare_step` over ``L`` lanes.
 
         ``XP_prev`` is the stacked ``(L, size + 1)`` padded state.
@@ -888,9 +876,9 @@ class CompiledCircuit:
         reported in the mask instead of aborting the batch, so the
         session can retry it alone through the scalar rescue path.
 
-        ``source_scale`` may be an ``(L,)`` array of per-lane supply
-        scales.  There is no ``gshunt``: batched stepping never deforms
-        the system — rescue is per-lane through :meth:`prepare_step`.
+        There is no ``gshunt`` or ``source_scale``: batched stepping never
+        deforms the system — rescue is per-lane through
+        :meth:`prepare_step`.
 
         The devices of all lanes are linearized by one vectorized
         :meth:`_device_stamps` call.  Solve backends per path:
@@ -906,7 +894,7 @@ class CompiledCircuit:
         """
         size = self.size
         base, factor = self._linear_base(dt, stats)
-        I_all = self._rhs_base_batch(XP_prev, t, dt, source_scale)
+        I_all = self._rhs_base_batch(XP_prev, t, dt)
 
         if self.n_devices == 0 and factor is not None:
             cache: dict = {}

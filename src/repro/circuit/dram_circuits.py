@@ -20,9 +20,10 @@ The ``simulate_*`` helpers wrap builder + solver + standard control
 waveforms and return the raw transient result (with
 :class:`~repro.circuit.solver.SolverStats` telemetry attached), leaving
 measurement to the callers (``repro.experiments``).  Sweeps that re-run
-the refresh netlist with varying initial cell charge should hold a
-:func:`refresh_circuit_session` and pass ``initial_overrides`` instead
-of rebuilding the circuit per point.
+the refresh netlist with varying initial cell charge should hold one
+:class:`~repro.circuit.solver.CircuitSession` over
+:func:`build_refresh_circuit` and pass ``initial_overrides`` instead of
+rebuilding the circuit per point (as ``MPRSFCalculator`` does).
 
 A window of a few coupled bitlines stands in for the full wordline: the
 Eq. 7 coupling is nearest-neighbour, so a 5-bitline window around the
@@ -344,21 +345,3 @@ def simulate_refresh_trajectory(
         t_stop, dt, record=["cell", "bl", "blb", "bl_sa", "blb_sa"]
     )
 
-
-def refresh_circuit_session(
-    tech: TechnologyParams,
-    geometry: BankGeometry,
-    phases: Optional[RefreshPhases] = None,
-) -> CircuitSession:
-    """A reusable compiled session over the full refresh netlist.
-
-    Sweeps that vary only the initial cell charge (the MPRSF retention
-    sweep, Fig. 1a trajectories) should run this one session with
-    ``initial_overrides={"cell": v}`` rather than rebuilding and
-    re-assembling the circuit per point — the compiled MNA structure is
-    shared across all runs.
-    """
-    if phases is None:
-        phases = DEFAULT_REFRESH_PHASES
-    circuit = build_refresh_circuit(tech, geometry, phases)
-    return CircuitSession(circuit)

@@ -1,99 +1,17 @@
-"""Waveform measurement utilities (the SPICE ``.MEASURE`` equivalents).
+"""Waveform measurement (the SPICE ``.MEASURE`` equivalent the drivers use).
 
-These operate on a :class:`~repro.circuit.solver.TransientResult` and are
-used by the experiment drivers to extract delays (threshold crossings,
-settling times) from simulated traces, mirroring what the paper measures
-from its SPICE runs.
+:func:`delivered_energy` integrates a voltage source's power over a
+:class:`~repro.circuit.solver.TransientResult`; the ``validate`` verb
+checks the refresh power model against it.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 import numpy as np
 
 from ..guard import assert_finite
 from .netlist import VoltageSource
-from .solver import SolverStats, TransientResult
-
-
-def value_at(result: TransientResult, node: str, t: float) -> float:
-    """Voltage of ``node`` at time ``t`` (linear interpolation)."""
-    return assert_finite(result.at(node, t), "circuit.measure.value_at", node)
-
-
-def crossing_time(
-    result: TransientResult,
-    node: str,
-    threshold: float,
-    rising: bool = True,
-    after: float = 0.0,
-) -> Optional[float]:
-    """First time ``node`` crosses ``threshold`` in the given direction.
-
-    Args:
-        result: the transient run to inspect.
-        node: node name.
-        threshold: voltage level to detect.
-        rising: ``True`` for a low-to-high crossing, ``False`` for
-            high-to-low.
-        after: ignore crossings before this time (e.g. to skip the
-            initial condition transient).
-
-    Returns:
-        The interpolated crossing time in seconds, or ``None`` if the
-        waveform never crosses.
-    """
-    t = result.time
-    v = result[node]
-    mask = t >= after
-    t = t[mask]
-    v = v[mask]
-    if len(t) < 2:
-        return None
-    if rising:
-        hits = np.nonzero((v[:-1] < threshold) & (v[1:] >= threshold))[0]
-    else:
-        hits = np.nonzero((v[:-1] > threshold) & (v[1:] <= threshold))[0]
-    if len(hits) == 0:
-        return None
-    i = hits[0]
-    v0, v1 = v[i], v[i + 1]
-    if v1 == v0:
-        return float(t[i + 1])
-    frac = (threshold - v0) / (v1 - v0)
-    return float(t[i] + frac * (t[i + 1] - t[i]))
-
-
-def settle_time(
-    result: TransientResult,
-    node: str,
-    target: float,
-    tolerance: float,
-    after: float = 0.0,
-) -> Optional[float]:
-    """Time after which ``node`` stays within ``tolerance`` of ``target``.
-
-    Scans backwards for the last sample outside the band; the settle
-    time is the next sample's timestamp.  Returns ``None`` if the node
-    never settles by the end of the run.
-    """
-    t = result.time
-    v = result[node]
-    mask = t >= after
-    t = t[mask]
-    v = v[mask]
-    if len(t) == 0:
-        return None
-    outside = np.abs(v - target) > tolerance
-    if outside[-1]:
-        return None
-    if not outside.any():
-        return float(t[0])
-    last_outside = int(np.nonzero(outside)[0][-1])
-    if last_outside + 1 >= len(t):
-        return None
-    return float(t[last_outside + 1])
+from .solver import TransientResult
 
 
 def delivered_energy(result: TransientResult, source: VoltageSource) -> float:
@@ -112,13 +30,3 @@ def delivered_energy(result: TransientResult, source: VoltageSource) -> float:
     energy = float(np.trapezoid(voltage * current, result.time))
     return assert_finite(energy, "circuit.measure.delivered_energy", source.name)
 
-
-def combined_stats(*results: TransientResult) -> SolverStats:
-    """Aggregate solver telemetry across several transient results.
-
-    Experiment drivers that run multiple phases (equalization, charge
-    sharing, sensing, ...) use this to report one
-    :class:`~repro.circuit.solver.SolverStats` line for the whole suite.
-    Results without stats (hand-built ones) contribute nothing.
-    """
-    return SolverStats.combined(r.stats for r in results)

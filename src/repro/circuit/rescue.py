@@ -87,7 +87,8 @@ class NewtonProbe(NamedTuple):
         solution: the converged padded state vector, or ``None``.
         iterations: Newton iterations spent in this attempt.
         residual: last undamped update norm over node voltages (volts);
-            below ``abstol`` iff converged.
+            below :data:`~repro.circuit.solver.NEWTON_ABSTOL` iff
+            converged.
         worst_index: node index of the largest last update (``-1`` when
             the system has no nodes).
         singular: the factorization failure message when the attempt

@@ -12,9 +12,10 @@ any number of transients against the compiled form:
 
 * **fixed-step** (the seed behaviour): uniform ``dt`` with recursive
   step halving when Newton fails across a stiff event, or
-* **adaptive**: local-truncation-error step control that grows and
-  shrinks ``dt`` between ``dt_min``/``dt_max``, lands exactly on source
-  breakpoints, and falls back to the same halving on Newton failure.
+* **adaptive**: local-truncation-error step control (:data:`LTE_TOL`)
+  that grows and shrinks ``dt`` between ``dt / DT_MIN_DIVISOR`` and
+  ``DT_MAX_FACTOR * dt``, lands exactly on source breakpoints, and falls
+  back to the same halving on Newton failure.
   Results are resampled onto the uniform ``dt`` grid so
   :class:`TransientResult` consumers are unchanged.
 
@@ -37,7 +38,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -56,6 +57,24 @@ SPARSE_THRESHOLD = 200
 
 #: Maximum levels of automatic time-step halving on Newton failure.
 MAX_SUBDIVISIONS = 8
+
+#: Newton convergence tolerance on node voltages (volts): a step has
+#: converged once the undamped update drops below it.
+NEWTON_ABSTOL = 1e-6
+
+#: Newton iterations per time point before the step counts as failed
+#: (and is halved, then rescued).
+MAX_NEWTON_ITERATIONS = 60
+
+#: Adaptive control: accepted per-step local truncation error on node
+#: voltages (volts).
+LTE_TOL = 1e-4
+
+#: Adaptive control: the step stays within ``[dt / DT_MIN_DIVISOR,
+#: DT_MAX_FACTOR * dt]`` of the requested ``dt``; Newton-failure halving
+#: may go below the floor, by up to ``2**MAX_SUBDIVISIONS``.
+DT_MIN_DIVISOR = 16.0
+DT_MAX_FACTOR = 32.0
 
 #: Newton damping: cap on the per-iteration node-voltage update (volts).
 _MAX_NEWTON_STEP = 0.5
@@ -104,15 +123,6 @@ class SolverStats:
         self.rescues += other.rescues
         self.rescue_reports.extend(other.rescue_reports)
         return self
-
-    @classmethod
-    def combined(cls, stats: Iterable[Optional["SolverStats"]]) -> "SolverStats":
-        """Sum of several stats records; ``None`` entries are skipped."""
-        total = cls()
-        for s in stats:
-            if s is not None:
-                total.merge(s)
-        return total
 
     def summary(self) -> str:
         """One-line human-readable digest for experiment notes."""
@@ -188,11 +198,11 @@ class CircuitSession:
     in-place mutation of element *values* (a resistance, a waveform)
     requires an explicit :meth:`recompile`.
 
+    Newton runs to :data:`NEWTON_ABSTOL` within
+    :data:`MAX_NEWTON_ITERATIONS` iterations per time point.
+
     Args:
         circuit: the netlist to simulate.
-        abstol: Newton convergence tolerance on node voltages (volts).
-        max_newton: maximum Newton iterations per time point before the
-            step is retried with damping and finally aborted.
         assembly: ``"auto"`` (default) compiles library elements and
             falls back to reference stamping only for circuits with
             custom user elements; ``"naive"`` forces per-iteration
@@ -200,18 +210,10 @@ class CircuitSession:
             kept for verification).
     """
 
-    def __init__(
-        self,
-        circuit: Circuit,
-        abstol: float = 1e-6,
-        max_newton: int = 60,
-        assembly: str = "auto",
-    ):
+    def __init__(self, circuit: Circuit, assembly: str = "auto"):
         if assembly not in ("auto", "naive"):
             raise ValueError(f"assembly must be 'auto' or 'naive', got {assembly!r}")
         self.circuit = circuit
-        self.abstol = abstol
-        self.max_newton = max_newton
         self.assembly = assembly
         self._assembler = None
         self._structure_key: Optional[Tuple[int, int]] = None
@@ -255,10 +257,6 @@ class CircuitSession:
         record_currents: Optional[List[str]] = None,
         *,
         adaptive: bool = False,
-        lte_tol: float = 1e-4,
-        dt_min: Optional[float] = None,
-        dt_max: Optional[float] = None,
-        breakpoints: Optional[Sequence[float]] = None,
         initial_overrides: Optional[Dict[str, float]] = None,
     ) -> TransientResult:
         """Simulate from 0 to ``t_stop`` and return dense-sampled waveforms.
@@ -271,20 +269,13 @@ class CircuitSession:
             record: node names to record; defaults to every node.
             record_currents: voltage-source names whose branch currents
                 to record (for power/energy measurement).
-            adaptive: enable local-truncation-error step control.  The
-                step grows and shrinks between ``dt_min`` and ``dt_max``
-                and always lands exactly on source breakpoints; the
-                trajectory is resampled onto the uniform ``dt`` grid so
-                downstream consumers see the same result shape.
-            lte_tol: adaptive only — accepted per-step truncation error
-                on node voltages (volts).
-            dt_min: adaptive only — smallest controller step (default
-                ``dt / 16``).  Newton-failure halving may go below this,
-                down to ``dt_min / 2**MAX_SUBDIVISIONS``.
-            dt_max: adaptive only — largest step (default ``32 * dt``).
-            breakpoints: extra times the adaptive stepper must land on,
-                merged with the breakpoints harvested from every source
-                waveform's ``breakpoints`` attribute.
+            adaptive: enable local-truncation-error step control.  Each
+                step keeps its truncation error under :data:`LTE_TOL`,
+                grows and shrinks between ``dt / DT_MIN_DIVISOR`` and
+                ``DT_MAX_FACTOR * dt``, and lands exactly on the
+                breakpoints of every source waveform; the trajectory is
+                resampled onto the uniform ``dt`` grid so downstream
+                consumers see the same result shape.
             initial_overrides: node-name → voltage overrides applied on
                 top of the netlist initial conditions.  Lets one compiled
                 session sweep starting states (e.g. cell voltage vs
@@ -332,17 +323,7 @@ class CircuitSession:
 
         if adaptive:
             return self._run_adaptive(
-                assembler,
-                xp,
-                t_stop,
-                dt,
-                indices,
-                current_indices,
-                stats,
-                lte_tol=lte_tol,
-                dt_min=dt_min if dt_min is not None else dt / 16.0,
-                dt_max=dt_max if dt_max is not None else 32.0 * dt,
-                extra_breakpoints=breakpoints,
+                assembler, xp, t_stop, dt, indices, current_indices, stats
             )
         return self._run_fixed(assembler, xp, t_stop, dt, indices, current_indices, stats)
 
@@ -435,33 +416,18 @@ class CircuitSession:
     # adaptive path                                                       #
     # ------------------------------------------------------------------ #
 
-    def _harvest_breakpoints(self, t_stop, extra):
-        """Slope-discontinuity times from source waveforms (plus extras)."""
+    def _harvest_breakpoints(self, t_stop):
+        """Slope-discontinuity times of the source waveforms."""
         points = set()
         for el in self.circuit.elements:
             wave = getattr(el, "waveform", None)
             for b in getattr(wave, "breakpoints", ()) or ():
                 if 0.0 < b < t_stop:
                     points.add(float(b))
-        for b in extra or ():
-            if 0.0 < b < t_stop:
-                points.add(float(b))
         return deque(sorted(points))
 
     def _run_adaptive(
-        self,
-        assembler,
-        xp,
-        t_stop,
-        dt_init,
-        indices,
-        current_indices,
-        stats,
-        *,
-        lte_tol,
-        dt_min,
-        dt_max,
-        extra_breakpoints,
+        self, assembler, xp, t_stop, dt_init, indices, current_indices, stats
     ):
         """LTE-controlled variable-step integration, resampled onto ``dt_init``.
 
@@ -470,14 +436,16 @@ class CircuitSession:
         previous accepted states (a first-order predictor): for exact
         first-order behaviour the two agree, so their gap scaled by
         ``dt / (dt + dt_prev)`` tracks the ``O(dt^2)`` error term.  Steps
-        whose estimate exceeds ``lte_tol`` are rejected and retried
+        whose estimate exceeds :data:`LTE_TOL` are rejected and retried
         smaller; accepted steps grow the step by up to 2x.  The predictor
         history is reset across source breakpoints, where extrapolating a
         discontinuous slope would poison the estimate.
         """
         n_nodes = assembler.n_nodes
+        dt_min = dt_init / DT_MIN_DIVISOR
+        dt_max = DT_MAX_FACTOR * dt_init
         dt_floor = dt_min / (2.0**MAX_SUBDIVISIONS)
-        bps = self._harvest_breakpoints(t_stop, extra_breakpoints)
+        bps = self._harvest_breakpoints(t_stop)
         t_eps = max(1e-18, 1e-12 * t_stop)
 
         ts = [0.0]
@@ -485,7 +453,7 @@ class CircuitSession:
         current_samples = {name: [-xp[idx]] for name, idx in current_indices.items()}
 
         t = 0.0
-        dt = min(max(dt_init, dt_min), dt_max)
+        dt = dt_init  # within [dt_min, dt_max] by construction
         xp_hist: Optional[np.ndarray] = None
         dt_hist: Optional[float] = None
 
@@ -520,12 +488,12 @@ class CircuitSession:
                 pred = xp + (xp - xp_hist) * (dt_try / dt_hist)
                 gap = float(np.max(np.abs(xp_new[:n_nodes] - pred[:n_nodes]))) if n_nodes else 0.0
                 err = gap * dt_try / (dt_try + dt_hist)
-                if err > lte_tol and dt_try > dt_min * (1.0 + 1e-9):
+                if err > LTE_TOL and dt_try > dt_min * (1.0 + 1e-9):
                     stats.rejected_steps += 1
-                    shrink = max(_SHRINK_MIN, _SAFETY * math.sqrt(lte_tol / err))
+                    shrink = max(_SHRINK_MIN, _SAFETY * math.sqrt(LTE_TOL / err))
                     dt = max(dt_try * shrink, dt_min)
                     continue
-                grow = _SAFETY * math.sqrt(lte_tol / max(err, 1e-300))
+                grow = _SAFETY * math.sqrt(LTE_TOL / max(err, 1e-300))
                 dt_next = dt_try * min(max(grow, _SHRINK_MIN), _GROW_MAX)
             else:
                 dt_next = dt_try
@@ -548,7 +516,7 @@ class CircuitSession:
                 # smear the event — restart both.
                 xp_hist = None
                 dt_hist = None
-                dt = min(dt_init, dt_max)
+                dt = dt_init
             else:
                 dt = min(max(dt_next, dt_min), dt_max)
 
@@ -585,7 +553,7 @@ class CircuitSession:
         Semantics match the seed solver exactly: the update norm is taken
         over node voltages only, steps larger than 0.5 V are damped, and
         convergence is declared when the undamped update drops below
-        ``abstol``.  The returned :class:`NewtonProbe` carries the
+        :data:`NEWTON_ABSTOL`.  The returned :class:`NewtonProbe` carries the
         solution (or ``None``), iteration count, last residual, and
         worst node — the telemetry the rescue ladder records per rung.
         A singular system is reported as a failed probe rather than
@@ -604,7 +572,7 @@ class CircuitSession:
                 xp, t, dt, stats, gshunt=gshunt, source_scale=source_scale
             )
             xp_new = xp.copy()
-            for _ in range(self.max_newton):
+            for _ in range(MAX_NEWTON_ITERATIONS):
                 x_next = iterate(xp_new)
                 if n_nodes:
                     diff = np.abs(x_next[:n_nodes] - xp_new[:n_nodes])
@@ -620,7 +588,7 @@ class CircuitSession:
                     xp_new[:size] = x_next
                 stats.newton_iterations += 1
                 iters += 1
-                if delta < self.abstol:
+                if delta < NEWTON_ABSTOL:
                     return NewtonProbe(xp_new, iters, delta, worst)
             return NewtonProbe(None, iters, delta, worst)
         except SingularSystemError as exc:

@@ -1,9 +1,8 @@
 """Time-domain source waveforms for the transient simulator.
 
 A waveform is any callable ``f(t) -> volts``.  These factories cover
-everything the DRAM netlists need: constants, steps with finite rise
-time, pulses, and general piecewise-linear sources (the SPICE ``PWL``
-primitive).
+everything the DRAM netlists need: constants and steps with finite rise
+time.
 
 Factories annotate the returned callable with a ``breakpoints``
 attribute — the times where the waveform's slope is discontinuous.
@@ -15,7 +14,7 @@ the same attribute; callables without it are treated as smooth.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable
 
 #: Type alias for a time-domain waveform.
 Waveform = Callable[[float], float]
@@ -49,52 +48,4 @@ def step(v_initial: float, v_final: float, t_step: float, t_rise: float = 10e-12
         return v_initial + frac * (v_final - v_initial)
 
     _wave.breakpoints = (t_step, t_step + t_rise)
-    return _wave
-
-
-def pulse(
-    v_low: float,
-    v_high: float,
-    t_start: float,
-    width: float,
-    t_rise: float = 10e-12,
-    t_fall: float = 10e-12,
-) -> Waveform:
-    """A single pulse from ``v_low`` to ``v_high`` starting at ``t_start``."""
-    if width <= 0:
-        raise ValueError(f"pulse width must be positive, got {width}")
-    rising = step(v_low, v_high, t_start, t_rise)
-    falling = step(0.0, v_low - v_high, t_start + width, t_fall)
-
-    def _wave(t: float) -> float:
-        return rising(t) + falling(t)
-
-    _wave.breakpoints = rising.breakpoints + falling.breakpoints
-    return _wave
-
-
-def piecewise_linear(points: Sequence[tuple[float, float]]) -> Waveform:
-    """A PWL source through the given ``(time, value)`` points.
-
-    Times must be strictly increasing.  The waveform holds the first
-    value before the first point and the last value after the last.
-    """
-    if not points:
-        raise ValueError("piecewise_linear requires at least one point")
-    times = [p[0] for p in points]
-    if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
-        raise ValueError(f"PWL times must be strictly increasing, got {times}")
-
-    def _wave(t: float) -> float:
-        if t <= points[0][0]:
-            return points[0][1]
-        if t >= points[-1][0]:
-            return points[-1][1]
-        for (t1, v1), (t2, v2) in zip(points, points[1:]):
-            if t1 <= t <= t2:
-                frac = (t - t1) / (t2 - t1)
-                return v1 + frac * (v2 - v1)
-        raise AssertionError("unreachable: t within PWL range but no segment found")
-
-    _wave.breakpoints = tuple(times)
     return _wave

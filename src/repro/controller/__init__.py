@@ -18,7 +18,7 @@ This package provides:
   dispatches through it.
 """
 
-from .counters import CounterFile, SaturatingCounter
+from .counters import CounterFile
 from .mechanisms import AVATARPolicy, ChargeCachePolicy, DARPPolicy
 from .refresh import (
     KIND_FULL,
@@ -38,7 +38,6 @@ from .registry import MECHANISMS, MechanismInfo, MechanismRegistry
 
 __all__ = [
     "CounterFile",
-    "SaturatingCounter",
     "KIND_FULL",
     "KIND_PARTIAL",
     "AVATARPolicy",

@@ -1,4 +1,4 @@
-"""Saturating counters modeling the VRL-DRAM hardware state (Sec. 3.2).
+"""Saturating counter files modeling the VRL-DRAM hardware state (Sec. 3.2).
 
 The paper stores ``mprsf`` and ``rcount`` as ``nbits``-wide counters per
 row ("in the actual hardware implementation, those two variables can be
@@ -11,49 +11,6 @@ reset, never past the width.
 from __future__ import annotations
 
 import numpy as np
-
-
-class SaturatingCounter:
-    """A single ``nbits``-wide saturating up-counter.
-
-    Used directly in examples and unit tests; the simulator uses the
-    vectorized :class:`CounterFile`.
-    """
-
-    def __init__(self, nbits: int, value: int = 0):
-        if nbits < 1:
-            raise ValueError(f"nbits must be >= 1, got {nbits}")
-        self.nbits = nbits
-        self._value = 0
-        self.set(value)
-
-    @property
-    def max_value(self) -> int:
-        """Largest representable value, ``2^nbits - 1``."""
-        return (1 << self.nbits) - 1
-
-    @property
-    def value(self) -> int:
-        """Current counter value."""
-        return self._value
-
-    def set(self, value: int) -> None:
-        """Load a value, saturating at the counter width."""
-        if value < 0:
-            raise ValueError(f"counter value cannot be negative, got {value}")
-        self._value = min(value, self.max_value)
-
-    def increment(self) -> int:
-        """Increment by one, saturating at ``max_value``; returns the new value."""
-        self._value = min(self._value + 1, self.max_value)
-        return self._value
-
-    def reset(self) -> None:
-        """Clear to zero."""
-        self._value = 0
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"SaturatingCounter(nbits={self.nbits}, value={self._value})"
 
 
 class CounterFile:

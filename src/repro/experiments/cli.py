@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import os
 import sys
 import time
@@ -196,14 +197,23 @@ def _parser(mechanisms: tuple[str, ...]) -> argparse.ArgumentParser:
     return parser
 
 
+def _positive_finite(value: float) -> bool:
+    """True for a finite value above zero (NaN fails both tests)."""
+    return math.isfinite(value) and value > 0
+
+
 def _validate_args(args: argparse.Namespace) -> Optional[str]:
     """One-line error for nonsensical flag values, or ``None`` if sane."""
     if args.jobs < 0:
         return f"--jobs must be >= 0, got {args.jobs}"
     if args.retries < 0:
         return f"--retries must be >= 0, got {args.retries}"
-    if args.cell_timeout is not None and args.cell_timeout <= 0:
-        return f"--cell-timeout must be > 0 seconds, got {args.cell_timeout:g}"
+    if not _positive_finite(args.duration):
+        return f"--duration must be finite and > 0 seconds, got {args.duration:g}"
+    if args.nbits < 1:
+        return f"--nbits must be >= 1, got {args.nbits}"
+    if args.cell_timeout is not None and not _positive_finite(args.cell_timeout):
+        return f"--cell-timeout must be finite and > 0 seconds, got {args.cell_timeout:g}"
     if args.resume is not None and not Path(args.resume).exists():
         return f"--resume manifest {args.resume} does not exist"
     if args.chaos is not None:

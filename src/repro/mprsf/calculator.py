@@ -40,6 +40,11 @@ from ..technology import BankGeometry, DEFAULT_GEOMETRY, TechnologyParams
 # compiled for a different bank.
 _SessionKey = Tuple[float, float, float, float, int, int]
 
+#: Sampling step (seconds) of the circuit cross-check transients; they
+#: run adaptively, so this is also the initial step and the grid the
+#: trajectory is resampled on.
+CIRCUIT_DT = 10e-12
+
 
 class MPRSFCalculator:
     """Computes MPRSF values from the analytical model and a retention profile.
@@ -211,13 +216,7 @@ class MPRSFCalculator:
             self._sessions[key] = session
         return session
 
-    def circuit_restored_fraction(
-        self,
-        start_fraction: float,
-        timing: RefreshTiming,
-        dt: float = 10e-12,
-        adaptive: bool = True,
-    ) -> float:
+    def circuit_restored_fraction(self, start_fraction: float, timing: RefreshTiming) -> float:
         """Circuit-level cross-check of Eq. 12's ``restored_fraction``.
 
         Simulates the full refresh chain (Fig. 2d netlist) with the cell
@@ -225,15 +224,12 @@ class MPRSFCalculator:
         cell charge at the timing's tRFC.  The compiled session comes
         from :meth:`_session_for` and is re-run with
         ``initial_overrides`` per retention point, so a sweep pays
-        circuit assembly once.
+        circuit assembly once.  The transient steps adaptively, sampled
+        every :data:`CIRCUIT_DT` (fixed steps would be ~10x slower).
 
         Args:
             start_fraction: cell charge fraction when the refresh starts.
             timing: the refresh timing whose restoration to measure.
-            dt: sampling step for the returned trajectory.
-            adaptive: use adaptive stepping (the default; the fixed-step
-                path is bit-compatible with the seed solver but ~10x
-                slower).
 
         Returns:
             The cell's charge fraction of ``V_dd`` at ``timing.total_seconds``.
@@ -241,20 +237,16 @@ class MPRSFCalculator:
         session = self._session_for(timing)
         result = session.simulate(
             timing.total_seconds,
-            dt,
+            CIRCUIT_DT,
             record=["cell"],
-            adaptive=adaptive,
+            adaptive=True,
             initial_overrides={"cell": start_fraction * self.tech.vdd},
         )
         fraction = float(result["cell"][-1]) / self.tech.vdd
         return assert_finite(fraction, "mprsf.circuit_restored_fraction", "fraction")
 
     def circuit_restored_fractions(
-        self,
-        start_fractions: np.ndarray,
-        timing: RefreshTiming,
-        dt: float = 10e-12,
-        adaptive: bool = True,
+        self, start_fractions: np.ndarray, timing: RefreshTiming
     ) -> np.ndarray:
         """Batched :meth:`circuit_restored_fraction` over a charge profile.
 
@@ -262,33 +254,34 @@ class MPRSFCalculator:
         :class:`~repro.circuit.BatchedCircuitSession` transient — one
         lane per point, one vectorized device linearization per Newton
         round — instead of one full simulation each.  The adaptive step
-        controller is shared by every lane, so per lane the waveform
-        matches the scalar cross-check within the documented 2 mV
-        circuit envelope (architecture invariant 14).
+        controller (sampled every :data:`CIRCUIT_DT`) is shared by every
+        lane, so per lane the waveform matches the scalar cross-check
+        within the documented 2 mV circuit envelope (architecture
+        invariant 14).
 
         Results are memoized per calculator on the timing's session key
-        (phase schedule, ``total_seconds``, geometry), ``dt``,
-        ``adaptive`` and the starting charges, so restore targets that
-        quantize to the same timing run one transient between them.
+        (phase schedule, ``total_seconds``, geometry) and the starting
+        charges, so restore targets that quantize to the same timing run
+        one transient between them.
 
         Args:
             start_fractions: 1-D array of cell charge fractions when the
                 refresh starts (one simulation lane each).
-            timing, dt, adaptive: as in :meth:`circuit_restored_fraction`.
+            timing: as in :meth:`circuit_restored_fraction`.
 
         Returns:
             Array of ending charge fractions of ``V_dd``, same length (a
             fresh copy on every call).
         """
         starts = np.asarray(start_fractions, dtype=float).reshape(-1)
-        key = (self._session_key(timing), float(dt), bool(adaptive), starts.tobytes())
+        key = (self._session_key(timing), starts.tobytes())
         fractions = self._restored.get(key)
         if fractions is None:
             result = self._session_for(timing).simulate_batch(
                 timing.total_seconds,
-                dt,
+                CIRCUIT_DT,
                 record=["cell"],
-                adaptive=adaptive,
+                adaptive=True,
                 lane_overrides={"cell": starts * self.tech.vdd},
             )
             fractions = assert_finite(

@@ -237,8 +237,6 @@ class TauPartialOptimizer:
         self,
         start_fractions: np.ndarray,
         restore_fraction: Optional[float] = None,
-        dt: float = 10e-12,
-        adaptive: bool = True,
     ) -> CalibrationResult:
         """Calibrate Eq. 12 against the circuit over a charge profile.
 
@@ -248,24 +246,22 @@ class TauPartialOptimizer:
         untruncated — the circuit holds the wordline open for the whole
         quantized window) and the batched circuit transient
         (:meth:`~repro.mprsf.calculator.MPRSFCalculator.circuit_restored_fractions`),
-        in one multi-lane simulation instead of one transient per point.
+        in one multi-lane simulation instead of one transient per point
+        (adaptive steps, sampled every
+        :data:`~repro.mprsf.calculator.CIRCUIT_DT`).
 
         Args:
             start_fractions: starting charge fractions, one lane each.
             restore_fraction: partial-restore target defining the timing
                 under calibration; defaults to the technology's partial
                 target.
-            dt, adaptive: circuit stepping controls, as in
-                :meth:`MPRSFCalculator.circuit_restored_fraction`.
         """
         starts = np.asarray(start_fractions, dtype=float).reshape(-1)
         if starts.size == 0:
             raise ValueError("start_fractions must be non-empty")
         timing = self.model.partial_refresh(restore_fraction)
         analytic = self.model.restored_fractions(starts, timing, truncate=False)
-        circuit = self.calculator.circuit_restored_fractions(
-            starts, timing, dt=dt, adaptive=adaptive
-        )
+        circuit = self.calculator.circuit_restored_fractions(starts, timing)
         error = float(np.max(np.abs(analytic - circuit)))
         return CalibrationResult(
             restore_fraction=timing.restore_fraction,

@@ -17,16 +17,13 @@ package provides the reproduction's equivalent:
 * :mod:`~repro.retention.vrt` — variable retention time (AVATAR-style)
   degradation, justifying the MPRSF guard band;
 * :mod:`~repro.retention.temperature` — exponential retention derating
-  with operating temperature (halving per ~10 degC);
-* :mod:`~repro.retention.storage` — persistable deployment artifacts
-  (profile + bins + MPRSF table, the controller's boot-time input).
+  with operating temperature (halving per ~10 degC).
 """
 
 from .binning import BinningResult, RefreshBinning, DEFAULT_PERIODS
 from .data_patterns import DataPattern, worst_pattern
 from .distribution import RetentionDistribution
 from .profiler import RetentionProfile, RetentionProfiler, group_rows
-from .storage import DeploymentArtifact, build_artifact, load_artifact, save_artifact
 from .temperature import TemperatureModel
 from .vrt import VRTModel, VRTParameters, VRTReport
 
@@ -40,10 +37,6 @@ __all__ = [
     "RetentionProfile",
     "RetentionProfiler",
     "group_rows",
-    "DeploymentArtifact",
-    "build_artifact",
-    "load_artifact",
-    "save_artifact",
     "TemperatureModel",
     "VRTModel",
     "VRTParameters",

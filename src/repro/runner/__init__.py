@@ -40,7 +40,6 @@ from .cells import (
     Cell,
     CellKind,
     compute_cell,
-    shared_build_cache_info,
     tech_params,
 )
 from .errors import ERROR_KINDS, CellError
@@ -93,7 +92,6 @@ __all__ = [
     "load_manifest",
     "parse_faults",
     "resolve_resume_source",
-    "shared_build_cache_info",
     "tech_params",
     "write_manifest",
 ]

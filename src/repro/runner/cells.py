@@ -281,14 +281,6 @@ def _cell_trace(frozen: tuple, rows: int, cols: int, benchmark: str,
                   float(params["duration_seconds"]))
 
 
-def shared_build_cache_info() -> dict[str, Any]:
-    """Hit/miss counters of the per-process builders (for tests/diagnostics)."""
-    return {
-        "trace": _trace.cache_info()._asdict(),
-        "profile_binning": _profile_binning.cache_info()._asdict(),
-    }
-
-
 # --------------------------------------------------------------------- #
 # Cell compute functions                                                 #
 # --------------------------------------------------------------------- #

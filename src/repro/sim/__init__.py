@@ -6,8 +6,7 @@ bank" under each policy.  This package is that simulator:
 
 * :mod:`~repro.sim.timing` — DDR-style timing parameters in controller
   cycles;
-* :mod:`~repro.sim.trace` — memory-trace representation and I/O
-  (Ramulator-compatible text format);
+* :mod:`~repro.sim.trace` — the in-memory trace representation;
 * :mod:`~repro.sim.schedule` — the shared refresh-deadline semantics
   (staggered first deadlines, interval arithmetic, DARP deferral,
   all-bank REF pacing) every simulator consumes;
@@ -24,8 +23,8 @@ bank" under each policy.  This package is that simulator:
   comparing JEDEC all-bank refresh against the per-bank row-targeted
   mode VRL needs;
 * :mod:`~repro.sim.stats` — result containers;
-* :mod:`~repro.sim.trace_stats` — trace analysis and the closed-form
-  Markov prediction of VRL-Access behaviour from window coverage.
+* :mod:`~repro.sim.trace_stats` — per-row window coverage and the
+  closed-form Markov prediction of VRL-Access behaviour from it.
 """
 
 from .engine import BankSimulator, SimulationResult
@@ -43,14 +42,8 @@ from .schedule import (
 from .stats import RefreshStats, RequestStats
 from .timeline import FusedTimeline, TimelineReport, service_starts, union_length
 from .timing import DRAMTiming
-from .trace_stats import (
-    TraceStatistics,
-    analyze_trace,
-    predict_vrl_access_cycles,
-    predicted_full_fraction,
-    window_coverage,
-)
-from .trace import MemoryTrace, load_trace, merge_traces, save_trace
+from .trace_stats import predict_vrl_access_cycles, predicted_full_fraction, window_coverage
+from .trace import MemoryTrace
 
 __all__ = [
     "BankSimulator",
@@ -73,13 +66,8 @@ __all__ = [
     "service_starts",
     "union_length",
     "DRAMTiming",
-    "TraceStatistics",
-    "analyze_trace",
     "predict_vrl_access_cycles",
     "predicted_full_fraction",
     "window_coverage",
     "MemoryTrace",
-    "load_trace",
-    "merge_traces",
-    "save_trace",
 ]

@@ -2,16 +2,14 @@
 
 VRL-Access's benefit over VRL depends on exactly one trace property:
 for each row, the fraction of its refresh intervals containing at least
-one access ("window coverage").  This module measures it, summarizes
-traces generally, and provides the closed-form Markov prediction of the
-full-refresh fraction under Algorithm 1 with access resets — validated
-against the simulator in the tests, and useful for reasoning about new
-workloads without simulating them.
+one access ("window coverage").  This module measures it and provides
+the closed-form Markov prediction of the full-refresh fraction under
+Algorithm 1 with access resets — validated against the simulator in the
+tests, and useful for reasoning about new workloads without simulating
+them (``examples/rank_analysis.py``).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,41 +17,9 @@ from ..controller.refresh import RefreshPolicy
 from .timing import DRAMTiming
 from .trace import MemoryTrace
 
-
-@dataclass(frozen=True)
-class TraceStatistics:
-    """Summary statistics of a memory trace."""
-
-    n_requests: int
-    n_reads: int
-    n_writes: int
-    footprint_rows: int
-    duration_cycles: int
-    mean_interarrival_cycles: float
-    max_row_share: float
-
-    @property
-    def write_fraction(self) -> float:
-        """Share of write requests."""
-        return self.n_writes / self.n_requests if self.n_requests else 0.0
-
-
-def analyze_trace(trace: MemoryTrace) -> TraceStatistics:
-    """Compute :class:`TraceStatistics` for a trace."""
-    n = len(trace)
-    if n == 0:
-        return TraceStatistics(0, 0, 0, 0, 0, 0.0, 0.0)
-    gaps = np.diff(trace.cycles)
-    _, counts = np.unique(trace.rows, return_counts=True)
-    return TraceStatistics(
-        n_requests=n,
-        n_reads=trace.n_reads,
-        n_writes=trace.n_writes,
-        footprint_rows=trace.footprint_rows(),
-        duration_cycles=trace.duration_cycles,
-        mean_interarrival_cycles=float(gaps.mean()) if len(gaps) else 0.0,
-        max_row_share=float(counts.max()) / n,
-    )
+#: Convergence tolerance of :func:`predicted_full_fraction`'s stationary
+#: distribution (max-norm change between damped iterations).
+STATIONARY_TOL = 1e-12
 
 
 def window_coverage(
@@ -103,7 +69,7 @@ def window_coverage(
     return coverage
 
 
-def predicted_full_fraction(mprsf: int, coverage: float, tol: float = 1e-12) -> float:
+def predicted_full_fraction(mprsf: int, coverage: float) -> float:
     """Steady-state full-refresh fraction of Algorithm 1 with access resets.
 
     Models ``rcount`` as a Markov chain: each refresh interval resets
@@ -117,7 +83,6 @@ def predicted_full_fraction(mprsf: int, coverage: float, tol: float = 1e-12) -> 
     Args:
         mprsf: the row's deployed MPRSF.
         coverage: per-interval access probability in [0, 1].
-        tol: stationary-distribution convergence tolerance.
 
     Returns:
         The long-run fraction of refreshes issued full.
@@ -145,7 +110,7 @@ def predicted_full_fraction(mprsf: int, coverage: float, tol: float = 1e-12) -> 
                     nxt[0] += probability * p_branch  # full refresh, reset
                 else:
                     nxt[effective + 1] += probability * p_branch  # partial
-        if np.max(np.abs(nxt - pi)) < tol:
+        if np.max(np.abs(nxt - pi)) < STATIONARY_TOL:
             pi = nxt
             break
         # Damped update: the coverage=0 chain is periodic (rcount walks

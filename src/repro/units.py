@@ -70,26 +70,3 @@ def to_cycles(time_s: float, clock_period_s: float) -> int:
     eps = max(1e-9, 4 * math.ulp(ratio))
     return max(0, math.ceil(ratio - eps))
 
-
-def format_si(value: float, unit: str) -> str:
-    """Render ``value`` with an SI prefix, e.g. ``format_si(2.4e-14, 'F') == '24.00 fF'``.
-
-    Used by experiment drivers to print human-readable parameter tables.
-    """
-    prefixes = [
-        (1.0, ""),
-        (1e-3, "m"),
-        (1e-6, "u"),
-        (1e-9, "n"),
-        (1e-12, "p"),
-        (1e-15, "f"),
-        (1e-18, "a"),
-    ]
-    if value == 0:
-        return f"0.00 {unit}"
-    magnitude = abs(value)
-    for scale, prefix in prefixes:
-        if magnitude >= scale:
-            return f"{value / scale:.2f} {prefix}{unit}"
-    scale, prefix = prefixes[-1]
-    return f"{value / scale:.2f} {prefix}{unit}"

@@ -92,26 +92,6 @@ class _GuideTable:
         return out
 
 
-def _sample_categorical(
-    rng: np.random.Generator, probabilities: np.ndarray, size: int
-) -> np.ndarray:
-    """``size`` indices drawn from ``probabilities``, as ``choice`` draws them.
-
-    ``Generator.choice(len(p), size, p=p)`` draws ``u = rng.random(size)``
-    and binary-searches the CDF for each.  This returns the same indices
-    from the same uniforms, drawn in blocks of :data:`_SAMPLE_BLOCK` (a
-    chunked ``random`` fill is the same stream with the same end state),
-    and resolves them through :class:`_GuideTable`, the sampler
-    :meth:`TraceGenerator.generate` uses for its Zipf ranks.
-    """
-    table = _GuideTable(probabilities)
-    indices = np.empty(size, dtype=np.int64)
-    for start in range(0, size, _SAMPLE_BLOCK):
-        block = indices[start:start + _SAMPLE_BLOCK]
-        table.resolve(rng.random(len(block)), out=block)
-    return indices
-
-
 def _draw_below(
     rng: np.random.Generator, fraction: float, uniforms: np.ndarray, size: int
 ) -> np.ndarray:

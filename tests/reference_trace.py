@@ -1,4 +1,5 @@
-"""Test-side oracles of the per-request trace passes, and the Fig. 4 suite's traces.
+"""Test-side oracles of the per-request trace passes, the Fig. 4 suite's
+traces, and the multi-programmed trace merge.
 
 * :func:`reference_generate` — :meth:`TraceGenerator.generate` as a
   one-shot pass over whole-trace arrays (a full-length exponential
@@ -10,7 +11,9 @@
   whole-trace ordinal and key arrays, with the span read off the
   ordinals.  The blocked pass must return the same resets;
 * :func:`generate_suite` — every Fig. 4 workload's trace, for the
-  suite digest tests.
+  suite digest tests;
+* :func:`merge_traces` — several traces interleaved into one
+  time-ordered stream, for the multi-programmed engine fuzz cases.
 """
 
 from __future__ import annotations
@@ -168,3 +171,28 @@ def generate_suite(
         generator = TraceGenerator(PARSEC_WORKLOADS[name], timing, geometry, seed)
         traces[name] = generator.generate(duration_seconds)
     return traces
+
+
+def merge_traces(traces: "list[MemoryTrace]", name: str = "merged") -> MemoryTrace:
+    """Interleave several traces into one time-ordered request stream.
+
+    The multi-programmed-workload primitive: each input keeps its own
+    row addresses (``MemoryTrace.shifted`` relocates working sets when
+    they must not collide) and the merge is stable, so simultaneous
+    requests keep their input order.
+    """
+    traces = [t for t in traces if len(t)]
+    if not traces:
+        return MemoryTrace(
+            np.array([], dtype=np.int64),
+            np.array([], dtype=np.int64),
+            np.array([], dtype=bool),
+            name=name,
+        )
+    cycles = np.concatenate([t.cycles for t in traces])
+    rows = np.concatenate([t.rows for t in traces])
+    writes = np.concatenate([t.is_write for t in traces])
+    order = np.argsort(cycles, kind="stable")
+    return MemoryTrace(
+        cycles=cycles[order], rows=rows[order], is_write=writes[order], name=name
+    )

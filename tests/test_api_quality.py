@@ -140,3 +140,99 @@ class TestApiReference:
         monkeypatch.setattr(module, "OUTPUT", tmp_path / "api.md")
         module.main()
         assert (tmp_path / "api.md").read_text() == committed
+
+
+
+def _rc_session():
+    from repro.circuit import GND, BatchedCircuitSession, Capacitor, Circuit, Resistor
+
+    circuit = Circuit(name="rc")
+    circuit.add(Resistor("R1", "out", GND, 1e3))
+    circuit.add(Capacitor("C1", "out", GND, 1e-12, ic=1.0))
+    return BatchedCircuitSession(circuit)
+
+
+def _session(**removed):
+    from repro.circuit import CircuitSession
+
+    return CircuitSession(_rc_session().circuit, **removed)
+
+
+def _simulate(**removed):
+    return _rc_session().simulate(1e-9, 1e-11, adaptive=True, **removed)
+
+
+def _simulate_batch(**removed):
+    return _rc_session().simulate_batch(
+        1e-9, 1e-11, lane_overrides={"out": [1.0]}, adaptive=True, **removed
+    )
+
+
+def _harvest_breakpoints(extra):
+    return _rc_session()._harvest_breakpoints(1e-9, extra)
+
+
+def _optimizer_and_timing():
+    from repro.mprsf import TauPartialOptimizer
+
+    optimizer = TauPartialOptimizer(repro.DEFAULT_TECH)
+    return optimizer, optimizer.model.partial_refresh()
+
+
+def _restored_fraction(**removed):
+    optimizer, timing = _optimizer_and_timing()
+    return optimizer.calculator.circuit_restored_fraction(0.9, timing, **removed)
+
+
+def _restored_fractions(**removed):
+    optimizer, timing = _optimizer_and_timing()
+    return optimizer.calculator.circuit_restored_fractions([0.9], timing, **removed)
+
+
+def _calibrate(**removed):
+    optimizer, _ = _optimizer_and_timing()
+    return optimizer.calibrate([0.9], **removed)
+
+
+def _predicted_full_fraction(**removed):
+    from repro.sim import predicted_full_fraction
+
+    return predicted_full_fraction(2, 0.5, **removed)
+
+
+#: Every parameter that no caller set, now a module constant:
+#: (call, keyword, a value it used to accept).
+REMOVED_OPTIONS = [
+    (_session, "abstol", 1e-9),
+    (_session, "max_newton", 5),
+    (_simulate, "lte_tol", 1e-3),
+    (_simulate, "dt_min", 1e-13),
+    (_simulate, "dt_max", 1e-10),
+    (_simulate, "breakpoints", [5e-10]),
+    (_simulate_batch, "lte_tol", 1e-3),
+    (_simulate_batch, "dt_min", 1e-13),
+    (_simulate_batch, "dt_max", 1e-10),
+    (_simulate_batch, "breakpoints", [5e-10]),
+    (_simulate_batch, "lane_source_scale", [0.5]),
+    (_harvest_breakpoints, "extra", [5e-10]),
+    (_restored_fraction, "dt", 5e-12),
+    (_restored_fraction, "adaptive", False),
+    (_restored_fractions, "dt", 5e-12),
+    (_restored_fractions, "adaptive", False),
+    (_calibrate, "dt", 5e-12),
+    (_calibrate, "adaptive", False),
+    (_predicted_full_fraction, "tol", 1e-6),
+]
+
+
+class TestRemovedOptions:
+    """Solver and calibration knobs no caller set are module constants now."""
+
+    @pytest.mark.parametrize(
+        "call,keyword,value",
+        REMOVED_OPTIONS,
+        ids=[f"{call.__name__.lstrip('_')}-{keyword}" for call, keyword, _ in REMOVED_OPTIONS],
+    )
+    def test_removed_options_are_rejected(self, call, keyword, value):
+        with pytest.raises(TypeError, match="argument"):
+            call(**{keyword: value})

@@ -282,7 +282,7 @@ class TestTraceMemo:
         assert cells._trace(*self.KEY, "bgsave", 11, 0.02) is second
         assert after.misses == before.misses + 1
         assert cells._trace.cache_info().hits == after.hits + 1
-        assert cells.shared_build_cache_info()["trace"] == {
+        assert cells._trace.cache_info()._asdict() == {
             "hits": after.hits + 1, "misses": after.misses, "maxsize": 1, "currsize": 1,
         }
 

@@ -23,7 +23,6 @@ from repro.circuit import (
     Capacitor,
     Circuit,
     CircuitSession,
-    ConvergenceFallbackError,
     Element,
     GND,
     NMOS,
@@ -33,6 +32,7 @@ from repro.circuit import (
     step,
 )
 from repro.circuit.dram_circuits import RefreshPhases, build_refresh_circuit
+from repro.circuit.solver import DT_MAX_FACTOR, DT_MIN_DIVISOR
 from repro.model.trfc import RefreshLatencyModel
 from repro.technology import DEFAULT_GEOMETRY, DEFAULT_TECH
 
@@ -133,6 +133,40 @@ class TestBatchedMatchesScalar:
             gap = np.abs(batched["cell"][lane] - np.asarray(scalar["cell"])).max()
             assert gap <= TOLERANCE_V, f"lane {lane}: {gap}"
 
+    @pytest.mark.parametrize("start", [0.72, 0.90])
+    def test_one_lane_adaptive_batch_is_the_scalar_run(self, start):
+        """With one lane the shared controller is the scalar controller:
+        same step sequence, same waveforms bit for bit, same stats."""
+        circuit, t_stop, vdd = _refresh_setup()
+        batched = BatchedCircuitSession(circuit).simulate_batch(
+            t_stop, 10e-12, record=["cell", "bl"], adaptive=True,
+            lane_overrides={"cell": np.array([start * vdd])},
+        )
+        scalar = CircuitSession(circuit).simulate(
+            t_stop, 10e-12, record=["cell", "bl"], adaptive=True,
+            initial_overrides={"cell": start * vdd},
+        )
+        for node in ("cell", "bl"):
+            np.testing.assert_array_equal(batched[node][0], scalar[node])
+        assert batched.stats.summary() == scalar.stats.summary()
+        assert batched.stats.rejected_steps > 0  # the LTE test was exercised
+
+    def test_shared_controller_caps_steps_at_dt_max_factor(self, monkeypatch):
+        steps = []
+        real = BatchedCircuitSession._newton_batch
+
+        def spy(self, assembler, XP, t, dt, stats):
+            steps.append(dt)
+            return real(self, assembler, XP, t, dt, stats)
+
+        monkeypatch.setattr(BatchedCircuitSession, "_newton_batch", spy)
+        dt = 1e-12
+        BatchedCircuitSession(_rc_ladder(3)).simulate_batch(
+            4e-9, dt, adaptive=True, lane_overrides={"n3": np.array([0.0, 0.5])}
+        )
+        assert max(steps) == DT_MAX_FACTOR * dt
+        assert min(steps) >= dt / DT_MIN_DIVISOR
+
     def test_device_free_ladder_shares_one_factorization(self):
         # No devices: every lane shares one factorization and a
         # multi-RHS solve.  LAPACK's blocked multi-RHS back-substitution
@@ -201,67 +235,6 @@ class TestBatchedMatchesScalar:
 
 
 # --------------------------------------------------------------------- #
-# Per-lane source scaling                                                #
-# --------------------------------------------------------------------- #
-
-
-class TestLaneSourceScale:
-    def test_scaled_lane_equals_scaled_waveform(self):
-        # Lane l with source scale s must equal a scalar run of the
-        # same ladder whose drive waveform is scaled by s.
-        scales = np.array([1.0, 0.5, 0.25])
-        batched = BatchedCircuitSession(_rc_ladder(6)).simulate_batch(
-            2e-9, 1e-11, record=["n6"],
-            lane_overrides={"n6": np.zeros(3)},
-            lane_source_scale=scales,
-        )
-        for lane, s in enumerate(scales):
-            scaled = Circuit(name="scaled")
-            scaled.add(VoltageSource("V1", "n0", GND, step(0.0, 1.2 * float(s), 2e-10)))
-            for i in range(6):
-                scaled.add(Resistor(f"R{i}", f"n{i}", f"n{i + 1}", 1e3))
-                scaled.add(Capacitor(f"C{i}", f"n{i + 1}", GND, 5e-14))
-            scalar = CircuitSession(scaled).simulate(
-                2e-9, 1e-11, record=["n6"], initial_overrides={"n6": 0.0}
-            )
-            gap = np.abs(batched["n6"][lane] - np.asarray(scalar["n6"])).max()
-            assert gap <= 1e-12, f"lane {lane}: {gap}"
-
-    def test_scaled_lane_cannot_fall_back_to_scalar_rescue(self, monkeypatch):
-        circuit, t_stop, vdd = _refresh_setup()
-        session = BatchedCircuitSession(circuit)
-
-        real = BatchedCircuitSession._newton_batch
-
-        def sabotaged(self, assembler, XP, t, dt, stats, source_scale=1.0):
-            XP_new, converged = real(
-                self, assembler, XP, t, dt, stats, source_scale
-            )
-            converged = converged.copy()
-            converged[1] = False
-            return XP_new, converged
-
-        monkeypatch.setattr(BatchedCircuitSession, "_newton_batch", sabotaged)
-        with pytest.raises(ConvergenceFallbackError, match="source scale"):
-            session.simulate_batch(
-                t_stop, 10e-12, record=["cell"],
-                lane_overrides={"cell": np.array([0.8, 0.9]) * vdd},
-                lane_source_scale=np.array([1.0, 0.9]),
-            )
-
-    def test_opaque_circuit_rejects_source_scale(self):
-        circuit = Circuit(name="opaque-scale")
-        circuit.add(_CubicChatter())
-        circuit.add(Resistor("R1", "a", GND, 1e6))
-        with pytest.raises(ValueError, match="compiled circuit"):
-            BatchedCircuitSession(circuit).simulate_batch(
-                1e-9, 1e-10, record=["a"],
-                lane_overrides={"a": np.array([-1.7])},
-                lane_source_scale=np.array([0.5]),
-            )
-
-
-# --------------------------------------------------------------------- #
 # Per-lane failure isolation                                             #
 # --------------------------------------------------------------------- #
 
@@ -278,10 +251,8 @@ class TestPerLaneFallback:
 
         real = BatchedCircuitSession._newton_batch
 
-        def sabotaged(self, assembler, XP, t, dt, stats, source_scale=1.0):
-            XP_new, converged = real(
-                self, assembler, XP, t, dt, stats, source_scale
-            )
+        def sabotaged(self, assembler, XP, t, dt, stats):
+            XP_new, converged = real(self, assembler, XP, t, dt, stats)
             if XP.shape[0] == 3:  # full batch: pretend lane 1 stalled
                 converged = converged.copy()
                 converged[1] = False
@@ -303,6 +274,29 @@ class TestPerLaneFallback:
         # The healthy neighbors kept their batched solutions untouched.
         np.testing.assert_array_equal(sabotaged_run["cell"][0], reference["cell"][0])
         np.testing.assert_array_equal(sabotaged_run["cell"][2], reference["cell"][2])
+
+    def test_every_lane_failing_halves_the_shared_step(self, monkeypatch):
+        """When the whole batch fails a step, the shared controller halves
+        it and retries, as the scalar controller does, instead of sending
+        every lane to scalar rescue."""
+        real = BatchedCircuitSession._newton_batch
+        calls = []
+
+        def fail_first(self, assembler, XP, t, dt, stats):
+            XP_new, converged = real(self, assembler, XP, t, dt, stats)
+            calls.append(dt)
+            if len(calls) == 1:
+                converged = np.zeros_like(converged)
+            return XP_new, converged
+
+        monkeypatch.setattr(BatchedCircuitSession, "_newton_batch", fail_first)
+        dt = 1e-11
+        result = BatchedCircuitSession(_rc_ladder(3)).simulate_batch(
+            1e-9, dt, adaptive=True, lane_overrides={"n3": np.array([0.0, 0.5])}
+        )
+        assert calls[1] == calls[0] / 2.0
+        assert result.stats.subdivisions == 1 and result.stats.rescues == 0
+        assert np.isfinite(result["n3"]).all()
 
     def test_chattering_lane_rescued_via_gmin_neighbors_unperturbed(self):
         # One lane starts at the cubic's Newton 2-cycle (IC 0) and needs
@@ -359,12 +353,6 @@ class TestValidation:
             session.simulate_batch(
                 1e-9, 1e-11,
                 lane_overrides={"n1": np.zeros(2), "n2": np.zeros(3)},
-            )
-        with pytest.raises(ValueError, match="lane_source_scale has 3"):
-            session.simulate_batch(
-                1e-9, 1e-11,
-                lane_overrides={"n2": np.zeros(2)},
-                lane_source_scale=np.ones(3),
             )
 
     def test_rejects_ground_override_and_ground_record(self):

@@ -31,17 +31,27 @@ from repro.circuit import (
     build_equalization_circuit,
     build_refresh_circuit,
     build_sense_amplifier_circuit,
-    pulse,
-    refresh_circuit_session,
     step,
 )
 from repro.circuit.compiled import CompiledCircuit, ReferenceAssembler
 from repro.circuit.dram_circuits import DEFAULT_REFRESH_PHASES
-from repro.circuit.solver import SPARSE_THRESHOLD
+from repro.circuit.solver import (
+    DT_MAX_FACTOR,
+    DT_MIN_DIVISOR,
+    MAX_NEWTON_ITERATIONS,
+    NEWTON_ABSTOL,
+    SPARSE_THRESHOLD,
+)
 from repro.technology import BankGeometry, DEFAULT_TECH
+from tests.test_circuit_waveforms import pulse
 
 TECH = DEFAULT_TECH
 SMALL = BankGeometry(2048, 32)
+
+
+def _refresh_session():
+    """A compiled session over the full refresh netlist of the small bank."""
+    return CircuitSession(build_refresh_circuit(TECH, SMALL, DEFAULT_REFRESH_PHASES))
 
 
 def _rc_circuit(r, c, v0):
@@ -119,19 +129,41 @@ class TestAnalyticAccuracy:
         assert result.stats.accepted_steps > 0
 
 
-FIG2_NETLISTS = {
+def _driven_rc(extra):
+    """A stepped source into an RC whose middle branch is ``extra``'s."""
+
+    def build():
+        circuit = Circuit(name=f"driven-{extra}")
+        circuit.add(VoltageSource("V1", "in", GND, step(0.0, 1.0, 1e-10)))
+        circuit.add(Resistor("R1", "in", "mid", 1e3))
+        if extra == "inductor":
+            circuit.add(Inductor("L1", "mid", "out", 1e-8, ic=1e-4))
+        else:
+            circuit.add(Resistor("R2", "mid", "out", 1e3))
+            circuit.add(CurrentSource("I1", GND, "out", step(0.0, 2e-4, 3e-10)))
+        circuit.add(Capacitor("C1", "out", GND, 1e-13))
+        return circuit
+
+    return build
+
+
+#: The Fig. 2 netlists, plus the element kinds they lack (an inductor,
+#: a current source), for the compiled-vs-reference checks.
+NETLISTS = {
     "equalization": lambda: build_equalization_circuit(TECH, SMALL),
     "charge-sharing": lambda: build_charge_sharing_circuit(TECH, SMALL),
     "sense-amp": lambda: build_sense_amplifier_circuit(TECH, SMALL, delta_v=0.1),
     "refresh": lambda: build_refresh_circuit(TECH, SMALL, DEFAULT_REFRESH_PHASES),
+    "inductor": _driven_rc("inductor"),
+    "current-source": _driven_rc("current-source"),
 }
 
 
 class TestCompiledNaiveEquivalence:
-    @pytest.mark.parametrize("name", sorted(FIG2_NETLISTS))
+    @pytest.mark.parametrize("name", sorted(NETLISTS))
     def test_waveforms_agree_on_fig2_netlists(self, name):
         """Compiled and naive stamping integrate to the same trajectories."""
-        build = FIG2_NETLISTS[name]
+        build = NETLISTS[name]
         compiled = CircuitSession(build()).simulate(2e-9, 10e-12)
         naive = CircuitSession(build(), assembly="naive").simulate(2e-9, 10e-12)
         assert compiled.nodes == naive.nodes
@@ -141,14 +173,14 @@ class TestCompiledNaiveEquivalence:
                 err_msg=f"{name}:{node}",
             )
 
-    @pytest.mark.parametrize("name", sorted(FIG2_NETLISTS))
+    @pytest.mark.parametrize("name", sorted(NETLISTS))
     def test_identical_mna_systems(self, name):
         """Invariant 10: both assemblers produce the same (G, I) system.
 
         Checked at a mid-trajectory state so the MOSFETs sit in mixed
         operating regions, not just at the initial condition.
         """
-        build = FIG2_NETLISTS[name]
+        build = NETLISTS[name]
         circuit = build()
         session = CircuitSession(circuit)
         assert isinstance(session.assembler, CompiledCircuit)
@@ -166,8 +198,8 @@ class TestCompiledNaiveEquivalence:
 
     def test_newton_iteration_counts_match(self):
         """Same damped-Newton trajectory => same iteration count."""
-        compiled = CircuitSession(FIG2_NETLISTS["refresh"]()).simulate(2e-9, 10e-12)
-        naive = CircuitSession(FIG2_NETLISTS["refresh"](), assembly="naive").simulate(
+        compiled = CircuitSession(NETLISTS["refresh"]()).simulate(2e-9, 10e-12)
+        naive = CircuitSession(NETLISTS["refresh"](), assembly="naive").simulate(
             2e-9, 10e-12
         )
         assert compiled.newton_iterations == naive.newton_iterations
@@ -190,7 +222,7 @@ class _SquishySource(Element):
 
 class TestPartitionAndFallback:
     def test_library_elements_compile(self):
-        session = CircuitSession(FIG2_NETLISTS["refresh"]())
+        session = CircuitSession(NETLISTS["refresh"]())
         assembler = session.assembler
         assert isinstance(assembler, CompiledCircuit)
         assert assembler.is_compiled
@@ -206,7 +238,7 @@ class TestPartitionAndFallback:
         assert np.all(np.isfinite(result["out"]))
 
     def test_partition_classifies_elements(self):
-        circuit = FIG2_NETLISTS["refresh"]()
+        circuit = NETLISTS["refresh"]()
         circuit.assemble()
         linear, nonlinear, opaque = circuit.partition()
         assert not opaque
@@ -265,7 +297,7 @@ class TestSparsePath:
 
 class TestAdaptiveStepping:
     def test_refresh_waveforms_match_fixed_within_tolerance(self):
-        session = refresh_circuit_session(TECH, SMALL)
+        session = _refresh_session()
         record = ["cell", "bl", "blb"]
         fixed = session.simulate(30e-9, 5e-12, record=record)
         adaptive = session.simulate(30e-9, 5e-12, record=record, adaptive=True)
@@ -274,14 +306,14 @@ class TestAdaptiveStepping:
             assert float(np.max(np.abs(adaptive[node] - fixed[node]))) < 10e-3
 
     def test_adaptive_does_less_work(self):
-        session = refresh_circuit_session(TECH, SMALL)
+        session = _refresh_session()
         fixed = session.simulate(30e-9, 5e-12, record=["cell"])
         adaptive = session.simulate(30e-9, 5e-12, record=["cell"], adaptive=True)
         assert adaptive.stats.newton_iterations < fixed.stats.newton_iterations / 2
         assert adaptive.stats.accepted_steps < fixed.stats.accepted_steps
 
     def test_stats_non_degenerate(self):
-        session = refresh_circuit_session(TECH, SMALL)
+        session = _refresh_session()
         result = session.simulate(30e-9, 5e-12, record=["cell"], adaptive=True)
         stats = result.stats
         assert stats.newton_iterations > 0
@@ -299,7 +331,7 @@ class TestAdaptiveStepping:
         circuit.add(Resistor("R1", "in", "out", 1e3))
         circuit.add(Capacitor("C1", "out", GND, 1e-13))
         session = CircuitSession(circuit)
-        harvested = session._harvest_breakpoints(10e-9, None)
+        harvested = session._harvest_breakpoints(10e-9)
         assert list(harvested) == [2e-9, 2e-9 + 1e-11]
 
     def test_adaptive_lands_on_late_step(self):
@@ -315,20 +347,94 @@ class TestAdaptiveStepping:
         assert result.at("out", 9.9e-9) > 0.99
 
 
+def _spy_newton(monkeypatch):
+    """Record ``(t_end, dt, probe)`` of every Newton attempt a session makes."""
+    attempts = []
+    real = CircuitSession._newton
+
+    def spy(self, assembler, xp, t, dt, stats, *args, **kwargs):
+        probe = real(self, assembler, xp, t, dt, stats, *args, **kwargs)
+        attempts.append((t, dt, probe))
+        return probe
+
+    monkeypatch.setattr(CircuitSession, "_newton", spy)
+    return attempts
+
+
+def _step_rc(r, c):
+    circuit = Circuit(name="step-rc")
+    circuit.add(VoltageSource("V1", "in", GND, step(0.0, 1.0, 2e-10, t_rise=1e-11)))
+    circuit.add(Resistor("R1", "in", "out", r))
+    circuit.add(Capacitor("C1", "out", GND, c))
+    return circuit
+
+
+class TestAdaptiveStepBounds:
+    """The adaptive controller's constants bound every step it tries."""
+
+    def test_steps_grow_to_dt_max_factor_and_no_further(self, monkeypatch):
+        attempts = _spy_newton(monkeypatch)
+        dt = 1e-12
+        # A slow RC (tau = 1 us) lets the step double until it hits the cap.
+        CircuitSession(_rc_circuit(1e6, 1e-12, 1.0)).simulate(2e-9, dt, adaptive=True)
+        steps = [step_dt for _, step_dt, _ in attempts]
+        assert max(steps) == DT_MAX_FACTOR * dt
+
+    def test_lte_rejections_stop_at_dt_min_divisor(self, monkeypatch):
+        attempts = _spy_newton(monkeypatch)
+        dt, t_stop = 1e-11, 1e-9
+        # tau = 0.1 ps against a 10 ps step: every edge step is rejected
+        # down to the floor, where the controller accepts it.
+        circuit = _step_rc(1e3, 1e-16)
+        result = CircuitSession(circuit).simulate(t_stop, dt, adaptive=True)
+        assert result.stats.rejected_steps > 0
+        landings = set(CircuitSession(circuit)._harvest_breakpoints(t_stop)) | {t_stop}
+        free = [step_dt for t, step_dt, _ in attempts if t not in landings]
+        assert min(free) == pytest.approx(dt / DT_MIN_DIVISOR, rel=1e-12)
+
+
+class TestNewtonContract:
+    def test_converged_probes_are_under_abstol_within_the_budget(self, monkeypatch):
+        attempts = _spy_newton(monkeypatch)
+        _refresh_session().simulate(5e-9, 5e-12, record=["cell"])
+        probes = [probe for _, _, probe in attempts]
+        assert probes and all(p.solution is not None for p in probes)
+        assert all(p.residual < NEWTON_ABSTOL for p in probes)
+        assert max(p.iterations for p in probes) <= MAX_NEWTON_ITERATIONS
+        assert max(p.iterations for p in probes) > 1  # the latch needs real Newton work
+
+
 class TestSessionApi:
     def test_initial_overrides_set_start_voltage(self):
-        session = refresh_circuit_session(TECH, SMALL)
+        session = _refresh_session()
         for v in (0.5, 0.7):
             result = session.simulate(1e-10, 1e-12, record=["cell"],
                                       initial_overrides={"cell": v})
             assert result["cell"][0] == pytest.approx(v)
 
     def test_initial_overrides_reject_ground_and_unknown(self):
-        session = refresh_circuit_session(TECH, SMALL)
+        session = _refresh_session()
         with pytest.raises(KeyError, match="ground"):
             session.simulate(1e-10, 1e-12, initial_overrides={GND: 1.0})
         with pytest.raises(KeyError):
             session.simulate(1e-10, 1e-12, initial_overrides={"no_such_node": 1.0})
+
+    def test_recompile_picks_up_in_place_value_edits(self):
+        """Element values are compiled in: an in-place edit takes effect
+        only after :meth:`CircuitSession.recompile`."""
+        circuit = _rc_circuit(1e3, 1e-12, 1.0)
+        session = CircuitSession(circuit)
+        before = session.simulate(1e-9, 1e-11, record=["out"])["out"]
+        circuit.elements[0].resistance = 2e3
+        stale = session.simulate(1e-9, 1e-11, record=["out"])["out"]
+        np.testing.assert_array_equal(stale, before)
+        session.recompile()
+        fresh = session.simulate(1e-9, 1e-11, record=["out"])["out"]
+        np.testing.assert_array_equal(
+            fresh, CircuitSession(_rc_circuit(2e3, 1e-12, 1.0)).simulate(
+                1e-9, 1e-11, record=["out"])["out"]
+        )
+        assert fresh[-1] > before[-1]  # a slower discharge through 2 kOhm
 
     def test_invalid_assembly_mode_rejected(self):
         with pytest.raises(ValueError, match="assembly"):
@@ -344,7 +450,7 @@ class TestSessionApi:
     def test_solver_stats_merge_and_summary(self):
         a = SolverStats(newton_iterations=3, factorizations=2, accepted_steps=1)
         b = SolverStats(newton_iterations=4, rejected_steps=5, subdivisions=6)
-        total = SolverStats.combined([a, b, None])
+        total = SolverStats().merge(a).merge(b)
         assert total.newton_iterations == 7
         assert total.factorizations == 2
         assert total.rejected_steps == 5

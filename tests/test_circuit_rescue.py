@@ -231,7 +231,7 @@ class TestSolverRescue:
 
     def test_stats_merge_carries_rescue_telemetry(self):
         first = CircuitSession(_chattering_circuit()).simulate(t_stop=1e-9, dt=1e-10)
-        merged = SolverStats.combined([first.stats, first.stats])
+        merged = SolverStats().merge(first.stats).merge(first.stats)
         assert merged.rescues == 2 * first.stats.rescues
         assert len(merged.rescue_reports) == 2 * len(first.stats.rescue_reports)
 

@@ -1,8 +1,34 @@
-"""Unit tests for repro.circuit.waveforms."""
+"""Unit tests for repro.circuit.waveforms, and the pulse source the
+circuit tests build from its steps."""
 
 import pytest
 
-from repro.circuit import constant, piecewise_linear, pulse, step
+from repro.circuit import Waveform, constant, step
+
+
+def pulse(
+    v_low: float,
+    v_high: float,
+    t_start: float,
+    width: float,
+    t_rise: float = 10e-12,
+    t_fall: float = 10e-12,
+) -> Waveform:
+    """A single pulse from ``v_low`` to ``v_high`` starting at ``t_start``.
+
+    The sum of a rising and a falling :func:`step`; its breakpoints are
+    both steps' (four), which the adaptive stepper must land on.
+    """
+    if width <= 0:
+        raise ValueError(f"pulse width must be positive, got {width}")
+    rising = step(v_low, v_high, t_start, t_rise)
+    falling = step(0.0, v_low - v_high, t_start + width, t_fall)
+
+    def _wave(t: float) -> float:
+        return rising(t) + falling(t)
+
+    _wave.breakpoints = rising.breakpoints + falling.breakpoints
+    return _wave
 
 
 class TestConstant:
@@ -48,33 +74,3 @@ class TestPulse:
     def test_rejects_non_positive_width(self):
         with pytest.raises(ValueError, match="width"):
             pulse(0, 1, 0, width=0.0)
-
-
-class TestPiecewiseLinear:
-    def test_interpolation(self):
-        w = piecewise_linear([(0.0, 0.0), (1.0, 2.0), (2.0, 0.0)])
-        assert w(0.5) == pytest.approx(1.0)
-        assert w(1.5) == pytest.approx(1.0)
-
-    def test_holds_endpoints(self):
-        w = piecewise_linear([(1.0, 0.5), (2.0, 1.5)])
-        assert w(0.0) == 0.5
-        assert w(3.0) == 1.5
-
-    def test_exact_points(self):
-        w = piecewise_linear([(0.0, 0.1), (1.0, 0.9)])
-        assert w(0.0) == pytest.approx(0.1)
-        assert w(1.0) == pytest.approx(0.9)
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError, match="at least one"):
-            piecewise_linear([])
-
-    def test_rejects_non_increasing_times(self):
-        with pytest.raises(ValueError, match="strictly increasing"):
-            piecewise_linear([(0.0, 0.0), (0.0, 1.0)])
-
-    def test_single_point_is_constant(self):
-        w = piecewise_linear([(1.0, 0.7)])
-        assert w(0.0) == 0.7
-        assert w(2.0) == 0.7

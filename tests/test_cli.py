@@ -234,11 +234,30 @@ class TestFaultToleranceFlags:
         err = capsys.readouterr().err
         assert "--retries" in err and len(err.strip().splitlines()) == 1
 
-    @pytest.mark.parametrize("value", ["0", "-5"])
+    @pytest.mark.parametrize("value", ["0", "-5", "nan", "inf"])
     def test_nonpositive_cell_timeout_rejected(self, value, capsys):
         assert main(self.FIG4 + ["--cell-timeout", value]) == 2
         err = capsys.readouterr().err
         assert "--cell-timeout" in err and len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "flag,value",
+        [
+            ("--duration", "nan"),
+            ("--duration", "inf"),
+            ("--duration", "-1"),
+            ("--duration", "0"),
+            ("--nbits", "0"),
+            ("--nbits", "-3"),
+        ],
+    )
+    def test_nonsensical_value_rejected_in_one_line(self, flag, value, capsys):
+        """NaN, infinite or non-positive horizons, and counters under one
+        bit, exit 2 with one ``error:`` line before any cell runs."""
+        argv = ["fig4", "--benchmarks", "swaptions", "--jobs", "2", flag, value]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag}") and len(err.strip().splitlines()) == 1
 
     def test_missing_resume_manifest_rejected(self, tmp_path, capsys):
         assert main(self.FIG4 + ["--resume", str(tmp_path / "gone.json")]) == 2

@@ -3,39 +3,28 @@
 import numpy as np
 import pytest
 
-from repro.controller import CounterFile, SaturatingCounter
+from repro.controller import CounterFile
 
 
 class TestSaturatingCounter:
+    """A one-row :class:`CounterFile` is one ``nbits``-wide saturating counter."""
+
     def test_max_value(self):
-        assert SaturatingCounter(2).max_value == 3
-        assert SaturatingCounter(4).max_value == 15
+        assert CounterFile(1, 2).max_value == 3
+        assert CounterFile(1, 4).max_value == 15
 
     def test_increments(self):
-        c = SaturatingCounter(2)
-        assert c.increment() == 1
-        assert c.increment() == 2
-
-    def test_saturates(self):
-        c = SaturatingCounter(2, value=3)
-        assert c.increment() == 3
+        c = CounterFile(1, 2)
+        assert c.increment(0) == 1
+        assert c.increment(0) == 2
 
     def test_load_saturates(self):
-        c = SaturatingCounter(2, value=100)
-        assert c.value == 3
-
-    def test_reset(self):
-        c = SaturatingCounter(3, value=5)
-        c.reset()
-        assert c.value == 0
-
-    def test_rejects_bad_width(self):
-        with pytest.raises(ValueError, match="nbits"):
-            SaturatingCounter(0)
+        c = CounterFile(1, 2, initial=100)
+        assert c.get(0) == 3
 
     def test_rejects_negative_value(self):
         with pytest.raises(ValueError, match="negative"):
-            SaturatingCounter(2, value=-1)
+            CounterFile(1, 2, initial=-1)
 
 
 class TestCounterFile:

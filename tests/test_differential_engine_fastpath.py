@@ -51,7 +51,6 @@ from repro.sim import (
     RefreshStats,
     RequestStats,
     SimulationResult,
-    merge_traces,
     round_walk,
 )
 from repro.sim import engine
@@ -64,6 +63,7 @@ from repro.sim.schedule import (
 from repro.technology import BankGeometry, DEFAULT_TECH
 from repro.units import MS
 from tests.reference_bank import Bank, charge_cache_latency
+from tests.reference_trace import merge_traces
 
 TIMING = DRAMTiming.from_technology(DEFAULT_TECH)
 
@@ -685,6 +685,11 @@ class TestEngineErrors:
         with pytest.raises(IndexError) as engine_error:
             BankSimulator(policy, TIMING, geometry).run(trace, duration_cycles)
         assert str(engine_error.value) == str(oracle_error.value)
+
+    def test_geometry_must_match_the_policy_rows(self):
+        policy = _mechanism("fixed", BankGeometry(32, 8))
+        with pytest.raises(ValueError, match="geometry rows 64 != policy rows 32"):
+            BankSimulator(policy, TIMING, BankGeometry(64, 8))
 
     @pytest.mark.parametrize("name", ["fixed", "chargecache", "vrl-access"])
     def test_out_of_range_row_after_horizon_is_inert(self, name):

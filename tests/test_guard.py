@@ -110,17 +110,19 @@ class TestGuardedBoundaries:
         assert DEFAULT_TECH.validate() is DEFAULT_TECH
 
     def test_measure_guard_names_the_node(self):
-        from repro.circuit import TransientResult
-        from repro.circuit.measure import value_at
+        from repro.circuit import GND, TransientResult, VoltageSource
+        from repro.circuit.measure import delivered_energy
 
+        source = VoltageSource("Vdd", "vdd", GND, 1.2)
         result = TransientResult(
             time=np.array([0.0, 1e-9]),
-            voltages={"bl": np.array([0.0, np.nan])},
+            voltages={},
+            currents={"Vdd": np.array([0.0, np.nan])},
         )
         with pytest.raises(NumericalError) as info:
-            value_at(result, "bl", 1e-9)
-        assert info.value.boundary == "circuit.measure.value_at"
-        assert info.value.array == "bl"
+            delivered_energy(result, source)
+        assert info.value.boundary == "circuit.measure.delivered_energy"
+        assert info.value.array == "Vdd"
 
     def test_timeline_guard_boundary(self):
         # The timeline's refresh_cycles guard consumes an armed NaN and

@@ -157,6 +157,24 @@ class TestVRLAccessPolicy:
             assert policy.refresh_row(0).kind is RefreshKind.PARTIAL
 
 
+    def test_batch_access_honours_a_scalar_override(self):
+        """A subclass customizing only ``on_access`` sees every row of a
+        batch through its override, in order."""
+        seen = []
+
+        class Counting(VRLAccessPolicy):
+            def on_access(self, row):
+                seen.append(row)
+                super().on_access(row)
+
+        binning = _binning([256 * MS] * 3)
+        policy = Counting(binning, np.array([2, 2, 2]), tau_full=19, tau_partial=11)
+        for row in range(3):
+            policy.refresh_row(row)  # rcount 1 everywhere
+        policy.on_access_rows(np.array([2, 0]))
+        assert seen == [2, 0]
+        assert policy.rcount.values.tolist() == [0, 1, 0]
+
 class TestBuildPolicy:
     @pytest.fixture(scope="class")
     def inputs(self):

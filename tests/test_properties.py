@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro.controller import SaturatingCounter
+from repro.controller import CounterFile
 from repro.model import LeakageModel, PostSensingModel, PreSensingModel
 from repro.mprsf import MPRSFCalculator
 from repro.retention import RefreshBinning, RetentionProfile
-from repro.sim import DRAMTiming, MemoryTrace, load_trace, period_cycles, save_trace
+from repro.sim import DRAMTiming, period_cycles
 from repro.technology import BankGeometry, DEFAULT_GEOMETRY, DEFAULT_TECH
 from repro.units import to_cycles
 
@@ -112,13 +112,13 @@ class TestSaturatingCounterProperties:
         operations=st.lists(st.sampled_from(["inc", "reset"]), max_size=50),
     )
     def test_never_exceeds_width(self, nbits, operations):
-        counter = SaturatingCounter(nbits)
+        counter = CounterFile(1, nbits)
         for op in operations:
             if op == "inc":
-                counter.increment()
+                counter.increment(0)
             else:
-                counter.reset()
-            assert 0 <= counter.value <= counter.max_value
+                counter.reset(0)
+            assert 0 <= counter.get(0) <= counter.max_value
 
 
 class TestPreSensingProperties:
@@ -211,24 +211,3 @@ class TestMPRSFProperties:
         m_hi = calc.mprsf_for_cell(hi, 0.064, max_count=8)
         assert m_lo <= m_hi
 
-
-class TestTraceProperties:
-    @given(
-        n=st.integers(min_value=0, max_value=60),
-        seed=st.integers(min_value=0, max_value=2**31),
-    )
-    @settings(max_examples=25, deadline=None)
-    def test_save_load_roundtrip(self, n, seed, tmp_path_factory):
-        rng = np.random.default_rng(seed)
-        trace = MemoryTrace(
-            cycles=np.sort(rng.integers(0, 10_000, size=n)).astype(np.int64),
-            rows=rng.integers(0, 128, size=n).astype(np.int64),
-            is_write=rng.random(n) < 0.5,
-            name="prop",
-        )
-        path = tmp_path_factory.mktemp("traces") / "t.txt"
-        save_trace(trace, path)
-        loaded = load_trace(path, name="prop")
-        assert np.array_equal(loaded.cycles, trace.cycles)
-        assert np.array_equal(loaded.rows, trace.rows)
-        assert np.array_equal(loaded.is_write, trace.is_write)

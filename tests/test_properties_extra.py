@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.retention import RetentionProfiler, TemperatureModel, VRTModel, VRTParameters
-from repro.sim import MemoryTrace, merge_traces, predicted_full_fraction
+from repro.sim import MemoryTrace, predicted_full_fraction
 from repro.sim.timeline import union_length
 from repro.technology import BankGeometry, DEFAULT_TECH
+from tests.reference_trace import merge_traces
 
 interval = st.tuples(
     st.integers(min_value=0, max_value=500), st.integers(min_value=1, max_value=200)

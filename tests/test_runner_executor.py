@@ -20,9 +20,9 @@ from repro.runner import (
     ResultCache,
     latest_manifest,
     load_manifest,
-    shared_build_cache_info,
     tech_params,
 )
+from repro.runner.cells import _trace
 from repro.runner.manifest import run_stamp
 from repro.technology import BankGeometry, DEFAULT_TECH
 
@@ -180,13 +180,11 @@ class TestSharedBuilds:
         """Only the cells whose pricing reads a trace ask the memo for
         one (VRL-Access, one per workload), each workload is built at
         most once, and the memo keeps at most one trace alive."""
-        before = shared_build_cache_info()["trace"]
+        before = _trace.cache_info()
         _fig4()  # serial: 3 policies x 2 benchmarks in this process
-        after = shared_build_cache_info()["trace"]
-        new_calls = (after["hits"] + after["misses"]) - (
-            before["hits"] + before["misses"]
-        )
-        new_misses = after["misses"] - before["misses"]
+        after = _trace.cache_info()
+        new_calls = (after.hits + after.misses) - (before.hits + before.misses)
+        new_misses = after.misses - before.misses
         assert new_calls == 2
         assert new_misses <= 2  # at most one build per workload
-        assert after["currsize"] <= 1
+        assert after.currsize <= 1

@@ -1,9 +1,11 @@
-"""Tests for trace composition (shifted / merge_traces)."""
+"""Tests for trace composition (``MemoryTrace.shifted`` and the test-side
+``merge_traces``)."""
 
 import numpy as np
 import pytest
 
-from repro.sim import MemoryTrace, merge_traces
+from repro.sim import MemoryTrace
+from tests.reference_trace import merge_traces
 
 
 def _trace(cycles, rows, name="t"):

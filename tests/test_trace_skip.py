@@ -15,7 +15,8 @@ import pytest
 
 from repro.controller import MECHANISMS, FGRPolicy, RefreshCommand, build_policy
 from repro.retention import RefreshBinning, RetentionProfiler
-from repro.runner import compute_cell, shared_build_cache_info, tech_params
+from repro.runner import compute_cell, tech_params
+from repro.runner.cells import _trace
 from repro.sim import DRAMTiming, RefreshOverheadEvaluator
 from repro.technology import BankGeometry, DEFAULT_TECH
 from repro.workloads import PARSEC_WORKLOADS, TraceGenerator
@@ -132,7 +133,7 @@ class TestUnknownBenchmarkFails:
 
     def test_known_benchmark_without_trace_read_builds_nothing(self):
         params = self._params(policy="raidr", nbits=2, benchmark="swaptions")
-        before = shared_build_cache_info()["trace"]
+        before = _trace.cache_info()
         compute_cell("refresh-overhead", params)
-        after = shared_build_cache_info()["trace"]
-        assert after["hits"] + after["misses"] == before["hits"] + before["misses"]
+        after = _trace.cache_info()
+        assert after.hits + after.misses == before.hits + before.misses

@@ -9,7 +9,6 @@ from repro.sim import (
     DRAMTiming,
     MemoryTrace,
     RefreshOverheadEvaluator,
-    analyze_trace,
     predict_vrl_access_cycles,
     predicted_full_fraction,
     window_coverage,
@@ -28,24 +27,6 @@ def _trace(cycles, rows, writes=None, name="t"):
     if writes is None:
         writes = np.zeros(len(cycles), dtype=bool)
     return MemoryTrace(cycles, rows, np.asarray(writes, dtype=bool), name=name)
-
-
-class TestAnalyzeTrace:
-    def test_basic_statistics(self):
-        trace = _trace([0, 10, 20, 40], [1, 1, 2, 3], [True, False, False, True])
-        stats = analyze_trace(trace)
-        assert stats.n_requests == 4
-        assert stats.n_writes == 2
-        assert stats.footprint_rows == 3
-        assert stats.duration_cycles == 40
-        assert stats.mean_interarrival_cycles == pytest.approx(40 / 3)
-        assert stats.max_row_share == pytest.approx(0.5)
-        assert stats.write_fraction == pytest.approx(0.5)
-
-    def test_empty_trace(self):
-        stats = analyze_trace(_trace([], []))
-        assert stats.n_requests == 0
-        assert stats.write_fraction == 0.0
 
 
 class TestWindowCoverage:
@@ -88,6 +69,22 @@ class TestWindowCoverage:
         trace = _trace([5], [GEO.rows + 50])
         coverage = window_coverage(trace, policy, TIMING, duration)
         assert coverage.sum() == 0.0
+
+    def test_empty_trace_covers_nothing(self, policy):
+        empty = _trace([], [])
+        coverage = window_coverage(empty, policy, TIMING, TIMING.cycles(64 * MS))
+        assert coverage.shape == (policy.n_rows,) and not coverage.any()
+
+    def test_row_with_no_deadline_before_the_horizon_is_zero(self, policy):
+        """A horizon that closes before a row's staggered first deadline
+        leaves that row no interval to cover, however often it is read."""
+        row = policy.n_rows - 1
+        period = TIMING.cycles(policy.row_period(row))
+        horizon = (row * period) // policy.n_rows  # the row's first deadline
+        cycles = np.linspace(0, horizon - 1, 50).astype(np.int64)
+        trace = _trace(cycles, np.full(len(cycles), row))
+        coverage = window_coverage(trace, policy, TIMING, horizon)
+        assert coverage[row] == 0.0
 
     def test_rejects_bad_duration(self, policy):
         with pytest.raises(ValueError, match="duration"):
@@ -168,3 +165,48 @@ class TestPredictVsSimulation:
             predict_vrl_access_cycles(
                 np.zeros(3), np.zeros(2), np.ones(3), 11, 19
             )
+
+
+class TestPredictorPinsFusedTimeline:
+    """The closed-form chain ≡ the fused VRL-Access pricing on synthetic
+    traces whose coverage is known: each refresh interval of each row
+    holds one access with probability ``coverage``, independently."""
+
+    ROWS = 64
+    INTERVALS = 400
+
+    def _policy(self, mprsf):
+        from repro.controller import VRLAccessPolicy
+        from repro.retention import BinningResult
+
+        binning = BinningResult(
+            periods=(64 * MS,),
+            row_period=np.full(self.ROWS, 64 * MS),
+            row_bin=np.zeros(self.ROWS, dtype=np.int64),
+        )
+        return VRLAccessPolicy(
+            binning, np.full(self.ROWS, mprsf), tau_full=19, tau_partial=11, nbits=2
+        )
+
+    def _bernoulli_trace(self, policy, coverage, seed):
+        period = TIMING.cycles(policy.row_period(0))
+        rng = np.random.default_rng(seed)
+        cycles, rows = [], []
+        for row in range(self.ROWS):
+            dues = (row * period) // self.ROWS + period * np.arange(1, self.INTERVALS)
+            hit = rng.random(len(dues)) < coverage
+            cycles.append(dues[hit] - period // 2)  # inside the interval due closes
+            rows.append(np.full(int(hit.sum()), row))
+        cycles, rows = np.concatenate(cycles), np.concatenate(rows)
+        order = np.argsort(cycles, kind="stable")
+        return _trace(cycles[order], rows[order]), self.INTERVALS * period
+
+    @pytest.mark.parametrize("coverage", [0.0, 0.3, 0.7, 1.0])
+    @pytest.mark.parametrize("mprsf", [1, 2, 3])
+    def test_full_fraction_matches_the_chain(self, mprsf, coverage):
+        policy = self._policy(mprsf)
+        trace, duration = self._bernoulli_trace(policy, coverage, seed=17 * mprsf)
+        measured = window_coverage(trace, policy, TIMING, duration).mean()
+        stats = RefreshOverheadEvaluator(policy, TIMING).evaluate(duration, trace)
+        full = stats.full_refreshes / (stats.full_refreshes + stats.partial_refreshes)
+        assert full == pytest.approx(predicted_full_fraction(mprsf, measured), abs=0.01)

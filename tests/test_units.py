@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.units import FF, MS, NS, format_si, to_cycles
+from repro.units import MS, NS, to_cycles
 
 
 class TestToCycles:
@@ -43,27 +43,6 @@ class TestToCycles:
     def test_paper_tau_full(self):
         # 19 cycles at the calibrated 2.1 ns controller clock.
         assert to_cycles(19 * 2.1 * NS, 2.1 * NS) == 19
-
-
-class TestFormatSi:
-    def test_femtofarad(self):
-        assert format_si(24 * FF, "F") == "24.00 fF"
-
-    def test_millisecond(self):
-        assert format_si(64 * MS, "s") == "64.00 ms"
-
-    def test_unit_scale(self):
-        assert format_si(3.5, "V") == "3.50 V"
-
-    def test_zero(self):
-        assert format_si(0.0, "A") == "0.00 A"
-
-    def test_negative(self):
-        assert format_si(-1.2e-3, "A") == "-1.20 mA"
-
-    def test_below_atto_still_formats(self):
-        out = format_si(1e-21, "F")
-        assert "aF" in out
 
 
 class TestConstants:

@@ -14,7 +14,7 @@ from repro.workloads import (
     TraceGenerator,
     WorkloadSpec,
 )
-from repro.workloads.generator import _sample_categorical
+from repro.workloads.generator import _SAMPLE_BLOCK, _GuideTable
 from tests.reference_trace import generate_suite
 
 TIMING = DRAMTiming.from_technology(DEFAULT_TECH)
@@ -224,8 +224,29 @@ class _FixedUniforms:
         return self.uniforms.copy()
 
 
+def _sample_categorical(
+    rng: np.random.Generator, probabilities: np.ndarray, size: int
+) -> np.ndarray:
+    """``size`` indices drawn from ``probabilities``, as ``choice`` draws them.
+
+    ``Generator.choice(len(p), size, p=p)`` draws ``u = rng.random(size)``
+    and binary-searches the CDF for each.  This returns the same indices
+    from the same uniforms, drawn in blocks of ``_SAMPLE_BLOCK`` (a
+    chunked ``random`` fill is the same stream with the same end state),
+    and resolves them through ``_GuideTable``, the sampler
+    :meth:`TraceGenerator.generate` uses for its Zipf ranks.
+    """
+    table = _GuideTable(probabilities)
+    indices = np.empty(size, dtype=np.int64)
+    for start in range(0, size, _SAMPLE_BLOCK):
+        block = indices[start:start + _SAMPLE_BLOCK]
+        table.resolve(rng.random(len(block)), out=block)
+    return indices
+
+
 class TestCategoricalSampler:
-    """``_sample_categorical`` ≡ ``Generator.choice(len(p), n, p=p)``."""
+    """``_GuideTable`` ≡ ``Generator.choice(len(p), n, p=p)``, through
+    :func:`_sample_categorical`."""
 
     @settings(max_examples=80, deadline=None)
     @given(
