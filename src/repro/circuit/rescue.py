@@ -157,11 +157,6 @@ class ConvergenceReport:
     worst_residual: float = 0.0
     attempts: List[RescueAttempt] = field(default_factory=list)
 
-    @property
-    def residual_trajectory(self) -> List[float]:
-        """Final residual of each attempted rung, in ladder order."""
-        return [a.residual for a in self.attempts]
-
     def summary(self) -> str:
         """One-line digest for experiment notes and error messages."""
         rungs = {"gmin": 0, "source": 0}

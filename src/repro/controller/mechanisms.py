@@ -164,11 +164,6 @@ class ChargeCachePolicy(RefreshPolicy):
         self.hits = 0
 
     @property
-    def occupancy(self) -> int:
-        """Rows currently tracked by the cache."""
-        return len(self._expiry)
-
-    @property
     def hit_rate(self) -> float:
         """Fraction of lookups that found a live entry."""
         if not self.lookups:

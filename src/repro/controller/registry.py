@@ -124,11 +124,6 @@ class MechanismRegistry:
         self._infos[name] = info
         return info
 
-    def unregister(self, name: str) -> None:
-        """Remove a registration (tests clean up after themselves)."""
-        self.get(name)
-        del self._infos[name]
-
     def get(self, name: str) -> MechanismInfo:
         """The registration of ``name``, or a ValueError naming the rest."""
         try:

@@ -26,13 +26,10 @@ after ``--cell-timeout`` seconds, and finally reported as a failed cell
 in the manifest while the rest of the grid completes.  Ctrl-C or
 SIGTERM flushes a partial ``"interrupted"`` manifest and exits 130;
 ``--resume <manifest>`` picks the run back up, recomputing only the
-unfinished cells.  ``--chaos`` arms the deterministic fault-injection
-harness (see :mod:`repro.runner.faults`) to rehearse exactly these
-failure modes::
+unfinished cells::
 
     vrl-dram fig4 --jobs 4 --retries 2 --cell-timeout 600
     vrl-dram fig4 --resume runs/20260806T120000.123456.json
-    vrl-dram fig4 --jobs 4 --chaos "kill@3,raise@7" --retries 1
 """
 
 from __future__ import annotations
@@ -46,11 +43,15 @@ import time
 from pathlib import Path
 from typing import Optional
 
-from ..runner import ExperimentRunner, ResultCache, latest_manifest, parse_faults
+from ..runner import ExperimentRunner, ResultCache, latest_manifest
 from ..service import experiment_names, experiment_options, run_experiment
 
 #: Default directory for the per-run observability manifests.
 DEFAULT_RUNS_DIR = "runs"
+
+#: Widest ``--nbits``: the policies keep counters and their cadence
+#: ``mprsf + 1`` in int64, which holds ``2^62``.
+MAX_NBITS = 62
 
 
 def default_cache_dir() -> Path:
@@ -74,7 +75,6 @@ def _runner_for(args: argparse.Namespace) -> ExperimentRunner:
         retries=args.retries,
         cell_timeout=args.cell_timeout,
         resume_from=args.resume,
-        faults=args.chaos,
     )
 
 
@@ -184,15 +184,6 @@ def _parser(mechanisms: tuple[str, ...]) -> argparse.ArgumentParser:
         help="resume an interrupted sweep from its run manifest (or "
         ".checkpoint.jsonl), recomputing only the unfinished cells",
     )
-    parser.add_argument(
-        "--chaos",
-        metavar="SPEC",
-        default=None,
-        help="arm deterministic fault injection, e.g. 'raise@2,kill@0' or "
-        "'nan@0,diverge@1' (action@cell[:attempt|*][=seconds] with "
-        "cell '*' striking every cell; actions: raise, hang, kill, interrupt, "
-        "nan, diverge; also via $VRL_DRAM_FAULTS)",
-    )
     parser.set_defaults(spice=True)
     return parser
 
@@ -210,17 +201,12 @@ def _validate_args(args: argparse.Namespace) -> Optional[str]:
         return f"--retries must be >= 0, got {args.retries}"
     if not _positive_finite(args.duration):
         return f"--duration must be finite and > 0 seconds, got {args.duration:g}"
-    if args.nbits < 1:
-        return f"--nbits must be >= 1, got {args.nbits}"
+    if not 1 <= args.nbits <= MAX_NBITS:
+        return f"--nbits must be between 1 and {MAX_NBITS}, got {args.nbits}"
     if args.cell_timeout is not None and not _positive_finite(args.cell_timeout):
         return f"--cell-timeout must be finite and > 0 seconds, got {args.cell_timeout:g}"
     if args.resume is not None and not Path(args.resume).exists():
         return f"--resume manifest {args.resume} does not exist"
-    if args.chaos is not None:
-        try:
-            parse_faults(args.chaos)
-        except ValueError as exc:
-            return f"--chaos: {exc}"
     if args.mechanisms:
         registered = _mechanism_names()
         unknown = sorted(set(args.mechanisms) - set(registered))

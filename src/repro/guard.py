@@ -10,12 +10,6 @@ statistics, MPRSF overheads.  It raises a structured
 :class:`NumericalError` naming the boundary, the offending array, and
 the first non-finite index, so a runner manifest pinpoints the layer
 that produced garbage instead of the layer that tripped over it.
-
-The module also hosts the arming hook for the runner's ``nan`` chaos
-action: :func:`arm_nan_injection` poisons the *next* guarded boundary
-crossing in the process, which exercises the full error path (guard →
-``NumericalError`` → ``CellError`` diagnostics → manifest) without
-mocking any layer.
 """
 
 from __future__ import annotations
@@ -24,13 +18,7 @@ from typing import Any, Optional, Tuple, Union
 
 import numpy as np
 
-__all__ = [
-    "NumericalError",
-    "assert_finite",
-    "arm_nan_injection",
-    "disarm_nan_injection",
-    "injection_armed",
-]
+__all__ = ["NumericalError", "assert_finite"]
 
 
 class NumericalError(RuntimeError):
@@ -43,8 +31,6 @@ class NumericalError(RuntimeError):
         index: index of the first non-finite entry (tuple for
             multi-dimensional arrays, ``()`` for scalars).
         value: the offending value itself.
-        injected: ``True`` when raised by the chaos ``nan`` action
-            rather than a genuinely non-finite computation.
     """
 
     def __init__(
@@ -55,14 +41,12 @@ class NumericalError(RuntimeError):
         array: str = "",
         index: Optional[Union[int, Tuple[int, ...]]] = None,
         value: Optional[float] = None,
-        injected: bool = False,
     ):
         super().__init__(message)
         self.boundary = boundary
         self.array = array
         self.index = index
         self.value = value
-        self.injected = injected
 
     def to_dict(self) -> dict:
         """JSON-serializable diagnostics payload for runner manifests."""
@@ -74,30 +58,7 @@ class NumericalError(RuntimeError):
             "array": self.array,
             "index": index,
             "value": None if self.value is None else repr(self.value),
-            "injected": self.injected,
         }
-
-
-# Armed by the runner's ``nan`` chaos action; the next guarded boundary
-# crossing in this process raises instead of passing the value through.
-_nan_injection_armed = False
-
-
-def arm_nan_injection() -> None:
-    """Poison the next :func:`assert_finite` call in this process."""
-    global _nan_injection_armed
-    _nan_injection_armed = True
-
-
-def disarm_nan_injection() -> None:
-    """Cancel a pending injection (idempotent)."""
-    global _nan_injection_armed
-    _nan_injection_armed = False
-
-
-def injection_armed() -> bool:
-    """Whether an injected NaN is waiting for a boundary crossing."""
-    return _nan_injection_armed
 
 
 def _first_bad_index(arr: np.ndarray) -> Tuple[Union[int, Tuple[int, ...]], float]:
@@ -115,21 +76,8 @@ def assert_finite(value: Any, boundary: str, name: str = "value") -> Any:
 
     Accepts scalars, numpy arrays, and flat dicts of either (waveform
     traces); non-float dtypes pass through untouched.  Raises
-    :class:`NumericalError` on the first NaN/Inf, or unconditionally
-    when an injection is armed (see :func:`arm_nan_injection`).
+    :class:`NumericalError` on the first NaN/Inf.
     """
-    global _nan_injection_armed
-    if _nan_injection_armed:
-        _nan_injection_armed = False
-        raise NumericalError(
-            f"injected NaN at boundary {boundary}: {name} poisoned by the "
-            f"chaos 'nan' action",
-            boundary=boundary,
-            array=name,
-            index=0,
-            value=float("nan"),
-            injected=True,
-        )
     if isinstance(value, dict):
         for key, item in value.items():
             assert_finite(item, boundary, str(key))

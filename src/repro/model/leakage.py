@@ -105,25 +105,3 @@ class LeakageModel:
             raise ValueError(f"elapsed time cannot be negative, got {elapsed}")
         return fraction_start * math.exp(-elapsed / self.tau(retention_time, pattern_factor))
 
-    def retains_data(self, fraction: float) -> bool:
-        """Whether a cell at this charge fraction still senses correctly."""
-        return fraction >= self.tech.fail_fraction
-
-    def time_to_failure(
-        self,
-        fraction_start: float,
-        retention_time: float,
-        pattern_factor: float = 1.0,
-    ) -> float:
-        """Time until a cell starting at ``fraction_start`` fails sensing.
-
-        Returns 0 if the cell is already below the failure threshold.
-        This is the generalization of "retention time" to a partially
-        charged cell: a cell restored to 95% fails *earlier* than its
-        profiled (full-charge) retention time — the core trade-off of
-        partial refresh.
-        """
-        fail = self.tech.fail_fraction
-        if fraction_start <= fail:
-            return 0.0
-        return self.tau(retention_time, pattern_factor) * math.log(fraction_start / fail)

@@ -171,7 +171,10 @@ class MPRSFCalculator:
                 # closing it must have been full, so only the partials
                 # already issued were safe.
                 return issued_partials
-            fraction = self.model.restored_fraction(decayed, timing)
+            restored = self.model.restored_fraction(decayed, timing)
+            if restored == fraction:
+                break  # a fixed point: every later round repeats this one
+            fraction = restored
         return max_count
 
     def _session_key(self, timing: RefreshTiming) -> _SessionKey:
@@ -310,7 +313,11 @@ class MPRSFCalculator:
         :meth:`~repro.model.trfc.RefreshLatencyModel.restored_fractions`;
         points whose charge crosses the failure threshold record their
         MPRSF and drop out of the active set, so a profile's cost is
-        bounded by its *slowest*-saturating point, not the sum.
+        bounded by its *slowest*-saturating point, not the sum.  Once a
+        round kills no point and the restore returns the survivors'
+        fractions unchanged, every later round would repeat it, so the
+        loop stops there with the survivors at ``max_count``: the cost
+        does not grow with the counter width.
 
         Exactness (architecture invariant 14): the per-point decay
         factors come from
@@ -362,13 +369,19 @@ class MPRSFCalculator:
         for issued_partials in range(max_count + 1):
             decayed = fraction * decay[active]
             dead = decayed < fail
-            if dead.any():
+            died = bool(dead.any())
+            if died:
                 out[active[dead]] = issued_partials
                 active = active[~dead]
                 decayed = decayed[~dead]
                 if active.size == 0:
                     break
-            fraction = self.model.restored_fractions(decayed, timing)
+            restored = self.model.restored_fractions(decayed, timing)
+            if not died and np.array_equal(restored, fraction):
+                # Every survivor sits at its fixed point, so every later
+                # round repeats this one: they all keep ``max_count``.
+                break
+            fraction = restored
         return out.reshape(ret.shape)
 
     def mprsf_for_rows(

@@ -76,10 +76,6 @@ class RefreshPowerModel:
         e_peripheral = self.peripheral_current * tech.vdd * timing.total_seconds
         return PowerBreakdown(e_bitline, e_cell, e_peripheral)
 
-    def partial_to_full_ratio(self, full: RefreshTiming, partial: RefreshTiming) -> float:
-        """Energy ratio of a partial refresh to a full one (~0.82 calibrated)."""
-        return self.refresh_energy(partial).total / self.refresh_energy(full).total
-
     def workload_energy(
         self,
         stats: RefreshStats,

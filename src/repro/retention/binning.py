@@ -48,15 +48,6 @@ class BinningResult:
             for i, period in enumerate(self.periods)
         }
 
-    @property
-    def refreshes_per_second(self) -> float:
-        """Aggregate row-refresh rate of the bank under this binning.
-
-        The figure of merit RAIDR improves: a conventional bank refreshes
-        ``rows / 64 ms`` rows per second; binning reduces this by
-        refreshing strong rows less often.
-        """
-        return float(np.sum(1.0 / self.row_period))
 
 
 class RefreshBinning:

@@ -65,10 +65,6 @@ class RetentionProfile:
         """Retention of the single weakest row in the bank (seconds)."""
         return float(self.row_retention.min())
 
-    def rows_below(self, threshold: float) -> int:
-        """Number of rows whose retention is below ``threshold`` seconds."""
-        return int(np.count_nonzero(self.row_retention < threshold))
-
 
 class RetentionProfiler:
     """Samples a bank's retention profile from a distribution.

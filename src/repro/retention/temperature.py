@@ -22,8 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .profiler import RetentionProfile
 
 #: Temperature at which profiles are assumed to be measured (degC).
@@ -71,25 +69,4 @@ class TemperatureModel:
                 if profile.cell_retention is not None
                 else None
             ),
-        )
-
-    def max_safe_temperature(
-        self, retention_time: float, refresh_period: float
-    ) -> float:
-        """Hottest temperature at which ``retention >= period`` still holds.
-
-        The thermal headroom of one row: above this, even full refreshes
-        at the row's period cannot guarantee its data.
-
-        Raises:
-            ValueError: if the row is unsafe already at any temperature
-                (``retention < period`` would need infinite cooling is
-                fine — cooling helps — but non-positive inputs are not).
-        """
-        if retention_time <= 0 or refresh_period <= 0:
-            raise ValueError("retention and period must be positive")
-        # retention * 2^-((T - ref)/h) >= period
-        # => T <= ref + h * log2(retention / period)
-        return self.reference + self.halving * float(
-            np.log2(retention_time / refresh_period)
         )

@@ -22,9 +22,7 @@ each).  This package runs such grids:
   plus ``.checkpoint.jsonl`` incremental checkpoints for resume;
 * :mod:`~repro.runner.errors` — the structured
   :class:`~repro.runner.errors.CellError` failure taxonomy
-  (``exception`` / ``timeout`` / ``worker-crash``);
-* :mod:`~repro.runner.faults` — deterministic fault injection
-  (chaos mode) via ``VRL_DRAM_FAULTS`` / ``--chaos``.
+  (``exception`` / ``timeout`` / ``worker-crash``).
 
 Guarantees: payloads are independent of ``jobs``, cache state, retries,
 and pool respawns — the parallel cached run of a sweep is bit-identical
@@ -44,16 +42,6 @@ from .cells import (
 )
 from .errors import ERROR_KINDS, CellError
 from .executor import CellOutcome, ExperimentRunner, RunReport
-from .faults import (
-    FAULT_ACTIONS,
-    FAULTS_ENV,
-    FaultPlan,
-    FaultSpec,
-    InjectedFault,
-    clear_fault_state,
-    ensure_faults_observed,
-    parse_faults,
-)
 from .manifest import (
     MANIFEST_SCHEMA,
     CheckpointWriter,
@@ -74,13 +62,6 @@ __all__ = [
     "CheckpointWriter",
     "ERROR_KINDS",
     "ExperimentRunner",
-    "FAULT_ACTIONS",
-    "FAULTS_ENV",
-    "FaultPlan",
-    "FaultSpec",
-    "InjectedFault",
-    "clear_fault_state",
-    "ensure_faults_observed",
     "MANIFEST_SCHEMA",
     "ResultCache",
     "RunReport",
@@ -90,7 +71,6 @@ __all__ = [
     "latest_manifest",
     "load_checkpoint",
     "load_manifest",
-    "parse_faults",
     "resolve_resume_source",
     "tech_params",
     "write_manifest",

@@ -7,13 +7,12 @@ went wrong, precisely enough to triage offline from the run manifest:
 * ``kind`` — which failure class (see :data:`ERROR_KINDS`):
 
   - ``"exception"``: the cell's compute function raised (solver
-    :class:`~repro.circuit.solver.ConvergenceError`, bad parameters,
-    injected faults, ...);
+    :class:`~repro.circuit.solver.ConvergenceError`, a finite-value
+    guard's :class:`~repro.guard.NumericalError`, bad parameters, ...);
   - ``"timeout"``: the cell exceeded the runner's per-cell wall-clock
     budget and its worker was reaped by the watchdog;
   - ``"worker-crash"``: the worker process died without reporting
-    (OOM kill, segfault, ``kill`` fault) and the pool had to be
-    respawned.
+    (OOM kill, segfault) and the pool had to be respawned.
 
 * ``exception_type`` / ``message`` / ``traceback`` — the original
   Python error, preserved verbatim across the process boundary;
@@ -34,7 +33,7 @@ from __future__ import annotations
 
 import traceback as _traceback
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any
 
 #: The failure classes a cell outcome can report.
 ERROR_KINDS = ("exception", "timeout", "worker-crash")
@@ -130,21 +129,6 @@ class CellError:
             "attempts": self.attempts,
             "diagnostics": self.diagnostics,
         }
-
-    @classmethod
-    def from_dict(cls, record: dict[str, Any]) -> "CellError":
-        """Rebuild from the :meth:`to_dict` form."""
-        return cls(
-            kind=record.get("kind", "exception"),
-            cell_kind=record.get("cell_kind", ""),
-            label=record.get("label", ""),
-            key=record.get("key", ""),
-            exception_type=record.get("exception_type", ""),
-            message=record.get("message", ""),
-            traceback=record.get("traceback", ""),
-            attempts=int(record.get("attempts", 1)),
-            diagnostics=record.get("diagnostics", {}) or {},
-        )
 
     def summary(self) -> str:
         """One-line description for notes and logs."""

@@ -33,13 +33,10 @@ Fault tolerance (see ``docs/architecture.md`` for the full semantics):
 * SIGINT/SIGTERM unwind gracefully: completed outcomes are flushed to
   a partial manifest marked ``"status": "interrupted"`` whose
   checkpoint a later ``resume_from=`` run picks up, recomputing only
-  the unfinished cells;
-* the :mod:`~repro.runner.faults` plan (``faults=`` argument or the
-  ``VRL_DRAM_FAULTS`` env var) deterministically injects raise / hang /
-  kill faults — and the numeric chaos actions ``nan`` / ``diverge`` —
-  into chosen cells for chaos testing.  Fault cell
-  indices count the *computed* cells (cache misses) in submission
-  order; ``*`` strikes every computed cell.
+  the unfinished cells.
+
+The tests rehearse these paths by wrapping :func:`compute_cell`, the
+module-level name :func:`_compute_timed` looks up in every process.
 
 Determinism: cells are self-contained recipes, so the payloads do not
 depend on ``jobs``, cache state, retries, or pool respawns; the
@@ -67,15 +64,6 @@ from typing import Any, Callable, Optional, Sequence, Union
 from .cache import ResultCache, cache_key
 from .cells import Cell, compute_cell
 from .errors import CellError
-from .faults import (
-    FaultPlan,
-    FaultSpec,
-    InjectedFault,
-    clear_fault_state,
-    ensure_faults_observed,
-    execute_fault,
-    plan_from,
-)
 from .manifest import (
     CheckpointWriter,
     load_checkpoint,
@@ -89,26 +77,10 @@ from .manifest import (
 _POLL_SECONDS = 0.2
 
 
-def _compute_timed(
-    kind: str, params: dict, fault: Optional[FaultSpec] = None
-) -> tuple[dict, float, str]:
-    """Worker entry point: payload, wall seconds, and worker id (pid).
-
-    ``fault`` is the pre-resolved injection for this (cell, attempt) —
-    shipped from the parent so chaos runs stay deterministic regardless
-    of which worker picks the cell up.  Process-local chaos state
-    (armed NaN injections, forced jit failures) is always cleared on
-    the way out so a fault never leaks into the next cell this process
-    computes.
-    """
+def _compute_timed(kind: str, params: dict) -> tuple[dict, float, str]:
+    """Worker entry point: payload, wall seconds, and worker id (pid)."""
     t0 = time.perf_counter()
-    try:
-        if fault is not None:
-            execute_fault(fault)
-        payload = compute_cell(kind, params)
-        ensure_faults_observed(fault)
-    finally:
-        clear_fault_state()
+    payload = compute_cell(kind, params)
     return payload, time.perf_counter() - t0, str(os.getpid())
 
 
@@ -289,7 +261,6 @@ class _Task:
     """Book-keeping for one cache-miss cell while it is being computed."""
 
     index: int  # position in the input cell list
-    seq: int  # position among the computed cells (fault-plan numbering)
     attempts: int = 0  # failed attempts so far
     not_before: float = 0.0  # backoff gate (monotonic clock)
     started_at: float = 0.0  # last submission time (watchdog clock)
@@ -314,9 +285,6 @@ class ExperimentRunner:
             only).  ``None`` disables the watchdog.
         resume_from: a previous run's manifest (or ``.checkpoint.jsonl``)
             whose completed cells are reused instead of recomputed.
-        faults: a :class:`~repro.runner.faults.FaultPlan` or grammar
-            string arming deterministic fault injection; defaults to
-            the ``VRL_DRAM_FAULTS`` environment variable.
     """
 
     def __init__(
@@ -328,7 +296,6 @@ class ExperimentRunner:
         backoff_seconds: float = 0.5,
         cell_timeout: Optional[float] = None,
         resume_from: Optional[Union[str, Path]] = None,
-        faults: Optional[Union[FaultPlan, str]] = None,
     ):
         if jobs < 0:
             raise ValueError(f"jobs must be >= 0, got {jobs}")
@@ -345,7 +312,6 @@ class ExperimentRunner:
         self.backoff_seconds = backoff_seconds
         self.cell_timeout = cell_timeout
         self.resume_from = Path(resume_from) if resume_from is not None else None
-        self.faults = faults
 
     def run(self, cells: Sequence[Cell], experiment: str = "") -> RunReport:
         """Execute every cell (checkpoint, then cache, then compute).
@@ -501,16 +467,10 @@ class ExperimentRunner:
         complete: Callable[[int, CellOutcome], None],
     ) -> None:
         """Compute the cache misses, inline or across the process pool."""
-        plan = plan_from(self.faults)
-        inline = self.jobs <= 1 or (
-            len(misses) == 1
-            and self.cell_timeout is None
-            and (plan is None or not plan.needs_pool())
-        )
-        if inline:
-            self._compute_inline(cells, keys, misses, plan, complete)
+        if self.jobs <= 1 or (len(misses) == 1 and self.cell_timeout is None):
+            self._compute_inline(cells, keys, misses, complete)
         else:
-            self._compute_pool(cells, keys, misses, plan, complete)
+            self._compute_pool(cells, keys, misses, complete)
 
     def _fail_or_retry(
         self,
@@ -570,29 +530,20 @@ class ExperimentRunner:
         cells: Sequence[Cell],
         keys: Sequence[str],
         misses: Sequence[int],
-        plan: Optional[FaultPlan],
         complete: Callable[[int, CellOutcome], None],
     ) -> None:
         """Serial in-process computation with per-cell retry/backoff.
 
-        ``cell_timeout`` is not enforced here — there is no worker
-        process to reap — and ``kill`` faults degrade to a raised
-        :class:`InjectedFault` so chaos plans stay runnable at
-        ``jobs=1`` without killing the driver process.
+        ``cell_timeout`` is not enforced here: there is no worker
+        process to reap.
         """
-        for seq, index in enumerate(misses):
+        for index in misses:
             cell = cells[index]
-            task = _Task(index=index, seq=seq)
+            task = _Task(index=index)
             while True:
-                fault = plan.for_cell(seq, task.attempts) if plan else None
                 try:
-                    if fault is not None and fault.action == "kill":
-                        raise InjectedFault(
-                            f"injected fault: kill at cell {seq} "
-                            "(degraded to raise: inline worker)"
-                        )
                     payload, wall, worker = _compute_timed(
-                        cell.kind, dict(cell.params), fault
+                        cell.kind, dict(cell.params)
                     )
                 except KeyboardInterrupt:
                     raise
@@ -627,7 +578,6 @@ class ExperimentRunner:
         cells: Sequence[Cell],
         keys: Sequence[str],
         misses: Sequence[int],
-        plan: Optional[FaultPlan],
         complete: Callable[[int, CellOutcome], None],
     ) -> None:
         """Fan the misses over a process pool, surviving crashes.
@@ -639,9 +589,7 @@ class ExperimentRunner:
         respawns the pool after a ``BrokenProcessPool`` — re-submitting
         the cells that were in flight when it died.
         """
-        pending: list[_Task] = [
-            _Task(index=index, seq=seq) for seq, index in enumerate(misses)
-        ]
+        pending: list[_Task] = [_Task(index=index) for index in misses]
         inflight: dict[Future, _Task] = {}
         pool: Optional[ProcessPoolExecutor] = None
         respawns = 0
@@ -663,10 +611,9 @@ class ExperimentRunner:
                     if len(inflight) >= self.jobs:
                         break
                     cell = cells[task.index]
-                    fault = plan.for_cell(task.seq, task.attempts) if plan else None
                     try:
                         future = pool.submit(
-                            _compute_timed, cell.kind, dict(cell.params), fault
+                            _compute_timed, cell.kind, dict(cell.params)
                         )
                     except BrokenExecutor:
                         crashed = True

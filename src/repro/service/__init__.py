@@ -18,7 +18,6 @@ from .client import LocalClient
 from .registry import (
     EXPERIMENT_DEFAULTS,
     EXPERIMENT_NAMES,
-    SWEEP_EXPERIMENTS,
     experiment_names,
     experiment_options,
     run_experiment,
@@ -28,7 +27,6 @@ __all__ = [
     "EXPERIMENT_DEFAULTS",
     "EXPERIMENT_NAMES",
     "LocalClient",
-    "SWEEP_EXPERIMENTS",
     "experiment_names",
     "experiment_options",
     "run_experiment",

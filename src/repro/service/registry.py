@@ -27,12 +27,6 @@ EXPERIMENT_DEFAULTS: dict[str, Any] = {
     "spice": True,
 }
 
-#: Verbs whose drivers sweep their cells through the runner.
-SWEEP_EXPERIMENTS = (
-    "fig4", "performance", "rank", "baselines", "mechanisms", "temperature",
-    "calibrate",
-)
-
 #: Every registered experiment verb, in CLI ``choices`` order.
 EXPERIMENT_NAMES = (
     "fig1a",

@@ -69,26 +69,3 @@ class MemoryTrace:
         """Number of distinct rows the trace touches."""
         return int(len(np.unique(self.rows))) if len(self) else 0
 
-    def clipped(self, max_requests: int) -> "MemoryTrace":
-        """A prefix of the trace with at most ``max_requests`` requests."""
-        if max_requests < 0:
-            raise ValueError(f"max_requests must be non-negative, got {max_requests}")
-        return MemoryTrace(
-            cycles=self.cycles[:max_requests],
-            rows=self.rows[:max_requests],
-            is_write=self.is_write[:max_requests],
-            name=self.name,
-        )
-
-    def shifted(self, delta_cycles: int, delta_rows: int = 0) -> "MemoryTrace":
-        """The same trace displaced in time and (optionally) row space.
-
-        Used to compose multi-programmed mixes: offset one program's
-        rows so working sets don't collide, or delay its start.
-        Resulting cycles/rows must stay non-negative.
-        """
-        cycles = self.cycles + delta_cycles
-        rows = self.rows + delta_rows
-        if len(cycles) and (cycles[0] < 0 or (rows < 0).any()):
-            raise ValueError("shift would produce negative cycles or rows")
-        return MemoryTrace(cycles=cycles, rows=rows, is_write=self.is_write, name=self.name)

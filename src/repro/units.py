@@ -12,34 +12,26 @@ import math
 # --- time ---------------------------------------------------------------
 S = 1.0
 MS = 1e-3
-US = 1e-6
 NS = 1e-9
-PS = 1e-12
 
 # --- capacitance ---------------------------------------------------------
 F = 1.0
-PF = 1e-12
 FF = 1e-15
 AF = 1e-18
 
 # --- resistance ----------------------------------------------------------
 OHM = 1.0
 KOHM = 1e3
-MOHM = 1e6
 
 # --- voltage / current ---------------------------------------------------
 V = 1.0
-MV = 1e-3
 A = 1.0
-MA = 1e-3
 UA = 1e-6
 
 # --- length / area -------------------------------------------------------
 M = 1.0
-UM = 1e-6
 NM = 1e-9
 UM2 = 1e-12
-NM2 = 1e-18
 
 
 def to_cycles(time_s: float, clock_period_s: float) -> int:

@@ -177,9 +177,8 @@ def merge_traces(traces: "list[MemoryTrace]", name: str = "merged") -> MemoryTra
     """Interleave several traces into one time-ordered request stream.
 
     The multi-programmed-workload primitive: each input keeps its own
-    row addresses (``MemoryTrace.shifted`` relocates working sets when
-    they must not collide) and the merge is stable, so simultaneous
-    requests keep their input order.
+    row addresses and the merge is stable, so simultaneous requests keep
+    their input order.
     """
     traces = [t for t in traces if len(t)]
     if not traces:

@@ -200,6 +200,12 @@ def _predicted_full_fraction(**removed):
     return predicted_full_fraction(2, 0.5, **removed)
 
 
+def _runner(**removed):
+    from repro.runner import ExperimentRunner
+
+    return ExperimentRunner(**removed)
+
+
 #: Every parameter that no caller set, now a module constant:
 #: (call, keyword, a value it used to accept).
 REMOVED_OPTIONS = [
@@ -222,11 +228,13 @@ REMOVED_OPTIONS = [
     (_calibrate, "dt", 5e-12),
     (_calibrate, "adaptive", False),
     (_predicted_full_fraction, "tol", 1e-6),
+    (_runner, "faults", "raise@0"),
 ]
 
 
 class TestRemovedOptions:
-    """Solver and calibration knobs no caller set are module constants now."""
+    """Solver and calibration knobs no caller set are module constants now,
+    and fault injection lives in the tests, not in the runner or the CLI."""
 
     @pytest.mark.parametrize(
         "call,keyword,value",
@@ -236,3 +244,25 @@ class TestRemovedOptions:
     def test_removed_options_are_rejected(self, call, keyword, value):
         with pytest.raises(TypeError, match="argument"):
             call(**{keyword: value})
+
+    def test_chaos_flag_is_rejected(self, tmp_path, monkeypatch, capsys):
+        from repro.experiments.cli import main
+
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as info:
+            main(["fig4", "--no-cache", "--chaos", "raise@0"])
+        assert info.value.code == 2
+        assert "--chaos" in capsys.readouterr().err
+
+    def test_faults_env_var_is_ignored(self, monkeypatch):
+        from repro.runner import Cell, ExperimentRunner
+
+        monkeypatch.setenv("VRL_DRAM_FAULTS", "raise@0")
+        cells = [
+            Cell.of("temperature-point", tech=repro.DEFAULT_TECH, rows=64, cols=8,
+                    temperature=t, seed=7)
+            for t in (45.0, 65.0)
+        ]
+        report = ExperimentRunner().run(cells, "env")
+        assert report.failures == [] and report.cache_misses == 2
+        assert all(payload is not None for payload in report.results)

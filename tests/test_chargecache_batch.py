@@ -101,7 +101,7 @@ def test_out_of_range_row_raises_before_any_state_change():
     with pytest.raises(IndexError):
         batch.access_latencies(rows, np.array([18, 18]), np.zeros(2, dtype=bool),
                                np.array([0, 1]))
-    assert batch.lookups == 0 and batch.occupancy == 0
+    assert batch.lookups == 0 and batch.valid.values.sum() == 0
 
 
 def test_engine_refuses_a_one_request_override():

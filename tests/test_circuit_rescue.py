@@ -148,7 +148,6 @@ class TestRunRescueUnit:
         assert report.stage == "failed"
         assert report.worst_node == "b"
         assert report.worst_residual == 0.42
-        assert report.residual_trajectory == [0.42, 0.42]
 
     def test_emptied_ladders_cannot_vouch_for_a_solution(self, monkeypatch):
         monkeypatch.setattr(rescue, "GMIN_LADDER", ())

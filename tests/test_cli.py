@@ -13,10 +13,24 @@ import pytest
 
 from repro.experiments.cli import build_parser, default_cache_dir, main
 from repro.runner import Cell, latest_manifest, load_manifest
-from repro.service import SWEEP_EXPERIMENTS, LocalClient
+from repro.service import LocalClient
 from repro.technology import DEFAULT_TECH
+from tests.fault_injection import Strike, inject
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+
+#: The sweep verbs, each with the label of the second cell it computes
+#: at defaults (an interrupt there leaves one finished cell behind).
+SWEEP_SECOND_CELLS = {
+    "fig4": "raidr/bodytrack",
+    "performance": "raidr/swaptions",
+    "rank": "rank/fixed",
+    "baselines": "baseline/fgr-2x",
+    "mechanisms": "matrix/raidr/blackscholes/45C/8192r",
+    "temperature": "temp/55C",
+    "calibrate": "calibrate/0.90x16",
+}
 
 
 @pytest.fixture(autouse=True)
@@ -70,19 +84,18 @@ class TestParser:
         assert args.no_cache is True
         assert args.runs_dir == "/tmp/r"
 
-    def test_parser_is_built_once_per_mechanism_set(self):
+    def test_parser_is_built_once_per_mechanism_set(self, monkeypatch):
         from repro.controller import MECHANISMS
 
         assert build_parser() is build_parser()
         before = build_parser()
+        monkeypatch.setattr(MECHANISMS, "_infos", dict(MECHANISMS._infos))
         MECHANISMS.register("x", lambda **kwargs: None, description="test")
-        try:
-            parser = build_parser()
-            assert parser is not before
-            action = next(a for a in parser._actions if a.dest == "mechanisms")
-            assert "x" in action.help.split("registered: ")[1].rstrip(")").split(", ")
-        finally:
-            MECHANISMS.unregister("x")
+        parser = build_parser()
+        assert parser is not before
+        action = next(a for a in parser._actions if a.dest == "mechanisms")
+        assert "x" in action.help.split("registered: ")[1].rstrip(")").split(", ")
+        monkeypatch.undo()  # the registry without "x" again
         assert build_parser() is before
 
     def test_default_cache_dir_honours_env(self, monkeypatch):
@@ -218,7 +231,7 @@ class TestRunnerFlags:
 
 
 class TestFaultToleranceFlags:
-    """--retries / --cell-timeout / --resume / --chaos validation and wiring."""
+    """--retries / --cell-timeout / --resume validation and wiring."""
 
     FIG4 = ["fig4", "--duration", "0.05", "--benchmarks", "swaptions", "canneal"]
 
@@ -227,7 +240,6 @@ class TestFaultToleranceFlags:
         assert args.retries == 0
         assert args.cell_timeout is None
         assert args.resume is None
-        assert args.chaos is None
 
     def test_negative_retries_rejected(self, capsys):
         assert main(self.FIG4 + ["--retries", "-2"]) == 2
@@ -249,33 +261,36 @@ class TestFaultToleranceFlags:
             ("--duration", "0"),
             ("--nbits", "0"),
             ("--nbits", "-3"),
+            ("--nbits", "63"),
         ],
     )
     def test_nonsensical_value_rejected_in_one_line(self, flag, value, capsys):
         """NaN, infinite or non-positive horizons, and counters under one
-        bit, exit 2 with one ``error:`` line before any cell runs."""
+        bit or wider than int64 holds, exit 2 with one ``error:`` line
+        before any cell runs."""
         argv = ["fig4", "--benchmarks", "swaptions", "--jobs", "2", flag, value]
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {flag}") and len(err.strip().splitlines()) == 1
+
+    def test_wide_counter_sweep_completes(self, capsys):
+        """MPRSF stops at the survivors' fixed point, so a 40-bit counter
+        costs about what a 4-bit one does instead of 2^40 rounds."""
+        argv = ["fig4", "--duration", "0.01", "--benchmarks", "swaptions",
+                "--no-cache", "--runs-dir", ""]
+        assert main(argv + ["--nbits", "40"]) == 0
+        assert "runner failures" not in capsys.readouterr().out
 
     def test_missing_resume_manifest_rejected(self, tmp_path, capsys):
         assert main(self.FIG4 + ["--resume", str(tmp_path / "gone.json")]) == 2
         err = capsys.readouterr().err
         assert "does not exist" in err and len(err.strip().splitlines()) == 1
 
-    @pytest.mark.parametrize("spec", ["explode@1", "jitfail@*"])
-    def test_malformed_chaos_spec_rejected(self, capsys, spec):
-        assert main(self.FIG4 + ["--chaos", spec]) == 2
-        err = capsys.readouterr().err
-        assert "--chaos" in err and len(err.strip().splitlines()) == 1
-
     def test_chaos_run_reports_failures_and_completes(self, tmp_path, capsys):
         runs = tmp_path / "chaos-runs"
-        args = self.FIG4 + [
-            "--no-cache", "--runs-dir", str(runs), "--chaos", "raise@0"
-        ]
-        assert main(args) == 0  # the sweep completes despite the fault
+        args = self.FIG4 + ["--no-cache", "--runs-dir", str(runs)]
+        with inject(tmp_path / "markers", Strike("raise", "raidr/swaptions")):
+            assert main(args) == 0  # the sweep completes despite the fault
         out = capsys.readouterr().out
         assert "runner failures" in out
         assert "benchmarks dropped (failed cells): swaptions" in out
@@ -287,8 +302,9 @@ class TestFaultToleranceFlags:
         clean_args = self.FIG4 + ["--no-cache", "--runs-dir", ""]
         assert main(clean_args) == 0
         clean = capsys.readouterr().out
-        chaos_args = clean_args + ["--chaos", "raise@3", "--retries", "1"]
-        assert main(chaos_args) == 0
+        with inject(tmp_path / "markers", Strike("raise", "vrl/canneal")):
+            assert main(clean_args + ["--retries", "1"]) == 0
+        assert len(list((tmp_path / "markers").iterdir())) == 2  # struck, retried
         chaotic = capsys.readouterr().out
         def strip(out):
             return [
@@ -302,7 +318,7 @@ class TestFaultToleranceFlags:
 def _cli_env() -> dict:
     """Environment for a child ``python -m repro.experiments.cli``."""
     env = dict(os.environ)
-    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+    env["PYTHONPATH"] = os.pathsep.join([str(SRC), str(ROOT), env.get("PYTHONPATH", "")])
     return env
 
 
@@ -335,14 +351,15 @@ class TestInterruptContract:
 
     SWEEP = ["temperature", "--jobs", "1", "--no-cache"]
 
-    @pytest.mark.parametrize("verb", SWEEP_EXPERIMENTS)
+    @pytest.mark.parametrize("verb", SWEEP_SECOND_CELLS)
     def test_interrupt_inside_cell_exits_130_with_resume_hint(
         self, verb, tmp_path, capsys
     ):
         runs = tmp_path / "runs"
-        argv = [verb, "--jobs", "1", "--no-cache", "--chaos", "interrupt@1",
-                "--runs-dir", str(runs)]
-        assert main(argv) == 130
+        argv = [verb, "--jobs", "1", "--no-cache", "--runs-dir", str(runs)]
+        strike = Strike("interrupt", SWEEP_SECOND_CELLS[verb])
+        with inject(tmp_path / "markers", strike):
+            assert main(argv) == 130
         assert "resume with: --resume" in capsys.readouterr().err
         manifest = load_manifest(latest_manifest(runs))
         assert manifest["experiment"] == verb
@@ -354,11 +371,10 @@ class TestInterruptContract:
     )
     def test_signal_mid_sweep_flushes_then_resumes(self, signum, tmp_path):
         runs = tmp_path / "runs"
-        command = [sys.executable, "-m", "repro.experiments.cli"] + self.SWEEP + [
-            "--runs-dir", str(runs),
-        ]
+        argv = self.SWEEP + ["--runs-dir", str(runs)]
+        hang = [str(tmp_path / "markers"), "hang", SWEEP_SECOND_CELLS["temperature"], "60"]
         proc = subprocess.Popen(
-            command + ["--chaos", "hang@1=60"],
+            [sys.executable, "-m", "tests.fault_cli", *hang, "--", *argv],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             text=True,
@@ -382,7 +398,8 @@ class TestInterruptContract:
         assert len(manifest["cells"]) == 1
 
         resumed = subprocess.run(
-            command + ["--resume", str(interrupted)],
+            [sys.executable, "-m", "repro.experiments.cli", *argv,
+             "--resume", str(interrupted)],
             capture_output=True,
             text=True,
             env=_cli_env(),

@@ -1,7 +1,5 @@
 """Unit tests for the charge-leakage model."""
 
-import math
-
 import pytest
 
 from repro.model import LeakageModel
@@ -19,8 +17,8 @@ def model():
 class TestTau:
     def test_tau_pins_retention_definition(self, model):
         """Full charge decays exactly to the fail threshold at T_ret."""
-        t_fail = model.time_to_failure(1.0, 0.3)
-        assert abs(t_fail - 0.3) / 0.3 < 1e-9
+        at_retention = model.fraction_after(1.0, 0.3, 0.3)
+        assert at_retention == pytest.approx(TECH.fail_fraction, rel=1e-9)
 
     def test_pattern_factor_shortens_tau(self, model):
         assert model.tau(0.3, pattern_factor=0.85) < model.tau(0.3, pattern_factor=1.0)
@@ -59,35 +57,3 @@ class TestFractionAfter:
             model.fraction_after(-0.1, 1e-3, 0.3)
         with pytest.raises(ValueError, match="negative"):
             model.fraction_after(0.9, -1e-3, 0.3)
-
-
-class TestRetainsData:
-    def test_threshold(self, model):
-        assert model.retains_data(TECH.fail_fraction)
-        assert model.retains_data(TECH.fail_fraction + 0.01)
-        assert not model.retains_data(TECH.fail_fraction - 0.01)
-
-
-class TestTimeToFailure:
-    def test_full_charge_fails_at_retention(self, model):
-        retention = 0.4
-        assert model.time_to_failure(1.0, retention) == pytest.approx(retention, rel=1e-9)
-
-    def test_partial_charge_fails_earlier(self, model):
-        retention = 0.4
-        assert model.time_to_failure(0.95, retention) < retention
-
-    def test_already_failed(self, model):
-        assert model.time_to_failure(TECH.fail_fraction - 0.01, 0.4) == 0.0
-
-    def test_consistent_with_fraction_after(self, model):
-        retention = 0.4
-        t_fail = model.time_to_failure(0.95, retention)
-        assert model.fraction_after(0.95, t_fail, retention) == pytest.approx(
-            TECH.fail_fraction, rel=1e-9
-        )
-
-    def test_pattern_factor_accelerates_failure(self, model):
-        assert model.time_to_failure(1.0, 0.4, pattern_factor=0.85) < model.time_to_failure(
-            1.0, 0.4, pattern_factor=1.0
-        )

@@ -41,7 +41,7 @@ class TestRefreshEnergy:
         """Partial refresh costs ~82% of a full one (calibrated so the
         Fig. 4 policies reproduce the paper's ~12% power reduction)."""
         full, partial = timings
-        ratio = power.partial_to_full_ratio(full, partial)
+        ratio = power.refresh_energy(partial).total / power.refresh_energy(full).total
         assert 0.75 < ratio < 0.88
 
     def test_bitline_energy_duration_independent(self, power, timings):

@@ -95,16 +95,6 @@ class TestLeakageProperties:
         out = model.fraction_after(1.0, t, retention)
         assert 0.0 < out <= 1.0
 
-    @given(
-        retention=st.floats(min_value=0.065, max_value=10.0),
-        start=st.floats(min_value=0.7, max_value=1.0),
-    )
-    def test_time_to_failure_consistent(self, retention, start):
-        model = LeakageModel(TECH)
-        t_fail = model.time_to_failure(start, retention)
-        at_failure = model.fraction_after(start, t_fail, retention)
-        assert at_failure == pytest.approx(TECH.fail_fraction, rel=1e-6)
-
 
 class TestSaturatingCounterProperties:
     @given(

@@ -60,16 +60,6 @@ class TestTemperatureProperties:
         inverse = 2.0 ** ((temperature - model.reference) / halving)
         assert factor * inverse == pytest.approx(1.0)
 
-    @given(
-        retention=st.floats(min_value=0.065, max_value=8.0),
-        period=st.sampled_from([0.064, 0.128, 0.192, 0.256]),
-    )
-    def test_max_safe_temperature_is_boundary(self, retention, period):
-        model = TemperatureModel()
-        t_max = model.max_safe_temperature(retention, period)
-        at_boundary = model.retention_factor(t_max) * retention
-        assert at_boundary == pytest.approx(period, rel=1e-9)
-
 
 class TestVRTProperties:
     @given(

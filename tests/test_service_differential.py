@@ -23,6 +23,7 @@ from repro.experiments import (
 from repro.runner import Cell, ExperimentRunner, ResultCache, latest_manifest
 from repro.service import LocalClient
 from repro.technology import DEFAULT_TECH, BankGeometry
+from tests.fault_injection import Strike, inject
 
 GEOMETRY = BankGeometry(128, 16)
 
@@ -131,10 +132,9 @@ class TestCellLevelEquivalence:
 
     def test_resumed_sweep_equals_uninterrupted_sweep(self, tmp_path):
         direct = ExperimentRunner().run(self.CELLS)
-        interrupted = LocalClient(
-            ExperimentRunner(runs_dir=tmp_path, faults="interrupt@2")
-        )
-        with pytest.raises(KeyboardInterrupt):
+        interrupted = LocalClient(ExperimentRunner(runs_dir=tmp_path))
+        strike = Strike("interrupt", self.CELLS[2].label)
+        with inject(tmp_path / "markers", strike), pytest.raises(KeyboardInterrupt):
             interrupted.sweep(self.CELLS)
         resumed = LocalClient(
             ExperimentRunner(resume_from=latest_manifest(tmp_path))

@@ -20,6 +20,7 @@ from repro.runner import (
 )
 from repro.service import LocalClient
 from repro.technology import DEFAULT_TECH
+from tests.fault_injection import Strike, inject
 
 
 def _temp_cell(temperature=45.0, seed=7, rows=64):
@@ -68,17 +69,19 @@ class TestLocalClient:
         assert report.cache_hits + report.cache_misses == len(report.outcomes) == 3
         assert report.hit_rate == pytest.approx(1 / 3)
 
-    def test_failed_cell_is_reported_not_raised(self):
-        client = LocalClient(ExperimentRunner(faults="raise@1"))
-        report = client.sweep([_temp_cell(t) for t in (40.0, 50.0, 60.0)])
+    def test_failed_cell_is_reported_not_raised(self, tmp_path):
+        client = LocalClient(ExperimentRunner())
+        with inject(tmp_path, Strike("raise", "temp/50C")):
+            report = client.sweep([_temp_cell(t) for t in (40.0, 50.0, 60.0)])
         assert [p is not None for p in report.results] == [True, False, True]
         assert [o.label for o in report.failures] == ["temp/50C"]
         assert report.failures[0].error.kind == "exception"
         assert report.notes()["runner failures"].startswith("1/3 cells failed")
 
     def test_interrupt_propagates_after_flushing_manifest(self, tmp_path):
-        client = LocalClient(ExperimentRunner(runs_dir=tmp_path, faults="interrupt@1"))
-        with pytest.raises(KeyboardInterrupt):
+        client = LocalClient(ExperimentRunner(runs_dir=tmp_path))
+        strike = Strike("interrupt", "temp/50C")
+        with inject(tmp_path / "markers", strike), pytest.raises(KeyboardInterrupt):
             client.sweep([_temp_cell(t) for t in (40.0, 50.0, 60.0)],
                          experiment="ctrl-c")
         manifest = load_manifest(latest_manifest(tmp_path))

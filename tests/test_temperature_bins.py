@@ -6,7 +6,6 @@ import pytest
 from repro.experiments import run_bins_ablation, run_temperature_study
 from repro.retention import RetentionProfiler, TemperatureModel
 from repro.technology import BankGeometry
-from repro.units import MS
 
 
 class TestTemperatureModel:
@@ -40,18 +39,6 @@ class TestTemperatureModel:
         profile = RetentionProfiler(seed=1).profile(BankGeometry(32, 4))
         hot = TemperatureModel().scale_profile(profile, 65.0)
         assert hot.cell_retention is None
-
-    def test_max_safe_temperature(self):
-        model = TemperatureModel(reference=45.0, halving=10.0)
-        # Retention 4x the period: two halvings of headroom = +20 C.
-        t_max = model.max_safe_temperature(4 * 64 * MS, 64 * MS)
-        assert t_max == pytest.approx(65.0)
-        # At that temperature the scaled retention equals the period.
-        assert model.retention_factor(t_max) * 4 * 64 * MS == pytest.approx(64 * MS)
-
-    def test_max_safe_temperature_validation(self):
-        with pytest.raises(ValueError, match="positive"):
-            TemperatureModel().max_safe_temperature(0.0, 0.064)
 
 
 class TestTemperatureStudy:

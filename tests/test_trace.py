@@ -36,15 +36,6 @@ class TestMemoryTrace:
     def test_footprint(self):
         assert _trace(5).footprint_rows() == 3
 
-    def test_clipped(self):
-        t = _trace(10).clipped(4)
-        assert len(t) == 4
-        assert t.duration_cycles == 30
-
-    def test_clipped_rejects_negative(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            _trace().clipped(-1)
-
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError, match="lengths"):
             MemoryTrace(np.zeros(2, dtype=np.int64), np.zeros(3, dtype=np.int64), np.zeros(2, dtype=bool))

@@ -1,8 +1,6 @@
-"""Tests for trace composition (``MemoryTrace.shifted`` and the test-side
-``merge_traces``)."""
+"""Tests for the test-side trace composition helper ``merge_traces``."""
 
 import numpy as np
-import pytest
 
 from repro.sim import MemoryTrace
 from tests.reference_trace import merge_traces
@@ -16,28 +14,6 @@ def _trace(cycles, rows, name="t"):
         np.zeros(n, dtype=bool),
         name=name,
     )
-
-
-class TestShifted:
-    def test_time_shift(self):
-        t = _trace([0, 10], [1, 2]).shifted(100)
-        assert t.cycles.tolist() == [100, 110]
-        assert t.rows.tolist() == [1, 2]
-
-    def test_row_shift(self):
-        t = _trace([0, 10], [1, 2]).shifted(0, delta_rows=50)
-        assert t.rows.tolist() == [51, 52]
-
-    def test_negative_result_rejected(self):
-        with pytest.raises(ValueError, match="negative"):
-            _trace([5], [1]).shifted(-10)
-        with pytest.raises(ValueError, match="negative"):
-            _trace([5], [1]).shifted(0, delta_rows=-2)
-
-    def test_original_untouched(self):
-        original = _trace([0, 10], [1, 2])
-        original.shifted(100, 5)
-        assert original.cycles.tolist() == [0, 10]
 
 
 class TestMergeTraces:
