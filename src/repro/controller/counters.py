@@ -12,21 +12,24 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..mprsf.optimizer import MAX_NBITS, check_nbits
+
+__all__ = ["CounterFile", "MAX_NBITS"]
+
 
 class CounterFile:
     """A vector of per-row ``nbits``-wide saturating counters.
 
     Backed by a numpy array so the simulator can reset/increment rows in
     bulk.  This models the counter storage whose area Table 2 accounts
-    for.
+    for.  ``nbits`` runs from 1 to :data:`MAX_NBITS`, the widest counter
+    whose cadence int64 holds.
     """
 
     def __init__(self, n_rows: int, nbits: int, initial: np.ndarray | int = 0):
         if n_rows <= 0:
             raise ValueError(f"need at least one row, got {n_rows}")
-        if nbits < 1:
-            raise ValueError(f"nbits must be >= 1, got {nbits}")
-        self.nbits = nbits
+        self.nbits = check_nbits(nbits)
         self.n_rows = n_rows
         self._values = np.zeros(n_rows, dtype=np.int64)
         if isinstance(initial, np.ndarray):

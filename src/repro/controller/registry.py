@@ -30,6 +30,7 @@ from typing import Callable, Iterator, Optional
 
 from ..model.trfc import RefreshLatencyModel
 from ..mprsf.calculator import MPRSFCalculator
+from ..mprsf.optimizer import check_nbits
 from ..retention.binning import BinningResult
 from ..retention.profiler import RetentionProfile
 from ..technology import TechnologyParams
@@ -212,7 +213,7 @@ def _build_vrl(cls):
             profile.row_retention,
             binning.row_period,
             partial_timing=partial,
-            max_count=(1 << nbits) - 1,
+            max_count=(1 << check_nbits(nbits)) - 1,
         )
         return cls(binning, mprsf, tau_full, partial.total_cycles, nbits)
 

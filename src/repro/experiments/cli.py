@@ -43,15 +43,12 @@ import time
 from pathlib import Path
 from typing import Optional
 
+from ..controller.counters import MAX_NBITS
 from ..runner import ExperimentRunner, ResultCache, latest_manifest
 from ..service import experiment_names, experiment_options, run_experiment
 
 #: Default directory for the per-run observability manifests.
 DEFAULT_RUNS_DIR = "runs"
-
-#: Widest ``--nbits``: the policies keep counters and their cadence
-#: ``mprsf + 1`` in int64, which holds ``2^62``.
-MAX_NBITS = 62
 
 
 def default_cache_dir() -> Path:

@@ -11,11 +11,12 @@ independent); VRL-Access averages 34% below RAIDR / 13% below VRL.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
 
-from ..model import RefreshLatencyModel
+from ..model import RefreshLatencyModel, RefreshTiming
 from ..power import RefreshPowerModel
 from ..retention import RetentionProfiler
 from ..runner import Cell, ExperimentRunner
@@ -27,6 +28,19 @@ from .result import ExperimentResult
 
 #: Policies compared in Fig. 4, in plot order.
 FIG4_POLICIES = ("raidr", "vrl", "vrl-access")
+
+
+@lru_cache(maxsize=8)
+def _power_inputs(
+    tech: TechnologyParams, geometry: BankGeometry
+) -> tuple[RefreshPowerModel, RefreshTiming, RefreshTiming]:
+    """The power model and the full/partial refresh timings it prices.
+
+    Pure functions of the (frozen) tech and geometry, so a warm sweep
+    reuses them instead of re-solving the latency model.
+    """
+    model = RefreshLatencyModel(tech, geometry)
+    return RefreshPowerModel(tech, geometry), model.full_refresh(), model.partial_refresh()
 
 
 def run_fig4(
@@ -118,9 +132,7 @@ def run_fig4(
         notes["benchmarks dropped (failed cells)"] = ", ".join(dropped)
 
     if include_power and complete_names:
-        model = RefreshLatencyModel(tech, geometry)
-        power = RefreshPowerModel(tech, geometry)
-        full, partial = model.full_refresh(), model.partial_refresh()
+        power, full, partial = _power_inputs(tech, geometry)
         ratios = []
         for bench in complete_names:
             p_raidr = power.refresh_power(stats[("raidr", bench)], full, partial)

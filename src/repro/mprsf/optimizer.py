@@ -39,6 +39,21 @@ DEFAULT_CANDIDATES = (0.80, 0.85, 0.90, 0.95, 0.99)
 #: Counter width of the paper's evaluated implementation (Sec. 3.2).
 DEFAULT_NBITS = 2
 
+#: Widest counter: the policies keep counters and their cadence
+#: ``mprsf + 1`` in int64, which holds ``2^62``.
+MAX_NBITS = 62
+
+
+def check_nbits(nbits: int) -> int:
+    """``nbits`` itself, if the policies can hold a counter that wide.
+
+    Raises:
+        ValueError: ``nbits`` is below 1 or above :data:`MAX_NBITS`.
+    """
+    if not 1 <= nbits <= MAX_NBITS:
+        raise ValueError(f"nbits must be between 1 and {MAX_NBITS}, got {nbits}")
+    return nbits
+
 
 @dataclass(frozen=True)
 class CandidateEvaluation:
@@ -109,9 +124,9 @@ class TauPartialOptimizer:
     Args:
         tech: technology parameters.
         geometry: bank geometry.
-        nbits: width of the mprsf/rcount counters; caps deployable
-            MPRSF values at ``2^nbits - 1`` (the paper evaluates
-            nbits = 2).
+        nbits: width of the mprsf/rcount counters, 1 to
+            :data:`MAX_NBITS`; caps deployable MPRSF values at
+            ``2^nbits - 1`` (the paper evaluates nbits = 2).
         patterns: data patterns to guarantee integrity under; defaults
             to all four of Sec. 3.1.  Only the most pessimistic pattern
             binds (derating is monotone), but passing the full set keeps
@@ -126,11 +141,9 @@ class TauPartialOptimizer:
         patterns: Optional[Sequence[DataPattern]] = None,
         nbits: int = DEFAULT_NBITS,
     ):
-        if nbits < 1:
-            raise ValueError(f"nbits must be >= 1, got {nbits}")
+        self.nbits = check_nbits(nbits)
         self.tech = tech
         self.geometry = geometry
-        self.nbits = nbits
         self.patterns = tuple(patterns) if patterns is not None else tuple(DataPattern)
         self.model = RefreshLatencyModel(tech, geometry)
         self.calculator = MPRSFCalculator(tech, geometry, self.model)

@@ -15,8 +15,10 @@ memoized **per process** with keyed LRU caches, so a worker computing
 several cells of the same sweep builds each profile once and shares it
 across policies, rather than regenerating it per cell, which is what
 the pre-runner serial drivers did.  Workload traces are built only for
-cells whose pricing reads them, and the trace memo keeps one trace at
-a time (see :func:`_trace`).
+cells whose pricing reads them.  The fused timeline reads a streamed
+trace built for its cell alone (cycles held, rows produced per block);
+the engine cells share a memo that keeps one whole trace at a time
+(see :func:`_trace`).
 """
 
 from __future__ import annotations
@@ -242,20 +244,23 @@ def _trace(
 ):
     """One workload trace; the memo holds only the most recent one.
 
-    Cells whose pricing reads the trace call this back to back for one
-    workload (the engine sweeps are benchmark-major, and in Fig. 4 only
-    the VRL-Access column reads a trace), so a single slot still builds
-    each trace once per sweep, and since the slot is emptied before a
-    build, at most one trace is alive even while the next is generated.
-    Cells whose evaluator ignores the trace never call it (see
+    The engine cells (and round-walk pricing) call this back to back for
+    one workload, since their sweeps are benchmark-major, so a single
+    slot still builds each trace once per sweep, and since the slot is
+    emptied before a build, at most one trace is alive even while the
+    next is generated.  Fused refresh pricing streams its trace instead
+    (see :func:`_priced_trace`), and cells whose evaluator ignores the
+    trace build none (see
     :attr:`~repro.sim.RefreshOverheadEvaluator.reads_trace`).
     """
-    tech = _tech(frozen_tech)
-    timing = DRAMTiming.from_technology(tech)
-    spec = PARSEC_WORKLOADS[benchmark]
-    return TraceGenerator(spec, timing, BankGeometry(rows, cols), seed).generate(
-        duration_seconds
-    )
+    return _generator(frozen_tech, rows, cols, benchmark, seed).generate(duration_seconds)
+
+
+def _generator(frozen_tech: tuple, rows: int, cols: int, benchmark: str,
+               seed: int) -> TraceGenerator:
+    """A fresh trace generator for one workload on one bank."""
+    timing = DRAMTiming.from_technology(_tech(frozen_tech))
+    return TraceGenerator(PARSEC_WORKLOADS[benchmark], timing, BankGeometry(rows, cols), seed)
 
 
 def _benchmark(params: Mapping[str, Any]) -> Optional[str]:
@@ -281,6 +286,22 @@ def _cell_trace(frozen: tuple, rows: int, cols: int, benchmark: str,
                   float(params["duration_seconds"]))
 
 
+def _priced_trace(frozen: tuple, rows: int, cols: int, benchmark: Optional[str],
+                  params: Mapping[str, Any], evaluator: RefreshOverheadEvaluator):
+    """The trace a refresh evaluator prices: ``None`` if it reads none.
+
+    The fused timeline reads only (row, cycle) pairs, so it gets a
+    streamed trace, built for this cell alone and never memoized; the
+    round walk gets the memoized whole trace.
+    """
+    if not benchmark or not evaluator.reads_trace:
+        return None
+    if evaluator.backend == "loop":
+        return _cell_trace(frozen, rows, cols, benchmark, params)
+    generator = _generator(frozen, rows, cols, benchmark, int(params["seed"]))
+    return generator.stream(float(params["duration_seconds"]))
+
+
 # --------------------------------------------------------------------- #
 # Cell compute functions                                                 #
 # --------------------------------------------------------------------- #
@@ -304,11 +325,7 @@ def _refresh_overhead_cell(params: Mapping[str, Any]) -> dict:
     )
     duration_cycles = timing.cycles(float(params["duration_seconds"]))
     evaluator = RefreshOverheadEvaluator(policy, timing)
-    trace = (
-        _cell_trace(frozen, rows, cols, benchmark, params)
-        if benchmark and evaluator.reads_trace
-        else None
-    )
+    trace = _priced_trace(frozen, rows, cols, benchmark, params, evaluator)
     stats = evaluator.evaluate(duration_cycles, trace)
     return {
         "full_refreshes": stats.full_refreshes,
@@ -415,11 +432,7 @@ def _baseline_mechanism_cell(params: Mapping[str, Any]) -> dict:
         longest_op = getattr(policy, "tau_full", fixed.tau_full)
     duration_cycles = timing.cycles(float(params["duration_seconds"]))
     evaluator = RefreshOverheadEvaluator(policy, timing)
-    trace = (
-        _cell_trace(frozen, rows, cols, benchmark, params)
-        if benchmark and evaluator.reads_trace
-        else None
-    )
+    trace = _priced_trace(frozen, rows, cols, benchmark, params, evaluator)
     stats = evaluator.evaluate(duration_cycles, trace)
     return {
         "name": policy.name,

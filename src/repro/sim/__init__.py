@@ -6,7 +6,8 @@ bank" under each policy.  This package is that simulator:
 
 * :mod:`~repro.sim.timing` — DDR-style timing parameters in controller
   cycles;
-* :mod:`~repro.sim.trace` — the in-memory trace representation;
+* :mod:`~repro.sim.trace` — the trace representations (whole arrays,
+  or cycles with rows streamed block by block);
 * :mod:`~repro.sim.schedule` — the shared refresh-deadline semantics
   (staggered first deadlines, interval arithmetic, DARP deferral,
   all-bank REF pacing) every simulator consumes;
@@ -43,7 +44,7 @@ from .stats import RefreshStats, RequestStats
 from .timeline import FusedTimeline, TimelineReport, service_starts, union_length
 from .timing import DRAMTiming
 from .trace_stats import predict_vrl_access_cycles, predicted_full_fraction, window_coverage
-from .trace import MemoryTrace
+from .trace import MemoryTrace, StreamedTrace
 
 __all__ = [
     "BankSimulator",
@@ -70,4 +71,5 @@ __all__ = [
     "predicted_full_fraction",
     "window_coverage",
     "MemoryTrace",
+    "StreamedTrace",
 ]

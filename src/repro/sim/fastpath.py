@@ -37,7 +37,7 @@ assert this against :class:`~repro.sim.engine.BankSimulator`.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
@@ -46,7 +46,7 @@ from .schedule import deadline_counts, first_deadlines, period_cycles, row_deadl
 from .stats import RefreshStats
 from .timeline import FusedTimeline
 from .timing import DRAMTiming
-from .trace import MemoryTrace
+from .trace import MemoryTrace, StreamedTrace
 
 __all__ = ["RefreshOverheadEvaluator", "round_walk"]
 
@@ -103,7 +103,7 @@ class RefreshOverheadEvaluator:
     def evaluate(
         self,
         duration_cycles: int,
-        trace: Optional[MemoryTrace] = None,
+        trace: Optional[Union[MemoryTrace, StreamedTrace]] = None,
     ) -> RefreshStats:
         """Refresh statistics over ``duration_cycles`` of simulated time.
 
@@ -114,10 +114,17 @@ class RefreshOverheadEvaluator:
             duration_cycles: simulation horizon; refreshes due at or
                 after it are not issued (same convention as the engine).
             trace: demand accesses (only their (row, cycle) structure is
-                used).
+                used).  A :class:`~repro.sim.trace.StreamedTrace` is for
+                the fused timeline only: the round walk needs a
+                :class:`~repro.sim.trace.MemoryTrace`.
         """
         timeline = self.timeline
         if timeline is None:
+            if isinstance(trace, StreamedTrace):
+                raise TypeError(
+                    f"policy {self.policy.name!r} is priced by the round walk, "
+                    "which needs a MemoryTrace, not a StreamedTrace"
+                )
             return round_walk(self.policy, self.timing, duration_cycles, trace)
         return timeline.evaluate(duration_cycles, trace)
 

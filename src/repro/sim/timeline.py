@@ -13,8 +13,8 @@ timeline of deadline crossings can be evaluated at once:
    (compile-once / evaluate-many, like ``circuit.CircuitSession``);
 2. **precompute crossings** — per-row crossing counts of the horizon
    via :func:`~repro.sim.schedule.deadline_counts`, and access-driven
-   cadence resets as one vectorized pass over the whole trace (interval
-   index per access in O(n_accesses), no per-row Python);
+   cadence resets as one vectorized pass over the trace's row blocks
+   (interval index per access in O(n_accesses), no per-row Python);
 3. **evaluate** — one batched kernel call
    (:func:`~repro.sim._timeline_kernels.segmented_fulls`) yields every
    row's full/partial split and end-of-timeline counter phase;
@@ -32,7 +32,7 @@ failure inside the fused kernels raises to the caller.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional, Union
 
 import numpy as np
 
@@ -42,7 +42,7 @@ from ._timeline_kernels import segmented_fulls
 from .schedule import deadline_counts, first_deadlines, period_cycles
 from .stats import RefreshStats
 from .timing import DRAMTiming
-from .trace import MemoryTrace
+from .trace import MemoryTrace, StreamedTrace
 
 __all__ = [
     "FusedTimeline",
@@ -116,7 +116,7 @@ class FusedTimeline:
     def evaluate(
         self,
         duration_cycles: int,
-        trace: Optional[MemoryTrace] = None,
+        trace: Optional[Union[MemoryTrace, StreamedTrace]] = None,
     ) -> RefreshStats:
         """Refresh statistics over ``duration_cycles`` of simulated time.
 
@@ -128,7 +128,9 @@ class FusedTimeline:
             duration_cycles: simulation horizon; refreshes due at or
                 after it are not issued.
             trace: demand accesses (only their (row, cycle) structure
-                matters, and only for access-coupled policies).
+                matters, and only for access-coupled policies); a
+                :class:`~repro.sim.trace.StreamedTrace` is read one row
+                block at a time.
         """
         if duration_cycles <= 0:
             raise ValueError(f"duration must be positive, got {duration_cycles}")
@@ -142,8 +144,11 @@ class FusedTimeline:
             return stats
 
         if spec.resets_on_access and trace is not None:
+            row_blocks = (
+                trace.row_blocks if isinstance(trace, StreamedTrace) else (trace.rows,)
+            )
             reset_rows, reset_ordinals = access_resets(
-                trace.rows, trace.cycles, self._first, self._periods, counts
+                row_blocks, trace.cycles, self._first, self._periods, counts
             )
         else:
             reset_rows = reset_ordinals = np.empty(0, dtype=np.int64)
@@ -168,7 +173,7 @@ class FusedTimeline:
 
 
 def access_resets(
-    rows: np.ndarray,
+    row_blocks: Iterable[np.ndarray],
     cycles: np.ndarray,
     first: np.ndarray,
     periods_cycles: np.ndarray,
@@ -180,7 +185,9 @@ def access_resets(
     first deadline strictly after ``c`` (refresh wins ties, so an
     access *on* a deadline affects the next interval): ordinal 0 for
     ``c < first``, else ``(c - first) // period + 1``.  Rows outside
-    the bank are inert.  No per-row Python and no access-length
+    the bank are inert.  The rows come in blocks (a whole-array caller
+    passes one), so a streamed trace is priced without its rows ever
+    existing at once.  No per-row Python and no access-length
     temporary: :data:`_RESET_BLOCK` accesses at a time, each access
     marks its packed ``row * span + ordinal`` key in a boolean bitmap,
     and the set bits, read back in order, are the resets already sorted
@@ -189,12 +196,13 @@ def access_resets(
     row.  The bitmap covers the whole bank unless that would exceed
     ``max(_RESET_BITMAP_FLOOR, _RESET_BITMAP_PER_ACCESS * n_accesses)``
     bytes; then it is filled and read one window of keys of that size
-    at a time, each window one more pass over the accesses, so memory
+    at a time, each window one more pass over the row blocks, so memory
     stays bounded.
 
     Args:
-        rows: accessed rows.
-        cycles: matching access cycles.
+        row_blocks: re-iterable blocks of accessed rows; concatenated,
+            they match ``cycles`` one for one.
+        cycles: every access cycle, in any order.
         first: per-row first deadlines (from
             :func:`~repro.sim.schedule.first_deadlines`).
         periods_cycles: per-row periods in cycles.
@@ -209,22 +217,21 @@ def access_resets(
         and unique — the form :func:`segmented_fulls` and
         :func:`~repro.sim._timeline_kernels.crossing_kinds` take.
     """
-    rows = np.asarray(rows, dtype=np.int64)
     cycles = np.asarray(cycles, dtype=np.int64)
-    if len(rows) == 0 or len(first) == 0:
+    if len(cycles) == 0 or len(first) == 0:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
     # (c - first) // period + 1 is largest at the latest access.
     cap = max(0, int(((cycles.max() - first) // periods_cycles).max()) + 1)
     span = cap + 1
     size = len(first) * span
-    window = min(size, max(_RESET_BITMAP_FLOOR, _RESET_BITMAP_PER_ACCESS * len(rows)))
+    window = min(size, max(_RESET_BITMAP_FLOOR, _RESET_BITMAP_PER_ACCESS * len(cycles)))
     seen = np.zeros(window, dtype=bool)
     found = []
     start = 0
     while start < size:
         end = start + window
         following = size
-        for keys in _reset_keys(rows, cycles, first, periods_cycles, span):
+        for keys in _reset_keys(row_blocks, cycles, first, periods_cycles, span):
             if window < size:
                 following = min(following, int(keys.min(where=keys >= end, initial=size)))
                 keys = keys[(keys >= start) & (keys < end)] - start
@@ -244,25 +251,34 @@ def access_resets(
     return reset_rows, reset_ordinals
 
 
-def _reset_keys(rows, cycles, first, periods_cycles, span):
+def _reset_keys(row_blocks, cycles, first, periods_cycles, span):
     """Each block's packed ``row * span + ordinal`` keys.
 
-    Accesses to rows outside the bank are left out.
+    Accesses to rows outside the bank are left out.  Raises if the row
+    blocks do not cover ``cycles`` exactly.
     """
-    for start in range(0, len(rows), _RESET_BLOCK):
-        block_rows = rows[start:start + _RESET_BLOCK]
-        block_cycles = cycles[start:start + _RESET_BLOCK]
-        in_bank = (block_rows >= 0) & (block_rows < len(first))
-        if not in_bank.all():
-            block_rows, block_cycles = block_rows[in_bank], block_cycles[in_bank]
-        # (c - first) // period + 1, which is <= 0 exactly when c < first.
-        keys = np.take(first, block_rows)
-        np.subtract(block_cycles, keys, out=keys)
-        keys //= np.take(periods_cycles, block_rows)
-        keys += 1
-        np.maximum(keys, 0, out=keys)
-        keys += block_rows * span
-        yield keys
+    offset = 0
+    for rows in row_blocks:
+        rows = np.asarray(rows, dtype=np.int64)
+        if offset + len(rows) > len(cycles):
+            raise ValueError(f"row blocks run past the {len(cycles)} access cycles")
+        for start in range(0, len(rows), _RESET_BLOCK):
+            block_rows = rows[start:start + _RESET_BLOCK]
+            block_cycles = cycles[offset + start:offset + start + len(block_rows)]
+            in_bank = (block_rows >= 0) & (block_rows < len(first))
+            if not in_bank.all():
+                block_rows, block_cycles = block_rows[in_bank], block_cycles[in_bank]
+            # (c - first) // period + 1, which is <= 0 exactly when c < first.
+            keys = np.take(first, block_rows)
+            np.subtract(block_cycles, keys, out=keys)
+            keys //= np.take(periods_cycles, block_rows)
+            keys += 1
+            np.maximum(keys, 0, out=keys)
+            keys += block_rows * span
+            yield keys
+        offset += len(rows)
+    if offset != len(cycles):
+        raise ValueError(f"row blocks hold {offset} rows for {len(cycles)} access cycles")
 
 
 def service_starts(

@@ -1,13 +1,20 @@
-"""Memory-trace representation.
+"""Memory-trace representations.
 
-A trace is three parallel numpy arrays: request issue cycle, target row,
-and a write flag.  :class:`~repro.workloads.TraceGenerator` builds them
-in memory; the simulators consume them.
+A :class:`MemoryTrace` is three parallel numpy arrays: request issue
+cycle, target row, and a write flag.
+:meth:`~repro.workloads.TraceGenerator.generate` builds one in memory
+for the cycle-level engine and the round walk.  A
+:class:`StreamedTrace` keeps only the issue cycles and produces the
+rows block by block on each pass
+(:meth:`~repro.workloads.TraceGenerator.stream`): the fused timeline
+reads nothing else, so pricing VRL-Access never holds a trace-length
+row or write-flag array.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -69,3 +76,24 @@ class MemoryTrace:
         """Number of distinct rows the trace touches."""
         return int(len(np.unique(self.rows))) if len(self) else 0
 
+
+
+@dataclass(frozen=True)
+class StreamedTrace:
+    """The (row, cycle) structure of a trace, rows produced per pass.
+
+    Attributes:
+        cycles: request issue times in controller cycles, ascending,
+            shape ``(n,)``.
+        row_blocks: re-iterable; every pass yields the target rows of
+            consecutive requests as int64 blocks, which concatenate to
+            the trace's ``n`` rows.
+        name: workload label (used in reports).
+    """
+
+    cycles: np.ndarray
+    row_blocks: Iterable[np.ndarray]
+    name: str = "trace"
+
+    def __len__(self) -> int:
+        return len(self.cycles)

@@ -14,21 +14,33 @@ depends only on the generator's ``standard_exponential`` / ``random`` /
 ``permutation`` / ``integers`` stream, not on numpy's ``choice``
 internals: Zipf ranks come from :class:`_GuideTable`, which returns
 exactly what ``Generator.choice(len(p), n, p=p)`` returns from the same
-``random(n)`` draw.  The draws are made in blocks, in the order of one
-full-length draw per array; a chunked ``standard_exponential`` or
-``random`` fill is the same stream with the same end state, so a
-block-filled trace is byte for byte the trace of whole-array draws.
+``random(n)`` draw.
+
+Draw order, as one full-length draw per array: arrival exponentials,
+streaming-mask uniforms, the working-set permutation, the Zipf
+uniforms of the ``n_local`` locality requests, the scan start, and the
+write-flag uniforms.  The draws are made in blocks; a chunked
+``standard_exponential`` or ``random`` fill is the same stream with the
+same end state, so a block-filled trace is byte for byte the trace of
+whole-array draws.  The Zipf uniforms come from a second cursor: a copy
+of the PCG64 state after the permutation, which produces each block's
+rows in one pass (and again on every pass of a streamed trace).  The
+main generator skips the ``n_local`` uniforms with ``advance`` (one
+64-bit step each) and restores the buffered 32-bit half-draw that
+``advance`` clears, so the scan start and the write flags are the
+whole-array draws' too.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+from typing import Optional
 
 import numpy as np
 
 from ..sim.timing import DRAMTiming
-from ..sim.trace import MemoryTrace
+from ..sim.trace import MemoryTrace, StreamedTrace
 from ..technology import BankGeometry, DEFAULT_GEOMETRY
 from .benchmarks import WorkloadSpec
 
@@ -146,7 +158,38 @@ class TraceGenerator:
 
         Fills the trace's arrays in place, :data:`_SAMPLE_BLOCK` requests
         at a time: the only full-length arrays are ``cycles``, ``rows``,
-        ``is_write`` and a one-byte-per-request streaming mask.
+        ``is_write`` and a one-byte-per-request streaming mask, which is
+        freed before ``is_write`` is drawn.
+        """
+        cycles, row_blocks = self._draw(duration_seconds)
+        rows = np.empty(len(cycles), dtype=np.int64)
+        row_blocks.write(rows)
+        del row_blocks
+        uniforms = np.empty(min(len(cycles), _SAMPLE_BLOCK))
+        is_write = _draw_below(self.rng, self.spec.write_fraction, uniforms, len(cycles))
+        return MemoryTrace(
+            cycles=cycles, rows=rows, is_write=is_write, name=self.spec.name
+        )
+
+    def stream(self, duration_seconds: float) -> StreamedTrace:
+        """The (row, cycle) structure of :meth:`generate`'s trace, rows streamed.
+
+        Holds ``cycles`` and the one-byte streaming mask; each pass over
+        ``row_blocks`` produces the rows :meth:`generate` returns, one
+        block at a time.  The write flags are never drawn, so the RNG
+        ends where :meth:`generate`'s stands before its ``is_write``
+        draw.  Fused refresh pricing reads nothing else (see
+        :func:`~repro.sim.timeline.access_resets`).
+        """
+        cycles, row_blocks = self._draw(duration_seconds)
+        return StreamedTrace(cycles=cycles, row_blocks=row_blocks, name=self.spec.name)
+
+    def _draw(self, duration_seconds: float) -> tuple[np.ndarray, "_RowBlocks"]:
+        """Arrival cycles, and the rows as re-iterable blocks.
+
+        Makes every main-stream draw up to (not including) the write
+        flags.  The Zipf uniforms are left to the returned blocks, on a
+        copy of the bit generator; the main stream skips past them.
         """
         if not math.isfinite(duration_seconds) or duration_seconds <= 0:
             raise ValueError(
@@ -188,17 +231,19 @@ class TraceGenerator:
         # the first N physical rows).
         local_rows = rng.permutation(self.footprint)
         local_rows += self.base_row
-        table = _GuideTable(self._zipf_probabilities())
-        ranks = np.empty(len(uniforms), dtype=np.int64)
-        rows = np.empty(n_requests, dtype=np.int64)
-        for start in blocks:
-            local = np.flatnonzero(~is_streaming[start:start + _SAMPLE_BLOCK])
-            block = uniforms[:len(local)]
-            rng.random(out=block)
-            table.resolve(block, out=ranks[:len(local)])
-            local += start
-            rows[local] = np.take(local_rows, ranks[:len(local)])
-        del local_rows, ranks
+
+        # The Zipf uniforms come next in the stream, one 64-bit draw
+        # each.  The blocks draw them from a copy of this state; the
+        # main stream advances past them.  ``advance`` drops the
+        # buffered 32-bit half-draw that ``permutation`` may leave and
+        # ``integers`` reads, so it is put back.
+        bit_generator = rng.bit_generator
+        zipf_state = bit_generator.state
+        bit_generator.advance(n_requests - int(np.count_nonzero(is_streaming)))
+        state = bit_generator.state
+        state["has_uint32"] = zipf_state["has_uint32"]
+        state["uinteger"] = zipf_state["uinteger"]
+        bit_generator.state = state
 
         # Streaming accesses: a wrap-around scan of the working set, i.e.
         # (scan_start + i) % footprint for the i-th streaming access.  A
@@ -207,17 +252,67 @@ class TraceGenerator:
         lap = np.roll(np.arange(self.footprint, dtype=np.int64), -scan_start)
         lap += self.base_row
         laps = np.resize(lap, self.footprint + len(uniforms))
-        del lap
-        scanned = 0
-        for start in blocks:
-            streaming = np.flatnonzero(is_streaming[start:start + _SAMPLE_BLOCK])
-            offset = scanned % self.footprint
-            streaming += start
-            rows[streaming] = laps[offset:offset + len(streaming)]
-            scanned += len(streaming)
-        del is_streaming, laps
-
-        is_write = _draw_below(rng, spec.write_fraction, uniforms, n_requests)
-        return MemoryTrace(
-            cycles=cycles, rows=rows, is_write=is_write, name=spec.name
+        row_blocks = _RowBlocks(
+            is_streaming, _GuideTable(self._zipf_probabilities()), local_rows,
+            zipf_state, laps,
         )
+        return cycles, row_blocks
+
+
+class _RowBlocks:
+    """A trace's rows, produced :data:`_SAMPLE_BLOCK` requests at a time.
+
+    Re-iterable: each pass restarts the Zipf uniforms from the saved
+    bit-generator state, so every pass yields the same rows.  A block's
+    locality requests take Zipf-ranked rows of the permuted working
+    set, its streaming requests the next slice of the scan.
+
+    Args:
+        is_streaming: per-request streaming mask.
+        table: guide table of the Zipf popularity.
+        local_rows: the permuted working set, indexed by Zipf rank.
+        zipf_state: PCG64 state at the first Zipf uniform.
+        laps: the scan's rows from its start, tiled to a lap plus a block.
+    """
+
+    def __init__(self, is_streaming, table, local_rows, zipf_state, laps):
+        self._is_streaming = is_streaming
+        self._table = table
+        self._local_rows = local_rows
+        self._zipf_state = zipf_state
+        self._laps = laps
+
+    def __iter__(self):
+        return self._blocks(None)
+
+    def write(self, out: np.ndarray) -> None:
+        """Write every block into its slice of ``out`` (trace-length)."""
+        for _ in self._blocks(out):
+            pass
+
+    def _blocks(self, out: Optional[np.ndarray]):
+        bit_generator = np.random.PCG64()
+        bit_generator.state = self._zipf_state
+        zipf = np.random.Generator(bit_generator)
+        is_streaming = self._is_streaming
+        n_requests = len(is_streaming)
+        footprint = len(self._local_rows)
+        uniforms = np.empty(min(n_requests, _SAMPLE_BLOCK))
+        ranks = np.empty(len(uniforms), dtype=np.int64)
+        scanned = 0
+        for start in range(0, n_requests, _SAMPLE_BLOCK):
+            mask = is_streaming[start:start + _SAMPLE_BLOCK]
+            if out is None:
+                rows = np.empty(len(mask), dtype=np.int64)
+            else:
+                rows = out[start:start + len(mask)]
+            local = np.flatnonzero(~mask)
+            block = uniforms[:len(local)]
+            zipf.random(out=block)
+            self._table.resolve(block, out=ranks[:len(local)])
+            rows[local] = np.take(self._local_rows, ranks[:len(local)])
+            streaming = np.flatnonzero(mask)
+            offset = scanned % footprint
+            rows[streaming] = self._laps[offset:offset + len(streaming)]
+            scanned += len(streaming)
+            yield rows

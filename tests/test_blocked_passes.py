@@ -3,16 +3,21 @@
 * **generator oracle** — :meth:`TraceGenerator.generate` fills its
   arrays block by block and returns the bytes the one-shot generator
   (``tests/reference_trace.py``) returns, with the same RNG end state:
-  every workload, three seeds, lengths around the block size, and small
-  blocks over tiny working sets;
+  every workload, three seeds, lengths around the block size, small
+  blocks over tiny working sets, and a permutation that leaves half of
+  a 64-bit draw buffered across the skipped Zipf uniforms;
+* **stream oracle** — :meth:`TraceGenerator.stream`'s cycles and row
+  blocks, on every pass, are the oracle's cycles and rows, and the
+  resets and refresh statistics priced from them are the whole trace's;
 * **reset oracle** — the blocked :func:`access_resets` returns what the
   whole-trace version returns: out-of-bank rows, empty and unsorted
   input, ``counts`` given or not, the windowed bitmap, and the calls
   the cycle-level engine makes;
 * **memory bounds** (``tracemalloc``, so host-independent) — a
   generated trace costs its own bytes plus block-sized slack,
-  :func:`access_resets` its bitmap and outputs plus that slack, and the
-  runner's trace memo never holds two traces.
+  :func:`access_resets` its bitmap and outputs plus that slack, a
+  streamed VRL-Access evaluation less than the trace's cycles and rows,
+  and the runner's trace memo never holds two traces.
 """
 
 import tracemalloc
@@ -26,16 +31,17 @@ from hypothesis import strategies as st
 from repro.controller import build_policy
 from repro.retention import RefreshBinning, RetentionProfiler
 from repro.runner import cells
-from repro.sim import BankSimulator, DRAMTiming, MemoryTrace
+from repro.sim import BankSimulator, DRAMTiming, MemoryTrace, RefreshOverheadEvaluator
 from repro.sim import engine as engine_module
 from repro.sim import timeline as timeline_module
 from repro.sim.schedule import deadline_counts
 from repro.sim.timeline import access_resets
-from repro.technology import BankGeometry, DEFAULT_TECH
+from repro.technology import BankGeometry, DEFAULT_GEOMETRY, DEFAULT_TECH
 from repro.units import MS
 from repro.workloads import PARSEC_WORKLOADS, TraceGenerator, WorkloadSpec
 from repro.workloads import generator as generator_module
 from tests.reference_trace import reference_access_resets, reference_generate
+from tests.test_differential_engine_fastpath import _policy_state
 from tests.test_timeline_fused import _assert_same_resets
 
 TIMING = DRAMTiming.from_technology(DEFAULT_TECH)
@@ -90,6 +96,118 @@ class TestGeneratorMatchesOracle:
         """A six-second ``bgsave`` trace, as ``refresh-sweep`` builds it."""
         _assert_generates_like_oracle(PARSEC_WORKLOADS["bgsave"], 2018, 6.0)
 
+    def test_permutation_leaves_a_buffered_half_draw(self):
+        """``permutation`` draws 32-bit halves and here leaves one
+        buffered.  ``advance`` past the Zipf uniforms clears that buffer;
+        the scan start's ``integers`` reads it, so the generator must put
+        it back."""
+        spec, seed, duration = PARSEC_WORKLOADS["facesim"], 7, 0.01
+        replay = TraceGenerator(spec, TIMING, seed=seed)
+        n_requests = max(1, int(spec.requests_per_second * duration))
+        replay.rng.standard_exponential(n_requests)
+        replay.rng.random(n_requests)
+        replay.rng.permutation(replay.footprint)
+        assert replay.rng.bit_generator.state["has_uint32"] == 1
+        _assert_generates_like_oracle(spec, seed, duration)
+
+
+def _assert_streams_like_oracle(spec, seed, duration, geometry=None):
+    """Cycles and, on two passes, row blocks equal the oracle's arrays."""
+    args = (spec, TIMING) if geometry is None else (spec, TIMING, geometry)
+    streamed = TraceGenerator(*args, seed=seed).stream(duration)
+    want = reference_generate(TraceGenerator(*args, seed=seed), duration)
+    assert streamed.cycles.dtype == want.cycles.dtype
+    assert streamed.cycles.tobytes() == want.cycles.tobytes()
+    assert len(streamed) == len(want) and streamed.name == want.name
+    for _ in range(2):
+        blocks = list(streamed.row_blocks)
+        assert all(block.dtype == np.int64 for block in blocks)
+        assert max(len(block) for block in blocks) <= generator_module._SAMPLE_BLOCK
+        assert np.concatenate(blocks).tobytes() == want.rows.tobytes()
+    return streamed, want
+
+
+class TestStreamMatchesOracle:
+    @pytest.mark.parametrize("name", list(PARSEC_WORKLOADS))
+    def test_lengths_around_the_block(self, name):
+        spec = PARSEC_WORKLOADS[name]
+        for n_requests in (1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1):
+            _assert_streams_like_oracle(spec, 2018, _duration_for(spec, n_requests))
+
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    @pytest.mark.parametrize(
+        "footprint,streaming", [(1, 0.5), (5, 1.0), (37, 0.3), (600, 0.0)]
+    )
+    def test_small_blocks_and_working_sets(self, monkeypatch, block, footprint, streaming):
+        monkeypatch.setattr(generator_module, "_SAMPLE_BLOCK", block)
+        spec = WorkloadSpec("edge", footprint, 0.8, 1e5, 0.3, streaming, "test")
+        for seed in (3, 4):
+            _assert_streams_like_oracle(spec, seed, 0.005, BankGeometry(1024, 8))
+
+    def test_stream_draws_no_write_flags(self):
+        """The stream stops where :meth:`generate` draws ``is_write``."""
+        spec, duration = PARSEC_WORKLOADS["dedup"], 0.02
+        streaming = TraceGenerator(spec, TIMING, seed=5)
+        streaming.stream(duration)
+        generating = TraceGenerator(spec, TIMING, seed=5)
+        n_requests = len(generating.generate(duration))
+        streaming.rng.random(n_requests)
+        assert streaming.rng.bit_generator.state == generating.rng.bit_generator.state
+
+    @pytest.mark.parametrize("with_counts", [False, True])
+    @pytest.mark.parametrize("windowed", [False, True])
+    def test_resets_match_oracle(self, monkeypatch, with_counts, windowed):
+        """Streamed blocks price the oracle's resets; with a tiny bitmap
+        floor every window is one more pass over the blocks."""
+        monkeypatch.setattr(generator_module, "_SAMPLE_BLOCK", 500)
+        if windowed:
+            monkeypatch.setattr(timeline_module, "_RESET_BITMAP_FLOOR", 64)
+            monkeypatch.setattr(timeline_module, "_RESET_BITMAP_PER_ACCESS", 0)
+        spec = PARSEC_WORKLOADS["canneal"]
+        geometry = BankGeometry(8192, 8)
+        streamed, want = _assert_streams_like_oracle(spec, 11, 0.01, geometry)
+        rng = np.random.default_rng(6)
+        first, periods = _random_bank(rng, geometry.rows, 4_000)
+        duration = int(want.cycles[-1]) + 1
+        counts = deadline_counts(first, periods, duration) if with_counts else None
+        if windowed:
+            span = int(((want.cycles.max() - first) // periods).max()) + 2
+            assert geometry.rows * span > 20 * 64
+        _assert_same_resets(
+            access_resets(streamed.row_blocks, streamed.cycles, first, periods, counts),
+            reference_access_resets(want.rows, want.cycles, first, periods, counts),
+        )
+
+    def test_round_walk_refuses_a_streamed_trace(self):
+        """The round walk reads whole arrays: a streamed trace is a
+        ``TypeError``, not an ``AttributeError`` deep in the walk."""
+        geometry = BankGeometry(64, 8)
+        profile = RetentionProfiler(seed=2).profile(geometry)
+        policy = build_policy("raidr", DEFAULT_TECH, profile, RefreshBinning().assign(profile))
+        policy.supports_fused_timeline = lambda: False
+        evaluator = RefreshOverheadEvaluator(policy, TIMING)
+        assert evaluator.backend == "loop"
+        trace = TraceGenerator(PARSEC_WORKLOADS["vips"], TIMING, geometry).stream(0.01)
+        with pytest.raises(TypeError, match="needs a MemoryTrace"):
+            evaluator.evaluate(TIMING.cycles(0.01), trace)
+
+    @pytest.mark.parametrize("name", ["vrl-access", "raidr"])
+    def test_fused_pricing_matches_the_whole_trace(self, name):
+        """Same statistics and policy end state from either trace form."""
+        geometry = BankGeometry(1024, 16)
+        profile = RetentionProfiler(seed=9).profile(geometry)
+        binning = RefreshBinning().assign(profile)
+        spec, seed, duration = PARSEC_WORKLOADS["x264"], 2018, 0.5
+        results = []
+        for build in ("stream", "generate"):
+            trace = getattr(TraceGenerator(spec, TIMING, geometry, seed), build)(duration)
+            policy = build_policy(name, DEFAULT_TECH, profile, binning)
+            stats = RefreshOverheadEvaluator(policy, TIMING).evaluate(
+                TIMING.cycles(duration), trace
+            )
+            results.append((vars(stats), _policy_state(policy)))
+        assert results[0] == results[1]
+
 
 def _random_bank(rng, n_rows, max_period):
     periods = rng.integers(1, max_period + 1, size=n_rows).astype(np.int64)
@@ -129,7 +247,7 @@ class TestAccessResetsMatchesOracle:
                 patch.setattr(timeline_module, "_RESET_BLOCK", block)
             if floor is not None:
                 patch.setattr(timeline_module, "_RESET_BITMAP_FLOOR", floor)
-            got = access_resets(rows, cycles, first, periods, counts)
+            got = access_resets([rows], cycles, first, periods, counts)
         _assert_same_resets(got, want)
 
     @pytest.mark.parametrize("with_counts", [False, True])
@@ -144,7 +262,7 @@ class TestAccessResetsMatchesOracle:
         cycles = np.sort(rng.integers(0, 2_000, size=2_000))
         assert 300 * int(((2_000 - first) // periods).max()) > 20 * 8 * len(rows)
         _assert_same_resets(
-            access_resets(rows, cycles, first, periods, counts),
+            access_resets([rows], cycles, first, periods, counts),
             reference_access_resets(rows, cycles, first, periods, counts),
         )
 
@@ -155,9 +273,19 @@ class TestAccessResetsMatchesOracle:
         rows = np.array(rows, dtype=np.int64)
         cycles = np.arange(len(rows), dtype=np.int64)
         for counts in (None, np.array([3, 3], dtype=np.int64)):
-            got = access_resets(rows, cycles, first, periods, counts)
+            got = access_resets([rows], cycles, first, periods, counts)
             _assert_same_resets(got, reference_access_resets(rows, cycles, first, periods, counts))
             assert [len(a) for a in got] == [0, 0]
+
+    @pytest.mark.parametrize(
+        "blocks,message", [([[0, 1], [1]], "hold 3 rows for 4"), ([[0, 1, 1], [0, 1]], "run past")]
+    )
+    def test_row_blocks_must_match_the_cycles(self, blocks, message):
+        first = np.array([5, 9], dtype=np.int64)
+        periods = np.array([10, 10], dtype=np.int64)
+        cycles = np.arange(4, dtype=np.int64)
+        with pytest.raises(ValueError, match=message):
+            access_resets([np.array(b) for b in blocks], cycles, first, periods)
 
     @pytest.mark.parametrize("policy_name", ["vrl-access", "raidr"])
     def test_engine_calls(self, monkeypatch, policy_name):
@@ -165,8 +293,9 @@ class TestAccessResetsMatchesOracle:
         resets (the engine leaves ``counts`` as ``None``)."""
         calls = []
 
-        def recording(rows, cycles, first, periods, counts=None):
-            got = access_resets(rows, cycles, first, periods, counts)
+        def recording(row_blocks, cycles, first, periods, counts=None):
+            got = access_resets(row_blocks, cycles, first, periods, counts)
+            rows = np.concatenate(row_blocks)
             calls.append(
                 (got, reference_access_resets(rows, cycles, first, periods, counts))
             )
@@ -244,7 +373,7 @@ class TestMemoryBounds:
         rows = rng.integers(0, 64, size=2_000_000) * 61 % n_rows
         cycles = np.sort(rng.integers(0, duration, size=2_000_000))
         (reset_rows, reset_ordinals), peak = _traced_peak(
-            access_resets, rows, cycles, first, periods, counts
+            access_resets, [rows], cycles, first, periods, counts
         )
         if with_counts:
             span = int(counts.max()) + 1
@@ -254,6 +383,30 @@ class TestMemoryBounds:
         marked = 8 * len(reference_access_resets(rows, cycles, first, periods)[0])
         assert peak <= SLACK + n_rows * span + 2 * marked + outputs
         assert SLACK + n_rows * span + 2 * marked + outputs < rows.nbytes
+
+
+    def test_streamed_vrl_access_peaks_below_a_trace(self):
+        """Streaming and pricing two million ``bgsave`` requests under
+        VRL-Access, as ``refresh-sweep`` does, peaks below the whole
+        trace's ``cycles`` plus ``rows``: no trace-length row array."""
+        spec = PARSEC_WORKLOADS["bgsave"]
+        duration = _duration_for(spec, 2_000_000)
+        profile = RetentionProfiler(seed=2018).profile(DEFAULT_GEOMETRY)
+        policy = build_policy(
+            "vrl-access", DEFAULT_TECH, profile, RefreshBinning().assign(profile)
+        )
+        evaluator = RefreshOverheadEvaluator(policy, TIMING)
+        horizon = TIMING.cycles(duration)
+        evaluator.evaluate(horizon)  # schedule compiled before the measurement
+
+        def price():
+            trace = TraceGenerator(spec, TIMING, seed=7).stream(duration)
+            return vars(evaluator.evaluate(horizon, trace))
+
+        streamed, peak = _traced_peak(price)
+        whole = TraceGenerator(spec, TIMING, seed=7).generate(duration)
+        assert peak < whole.cycles.nbytes + whole.rows.nbytes
+        assert streamed == vars(evaluator.evaluate(horizon, whole))
 
 
 class TestTraceMemo:

@@ -1,9 +1,16 @@
 """Unit tests for the saturating counters."""
 
+import re
+
 import numpy as np
 import pytest
 
 from repro.controller import CounterFile
+from repro.controller.counters import MAX_NBITS
+from repro.experiments.cli import main
+from repro.mprsf import TauPartialOptimizer
+from repro.runner import compute_cell, tech_params
+from repro.technology import DEFAULT_TECH
 
 
 class TestSaturatingCounter:
@@ -111,3 +118,38 @@ class TestCounterFileBatchOps:
         cf.increment_rows(empty)
         cf.reset_rows(empty)
         assert cf.values.tolist() == [1, 1]
+
+
+class TestWidthBound:
+    """The library bounds ``nbits`` where the CLI does: a width whose
+    cadence int64 cannot hold fails at construction, by name."""
+
+    BOUND_ERROR = "nbits must be between 1 and 62, got {}"
+
+    @pytest.mark.parametrize("nbits", [0, 63, 64])
+    def test_constructors_reject_out_of_bound_widths(self, nbits):
+        message = re.escape(self.BOUND_ERROR.format(nbits))
+        with pytest.raises(ValueError, match=message):
+            CounterFile(4, nbits)
+        with pytest.raises(ValueError, match=message):
+            TauPartialOptimizer(DEFAULT_TECH, nbits=nbits)
+
+    def _cell(self, nbits):
+        return compute_cell("refresh-overhead", {
+            "tech": tech_params(DEFAULT_TECH), "rows": 256, "cols": 16,
+            "policy": "vrl-access", "nbits": nbits, "benchmark": "canneal",
+            "seed": 3, "duration_seconds": 0.05,
+        })
+
+    @pytest.mark.parametrize("nbits", [63, 64])
+    def test_cells_past_the_bound_raise_the_bound_error(self, nbits):
+        with pytest.raises(ValueError, match=re.escape(self.BOUND_ERROR.format(nbits))):
+            self._cell(nbits)
+
+    def test_cell_at_the_bound_computes(self):
+        assert self._cell(MAX_NBITS)["refresh_cycles"] > 0
+
+    def test_cli_error_line(self, capsys):
+        argv = ["fig4", "--benchmarks", "swaptions", "--nbits", "63"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: --nbits must be between 1 and 62, got 63\n"

@@ -14,6 +14,8 @@ from repro.experiments import (
     run_table1,
     run_table2,
 )
+from repro.model.presensing import PreSensingModel
+from repro.runner import ExperimentRunner, ResultCache
 
 
 class TestExperimentResult:
@@ -119,6 +121,32 @@ class TestFig4:
         note = result.notes["VRL refresh-power reduction vs RAIDR"]
         reduction = float(note.split("%")[0])
         assert 8 < reduction < 18  # paper: 12%
+
+    def test_warm_rerun_solves_no_latency_model(self, tmp_path, monkeypatch):
+        """A second warm sweep in the process takes the power note's
+        refresh timings from the memo: no pre-sensing solve, same notes."""
+        def run():
+            return run_fig4(
+                duration_seconds=0.1, benchmarks=["swaptions"],
+                runner=ExperimentRunner(cache=ResultCache(tmp_path)),
+            )
+
+        cold, first_warm = run(), run()
+        calls = []
+        vsense_coupled = PreSensingModel.vsense_coupled
+
+        def counting(model, *args, **kwargs):
+            calls.append(args)
+            return vsense_coupled(model, *args, **kwargs)
+
+        monkeypatch.setattr(PreSensingModel, "vsense_coupled", counting)
+        warm = run()
+        assert calls == []
+        assert warm.rows == cold.rows
+        for notes in (warm.notes, first_warm.notes):
+            assert {k: v for k, v in notes.items() if not k.startswith("runner")} == {
+                k: v for k, v in cold.notes.items() if not k.startswith("runner")
+            }
 
 
 class TestFig5:

@@ -11,9 +11,11 @@ import pytest
 from repro.experiments import (
     run_baseline_comparison,
     run_fig4,
+    run_performance_study,
     run_rank_comparison,
     run_temperature_study,
 )
+from repro.experiments.performance_study import PERF_POLICIES
 from repro.runner import (
     Cell,
     ExperimentRunner,
@@ -176,15 +178,24 @@ class TestRunnerValidation:
 
 
 class TestSharedBuilds:
-    def test_traces_built_once_per_process(self):
-        """Only the cells whose pricing reads a trace ask the memo for
-        one (VRL-Access, one per workload), each workload is built at
-        most once, and the memo keeps at most one trace alive."""
-        before = _trace.cache_info()
+    def test_fig4_leaves_the_trace_memo_alone(self):
+        """Fig. 4 prices VRL-Access from streamed traces: its sweep never
+        asks the memo, which keeps the trace it held before."""
+        frozen_tech = tuple(sorted(tech_params(DEFAULT_TECH).items()))
+        _trace(frozen_tech, GEO.rows, GEO.cols, "canneal", 5, 0.01)
+        before, held = _trace.cache_info(), _trace._value
         _fig4()  # serial: 3 policies x 2 benchmarks in this process
+        assert _trace.cache_info() == before
+        assert _trace._value is held
+
+    def test_traces_built_once_per_process(self):
+        """An engine sweep, benchmark-major with several policies per
+        workload, asks the memo once per cell, builds each workload's
+        trace once, and the memo keeps at most one trace alive."""
+        before = _trace.cache_info()
+        run_performance_study(geometry=GEO, duration_seconds=0.03, benchmarks=BENCHES)
         after = _trace.cache_info()
-        new_calls = (after.hits + after.misses) - (before.hits + before.misses)
-        new_misses = after.misses - before.misses
-        assert new_calls == 2
-        assert new_misses <= 2  # at most one build per workload
-        assert after.currsize <= 1
+        n_cells = len(BENCHES) * len(PERF_POLICIES)
+        assert (after.hits + after.misses) - (before.hits + before.misses) == n_cells
+        assert after.misses - before.misses == len(BENCHES)
+        assert after.currsize == 1

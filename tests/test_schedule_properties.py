@@ -126,7 +126,7 @@ class TestRefreshWinsTie:
         first."""
         cycle = max(0, first + crossings * period + offset)
         _, ordinals = access_resets(
-            np.array([0], dtype=np.int64),
+            [np.array([0], dtype=np.int64)],
             np.array([cycle], dtype=np.int64),
             np.array([first], dtype=np.int64),
             np.array([period], dtype=np.int64),

@@ -324,10 +324,10 @@ class TestAccessResets:
         cycles = np.sort(rng.integers(0, duration + 3 * max_period, size=n_accesses))
         want = _sort_unique_resets(rows, cycles, first, periods, counts)
         if floor is None:
-            got = access_resets(rows, cycles, first, periods, counts)
+            got = access_resets([rows], cycles, first, periods, counts)
         else:
             with mock.patch.object(timeline_module, "_RESET_BITMAP_FLOOR", floor):
-                got = access_resets(rows, cycles, first, periods, counts)
+                got = access_resets([rows], cycles, first, periods, counts)
         _assert_same_resets(got, want)
 
     @pytest.mark.parametrize("with_counts", [False, True])
@@ -346,7 +346,7 @@ class TestAccessResets:
         assert n_rows * span > timeline_module._RESET_BITMAP_FLOOR
         counts = deadline_counts(first, periods, 3_500_000) if with_counts else None
         _assert_same_resets(
-            access_resets(rows, cycles, first, periods, counts),
+            access_resets([rows], cycles, first, periods, counts),
             _sort_unique_resets(rows, cycles, first, periods, counts),
         )
 
@@ -356,7 +356,7 @@ class TestAccessResets:
         for rows in ([], [-1, 2, 7]):
             rows = np.array(rows, dtype=np.int64)
             cycles = np.arange(len(rows), dtype=np.int64)
-            got = access_resets(rows, cycles, first, periods)
+            got = access_resets([rows], cycles, first, periods)
             assert [len(a) for a in got] == [0, 0]
             assert all(a.dtype == np.int64 for a in got)
 
