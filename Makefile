@@ -19,16 +19,23 @@ importtime:
 	PYTHONPATH=src python -X importtime -c "import repro.experiments.cli" 2>&1 \
 		| sort -t '|' -k 2 -n -r | head -n 20
 
-# Peak RSS of a cold, uncached `vrl-dram fig4 --duration 6` (the child's ru_maxrss);
-# fails above 110 MB (87 MB measured, so a trace hoard or trace-length
-# temporaries coming back fail it).
-peakrss:
-	PYTHONPATH=src python -c "import resource, subprocess, sys; \
-	subprocess.run([sys.executable, '-m', 'repro.experiments.cli', 'fig4', '--duration', '6', \
+# Peak RSS of cold, uncached verbs, each in its own child (its ru_maxrss).
+# `fig4 --duration 6` fails above 81 MB (70.4 MB locally, + 15 %), so a
+# trace hoard or trace-length temporaries coming back fail it.  `fig5`,
+# the cheapest verb that solves circuits, fails above 47 MB (40.6 MB
+# locally, + 15 %), so a circuit solve loading the `scipy.linalg`
+# package again (59 MB) fails it.
+PEAKRSS = PYTHONPATH=src python -c "import resource, subprocess, sys; \
+	verb, bound, local = sys.argv[1].split(), float(sys.argv[2]), sys.argv[3]; \
+	subprocess.run([sys.executable, '-m', 'repro.experiments.cli', *verb, \
 	'--no-cache', '--runs-dir', ''], check=True, stdout=subprocess.DEVNULL); \
 	peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024; \
-	print('fig4 --duration 6 peak RSS: %.1f MB (bound 81 MB: 70.4 MB locally, + 15 %%)' % peak); \
-	sys.exit(peak > 81)"
+	print('%s peak RSS: %.1f MB (bound %g MB: %s MB locally, + 15 %%)' % (sys.argv[1], peak, bound, local)); \
+	sys.exit(peak > bound)"
+
+peakrss:
+	$(PEAKRSS) 'fig4 --duration 6' 81 70.4
+	$(PEAKRSS) fig5 47 40.6
 
 # Lines of Python in each src/repro subpackage, the top-level modules, and the total.
 loc:

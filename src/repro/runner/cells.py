@@ -44,7 +44,7 @@ from ..sim import (
     RefreshOverheadEvaluator,
 )
 from ..technology import BankGeometry, TechnologyParams
-from ..units import MS
+from ..units import MS, to_cycles
 from ..workloads import PARSEC_WORKLOADS, TraceGenerator
 
 
@@ -125,8 +125,10 @@ class Cell:
 
         Raises:
             ValueError: unknown kind, a required field left ``None``, a
-                non-integer (or bool) in an integer field, or a
-                non-finite float; the message names kind and field.
+                non-integer (or bool) in an integer field, a non-finite
+                float, or a duration that is not positive or whose
+                controller-cycle count does not fit in int64; the
+                message names kind and field.
             TypeError: ``tech`` is neither params nor a mapping.
         """
         values = locals()  # every argument by name; the kind picks its own
@@ -149,6 +151,8 @@ class Cell:
                         f"cell kind {kind!r}, field {name!r}: {exc}"
                     ) from None
             params[name] = value
+        if "duration_seconds" in params:
+            _check_cycles(kind, params["duration_seconds"], params["tech"])
         return cls(kind, params, label or spec.label(params))
 
 
@@ -645,6 +649,35 @@ def _optional_finite(value: Any) -> Optional[float]:
     return None if value is None else _finite(value)
 
 
+def _duration(value: Any) -> float:
+    """A finite duration above zero, in seconds."""
+    number = _finite(value)
+    if number > 0.0:
+        return number
+    raise ValueError(f"expected a positive duration, got {value!r}")
+
+
+#: The largest cycle count the timeline and the engine hold (int64).
+_MAX_CYCLES = 2**63 - 1
+
+
+def _check_cycles(kind: str, seconds: float, tech: Mapping[str, Any]) -> None:
+    """Reject a duration whose controller-cycle count overflows int64.
+
+    The count is the one the compute functions price,
+    ``DRAMTiming.from_technology(tech).cycles(seconds)``.
+    """
+    tck = tech.get("tck_ctrl", TechnologyParams.tck_ctrl)
+    if not tck > 0:
+        return  # a clock the compute functions reject themselves
+    ratio = seconds / tck
+    if not math.isfinite(ratio) or to_cycles(seconds, tck) > _MAX_CYCLES:
+        raise ValueError(
+            f"cell kind {kind!r}, field 'duration_seconds': {seconds!r} s is "
+            f"{ratio:.3e} controller cycles, more than int64 holds"
+        )
+
+
 def _workload(params: Mapping[str, Any]) -> str:
     return params["benchmark"] or "refresh-only"
 
@@ -665,7 +698,7 @@ _BANK = (("tech", _tech_dict), ("rows", _integer), ("cols", _integer))
 #: ``refresh-overhead`` and ``engine-run`` price one request two ways.
 _POLICY_PARAMS = (
     *_BANK, ("policy", None), ("nbits", _integer), ("benchmark", None),
-    ("seed", _integer), ("duration_seconds", _finite),
+    ("seed", _integer), ("duration_seconds", _duration),
 )
 
 #: Every cell kind by name: the one table the cells, their keys and
@@ -684,7 +717,7 @@ CELL_KINDS: dict[str, CellKind] = {
         CellKind(
             "rank-mode",
             (*_BANK, ("n_banks", _integer), ("mode", None), ("seed", _integer),
-             ("duration_seconds", _finite)),
+             ("duration_seconds", _duration)),
             ("n_banks", "mode"),
             lambda p: f"rank/{p['mode']}",
             _rank_mode_cell,
@@ -692,7 +725,7 @@ CELL_KINDS: dict[str, CellKind] = {
         CellKind(
             "baseline-mechanism",
             (*_BANK, ("mechanism", None), ("benchmark", None), ("seed", _integer),
-             ("duration_seconds", _finite)),
+             ("duration_seconds", _duration)),
             ("mechanism",),
             lambda p: f"baseline/{p['mechanism']}",
             _baseline_mechanism_cell,
@@ -701,7 +734,7 @@ CELL_KINDS: dict[str, CellKind] = {
             "mechanism-matrix",
             (*_BANK, ("mechanism", None), ("nbits", _integer), ("benchmark", None),
              ("temperature", _finite), ("seed", _integer),
-             ("duration_seconds", _finite)),
+             ("duration_seconds", _duration)),
             ("mechanism", "temperature"),
             lambda p: (
                 f"matrix/{p['mechanism']}/{_workload(p)}"

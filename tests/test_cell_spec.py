@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from repro.runner import CELL_KINDS, Cell, ExperimentRunner, cache_key, tech_params
 from repro.service import run_experiment
 from repro.technology import DEFAULT_TECH, TechnologyParams
+from repro.units import to_cycles
 from tests.reference_query import KIND_PARAMS, Query
 
 TECH = tech_params(DEFAULT_TECH)
@@ -141,6 +142,80 @@ class TestAliasingRejected:
             Cell.of(kind, **{**values, field: bad})
 
 
+#: The kinds that price a horizon, with the other fields each requires.
+_TIMED_KINDS = {
+    "refresh-overhead": dict(policy="vrl"),
+    "engine-run": dict(policy="vrl"),
+    "rank-mode": dict(n_banks=4, mode="vrl"),
+    "baseline-mechanism": dict(mechanism="raidr"),
+    "mechanism-matrix": dict(mechanism="raidr", temperature=45.0),
+}
+
+#: A duration (s) of 2**64 cycles at the default 2.1 ns clock.
+_PAST_INT64 = 2**64 * DEFAULT_TECH.tck_ctrl
+
+
+class TestDurationDomain:
+    """``Cell.of`` rejects a horizon the timeline cannot price; none is run."""
+
+    def test_every_timed_kind_is_listed(self):
+        timed = {k for k, spec in CELL_KINDS.items()
+                 if "duration_seconds" in dict(spec.params)}
+        assert timed == set(_TIMED_KINDS)
+
+    @pytest.mark.parametrize("bad", [-1, -1e-9, 0, 0.0, -0.0, np.float64(-2.5)])
+    @pytest.mark.parametrize("kind", sorted(_TIMED_KINDS))
+    def test_non_positive_rejected(self, kind, bad):
+        with pytest.raises(ValueError, match=(
+            f"'{kind}', field 'duration_seconds': expected a positive duration"
+        )):
+            Cell.of(kind, tech=DEFAULT_TECH, rows=64, cols=8,
+                    duration_seconds=bad, **_TIMED_KINDS[kind])
+
+    @pytest.mark.parametrize("bad", [1e30, _PAST_INT64, 1e300, 1.7e308])
+    @pytest.mark.parametrize("kind", sorted(_TIMED_KINDS))
+    def test_cycles_past_int64_rejected(self, kind, bad):
+        with pytest.raises(ValueError, match=(
+            f"'{kind}', field 'duration_seconds': .* more than int64 holds"
+        )):
+            Cell.of(kind, tech=DEFAULT_TECH, rows=64, cols=8,
+                    duration_seconds=bad, **_TIMED_KINDS[kind])
+
+    def test_bound_follows_the_cells_clock(self):
+        # Four times the clock period: a quarter of the cycles, accepted.
+        slow = dict(TECH, tck_ctrl=4 * TECH["tck_ctrl"])
+        assert _cell(tech=slow, duration_seconds=_PAST_INT64).params[
+            "duration_seconds"] == _PAST_INT64
+        with pytest.raises(ValueError, match="more than int64 holds"):
+            _cell(duration_seconds=_PAST_INT64)
+
+    def test_edge_is_the_last_int64_cycle_count(self):
+        # Bisect the float line for the largest accepted duration (cells
+        # are built, never computed): its cycle count fits int64, and the
+        # next float's does not.
+        def accepted(seconds):
+            try:
+                _cell(duration_seconds=seconds)
+            except ValueError:
+                return False
+            return True
+
+        lo, hi = 1.0, _PAST_INT64
+        assert accepted(lo) and not accepted(hi)
+        while math.nextafter(lo, math.inf) < hi:
+            mid = lo + (hi - lo) / 2
+            mid = mid if lo < mid < hi else math.nextafter(lo, math.inf)
+            lo, hi = (mid, hi) if accepted(mid) else (lo, mid)
+        tck = DEFAULT_TECH.tck_ctrl
+        assert to_cycles(lo, tck) <= 2**63 - 1 < to_cycles(hi, tck)
+
+    def test_unusable_clock_left_to_the_compute(self):
+        # A cell's tech is projected, not validated: a zero clock fails
+        # where the timing is built, as before.
+        zero = dict(TECH, tck_ctrl=0.0)
+        assert _cell(tech=zero, duration_seconds=1.0).params["tech"] == zero
+
+
 class TestCanonicalKeys:
     def test_key_equals_hand_built_cell_key(self):
         params = {
@@ -198,6 +273,13 @@ _FLOATS = st.one_of(
     st.integers(min_value=-10**6, max_value=10**6),
 )
 _NAMES = st.text(max_size=12)
+#: Durations ``Cell.of`` accepts (positive, int64 cycles); the rejected
+#: ones are ``TestDurationDomain``'s.
+_DURATIONS = st.one_of(
+    st.floats(min_value=0.0, max_value=1e9, exclude_min=True),
+    st.floats(min_value=0.0, max_value=1e9, exclude_min=True).map(np.float64),
+    st.integers(min_value=1, max_value=10**6),
+)
 
 
 @st.composite
@@ -221,7 +303,7 @@ def _request(draw):
             },
             optional={
                 "seed": _INTS,
-                "duration_seconds": _FLOATS,
+                "duration_seconds": _DURATIONS,
                 "nbits": _INTS,
                 "benchmark": st.one_of(st.none(), _NAMES),
                 "restore_fraction": st.one_of(st.none(), _FLOATS),
@@ -292,7 +374,10 @@ class TestTechProjection:
         assert [type(v) for v in projected.values()] == [
             type(v) for v in asdict(tech).values()
         ]
-        cell = _cell(tech=tech)
+        # One cycle of the drawn clock (0.2 s if it has none): a horizon
+        # whose cycle count fits int64, which Cell.of requires.
+        duration = tech.tck_ctrl if tech.tck_ctrl > 0 else 0.2
+        cell = _cell(tech=tech, duration_seconds=duration)
         assert cell.params["tech"] == asdict(tech)
         assert _key(cell) == cache_key(
             "refresh-overhead", {**cell.params, "tech": asdict(tech)}

@@ -4,10 +4,16 @@ Covers architecture invariant 10 (compiled and naive stamping produce
 identical MNA systems), hypothesis property tests pinning the solver
 against analytic RC/RLC solutions, compiled-vs-naive waveform
 equivalence on every Fig. 2 netlist, the sparse stamping path, the
-adaptive integrator, session reuse, and the SolverStats telemetry.
+adaptive integrator, session reuse, the SolverStats telemetry, and the
+loader of SciPy's LAPACK wrappers.
 """
 
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -47,6 +53,7 @@ from tests.test_circuit_waveforms import pulse
 
 TECH = DEFAULT_TECH
 SMALL = BankGeometry(2048, 32)
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _refresh_session():
@@ -482,3 +489,122 @@ class TestInductorElement:
         assert isinstance(session.assembler, CompiledCircuit)
         result = session.simulate(1e-10, 1e-12, record=["out"])
         assert result["out"][-1] == pytest.approx(1e-3, rel=1e-6)
+
+
+# --------------------------------------------------------------------- #
+# The LAPACK loader                                                     #
+# --------------------------------------------------------------------- #
+
+#: Solves random systems at the verbs' sizes with the routines the loader
+#: binds, in the solver's calling conventions, before ``scipy.linalg``
+#: is imported; then with the public ``scipy.linalg`` route.  Prints the
+#: bytes of both, and whether the two routes share their routines.
+_LOADER_PROBE = """
+import json, sys, types
+import numpy as np
+from repro.circuit.compiled import CompiledCircuit, _lapack
+
+lapack = _lapack()
+unloaded = "scipy.linalg" not in sys.modules
+rng = np.random.default_rng(2018)
+systems = []
+for n in (18, 22, 29, 50):
+    lanes = [(rng.standard_normal((n, n)), rng.standard_normal(n)) for _ in range(3)]
+    systems.append((n, lanes, rng.standard_normal((3, n + 1))))
+
+def padded(n, lanes):
+    # prepare_step_batched's round buffer: per lane a Fortran-ordered
+    # padded [G 0; 0 1] and its RHS [I 0] (prepare_step's is one lane).
+    stride = n + 1
+    buffer = np.zeros((len(lanes), stride * stride + stride))
+    lane_G = list(buffer[:, : stride * stride].reshape(-1, stride, stride).transpose(0, 2, 1))
+    lane_I = list(buffer[:, stride * stride :])
+    for (A, b), G, I in zip(lanes, lane_G, lane_I):
+        G[:n, :n] = A
+        G[n, n] = 1.0
+        I[:n] = b
+    return buffer, lane_G, lane_I
+
+loaded = {"one-lane": [], "batched": [], "dense-factor": []}
+for n, lanes, block in systems:
+    buffer, lane_G, lane_I = padded(n, lanes[:1])
+    assert lapack.dgesv(lane_G[0], lane_I[0], 1, 1)[3] == 0
+    loaded["one-lane"].append(lane_I[0][:n].tobytes().hex())
+    buffer, lane_G, lane_I = padded(n, lanes)
+    infos = [lapack.dgesv(G, I, 1, 1)[3] for G, I in zip(lane_G, lane_I)]
+    assert infos == [0, 0, 0]
+    loaded["batched"].append(buffer[:, -(n + 1) : -1].tobytes().hex())
+    stats = types.SimpleNamespace(factorizations=0)
+    solve = CompiledCircuit._dense_factor(None, lanes[0][0].copy(), stats)
+    x = np.concatenate([solve(lanes[0][1]).ravel(), solve(block[:, :n].T).ravel()])
+    loaded["dense-factor"].append(x.tobytes().hex())
+
+from scipy.linalg import lapack as public, lu_factor, lu_solve
+
+public_route = {"one-lane": [], "batched": [], "dense-factor": []}
+for n, lanes, block in systems:
+    G = padded(n, lanes[:1])[1][0]
+    b = np.zeros(n + 1)
+    b[:n] = lanes[0][1]
+    public_route["one-lane"].append(public.dgesv(G.copy(), b)[2][:n].tobytes().hex())
+    xs = []
+    for A, b_lane in lanes:
+        G = padded(n, [(A, b_lane)])[1][0]
+        b = np.zeros(n + 1)
+        b[:n] = b_lane
+        xs.append(public.dgesv(G.copy(), b)[2][:n])
+    public_route["batched"].append(np.array(xs).tobytes().hex())
+    lu = lu_factor(lanes[0][0].copy(), check_finite=False)
+    x = np.concatenate([lu_solve(lu, lanes[0][1], check_finite=False).ravel(),
+                        lu_solve(lu, block[:, :n].T, check_finite=False).ravel()])
+    public_route["dense-factor"].append(x.tobytes().hex())
+
+print(json.dumps({
+    "unloaded": unloaded,
+    "same": [getattr(lapack, f) is getattr(public, f) for f in ("dgesv", "dgetrf", "dgetrs")],
+    "loaded": loaded,
+    "public": public_route,
+}))
+"""
+
+#: The loader with its extension lookup finding nothing: it takes the
+#: public ``scipy.linalg.lapack`` route.
+_FALLBACK_PROBE = """
+import importlib.machinery, json, sys
+importlib.machinery.EXTENSION_SUFFIXES = []
+from repro.circuit.compiled import _lapack
+
+lapack = _lapack()
+loaded = "scipy.linalg" in sys.modules
+from scipy.linalg import lapack as public
+print(json.dumps({
+    "loaded": loaded,
+    "same": [getattr(lapack, f) is getattr(public, f) for f in ("dgesv", "dgetrf", "dgetrs")],
+}))
+"""
+
+
+def _probe(source: str) -> dict:
+    """Run ``source`` in a fresh interpreter; its last line, as JSON."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(SRC), env.get("PYTHONPATH", "")])
+    out = subprocess.run(
+        [sys.executable, "-c", source], capture_output=True, text=True, env=env, check=True
+    ).stdout
+    return json.loads(out.splitlines()[-1])
+
+
+class TestLapackLoader:
+    """``_lapack()`` loads SciPy's LAPACK extension alone; same routines."""
+
+    def test_loaded_routines_are_the_public_ones_to_the_byte(self):
+        result = _probe(_LOADER_PROBE)
+        assert result["unloaded"], "the loader imported the scipy.linalg package"
+        assert result["same"] == [True, True, True]
+        for path in ("one-lane", "batched", "dense-factor"):
+            assert result["loaded"][path] == result["public"][path], path
+
+    def test_fallback_binds_the_same_routines(self):
+        result = _probe(_FALLBACK_PROBE)
+        assert result["loaded"], "the fallback should take the public route"
+        assert result["same"] == [True, True, True]

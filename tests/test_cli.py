@@ -452,8 +452,34 @@ print(json.dumps({"at_import": at_import, "loaded": sorted(set(sys.modules) - be
 """
 
 
+_CIRCUIT_VERB_PROBE = """
+import contextlib, io, json, sys
+import repro.experiments.cli as cli
+with contextlib.redirect_stdout(io.StringIO()):
+    rc = cli.main(["fig5", "--no-cache", "--runs-dir", ""])
+assert rc == 0, rc
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+
 class TestImportGraph:
     """The CLI's import graph is SciPy-free (invariant 16); no timing asserted."""
+
+    def test_circuit_verb_loads_the_lapack_wrappers_only(self, tmp_path):
+        # fig5 is the cheapest verb that solves circuits: its solves load
+        # SciPy's compiled LAPACK wrappers and never the scipy.linalg
+        # package (~0.23 s and ~22 MB of RSS more).
+        out = subprocess.run(
+            [sys.executable, "-c", _CIRCUIT_VERB_PROBE],
+            capture_output=True,
+            text=True,
+            env=_cli_env(),
+            cwd=tmp_path,
+            check=True,
+        ).stdout
+        loaded = json.loads(out.splitlines()[-1])
+        assert "scipy.linalg._flapack" in loaded
+        assert "scipy.linalg" not in loaded
 
     def test_cli_and_scipy_free_verbs_load_no_scipy(self, tmp_path):
         out = subprocess.run(
