@@ -45,7 +45,9 @@ from typing import Optional
 
 from ..controller.counters import MAX_NBITS
 from ..runner import ExperimentRunner, ResultCache, latest_manifest
+from ..runner.cells import check_cycles, tech_params
 from ..service import experiment_names, experiment_options, run_experiment
+from ..technology import DEFAULT_TECH
 
 #: Default directory for the per-run observability manifests.
 DEFAULT_RUNS_DIR = "runs"
@@ -198,6 +200,11 @@ def _validate_args(args: argparse.Namespace) -> Optional[str]:
         return f"--retries must be >= 0, got {args.retries}"
     if not _positive_finite(args.duration):
         return f"--duration must be finite and > 0 seconds, got {args.duration:g}"
+    try:
+        # The bound every timed cell enforces, at the clock the verbs use.
+        check_cycles(args.duration, tech_params(DEFAULT_TECH))
+    except ValueError as exc:
+        return f"--duration {exc}"
     if not 1 <= args.nbits <= MAX_NBITS:
         return f"--nbits must be between 1 and {MAX_NBITS}, got {args.nbits}"
     if args.cell_timeout is not None and not _positive_finite(args.cell_timeout):

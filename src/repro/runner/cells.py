@@ -152,7 +152,12 @@ class Cell:
                     ) from None
             params[name] = value
         if "duration_seconds" in params:
-            _check_cycles(kind, params["duration_seconds"], params["tech"])
+            try:
+                check_cycles(params["duration_seconds"], params["tech"])
+            except ValueError as exc:
+                raise ValueError(
+                    f"cell kind {kind!r}, field 'duration_seconds': {exc}"
+                ) from None
         return cls(kind, params, label or spec.label(params))
 
 
@@ -661,11 +666,13 @@ def _duration(value: Any) -> float:
 _MAX_CYCLES = 2**63 - 1
 
 
-def _check_cycles(kind: str, seconds: float, tech: Mapping[str, Any]) -> None:
+def check_cycles(seconds: float, tech: Mapping[str, Any]) -> None:
     """Reject a duration whose controller-cycle count overflows int64.
 
     The count is the one the compute functions price,
-    ``DRAMTiming.from_technology(tech).cycles(seconds)``.
+    ``DRAMTiming.from_technology(tech).cycles(seconds)``; ``tech`` is a
+    :func:`tech_params` dict.  :meth:`Cell.of` and the CLI's
+    ``--duration`` check both call this.
     """
     tck = tech.get("tck_ctrl", TechnologyParams.tck_ctrl)
     if not tck > 0:
@@ -673,8 +680,7 @@ def _check_cycles(kind: str, seconds: float, tech: Mapping[str, Any]) -> None:
     ratio = seconds / tck
     if not math.isfinite(ratio) or to_cycles(seconds, tck) > _MAX_CYCLES:
         raise ValueError(
-            f"cell kind {kind!r}, field 'duration_seconds': {seconds!r} s is "
-            f"{ratio:.3e} controller cycles, more than int64 holds"
+            f"{seconds!r} s is {ratio:.3e} controller cycles, more than int64 holds"
         )
 
 

@@ -48,18 +48,11 @@ from __future__ import annotations
 import os
 import signal
 import time
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    BrokenExecutor,
-    CancelledError,
-    Future,
-    ProcessPoolExecutor,
-    wait,
-)
+from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, CancelledError, Future, wait
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Callable, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence, Union
 
 from .cache import ResultCache, cache_key
 from .cells import Cell, compute_cell
@@ -71,6 +64,9 @@ from .manifest import (
     run_stamp,
     write_manifest,
 )
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 #: How long the pool loop blocks in ``wait`` before re-checking the
 #: watchdog and the submission queue.
@@ -589,6 +585,10 @@ class ExperimentRunner:
         respawns the pool after a ``BrokenProcessPool`` — re-submitting
         the cells that were in flight when it died.
         """
+        # Imported here: it loads ``multiprocessing``, which a serial run
+        # never needs.
+        from concurrent.futures import ProcessPoolExecutor
+
         pending: list[_Task] = [_Task(index=index) for index in misses]
         inflight: dict[Future, _Task] = {}
         pool: Optional[ProcessPoolExecutor] = None

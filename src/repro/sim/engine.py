@@ -329,7 +329,7 @@ class BankSimulator:
         spec = self.policy.timeline_spec()
         counts = deadline_counts(first, periods, duration_cycles)
         if spec.resets_on_access:
-            reset_rows, reset_ordinals = access_resets((rows,), arrivals, first, periods)
+            reset_rows, reset_ordinals = access_resets([(arrivals, rows)], first, periods)
         else:
             reset_rows = reset_ordinals = np.empty(0, dtype=np.int64)
         kinds = crossing_kinds(

@@ -13,8 +13,9 @@ timeline of deadline crossings can be evaluated at once:
    (compile-once / evaluate-many, like ``circuit.CircuitSession``);
 2. **precompute crossings** — per-row crossing counts of the horizon
    via :func:`~repro.sim.schedule.deadline_counts`, and access-driven
-   cadence resets as one vectorized pass over the trace's row blocks
-   (interval index per access in O(n_accesses), no per-row Python);
+   cadence resets as one vectorized pass over the trace's
+   ``(cycles, rows)`` blocks (interval index per access in
+   O(n_accesses), no per-row Python);
 3. **evaluate** — one batched kernel call
    (:func:`~repro.sim._timeline_kernels.segmented_fulls`) yields every
    row's full/partial split and end-of-timeline counter phase;
@@ -54,7 +55,10 @@ __all__ = [
 
 #: Bytes of reset bitmap :func:`access_resets` may always allocate.
 _RESET_BITMAP_FLOOR = 1 << 20
-#: Bitmap bytes allowed per access: the int64 keys already take 8.
+#: Bitmap bytes allowed per access: what a whole-trace int64 cycle
+#: array would take.  A streamed trace holds about two bytes a request,
+#: but a smaller bound would send long traces through more windowed
+#: passes, each of which decodes the cycles and rebuilds the rows again.
 _RESET_BITMAP_PER_ACCESS = 8
 #: Accesses :func:`access_resets` prices per block.
 _RESET_BLOCK = 1 << 14
@@ -129,8 +133,8 @@ class FusedTimeline:
                 after it are not issued.
             trace: demand accesses (only their (row, cycle) structure
                 matters, and only for access-coupled policies); a
-                :class:`~repro.sim.trace.StreamedTrace` is read one row
-                block at a time.
+                :class:`~repro.sim.trace.StreamedTrace` is read one
+                decoded ``(cycles, rows)`` block at a time.
         """
         if duration_cycles <= 0:
             raise ValueError(f"duration must be positive, got {duration_cycles}")
@@ -144,11 +148,11 @@ class FusedTimeline:
             return stats
 
         if spec.resets_on_access and trace is not None:
-            row_blocks = (
-                trace.row_blocks if isinstance(trace, StreamedTrace) else (trace.rows,)
+            blocks = (
+                trace if isinstance(trace, StreamedTrace) else [(trace.cycles, trace.rows)]
             )
             reset_rows, reset_ordinals = access_resets(
-                row_blocks, trace.cycles, self._first, self._periods, counts
+                blocks, self._first, self._periods, counts
             )
         else:
             reset_rows = reset_ordinals = np.empty(0, dtype=np.int64)
@@ -173,8 +177,7 @@ class FusedTimeline:
 
 
 def access_resets(
-    row_blocks: Iterable[np.ndarray],
-    cycles: np.ndarray,
+    blocks: Union[StreamedTrace, Iterable[tuple[np.ndarray, np.ndarray]]],
     first: np.ndarray,
     periods_cycles: np.ndarray,
     counts: Optional[np.ndarray] = None,
@@ -185,24 +188,26 @@ def access_resets(
     first deadline strictly after ``c`` (refresh wins ties, so an
     access *on* a deadline affects the next interval): ordinal 0 for
     ``c < first``, else ``(c - first) // period + 1``.  Rows outside
-    the bank are inert.  The rows come in blocks (a whole-array caller
-    passes one), so a streamed trace is priced without its rows ever
-    existing at once.  No per-row Python and no access-length
-    temporary: :data:`_RESET_BLOCK` accesses at a time, each access
-    marks its packed ``row * span + ordinal`` key in a boolean bitmap,
-    and the set bits, read back in order, are the resets already sorted
-    and unique.  ``span`` bounds the ordinals without reading them: it
-    is one past the largest ordinal the latest access could have in any
-    row.  The bitmap covers the whole bank unless that would exceed
+    the bank are inert.  The accesses come as ``(cycles, rows)`` blocks
+    (a whole-array caller passes one pair), so a streamed trace is
+    priced without its cycles or rows ever existing at once.  No
+    per-row Python and no access-length temporary:
+    :data:`_RESET_BLOCK` accesses at a time, each access marks its
+    packed ``row * span + ordinal`` key in a boolean bitmap, and the
+    set bits, read back in order, are the resets already sorted and
+    unique.  ``span`` bounds the ordinals without reading them: it is
+    one past the largest ordinal the latest access could have in any
+    row.  A :class:`~repro.sim.trace.StreamedTrace` ascends, so its
+    last cycle is the latest; other blocks are read for their largest
+    cycle.  The bitmap covers the whole bank unless that would exceed
     ``max(_RESET_BITMAP_FLOOR, _RESET_BITMAP_PER_ACCESS * n_accesses)``
     bytes; then it is filled and read one window of keys of that size
-    at a time, each window one more pass over the row blocks, so memory
+    at a time, each window one more pass over the blocks, so memory
     stays bounded.
 
     Args:
-        row_blocks: re-iterable blocks of accessed rows; concatenated,
-            they match ``cycles`` one for one.
-        cycles: every access cycle, in any order.
+        blocks: a streamed trace, or re-iterable ``(cycles, rows)``
+            pairs of equal-length arrays, cycles in any order.
         first: per-row first deadlines (from
             :func:`~repro.sim.schedule.first_deadlines`).
         periods_cycles: per-row periods in cycles.
@@ -217,21 +222,25 @@ def access_resets(
         and unique — the form :func:`segmented_fulls` and
         :func:`~repro.sim._timeline_kernels.crossing_kinds` take.
     """
-    cycles = np.asarray(cycles, dtype=np.int64)
-    if len(cycles) == 0 or len(first) == 0:
+    if isinstance(blocks, StreamedTrace):
+        n_accesses, latest = len(blocks), blocks.last_cycle
+    else:
+        n_accesses = sum(len(cycles) for cycles, _ in blocks)
+        latest = max((int(np.max(cycles)) for cycles, _ in blocks if len(cycles)), default=0)
+    if n_accesses == 0 or len(first) == 0:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
     # (c - first) // period + 1 is largest at the latest access.
-    cap = max(0, int(((cycles.max() - first) // periods_cycles).max()) + 1)
+    cap = max(0, int(((latest - first) // periods_cycles).max()) + 1)
     span = cap + 1
     size = len(first) * span
-    window = min(size, max(_RESET_BITMAP_FLOOR, _RESET_BITMAP_PER_ACCESS * len(cycles)))
+    window = min(size, max(_RESET_BITMAP_FLOOR, _RESET_BITMAP_PER_ACCESS * n_accesses))
     seen = np.zeros(window, dtype=bool)
     found = []
     start = 0
     while start < size:
         end = start + window
         following = size
-        for keys in _reset_keys(row_blocks, cycles, first, periods_cycles, span):
+        for keys in _reset_keys(blocks, first, periods_cycles, span):
             if window < size:
                 following = min(following, int(keys.min(where=keys >= end, initial=size)))
                 keys = keys[(keys >= start) & (keys < end)] - start
@@ -251,34 +260,34 @@ def access_resets(
     return reset_rows, reset_ordinals
 
 
-def _reset_keys(row_blocks, cycles, first, periods_cycles, span):
+def _reset_keys(blocks, first, periods_cycles, span):
     """Each block's packed ``row * span + ordinal`` keys.
 
-    Accesses to rows outside the bank are left out.  Raises if the row
-    blocks do not cover ``cycles`` exactly.
+    Accesses to rows outside the bank are left out.  Raises if a
+    block's cycles and rows differ in length.
     """
-    offset = 0
-    for rows in row_blocks:
+    n_rows = len(first)
+    # (c - (first - period)) // period == (c - first) // period + 1 for
+    # period > 0, which is <= 0 exactly when c < first.
+    restarts = first - periods_cycles
+    row_keys = np.empty(_RESET_BLOCK, dtype=np.int64)
+    for cycles, rows in blocks:
+        cycles = np.asarray(cycles, dtype=np.int64)
         rows = np.asarray(rows, dtype=np.int64)
-        if offset + len(rows) > len(cycles):
-            raise ValueError(f"row blocks run past the {len(cycles)} access cycles")
+        if len(rows) != len(cycles):
+            raise ValueError(f"a block holds {len(rows)} rows for {len(cycles)} access cycles")
         for start in range(0, len(rows), _RESET_BLOCK):
             block_rows = rows[start:start + _RESET_BLOCK]
-            block_cycles = cycles[offset + start:offset + start + len(block_rows)]
-            in_bank = (block_rows >= 0) & (block_rows < len(first))
-            if not in_bank.all():
+            block_cycles = cycles[start:start + _RESET_BLOCK]
+            if block_rows.min() < 0 or block_rows.max() >= n_rows:
+                in_bank = (block_rows >= 0) & (block_rows < n_rows)
                 block_rows, block_cycles = block_rows[in_bank], block_cycles[in_bank]
-            # (c - first) // period + 1, which is <= 0 exactly when c < first.
-            keys = np.take(first, block_rows)
+            keys = np.take(restarts, block_rows)
             np.subtract(block_cycles, keys, out=keys)
             keys //= np.take(periods_cycles, block_rows)
-            keys += 1
             np.maximum(keys, 0, out=keys)
-            keys += block_rows * span
+            keys += np.multiply(block_rows, span, out=row_keys[:len(keys)])
             yield keys
-        offset += len(rows)
-    if offset != len(cycles):
-        raise ValueError(f"row blocks hold {offset} rows for {len(cycles)} access cycles")
 
 
 def service_starts(

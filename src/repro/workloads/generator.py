@@ -28,7 +28,18 @@ rows in one pass (and again on every pass of a streamed trace).  The
 main generator skips the ``n_local`` uniforms with ``advance`` (one
 64-bit step each) and restores the buffered 32-bit half-draw that
 ``advance`` clears, so the scan start and the write flags are the
-whole-array draws' too.
+whole-array draws' too.  This order is unchanged by how the draws are
+stored.
+
+Storage: one arrival pass serves :meth:`TraceGenerator.generate` and
+:meth:`TraceGenerator.stream`.  The arrival sums are kept per
+:data:`_SAMPLE_BLOCK`-request block, never as one trace-length array;
+once the last sum fixes the scale, each block is scaled to cycles,
+narrowed to gaps (:func:`~repro.sim.trace.narrow_gaps`) and freed.  The
+streaming mask is bit-packed.  A streamed trace keeps the gaps and the
+mask, about two bytes a request, and each pass decodes the cycles and
+builds the rows into reused block buffers; ``generate`` decodes them
+into its :class:`~repro.sim.trace.MemoryTrace`.
 """
 
 from __future__ import annotations
@@ -40,7 +51,7 @@ from typing import Optional
 import numpy as np
 
 from ..sim.timing import DRAMTiming
-from ..sim.trace import MemoryTrace, StreamedTrace
+from ..sim.trace import MemoryTrace, StreamedTrace, decoded_cycles, narrow_gaps
 from ..technology import BankGeometry, DEFAULT_GEOMETRY
 from .benchmarks import WorkloadSpec
 
@@ -104,16 +115,18 @@ class _GuideTable:
         return out
 
 
-def _draw_below(
-    rng: np.random.Generator, fraction: float, uniforms: np.ndarray, size: int
-) -> np.ndarray:
-    """``rng.random(size) < fraction``, drawn through the block buffer ``uniforms``."""
-    below = np.empty(size, dtype=bool)
+def _below_blocks(rng: np.random.Generator, fraction: float, size: int):
+    """``rng.random(size) < fraction`` as ``(start, block)`` pairs.
+
+    Every block but the last holds a multiple of eight flags (so a
+    block packs to whole bytes) and overwrites the one before it.
+    """
+    uniforms = np.empty(min(size, -(-_SAMPLE_BLOCK // 8) * 8))
+    below = np.empty(len(uniforms), dtype=bool)
     for start in range(0, size, len(uniforms)):
         block = uniforms[:min(len(uniforms), size - start)]
         rng.random(out=block)
-        np.less(block, fraction, out=below[start:start + len(block)])
-    return below
+        yield start, np.less(block, fraction, out=below[:len(block)])
 
 
 class TraceGenerator:
@@ -156,36 +169,46 @@ class TraceGenerator:
     def generate(self, duration_seconds: float) -> MemoryTrace:
         """Generate a trace covering ``duration_seconds`` of bank time.
 
-        Fills the trace's arrays in place, :data:`_SAMPLE_BLOCK` requests
-        at a time: the only full-length arrays are ``cycles``, ``rows``,
-        ``is_write`` and a one-byte-per-request streaming mask, which is
-        freed before ``is_write`` is drawn.
+        Decodes :meth:`stream`'s arrival gaps and rows into the trace's
+        arrays, then draws the write flags :data:`_SAMPLE_BLOCK` at a
+        time: besides ``cycles``, ``rows`` and ``is_write``, it holds
+        only the narrowed gaps (freed once decoded) and the bit-packed
+        streaming mask (freed before ``is_write`` is drawn).
         """
-        cycles, row_blocks = self._draw(duration_seconds)
-        rows = np.empty(len(cycles), dtype=np.int64)
+        gap_blocks, row_blocks = self._draw(duration_seconds)
+        n_requests = sum(map(len, gap_blocks))
+        cycles = np.empty(n_requests, dtype=np.int64)
+        for _ in decoded_cycles(gap_blocks, out=cycles):
+            pass
+        del gap_blocks
+        rows = np.empty(n_requests, dtype=np.int64)
         row_blocks.write(rows)
         del row_blocks
-        uniforms = np.empty(min(len(cycles), _SAMPLE_BLOCK))
-        is_write = _draw_below(self.rng, self.spec.write_fraction, uniforms, len(cycles))
+        is_write = np.empty(n_requests, dtype=bool)
+        for start, block in _below_blocks(self.rng, self.spec.write_fraction, n_requests):
+            is_write[start:start + len(block)] = block
         return MemoryTrace(
             cycles=cycles, rows=rows, is_write=is_write, name=self.spec.name
         )
 
     def stream(self, duration_seconds: float) -> StreamedTrace:
-        """The (row, cycle) structure of :meth:`generate`'s trace, rows streamed.
+        """The (row, cycle) structure of :meth:`generate`'s trace, block by block.
 
-        Holds ``cycles`` and the one-byte streaming mask; each pass over
-        ``row_blocks`` produces the rows :meth:`generate` returns, one
-        block at a time.  The write flags are never drawn, so the RNG
-        ends where :meth:`generate`'s stands before its ``is_write``
-        draw.  Fused refresh pricing reads nothing else (see
-        :func:`~repro.sim.timeline.access_resets`).
+        Holds the arrival gaps (narrowed per block) and the bit-packed
+        streaming mask, about two bytes a request; each pass decodes
+        the cycles and produces the rows :meth:`generate` returns, one
+        block at a time, in reused buffers.  The write flags are never
+        drawn, so the RNG ends where :meth:`generate`'s stands before
+        its ``is_write`` draw.  Fused refresh pricing reads nothing
+        else (see :func:`~repro.sim.timeline.access_resets`).
         """
-        cycles, row_blocks = self._draw(duration_seconds)
-        return StreamedTrace(cycles=cycles, row_blocks=row_blocks, name=self.spec.name)
+        gap_blocks, row_blocks = self._draw(duration_seconds)
+        return StreamedTrace(
+            gap_blocks=gap_blocks, row_blocks=row_blocks, name=self.spec.name
+        )
 
-    def _draw(self, duration_seconds: float) -> tuple[np.ndarray, "_RowBlocks"]:
-        """Arrival cycles, and the rows as re-iterable blocks.
+    def _draw(self, duration_seconds: float) -> tuple[tuple[np.ndarray, ...], "_RowBlocks"]:
+        """Arrival gaps per block, and the rows as re-iterable blocks.
 
         Makes every main-stream draw up to (not including) the write
         flags.  The Zipf uniforms are left to the returned blocks, on a
@@ -199,32 +222,44 @@ class TraceGenerator:
         rng = self.rng
         n_requests = max(1, int(spec.requests_per_second * duration_seconds))
         blocks = range(0, n_requests, _SAMPLE_BLOCK)
-        uniforms = np.empty(min(n_requests, _SAMPLE_BLOCK))
 
         # Poisson arrivals, rescaled to exactly fill the duration.  The
-        # running sum lives in the float64 view of ``cycles``; carrying
-        # the previous block's total into each block's first element
-        # keeps every partial sum the one a full-length cumsum gives.
-        cycles = np.empty(n_requests, dtype=np.int64)
-        arrivals = cycles.view(np.float64)
+        # running sums are kept per block; carrying the previous block's
+        # total into each block's first element keeps every partial sum
+        # the one a full-length cumsum gives.  Once the total is known,
+        # each block is scaled to cycles, narrowed to gaps and freed.
+        sums = []
         for start in blocks:
-            block = arrivals[start:start + _SAMPLE_BLOCK]
-            rng.standard_exponential(out=block)
+            block = rng.standard_exponential(min(_SAMPLE_BLOCK, n_requests - start))
             if start:
-                block[0] += arrivals[start - 1]
-            np.cumsum(block, out=block)
-        scale = duration_seconds / arrivals[-1]
+                block[0] += sums[-1][-1]
+            sums.append(np.cumsum(block, out=block))
+        scale = duration_seconds / sums[-1][-1]
         last_cycle = self.timing.cycles(duration_seconds) - 1
-        for start in blocks:
-            block = uniforms[:min(_SAMPLE_BLOCK, n_requests - start)]
-            np.multiply(arrivals[start:start + _SAMPLE_BLOCK], scale, out=block)
+        scaled = np.empty(min(n_requests, _SAMPLE_BLOCK))
+        window = np.empty(len(scaled), dtype=np.int64)
+        scratch = np.empty(len(scaled), dtype=np.int64)
+        gap_blocks = []
+        previous = 0
+        for index in range(len(sums)):
+            block = scaled[:len(sums[index])]
+            np.multiply(sums[index], scale, out=block)
+            sums[index] = None
             block /= self.timing.tck
-            window = cycles[start:start + _SAMPLE_BLOCK]
-            window[...] = block
-            np.minimum(window, last_cycle, out=window)
-        del arrivals
+            cycles = window[:len(block)]
+            cycles[...] = block
+            np.minimum(cycles, last_cycle, out=cycles)
+            gap_blocks.append(narrow_gaps(cycles, previous, scratch))
+            previous = int(cycles[-1])
+        del sums
 
-        is_streaming = _draw_below(rng, spec.streaming_fraction, uniforms, n_requests)
+        # The streaming mask, bit-packed: a block of flags packs to
+        # whole bytes, at its own offset.
+        is_streaming = np.empty(-(-n_requests // 8), dtype=np.uint8)
+        n_streaming = 0
+        for start, flags in _below_blocks(rng, spec.streaming_fraction, n_requests):
+            is_streaming[start // 8:start // 8 + -(-len(flags) // 8)] = np.packbits(flags)
+            n_streaming += int(np.count_nonzero(flags))
 
         # Zipf locality accesses: hot ranks mapped through a fixed
         # permutation of the working set (hot rows are scattered, not
@@ -239,7 +274,7 @@ class TraceGenerator:
         # ``integers`` reads, so it is put back.
         bit_generator = rng.bit_generator
         zipf_state = bit_generator.state
-        bit_generator.advance(n_requests - int(np.count_nonzero(is_streaming)))
+        bit_generator.advance(n_requests - n_streaming)
         state = bit_generator.state
         state["has_uint32"] = zipf_state["has_uint32"]
         state["uinteger"] = zipf_state["uinteger"]
@@ -251,12 +286,12 @@ class TraceGenerator:
         scan_start = int(rng.integers(0, self.footprint))
         lap = np.roll(np.arange(self.footprint, dtype=np.int64), -scan_start)
         lap += self.base_row
-        laps = np.resize(lap, self.footprint + len(uniforms))
+        laps = np.resize(lap, self.footprint + len(window))
         row_blocks = _RowBlocks(
-            is_streaming, _GuideTable(self._zipf_probabilities()), local_rows,
-            zipf_state, laps,
+            is_streaming, n_requests, _GuideTable(self._zipf_probabilities()),
+            local_rows, zipf_state, laps,
         )
-        return cycles, row_blocks
+        return tuple(gap_blocks), row_blocks
 
 
 class _RowBlocks:
@@ -268,21 +303,24 @@ class _RowBlocks:
     set, its streaming requests the next slice of the scan.
 
     Args:
-        is_streaming: per-request streaming mask.
+        is_streaming: the per-request streaming mask, bit-packed.
+        n_requests: requests in the trace.
         table: guide table of the Zipf popularity.
         local_rows: the permuted working set, indexed by Zipf rank.
         zipf_state: PCG64 state at the first Zipf uniform.
         laps: the scan's rows from its start, tiled to a lap plus a block.
     """
 
-    def __init__(self, is_streaming, table, local_rows, zipf_state, laps):
+    def __init__(self, is_streaming, n_requests, table, local_rows, zipf_state, laps):
         self._is_streaming = is_streaming
+        self._n_requests = n_requests
         self._table = table
         self._local_rows = local_rows
         self._zipf_state = zipf_state
         self._laps = laps
 
     def __iter__(self):
+        """Every block into one reused buffer: copy a block to keep it."""
         return self._blocks(None)
 
     def write(self, out: np.ndarray) -> None:
@@ -294,18 +332,18 @@ class _RowBlocks:
         bit_generator = np.random.PCG64()
         bit_generator.state = self._zipf_state
         zipf = np.random.Generator(bit_generator)
-        is_streaming = self._is_streaming
-        n_requests = len(is_streaming)
+        n_requests, size = self._n_requests, _SAMPLE_BLOCK
         footprint = len(self._local_rows)
-        uniforms = np.empty(min(n_requests, _SAMPLE_BLOCK))
+        uniforms = np.empty(min(n_requests, size))
         ranks = np.empty(len(uniforms), dtype=np.int64)
+        if out is None:
+            buffer = np.empty(len(uniforms), dtype=np.int64)
         scanned = 0
-        for start in range(0, n_requests, _SAMPLE_BLOCK):
-            mask = is_streaming[start:start + _SAMPLE_BLOCK]
-            if out is None:
-                rows = np.empty(len(mask), dtype=np.int64)
-            else:
-                rows = out[start:start + len(mask)]
+        for start in range(0, n_requests, size):
+            end = min(start + size, n_requests)
+            packed = self._is_streaming[start // 8:-(-end // 8)]
+            mask = np.unpackbits(packed)[start % 8:start % 8 + end - start].view(bool)
+            rows = buffer[:len(mask)] if out is None else out[start:end]
             local = np.flatnonzero(~mask)
             block = uniforms[:len(local)]
             zipf.random(out=block)

@@ -6,9 +6,14 @@
   every workload, three seeds, lengths around the block size, small
   blocks over tiny working sets, and a permutation that leaves half of
   a 64-bit draw buffered across the skipped Zipf uniforms;
-* **stream oracle** — :meth:`TraceGenerator.stream`'s cycles and row
-  blocks, on every pass, are the oracle's cycles and rows, and the
-  resets and refresh statistics priced from them are the whole trace's;
+* **stream oracle** — :meth:`TraceGenerator.stream`'s decoded
+  ``(cycles, rows)`` blocks, copied on every pass, are the oracle's
+  cycles and rows, and the resets and refresh statistics priced from
+  them are the whole trace's;
+* **gap codec** — every gap dtype from ``uint8`` to ``uint64`` round
+  trips, slow workloads whose gaps need ``uint32`` and ``uint64``, a
+  one-request trace, blocks around the block size, and the reused
+  decode buffers;
 * **reset oracle** — the blocked :func:`access_resets` returns what the
   whole-trace version returns: out-of-bank rows, empty and unsorted
   input, ``counts`` given or not, the windowed bitmap, and the calls
@@ -16,8 +21,9 @@
 * **memory bounds** (``tracemalloc``, so host-independent) — a
   generated trace costs its own bytes plus block-sized slack,
   :func:`access_resets` its bitmap and outputs plus that slack, a
-  streamed VRL-Access evaluation less than the trace's cycles and rows,
-  and the runner's trace memo never holds two traces.
+  streamed trace under three bytes a request, a streamed VRL-Access
+  evaluation no more than an int64 cycle array plus that slack, and
+  the runner's trace memo never holds two traces.
 """
 
 import tracemalloc
@@ -36,6 +42,7 @@ from repro.sim import engine as engine_module
 from repro.sim import timeline as timeline_module
 from repro.sim.schedule import deadline_counts
 from repro.sim.timeline import access_resets
+from repro.sim.trace import StreamedTrace, decoded_cycles, narrow_gaps
 from repro.technology import BankGeometry, DEFAULT_GEOMETRY, DEFAULT_TECH
 from repro.units import MS
 from repro.workloads import PARSEC_WORKLOADS, TraceGenerator, WorkloadSpec
@@ -111,19 +118,27 @@ class TestGeneratorMatchesOracle:
         _assert_generates_like_oracle(spec, seed, duration)
 
 
+def _copied_pairs(streamed):
+    """One pass over ``streamed``, each decoded block copied before the
+    next pass overwrites its buffers."""
+    return [(cycles.copy(), rows.copy()) for cycles, rows in streamed]
+
+
 def _assert_streams_like_oracle(spec, seed, duration, geometry=None):
-    """Cycles and, on two passes, row blocks equal the oracle's arrays."""
+    """On two passes, the decoded cycle and row blocks equal the oracle's arrays."""
     args = (spec, TIMING) if geometry is None else (spec, TIMING, geometry)
     streamed = TraceGenerator(*args, seed=seed).stream(duration)
     want = reference_generate(TraceGenerator(*args, seed=seed), duration)
-    assert streamed.cycles.dtype == want.cycles.dtype
-    assert streamed.cycles.tobytes() == want.cycles.tobytes()
     assert len(streamed) == len(want) and streamed.name == want.name
+    assert streamed.last_cycle == int(want.cycles[-1])
     for _ in range(2):
-        blocks = list(streamed.row_blocks)
-        assert all(block.dtype == np.int64 for block in blocks)
-        assert max(len(block) for block in blocks) <= generator_module._SAMPLE_BLOCK
-        assert np.concatenate(blocks).tobytes() == want.rows.tobytes()
+        pairs = _copied_pairs(streamed)
+        for cycles, rows in pairs:
+            assert cycles.dtype == rows.dtype == np.int64
+            assert len(cycles) == len(rows) <= generator_module._SAMPLE_BLOCK
+        cycles, rows = (np.concatenate(arrays) for arrays in zip(*pairs))
+        assert cycles.tobytes() == want.cycles.tobytes()
+        assert rows.tobytes() == want.rows.tobytes()
     return streamed, want
 
 
@@ -174,7 +189,7 @@ class TestStreamMatchesOracle:
             span = int(((want.cycles.max() - first) // periods).max()) + 2
             assert geometry.rows * span > 20 * 64
         _assert_same_resets(
-            access_resets(streamed.row_blocks, streamed.cycles, first, periods, counts),
+            access_resets(streamed, first, periods, counts),
             reference_access_resets(want.rows, want.cycles, first, periods, counts),
         )
 
@@ -207,6 +222,82 @@ class TestStreamMatchesOracle:
             )
             results.append((vars(stats), _policy_state(policy)))
         assert results[0] == results[1]
+
+
+class TestGapCodec:
+    """A streamed trace's cycles, stored as per-block gaps in the
+    narrowest unsigned dtype and decoded per pass."""
+
+    @pytest.mark.parametrize(
+        "largest,dtype",
+        [(0, np.uint8), (255, np.uint8), (256, np.uint16), (65_535, np.uint16),
+         (65_536, np.uint32), (2**32 - 1, np.uint32), (2**32, np.uint64),
+         (2**62, np.uint64)],
+    )
+    def test_narrowest_dtype_round_trips(self, largest, dtype):
+        cycles = np.array([7, 7 + largest, 7 + largest, 8 + largest], dtype=np.int64)
+        gaps = narrow_gaps(cycles, 5, np.empty(8, dtype=np.int64))
+        assert gaps.dtype == dtype
+        assert gaps.tolist() == [2, largest, 0, 1]
+        [decoded] = decoded_cycles((gaps,))
+        assert decoded.tolist() == (cycles - 5).tolist()
+
+    def test_decoding_carries_across_blocks(self):
+        rng = np.random.default_rng(3)
+        cycles = np.cumsum(rng.integers(0, 2**40, size=1_000) >> rng.integers(0, 40, size=1_000))
+        scratch = np.empty(300, dtype=np.int64)
+        bounds = [0, 1, 300, 301, 600, 900, 1_000]
+        blocks = tuple(
+            narrow_gaps(cycles[a:b], int(cycles[a - 1]) if a else 0, scratch)
+            for a, b in zip(bounds, bounds[1:])
+        )
+        assert len({block.dtype for block in blocks}) > 1
+        reused = [block.copy() for block in decoded_cycles(blocks)]
+        assert np.concatenate(reused).tobytes() == cycles.tobytes()
+        out = np.empty(len(cycles), dtype=np.int64)
+        for _ in decoded_cycles(blocks, out=out):
+            pass
+        assert out.tobytes() == cycles.tobytes()
+
+    @pytest.mark.parametrize(
+        "rate,duration,dtype", [(100.0, 1.0, np.uint32), (0.1, 60.0, np.uint64)]
+    )
+    def test_slow_specs_need_wide_gaps(self, rate, duration, dtype):
+        """Gaps past ``uint16`` (100 requests in a second) and past
+        ``uint32`` (six requests in a minute) take the same path."""
+        spec = WorkloadSpec("slow", 300, 0.8, rate, 0.3, 0.4, "test")
+        streamed, want = _assert_streams_like_oracle(spec, 5, duration)
+        assert len(want) == int(rate * duration)
+        assert {block.dtype for block in streamed.gap_blocks} == {np.dtype(dtype)}
+        _assert_generates_like_oracle(spec, 5, duration)
+
+    def test_one_request_trace(self):
+        spec = PARSEC_WORKLOADS["swaptions"]
+        streamed, want = _assert_streams_like_oracle(spec, 2018, _duration_for(spec, 1))
+        [gaps] = streamed.gap_blocks
+        assert gaps.tolist() == want.cycles.tolist()
+        assert streamed.last_cycle == int(want.cycles[0])
+
+    @pytest.mark.parametrize("n_requests", [BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK])
+    def test_blocks_around_the_block_size(self, n_requests):
+        spec = PARSEC_WORKLOADS["dedup"]
+        streamed, _ = _assert_streams_like_oracle(spec, 7, _duration_for(spec, n_requests))
+        sizes = [len(gaps) for gaps in streamed.gap_blocks]
+        assert sum(sizes) == n_requests and all(size == BLOCK for size in sizes[:-1])
+
+    def test_decoded_blocks_share_one_buffer(self):
+        """Each pass reuses one cycle and one row buffer: a kept block
+        must be copied."""
+        spec = PARSEC_WORKLOADS["vips"]
+        streamed = TraceGenerator(spec, TIMING).stream(_duration_for(spec, 2 * BLOCK + 5))
+        (cycles_a, rows_a), (cycles_b, rows_b), _ = list(streamed)
+        assert np.shares_memory(cycles_a, cycles_b) and np.shares_memory(rows_a, rows_b)
+
+    def test_mismatched_row_blocks_raise(self):
+        gaps = (np.array([1, 2], dtype=np.uint8), np.array([3], dtype=np.uint8))
+        for row_blocks in ([np.array([0, 1])], [np.array([0, 1]), np.array([2, 3])]):
+            with pytest.raises(ValueError, match="do not match"):
+                list(StreamedTrace(gaps, row_blocks))
 
 
 def _random_bank(rng, n_rows, max_period):
@@ -247,7 +338,7 @@ class TestAccessResetsMatchesOracle:
                 patch.setattr(timeline_module, "_RESET_BLOCK", block)
             if floor is not None:
                 patch.setattr(timeline_module, "_RESET_BITMAP_FLOOR", floor)
-            got = access_resets([rows], cycles, first, periods, counts)
+            got = access_resets([(cycles, rows)], first, periods, counts)
         _assert_same_resets(got, want)
 
     @pytest.mark.parametrize("with_counts", [False, True])
@@ -262,7 +353,7 @@ class TestAccessResetsMatchesOracle:
         cycles = np.sort(rng.integers(0, 2_000, size=2_000))
         assert 300 * int(((2_000 - first) // periods).max()) > 20 * 8 * len(rows)
         _assert_same_resets(
-            access_resets([rows], cycles, first, periods, counts),
+            access_resets([(cycles, rows)], first, periods, counts),
             reference_access_resets(rows, cycles, first, periods, counts),
         )
 
@@ -273,19 +364,19 @@ class TestAccessResetsMatchesOracle:
         rows = np.array(rows, dtype=np.int64)
         cycles = np.arange(len(rows), dtype=np.int64)
         for counts in (None, np.array([3, 3], dtype=np.int64)):
-            got = access_resets([rows], cycles, first, periods, counts)
+            got = access_resets([(cycles, rows)], first, periods, counts)
             _assert_same_resets(got, reference_access_resets(rows, cycles, first, periods, counts))
             assert [len(a) for a in got] == [0, 0]
 
     @pytest.mark.parametrize(
-        "blocks,message", [([[0, 1], [1]], "hold 3 rows for 4"), ([[0, 1, 1], [0, 1]], "run past")]
+        "blocks,message",
+        [([([0, 1], [0, 1, 1])], "holds 3 rows for 2"), ([([0], [1]), ([1, 2], [0])], "holds 1 rows for 2")],
     )
     def test_row_blocks_must_match_the_cycles(self, blocks, message):
         first = np.array([5, 9], dtype=np.int64)
         periods = np.array([10, 10], dtype=np.int64)
-        cycles = np.arange(4, dtype=np.int64)
         with pytest.raises(ValueError, match=message):
-            access_resets([np.array(b) for b in blocks], cycles, first, periods)
+            access_resets([(np.array(c), np.array(r)) for c, r in blocks], first, periods)
 
     @pytest.mark.parametrize("policy_name", ["vrl-access", "raidr"])
     def test_engine_calls(self, monkeypatch, policy_name):
@@ -293,9 +384,9 @@ class TestAccessResetsMatchesOracle:
         resets (the engine leaves ``counts`` as ``None``)."""
         calls = []
 
-        def recording(row_blocks, cycles, first, periods, counts=None):
-            got = access_resets(row_blocks, cycles, first, periods, counts)
-            rows = np.concatenate(row_blocks)
+        def recording(blocks, first, periods, counts=None):
+            got = access_resets(blocks, first, periods, counts)
+            cycles, rows = (np.concatenate(arrays) for arrays in zip(*blocks))
             calls.append(
                 (got, reference_access_resets(rows, cycles, first, periods, counts))
             )
@@ -373,7 +464,7 @@ class TestMemoryBounds:
         rows = rng.integers(0, 64, size=2_000_000) * 61 % n_rows
         cycles = np.sort(rng.integers(0, duration, size=2_000_000))
         (reset_rows, reset_ordinals), peak = _traced_peak(
-            access_resets, [rows], cycles, first, periods, counts
+            access_resets, [(cycles, rows)], first, periods, counts
         )
         if with_counts:
             span = int(counts.max()) + 1
@@ -384,6 +475,22 @@ class TestMemoryBounds:
         assert peak <= SLACK + n_rows * span + 2 * marked + outputs
         assert SLACK + n_rows * span + 2 * marked + outputs < rows.nbytes
 
+
+    def test_streamed_trace_holds_under_three_bytes_a_request(self):
+        """Two million ``bgsave`` requests: the uint16 gaps and the
+        bit-packed streaming mask, plus working-set-sized tables."""
+        spec = PARSEC_WORKLOADS["bgsave"]
+        generator = TraceGenerator(spec, TIMING, seed=7)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            trace = generator.stream(_duration_for(spec, 2_000_000))
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(trace) == 2_000_000
+        assert {gaps.dtype for gaps in trace.gap_blocks} == {np.dtype(np.uint16)}
+        assert held <= 3 * len(trace)
 
     def test_streamed_vrl_access_peaks_below_a_trace(self):
         """Streaming and pricing two million ``bgsave`` requests under
@@ -406,6 +513,9 @@ class TestMemoryBounds:
         streamed, peak = _traced_peak(price)
         whole = TraceGenerator(spec, TIMING, seed=7).generate(duration)
         assert peak < whole.cycles.nbytes + whole.rows.nbytes
+        # The arrival sums are the peak, freed block by block as they
+        # are narrowed: no int64 cycle array alongside them.
+        assert peak <= whole.cycles.nbytes + SLACK
         assert streamed == vars(evaluator.evaluate(horizon, whole))
 
 

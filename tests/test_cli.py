@@ -273,6 +273,18 @@ class TestFaultToleranceFlags:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {flag}") and len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("value", ["1e30", "1e11"])
+    def test_duration_past_int64_cycles_rejected_in_one_line(self, value, capsys):
+        """A horizon whose controller-cycle count passes int64 exits 2
+        with the bound every timed cell enforces, not a traceback from
+        ``Cell.of``."""
+        argv = ["fig4", "--duration", value, "--no-cache", "--runs-dir", ""]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --duration {float(value)!r} s is ")
+        assert err.rstrip().endswith("controller cycles, more than int64 holds")
+        assert len(err.strip().splitlines()) == 1
+
     def test_wide_counter_sweep_completes(self, capsys):
         """MPRSF stops at the survivors' fixed point, so a 40-bit counter
         costs about what a 4-bit one does instead of 2^40 rounds."""
@@ -462,6 +474,17 @@ print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 """
 
 
+_SERIAL_POOL_PROBE = """
+import contextlib, io, sys
+import repro.experiments.cli as cli
+with contextlib.redirect_stdout(io.StringIO()):
+    rc = cli.main(["fig4", "--duration", "0.02", "--benchmarks", "blackscholes",
+                   "--jobs", "1", "--no-cache", "--runs-dir", ""])
+assert rc == 0, rc
+print("multiprocessing" in sys.modules)
+"""
+
+
 class TestImportGraph:
     """The CLI's import graph is SciPy-free (invariant 16); no timing asserted."""
 
@@ -480,6 +503,19 @@ class TestImportGraph:
         loaded = json.loads(out.splitlines()[-1])
         assert "scipy.linalg._flapack" in loaded
         assert "scipy.linalg" not in loaded
+
+    def test_serial_sweep_loads_no_multiprocessing(self, tmp_path):
+        # A --jobs 1 sweep computes inline and never creates the process
+        # pool, so it never pays for importing multiprocessing.
+        out = subprocess.run(
+            [sys.executable, "-c", _SERIAL_POOL_PROBE],
+            capture_output=True,
+            text=True,
+            env=_cli_env(),
+            cwd=tmp_path,
+            check=True,
+        ).stdout
+        assert out.splitlines()[-1] == "False"
 
     def test_cli_and_scipy_free_verbs_load_no_scipy(self, tmp_path):
         out = subprocess.run(
