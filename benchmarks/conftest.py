@@ -8,9 +8,19 @@ doubles as a reproduction log:
     pytest benchmarks/ --benchmark-only
 """
 
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.retention import RefreshBinning, RetentionProfiler
+
+# ``test_bench_solver.py`` times the library against the stamping oracle
+# kept in ``tests/`` (``tests.reference_assembler``), so the repository
+# root must be importable however pytest was started.
+ROOT = str(Path(__file__).resolve().parents[1])
+if ROOT not in sys.path:
+    sys.path.insert(0, ROOT)
 
 
 @pytest.fixture(scope="session")

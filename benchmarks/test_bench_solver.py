@@ -4,9 +4,10 @@ Times a full Fig. 2d refresh transient (the heaviest netlist in the
 repo: 26 MOSFETs, ~44 unknowns, 8000 backward-Euler steps at 5 ps) in
 three configurations:
 
-1. **naive fixed-step** — ``assembly="naive"`` reproduces the seed
-   solver exactly: every Newton iteration re-stamps every element into
-   a fresh dense matrix;
+1. **reference fixed-step** — the stamping oracle of
+   ``tests/reference_assembler.py`` reproduces the seed solver exactly:
+   every Newton iteration re-stamps every element into a fresh dense
+   matrix;
 2. **compiled fixed-step** — same step sequence through the compiled
    assembler (cached linear base, vectorized device stamps, in-place
    LAPACK solve);
@@ -27,8 +28,10 @@ import time
 import numpy as np
 
 from repro.circuit import CircuitSession
+from repro.circuit.compiled import CompiledCircuit
 from repro.circuit.dram_circuits import DEFAULT_REFRESH_PHASES, build_refresh_circuit
 from repro.technology import DEFAULT_GEOMETRY, DEFAULT_TECH
+from tests.reference_assembler import reference_session
 
 T_STOP = 40e-9
 DT = 5e-12
@@ -36,26 +39,25 @@ RECORD = ["cell", "bl", "blb"]
 WAVEFORM_TOLERANCE_V = 10e-3  # measurement tolerance (sense margins ~ tens of mV)
 
 
-def _refresh_session(assembly):
-    circuit = build_refresh_circuit(
+def _refresh_circuit():
+    return build_refresh_circuit(
         DEFAULT_TECH,
         DEFAULT_GEOMETRY,
         DEFAULT_REFRESH_PHASES,
         v_cell_initial=DEFAULT_TECH.v_fail,
     )
-    return CircuitSession(circuit, assembly=assembly)
 
 
 class TestSolverThroughput:
     def test_compiled_adaptive_speedup(self, benchmark):
         """Compiled adaptive session >= 5x over the seed solver path."""
-        seed_session = _refresh_session("naive")
+        seed_session = reference_session(_refresh_circuit())
         start = time.perf_counter()
         seed = seed_session.simulate(T_STOP, DT, record=RECORD)
         seed_seconds = time.perf_counter() - start
 
-        session = _refresh_session("auto")
-        assert session.assembler.is_compiled
+        session = CircuitSession(_refresh_circuit())
+        assert isinstance(session.assembler, CompiledCircuit)
 
         adaptive = benchmark.pedantic(
             session.simulate,
@@ -112,7 +114,7 @@ class TestSolverThroughput:
 
     def test_session_reuse_amortizes_compilation(self, benchmark):
         """Re-running one session (the mprsf sweep pattern) stays fast."""
-        session = _refresh_session("auto")
+        session = CircuitSession(_refresh_circuit())
         session.simulate(1e-9, DT, record=["cell"])  # warm the compile
 
         def sweep():

@@ -12,7 +12,10 @@ The simulator is compile-then-run: a :class:`CircuitSession` compiles a
 netlist's MNA structure once (linear stamps cached per step size,
 MOSFETs re-linearized vectorized per Newton iteration) and then runs
 fixed-step or adaptive transients against it, returning
-:class:`SolverStats` telemetry with every result.
+:class:`SolverStats` telemetry with every result.  There is one
+assembler, dense (the Fig. 2 netlists have tens of unknowns), over the
+library elements; an element with custom ``stamp`` arithmetic is
+refused with a ``TypeError`` when its session compiles.
 
 Typical use::
 

@@ -10,28 +10,24 @@ lanes and advances them in lockstep —
   that differs between lanes;
 * each Newton round assembles and solves only the still-active lanes
   (per-lane convergence masks: converged lanes stop iterating);
-* the dense path linearizes every lane's devices in one vectorized call
-  and solves each lane with the scalar path's own LAPACK ``dgesv``, the
-  sparse path factors one block-diagonal CSC matrix, and device-free
-  circuits share a single factorization across every lane and step;
+* each round linearizes every lane's devices in one vectorized call and
+  solves each lane with the scalar path's own LAPACK ``dgesv``;
+  device-free circuits share a single factorization across every lane
+  and step;
 * a lane that batched Newton cannot converge (or whose system goes
   singular) falls back to the inherited scalar path for that one step —
   subdivision halving and then the gmin/source-stepping rescue ladder
   (:mod:`repro.circuit.rescue`) run *per lane*, never aborting or
   perturbing the healthy lanes.
 
-Numerical contract (architecture invariant 14): on the dense device
-path each lane of a fixed-step batch is bit-identical to a scalar
+Numerical contract (architecture invariant 14): with devices, each lane
+of a fixed-step batch is bit-identical to a scalar
 :class:`~repro.circuit.solver.CircuitSession` run of the same circuit
 and overrides, by construction — the same stamps and the same ``dgesv``
-on the same system.  The reference-fallback path is bit-identical too,
-the shared-factorization (device-free) path agrees to machine
-precision, and the sparse block-diagonal SuperLU path stays within the
-documented 2 mV circuit envelope.  Adaptive batches share one step
-controller (the worst lane sets the step), so their lanes stay within
-that envelope of solo adaptive runs.  Circuits with opaque user
-elements fall back to per-lane scalar simulation, preserving exact
-scalar semantics including rescues.
+on the same system.  The shared-factorization (device-free) path agrees
+to machine precision.  Adaptive batches share one step controller (the
+worst lane sets the step), so their lanes stay within the documented
+2 mV circuit envelope of solo adaptive runs.
 """
 
 from __future__ import annotations
@@ -95,7 +91,7 @@ class BatchedTransientResult:
         """One lane's waveforms as a scalar-session-compatible result.
 
         The attached stats are the whole batch's (per-lane Newton
-        accounting is not separable once lanes share an assembly).
+        accounting is not separable once lanes share their Newton rounds).
         """
         return TransientResult(
             time=self.time,
@@ -174,14 +170,6 @@ class BatchedCircuitSession(CircuitSession):
             if idx < 0:
                 raise KeyError(f"cannot record ground node: {node}")
 
-        if not assembler.is_compiled:
-            # Opaque circuits: no static structure to batch.  Per-lane
-            # scalar runs preserve exact scalar semantics (including
-            # per-lane rescue isolation, trivially).
-            return self._simulate_batch_reference(
-                t_stop, dt, record_nodes, arrays, adaptive
-            )
-
         x = self.circuit.initial_state(size)
         XP = np.zeros((n_lanes, size + 1))
         XP[:, :size] = x
@@ -195,39 +183,6 @@ class BatchedCircuitSession(CircuitSession):
         if adaptive:
             return self._run_adaptive_batch(assembler, XP, t_stop, dt, indices, stats)
         return self._run_fixed_batch(assembler, XP, t_stop, dt, indices, stats)
-
-    # ------------------------------------------------------------------ #
-    # reference fallback (opaque circuits)                                #
-    # ------------------------------------------------------------------ #
-
-    def _simulate_batch_reference(
-        self, t_stop, dt, record_nodes, arrays, adaptive
-    ) -> BatchedTransientResult:
-        """Per-lane scalar runs stacked into one batched result."""
-        n_lanes = len(next(iter(arrays.values())))
-        results = []
-        total = SolverStats()
-        for lane in range(n_lanes):
-            overrides = {node: float(vals[lane]) for node, vals in arrays.items()}
-            result = self.simulate(
-                t_stop,
-                dt,
-                record=record_nodes,
-                adaptive=adaptive,
-                initial_overrides=overrides,
-            )
-            results.append(result)
-            total.merge(result.stats)
-        voltages = {
-            node: np.stack([r[node] for r in results]) for node in record_nodes
-        }
-        return BatchedTransientResult(
-            time=results[0].time,
-            voltages=voltages,
-            n_lanes=n_lanes,
-            newton_iterations=total.newton_iterations,
-            stats=total,
-        )
 
     # ------------------------------------------------------------------ #
     # fixed-step path                                                     #

@@ -1,9 +1,9 @@
-"""Compiled MNA assembly: extract structure once, re-stamp only devices.
+"""Compiled MNA stamping: extract structure once, re-stamp only devices.
 
-The reference stamping protocol (:mod:`repro.circuit.netlist`) rebuilds
-the whole MNA system element-by-element in Python on every Newton
-iteration.  This module performs that walk **once**, at compile time,
-and partitions the circuit (:meth:`Circuit.partition`):
+The element ``stamp`` protocol (:mod:`repro.circuit.netlist`) would
+rebuild the whole MNA system element-by-element in Python on every
+Newton iteration.  This module performs that walk **once**, at compile
+time, and partitions the circuit (:meth:`Circuit.partition`):
 
 * **Linear elements** (R, L, C, V/I sources) contribute conductance
   entries of the form ``const + coef / dt`` — constant for a fixed step
@@ -21,37 +21,31 @@ and partitions the circuit (:meth:`Circuit.partition`):
   :meth:`CompiledCircuit._device_stamps` call.  The two laws are the
   same operations in the same order, so their stamps are bit-identical
   (``tests/test_circuit_linearize.py``).
-* **The sparsity pattern** is precomputed.  Above
-  :data:`~repro.circuit.solver.SPARSE_THRESHOLD` unknowns the base is a
-  CSC data vector over the exact union pattern (linear entries, both
-  drain/source orientations of every MOSFET, and the node diagonals for
-  regularization); per-iteration stamping writes straight into a copy of
-  that data vector and the matrix is handed to SuperLU without ever
-  materializing a dense ``(size, size)`` array or converting formats.
 
-Circuits containing *opaque* elements — user subclasses with custom
-``stamp`` arithmetic — cannot be described statically and fall back to
-:class:`ReferenceAssembler`, which preserves the seed solver's
-behaviour (and stamps into a ``scipy.sparse.lil_matrix`` above the
-sparse threshold, so even the fallback never densifies large systems).
+Every system is dense: the netlists this layer serves (the Fig. 2
+circuits) have tens of unknowns, 50 at most.  Elements with custom
+``stamp`` arithmetic cannot be described statically, and
+:func:`build_assembler` rejects a circuit holding one.  The per-element
+stamping loop survives as the tests' oracle
+(``tests/reference_assembler.py``, architecture invariant 10).
 
-Both assemblers expose the same two entry points consumed by
+:class:`CompiledCircuit` exposes the entry points consumed by
 :class:`~repro.circuit.solver.CircuitSession`:
 
 * ``prepare_step(xp_prev, t, dt, stats, gshunt=0.0, source_scale=1.0)``
   → an ``iterate(xp)`` callable performing one
   linearize-assemble-solve round (``gshunt``/``source_scale`` deform
   the system for the rescue ladder; the defaults assemble the exact
-  undeformed system), and
-* ``system_matrices(x, v_prev, t, dt)`` → the dense ``(G, I)`` pair for
-  verification (architecture invariant 10: compiled and reference
-  stamping produce identical MNA systems).
+  undeformed system),
+* ``prepare_step_batched`` for
+  :class:`~repro.circuit.batched.BatchedCircuitSession`: lanes are
+  solved one ``dgesv`` call each, the scalar path's own LAPACK routine,
+  so each lane is bit-identical to its scalar run (architecture
+  invariant 14), and
+* ``system_matrices(x, v_prev, t, dt)`` → the ``(G, I)`` pair for
+  verification against the oracle.
 
-The compiled assembler adds ``prepare_step_batched`` for
-:class:`~repro.circuit.batched.BatchedCircuitSession`: dense lanes are
-solved one ``dgesv`` call each, the scalar path's own LAPACK routine, so
-each lane is bit-identical to its scalar run (architecture invariant 14).
-Dense matrices are stored column-major, the layout LAPACK reads, so both
+Matrices are stored column-major, the layout LAPACK reads, so both
 paths have ``dgesv`` factor and solve their round buffers in place.
 
 The LAPACK routines (``dgesv``, and ``dgetrf``/``dgetrs`` for the cached
@@ -80,7 +74,6 @@ from .netlist import (
     Inductor,
     Resistor,
     VoltageSource,
-    _MOSFET,
 )
 
 
@@ -146,35 +139,40 @@ def _lapack():
 _SCATTER_CACHE_SIZE = 1024
 
 
-def build_assembler(circuit: Circuit, size: int, sparse: bool):
-    """Compile ``circuit`` if possible, else fall back to reference stamping.
+def build_assembler(circuit: Circuit, size: int) -> CompiledCircuit:
+    """Compile ``circuit``, an assembled netlist of library elements.
 
     Args:
         circuit: an assembled circuit (terminals bound to indices).
         size: MNA system size as returned by :meth:`Circuit.assemble`.
-        sparse: whether the solver chose the sparse linear-algebra path.
+
+    Raises:
+        TypeError: an element overrides the library ``stamp`` arithmetic
+            (:meth:`Circuit.partition` finds it opaque).
     """
     linear, nonlinear, opaque = circuit.partition()
     if opaque:
-        return ReferenceAssembler(circuit, size, sparse)
-    return CompiledCircuit(circuit, size, sparse, linear, nonlinear)
+        element = opaque[0]
+        raise TypeError(
+            f"circuit {circuit.name!r}: element {element.name!r} of type "
+            f"{type(element).__name__} has custom stamp arithmetic; the solver "
+            f"compiles library elements only (R, C, L, V/I sources, NMOS/PMOS)"
+        )
+    return CompiledCircuit(circuit, size, linear, nonlinear)
 
 
 class CompiledCircuit:
-    """Vectorized MNA assembly for a circuit of library element types.
+    """Vectorized MNA assembler for a circuit of library element types.
 
     Built once per :class:`~repro.circuit.solver.CircuitSession`; holds
-    the COO/CSC structure, per-``dt`` linear base cache, and the device
+    the stamp positions, per-``dt`` linear base cache, and the device
     parameter arrays.  Not constructed directly — use
     :func:`build_assembler`.
     """
 
-    is_compiled = True
-
-    def __init__(self, circuit, size, sparse, linear, nonlinear):
+    def __init__(self, circuit, size, linear, nonlinear):
         self.size = size
         self.n_nodes = circuit.num_nodes
-        self.sparse = sparse
         pad = size  # index of the discard slot in padded vectors
 
         # --- linear conductance entries: value(dt) = const + coef / dt ---
@@ -307,35 +305,32 @@ class CompiledCircuit:
         # Per-lane-count round buffers and scatter tables of batched steps.
         self._lane_cache: dict = {}
 
-        if sparse:
-            self._build_sparse_structure(f_d, f_g, f_s)
-        else:
-            self._build_dense_structure(f_d, f_g, f_s)
+        self._build_structure(f_d, f_g, f_s)
 
-        # Per-dt cache of the assembled linear base (matrix for the
-        # dense path, CSC data vector for the sparse path) plus, for
+        # Per-dt cache of the assembled linear base plus, for
         # device-free circuits, its reusable factorization.
         self._lin_cache_dt: Optional[float] = None
         self._lin_cache_base = None
         self._lin_cache_factor = None
-        # Per-lane-count cache of the block-diagonal CSC structure used
-        # by the batched sparse path (indices/indptr only; data varies).
-        self._blk_cache: dict[int, Tuple[np.ndarray, np.ndarray]] = {}
 
     # ------------------------------------------------------------------ #
     # structure construction                                              #
     # ------------------------------------------------------------------ #
 
-    def _fet_positions(self, f_d, f_g, f_s, locate, pad_pos):
-        """Stamp-position arrays for both device orientations.
+    def _fet_positions(self, f_d, f_g, f_s):
+        """Stamp positions for both device orientations.
 
-        ``locate(i, j)`` maps a matrix coordinate to a storage position
-        (dense flat index or CSC data offset); ground coordinates map to
-        ``pad_pos``, a discard slot.  Returns ``(pos_normal,
-        pos_swapped, rhs_normal, rhs_swapped)``; the ``pos`` arrays are
-        ``(n_fet, 8)`` following :data:`_FET_STAMPS`, the ``rhs`` arrays
-        ``(n_fet, 2)`` for the (drain, source) current rows.
+        Matrix entry ``(i, j)`` sits at flat index ``j * stride + i`` of
+        the padded ``(size+1, size+1)`` matrix; ground coordinates map
+        to the ``(size, size)`` discard cell, and ground RHS rows to the
+        pad row ``size``.  Returns ``(pos_normal, pos_swapped,
+        rhs_normal, rhs_swapped)``; the ``pos`` arrays are ``(n_fet, 8)``
+        following :data:`_FET_STAMPS`, the ``rhs`` arrays ``(n_fet, 2)``
+        for the (drain, source) current rows.
         """
+        size = self.size
+        stride = size + 1
+        pad_pos = size * stride + size
         n = len(f_d)
         pos = {True: np.empty((n, 8), dtype=np.intp), False: np.empty((n, 8), dtype=np.intp)}
         rhs = {True: np.empty((n, 2), dtype=np.intp), False: np.empty((n, 2), dtype=np.intp)}
@@ -346,42 +341,26 @@ class CompiledCircuit:
                 terms = {"d": d_eff, "g": f_g[dev], "s": s_eff}
                 for slot, (ri, ci, _kind, _sign) in enumerate(_FET_STAMPS):
                     i, j = terms[ri], terms[ci]
-                    pos[swapped][dev, slot] = locate(i, j) if (i >= 0 and j >= 0) else pad_pos
-                rhs[swapped][dev, 0] = d_eff if d_eff >= 0 else pad_pos
-                rhs[swapped][dev, 1] = s_eff if s_eff >= 0 else pad_pos
+                    pos[swapped][dev, slot] = (
+                        int(j) * stride + int(i) if (i >= 0 and j >= 0) else pad_pos
+                    )
+                rhs[swapped][dev, 0] = d_eff if d_eff >= 0 else size
+                rhs[swapped][dev, 1] = s_eff if s_eff >= 0 else size
         return pos[False], pos[True], rhs[False], rhs[True]
 
-    def _set_scatter_tables(self, pos_normal, pos_swapped, rhs_normal, rhs_swapped) -> None:
-        """Positions of the device stamps in a padded ``[G | I]`` buffer.
-
-        One table per orientation, ``(10 n,)``, in stamp order: every
-        device's eight Jacobian stamps (device-major, following
-        :data:`_FET_STAMPS`), every drain RHS row, then every source RHS
-        row.  ``_entry_device`` maps each entry to its device, so a swap
-        mask picks each device's orientation.
-        """
-        n = len(pos_normal)
-        offset = self._rhs_offset
-
-        def table(pos, rhs):
-            return np.concatenate([pos.ravel(), rhs[:, 0] + offset, rhs[:, 1] + offset])
-
-        self._index_normal = table(pos_normal, rhs_normal)
-        self._index_swapped = table(pos_swapped, rhs_swapped)
-        devices = np.arange(n, dtype=np.intp)
-        self._entry_device = np.concatenate([np.repeat(devices, 8), devices, devices])
-        # Where each stamp value sits in :meth:`_device_stamps`' six rows
-        # (gds, gm, ieq, -gds, -gm, -ieq), in stamp order.
-        gds, gm, ieq, neg_gds, neg_gm, neg_ieq = (devices + r * n for r in range(6))
-        jacobian = np.stack((gds, gds, neg_gds, neg_gds, gm, neg_gm, neg_gm, gm), axis=-1)
-        self._stamp_order = np.concatenate([jacobian.ravel(), neg_ieq, ieq])
-
-    def _build_dense_structure(self, f_d, f_g, f_s) -> None:
-        """Dense backend: flat indices into a ``(size+1, size+1)`` pad matrix.
+    def _build_structure(self, f_d, f_g, f_s) -> None:
+        """Flat indices into a ``(size+1, size+1)`` pad matrix.
 
         The matrix is stored column-major (entry ``(i, j)`` at flat index
         ``j * stride + i``), the layout LAPACK reads, so a round hands
         ``dgesv`` its buffer without a transposing copy.
+
+        The device stamps get one position table per orientation,
+        ``(10 n,)``, into a padded ``[G | I]`` buffer, in stamp order:
+        every device's eight Jacobian stamps (device-major, following
+        :data:`_FET_STAMPS`), every drain RHS row, then every source RHS
+        row.  ``_entry_device`` maps each entry to its device, so a swap
+        mask picks each device's orientation.
         """
         size = self.size
         stride = size + 1
@@ -389,97 +368,24 @@ class CompiledCircuit:
         self._diag_flat = np.arange(self.n_nodes, dtype=np.intp) * stride + np.arange(
             self.n_nodes, dtype=np.intp
         )
-        pad_pos = size * stride + size  # the (size, size) discard cell
-
-        def locate(i: int, j: int) -> int:
-            return int(j) * stride + int(i)
-
-        pos_normal, pos_swapped, rhs_normal, rhs_swapped = self._fet_positions(
-            f_d, f_g, f_s, locate, pad_pos
-        )
         # RHS scatter targets index the padded I vector (pad row = size),
         # which follows the padded matrix in [G | I] buffers.
-        self._rhs_offset = stride * stride
-        self._set_scatter_tables(
-            pos_normal,
-            pos_swapped,
-            np.where(rhs_normal == pad_pos, size, rhs_normal),
-            np.where(rhs_swapped == pad_pos, size, rhs_swapped),
-        )
+        self._rhs_offset = offset = stride * stride
+        pos_normal, pos_swapped, rhs_normal, rhs_swapped = self._fet_positions(f_d, f_g, f_s)
 
-    def _build_sparse_structure(self, f_d, f_g, f_s) -> None:
-        """Sparse backend: canonical CSC pattern + slot→data-offset maps."""
-        size = self.size
-        # Register every structural entry as a COO "slot": the linear
-        # entries, both orientations of every device stamp, and the node
-        # diagonals (regularization must be able to write them).
-        slot_rows: List[int] = list(self._lin_rows)
-        slot_cols: List[int] = list(self._lin_cols)
-        fet_slot: dict[Tuple[int, int], int] = {}
+        def table(pos, rhs):
+            return np.concatenate([pos.ravel(), rhs[:, 0] + offset, rhs[:, 1] + offset])
 
-        def register(i: int, j: int) -> int:
-            key = (i, j)
-            if key not in fet_slot:
-                fet_slot[key] = len(slot_rows)
-                slot_rows.append(i)
-                slot_cols.append(j)
-            return fet_slot[key]
-
-        n = len(f_d)
-        pos_arrays = {}
-        rhs_arrays = {}
-        for swapped in (False, True):
-            pos = np.empty((n, 8), dtype=np.intp)
-            rhs = np.empty((n, 2), dtype=np.intp)
-            for dev in range(n):
-                d_eff = f_s[dev] if swapped else f_d[dev]
-                s_eff = f_d[dev] if swapped else f_s[dev]
-                terms = {"d": d_eff, "g": f_g[dev], "s": s_eff}
-                for slot, (ri, ci, _kind, _sign) in enumerate(_FET_STAMPS):
-                    i, j = int(terms[ri]), int(terms[ci])
-                    pos[dev, slot] = register(i, j) if (i >= 0 and j >= 0) else -1
-                rhs[dev, 0] = d_eff if d_eff >= 0 else size
-                rhs[dev, 1] = s_eff if s_eff >= 0 else size
-            pos_arrays[swapped] = pos
-            rhs_arrays[swapped] = rhs
-        diag_slots = [register(k, k) for k in range(self.n_nodes)]
-
-        all_rows = np.asarray(slot_rows, dtype=np.intp)
-        all_cols = np.asarray(slot_cols, dtype=np.intp)
-        order = np.lexsort((all_rows, all_cols))
-        sr = all_rows[order]
-        sc = all_cols[order]
-        if len(sr):
-            new_entry = np.concatenate(
-                [[True], (np.diff(sc) != 0) | (np.diff(sr) != 0)]
-            )
-        else:
-            new_entry = np.zeros(0, dtype=bool)
-        uid_sorted = np.cumsum(new_entry) - 1
-        nnz = int(uid_sorted[-1]) + 1 if len(uid_sorted) else 0
-        slot_pos = np.empty(len(all_rows), dtype=np.intp)
-        slot_pos[order] = uid_sorted
-
-        self._nnz = nnz
-        self._csc_indices = sr[new_entry].astype(np.int32)
-        counts = np.bincount(sc[new_entry], minlength=size)
-        self._csc_indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
-        self._lin_pos = slot_pos[: len(self._lin_rows)]
-        pad_pos = nnz  # data vectors carry one discard slot at the end
-        # The padded I vector follows the data vector in [data | I] buffers.
-        self._rhs_offset = nnz + 1
-
-        def map_pos(arr):
-            out = slot_pos[np.where(arr >= 0, arr, 0)]
-            return np.where(arr >= 0, out, pad_pos)
-
-        self._set_scatter_tables(
-            map_pos(pos_arrays[False]),
-            map_pos(pos_arrays[True]),
-            rhs_arrays[False],
-            rhs_arrays[True],
-        )
-        self._diag_pos = slot_pos[np.asarray(diag_slots, dtype=np.intp)]
+        self._index_normal = table(pos_normal, rhs_normal)
+        self._index_swapped = table(pos_swapped, rhs_swapped)
+        n = len(pos_normal)
+        devices = np.arange(n, dtype=np.intp)
+        self._entry_device = np.concatenate([np.repeat(devices, 8), devices, devices])
+        # Where each stamp value sits in :meth:`_device_stamps`' six rows
+        # (gds, gm, ieq, -gds, -gm, -ieq), in stamp order.
+        gds, gm, ieq, neg_gds, neg_gm, neg_ieq = (devices + r * n for r in range(6))
+        jacobian = np.stack((gds, gds, neg_gds, neg_gds, gm, neg_gm, neg_gm, gm), axis=-1)
+        self._stamp_order = np.concatenate([jacobian.ravel(), neg_ieq, ieq])
 
     # ------------------------------------------------------------------ #
     # per-dt linear base                                                  #
@@ -490,16 +396,10 @@ class CompiledCircuit:
         return self._lin_const + self._lin_coef / dt
 
     def _assemble_linear(self, dt: float) -> np.ndarray:
-        """The padded dense matrix (column-major: its transpose as a C
-        array) or CSC data vector (with its discard slot) holding every
-        linear stamp at step size ``dt``."""
-        vals = self._linear_values(dt)
-        if self.sparse:
-            base = np.zeros(self._nnz + 1)
-            np.add.at(base, self._lin_pos, vals)
-        else:
-            base = np.zeros((self.size + 1, self.size + 1))
-            np.add.at(base.ravel(), self._lin_flat, vals)
+        """The padded matrix (column-major: its transpose as a C array)
+        holding every linear stamp at step size ``dt``."""
+        base = np.zeros((self.size + 1, self.size + 1))
+        np.add.at(base.ravel(), self._lin_flat, self._linear_values(dt))
         return base
 
     def _linear_base(self, dt: float, stats) -> tuple:
@@ -514,19 +414,7 @@ class CompiledCircuit:
         size = self.size
         base = self._assemble_linear(dt)
         factor = None
-        if self.n_devices == 0 and self.sparse:
-            data = base[: self._nnz].copy()
-            zero = data[self._diag_pos] == 0.0
-            if zero.any():
-                data[self._diag_pos[zero]] = 1e-12
-            try:
-                factor = self._sparse_factor(data, stats)
-            except SingularSystemError:
-                # Leave the cached factor empty: the per-iteration
-                # path retries (with any rescue gmin applied) and
-                # raises there if the system is truly singular.
-                factor = None
-        elif self.n_devices == 0:
+        if self.n_devices == 0:
             G = base.T[:size, :size].copy()
             flat = G.ravel()
             diag = np.arange(self.n_nodes, dtype=np.intp) * (size + 1)
@@ -544,7 +432,9 @@ class CompiledCircuit:
 
         The ``dgetrf``/``dgetrs`` pair that SciPy's ``lu_factor`` and
         ``lu_solve`` call; a zero pivot (``info > 0``) or a bad argument
-        (``info < 0``) gives ``None``.
+        (``info < 0``) gives ``None``: the per-iteration path then
+        retries (with any rescue gmin applied) and raises there if the
+        system is truly singular.
         """
         lapack = _lapack()
         lu, piv, info = lapack.dgetrf(G)
@@ -561,23 +451,8 @@ class CompiledCircuit:
 
         return solve
 
-    def _sparse_factor(self, data: np.ndarray, stats):
-        """SuperLU-factorize the CSC matrix for reuse; raises on singular."""
-        import scipy.sparse as sp
-        import scipy.sparse.linalg as spla
-
-        matrix = sp.csc_matrix(
-            (data, self._csc_indices, self._csc_indptr), shape=(self.size, self.size)
-        )
-        try:
-            lu = spla.splu(matrix)
-        except RuntimeError as exc:
-            raise SingularSystemError(str(exc)) from exc
-        stats.factorizations += 1
-        return lu.solve
-
     # ------------------------------------------------------------------ #
-    # per-step / per-iteration assembly                                   #
+    # per-step / per-iteration stamping                                   #
     # ------------------------------------------------------------------ #
 
     def _rhs_base(
@@ -719,31 +594,27 @@ class CompiledCircuit:
 
     def _scatter_positions(self, swap: np.ndarray) -> np.ndarray:
         """Positions of the stamp values for swap mask ``swap`` (``(n,)``)
-        in a padded ``[G | I]`` buffer (``[data | I]`` on the sparse
-        path)."""
+        in a padded ``[G | I]`` buffer."""
         return np.where(swap[..., self._entry_device], self._index_swapped, self._index_normal)
 
     def _lane_context(self, n_lanes: int) -> tuple:
         """Batched-step state reused across steps, cached per lane count.
 
         Returns ``(buffer, lane_G, lane_I, normal, swapped)``: a round
-        buffer holding one padded ``[G | I]`` row per lane (``[data | I]``
-        on the sparse path); on the dense path each row's
-        Fortran-ordered matrix view and its RHS view (else ``None``);
-        and both orientations' stamp positions in that buffer,
-        ``(10 n, n_lanes)``.  One batched step uses the buffer at a time.
+        buffer holding one padded ``[G | I]`` row per lane; each row's
+        Fortran-ordered matrix view and its RHS view; and both
+        orientations' stamp positions in that buffer, ``(10 n,
+        n_lanes)``.  One batched step uses the buffer at a time.
         """
         context = self._lane_cache.get(n_lanes)
         if context is None:
             offset = self._rhs_offset
-            width = offset + self.size + 1
+            stride = self.size + 1
+            width = offset + stride
             buffer = np.empty((n_lanes, width))
-            lane_G = lane_I = None
-            if not self.sparse:
-                stride = self.size + 1
-                matrices = buffer[:, :offset].reshape(n_lanes, stride, stride)
-                lane_G = list(matrices.transpose(0, 2, 1))
-                lane_I = list(buffer[:, offset:])
+            matrices = buffer[:, :offset].reshape(n_lanes, stride, stride)
+            lane_G = list(matrices.transpose(0, 2, 1))
+            lane_I = list(buffer[:, offset:])
             rows = np.arange(n_lanes, dtype=np.intp) * width
             context = self._lane_cache[n_lanes] = (
                 buffer,
@@ -773,7 +644,7 @@ class CompiledCircuit:
         gshunt: float = 0.0,
         source_scale: float = 1.0,
     ):
-        """One time step's assembly context.
+        """One time step's Newton-round context.
 
         Returns ``iterate(xp) -> x_next`` performing a single Newton
         round: stamp devices at the iterate, regularize floating nodes,
@@ -786,11 +657,11 @@ class CompiledCircuit:
         At the defaults the assembled system is bit-identical to the
         undeformed one.
 
-        A round works in one padded ``[G | I]`` buffer (``[data | I]``
-        on the sparse path) holding the step's linear base and RHS: the
-        devices, linearized on Python floats (:meth:`_linearize`), land
-        in it through a single ``np.add.at`` in the order separate
-        matrix and RHS scatters would take.
+        A round works in one padded ``[G | I]`` buffer holding the
+        step's linear base and RHS: the devices, linearized on Python
+        floats (:meth:`_linearize`), land in it through a single
+        ``np.add.at`` in the order separate matrix and RHS scatters
+        would take.
         """
         size = self.size
         base, factor = self._linear_base(dt, stats)
@@ -820,28 +691,13 @@ class CompiledCircuit:
                 swaps, vals = self._linearize(xp)
                 np.add.at(work, self._scatter_index(swaps), np.array(vals, dtype=float))
 
-        if self.sparse:
-            data = work[: self._nnz]
-            diag_pos = self._diag_pos
-
-            def iterate_sparse(xp: np.ndarray) -> np.ndarray:
-                stamp(xp)
-                if gshunt:
-                    data[diag_pos] += gshunt
-                zero = data[diag_pos] == 0.0
-                if zero.any():
-                    data[diag_pos[zero]] = 1e-12
-                return self._sparse_factor(data, stats)(I[:size])
-
-            return iterate_sparse
-
         dgesv = _lapack().dgesv
         stride = size + 1
         G = work[:offset].reshape(stride, stride).T  # Fortran-ordered view
         pad_cell = size * stride + size  # flat index of (size, size)
         diag_flat = self._diag_flat
 
-        def iterate_dense(xp: np.ndarray) -> np.ndarray:
+        def iterate(xp: np.ndarray) -> np.ndarray:
             stamp(xp)
             if gshunt:
                 work[diag_flat] += gshunt
@@ -865,47 +721,11 @@ class CompiledCircuit:
                 )
             return I[:size].copy()
 
-        return iterate_dense
+        return iterate
 
     # ------------------------------------------------------------------ #
-    # batched (multi-lane) assembly                                       #
+    # batched (multi-lane) stamping                                       #
     # ------------------------------------------------------------------ #
-
-    def _block_sparse_structure(self, k: int) -> Tuple[np.ndarray, np.ndarray]:
-        """CSC ``(indices, indptr)`` of ``k`` copies of the pattern on the
-        block diagonal.  Column ``l * size + j`` of the block matrix is
-        column ``j`` of lane ``l``, so lane-major concatenation of the
-        per-lane data vectors is already in block-CSC order."""
-        cached = self._blk_cache.get(k)
-        if cached is None:
-            nnz, size = self._nnz, self.size
-            indices = np.tile(self._csc_indices.astype(np.int64), k) + np.repeat(
-                np.arange(k, dtype=np.int64) * size, nnz
-            )
-            indptr = np.empty(k * size + 1, dtype=np.int64)
-            indptr[0] = 0
-            indptr[1:] = (
-                self._csc_indptr[1:].astype(np.int64)[None, :]
-                + (np.arange(k, dtype=np.int64) * nnz)[:, None]
-            ).ravel()
-            cached = self._blk_cache[k] = (indices, indptr)
-        return cached
-
-    def _block_sparse_factor(self, data: np.ndarray, stats):
-        """One SuperLU factorization of the ``(k*size, k*size)`` block system."""
-        import scipy.sparse as sp
-        import scipy.sparse.linalg as spla
-
-        k = data.shape[0]
-        indices, indptr = self._block_sparse_structure(k)
-        n = k * self.size
-        matrix = sp.csc_matrix((data.ravel(), indices, indptr), shape=(n, n))
-        try:
-            lu = spla.splu(matrix)
-        except RuntimeError as exc:
-            raise SingularSystemError(str(exc)) from exc
-        stats.factorizations += 1
-        return lu.solve
 
     def prepare_step_batched(self, XP_prev: np.ndarray, t: float, dt: float, stats):
         """Batched counterpart of :meth:`prepare_step` over ``L`` lanes.
@@ -923,16 +743,13 @@ class CompiledCircuit:
         :meth:`prepare_step`.
 
         The devices of all lanes are linearized by one vectorized
-        :meth:`_device_stamps` call.  Solve backends per path:
+        :meth:`_device_stamps` call.  Solve backends:
 
         * device-free + reusable factorization: one multi-RHS solve
-          shared by every lane (bit-identical per lane in practice);
-        * dense: the scalar path's own LAPACK ``dgesv``, one call per
+          shared by every lane (to machine precision of the scalar run);
+        * otherwise the scalar path's own LAPACK ``dgesv``, one call per
           active lane on that lane's padded system, so every lane is
-          bit-identical to its scalar run by construction;
-        * sparse: one SuperLU factorization of the block-diagonal
-          system, reused across the lane axis (within the documented
-          2 mV circuit envelope of the scalar run).
+          bit-identical to its scalar run by construction.
         """
         size = self.size
         base, factor = self._linear_base(dt, stats)
@@ -944,15 +761,14 @@ class CompiledCircuit:
             def iterate_linear_batch(XP, rows):
                 X = cache.get("X")
                 if X is None:
-                    # Both factor kinds (LAPACK lu_solve, SuperLU solve)
-                    # accept a (size, L) multi-RHS block directly.
+                    # dgetrs accepts a (size, L) multi-RHS block directly.
                     X = cache["X"] = factor(I_all[:, :size].T).T
                 return X[rows], np.ones(len(rows), dtype=bool)
 
             return iterate_linear_batch
 
-        # Each round works in one padded [G | I] row per lane ([data | I]
-        # on the sparse path), like the scalar round.
+        # Each round works in one padded [G | I] row per lane, like the
+        # scalar round.
         n_lanes = XP_prev.shape[0]
         offset = self._rhs_offset
         base = base.reshape(-1)
@@ -972,44 +788,11 @@ class CompiledCircuit:
                 np.add.at(work.reshape(-1), index.reshape(-1), values.reshape(-1))
             return work
 
-        if self.sparse:
-            nnz = self._nnz
-
-            def iterate_sparse_batch(XP, rows):
-                k = XP.shape[0]
-                work = stamp(XP, rows)
-                data = work[:, :nnz]
-                I = work[:, offset : offset + size]
-                diag = data[:, self._diag_pos]
-                zero = diag == 0.0
-                if zero.any():
-                    li, wi = np.nonzero(zero)
-                    data[li, self._diag_pos[wi]] = 1e-12
-                try:
-                    solve = self._block_sparse_factor(data, stats)
-                    X = solve(I.reshape(-1)).reshape(k, size)
-                    return X, np.ones(k, dtype=bool)
-                except SingularSystemError:
-                    # Identify the singular lane(s) individually; healthy
-                    # lanes still get their solution this round.
-                    X = np.zeros((k, size))
-                    solved = np.zeros(k, dtype=bool)
-                    for lane_i in range(k):
-                        try:
-                            lane_solve = self._sparse_factor(data[lane_i].copy(), stats)
-                            X[lane_i] = lane_solve(I[lane_i])
-                            solved[lane_i] = True
-                        except SingularSystemError:
-                            pass
-                    return X, solved
-
-            return iterate_sparse_batch
-
         dgesv = _lapack().dgesv
         stride = size + 1
         pad_cell = size * stride + size  # flat index of (size, size)
 
-        def iterate_dense_batch(XP, rows):
+        def iterate_batch(XP, rows):
             k = XP.shape[0]
             work = stamp(XP, rows)
             diag = work[:, self._diag_flat]
@@ -1024,19 +807,20 @@ class CompiledCircuit:
             infos = [dgesv(lane_G[i], lane_I[i], 1, 1)[3] for i in range(k)]
             return work[:, offset : offset + size].copy(), np.array(infos) == 0
 
-        return iterate_dense_batch
+        return iterate_batch
 
     # ------------------------------------------------------------------ #
     # verification                                                        #
     # ------------------------------------------------------------------ #
 
     def system_matrices(self, x: np.ndarray, v_prev: np.ndarray, t: float, dt: float):
-        """Densified ``(G, I)`` as assembled by the compiled path.
+        """``(G, I)`` as assembled by the compiled path.
 
         Testing hook for architecture invariant 10 — compare against
-        :meth:`ReferenceAssembler.system_matrices`.  Regularization of
-        floating nodes is *not* applied (neither does the reference
-        stamping protocol itself).
+        the per-element stamping oracle in
+        ``tests/reference_assembler.py``.  Regularization of floating
+        nodes is *not* applied (neither does the stamping protocol
+        itself).
         """
         size = self.size
         xp = np.zeros(size + 1)
@@ -1049,117 +833,5 @@ class CompiledCircuit:
             swap, values = self._device_stamps(xp)
             np.add.at(work, self._scatter_positions(swap), values)
         I = work[offset : offset + size]
-        if self.sparse:
-            import scipy.sparse as sp
-
-            matrix = sp.csc_matrix(
-                (work[: self._nnz], self._csc_indices, self._csc_indptr),
-                shape=(size, size),
-            )
-            return matrix.toarray(), I
         return work[:offset].reshape(size + 1, size + 1).T[:size, :size].copy(), I
 
-
-class ReferenceAssembler:
-    """Per-iteration reference stamping (the seed solver's semantics).
-
-    Used for circuits containing opaque user elements, and by the
-    equivalence tests as the ground truth the compiled assembler must
-    match.  Above the sparse threshold it stamps into a
-    ``scipy.sparse.lil_matrix`` — the dense ``(size, size)`` matrix is
-    never materialized for large systems.
-    """
-
-    is_compiled = False
-
-    def __init__(self, circuit: Circuit, size: int, sparse: bool):
-        self.circuit = circuit
-        self.size = size
-        self.n_nodes = circuit.num_nodes
-        self.sparse = sparse
-        self.n_devices = sum(1 for e in circuit.elements if isinstance(e, _MOSFET))
-
-    @staticmethod
-    def _is_library_source(element) -> bool:
-        """Whether ``element`` stamps with the unmodified library V/I source
-        arithmetic (and so is safe to scale during source stepping).
-        Subclasses overriding ``stamp`` are opaque and never scaled."""
-        return type(element).stamp in (VoltageSource.stamp, CurrentSource.stamp)
-
-    def _assemble(
-        self,
-        x: np.ndarray,
-        v_prev: np.ndarray,
-        t: float,
-        dt: float,
-        source_scale: float = 1.0,
-    ):
-        """Stamp every element; returns ``(G, I)`` (G possibly lil)."""
-        size = self.size
-        if self.sparse:
-            import scipy.sparse as sp
-
-            G = sp.lil_matrix((size, size))
-        else:
-            G = np.zeros((size, size))
-        I = np.zeros(size)
-        if source_scale == 1.0:
-            for element in self.circuit.elements:
-                element.stamp(G, I, x, v_prev, t, dt)
-        else:
-            # Source stepping: library V/I sources stamp their RHS into a
-            # scratch vector that is scaled back in.  Their G entries are
-            # ±1 incidence terms, unaffected by the supply level.
-            I_sources = np.zeros(size)
-            for element in self.circuit.elements:
-                if self._is_library_source(element):
-                    element.stamp(G, I_sources, x, v_prev, t, dt)
-                else:
-                    element.stamp(G, I, x, v_prev, t, dt)
-            I += source_scale * I_sources
-        return G, I
-
-    def prepare_step(
-        self,
-        xp_prev: np.ndarray,
-        t: float,
-        dt: float,
-        stats,
-        gshunt: float = 0.0,
-        source_scale: float = 1.0,
-    ):
-        """Reference counterpart of :meth:`CompiledCircuit.prepare_step`."""
-        size, n_nodes = self.size, self.n_nodes
-        v_prev = xp_prev[:size].copy()
-
-        def iterate(xp: np.ndarray) -> np.ndarray:
-            G, I = self._assemble(xp[:size], v_prev, t, dt, source_scale)
-            if gshunt:
-                for k in range(n_nodes):
-                    G[k, k] += gshunt
-            # Regularize rows untouched by any stamp (isolated nodes).
-            for k in range(n_nodes):
-                if G[k, k] == 0.0:
-                    G[k, k] = 1e-12
-            stats.factorizations += 1
-            if self.sparse:
-                import scipy.sparse.linalg as spla
-
-                try:
-                    lu = spla.splu(G.tocsc())
-                except RuntimeError as exc:
-                    raise SingularSystemError(str(exc)) from exc
-                return lu.solve(I)
-            try:
-                return np.linalg.solve(G, I)
-            except np.linalg.LinAlgError as exc:
-                raise SingularSystemError(str(exc)) from exc
-
-        return iterate
-
-    def system_matrices(self, x: np.ndarray, v_prev: np.ndarray, t: float, dt: float):
-        """Densified ``(G, I)`` via the reference stamping protocol."""
-        G, I = self._assemble(x, v_prev, t, dt)
-        if self.sparse:
-            G = G.toarray()
-        return G, I

@@ -17,14 +17,14 @@ modified-nodal-analysis system; the stamping protocol is:
 Voltage sources and inductors get an extra MNA branch-current unknown,
 allocated by the circuit when the system is assembled.
 
-``stamp`` is the *reference* protocol: it defines the MNA system and is
-what custom user elements implement.  The production solver does not
-call it on the hot path — :mod:`repro.circuit.compiled` extracts the
+``stamp`` is the *reference* protocol: it defines the MNA system.  The
+solver does not call it — :mod:`repro.circuit.compiled` extracts the
 structure of the library element types once (:meth:`Circuit.partition`)
 and re-stamps only the nonlinear devices, vectorized, per Newton
-iteration.  Both paths must produce identical systems (architecture
-invariant 10); circuits containing elements with custom ``stamp``
-arithmetic transparently fall back to the reference path.
+iteration.  The compiled system must equal the one ``stamp`` builds
+(architecture invariant 10, checked against the stamping oracle in
+``tests/reference_assembler.py``); a circuit holding an element with
+custom ``stamp`` arithmetic is refused when its session compiles.
 """
 
 from __future__ import annotations
@@ -430,7 +430,8 @@ class Circuit:
         *Nonlinear* elements (square-law MOSFETs) must be re-linearized
         every Newton iteration.  *Opaque* elements are user subclasses
         with custom ``stamp`` arithmetic the compiler cannot describe —
-        a circuit containing any falls back to reference stamping.
+        :func:`~repro.circuit.compiled.build_assembler` refuses a circuit
+        containing any.
         """
         linear: List[Element] = []
         nonlinear: List[Element] = []

@@ -28,9 +28,9 @@ land on the run's stats, and a final failure raises
 Every run returns :class:`SolverStats` telemetry (Newton iterations,
 factorizations, accepted/rejected steps, subdivisions, rescues).
 
-Dense linear algebra is used below :data:`SPARSE_THRESHOLD` unknowns;
-larger systems (many coupled bitlines) stamp directly into a
-precomputed CSC pattern and never materialize a dense matrix.
+Circuits are built from the library elements of
+:mod:`repro.circuit.netlist`; a session refuses, with a ``TypeError``,
+to compile an element that overrides the library ``stamp`` arithmetic.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..guard import assert_finite
-from .compiled import ReferenceAssembler, SingularSystemError, build_assembler
+from .compiled import SingularSystemError, build_assembler
 from .netlist import Circuit
 from .rescue import (  # noqa: F401  (ConvergenceError re-exported for back-compat)
     ConvergenceError,
@@ -51,9 +51,6 @@ from .rescue import (  # noqa: F401  (ConvergenceError re-exported for back-comp
     NewtonProbe,
     run_rescue,
 )
-
-#: Switch to sparse factorization above this many unknowns.
-SPARSE_THRESHOLD = 200
 
 #: Maximum levels of automatic time-step halving on Newton failure.
 MAX_SUBDIVISIONS = 8
@@ -190,7 +187,7 @@ class CircuitSession:
     Compiles the circuit's MNA structure on first use and reuses it for
     every subsequent :meth:`simulate` call — sweeps that re-simulate the
     same netlist with different stop times, step sizes, or initial
-    conditions (e.g. the MPRSF retention sweep) pay the assembly walk
+    conditions (e.g. the MPRSF retention sweep) pay the stamping walk
     once instead of once per Newton iteration per run.
 
     The session assumes the circuit is structurally frozen: if elements
@@ -202,19 +199,13 @@ class CircuitSession:
     :data:`MAX_NEWTON_ITERATIONS` iterations per time point.
 
     Args:
-        circuit: the netlist to simulate.
-        assembly: ``"auto"`` (default) compiles library elements and
-            falls back to reference stamping only for circuits with
-            custom user elements; ``"naive"`` forces per-iteration
-            reference stamping everywhere (the seed solver's behaviour,
-            kept for verification).
+        circuit: the netlist to simulate, of library elements only
+            (compiling raises ``TypeError`` on an element with custom
+            ``stamp`` arithmetic).
     """
 
-    def __init__(self, circuit: Circuit, assembly: str = "auto"):
-        if assembly not in ("auto", "naive"):
-            raise ValueError(f"assembly must be 'auto' or 'naive', got {assembly!r}")
+    def __init__(self, circuit: Circuit):
         self.circuit = circuit
-        self.assembly = assembly
         self._assembler = None
         self._structure_key: Optional[Tuple[int, int]] = None
 
@@ -224,7 +215,7 @@ class CircuitSession:
 
     @property
     def assembler(self):
-        """The compiled (or reference) assembler, building it if needed."""
+        """The compiled assembler, building it if needed."""
         return self._ensure_compiled()
 
     def recompile(self) -> None:
@@ -237,11 +228,7 @@ class CircuitSession:
         size = self.circuit.assemble()
         key = (len(self.circuit.elements), size)
         if self._assembler is None or self._structure_key != key:
-            sparse = size > SPARSE_THRESHOLD
-            if self.assembly == "naive":
-                self._assembler = ReferenceAssembler(self.circuit, size, sparse)
-            else:
-                self._assembler = build_assembler(self.circuit, size, sparse)
+            self._assembler = build_assembler(self.circuit, size)
             self._structure_key = key
         return self._assembler
 

@@ -43,7 +43,7 @@ import time
 from pathlib import Path
 from typing import Optional
 
-from ..controller.counters import MAX_NBITS
+from ..mprsf.optimizer import check_nbits
 from ..runner import ExperimentRunner, ResultCache, latest_manifest
 from ..runner.cells import check_cycles, tech_params
 from ..service import experiment_names, experiment_options, run_experiment
@@ -205,8 +205,10 @@ def _validate_args(args: argparse.Namespace) -> Optional[str]:
         check_cycles(args.duration, tech_params(DEFAULT_TECH))
     except ValueError as exc:
         return f"--duration {exc}"
-    if not 1 <= args.nbits <= MAX_NBITS:
-        return f"--nbits must be between 1 and {MAX_NBITS}, got {args.nbits}"
+    try:
+        check_nbits(args.nbits)
+    except ValueError as exc:
+        return f"--{exc}"  # check_nbits' message starts with "nbits"
     if args.cell_timeout is not None and not _positive_finite(args.cell_timeout):
         return f"--cell-timeout must be finite and > 0 seconds, got {args.cell_timeout:g}"
     if args.resume is not None and not Path(args.resume).exists():

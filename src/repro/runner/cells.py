@@ -35,6 +35,7 @@ import numpy as np
 
 from ..controller import FGRPolicy, build_policy
 from ..mprsf import TauPartialOptimizer
+from ..mprsf.optimizer import check_nbits
 from ..retention import RefreshBinning, RetentionProfiler
 from ..retention.temperature import TemperatureModel
 from ..sim import (
@@ -110,7 +111,8 @@ class Cell:
             seed: profiling / trace RNG seed.
             duration_seconds: simulated horizon.
             policy: refresh policy (``refresh-overhead``, ``engine-run``).
-            nbits: VRL counter width.
+            nbits: VRL counter width, 1 to
+                :data:`~repro.mprsf.optimizer.MAX_NBITS`.
             benchmark: workload name, or ``None`` for refresh-only.
             mode: rank refresh mode (``rank-mode``).
             n_banks: banks per rank (``rank-mode``).
@@ -126,9 +128,10 @@ class Cell:
         Raises:
             ValueError: unknown kind, a required field left ``None``, a
                 non-integer (or bool) in an integer field, a non-finite
-                float, or a duration that is not positive or whose
-                controller-cycle count does not fit in int64; the
-                message names kind and field.
+                float, a counter width outside ``1..MAX_NBITS``, or a
+                duration that is not positive or whose controller-cycle
+                count does not fit in int64; the message names kind and
+                field.
             TypeError: ``tech`` is neither params nor a mapping.
         """
         values = locals()  # every argument by name; the kind picks its own
@@ -641,6 +644,11 @@ def _integer(value: Any) -> int:
     raise ValueError(f"expected an integer, got {value!r}")
 
 
+def _nbits(value: Any) -> int:
+    """A counter width the policies can hold (:func:`check_nbits`)."""
+    return check_nbits(_integer(value))
+
+
 def _finite(value: Any) -> float:
     """A finite ``float``; NaN and infinities have no JSON encoding."""
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
@@ -703,7 +711,7 @@ _BANK = (("tech", _tech_dict), ("rows", _integer), ("cols", _integer))
 
 #: ``refresh-overhead`` and ``engine-run`` price one request two ways.
 _POLICY_PARAMS = (
-    *_BANK, ("policy", None), ("nbits", _integer), ("benchmark", None),
+    *_BANK, ("policy", None), ("nbits", _nbits), ("benchmark", None),
     ("seed", _integer), ("duration_seconds", _duration),
 )
 
@@ -738,7 +746,7 @@ CELL_KINDS: dict[str, CellKind] = {
         ),
         CellKind(
             "mechanism-matrix",
-            (*_BANK, ("mechanism", None), ("nbits", _integer), ("benchmark", None),
+            (*_BANK, ("mechanism", None), ("nbits", _nbits), ("benchmark", None),
              ("temperature", _finite), ("seed", _integer),
              ("duration_seconds", _duration)),
             ("mechanism", "temperature"),

@@ -24,7 +24,10 @@ chosen cells misbehave in one of six ways:
 ``diverge``
     run a one-node circuit no rescue ladder can solve, so the real
     transient solver raises a
-    :class:`~repro.circuit.rescue.ConvergenceError` with its report.
+    :class:`~repro.circuit.rescue.ConvergenceError` with its report (the
+    element has custom ``stamp`` arithmetic, so it is solved by the
+    reference stamping of ``tests/reference_assembler.py``, installed
+    in whichever process computes the cell).
 
 A :class:`Strike` names its cell by label, so it does not depend on how
 the pool schedules cells.  A strike fires on the cell's first attempt
@@ -49,10 +52,10 @@ from typing import Iterator, Sequence
 from urllib.parse import quote
 
 from repro.circuit.netlist import Circuit, Element
-from repro.circuit.solver import CircuitSession
 from repro.runner import executor
 from repro.runner.cache import cache_key
 from repro.runner.cells import CELL_KINDS, Cell
+from tests.reference_assembler import reference_session
 
 ACTIONS = ("raise", "hang", "kill", "interrupt", "nan", "diverge")
 
@@ -115,7 +118,7 @@ def run_divergent_circuit(name: str) -> None:
     """Simulate a :class:`DivergentSource`; raises ``ConvergenceError``."""
     circuit = Circuit(name=name)
     circuit.add(DivergentSource())
-    CircuitSession(circuit).simulate(t_stop=1e-9, dt=1e-10)
+    reference_session(circuit).simulate(t_stop=1e-9, dt=1e-10)
     raise AssertionError("unreachable: divergent circuit converged")
 
 

@@ -206,9 +206,10 @@ def _runner(**removed):
     return ExperimentRunner(**removed)
 
 
-#: Every parameter that no caller set, now a module constant:
+#: Every parameter that no caller set, now a module constant or gone:
 #: (call, keyword, a value it used to accept).
 REMOVED_OPTIONS = [
+    (_session, "assembly", "naive"),
     (_session, "abstol", 1e-9),
     (_session, "max_newton", 5),
     (_simulate, "lte_tol", 1e-3),
@@ -234,7 +235,8 @@ REMOVED_OPTIONS = [
 
 class TestRemovedOptions:
     """Solver and calibration knobs no caller set are module constants now,
-    and fault injection lives in the tests, not in the runner or the CLI."""
+    the circuit session has one assembler (no ``assembly=``), and fault
+    injection lives in the tests, not in the runner or the CLI."""
 
     @pytest.mark.parametrize(
         "call,keyword,value",

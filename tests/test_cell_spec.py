@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.mprsf.optimizer import MAX_NBITS
 from repro.runner import CELL_KINDS, Cell, ExperimentRunner, cache_key, tech_params
 from repro.service import run_experiment
 from repro.technology import DEFAULT_TECH, TechnologyParams
@@ -216,6 +217,40 @@ class TestDurationDomain:
         assert _cell(tech=zero, duration_seconds=1.0).params["tech"] == zero
 
 
+#: The kinds that take a counter width, with the other fields each requires.
+_NBITS_KINDS = {
+    "refresh-overhead": dict(policy="vrl"),
+    "engine-run": dict(policy="vrl"),
+    "mechanism-matrix": dict(mechanism="raidr", temperature=45.0),
+}
+
+
+class TestNbitsDomain:
+    """``Cell.of`` rejects a counter width the policies cannot hold, before
+    the cell is keyed, with the bound the compute path enforces."""
+
+    def test_every_nbits_kind_is_listed(self):
+        takes = {k for k, spec in CELL_KINDS.items() if "nbits" in dict(spec.params)}
+        assert takes == set(_NBITS_KINDS)
+
+    @pytest.mark.parametrize("bad", [0, -1, MAX_NBITS + 1, 10**6, np.int64(63)])
+    @pytest.mark.parametrize("kind", sorted(_NBITS_KINDS))
+    def test_out_of_bound_widths_rejected(self, kind, bad):
+        with pytest.raises(ValueError, match=(
+            f"^cell kind '{kind}', field 'nbits': "
+            f"nbits must be between 1 and {MAX_NBITS}, got {int(bad)}$"
+        )):
+            Cell.of(kind, tech=DEFAULT_TECH, rows=64, cols=8, nbits=bad,
+                    **_NBITS_KINDS[kind])
+
+    @pytest.mark.parametrize("width", [1, MAX_NBITS])
+    @pytest.mark.parametrize("kind", sorted(_NBITS_KINDS))
+    def test_bounds_accepted(self, kind, width):
+        cell = Cell.of(kind, tech=DEFAULT_TECH, rows=64, cols=8, nbits=width,
+                       **_NBITS_KINDS[kind])
+        assert cell.params["nbits"] == width
+
+
 class TestCanonicalKeys:
     def test_key_equals_hand_built_cell_key(self):
         params = {
@@ -273,6 +308,12 @@ _FLOATS = st.one_of(
     st.integers(min_value=-10**6, max_value=10**6),
 )
 _NAMES = st.text(max_size=12)
+#: Counter widths ``Cell.of`` accepts; the rejected ones are
+#: ``TestNbitsDomain``'s.
+_WIDTHS = st.one_of(
+    st.integers(min_value=1, max_value=MAX_NBITS),
+    st.integers(min_value=1, max_value=MAX_NBITS).map(np.int64),
+)
 #: Durations ``Cell.of`` accepts (positive, int64 cycles); the rejected
 #: ones are ``TestDurationDomain``'s.
 _DURATIONS = st.one_of(
@@ -304,7 +345,7 @@ def _request(draw):
             optional={
                 "seed": _INTS,
                 "duration_seconds": _DURATIONS,
-                "nbits": _INTS,
+                "nbits": _WIDTHS,
                 "benchmark": st.one_of(st.none(), _NAMES),
                 "restore_fraction": st.one_of(st.none(), _FLOATS),
                 "label": _NAMES,

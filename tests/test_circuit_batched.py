@@ -3,16 +3,14 @@
 Architecture invariant 14: every lane of a fixed-step
 :class:`~repro.circuit.BatchedCircuitSession` transient matches a
 scalar :class:`~repro.circuit.CircuitSession` run of the same circuit
-and overrides — bit-identical on the dense device path (each lane is
-solved by the scalar path's own ``dgesv``) and on the
-reference-fallback path, to machine precision on the
-shared-factorization (device-free) path, and within the documented
-2 mV circuit envelope on the sparse block-diagonal SuperLU path.
-Adaptive batches share one step controller across lanes, so their
-lanes stay within the 2 mV envelope of solo adaptive runs.  The
-per-lane failure machinery is covered too: a lane the batch cannot
-converge retries through the scalar subdivision/rescue path without
-perturbing its neighbors.
+and overrides — bit-identical on the device path (each lane is solved
+by the scalar path's own ``dgesv``), and to machine precision on the
+shared-factorization (device-free) path.  Adaptive batches share one
+step controller across lanes, so their lanes stay within the documented
+2 mV circuit envelope of solo adaptive runs.  The per-lane failure
+machinery is covered too: a lane the batch cannot converge retries
+through the scalar subdivision/rescue path without perturbing its
+neighbors (``test_circuit_rescue.py`` drives one through the ladder).
 """
 
 import numpy as np
@@ -23,7 +21,6 @@ from repro.circuit import (
     Capacitor,
     Circuit,
     CircuitSession,
-    Element,
     GND,
     NMOS,
     Resistor,
@@ -55,7 +52,7 @@ def _refresh_setup():
 
 
 def _rc_ladder(n_stages, with_device=False):
-    """A driven RC ladder; ``n_stages > 200`` forces the sparse path."""
+    """A driven RC ladder of ``n_stages`` RC sections."""
     circuit = Circuit(name=f"ladder-{n_stages}")
     circuit.add(VoltageSource("V1", "n0", GND, step(0.0, 1.2, 2e-10)))
     for i in range(n_stages):
@@ -65,29 +62,6 @@ def _rc_ladder(n_stages, with_device=False):
         circuit.add(VoltageSource("Vg", "gate", GND, constant(1.0)))
         circuit.add(NMOS("M1", f"n{n_stages}", "gate", GND, beta=2e-4, vt=0.4))
     return circuit
-
-
-class _CubicChatter(Element):
-    """f(v) = v^3 - 2v + 2: damped Newton from 0 enters a 2-cycle.
-
-    Opaque to the compiler, so any circuit holding one runs through the
-    reference assembler — and the batched session through per-lane
-    scalar simulation, where the gmin rescue ladder applies per lane.
-    """
-
-    def __init__(self):
-        super().__init__("cubic")
-
-    def nodes(self):
-        return ["a"]
-
-    def stamp(self, G, I, x, v_prev, t, dt):
-        idx = self._indices[0]
-        v = x[idx]
-        f = v**3 - 2.0 * v + 2.0
-        df = 3.0 * v**2 - 2.0
-        G[idx, idx] += df
-        I[idx] += df * v - f
 
 
 # --------------------------------------------------------------------- #
@@ -186,13 +160,12 @@ class TestBatchedMatchesScalar:
             gap = np.abs(batched["n12"][lane] - np.asarray(scalar["n12"])).max()
             assert gap <= 1e-12, f"lane {lane}: {gap}"
 
-    def test_sparse_block_diagonal_path(self):
-        # > SPARSE_THRESHOLD unknowns with a MOSFET: the batch factors
-        # one block-diagonal SuperLU system per Newton round.
+    def test_large_ladder_with_device_is_bit_identical(self):
+        # Hundreds of unknowns and a MOSFET: each lane's padded system
+        # is still solved by its own dgesv, as the scalar round's is.
         circuit = _rc_ladder(210, with_device=True)
         session = BatchedCircuitSession(circuit)
-        assembler = session._ensure_compiled()
-        assert assembler.sparse and assembler.n_devices == 1
+        assert session.assembler.n_devices == 1
         ics = np.array([0.0, 0.5, 1.0])
         node = "n210"
         batched = session.simulate_batch(
@@ -202,25 +175,7 @@ class TestBatchedMatchesScalar:
             scalar = CircuitSession(circuit).simulate(
                 1e-9, 2e-11, record=[node], initial_overrides={node: float(ic)}
             )
-            gap = np.abs(batched[node][lane] - np.asarray(scalar[node])).max()
-            assert gap <= 1e-9, f"lane {lane}: {gap}"
-
-    def test_opaque_circuit_falls_back_bit_identical(self):
-        # An opaque element forces the reference assembler; the batch
-        # runs each lane through the inherited scalar path, so the
-        # equality is exact by construction.
-        circuit = Circuit(name="opaque-batch")
-        circuit.add(_CubicChatter())
-        circuit.add(Resistor("R1", "a", GND, 1e6))
-        ics = np.array([-1.7, -1.5])
-        batched = BatchedCircuitSession(circuit).simulate_batch(
-            5e-10, 1e-10, record=["a"], lane_overrides={"a": ics}
-        )
-        for lane, ic in enumerate(ics):
-            scalar = CircuitSession(circuit).simulate(
-                5e-10, 1e-10, record=["a"], initial_overrides={"a": float(ic)}
-            )
-            np.testing.assert_array_equal(batched["a"][lane], np.asarray(scalar["a"]))
+            np.testing.assert_array_equal(batched[node][lane], scalar[node])
 
     def test_lane_result_view_and_final(self):
         circuit = _rc_ladder(4)
@@ -297,31 +252,6 @@ class TestPerLaneFallback:
         assert calls[1] == calls[0] / 2.0
         assert result.stats.subdivisions == 1 and result.stats.rescues == 0
         assert np.isfinite(result["n3"]).all()
-
-    def test_chattering_lane_rescued_via_gmin_neighbors_unperturbed(self):
-        # One lane starts at the cubic's Newton 2-cycle (IC 0) and needs
-        # the gmin ladder; its neighbors converge plainly and must be
-        # bit-identical to solo runs.
-        circuit = Circuit(name="chatter-batch")
-        circuit.add(_CubicChatter())
-        circuit.add(Resistor("R1", "a", GND, 1e6))
-        ics = np.array([-1.7, 0.0, -1.9])
-        batched = BatchedCircuitSession(circuit).simulate_batch(
-            1e-9, 1e-10, record=["a"], lane_overrides={"a": ics}
-        )
-        assert batched.stats.rescues >= 1
-        assert any(
-            report.stage == "gmin" and report.converged
-            for report in batched.stats.rescue_reports
-        )
-        # Every lane settles at the cubic's real root.
-        assert batched.final("a") == pytest.approx([-1.7692923542386314] * 3)
-        for lane in (0, 2):  # the healthy neighbors
-            scalar = CircuitSession(circuit).simulate(
-                1e-9, 1e-10, record=["a"],
-                initial_overrides={"a": float(ics[lane])},
-            )
-            np.testing.assert_array_equal(batched["a"][lane], np.asarray(scalar["a"]))
 
 
 # --------------------------------------------------------------------- #

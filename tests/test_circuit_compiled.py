@@ -1,11 +1,13 @@
 """Compiled-assembly and adaptive-stepping tests for the circuit stack.
 
-Covers architecture invariant 10 (compiled and naive stamping produce
+Covers architecture invariant 10 (the compiled assembler and the
+per-element stamping oracle of ``tests/reference_assembler.py`` produce
 identical MNA systems), hypothesis property tests pinning the solver
-against analytic RC/RLC solutions, compiled-vs-naive waveform
-equivalence on every Fig. 2 netlist, the sparse stamping path, the
-adaptive integrator, session reuse, the SolverStats telemetry, and the
-loader of SciPy's LAPACK wrappers.
+against analytic RC/RLC solutions, compiled-vs-reference waveform
+equivalence on every Fig. 2 netlist and on a ladder of hundreds of
+unknowns, the refusal of custom elements, the adaptive integrator,
+session reuse, the SolverStats telemetry, and the loader of SciPy's
+LAPACK wrappers.
 """
 
 import json
@@ -39,16 +41,16 @@ from repro.circuit import (
     build_sense_amplifier_circuit,
     step,
 )
-from repro.circuit.compiled import CompiledCircuit, ReferenceAssembler
+from repro.circuit.compiled import CompiledCircuit
 from repro.circuit.dram_circuits import DEFAULT_REFRESH_PHASES
 from repro.circuit.solver import (
     DT_MAX_FACTOR,
     DT_MIN_DIVISOR,
     MAX_NEWTON_ITERATIONS,
     NEWTON_ABSTOL,
-    SPARSE_THRESHOLD,
 )
 from repro.technology import BankGeometry, DEFAULT_TECH
+from tests.reference_assembler import ReferenceAssembler, reference_session
 from tests.test_circuit_waveforms import pulse
 
 TECH = DEFAULT_TECH
@@ -166,17 +168,17 @@ NETLISTS = {
 }
 
 
-class TestCompiledNaiveEquivalence:
+class TestCompiledReferenceEquivalence:
     @pytest.mark.parametrize("name", sorted(NETLISTS))
     def test_waveforms_agree_on_fig2_netlists(self, name):
-        """Compiled and naive stamping integrate to the same trajectories."""
+        """Compiled and reference stamping integrate to the same trajectories."""
         build = NETLISTS[name]
         compiled = CircuitSession(build()).simulate(2e-9, 10e-12)
-        naive = CircuitSession(build(), assembly="naive").simulate(2e-9, 10e-12)
-        assert compiled.nodes == naive.nodes
+        reference = reference_session(build()).simulate(2e-9, 10e-12)
+        assert compiled.nodes == reference.nodes
         for node in compiled.nodes:
             np.testing.assert_allclose(
-                compiled[node], naive[node], atol=1e-6, rtol=0,
+                compiled[node], reference[node], atol=1e-6, rtol=0,
                 err_msg=f"{name}:{node}",
             )
 
@@ -197,7 +199,7 @@ class TestCompiledNaiveEquivalence:
         for node in mid.nodes:
             x[circuit.node_id(node)] = mid[node][-1]
         v_prev = 0.95 * x
-        reference = ReferenceAssembler(circuit, size, sparse=False)
+        reference = ReferenceAssembler(circuit, size)
         G_ref, I_ref = reference.system_matrices(x, v_prev, t=1e-9, dt=10e-12)
         G_cmp, I_cmp = session.assembler.system_matrices(x, v_prev, t=1e-9, dt=10e-12)
         np.testing.assert_allclose(G_cmp, G_ref, rtol=1e-12, atol=0)
@@ -206,10 +208,8 @@ class TestCompiledNaiveEquivalence:
     def test_newton_iteration_counts_match(self):
         """Same damped-Newton trajectory => same iteration count."""
         compiled = CircuitSession(NETLISTS["refresh"]()).simulate(2e-9, 10e-12)
-        naive = CircuitSession(NETLISTS["refresh"](), assembly="naive").simulate(
-            2e-9, 10e-12
-        )
-        assert compiled.newton_iterations == naive.newton_iterations
+        reference = reference_session(NETLISTS["refresh"]()).simulate(2e-9, 10e-12)
+        assert compiled.newton_iterations == reference.newton_iterations
 
 
 class _SquishySource(Element):
@@ -227,20 +227,24 @@ class _SquishySource(Element):
         G[idx, idx] += 1e-6 * (1.0 + x[idx] * x[idx])
 
 
-class TestPartitionAndFallback:
+class TestPartition:
     def test_library_elements_compile(self):
         session = CircuitSession(NETLISTS["refresh"]())
         assembler = session.assembler
         assert isinstance(assembler, CompiledCircuit)
-        assert assembler.is_compiled
         assert assembler.n_devices > 0
 
-    def test_custom_element_falls_back_to_reference(self):
+    def test_custom_element_is_rejected_by_name_and_type(self):
         circuit = _rc_circuit(1e4, 1e-13, 1.0)
         circuit.add(_SquishySource("X1", "out"))
-        session = CircuitSession(circuit)
+        with pytest.raises(TypeError, match="element 'X1' of type _SquishySource"):
+            CircuitSession(circuit).simulate(1e-10, 1e-12, record=["out"])
+
+    def test_custom_element_runs_on_the_reference_oracle(self):
+        circuit = _rc_circuit(1e4, 1e-13, 1.0)
+        circuit.add(_SquishySource("X1", "out"))
+        session = reference_session(circuit)
         assert isinstance(session.assembler, ReferenceAssembler)
-        assert not session.assembler.is_compiled
         result = session.simulate(1e-10, 1e-12, record=["out"])
         assert np.all(np.isfinite(result["out"]))
 
@@ -260,7 +264,9 @@ class TestPartitionAndFallback:
         assert session.assembler is not first
 
 
-class TestSparsePath:
+class TestLargeLadder:
+    """Hundreds of unknowns, several times the largest Fig. 2 system."""
+
     def _ladder(self, n):
         """An RC ladder with > n unknowns driven by a step source."""
         circuit = Circuit(name="ladder")
@@ -270,25 +276,18 @@ class TestSparsePath:
             circuit.add(Capacitor(f"C{k}", f"n{k + 1}", GND, 1e-14))
         return circuit
 
-    def test_large_circuit_uses_sparse_compiled_path(self):
-        n = SPARSE_THRESHOLD + 20
+    def test_device_free_ladder_factors_once(self):
+        n = 220
         session = CircuitSession(self._ladder(n))
-        assembler = session.assembler
-        assert isinstance(assembler, CompiledCircuit)
-        assert assembler.sparse
+        assert isinstance(session.assembler, CompiledCircuit)
         result = session.simulate(1e-9, 1e-11, record=[f"n{n}"])
         assert np.all(np.isfinite(result[f"n{n}"]))
         # Linear circuit at fixed dt: one factorization total, reused
-        # across every step — the telemetry proves the sparse cache works.
+        # across every step.
         assert result.stats.factorizations == 1
 
-    def test_small_circuit_stays_dense(self):
-        session = CircuitSession(self._ladder(40))
-        assert not session.assembler.sparse
-
-    def test_sparse_mosfet_circuit_matches_naive(self):
-        """A >threshold netlist with devices: sparse compiled vs naive."""
-        n = SPARSE_THRESHOLD + 10
+    def test_ladder_with_device_matches_reference(self):
+        n = 210
 
         def build():
             circuit = self._ladder(n)
@@ -296,10 +295,8 @@ class TestSparsePath:
             return circuit
 
         compiled = CircuitSession(build()).simulate(2e-11, 1e-12, record=[f"n{n}"])
-        naive = CircuitSession(build(), assembly="naive").simulate(
-            2e-11, 1e-12, record=[f"n{n}"]
-        )
-        np.testing.assert_allclose(compiled[f"n{n}"], naive[f"n{n}"], atol=1e-6)
+        reference = reference_session(build()).simulate(2e-11, 1e-12, record=[f"n{n}"])
+        np.testing.assert_allclose(compiled[f"n{n}"], reference[f"n{n}"], atol=1e-6)
 
 
 class TestAdaptiveStepping:
@@ -442,10 +439,6 @@ class TestSessionApi:
                 1e-9, 1e-11, record=["out"])["out"]
         )
         assert fresh[-1] > before[-1]  # a slower discharge through 2 kOhm
-
-    def test_invalid_assembly_mode_rejected(self):
-        with pytest.raises(ValueError, match="assembly"):
-            CircuitSession(Circuit(name="x"), assembly="turbo")
 
     def test_transient_result_currents_not_shared(self):
         """The dataclass default is a per-instance dict, not a shared one."""

@@ -46,8 +46,8 @@ DEVICES = st.tuples(
 )
 
 
-def _assembler(devices, sparse):
-    """Compile the devices (plus a resistor per node) dense or sparse."""
+def _assembler(devices):
+    """Compile the devices (plus a resistor per node)."""
     circuit = Circuit(name="linearize")
     for node in NODES:
         circuit.add(Resistor(f"R_{node}", node, GND, 1e3))
@@ -55,7 +55,7 @@ def _assembler(devices, sparse):
         cls = PMOS if pmos else NMOS
         circuit.add(cls(f"M{k}", d=d, g=g, s=s, beta=1e-4 * (k + 1), vt=vt, lam=lam))
     size = circuit.assemble()
-    return circuit, build_assembler(circuit, size, sparse)
+    return circuit, build_assembler(circuit, size)
 
 
 def _state(circuit, assembler, volts):
@@ -73,10 +73,9 @@ LANE_VOLTS = st.lists(VOLTS, min_size=len(NODES), max_size=len(NODES))
     devices=st.lists(DEVICES, min_size=1, max_size=6),
     volts=LANE_VOLTS,
     other=LANE_VOLTS,
-    sparse=st.booleans(),
 )
-def test_python_float_law_is_bit_identical(devices, volts, other, sparse):
-    circuit, assembler = _assembler(devices, sparse)
+def test_python_float_law_is_bit_identical(devices, volts, other):
+    circuit, assembler = _assembler(devices)
     xp = _state(circuit, assembler, volts)
     swaps, values = assembler._linearize(xp)
     swap, expected = assembler._device_stamps(xp)
@@ -99,13 +98,12 @@ def test_python_float_law_is_bit_identical(devices, volts, other, sparse):
         )
 
 
-@pytest.mark.parametrize("sparse", [False, True])
 @pytest.mark.parametrize("pmos", [False, True])
 @pytest.mark.parametrize("terminal", ["d", "g", "s"])
-def test_nan_terminal_is_non_finite_in_both(terminal, pmos, sparse):
+def test_nan_terminal_is_non_finite_in_both(terminal, pmos):
     nodes = dict(zip("dgs", NODES))
     device = (pmos, nodes["d"], nodes["g"], nodes["s"], 0.5, 0.01)
-    circuit, assembler = _assembler([device], sparse)
+    circuit, assembler = _assembler([device])
     volts = [1.0, 1.2, 0.25, 0.0]
     volts[NODES.index(nodes[terminal])] = float("nan")
     xp = _state(circuit, assembler, volts)
@@ -117,7 +115,7 @@ def test_nan_terminal_is_non_finite_in_both(terminal, pmos, sparse):
 
 def test_scatter_positions_are_cached_per_swap_pattern(monkeypatch):
     devices = [(False, "n0", "n1", "n2", 0.5, 0.01), (True, "n2", "n3", GND, 0.5, 0.01)]
-    circuit, assembler = _assembler(devices, sparse=False)
+    circuit, assembler = _assembler(devices)
     forward = assembler._scatter_index((False, False))
     assert assembler._scatter_index((False, False)) is forward
     swapped = assembler._scatter_index((True, False))

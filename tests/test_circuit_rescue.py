@@ -5,7 +5,12 @@ after damped Newton and step halving are exhausted, so netlists that
 already converge produce bit-identical results with the ladder present,
 absent, or emptied — plus the ladder mechanics themselves: rung order,
 warm starting, stage recording, the structured ConvergenceReport, and
-the gshunt/source_scale deformation hooks of both assemblers.
+the gshunt/source_scale deformation hooks of the compiled assembler
+against the reference stamping oracle (``tests/reference_assembler.py``).
+
+The ladder runs on the compiled assembler, scalar and batched, on a
+library-only RC starved of Newton iterations; and on the oracle, which
+stamps the custom cubic element the compiled assembler refuses.
 """
 
 import numpy as np
@@ -25,9 +30,10 @@ from repro.circuit import (
     VoltageSource,
     step,
 )
-from repro.circuit import rescue
-from repro.circuit.compiled import ReferenceAssembler, build_assembler
+from repro.circuit import BatchedCircuitSession, NMOS, batched, rescue, solver
+from repro.circuit.compiled import CompiledCircuit, build_assembler
 from repro.circuit.rescue import GMIN_LADDER, SOURCE_LADDER, NewtonProbe, run_rescue
+from tests.reference_assembler import ReferenceAssembler, reference_session
 
 
 class _CubicChatter(Element):
@@ -53,10 +59,11 @@ class _CubicChatter(Element):
         I[idx] += df * v - f
 
 
-def _chattering_circuit():
+def _chattering_session():
+    """The cubic on the reference oracle (the compiled assembler refuses it)."""
     circuit = Circuit(name="cubic-chatter")
     circuit.add(_CubicChatter())
-    return circuit
+    return reference_session(circuit)
 
 
 def _rc_circuit():
@@ -197,7 +204,7 @@ class TestRunRescueUnit:
 
 class TestSolverRescue:
     def test_cubic_chatter_completes_via_gmin(self):
-        result = CircuitSession(_chattering_circuit()).simulate(t_stop=1e-9, dt=1e-10)
+        result = _chattering_session().simulate(t_stop=1e-9, dt=1e-10)
         stats = result.stats
         assert stats.rescues >= 1
         report = stats.rescue_reports[0]
@@ -221,22 +228,85 @@ class TestSolverRescue:
             np.testing.assert_array_equal(reference[node], emptied[node])
 
     def test_adaptive_path_rescues_too(self):
-        result = CircuitSession(_chattering_circuit()).simulate(
-            1e-9, 1e-10, adaptive=True
-        )
+        result = _chattering_session().simulate(1e-9, 1e-10, adaptive=True)
         assert result.stats.rescues >= 1
         assert result.stats.rescue_reports[0].converged
         assert result["a"][-1] == pytest.approx(-1.7692923542386314)
 
     def test_stats_merge_carries_rescue_telemetry(self):
-        first = CircuitSession(_chattering_circuit()).simulate(t_stop=1e-9, dt=1e-10)
+        first = _chattering_session().simulate(t_stop=1e-9, dt=1e-10)
         merged = SolverStats().merge(first.stats).merge(first.stats)
         assert merged.rescues == 2 * first.stats.rescues
         assert len(merged.rescue_reports) == 2 * len(first.stats.rescue_reports)
 
 
 # --------------------------------------------------------------------- #
-# Deformation hooks: compiled vs reference assembly                      #
+# The ladder on the compiled assembler                                   #
+# --------------------------------------------------------------------- #
+
+
+@pytest.fixture()
+def starved_newton(monkeypatch):
+    """Two Newton iterations a step and no halving.  Damping moves the
+    iterate 0.5 V an iteration, so a step whose solution lies more than
+    0.5 V away fails plain Newton and goes straight to the ladder."""
+    for module in (solver, batched):
+        monkeypatch.setattr(module, "MAX_NEWTON_ITERATIONS", 2)
+        monkeypatch.setattr(module, "MAX_SUBDIVISIONS", 0)
+
+
+def _switched_rc(device=True):
+    """A 1 V source switched onto a 1 kOhm / 1 fF RC.  With ``device``,
+    an NMOS held off (gate grounded) puts it on the device path, where
+    every lane of a batch is solved by its own ``dgesv``; without, the
+    circuit is linear and reuses one factorization per step size."""
+    circuit = Circuit(name="switched-rc")
+    circuit.add(VoltageSource("V1", "in", GND, 1.0))
+    circuit.add(Resistor("R1", "in", "a", 1e3))
+    circuit.add(Capacitor("C1", "a", GND, 1e-15))
+    if device:
+        circuit.add(NMOS("M1", d="a", g=GND, s=GND, beta=1e-4, vt=0.4))
+    return circuit
+
+
+class TestCompiledRescue:
+    @pytest.mark.parametrize("device", [False, True])
+    def test_scalar_session_rescues_via_source_stepping(self, starved_newton, device):
+        # From rest the first step moves "in" by 1 V: plain Newton and
+        # every gshunt rung fail, and the 0.1-wide source rungs converge.
+        session = CircuitSession(_switched_rc(device))
+        result = session.simulate(1e-11, 1e-12)
+        assert isinstance(session.assembler, CompiledCircuit)
+        assert result.stats.rescues == 1
+        report = result.stats.rescue_reports[0]
+        assert report.stage == "source" and report.converged
+        assert report.attempts[-1].parameter == 1.0  # solved the original
+        assert result["in"][1:] == pytest.approx(1.0)
+        assert result["a"][-1] == pytest.approx(1.0, abs=1e-3)
+
+    def test_batched_lane_rescued_neighbors_bit_identical(self, starved_newton):
+        # Lane 1 starts at rest and needs the ladder; lanes 0 and 2 start
+        # with the source settled and converge plainly.  Every lane equals
+        # its solo scalar run bit for bit.
+        circuit = _switched_rc()
+        starts = {"in": np.array([1.0, 0.0, 1.0]), "a": np.array([0.2, 0.0, 0.9])}
+        session = BatchedCircuitSession(circuit)
+        result = session.simulate_batch(1e-11, 1e-12, lane_overrides=starts)
+        assert isinstance(session.assembler, CompiledCircuit)
+        assert result.stats.rescues == 1
+        assert result.stats.rescue_reports[0].stage == "source"
+        for lane in range(3):
+            solo = CircuitSession(circuit).simulate(
+                1e-11, 1e-12,
+                initial_overrides={node: float(v[lane]) for node, v in starts.items()},
+            )
+            assert solo.stats.rescues == (1 if lane == 1 else 0)
+            for node in ("in", "a"):
+                np.testing.assert_array_equal(result[node][lane], solo[node])
+
+
+# --------------------------------------------------------------------- #
+# Deformation hooks: compiled vs reference stamping                      #
 # --------------------------------------------------------------------- #
 
 
@@ -248,8 +318,8 @@ class TestDeformationEquivalence:
     ):
         circuit = _rc_circuit()
         size = circuit.assemble()
-        compiled = build_assembler(circuit, size, sparse=False)
-        reference = ReferenceAssembler(circuit, size, sparse=False)
+        compiled = build_assembler(circuit, size)
+        reference = ReferenceAssembler(circuit, size)
         xp = np.zeros(size + 1)
         xp[0] = 0.7  # a non-trivial previous state
         t, dt = 3e-10, 1e-11
@@ -264,7 +334,7 @@ class TestDeformationEquivalence:
     def test_default_deformation_is_bit_identical_to_undeformed(self):
         circuit = _rc_circuit()
         size = circuit.assemble()
-        compiled = build_assembler(circuit, size, sparse=False)
+        compiled = build_assembler(circuit, size)
         xp = np.zeros(size + 1)
         t, dt = 3e-10, 1e-11
         plain = compiled.prepare_step(xp, t, dt, SolverStats())(xp)

@@ -25,7 +25,7 @@ import os
 import pytest
 
 from repro.circuit.netlist import Circuit, Element
-from repro.circuit.solver import MAX_SUBDIVISIONS, CircuitSession, ConvergenceError
+from repro.circuit.solver import MAX_SUBDIVISIONS, ConvergenceError
 from repro.runner import (
     Cell,
     CellError,
@@ -45,6 +45,7 @@ from tests.fault_injection import (
     inject,
     run_divergent_circuit,
 )
+from tests.reference_assembler import reference_session
 
 TECH = tech_params(DEFAULT_TECH)
 
@@ -386,7 +387,8 @@ class _ChatteringSource(Element):
     ``f(v) = v^3 - 2v + 2`` with a Jacobian stamp: the damped iteration
     from 0 chatters between 0.5 and 1.0 forever and step halving cannot
     break the cycle (the problem is time-independent) — but the gmin
-    rescue ladder deforms it to the real root near -1.7693.
+    rescue ladder deforms it to the real root near -1.7693.  Its custom
+    ``stamp`` runs on the reference stamping oracle.
     """
 
     def __init__(self):
@@ -424,7 +426,7 @@ class TestSolverFailurePropagation:
         """The PR 2 chattering netlist now *completes* via the rescue ladder."""
         circuit = Circuit(name="chatter-direct")
         circuit.add(_ChatteringSource())
-        result = CircuitSession(circuit).simulate(t_stop=1e-9, dt=1e-10)
+        result = reference_session(circuit).simulate(t_stop=1e-9, dt=1e-10)
         assert result.stats.rescues >= 1
         assert result.stats.rescue_reports[0].stage == "gmin"
         assert result.stats.rescue_reports[0].converged
@@ -435,7 +437,7 @@ class TestSolverFailurePropagation:
         circuit = Circuit(name="divergent-direct")
         circuit.add(DivergentSource())
         with pytest.raises(ConvergenceError, match="subdivisions") as info:
-            CircuitSession(circuit).simulate(t_stop=1e-9, dt=1e-10)
+            reference_session(circuit).simulate(t_stop=1e-9, dt=1e-10)
         assert "rescue ladder exhausted" in str(info.value)
         assert info.value.report is not None
         assert not info.value.report.converged
@@ -482,9 +484,12 @@ class TestNumericChaosActions:
         assert [o.ok for o in report.outcomes] == [True, False, True, True]
         assert report.results[2:] == baseline[2:4]
 
-    def test_diverge_fails_with_authentic_convergence_report(self, tmp_path):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_diverge_fails_with_authentic_convergence_report(self, tmp_path, jobs):
+        # At jobs=2 the struck cell runs in a pool worker, which installs
+        # the reference stamping for the divergent element itself.
         with _strike(tmp_path, "diverge", "cell1"):
-            report = ExperimentRunner(runs_dir=tmp_path).run(
+            report = ExperimentRunner(jobs=jobs, runs_dir=tmp_path).run(
                 CELLS[:3], "numeric-chaos"
             )
         assert [o.ok for o in report.outcomes] == [True, False, True]
