@@ -45,7 +45,7 @@ from typing import Optional
 
 from ..mprsf.optimizer import check_nbits
 from ..runner import ExperimentRunner, ResultCache, latest_manifest
-from ..runner.cells import check_cycles, tech_params
+from ..runner.cells import check_cycles, check_seed, tech_params
 from ..service import experiment_names, experiment_options, run_experiment
 from ..technology import DEFAULT_TECH
 
@@ -207,8 +207,9 @@ def _validate_args(args: argparse.Namespace) -> Optional[str]:
         return f"--duration {exc}"
     try:
         check_nbits(args.nbits)
+        check_seed(args.seed)
     except ValueError as exc:
-        return f"--{exc}"  # check_nbits' message starts with "nbits"
+        return f"--{exc}"  # each message starts with the option's name
     if args.cell_timeout is not None and not _positive_finite(args.cell_timeout):
         return f"--cell-timeout must be finite and > 0 seconds, got {args.cell_timeout:g}"
     if args.resume is not None and not Path(args.resume).exists():

@@ -14,11 +14,15 @@ Heavy intermediate objects (retention profiles, binnings, traces) are
 memoized **per process** with keyed LRU caches, so a worker computing
 several cells of the same sweep builds each profile once and shares it
 across policies, rather than regenerating it per cell, which is what
-the pre-runner serial drivers did.  Workload traces are built only for
-cells whose pricing reads them.  The fused timeline reads a streamed
-trace built for its cell alone (cycles held, rows produced per block);
-the engine cells share a memo that keeps one whole trace at a time
-(see :func:`_trace`).
+the pre-runner serial drivers did.  Refresh pricing is memoized too
+(see :func:`_price`): each built policy and each priced horizon is
+kept, so cells whose pricing inputs agree (Fig. 4's refresh-only
+RAIDR/VRL columns across benchmarks, the baseline comparison's RAIDR,
+VRL and VRL-Access after Fig. 4) compute once per process.  Workload
+traces are built only for cells whose pricing reads them.  The fused
+timeline reads a streamed trace built for its pricing alone (cycles
+held, rows produced per block); the engine cells share a memo that
+keeps one whole trace at a time (see :func:`_trace`).
 """
 
 from __future__ import annotations
@@ -33,7 +37,8 @@ from typing import Any, Callable, Mapping, Optional, Union
 
 import numpy as np
 
-from ..controller import FGRPolicy, build_policy
+from ..controller import MECHANISMS, build_policy
+from ..controller.registry import MechanismInfo
 from ..mprsf import TauPartialOptimizer
 from ..mprsf.optimizer import check_nbits
 from ..retention import RefreshBinning, RetentionProfiler
@@ -44,6 +49,7 @@ from ..sim import (
     RankSimulator,
     RefreshOverheadEvaluator,
 )
+from ..sim.stats import RefreshStats
 from ..technology import BankGeometry, TechnologyParams
 from ..units import MS, to_cycles
 from ..workloads import PARSEC_WORKLOADS, TraceGenerator
@@ -107,8 +113,8 @@ class Cell:
         Args:
             kind: a key of :data:`CELL_KINDS`.
             tech: technology parameters (or their ``asdict()`` mapping).
-            rows / cols: bank geometry.
-            seed: profiling / trace RNG seed.
+            rows / cols: bank geometry, each at least 1.
+            seed: profiling / trace RNG seed, at least 0.
             duration_seconds: simulated horizon.
             policy: refresh policy (``refresh-overhead``, ``engine-run``).
             nbits: VRL counter width, 1 to
@@ -128,10 +134,10 @@ class Cell:
         Raises:
             ValueError: unknown kind, a required field left ``None``, a
                 non-integer (or bool) in an integer field, a non-finite
-                float, a counter width outside ``1..MAX_NBITS``, or a
-                duration that is not positive or whose controller-cycle
-                count does not fit in int64; the message names kind and
-                field.
+                float, a negative seed, a bank dimension below one, a
+                counter width outside ``1..MAX_NBITS``, or a duration
+                that is not positive or whose controller-cycle count does
+                not fit in int64; the message names kind and field.
             TypeError: ``tech`` is neither params nor a mapping.
         """
         values = locals()  # every argument by name; the kind picks its own
@@ -299,19 +305,79 @@ def _cell_trace(frozen: tuple, rows: int, cols: int, benchmark: str,
 
 
 def _priced_trace(frozen: tuple, rows: int, cols: int, benchmark: Optional[str],
-                  params: Mapping[str, Any], evaluator: RefreshOverheadEvaluator):
+                  seed: int, duration_seconds: float,
+                  evaluator: RefreshOverheadEvaluator):
     """The trace a refresh evaluator prices: ``None`` if it reads none.
 
-    The fused timeline reads only (row, cycle) pairs, so it gets a
-    streamed trace, built for this cell alone and never memoized; the
-    round walk gets the memoized whole trace.
+    Called on a :func:`_priced_stats` miss only, so a workload's trace
+    is built once per priced recipe, not once per cell.  The fused
+    timeline reads only (row, cycle) pairs, so it gets a streamed
+    trace, built for this pricing alone and dropped with it; the round
+    walk gets the memoized whole trace (see :func:`_trace`).
     """
     if not benchmark or not evaluator.reads_trace:
         return None
     if evaluator.backend == "loop":
-        return _cell_trace(frozen, rows, cols, benchmark, params)
-    generator = _generator(frozen, rows, cols, benchmark, int(params["seed"]))
-    return generator.stream(float(params["duration_seconds"]))
+        return _trace(frozen, rows, cols, benchmark, seed, duration_seconds)
+    return _generator(frozen, rows, cols, benchmark, seed).stream(duration_seconds)
+
+
+@lru_cache(maxsize=8)
+def _pricing_policy(frozen_tech: tuple, rows: int, cols: int, seed: int,
+                    mechanism: MechanismInfo, nbits: int):
+    """(policy, evaluator) of one registered mechanism on one bank.
+
+    Keyed by the registry entry itself, not its name, so a mechanism
+    re-registered with ``replace=True`` is built afresh.  Every
+    evaluation resets the policy first, so one instance prices any
+    horizon and trace, and its evaluator keeps the compiled timeline.
+    Fig. 4 and the baseline comparison build six policies per bank.
+    """
+    tech = _tech(frozen_tech)
+    profile, binning = _profile_binning(frozen_tech, rows, cols, seed)
+    policy = MECHANISMS.build(mechanism.name, tech, profile, binning, nbits=nbits)
+    return policy, RefreshOverheadEvaluator(policy, DRAMTiming.from_technology(tech))
+
+
+@lru_cache(maxsize=64)
+def _priced_stats(frozen_tech: tuple, rows: int, cols: int, seed: int,
+                  mechanism: MechanismInfo, nbits: int, duration_seconds: float,
+                  benchmark: Optional[str]) -> RefreshStats:
+    """The refresh statistics of one pricing recipe (shared: do not mutate).
+
+    ``benchmark`` is ``None`` unless the evaluator reads the trace, so
+    a refresh-only policy is priced once for every workload.  A Fig. 4
+    sweep and the baseline comparison price 18 recipes.
+    """
+    _, evaluator = _pricing_policy(frozen_tech, rows, cols, seed, mechanism, nbits)
+    trace = _priced_trace(frozen_tech, rows, cols, benchmark, seed, duration_seconds,
+                          evaluator)
+    return evaluator.evaluate(evaluator.timing.cycles(duration_seconds), trace)
+
+
+def _price(params: Mapping[str, Any], mechanism: str, nbits: int):
+    """A cell's refresh policy and its statistics, each built once per process.
+
+    Reads ``tech``, ``rows``, ``cols``, ``benchmark``, ``seed`` and
+    ``duration_seconds`` from ``params``; ``mechanism`` is a registered
+    name.  Failures propagate and are never memoized, so a retried cell
+    computes again.
+
+    Returns:
+        ``(policy, stats)``: the memoized policy (its end state is that
+        of whichever pricing ran last) and the memoized
+        :class:`~repro.sim.stats.RefreshStats`.
+    """
+    benchmark = _benchmark(params)
+    frozen = _freeze(params["tech"])
+    rows, cols, seed = int(params["rows"]), int(params["cols"]), int(params["seed"])
+    entry = MECHANISMS.get(mechanism)
+    policy, evaluator = _pricing_policy(frozen, rows, cols, seed, entry, nbits)
+    stats = _priced_stats(
+        frozen, rows, cols, seed, entry, nbits, float(params["duration_seconds"]),
+        benchmark if evaluator.reads_trace else None,
+    )
+    return policy, stats
 
 
 # --------------------------------------------------------------------- #
@@ -326,19 +392,7 @@ def _refresh_overhead_cell(params: Mapping[str, Any]) -> dict:
     ``benchmark`` (``None`` = refresh-only), ``seed``,
     ``duration_seconds``.
     """
-    benchmark = _benchmark(params)
-    frozen = _freeze(params["tech"])
-    tech = _tech(frozen)
-    timing = DRAMTiming.from_technology(tech)
-    rows, cols = int(params["rows"]), int(params["cols"])
-    profile, binning = _profile_binning(frozen, rows, cols, int(params["seed"]))
-    policy = build_policy(
-        params["policy"], tech, profile, binning, nbits=int(params["nbits"])
-    )
-    duration_cycles = timing.cycles(float(params["duration_seconds"]))
-    evaluator = RefreshOverheadEvaluator(policy, timing)
-    trace = _priced_trace(frozen, rows, cols, benchmark, params, evaluator)
-    stats = evaluator.evaluate(duration_cycles, trace)
+    _, stats = _price(params, params["policy"], int(params["nbits"]))
     return {
         "full_refreshes": stats.full_refreshes,
         "partial_refreshes": stats.partial_refreshes,
@@ -422,30 +476,15 @@ def _rank_mode_cell(params: Mapping[str, Any]) -> dict:
 def _baseline_mechanism_cell(params: Mapping[str, Any]) -> dict:
     """One refresh mechanism of the baseline comparison.
 
-    Params: ``tech``, ``rows``, ``cols``, ``mechanism`` (policy name or
-    ``fgr-2x``/``fgr-4x``), ``benchmark`` (optional), ``seed``,
-    ``duration_seconds``.
+    Params: ``tech``, ``rows``, ``cols``, ``mechanism`` (a registered
+    mechanism, or ``fixed-64ms`` for ``fixed``), ``benchmark``
+    (optional), ``seed``, ``duration_seconds``.  Priced at the default
+    counter width, so its VRL cells share Fig. 4's pricing.
     """
-    benchmark = _benchmark(params)
-    frozen = _freeze(params["tech"])
-    tech = _tech(frozen)
-    timing = DRAMTiming.from_technology(tech)
-    rows, cols = int(params["rows"]), int(params["cols"])
-    profile, binning = _profile_binning(frozen, rows, cols, int(params["seed"]))
     mechanism = params["mechanism"]
-    fixed = build_policy("fixed", tech, profile, binning)
-    if mechanism.startswith("fgr-"):
-        mode = int(mechanism[len("fgr-"):-1])
-        policy = FGRPolicy(rows, fixed.tau_full, mode=mode)
-        longest_op = policy.tau_op
-    else:
-        name = "fixed" if mechanism == "fixed-64ms" else mechanism
-        policy = fixed if name == "fixed" else build_policy(name, tech, profile, binning)
-        longest_op = getattr(policy, "tau_full", fixed.tau_full)
-    duration_cycles = timing.cycles(float(params["duration_seconds"]))
-    evaluator = RefreshOverheadEvaluator(policy, timing)
-    trace = _priced_trace(frozen, rows, cols, benchmark, params, evaluator)
-    stats = evaluator.evaluate(duration_cycles, trace)
+    policy, stats = _price(params, "fixed" if mechanism == "fixed-64ms" else mechanism, 2)
+    # FGR slices each operation down to tau_op; the others run tau_full.
+    longest_op = getattr(policy, "tau_op", policy.tau_full)
     return {
         "name": policy.name,
         "refresh_cycles": stats.refresh_cycles,
@@ -491,8 +530,6 @@ def _mechanism_matrix_cell(params: Mapping[str, Any]) -> dict:
     name), ``nbits``, ``benchmark`` (``None`` = refresh-only),
     ``temperature`` (degC), ``seed``, ``duration_seconds``.
     """
-    from ..controller import MECHANISMS
-
     benchmark = _benchmark(params)
     frozen = _freeze(params["tech"])
     tech = _tech(frozen)
@@ -644,6 +681,28 @@ def _integer(value: Any) -> int:
     raise ValueError(f"expected an integer, got {value!r}")
 
 
+def _extent(value: Any) -> int:
+    """A bank dimension: a positive integer."""
+    number = _integer(value)
+    if number >= 1:
+        return number
+    raise ValueError(f"expected a positive integer, got {number}")
+
+
+def check_seed(seed: int) -> int:
+    """Reject an RNG seed numpy cannot take (it seeds from integers >= 0).
+
+    :meth:`Cell.of` and the CLI's ``--seed`` check both call this.
+    """
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
+def _seed(value: Any) -> int:
+    return check_seed(_integer(value))
+
+
 def _nbits(value: Any) -> int:
     """A counter width the policies can hold (:func:`check_nbits`)."""
     return check_nbits(_integer(value))
@@ -707,12 +766,12 @@ def _calibration_label(params: Mapping[str, Any]) -> str:
 
 
 #: The bank every kind is computed on; each kind's params start with it.
-_BANK = (("tech", _tech_dict), ("rows", _integer), ("cols", _integer))
+_BANK = (("tech", _tech_dict), ("rows", _extent), ("cols", _extent))
 
 #: ``refresh-overhead`` and ``engine-run`` price one request two ways.
 _POLICY_PARAMS = (
     *_BANK, ("policy", None), ("nbits", _nbits), ("benchmark", None),
-    ("seed", _integer), ("duration_seconds", _duration),
+    ("seed", _seed), ("duration_seconds", _duration),
 )
 
 #: Every cell kind by name: the one table the cells, their keys and
@@ -730,7 +789,7 @@ CELL_KINDS: dict[str, CellKind] = {
         ),
         CellKind(
             "rank-mode",
-            (*_BANK, ("n_banks", _integer), ("mode", None), ("seed", _integer),
+            (*_BANK, ("n_banks", _integer), ("mode", None), ("seed", _seed),
              ("duration_seconds", _duration)),
             ("n_banks", "mode"),
             lambda p: f"rank/{p['mode']}",
@@ -738,7 +797,7 @@ CELL_KINDS: dict[str, CellKind] = {
         ),
         CellKind(
             "baseline-mechanism",
-            (*_BANK, ("mechanism", None), ("benchmark", None), ("seed", _integer),
+            (*_BANK, ("mechanism", None), ("benchmark", None), ("seed", _seed),
              ("duration_seconds", _duration)),
             ("mechanism",),
             lambda p: f"baseline/{p['mechanism']}",
@@ -747,7 +806,7 @@ CELL_KINDS: dict[str, CellKind] = {
         CellKind(
             "mechanism-matrix",
             (*_BANK, ("mechanism", None), ("nbits", _nbits), ("benchmark", None),
-             ("temperature", _finite), ("seed", _integer),
+             ("temperature", _finite), ("seed", _seed),
              ("duration_seconds", _duration)),
             ("mechanism", "temperature"),
             lambda p: (
@@ -758,7 +817,7 @@ CELL_KINDS: dict[str, CellKind] = {
         ),
         CellKind(
             "temperature-point",
-            (*_BANK, ("temperature", _finite), ("seed", _integer)),
+            (*_BANK, ("temperature", _finite), ("seed", _seed)),
             ("temperature",),
             lambda p: f"temp/{p['temperature']:.0f}C",
             _temperature_point_cell,

@@ -193,17 +193,20 @@ def access_resets(
     priced without its cycles or rows ever existing at once.  No
     per-row Python and no access-length temporary:
     :data:`_RESET_BLOCK` accesses at a time, each access marks its
-    packed ``row * span + ordinal`` key in a boolean bitmap, and the
-    set bits, read back in order, are the resets already sorted and
-    unique.  ``span`` bounds the ordinals without reading them: it is
+    packed ``row * span + ordinal`` key in a boolean bitmap of shape
+    ``(rows, span)``, and its set bits, read back in order, are the
+    resets already sorted and unique (one ``flatnonzero``, whose keys
+    are divided into rows and, in place, ordinals: a 2-D ``nonzero``
+    returns the same pair but scans the bitmap about four times
+    slower).  ``span`` bounds the ordinals without reading them: it is
     one past the largest ordinal the latest access could have in any
     row.  A :class:`~repro.sim.trace.StreamedTrace` ascends, so its
     last cycle is the latest; other blocks are read for their largest
     cycle.  The bitmap covers the whole bank unless that would exceed
     ``max(_RESET_BITMAP_FLOOR, _RESET_BITMAP_PER_ACCESS * n_accesses)``
-    bytes; then it is filled and read one window of keys of that size
-    at a time, each window one more pass over the blocks, so memory
-    stays bounded.
+    bytes; then it covers as many whole rows as fit (at least one) and
+    is filled and read one window of rows at a time, each window one
+    more pass over the blocks, so memory stays bounded.
 
     Args:
         blocks: a streamed trace, or re-iterable ``(cycles, rows)``
@@ -212,8 +215,9 @@ def access_resets(
             :func:`~repro.sim.schedule.first_deadlines`).
         periods_cycles: per-row periods in cycles.
         counts: per-row crossing counts of the horizon.  When given,
-            accesses at or past a row's last crossing are dropped: they
-            restart no crossing of the horizon.  The bank engine leaves
+            accesses at or past a row's last crossing are dropped
+            (cleared from the bitmap before it is read): they restart
+            no crossing of the horizon.  The bank engine leaves
             it ``None`` for its served requests, because such an access
             still restarts the counter the run ends with.
 
@@ -227,37 +231,58 @@ def access_resets(
     else:
         n_accesses = sum(len(cycles) for cycles, _ in blocks)
         latest = max((int(np.max(cycles)) for cycles, _ in blocks if len(cycles)), default=0)
-    if n_accesses == 0 or len(first) == 0:
+    n_rows = len(first)
+    if n_accesses == 0 or n_rows == 0:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    # (c - first) // period + 1 is largest at the latest access.
-    cap = max(0, int(((latest - first) // periods_cycles).max()) + 1)
-    span = cap + 1
-    size = len(first) * span
-    window = min(size, max(_RESET_BITMAP_FLOOR, _RESET_BITMAP_PER_ACCESS * n_accesses))
-    seen = np.zeros(window, dtype=bool)
-    found = []
-    start = 0
-    while start < size:
-        end = start + window
-        following = size
+    # (c - first) // period + 1 is largest at the latest access: each
+    # row's top ordinal, and one past the largest is the span.
+    tops = latest - first
+    tops //= periods_cycles
+    tops += 1
+    np.maximum(tops, 0, out=tops)
+    span = int(tops.max()) + 1
+    budget = max(_RESET_BITMAP_FLOOR, _RESET_BITMAP_PER_ACCESS * n_accesses)
+    window_rows = min(n_rows, max(1, budget // span))
+    seen = np.zeros((window_rows, span), dtype=bool)
+    flat = seen.reshape(-1)
+    found_rows, found_ordinals = [], []
+    row = 0
+    while row < n_rows:
+        end = min(n_rows, row + window_rows)
+        start_key, end_key = row * span, end * span
+        following = n_rows * span
         for keys in _reset_keys(blocks, first, periods_cycles, span):
-            if window < size:
-                following = min(following, int(keys.min(where=keys >= end, initial=size)))
-                keys = keys[(keys >= start) & (keys < end)] - start
-            seen[keys] = True
-        bits = np.flatnonzero(seen)
-        bits += start
-        found.append(bits)
+            if window_rows < n_rows:
+                following = min(following, int(keys.min(where=keys >= end_key,
+                                                       initial=following)))
+                keys = keys[(keys >= start_key) & (keys < end_key)] - start_key
+            flat[keys] = True
+        if counts is not None:
+            _clear_past_counts(seen, counts[row:end], tops[row:end])
+        bits = np.flatnonzero(flat[:(end - row) * span])
+        window_resets = bits // span
+        window_resets += row
+        found_rows.append(window_resets)
+        found_ordinals.append(np.remainder(bits, span, out=bits))
         seen[:] = False
-        start = following
-    marked = np.concatenate(found) if len(found) > 1 else found[0]
-    del found
-    reset_rows, reset_ordinals = np.divmod(marked, span)
-    del marked
-    if counts is not None:
-        live = reset_ordinals < counts[reset_rows]
-        reset_rows, reset_ordinals = reset_rows[live], reset_ordinals[live]
-    return reset_rows, reset_ordinals
+        row = following // span
+    if len(found_rows) == 1:
+        return found_rows[0], found_ordinals[0]
+    return np.concatenate(found_rows), np.concatenate(found_ordinals)
+
+
+def _clear_past_counts(seen, counts, tops):
+    """Unmark each row's ordinals ``counts[r]..tops[r]``: accesses after
+    the row's last crossing restart none of the horizon's crossings.
+
+    Row ``r`` marks no ordinal past ``tops[r]``, so this clears every
+    mark at or past ``counts[r]``.  For a trace no longer than the
+    horizon that is at most one ordinal a row, so one step; each step
+    clears one ordinal of every row that still has one.
+    """
+    for offset in range(max(0, int((tops - counts).max()) + 1)):
+        rows = np.flatnonzero(counts + offset <= tops)
+        seen[rows, counts[rows] + offset] = False
 
 
 def _reset_keys(blocks, first, periods_cycles, span):

@@ -10,6 +10,11 @@ traces, and the multi-programmed trace merge.
 * :func:`reference_access_resets` — ``timeline.access_resets`` over
   whole-trace ordinal and key arrays, with the span read off the
   ordinals.  The blocked pass must return the same resets;
+* :func:`flat_readback_access_resets` — the blocked
+  ``timeline.access_resets`` as it read its bitmap back before the
+  row-aligned windows: flat key windows, ``flatnonzero``, ``divmod``
+  and a ``counts`` filter.  The row-window read-back must return the
+  same resets on the same blocks;
 * :func:`generate_suite` — every Fig. 4 workload's trace, for the
   suite digest tests;
 * :func:`merge_traces` — several traces interleaved into one
@@ -23,6 +28,8 @@ from typing import Optional
 import numpy as np
 
 from repro.sim import DRAMTiming, MemoryTrace
+from repro.sim import timeline
+from repro.sim.trace import StreamedTrace
 from repro.technology import BankGeometry, DEFAULT_GEOMETRY
 from repro.workloads import PARSEC_WORKLOADS, TraceGenerator
 
@@ -143,6 +150,45 @@ def _windowed_set_bits(keys: np.ndarray, limit: int) -> np.ndarray:
         found.append(bits)
         keys = keys[~inside]
     return np.concatenate(found)
+
+
+def flat_readback_access_resets(blocks, first, periods_cycles, counts=None):
+    """``access_resets`` with the flat-key read-back, the same passes over
+    ``blocks`` and the same bitmap budget."""
+    if isinstance(blocks, StreamedTrace):
+        n_accesses, latest = len(blocks), blocks.last_cycle
+    else:
+        n_accesses = sum(len(cycles) for cycles, _ in blocks)
+        latest = max((int(np.max(cycles)) for cycles, _ in blocks if len(cycles)), default=0)
+    if n_accesses == 0 or len(first) == 0:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    cap = max(0, int(((latest - first) // periods_cycles).max()) + 1)
+    span = cap + 1
+    size = len(first) * span
+    budget = max(timeline._RESET_BITMAP_FLOOR, timeline._RESET_BITMAP_PER_ACCESS * n_accesses)
+    window = min(size, budget)
+    seen = np.zeros(window, dtype=bool)
+    found = []
+    start = 0
+    while start < size:
+        end = start + window
+        following = size
+        for keys in timeline._reset_keys(blocks, first, periods_cycles, span):
+            if window < size:
+                following = min(following, int(keys.min(where=keys >= end, initial=size)))
+                keys = keys[(keys >= start) & (keys < end)] - start
+            seen[keys] = True
+        bits = np.flatnonzero(seen)
+        bits += start
+        found.append(bits)
+        seen[:] = False
+        start = following
+    marked = np.concatenate(found) if len(found) > 1 else found[0]
+    reset_rows, reset_ordinals = np.divmod(marked, span)
+    if counts is not None:
+        live = reset_ordinals < counts[reset_rows]
+        reset_rows, reset_ordinals = reset_rows[live], reset_ordinals[live]
+    return reset_rows, reset_ordinals
 
 
 def generate_suite(

@@ -17,11 +17,13 @@
 * **reset oracle** — the blocked :func:`access_resets` returns what the
   whole-trace version returns: out-of-bank rows, empty and unsorted
   input, ``counts`` given or not, the windowed bitmap, and the calls
-  the cycle-level engine makes;
+  the cycle-level engine makes; on a streamed trace its row windows
+  return what the flat-key read-back it replaced returns;
 * **memory bounds** (``tracemalloc``, so host-independent) — a
   generated trace costs its own bytes plus block-sized slack,
-  :func:`access_resets` its bitmap and outputs plus that slack, a
-  streamed trace under three bytes a request, a streamed VRL-Access
+  :func:`access_resets` its bitmap and outputs plus that slack (on a
+  six-second ``bgsave`` stream too), a streamed trace under three bytes
+  a request, a streamed VRL-Access
   evaluation no more than an int64 cycle array plus that slack, and
   the runner's trace memo never holds two traces.
 """
@@ -47,7 +49,11 @@ from repro.technology import BankGeometry, DEFAULT_GEOMETRY, DEFAULT_TECH
 from repro.units import MS
 from repro.workloads import PARSEC_WORKLOADS, TraceGenerator, WorkloadSpec
 from repro.workloads import generator as generator_module
-from tests.reference_trace import reference_access_resets, reference_generate
+from tests.reference_trace import (
+    flat_readback_access_resets,
+    reference_access_resets,
+    reference_generate,
+)
 from tests.test_differential_engine_fastpath import _policy_state
 from tests.test_timeline_fused import _assert_same_resets
 
@@ -192,6 +198,29 @@ class TestStreamMatchesOracle:
             access_resets(streamed, first, periods, counts),
             reference_access_resets(want.rows, want.cycles, first, periods, counts),
         )
+
+    @pytest.mark.parametrize("with_counts", [False, True])
+    def test_row_windows_match_the_flat_read_back(self, monkeypatch, with_counts):
+        """Forced windows on a real stream: whole-row windows give the
+        flat-key windows' resets, which the whole-trace oracle agrees with."""
+        monkeypatch.setattr(timeline_module, "_RESET_BITMAP_FLOOR", 4096)
+        monkeypatch.setattr(timeline_module, "_RESET_BITMAP_PER_ACCESS", 0)
+        profile = RetentionProfiler(seed=2018).profile(DEFAULT_GEOMETRY)
+        policy = build_policy(
+            "vrl-access", DEFAULT_TECH, profile, RefreshBinning().assign(profile)
+        )
+        timeline = RefreshOverheadEvaluator(policy, TIMING).timeline
+        first, periods = timeline._first, timeline._periods
+        spec, duration = PARSEC_WORKLOADS["canneal"], 0.6
+        streamed = TraceGenerator(spec, TIMING, seed=2018).stream(duration)
+        counts = timeline._counts(TIMING.cycles(duration)) if with_counts else None
+        span = int(((streamed.last_cycle - first) // periods).max()) + 2
+        assert DEFAULT_GEOMETRY.rows * span > 20 * 4096
+        got = access_resets(streamed, first, periods, counts)
+        _assert_same_resets(got, flat_readback_access_resets(streamed, first, periods, counts))
+        cycles, rows = (np.concatenate(arrays) for arrays in zip(*_copied_pairs(streamed)))
+        _assert_same_resets(got, reference_access_resets(rows, cycles, first, periods, counts))
+        assert len(got[0]) > 1_000
 
     def test_round_walk_refuses_a_streamed_trace(self):
         """The round walk reads whole arrays: a streamed trace is a
@@ -475,6 +504,32 @@ class TestMemoryBounds:
         assert peak <= SLACK + n_rows * span + 2 * marked + outputs
         assert SLACK + n_rows * span + 2 * marked + outputs < rows.nbytes
 
+
+    def test_streamed_read_back_peaks_at_bitmap_and_outputs(self):
+        """Pricing a held six-second ``bgsave`` stream's resets (185,450)
+        allocates the bitmap, the two outputs and block-sized buffers:
+        no flat key array, ``divmod`` copies or filtered copies (8.6 MB
+        with them, against 3.8 MB)."""
+        profile = RetentionProfiler(seed=2018).profile(DEFAULT_GEOMETRY)
+        policy = build_policy(
+            "vrl-access", DEFAULT_TECH, profile, RefreshBinning().assign(profile)
+        )
+        timeline = RefreshOverheadEvaluator(policy, TIMING).timeline
+        first, periods = timeline._first, timeline._periods
+        counts = timeline._counts(TIMING.cycles(6.0))
+        streamed = TraceGenerator(PARSEC_WORKLOADS["bgsave"], TIMING, seed=2018).stream(6.0)
+        (reset_rows, reset_ordinals), peak = _traced_peak(
+            access_resets, streamed, first, periods, counts
+        )
+        assert len(reset_rows) == 185_450
+        span = int(((streamed.last_cycle - first) // periods).max()) + 2
+        bitmap = DEFAULT_GEOMETRY.rows * span
+        outputs = reset_rows.nbytes + reset_ordinals.nbytes
+        assert peak <= bitmap + outputs + SLACK < 5 * (1 << 20)
+        _assert_same_resets(
+            (reset_rows, reset_ordinals),
+            flat_readback_access_resets(streamed, first, periods, counts),
+        )
 
     def test_streamed_trace_holds_under_three_bytes_a_request(self):
         """Two million ``bgsave`` requests: the uint16 gaps and the

@@ -251,6 +251,61 @@ class TestNbitsDomain:
         assert cell.params["nbits"] == width
 
 
+#: Every kind with the other fields it requires.
+_ALL_KINDS = {
+    **_TIMED_KINDS,
+    "temperature-point": dict(temperature=45.0),
+    "calibration-sweep": dict(start_lo=0.75, start_hi=0.95, n_points=4),
+}
+
+
+class TestSeedAndGeometryDomain:
+    """``Cell.of`` rejects a seed numpy cannot take and an empty bank,
+    naming kind and field, instead of failing deep inside the compute."""
+
+    def test_every_kind_is_listed(self):
+        assert set(_ALL_KINDS) == set(CELL_KINDS)
+
+    def test_every_kind_but_calibration_takes_a_seed(self):
+        seeded = {k for k, spec in CELL_KINDS.items() if "seed" in dict(spec.params)}
+        assert seeded == set(CELL_KINDS) - {"calibration-sweep"}
+
+    @pytest.mark.parametrize("bad", [-1, -2**40, np.int64(-5)])
+    @pytest.mark.parametrize("kind", sorted(set(_ALL_KINDS) - {"calibration-sweep"}))
+    def test_negative_seed_rejected(self, kind, bad):
+        with pytest.raises(ValueError, match=(
+            f"^cell kind '{kind}', field 'seed': seed must be >= 0, got {int(bad)}$"
+        )):
+            Cell.of(kind, tech=DEFAULT_TECH, rows=64, cols=8, seed=bad,
+                    **_ALL_KINDS[kind])
+
+    @pytest.mark.parametrize("field", ["rows", "cols"])
+    @pytest.mark.parametrize("bad", [0, -5, np.int32(0)])
+    @pytest.mark.parametrize("kind", sorted(_ALL_KINDS))
+    def test_empty_bank_rejected(self, kind, bad, field):
+        values = dict(tech=DEFAULT_TECH, rows=64, cols=8, **_ALL_KINDS[kind])
+        with pytest.raises(ValueError, match=(
+            f"^cell kind '{kind}', field '{field}': "
+            f"expected a positive integer, got {int(bad)}$"
+        )):
+            Cell.of(kind, **{**values, field: bad})
+
+    @pytest.mark.parametrize("kind", sorted(_ALL_KINDS))
+    def test_bounds_accepted(self, kind):
+        cell = Cell.of(kind, tech=DEFAULT_TECH, rows=1, cols=1, seed=0,
+                       **_ALL_KINDS[kind])
+        assert (cell.params["rows"], cell.params["cols"]) == (1, 1)
+        assert cell.params.get("seed", 0) == 0
+
+    def test_smallest_cells_compute(self):
+        """A seed of 0 on a one-row, one-column bank prices like any other."""
+        cell = Cell.of("refresh-overhead", tech=DEFAULT_TECH, rows=1, cols=1, seed=0,
+                       policy="vrl-access", benchmark="swaptions",
+                       duration_seconds=0.01)
+        payload = ExperimentRunner().run([cell]).results[0]
+        assert payload["duration_cycles"] > 0
+
+
 class TestCanonicalKeys:
     def test_key_equals_hand_built_cell_key(self):
         params = {
@@ -314,6 +369,16 @@ _WIDTHS = st.one_of(
     st.integers(min_value=1, max_value=MAX_NBITS),
     st.integers(min_value=1, max_value=MAX_NBITS).map(np.int64),
 )
+#: Seeds and bank dimensions ``Cell.of`` accepts; the rejected ones are
+#: ``TestSeedAndGeometryDomain``'s.
+_SEEDS = st.one_of(
+    st.integers(min_value=0, max_value=2**62),
+    st.integers(min_value=0, max_value=2**31).map(np.int64),
+)
+_EXTENTS = st.one_of(
+    st.integers(min_value=1, max_value=2**62),
+    st.integers(min_value=1, max_value=2**31).map(np.int64),
+)
 #: Durations ``Cell.of`` accepts (positive, int64 cycles); the rejected
 #: ones are ``TestDurationDomain``'s.
 _DURATIONS = st.one_of(
@@ -331,8 +396,8 @@ def _request(draw):
         st.fixed_dictionaries(
             {
                 "tech": st.sampled_from([DEFAULT_TECH, TECH, DEFAULT_TECH.scaled(vdd=1.4)]),
-                "rows": _INTS,
-                "cols": _INTS,
+                "rows": _EXTENTS,
+                "cols": _EXTENTS,
                 "policy": _NAMES,
                 "mode": _NAMES,
                 "mechanism": _NAMES,
@@ -343,7 +408,7 @@ def _request(draw):
                 "n_points": _INTS,
             },
             optional={
-                "seed": _INTS,
+                "seed": _SEEDS,
                 "duration_seconds": _DURATIONS,
                 "nbits": _WIDTHS,
                 "benchmark": st.one_of(st.none(), _NAMES),

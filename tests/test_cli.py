@@ -16,6 +16,7 @@ from repro.runner import Cell, latest_manifest, load_manifest
 from repro.service import LocalClient
 from repro.technology import DEFAULT_TECH
 from tests.fault_injection import Strike, inject
+from tests.test_pricing_memo import forget_pricing
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -186,6 +187,7 @@ class TestRunnerFlags:
     def test_parallel_output_identical_to_serial(self, tmp_path, capsys):
         assert main(self.FIG4 + ["--no-cache", "--runs-dir", ""]) == 0
         serial = capsys.readouterr().out
+        forget_pricing()  # forked workers would inherit the serial pricing
         assert main(self.FIG4 + ["--jobs", "2", "--no-cache", "--runs-dir", ""]) == 0
         parallel = capsys.readouterr().out
         # Everything except the runner telemetry lines must match exactly.
@@ -272,6 +274,17 @@ class TestFaultToleranceFlags:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {flag}") and len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("value", ["-1", "-2018"])
+    def test_negative_seed_rejected_in_one_line(self, value, capsys):
+        """A seed numpy cannot take exits 2 naming the flag, not 0 with
+        every cell failed on numpy's own message."""
+        argv = ["fig4", "--seed", value, "--duration", "0.01", "--benchmarks",
+                "swaptions", "--no-cache", "--runs-dir", ""]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: --seed must be >= 0, got {int(value)}\n"
+        assert captured.out == ""
 
     @pytest.mark.parametrize("value", ["1e30", "1e11"])
     def test_duration_past_int64_cycles_rejected_in_one_line(self, value, capsys):

@@ -27,6 +27,7 @@ from repro.runner import (
 from repro.runner.cells import _trace
 from repro.runner.manifest import run_stamp
 from repro.technology import BankGeometry, DEFAULT_TECH
+from tests.test_pricing_memo import forget_pricing
 
 GEO = BankGeometry(256, 16)
 BENCHES = ["swaptions", "canneal"]
@@ -41,6 +42,7 @@ def _fig4(**kwargs):
 class TestParallelEqualsSerial:
     def test_fig4_rows_identical(self):
         serial = _fig4()
+        forget_pricing()  # forked workers would inherit the serial pricing
         parallel = _fig4(runner=ExperimentRunner(jobs=3))
         assert parallel.rows == serial.rows
         assert parallel.headers == serial.headers
@@ -48,6 +50,7 @@ class TestParallelEqualsSerial:
     def test_cached_rerun_identical(self, tmp_path):
         cold = _fig4(runner=ExperimentRunner(jobs=2, cache=ResultCache(tmp_path)))
         warm = _fig4(runner=ExperimentRunner(jobs=2, cache=ResultCache(tmp_path)))
+        forget_pricing()
         assert warm.rows == cold.rows == _fig4().rows
 
     def test_rank_study_identical(self, tmp_path):
@@ -60,6 +63,7 @@ class TestParallelEqualsSerial:
 
     def test_baselines_identical(self, tmp_path):
         serial = run_baseline_comparison(geometry=GEO, duration_seconds=0.2)
+        forget_pricing()
         parallel = run_baseline_comparison(
             geometry=GEO,
             duration_seconds=0.2,

@@ -46,6 +46,7 @@ from tests.fault_injection import (
     run_divergent_circuit,
 )
 from tests.reference_assembler import reference_session
+from tests.test_pricing_memo import forget_pricing
 
 TECH = tech_params(DEFAULT_TECH)
 
@@ -89,6 +90,13 @@ def _rank_cell(mode: str) -> Cell:
         },
         label=f"rank-{mode}",
     )
+
+
+@pytest.fixture(autouse=True)
+def cold_pricing():
+    """Each test computes its cells rather than reading another's pricing
+    (the module's ``baseline`` is set up before this empties the memos)."""
+    forget_pricing()
 
 
 @pytest.fixture(scope="module")
@@ -567,6 +575,7 @@ class TestDriverFailureTolerance:
             benchmarks=["swaptions", "canneal"],
         )
         clean = run_fig4(**kwargs)
+        forget_pricing()
         with _strike(tmp_path, "raise", "raidr/swaptions"):
             chaotic = run_fig4(runner=ExperimentRunner(), **kwargs)
         benches = [row[0] for row in chaotic.rows]

@@ -24,6 +24,7 @@ from repro.runner import Cell, ExperimentRunner, ResultCache, latest_manifest
 from repro.service import LocalClient
 from repro.technology import DEFAULT_TECH, BankGeometry
 from tests.fault_injection import Strike, inject
+from tests.test_pricing_memo import forget_pricing
 
 GEOMETRY = BankGeometry(128, 16)
 
@@ -84,6 +85,7 @@ class TestDriverPathsIdentical:
         recorder = _RecordingRunner()
         via_driver = driver(runner=recorder, **kwargs)
         (cells, payloads), = recorder.sweeps
+        forget_pricing()  # recompute, rather than read the driver's pricing
         assert payloads == ExperimentRunner().run(cells).results
         assert via_driver.rows  # the table was built from those payloads
 
@@ -109,16 +111,19 @@ class TestCellLevelEquivalence:
 
     def test_direct_runner_equals_service(self):
         direct = ExperimentRunner().run(self.CELLS)
+        forget_pricing()
         swept = LocalClient().sweep(self.CELLS)
         assert swept.results == direct.results
 
     def test_parallel_service_equals_serial_service(self):
         one = LocalClient(ExperimentRunner(jobs=1)).sweep(self.CELLS)
+        forget_pricing()  # forked workers would inherit the serial pricing
         two = LocalClient(ExperimentRunner(jobs=2)).sweep(self.CELLS)
         assert one.results == two.results
 
     def test_repeated_cells_do_not_perturb_payloads(self):
         direct = ExperimentRunner().run(self.CELLS)
+        forget_pricing()
         swept = LocalClient().sweep(self.CELLS + self.CELLS)
         n = len(self.CELLS)
         assert swept.results[:n] == swept.results[n:] == direct.results
@@ -132,6 +137,7 @@ class TestCellLevelEquivalence:
 
     def test_resumed_sweep_equals_uninterrupted_sweep(self, tmp_path):
         direct = ExperimentRunner().run(self.CELLS)
+        forget_pricing()
         interrupted = LocalClient(ExperimentRunner(runs_dir=tmp_path))
         strike = Strike("interrupt", self.CELLS[2].label)
         with inject(tmp_path / "markers", strike), pytest.raises(KeyboardInterrupt):

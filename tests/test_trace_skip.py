@@ -14,7 +14,7 @@ import re
 
 import pytest
 
-from repro.controller import MECHANISMS, FGRPolicy, RefreshCommand, build_policy
+from repro.controller import MECHANISMS, RefreshCommand, build_policy
 from repro.retention import RefreshBinning, RetentionProfiler
 from repro.runner import compute_cell, tech_params
 from repro.runner.cells import _trace
@@ -46,11 +46,9 @@ def trace():
 
 
 def _cell_policy(name, bank):
-    """A policy built the way ``baseline-mechanism`` builds it."""
+    """A policy built the way the pricing cells build it (``fixed-64ms``
+    is the registry's ``fixed``)."""
     profile, binning = bank
-    fixed = build_policy("fixed", TECH, profile, binning)
-    if name.startswith("fgr-"):
-        return FGRPolicy(GEO.rows, fixed.tau_full, mode=int(name[len("fgr-"):-1]))
     return build_policy(
         "fixed" if name == "fixed-64ms" else name, TECH, profile, binning
     )
