@@ -6,7 +6,7 @@ install:
 	pip install -e . --no-build-isolation || python setup.py develop
 
 test:
-	pytest tests/
+	pytest tests/ --durations=10
 
 bench:
 	pytest benchmarks/ --benchmark-only

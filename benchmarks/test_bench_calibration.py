@@ -4,8 +4,9 @@ Times the Eq. 12 circuit cross-check on a 64-point charge profile two
 ways, both warm (the compiled MNA session and its factorization caches
 already built):
 
-* ``scalar`` — 64 sequential :meth:`circuit_restored_fraction` calls,
-  one adaptive transient each (the pre-batching path);
+* ``scalar`` — 64 sequential one-point :meth:`circuit_restored_fractions`
+  calls with the result memo cleared, one one-lane adaptive transient
+  each (the pre-batching path);
 * ``batched`` — one :meth:`circuit_restored_fractions` call, all 64
   points as lanes of a single multi-lane transient.
 
@@ -68,14 +69,16 @@ class TestCalibrationThroughput:
 
         # Warm both paths: compiles the netlist once (shared session)
         # and touches every per-step cache.
-        calc.circuit_restored_fraction(float(starts[0]), timing)
+        calc.circuit_restored_fractions(starts[:1], timing)
         calc.circuit_restored_fractions(starts[:2], timing)
 
         def scalar_loop():
+            # Drop the calculator's result memo so every call solves.
+            calc._restored.clear()
             return np.array(
                 [
-                    calc.circuit_restored_fraction(float(s), timing)
-                    for s in starts
+                    calc.circuit_restored_fractions(starts[i:i + 1], timing)[0]
+                    for i in range(N_POINTS)
                 ]
             )
 

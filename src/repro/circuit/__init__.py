@@ -12,7 +12,10 @@ The simulator is compile-then-run: a :class:`CircuitSession` compiles a
 netlist's MNA structure once (linear stamps cached per step size,
 MOSFETs re-linearized vectorized per Newton iteration) and then runs
 fixed-step or adaptive transients against it, returning
-:class:`SolverStats` telemetry with every result.  There is one
+:class:`SolverStats` telemetry with every result.  One adaptive step
+controller serves both one run and a :class:`BatchedCircuitSession`
+batch of ``L`` lanes in lockstep, so a one-lane batch is the adaptive
+run, bit for bit.  There is one
 assembler, dense (the Fig. 2 netlists have tens of unknowns), over the
 library elements; an element with custom ``stamp`` arithmetic is
 refused with a ``TypeError`` when its session compiles.

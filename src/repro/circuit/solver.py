@@ -17,7 +17,11 @@ any number of transients against the compiled form:
   ``DT_MAX_FACTOR * dt``, lands exactly on source breakpoints, and falls
   back to the same halving on Newton failure.
   Results are resampled onto the uniform ``dt`` grid so
-  :class:`TransientResult` consumers are unchanged.
+  :class:`TransientResult` consumers are unchanged.  One controller
+  steps any number of lanes in lockstep: ``simulate(adaptive=True)``
+  runs it on one lane with the scalar Newton iteration, and
+  :class:`~repro.circuit.batched.BatchedCircuitSession` on ``L`` lanes
+  with its batched Newton round.
 
 When halving cannot save a step, the solver escalates through the
 gmin/source-stepping rescue ladder (:mod:`repro.circuit.rescue`) before
@@ -44,7 +48,7 @@ import numpy as np
 
 from ..guard import assert_finite
 from .compiled import SingularSystemError, build_assembler
-from .netlist import Circuit
+from .netlist import Circuit, VoltageSource
 from .rescue import (  # noqa: F401  (ConvergenceError re-exported for back-compat)
     ConvergenceError,
     ConvergenceReport,
@@ -80,6 +84,11 @@ _MAX_NEWTON_STEP = 0.5
 _GROW_MAX = 2.0
 _SHRINK_MIN = 0.2
 _SAFETY = 0.9
+
+#: A one-lane Newton round's ``converged`` mask (read-only, shared).
+_LANE_CONVERGED = np.ones(1, dtype=bool)
+_LANE_FAILED = np.zeros(1, dtype=bool)
+_LANE_CONVERGED.flags.writeable = _LANE_FAILED.flags.writeable = False
 
 
 @dataclass
@@ -181,6 +190,23 @@ class TransientResult:
         return self.currents[source_name]
 
 
+def _resample(ts, samples, t_stop, dt):
+    """Interpolate accepted-step samples onto the uniform ``dt`` grid.
+
+    ``samples`` is ``(len(ts), L, C)`` as :meth:`CircuitSession._run_adaptive`
+    returns it; the result is ``(grid, waves)`` with ``waves[c, lane]``
+    one column of one lane on the grid, from 0 to ``t_stop``.
+    """
+    grid = np.arange(int(round(t_stop / dt)) + 1) * dt
+    ts = np.asarray(ts)
+    _, n_lanes, n_cols = samples.shape
+    waves = np.empty((n_cols, n_lanes, len(grid)))
+    for col in range(n_cols):
+        for lane in range(n_lanes):
+            waves[col, lane] = np.interp(grid, ts, samples[:, lane, col])
+    return grid, waves
+
+
 class CircuitSession:
     """Compiled transient-analysis session over one :class:`Circuit`.
 
@@ -278,48 +304,69 @@ class CircuitSession:
         assembler = self._ensure_compiled()
         size = assembler.size
 
-        x = self.circuit.initial_state(size)
-        if initial_overrides:
-            for node, value in initial_overrides.items():
-                idx = self.circuit.node_id(node)
-                if idx < 0:
-                    raise KeyError(f"cannot override ground node: {node}")
-                x[idx] = float(value)
+        XP = self._initial_states(size, initial_overrides or {})
+        indices = self._recorded(record)
+        sources = {e.name: e for e in self.circuit.elements if isinstance(e, VoltageSource)}
+        current_indices: Dict[str, int] = {}
+        for name in record_currents or ():
+            if name not in sources:
+                raise KeyError(f"no voltage source named {name!r}")
+            current_indices[name] = sources[name]._branch_index
 
-        record_nodes = record if record is not None else self.circuit.node_names
-        indices = {node: self.circuit.node_id(node) for node in record_nodes}
+        stats = SolverStats()
+        if adaptive:
+            cols = [*indices.values(), *current_indices.values()]
+            ts, samples = self._run_adaptive(
+                self._newton_lane, assembler, XP, t_stop, dt, cols, stats
+            )
+            currents = samples[:, :, len(indices):]
+            np.negative(currents, out=currents)
+            times, waves = _resample(ts, samples, t_stop, dt)
+            traces = dict(zip(indices, waves[:len(indices), 0]))
+            current_traces = dict(zip(current_indices, waves[len(indices):, 0]))
+        else:
+            times, traces, current_traces = self._run_fixed(
+                assembler, XP[0], t_stop, dt, indices, current_indices, stats
+            )
+        assert_finite(traces, "circuit.solver.simulate")
+        assert_finite(current_traces, "circuit.solver.simulate")
+        return TransientResult(
+            time=times,
+            voltages=traces,
+            newton_iterations=stats.newton_iterations,
+            currents=current_traces,
+            stats=stats,
+        )
+
+    def _initial_states(self, size, overrides, n_lanes=1):
+        """Padded ``(L, size + 1)`` initial states: the netlist initial
+        conditions with ``overrides`` (node → a value, or ``(L,)``
+        values) on top."""
+        XP = np.zeros((n_lanes, size + 1))
+        XP[:, :size] = self.circuit.initial_state(size)
+        for node, values in overrides.items():
+            idx = self.circuit.node_id(node)
+            if idx < 0:
+                raise KeyError(f"cannot override ground node: {node}")
+            XP[:, idx] = values
+        return XP
+
+    def _recorded(self, record):
+        """Node → unknown index of each node to record (every node by default)."""
+        nodes = record if record is not None else self.circuit.node_names
+        indices = {node: self.circuit.node_id(node) for node in nodes}
         for node, idx in indices.items():
             if idx < 0:
                 raise KeyError(f"cannot record ground node: {node}")
-
-        current_indices: Dict[str, int] = {}
-        if record_currents:
-            from .netlist import VoltageSource
-
-            sources = {
-                e.name: e for e in self.circuit.elements if isinstance(e, VoltageSource)
-            }
-            for name in record_currents:
-                if name not in sources:
-                    raise KeyError(f"no voltage source named {name!r}")
-                current_indices[name] = sources[name]._branch_index
-
-        xp = np.zeros(size + 1)
-        xp[:size] = x
-        stats = SolverStats()
-
-        if adaptive:
-            return self._run_adaptive(
-                assembler, xp, t_stop, dt, indices, current_indices, stats
-            )
-        return self._run_fixed(assembler, xp, t_stop, dt, indices, current_indices, stats)
+        return indices
 
     # ------------------------------------------------------------------ #
     # fixed-step path (seed semantics)                                    #
     # ------------------------------------------------------------------ #
 
     def _run_fixed(self, assembler, xp, t_stop, dt, indices, current_indices, stats):
-        """Uniform-step integration with halving-on-failure (seed behaviour)."""
+        """Uniform-step integration with halving-on-failure (seed behaviour):
+        ``(times, traces, current_traces)``."""
         n_steps = int(round(t_stop / dt))
         times = np.empty(n_steps + 1)
         traces = {node: np.empty(n_steps + 1) for node in indices}
@@ -338,16 +385,7 @@ class CircuitSession:
                 traces[node][step_index] = xp[idx]
             for name, idx in current_indices.items():
                 current_traces[name][step_index] = -xp[idx]
-
-        assert_finite(traces, "circuit.solver.simulate")
-        assert_finite(current_traces, "circuit.solver.simulate")
-        return TransientResult(
-            time=times,
-            voltages=traces,
-            newton_iterations=stats.newton_iterations,
-            currents=current_traces,
-            stats=stats,
-        )
+        return times, traces, current_traces
 
     def _advance(self, assembler, xp, t_start, dt, depth, stats):
         """Advance the state by ``dt`` from ``t_start``; subdivide on failure.
@@ -413,35 +451,41 @@ class CircuitSession:
                     points.add(float(b))
         return deque(sorted(points))
 
-    def _run_adaptive(
-        self, assembler, xp, t_stop, dt_init, indices, current_indices, stats
-    ):
-        """LTE-controlled variable-step integration, resampled onto ``dt_init``.
+    def _run_adaptive(self, newton_round, assembler, XP, t_stop, dt_init, cols, stats):
+        """LTE-controlled variable-step integration of ``L`` lanes in lockstep.
 
-        Backward Euler's local truncation error is estimated by comparing
-        the implicit solution against a linear extrapolation of the two
-        previous accepted states (a first-order predictor): for exact
-        first-order behaviour the two agree, so their gap scaled by
-        ``dt / (dt + dt_prev)`` tracks the ``O(dt^2)`` error term.  Steps
-        whose estimate exceeds :data:`LTE_TOL` are rejected and retried
-        smaller; accepted steps grow the step by up to 2x.  The predictor
-        history is reset across source breakpoints, where extrapolating a
-        discontinuous slope would poison the estimate.
+        ``XP`` holds one padded state per lane, ``(L, size + 1)``, and
+        ``newton_round(assembler, XP, t, dt, stats)`` takes every lane one
+        backward-Euler step, returning ``(XP_new, converged)``.  The local
+        truncation error is the gap between the implicit solution and a
+        linear extrapolation of the two previous accepted states, scaled
+        by ``dt / (dt + dt_prev)`` (it tracks the ``O(dt^2)`` term); the
+        worst lane and node size one shared step.  Steps over
+        :data:`LTE_TOL` are retried smaller, accepted ones grow by up to
+        2x, and the predictor restarts across source breakpoints.  When
+        every lane fails Newton the step halves down to its floor, then
+        each lane is rescued at the step it failed; when only some fail,
+        each failed lane is advanced alone through :meth:`_advance`.
+
+        Returns:
+            ``(ts, samples)``: the accepted times and the ``cols`` columns
+            of the states at each, ``(len(ts), L, len(cols))``.
         """
         n_nodes = assembler.n_nodes
+        n_lanes = XP.shape[0]
         dt_min = dt_init / DT_MIN_DIVISOR
         dt_max = DT_MAX_FACTOR * dt_init
         dt_floor = dt_min / (2.0**MAX_SUBDIVISIONS)
         bps = self._harvest_breakpoints(t_stop)
         t_eps = max(1e-18, 1e-12 * t_stop)
 
+        cols = np.asarray(cols, dtype=np.intp)
         ts = [0.0]
-        samples = {node: [xp[idx]] for node, idx in indices.items()}
-        current_samples = {name: [-xp[idx]] for name, idx in current_indices.items()}
+        samples = [XP[:, cols]]
 
         t = 0.0
         dt = dt_init  # within [dt_min, dt_max] by construction
-        xp_hist: Optional[np.ndarray] = None
+        XP_hist: Optional[np.ndarray] = None
         dt_hist: Optional[float] = None
 
         while t_stop - t > t_eps:
@@ -453,30 +497,44 @@ class CircuitSession:
                 dt_try = bps[0] - t
                 at_break = True
 
-            probe = self._newton(assembler, xp, t + dt_try, dt_try, stats)
-            xp_new = probe.solution
-            rescued = False
-            if xp_new is None:
+            XP_new, converged = newton_round(assembler, XP, t + dt_try, dt_try, stats)
+            accepted = int(np.count_nonzero(converged))
+            rescued = accepted < n_lanes
+            if rescued and accepted:
+                # Healthy lanes keep their solutions; each failed one is
+                # halved and rescued alone at this exact step, so the
+                # batch stays in lockstep.
+                for lane in np.flatnonzero(~converged):
+                    XP_new[lane] = self._advance(
+                        assembler, XP[lane].copy(), t, dt_try, 0, stats
+                    )
+            elif rescued:
                 stats.subdivisions += 1
                 dt = dt_try / 2.0
                 if dt >= dt_floor:
                     continue
                 # Halving is exhausted: the rescue ladder either saves
-                # the step at dt_try or raises with the full report.
-                xp_new = self._rescue(assembler, xp, t + dt_try, dt_try, stats)
-                rescued = True
+                # each lane at dt_try or raises with the full report.
+                XP_new = np.stack(
+                    [self._rescue(assembler, xp, t + dt_try, dt_try, stats) for xp in XP]
+                )
+                accepted = n_lanes
 
             if rescued:
                 # A rescued state was reached through a deformed-system
                 # continuation; an LTE estimate extrapolated across it
                 # is meaningless, so accept and restart the predictor.
                 dt_next = dt_try
-            elif xp_hist is not None:
-                pred = xp + (xp - xp_hist) * (dt_try / dt_hist)
-                gap = float(np.max(np.abs(xp_new[:n_nodes] - pred[:n_nodes]))) if n_nodes else 0.0
+            elif XP_hist is not None:
+                pred = XP + (XP - XP_hist) * (dt_try / dt_hist)
+                gap = (
+                    float(np.max(np.abs(XP_new[:, :n_nodes] - pred[:, :n_nodes])))
+                    if n_nodes
+                    else 0.0
+                )
                 err = gap * dt_try / (dt_try + dt_hist)
                 if err > LTE_TOL and dt_try > dt_min * (1.0 + 1e-9):
-                    stats.rejected_steps += 1
+                    stats.rejected_steps += n_lanes
                     shrink = max(_SHRINK_MIN, _SAFETY * math.sqrt(LTE_TOL / err))
                     dt = max(dt_try * shrink, dt_min)
                     continue
@@ -485,48 +543,33 @@ class CircuitSession:
             else:
                 dt_next = dt_try
 
-            stats.accepted_steps += 1
-            xp_hist = xp
+            stats.accepted_steps += accepted
+            XP_hist = XP
             dt_hist = dt_try
-            xp = xp_new
+            XP = XP_new
             t += dt_try
             ts.append(t)
-            for node, idx in indices.items():
-                samples[node].append(xp[idx])
-            for name, idx in current_indices.items():
-                current_samples[name].append(-xp[idx])
+            samples.append(XP[:, cols])
 
             if at_break or rescued:
                 # Source slope just changed (or the state came from a
                 # rescue continuation): a predictor spanning the
                 # discontinuity is meaningless, and a large step would
                 # smear the event — restart both.
-                xp_hist = None
+                XP_hist = None
                 dt_hist = None
                 dt = dt_init
             else:
                 dt = min(max(dt_next, dt_min), dt_max)
+        return ts, np.stack(samples)
 
-        # Resample onto the uniform grid the fixed-step path would use.
-        n_steps = int(round(t_stop / dt_init))
-        grid = np.arange(n_steps + 1) * dt_init
-        ts_arr = np.asarray(ts)
-        traces = {
-            node: np.interp(grid, ts_arr, np.asarray(vals)) for node, vals in samples.items()
-        }
-        current_traces = {
-            name: np.interp(grid, ts_arr, np.asarray(vals))
-            for name, vals in current_samples.items()
-        }
-        assert_finite(traces, "circuit.solver.simulate")
-        assert_finite(current_traces, "circuit.solver.simulate")
-        return TransientResult(
-            time=grid,
-            voltages=traces,
-            newton_iterations=stats.newton_iterations,
-            currents=current_traces,
-            stats=stats,
-        )
+    def _newton_lane(self, assembler, XP, t, dt, stats):
+        """:meth:`_newton` on a one-lane state, as a Newton round for
+        :meth:`_run_adaptive`: ``(XP_new, converged)``."""
+        solution = self._newton(assembler, XP[0], t, dt, stats).solution
+        if solution is None:
+            return XP, _LANE_FAILED
+        return solution[None], _LANE_CONVERGED
 
     # ------------------------------------------------------------------ #
     # Newton iteration                                                    #

@@ -219,48 +219,23 @@ class MPRSFCalculator:
             self._sessions[key] = session
         return session
 
-    def circuit_restored_fraction(self, start_fraction: float, timing: RefreshTiming) -> float:
-        """Circuit-level cross-check of Eq. 12's ``restored_fraction``.
-
-        Simulates the full refresh chain (Fig. 2d netlist) with the cell
-        pre-leaked to ``start_fraction`` of ``V_dd``, then reads the
-        cell charge at the timing's tRFC.  The compiled session comes
-        from :meth:`_session_for` and is re-run with
-        ``initial_overrides`` per retention point, so a sweep pays
-        circuit assembly once.  The transient steps adaptively, sampled
-        every :data:`CIRCUIT_DT` (fixed steps would be ~10x slower).
-
-        Args:
-            start_fraction: cell charge fraction when the refresh starts.
-            timing: the refresh timing whose restoration to measure.
-
-        Returns:
-            The cell's charge fraction of ``V_dd`` at ``timing.total_seconds``.
-        """
-        session = self._session_for(timing)
-        result = session.simulate(
-            timing.total_seconds,
-            CIRCUIT_DT,
-            record=["cell"],
-            adaptive=True,
-            initial_overrides={"cell": start_fraction * self.tech.vdd},
-        )
-        fraction = float(result["cell"][-1]) / self.tech.vdd
-        return assert_finite(fraction, "mprsf.circuit_restored_fraction", "fraction")
-
     def circuit_restored_fractions(
         self, start_fractions: np.ndarray, timing: RefreshTiming
     ) -> np.ndarray:
-        """Batched :meth:`circuit_restored_fraction` over a charge profile.
+        """Circuit-level cross-check of Eq. 12's ``restored_fraction``.
 
-        All starting charges run through one
-        :class:`~repro.circuit.BatchedCircuitSession` transient — one
-        lane per point, one vectorized device linearization per Newton
-        round — instead of one full simulation each.  The adaptive step
+        Simulates the full refresh chain (Fig. 2d netlist) with the cell
+        pre-leaked to each of ``start_fractions`` of ``V_dd``, then reads
+        the cell charge at the timing's tRFC.  All starting charges run
+        through one :class:`~repro.circuit.BatchedCircuitSession`
+        transient — one lane per point, one vectorized device
+        linearization per Newton round — instead of one full simulation
+        each.  The compiled session comes from :meth:`_session_for`, so
+        a sweep pays circuit assembly once.  The adaptive step
         controller (sampled every :data:`CIRCUIT_DT`) is shared by every
-        lane, so per lane the waveform matches the scalar cross-check
+        lane, so per lane the waveform matches the lane's one-point run
         within the documented 2 mV circuit envelope (architecture
-        invariant 14).
+        invariant 14); a one-point profile *is* that run.
 
         Results are memoized per calculator on the timing's session key
         (phase schedule, ``total_seconds``, geometry) and the starting
@@ -270,7 +245,7 @@ class MPRSFCalculator:
         Args:
             start_fractions: 1-D array of cell charge fractions when the
                 refresh starts (one simulation lane each).
-            timing: as in :meth:`circuit_restored_fraction`.
+            timing: the refresh timing whose restoration to measure.
 
         Returns:
             Array of ending charge fractions of ``V_dd``, same length (a
@@ -284,7 +259,6 @@ class MPRSFCalculator:
                 timing.total_seconds,
                 CIRCUIT_DT,
                 record=["cell"],
-                adaptive=True,
                 lane_overrides={"cell": starts * self.tech.vdd},
             )
             fractions = assert_finite(

@@ -277,12 +277,17 @@ def _clear_past_counts(seen, counts, tops):
 
     Row ``r`` marks no ordinal past ``tops[r]``, so this clears every
     mark at or past ``counts[r]``.  For a trace no longer than the
-    horizon that is at most one ordinal a row, so one step; each step
-    clears one ordinal of every row that still has one.
+    horizon that is at most one ordinal a row, cleared by one fancy
+    store; a trace that runs further past the horizon is cleared with
+    one dense window mask instead of one store per ordinal.
     """
-    for offset in range(max(0, int((tops - counts).max()) + 1)):
-        rows = np.flatnonzero(counts + offset <= tops)
-        seen[rows, counts[rows] + offset] = False
+    past = int((tops - counts).max())
+    if past == 0:
+        rows = np.flatnonzero(counts <= tops)
+        seen[rows, counts[rows]] = False
+    elif past > 0:
+        window = seen[:len(counts)]
+        window &= np.arange(seen.shape[1]) < counts[:, None]
 
 
 def _reset_keys(blocks, first, periods_cycles, span):

@@ -163,9 +163,7 @@ def _simulate(**removed):
 
 
 def _simulate_batch(**removed):
-    return _rc_session().simulate_batch(
-        1e-9, 1e-11, lane_overrides={"out": [1.0]}, adaptive=True, **removed
-    )
+    return _rc_session().simulate_batch(1e-9, 1e-11, lane_overrides={"out": [1.0]}, **removed)
 
 
 def _harvest_breakpoints(extra):
@@ -177,11 +175,6 @@ def _optimizer_and_timing():
 
     optimizer = TauPartialOptimizer(repro.DEFAULT_TECH)
     return optimizer, optimizer.model.partial_refresh()
-
-
-def _restored_fraction(**removed):
-    optimizer, timing = _optimizer_and_timing()
-    return optimizer.calculator.circuit_restored_fraction(0.9, timing, **removed)
 
 
 def _restored_fractions(**removed):
@@ -221,9 +214,8 @@ REMOVED_OPTIONS = [
     (_simulate_batch, "dt_max", 1e-10),
     (_simulate_batch, "breakpoints", [5e-10]),
     (_simulate_batch, "lane_source_scale", [0.5]),
+    (_simulate_batch, "adaptive", True),
     (_harvest_breakpoints, "extra", [5e-10]),
-    (_restored_fraction, "dt", 5e-12),
-    (_restored_fraction, "adaptive", False),
     (_restored_fractions, "dt", 5e-12),
     (_restored_fractions, "adaptive", False),
     (_calibrate, "dt", 5e-12),
@@ -235,8 +227,9 @@ REMOVED_OPTIONS = [
 
 class TestRemovedOptions:
     """Solver and calibration knobs no caller set are module constants now,
-    the circuit session has one assembler (no ``assembly=``), and fault
-    injection lives in the tests, not in the runner or the CLI."""
+    the circuit session has one assembler (no ``assembly=``), a batch
+    always steps adaptively (no ``adaptive=``), and fault injection lives
+    in the tests, not in the runner or the CLI."""
 
     @pytest.mark.parametrize(
         "call,keyword,value",
@@ -246,6 +239,12 @@ class TestRemovedOptions:
     def test_removed_options_are_rejected(self, call, keyword, value):
         with pytest.raises(TypeError, match="argument"):
             call(**{keyword: value})
+
+    def test_one_point_restored_fraction_is_gone(self):
+        # A one-point profile of circuit_restored_fractions is that run.
+        from repro.mprsf import MPRSFCalculator
+
+        assert not hasattr(MPRSFCalculator, "circuit_restored_fraction")
 
     def test_chaos_flag_is_rejected(self, tmp_path, monkeypatch, capsys):
         from repro.experiments.cli import main

@@ -33,6 +33,7 @@ from repro.circuit import (
 from repro.circuit import BatchedCircuitSession, NMOS, batched, rescue, solver
 from repro.circuit.compiled import CompiledCircuit, build_assembler
 from repro.circuit.rescue import GMIN_LADDER, SOURCE_LADDER, NewtonProbe, run_rescue
+from tests.reference_adaptive import assert_same_run, reference_adaptive
 from tests.reference_assembler import ReferenceAssembler, reference_session
 
 
@@ -233,6 +234,16 @@ class TestSolverRescue:
         assert result.stats.rescue_reports[0].converged
         assert result["a"][-1] == pytest.approx(-1.7692923542386314)
 
+    def test_adaptive_chatter_equals_the_oracle(self):
+        # One rescue route: halve to the floor, then one gmin ladder.
+        session = _chattering_session()
+        result = session.simulate(1e-9, 1e-10, adaptive=True)
+        assert_same_run(result, reference_adaptive(session, 1e-9, 1e-10))
+        stats = result.stats
+        assert (stats.newton_iterations, stats.subdivisions, stats.rescues) == (830, 13, 1)
+        assert stats.rescue_reports[0].stage == "gmin"
+        assert result["a"][-1] == -1.7692923542386314
+
     def test_stats_merge_carries_rescue_telemetry(self):
         first = _chattering_session().simulate(t_stop=1e-9, dt=1e-10)
         merged = SolverStats().merge(first.stats).merge(first.stats)
@@ -249,10 +260,12 @@ class TestSolverRescue:
 def starved_newton(monkeypatch):
     """Two Newton iterations a step and no halving.  Damping moves the
     iterate 0.5 V an iteration, so a step whose solution lies more than
-    0.5 V away fails plain Newton and goes straight to the ladder."""
+    0.5 V away fails plain Newton and goes straight to the ladder (an
+    adaptive run first halves the step down to its floor,
+    ``dt / DT_MIN_DIVISOR``)."""
     for module in (solver, batched):
         monkeypatch.setattr(module, "MAX_NEWTON_ITERATIONS", 2)
-        monkeypatch.setattr(module, "MAX_SUBDIVISIONS", 0)
+    monkeypatch.setattr(solver, "MAX_SUBDIVISIONS", 0)
 
 
 def _switched_rc(device=True):
@@ -284,25 +297,85 @@ class TestCompiledRescue:
         assert result["in"][1:] == pytest.approx(1.0)
         assert result["a"][-1] == pytest.approx(1.0, abs=1e-3)
 
-    def test_batched_lane_rescued_neighbors_bit_identical(self, starved_newton):
+    def test_batched_lane_rescued_neighbors_bit_identical(self, starved_newton, monkeypatch):
         # Lane 1 starts at rest and needs the ladder; lanes 0 and 2 start
-        # with the source settled and converge plainly.  Every lane equals
-        # its solo scalar run bit for bit.
+        # with the source settled and converge plainly.  The step is
+        # taken with lane 1 rescued alone and its neighbors untouched.
+        rounds = _spy_rounds(monkeypatch)
         circuit = _switched_rc()
         starts = {"in": np.array([1.0, 0.0, 1.0]), "a": np.array([0.2, 0.0, 0.9])}
         session = BatchedCircuitSession(circuit)
         result = session.simulate_batch(1e-11, 1e-12, lane_overrides=starts)
         assert isinstance(session.assembler, CompiledCircuit)
         assert result.stats.rescues == 1
-        assert result.stats.rescue_reports[0].stage == "source"
+        report = result.stats.rescue_reports[0]
+        assert report.stage == "source" and (report.time, report.dt) == (1e-12, 1e-12)
+        assert np.isfinite(result["a"]).all()
+        (XP, solved, converged), after = rounds[0], rounds[1][0]
+        assert converged.tolist() == [True, False, True]
+        solo = CircuitSession(circuit)
+        solo_stats = SolverStats()
+        alone = solo._advance(solo.assembler, XP[1].copy(), 0.0, 1e-12, 0, solo_stats)
+        assert solo_stats.rescues == 1
+        np.testing.assert_array_equal(after[1], alone)
+        np.testing.assert_array_equal(after[0], solved[0])
+        np.testing.assert_array_equal(after[2], solved[2])
+
+    def test_every_lane_laddered_is_rescued_once_at_dt_try(self, starved_newton, monkeypatch):
+        # Every lane starts at rest, so every lane fails every step size:
+        # the shared step halves down to its floor, as the scalar
+        # controller's does, and then each lane is rescued once at that
+        # step.  No lane goes through the per-lane fallback.
+        rounds = _spy_rounds(monkeypatch)
+        advanced = []
+        monkeypatch.setattr(
+            CircuitSession, "_advance", lambda self, *args: advanced.append(args)
+        )
+        circuit = _switched_rc()
+        starts = {"a": np.array([0.0, 0.1, 0.2])}
+        dt = 1e-12
+        result = BatchedCircuitSession(circuit).simulate_batch(
+            1e-11, dt, lane_overrides=starts
+        )
+        assert advanced == []
+        floor = dt / solver.DT_MIN_DIVISOR
+        assert [r[0].shape[0] for r in rounds[:5]] == [3] * 5
+        assert not any(converged.any() for _, _, converged in rounds[:5])
+        assert result.stats.subdivisions == 5
+        assert result.stats.rescues == 3
+        assert [(r.time, r.dt, r.stage) for r in result.stats.rescue_reports] == [
+            (floor, floor, "source")
+        ] * 3
+        # Each lane's rescued state is that lane's own ladder from its start.
+        solo = CircuitSession(circuit)
         for lane in range(3):
-            solo = CircuitSession(circuit).simulate(
-                1e-11, 1e-12,
-                initial_overrides={node: float(v[lane]) for node, v in starts.items()},
-            )
-            assert solo.stats.rescues == (1 if lane == 1 else 0)
-            for node in ("in", "a"):
-                np.testing.assert_array_equal(result[node][lane], solo[node])
+            alone = solo._rescue(solo.assembler, rounds[0][0][lane], floor, floor, SolverStats())
+            np.testing.assert_array_equal(rounds[5][0][lane], alone)
+
+    @pytest.mark.parametrize("device", [False, True])
+    @pytest.mark.parametrize("starved", [False, True])
+    def test_one_lane_run_equals_the_oracle(self, request, device, starved):
+        if starved:
+            request.getfixturevalue("starved_newton")
+        session = CircuitSession(_switched_rc(device))
+        result = session.simulate(1e-11, 1e-12, record_currents=["V1"], adaptive=True)
+        oracle = reference_adaptive(session, 1e-11, 1e-12, record_currents=["V1"])
+        assert_same_run(result, oracle)
+        assert result.stats.rescues == int(starved)
+
+
+def _spy_rounds(monkeypatch):
+    """Record ``(XP, XP_new, converged)`` of every batched Newton round."""
+    rounds = []
+    real = BatchedCircuitSession._newton_batch
+
+    def spy(self, assembler, XP, t, dt, stats):
+        XP_new, converged = real(self, assembler, XP, t, dt, stats)
+        rounds.append((XP.copy(), XP_new.copy(), converged.copy()))
+        return XP_new, converged
+
+    monkeypatch.setattr(BatchedCircuitSession, "_newton_batch", spy)
+    return rounds
 
 
 # --------------------------------------------------------------------- #

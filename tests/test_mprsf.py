@@ -93,8 +93,13 @@ class TestMprsfForRows:
         assert len(set(values.tolist())) == 1
 
 
+def _circuit_fraction(calc, start, timing):
+    """The circuit-restored fraction of one starting charge (a one-lane run)."""
+    return float(calc.circuit_restored_fractions(np.array([start]), timing)[0])
+
+
 class TestCircuitCrossCheck:
-    """circuit_restored_fraction vs the Eq. 12 analytical model."""
+    """One-point circuit_restored_fractions vs the Eq. 12 analytical model."""
 
     def test_agrees_with_model(self, calc):
         """Circuit-level restoration lands near the model's prediction.
@@ -106,24 +111,24 @@ class TestCircuitCrossCheck:
         timing = calc.model.partial_refresh()
         start = 0.80
         predicted = calc.model.restored_fraction(start, timing)
-        measured = calc.circuit_restored_fraction(start, timing)
+        measured = _circuit_fraction(calc, start, timing)
         assert abs(measured - predicted) < 0.05
 
     def test_monotone_in_start_fraction(self, calc):
         timing = calc.model.partial_refresh()
         fractions = [
-            calc.circuit_restored_fraction(s, timing) for s in (0.75, 0.85, 0.95)
+            _circuit_fraction(calc, s, timing) for s in (0.75, 0.85, 0.95)
         ]
         assert fractions == sorted(fractions)
         assert all(0.5 < f <= 1.05 for f in fractions)
 
     def test_session_cached_per_timing(self, calc):
         timing = calc.model.partial_refresh()
-        calc.circuit_restored_fraction(0.8, timing)
+        _circuit_fraction(calc, 0.8, timing)
         n_sessions = len(calc._sessions)
-        calc.circuit_restored_fraction(0.9, timing)
+        _circuit_fraction(calc, 0.9, timing)
         assert len(calc._sessions) == n_sessions  # same timing -> same session
-        calc.circuit_restored_fraction(0.9, calc.model.full_refresh())
+        _circuit_fraction(calc, 0.9, calc.model.full_refresh())
         assert len(calc._sessions) == n_sessions + 1
 
 

@@ -155,7 +155,7 @@ class TestCircuitBatchedCrossCheck:
         batched = calc.circuit_restored_fractions(starts, timing)
         assert batched.shape == starts.shape
         for i, s in enumerate(starts):
-            scalar = calc.circuit_restored_fraction(float(s), timing)
+            scalar = calc.circuit_restored_fractions(np.array([s]), timing)[0]
             # 2 mV circuit envelope, in fraction-of-Vdd units.
             assert abs(batched[i] - scalar) <= 2e-3 / calc.tech.vdd
 
