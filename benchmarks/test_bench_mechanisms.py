@@ -54,7 +54,6 @@ class TestMechanismEvaluationThroughput:
         from repro.sim import RefreshOverheadEvaluator
 
         policy = MECHANISMS.build(mechanism, DEFAULT_TECH, paper_profile, paper_binning)
-        assert policy.supports_fused_timeline()
         duration_cycles = TIMING.cycles(DURATION_SECONDS)
         intervals = row_intervals(policy, duration_cycles)
         evaluator = RefreshOverheadEvaluator(policy, TIMING)

@@ -5,8 +5,8 @@ Measures warm-evaluator refresh-evaluation throughput in
 of simulated time) for every evaluation strategy side by side:
 
 * ``scalar`` — the pre-refactor per-row ``refresh_row`` loop;
-* ``loop`` — :func:`~repro.sim.fastpath.round_walk` (one batched
-  ``decide`` per round);
+* ``loop`` — :func:`tests.reference_refresh.round_walk`, the fused
+  timeline's oracle (one batched ``decide`` per round);
 * ``fused`` — a warm evaluator's fused ndarray timeline (numpy kernels).
 
 Asserts the acceptance bar — fused >= 10x the round walk, statistics
@@ -26,8 +26,9 @@ from bench_utils import (
     scalar_reference,
 )
 from repro.controller import build_policy
-from repro.sim import RefreshOverheadEvaluator, round_walk
+from repro.sim import RefreshOverheadEvaluator
 from repro.technology import DEFAULT_TECH
+from tests.reference_refresh import round_walk
 
 DURATION_SECONDS = 1.0
 

@@ -3,67 +3,85 @@
 
 Implements **VRL-Temp**, a toy extension of the paper's future-work
 direction: at high temperature DRAM leaks faster, so the controller
-falls back to full refreshes when a (simulated) thermal sensor reports
-a hot spell, and resumes partial refreshes when it cools down.
+gives up partial refreshes on the rows of a hot region (say, the rows
+over a thermal hotspot of the die) and refreshes them fully at every
+deadline, while the rest of the bank keeps running VRL-Access.
 
-Shows the extension surface: subclass
-:class:`~repro.controller.refresh.VRLAccessPolicy`, override
-``refresh_row``, and drop the policy into the standard simulator —
-nothing else changes.  Overriding only the scalar ``refresh_row`` /
-``on_access`` is fully supported even though the simulators drive the
-batch kernel (``decide`` / ``on_access_rows``): the kernel detects
-scalar-only overrides and transparently falls back to looping them, so
-this policy runs unmodified through the vectorized
-:class:`~repro.sim.fastpath.RefreshOverheadEvaluator` below.  The same
-detection picks the evaluator's pricing path: a policy like this one
-reports ``supports_fused_timeline() == False``, so the evaluator prices
-it with the round walk (:func:`~repro.sim.fastpath.round_walk`) instead
-of mispricing the custom decisions with the fused timeline
-(``tests/test_timeline_fused.py`` pins the results to the cycle-level
-engine's).  The rank simulator, which prices with the fused timeline
-only, refuses such a policy.  Policies that want the vectorized fast
-surface override ``_decide_batch`` / ``_on_access_batch`` instead (see
-``docs/architecture.md``).
+Shows the extension surface.  A policy states its refresh decisions
+once, in two forms written together in one class body: the kernel hook
+``_decide_batch`` (the vectorized Algorithm 1 the tests' oracle drives)
+and ``timeline_spec``, the same automaton in closed form
+(:class:`~repro.controller.refresh.TimelineSpec`), which is what the
+simulators price — the :class:`~repro.sim.fastpath.RefreshOverheadEvaluator`
+below, the bank engine and the rank simulator.  Here a hot row's
+cadence is one crossing long (``cycle_len = 1``, ``phase = 0``): every
+refresh is full.  Defining a kernel hook without ``timeline_spec`` in the
+same class body, or overriding a wrapper such as ``refresh_row``, is
+refused with a ``TypeError`` when the class is created
+(``docs/architecture.md``, "The policy kernel").
 
 Run:  python examples/custom_policy.py
 """
+
+from dataclasses import replace
+
+import numpy as np
 
 from repro import (
     DEFAULT_TECH,
     DRAMTiming,
     RefreshBinning,
-    RefreshCommand,
-    RefreshKind,
     RefreshOverheadEvaluator,
     RetentionProfiler,
     VRLAccessPolicy,
     build_policy,
 )
-from repro.controller import MECHANISMS
+from repro.controller import KIND_FULL, MECHANISMS
 from repro.workloads import PARSEC_WORKLOADS, TraceGenerator
 
 
-class VRLTempPolicy(VRLAccessPolicy):
-    """VRL-Access with a thermal kill-switch for partial refreshes.
+def hot_region(n_rows: int, fraction: float = 0.25) -> np.ndarray:
+    """Row mask of the hot region: the last ``fraction`` of the bank."""
+    mask = np.zeros(n_rows, dtype=bool)
+    mask[n_rows - int(n_rows * fraction):] = True
+    return mask
 
-    ``hot_windows`` is a callable ``(refresh_index) -> bool``; while it
-    reports hot, every refresh is issued full and the rcount budget is
-    reset (conservative: the hot spell may have drained margin).
+
+class VRLTempPolicy(VRLAccessPolicy):
+    """VRL-Access with partial refreshes switched off in a hot region.
+
+    ``hot_rows`` is a boolean mask over the bank's rows (default: no
+    row is hot).  A hot row gets a full refresh at every deadline and
+    keeps its ``rcount`` budget at zero; every other row runs
+    VRL-Access unchanged.
     """
 
     name = "vrl-temp"
 
-    def __init__(self, *args, hot_windows=None, **kwargs):
+    def __init__(self, *args, hot_rows=None, **kwargs):
         super().__init__(*args, **kwargs)
-        self._hot = hot_windows or (lambda index: False)
-        self._refresh_index = 0
+        if hot_rows is None:
+            hot_rows = np.zeros(self.n_rows, dtype=bool)
+        self.hot_rows = np.asarray(hot_rows, dtype=bool)
+        if self.hot_rows.shape != (self.n_rows,):
+            raise ValueError(
+                f"hot_rows must mask {self.n_rows} rows, got shape {self.hot_rows.shape}"
+            )
 
-    def refresh_row(self, row: int) -> RefreshCommand:
-        self._refresh_index += 1
-        if self._hot(self._refresh_index):
-            self.rcount.reset(row)
-            return RefreshCommand(row, RefreshKind.FULL, self.tau_full)
-        return super().refresh_row(row)
+    def _decide_batch(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        kinds, _ = super()._decide_batch(rows)
+        hot = self.hot_rows[rows]
+        self.rcount.reset_rows(rows[hot])
+        kinds[hot] = KIND_FULL
+        return kinds, self._kind_latencies[kinds]
+
+    def timeline_spec(self):
+        spec = super().timeline_spec()
+        return replace(
+            spec,
+            cycle_len=np.where(self.hot_rows, 1, spec.cycle_len),
+            phase=np.where(self.hot_rows, 0, spec.phase),
+        )
 
 
 def _build_vrl_temp(tech, profile, binning, nbits):
@@ -75,6 +93,7 @@ def _build_vrl_temp(tech, profile, binning, nbits):
         tau_full=base.tau_full,
         tau_partial=base.tau_partial,
         nbits=base.nbits,
+        hot_rows=hot_region(base.n_rows),
     )
 
 
@@ -85,7 +104,7 @@ def _build_vrl_temp(tech, profile, binning, nbits):
 MECHANISMS.register(
     "vrl-temp",
     _build_vrl_temp,
-    description="VRL-Access with a thermal kill-switch (this example)",
+    description="VRL-Access with full refreshes in a hot region (this example)",
     policy=VRLTempPolicy,
     replace=True,
 )
@@ -99,27 +118,10 @@ def main() -> None:
     duration = timing.cycles(1.0)
     trace = TraceGenerator(PARSEC_WORKLOADS["facesim"], timing).generate(1.0)
 
-    # Borrow the standard construction for the MPRSF table, then rebuild
-    # as the custom policy.
-    base = build_policy("vrl-access", tech, profile, binning)
-
-    # The chip is "hot" for every third stretch of 10k refreshes.
-    def hot(index: int) -> bool:
-        return (index // 10_000) % 3 == 2
-
-    custom = VRLTempPolicy(
-        binning,
-        base.mprsf.values,
-        tau_full=base.tau_full,
-        tau_partial=base.tau_partial,
-        nbits=base.nbits,
-        hot_windows=hot,
-    )
-
     results = {}
-    for policy in (build_policy("raidr", tech, profile, binning), base, custom):
-        stats = RefreshOverheadEvaluator(policy, timing).evaluate(duration, trace)
-        results[policy.name] = stats
+    for name in ("raidr", "vrl-access", "vrl-temp"):
+        policy = build_policy(name, tech, profile, binning)
+        results[name] = RefreshOverheadEvaluator(policy, timing).evaluate(duration, trace)
 
     base_cycles = results["raidr"].refresh_cycles
     print(f"{'policy':<12} {'refresh cycles':>14} {'vs RAIDR':>9} {'partial %':>9}")
@@ -129,7 +131,7 @@ def main() -> None:
             f"{stats.refresh_cycles / base_cycles:>9.3f} "
             f"{100 * stats.partial_fraction:>8.1f}%"
         )
-    print("\nVRL-Temp gives up part of the benefit during hot spells but keeps")
+    print("\nVRL-Temp gives up the benefit on its hot quarter of the bank but keeps")
     print("the rest — the policy interface makes such variants one subclass away.")
 
 

@@ -26,11 +26,11 @@ head-to-head:
   (steady-state AVATAR), so every deadline/fused-timeline invariant of
   the scheduling stack holds unchanged.
 
-All three keep the base decision kernel (full refreshes only), so
-``supports_fused_timeline()`` stays true: their refresh *statistics*
-are fused-priceable, and their distinguishing behaviour rides on the
-capability flags (``reorders_refresh``, ``modulates_access``) the
-simulators consult.
+All three keep the base decision kernel (full refreshes only) and so
+the base ``timeline_spec``: they define neither, their refresh
+*statistics* are priced from that spec like every policy's, and their
+distinguishing behaviour rides on the capability flags
+(``reorders_refresh``, ``modulates_access``) the simulators consult.
 """
 
 from __future__ import annotations

@@ -1,27 +1,25 @@
 """Refresh scheduling policies: conventional, RAIDR, VRL, VRL-Access.
 
-The policy interface is what the bank simulators drive.  It has two
-equivalent surfaces backed by one set of numpy counter arrays:
+A policy states its refresh decisions once, in two forms written
+together in one class body:
 
-* the **batch kernel** — :meth:`RefreshPolicy.decide` takes an array of
-  row indices and returns ``(kinds, latency_cycles)`` arrays (Algorithm
-  1 of the paper for the VRL variants, evaluated vectorized), and
-  :meth:`RefreshPolicy.on_access_rows` applies access-driven counter
-  resets to an array of rows.  The vectorized fastpath evaluates whole
-  banks through these;
-* the **scalar wrappers** — :meth:`RefreshPolicy.refresh_row` and
-  :meth:`RefreshPolicy.on_access` are thin single-row wrappers over the
-  kernel, kept for the cycle-level engine and for API compatibility;
-* :meth:`RefreshPolicy.row_period` / :meth:`RefreshPolicy.row_periods`
-  — the per-row refresh periods (64 ms for the conventional baseline,
-  the RAIDR bin period otherwise).
+* the **kernel hooks** ``_decide_batch`` / ``_on_access_batch`` —
+  Algorithm 1 of the paper for the VRL variants, evaluated vectorized
+  over an array of rows;
+* :meth:`RefreshPolicy.timeline_spec` — the same automaton in closed
+  form (:class:`TimelineSpec`), which is what the simulators price:
+  the fused timeline, the bank engine and the rank simulator.
 
-Subclasses may customize either surface.  Built-in policies implement
-the vectorized ``_decide_batch`` / ``_on_access_batch`` hooks; a
-subclass that overrides only the scalar methods (see
-``examples/custom_policy.py``) still works everywhere — the batch
-entry points detect the scalar customization and fall back to a
-row-by-row loop, trading speed for fidelity.
+:meth:`~RefreshPolicy.row_periods` gives the per-row refresh periods
+(64 ms for the conventional baseline, the RAIDR bin period otherwise)
+and :meth:`~RefreshPolicy.access_latencies` the demand-access latency
+of access-modulating mechanisms.  ``decide`` / ``on_access_rows`` and
+the single-row ``refresh_row`` / ``on_access`` /
+``access_latency_cycles`` are final wrappers over those hooks; the
+tests' oracles drive the kernel through them.  ``__init_subclass__``
+refuses, with a ``TypeError``, a subclass that overrides a wrapper or
+changes a kernel hook without restating ``timeline_spec``, so the spec
+always describes the kernel.
 
 Policies are deliberately free of timing bookkeeping — they answer
 "what refresh does this row get", :mod:`repro.sim.schedule` owns
@@ -32,7 +30,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -64,21 +61,13 @@ class RefreshKind(Enum):
 _KIND_BY_CODE = (RefreshKind.FULL, RefreshKind.PARTIAL)
 
 
-@lru_cache(maxsize=None)
-def _scalar_customized(cls: type, scalar_name: str, batch_name: str) -> bool:
-    """Does ``cls`` override the scalar method below its batch hook?
+#: Final wrappers over the kernel hooks: no subclass may override them.
+_FINAL_WRAPPERS = (
+    "decide", "on_access_rows", "refresh_row", "on_access", "access_latency_cycles",
+)
 
-    True when the class defining ``scalar_name`` sits strictly deeper in
-    the MRO than the class defining ``batch_name`` — i.e. a subclass
-    customized the scalar path (``refresh_row`` / ``on_access``) without
-    providing the matching vectorized hook.  The batch entry points then
-    fall back to looping the scalar method so such subclasses keep their
-    semantics everywhere.
-    """
-    mro = cls.__mro__
-    scalar_depth = next(i for i, c in enumerate(mro) if scalar_name in vars(c))
-    batch_depth = next(i for i, c in enumerate(mro) if batch_name in vars(c))
-    return scalar_depth < batch_depth
+#: Kernel hooks a subclass may override, together with ``timeline_spec``.
+_KERNEL_HOOKS = ("_decide_batch", "_on_access_batch")
 
 
 @dataclass(frozen=True)
@@ -97,7 +86,7 @@ class TimelineSpec:
     The fused timeline (:class:`~repro.sim.timeline.FusedTimeline`)
     evaluates *all* deadline crossings of a simulation at once instead
     of driving :meth:`RefreshPolicy.decide` round by round.  That is
-    only possible because every built-in policy's per-row state machine
+    only possible because every policy's per-row state machine
     is the same modular counter: starting ``phase`` crossings into a
     cadence of ``cycle_len`` (Algorithm 1's ``rcount``/``mprsf`` with
     ``cycle_len = mprsf + 1``), the row's ``k``-th crossing is a full
@@ -105,8 +94,8 @@ class TimelineSpec:
     access-driven reset (``resets_on_access``) restarts the cadence at
     phase 0.  A spec is a *snapshot*: the timeline reads it once per
     evaluation and stores the end-of-timeline phase back through
-    ``commit`` so counter state stays identical to the round-by-round
-    walk.
+    ``commit`` so counter state stays identical to driving the kernel
+    hooks round by round (the tests' oracle).
 
     Attributes:
         cycle_len: per-row full-refresh cadence, ``int64 (n_rows,)``;
@@ -184,6 +173,37 @@ class RefreshPolicy:
         """Vector of per-row refresh periods (seconds, ``dtype=float``)."""
         return np.full(self.n_rows, self._period, dtype=float)
 
+    def __init_subclass__(cls, **kwargs):
+        """Refuse a subclass whose ``timeline_spec`` could miss its kernel.
+
+        The simulators price every policy from :meth:`timeline_spec`, so
+        a class body may neither override a final wrapper (``decide``,
+        ``on_access_rows``, ``refresh_row``, ``on_access``,
+        ``access_latency_cycles``) nor define a kernel hook
+        (``_decide_batch`` / ``_on_access_batch``) without restating
+        ``timeline_spec`` beside it.
+
+        Raises:
+            TypeError: naming the class and the offending method.
+        """
+        super().__init_subclass__(**kwargs)
+        body = vars(cls)
+        for name in _FINAL_WRAPPERS:
+            if name in body:
+                raise TypeError(
+                    f"{cls.__name__} overrides {name}, a final wrapper over the "
+                    "kernel hooks; override _decide_batch / _on_access_batch "
+                    "together with timeline_spec instead"
+                )
+        if "timeline_spec" not in body:
+            for name in _KERNEL_HOOKS:
+                if name in body:
+                    raise TypeError(
+                        f"{cls.__name__} defines {name} without timeline_spec; "
+                        "the simulators price the spec, so restate it in the same "
+                        "class body"
+                    )
+
     # ------------------------------------------------------------------ #
     # Batch kernel                                                        #
     # ------------------------------------------------------------------ #
@@ -207,33 +227,16 @@ class RefreshPolicy:
             codes (``KIND_FULL`` / ``KIND_PARTIAL``) and an ``int64``
             array of per-row refresh latencies in cycles.
         """
-        rows = self._check_rows(rows)
-        if _scalar_customized(type(self), "refresh_row", "_decide_batch"):
-            kinds = np.empty(len(rows), dtype=np.uint8)
-            latencies = np.empty(len(rows), dtype=np.int64)
-            for index, row in enumerate(rows):
-                command = self.refresh_row(int(row))
-                kinds[index] = (
-                    KIND_PARTIAL if command.kind is RefreshKind.PARTIAL else KIND_FULL
-                )
-                latencies[index] = command.latency_cycles
-            return kinds, latencies
-        return self._decide_batch(rows)
+        return self._decide_batch(self._check_rows(rows))
 
     def on_access_rows(self, rows: np.ndarray) -> None:
         """Notify the policy that every row in ``rows`` was activated.
 
         The batch equivalent of calling :meth:`on_access` once per
         entry.  Duplicates are harmless (an access-driven reset is
-        idempotent), but the fastpath passes each row at most once per
-        refresh interval.
+        idempotent).
         """
-        rows = self._check_rows(rows)
-        if _scalar_customized(type(self), "on_access", "_on_access_batch"):
-            for row in rows:
-                self.on_access(int(row))
-            return
-        self._on_access_batch(rows)
+        self._on_access_batch(self._check_rows(rows))
 
     def _decide_batch(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized decision hook: base policies issue only full refreshes."""
@@ -244,19 +247,16 @@ class RefreshPolicy:
         """Vectorized access hook: base policies ignore accesses."""
 
     # ------------------------------------------------------------------ #
-    # Fused timeline                                                      #
+    # Closed form                                                         #
     # ------------------------------------------------------------------ #
 
     def timeline_spec(self) -> TimelineSpec:
-        """Closed-form automaton snapshot for the fused timeline.
+        """Closed-form automaton snapshot, the form the simulators price.
 
         Base policies issue only full refreshes: a degenerate cadence of
-        length 1 with no access coupling.  Subclasses that change the
-        decision kernel must override this *together with* their batch
-        hooks, or the fused timeline will refuse them (see
-        :meth:`supports_fused_timeline`): the refresh-overhead evaluator
-        and the bank engine fall back to slower exact walks, and the
-        rank simulator rejects the policy.
+        length 1 with no access coupling.  A subclass that changes a
+        kernel hook restates this in the same class body
+        (:meth:`__init_subclass__` enforces it).
         """
         n = self.n_rows
         return TimelineSpec(
@@ -267,42 +267,14 @@ class RefreshPolicy:
             commit=lambda final_phase: None,
         )
 
-    def supports_fused_timeline(self) -> bool:
-        """Is :meth:`timeline_spec` a faithful model of this policy?
-
-        The spec is trustworthy only when no subclass customized the
-        decision surface *below* the class that defined the spec: a
-        subclass overriding ``refresh_row`` / ``on_access`` (the scalar
-        style, e.g. ``examples/custom_policy.py``) or ``_decide_batch``
-        / ``_on_access_batch`` without providing a matching
-        ``timeline_spec`` gets ``False`` here.  The refresh-overhead
-        evaluator and the bank engine then take slower exact walks —
-        trading speed for fidelity — and the rank simulator refuses the
-        policy; none silently drops the customization.
-        """
-        cls = type(self)
-        return not any(
-            _scalar_customized(cls, customized, "timeline_spec")
-            for customized in (
-                "refresh_row",
-                "on_access",
-                "decide",
-                "on_access_rows",
-                "_decide_batch",
-                "_on_access_batch",
-            )
-        )
-
     # ------------------------------------------------------------------ #
-    # Scalar wrappers                                                     #
+    # Single-row wrappers                                                 #
     # ------------------------------------------------------------------ #
 
     def refresh_row(self, row: int) -> RefreshCommand:
         """Refresh ``row`` now; returns the issued command.
 
-        Thin single-row wrapper over the batch kernel; subclasses that
-        override it (instead of ``_decide_batch``) remain fully
-        supported through the kernel's scalar fallback.
+        A single-row wrapper over the batch kernel.
         """
         self._check_row(row)
         kinds, latencies = self._decide_batch(np.array([row], dtype=np.int64))

@@ -6,8 +6,8 @@ refresh rate above 85 degC for exactly this reason; Liu et al. [28]
 characterize the exponential dependence).  Retention profiles are
 measured at a reference temperature; deploying a VRL schedule at a
 different operating temperature means rescaling the profile before
-computing MPRSF — or, at runtime, falling back to full refreshes when a
-thermal sensor reports a hot spell (see ``examples/custom_policy.py``).
+computing MPRSF — or falling back to full refreshes on the rows of a
+hot region (see ``examples/custom_policy.py``).
 
 The model here is the standard exponential derating
 

@@ -262,11 +262,11 @@ def _trace(
 ):
     """One workload trace; the memo holds only the most recent one.
 
-    The engine cells (and round-walk pricing) call this back to back for
-    one workload, since their sweeps are benchmark-major, so a single
-    slot still builds each trace once per sweep, and since the slot is
-    emptied before a build, at most one trace is alive even while the
-    next is generated.  Fused refresh pricing streams its trace instead
+    The engine cells call this back to back for one workload, since
+    their sweeps are benchmark-major, so a single slot still builds each
+    trace once per sweep, and since the slot is emptied before a build,
+    at most one trace is alive even while the next is generated.
+    Refresh pricing streams its trace instead
     (see :func:`_priced_trace`), and cells whose evaluator ignores the
     trace build none (see
     :attr:`~repro.sim.RefreshOverheadEvaluator.reads_trace`).
@@ -312,13 +312,10 @@ def _priced_trace(frozen: tuple, rows: int, cols: int, benchmark: Optional[str],
     Called on a :func:`_priced_stats` miss only, so a workload's trace
     is built once per priced recipe, not once per cell.  The fused
     timeline reads only (row, cycle) pairs, so it gets a streamed
-    trace, built for this pricing alone and dropped with it; the round
-    walk gets the memoized whole trace (see :func:`_trace`).
+    trace, built for this pricing alone and dropped with it.
     """
     if not benchmark or not evaluator.reads_trace:
         return None
-    if evaluator.backend == "loop":
-        return _trace(frozen, rows, cols, benchmark, seed, duration_seconds)
     return _generator(frozen, rows, cols, benchmark, seed).stream(duration_seconds)
 
 
@@ -682,7 +679,7 @@ def _integer(value: Any) -> int:
 
 
 def _extent(value: Any) -> int:
-    """A bank dimension: a positive integer."""
+    """A bank dimension or a rank's bank count: a positive integer."""
     number = _integer(value)
     if number >= 1:
         return number
@@ -789,7 +786,7 @@ CELL_KINDS: dict[str, CellKind] = {
         ),
         CellKind(
             "rank-mode",
-            (*_BANK, ("n_banks", _integer), ("mode", None), ("seed", _seed),
+            (*_BANK, ("n_banks", _extent), ("mode", None), ("seed", _seed),
              ("duration_seconds", _duration)),
             ("n_banks", "mode"),
             lambda p: f"rank/{p['mode']}",

@@ -15,10 +15,9 @@ bank" under each policy.  This package is that simulator:
   (one bank: row buffer, ACT/PRE/CAS timings, refresh blocking);
 * :mod:`~repro.sim.fastpath` — an exact, bank-vectorized evaluator of
   refresh overhead, used for the full Fig. 4 sweep (validated against
-  the cycle-level engine in the integration and differential tests),
-  and the round walk it uses for scalar-only policies;
+  the cycle-level engine in the integration and differential tests);
 * :mod:`~repro.sim.timeline` — the fused ndarray timeline that prices
-  every fused-representable policy: all deadline crossings of a
+  every policy from its ``TimelineSpec``: all deadline crossings of a
   horizon in one batched numpy kernel call, zero Python-level loops;
 * :mod:`~repro.sim.rank` — refresh-only multi-bank rank simulation
   comparing JEDEC all-bank refresh against the per-bank row-targeted
@@ -29,7 +28,7 @@ bank" under each policy.  This package is that simulator:
 """
 
 from .engine import BankSimulator, SimulationResult
-from .fastpath import RefreshOverheadEvaluator, round_walk
+from .fastpath import RefreshOverheadEvaluator
 from .rank import RankResult, RankSimulator
 from .schedule import (
     ALL_BANK_ROWS_PER_REF,
@@ -50,7 +49,6 @@ __all__ = [
     "BankSimulator",
     "SimulationResult",
     "RefreshOverheadEvaluator",
-    "round_walk",
     "RankResult",
     "RankSimulator",
     "ALL_BANK_ROWS_PER_REF",

@@ -16,11 +16,10 @@ stepping an event loop:
 
 1. **refresh stream** — :func:`~repro.sim.schedule.crossing_stream`
    lists every deadline in issue order.  Kinds come from the policy's
-   fused automaton (:func:`~repro.sim._timeline_kernels.crossing_kinds`
-   with the served requests' access resets, end phase committed through
-   :func:`~repro.sim._timeline_kernels.segmented_fulls`), or — for a
-   policy customized in scalar form only — from one in-order walk of
-   its ``refresh_row`` / ``on_access`` hooks;
+   :class:`~repro.controller.refresh.TimelineSpec`
+   (:func:`~repro.sim._timeline_kernels.crossing_kinds` with the served
+   requests' access resets, end phase committed through
+   :func:`~repro.sim._timeline_kernels.segmented_fulls`);
 2. **requests** — the number of refreshes due at or before each
    arrival (refresh wins ties) fixes its row-buffer outcome with vector
    ops; an access-modulating policy (ChargeCache) prices each window's
@@ -57,13 +56,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from ..controller.refresh import (
-    KIND_FULL,
-    KIND_PARTIAL,
-    RefreshKind,
-    RefreshPolicy,
-    _scalar_customized,
-)
+from ..controller.refresh import KIND_FULL, RefreshPolicy
 from ..technology import BankGeometry, DEFAULT_GEOMETRY
 from ._timeline_kernels import crossing_kinds, segmented_fulls
 from .schedule import (
@@ -165,9 +158,7 @@ class BankSimulator:
         ValueError: if the policy sets both ``reorders_refresh`` and
             ``modulates_access`` — deferral windows are replayed
             without the access-latency hook, so no mechanism may
-            combine the two — or if an access-modulating policy
-            overrides the one-request ``access_latency_cycles`` but not
-            the ``access_latencies`` hook the engine calls.
+            combine the two.
     """
 
     def __init__(
@@ -187,13 +178,6 @@ class BankSimulator:
             raise ValueError(
                 f"policy {policy.name!r} sets both reorders_refresh and "
                 "modulates_access; the engine supports one or the other"
-            )
-        if policy.modulates_access and _scalar_customized(
-            type(policy), "access_latency_cycles", "access_latencies"
-        ):
-            raise ValueError(
-                f"policy {policy.name!r} overrides access_latency_cycles but not "
-                "access_latencies, the window hook the engine calls"
             )
 
     def run(
@@ -242,13 +226,10 @@ class BankSimulator:
         periods = period_cycles(policy, self.timing)
         first = first_deadlines(periods)
         dues, refresh_rows, ordinals = crossing_stream(first, periods, duration_cycles)
-        if policy.supports_fused_timeline():
-            kinds = self._fused_kinds(
-                refresh_rows, ordinals, first, periods, duration_cycles, rows, arrivals
-            )
-            refresh_latency = policy.kind_latencies[kinds].astype(np.int64, copy=False)
-        else:
-            kinds, refresh_latency = self._walk_kinds(refresh_rows, dues, rows, arrivals)
+        kinds = self._fused_kinds(
+            refresh_rows, ordinals, first, periods, duration_cycles, rows, arrivals
+        )
+        refresh_latency = policy.kind_latencies[kinds].astype(np.int64, copy=False)
         del refresh_rows, ordinals
         refresh_stats = RefreshStats(duration_cycles=duration_cycles)
         refresh_stats.record_batch(kinds, refresh_latency)
@@ -340,41 +321,6 @@ class BankSimulator:
         )
         spec.commit(final_phase)
         return kinds
-
-    def _walk_kinds(self, refresh_rows, dues, rows, arrivals):
-        """Kinds from one in-order walk of a scalar-customized policy.
-
-        Calls ``refresh_row`` for every crossing and ``on_access`` per
-        request — the order the bank issues them in, with no bank state
-        needed.  The access-latency hook is not part of the walk: it
-        sees no refresh or access state, so each chain window calls it
-        as for any other policy.
-
-        Returns:
-            ``(kinds, refresh_latency)``.
-        """
-        policy = self.policy
-        before = np.searchsorted(dues, arrivals, side="right")
-        kinds = np.empty(len(refresh_rows), dtype=np.uint8)
-        latencies = np.empty(len(refresh_rows), dtype=np.int64)
-
-        def issue(crossings: range) -> None:
-            for crossing in crossings:
-                command = policy.refresh_row(int(refresh_rows[crossing]))
-                if command.latency_cycles <= 0:
-                    raise ValueError(f"tRFC must be positive, got {command.latency_cycles}")
-                kinds[crossing] = (
-                    KIND_PARTIAL if command.kind is RefreshKind.PARTIAL else KIND_FULL
-                )
-                latencies[crossing] = command.latency_cycles
-
-        issued = 0
-        for row, stop in zip(rows.tolist(), before.tolist()):
-            issue(range(issued, stop))
-            issued = stop
-            policy.on_access(row)
-        issue(range(issued, len(refresh_rows)))
-        return kinds, latencies
 
     # ------------------------------------------------------------------ #
     # Busy chain                                                          #

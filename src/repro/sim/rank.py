@@ -98,8 +98,7 @@ class RankSimulator:
 
     Args:
         policies: one refresh policy per bank (their ``n_rows`` must all
-            match the geometry, and each must support the fused
-            timeline).
+            match the geometry).
         timing: command timings.
         geometry: per-bank geometry.
         all_bank_refresh: use JEDEC all-bank REF every tREFI instead of
@@ -123,11 +122,6 @@ class RankSimulator:
                 raise ValueError(
                     f"bank {index}: policy rows {policy.n_rows} != geometry rows "
                     f"{geometry.rows}"
-                )
-            if not policy.supports_fused_timeline():
-                raise ValueError(
-                    f"RankSimulator: bank {index} policy {policy.name!r} customizes "
-                    "the decision surface without a matching timeline_spec"
                 )
         self.policies = list(policies)
         self.timing = timing

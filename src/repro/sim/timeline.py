@@ -1,10 +1,9 @@
 """Fused ndarray timeline: zero-Python-loop refresh evaluation.
 
-The PR 3 fastpath walks scheduling *rounds* — a Python ``for`` over
-``max_rounds`` with one ``decide`` call per round — and that loop is
-the dominant cost of the Fig. 4/5 sweeps.  This module removes it.
-The observation: every built-in policy's per-row decision sequence is
-a modular counter (see
+Walking scheduling *rounds* — a Python ``for`` over ``max_rounds``
+with one ``decide`` call per round — would make that loop the dominant
+cost of the Fig. 4/5 sweeps.  This module has none.  The observation:
+every policy's per-row decision sequence is a modular counter (see
 :class:`~repro.controller.refresh.TimelineSpec`), so the *entire*
 timeline of deadline crossings can be evaluated at once:
 
@@ -21,13 +20,13 @@ timeline of deadline crossings can be evaluated at once:
    row's full/partial split and end-of-timeline counter phase;
    statistics reduce with scatter/sum ops.
 
-Results are bit-identical to the cycle-level engine and the round-walk
-fastpath (invariant 11; three-way differential harness in
-``tests/test_differential_engine_fastpath.py``).  Policies whose
-customization the closed form cannot represent report
-``supports_fused_timeline() == False``; :class:`FusedTimeline` refuses
-them and the evaluator prices them with the round walk instead.  A
-failure inside the fused kernels raises to the caller.
+Results are bit-identical to the cycle-level engine and to the round
+walk kept in ``tests/reference_refresh.py`` (invariant 11; three-way
+differential harness in ``tests/test_differential_engine_fastpath.py``).
+:class:`~repro.controller.refresh.RefreshPolicy` refuses at class
+creation a subclass whose spec could miss its kernel, so every policy
+is priced here.  A failure inside the fused kernels raises to the
+caller.
 """
 
 from __future__ import annotations
@@ -88,20 +87,12 @@ class FusedTimeline:
     per-duration crossing counts are cached.
 
     Args:
-        policy: refresh policy; must satisfy
-            :meth:`~repro.controller.refresh.RefreshPolicy.supports_fused_timeline`
-            (:class:`~repro.sim.fastpath.RefreshOverheadEvaluator` prices
-            the others with :func:`~repro.sim.fastpath.round_walk`).
+        policy: refresh policy, priced from its
+            :meth:`~repro.controller.refresh.RefreshPolicy.timeline_spec`.
         timing: command timings (cycle clock and deadline quantization).
     """
 
     def __init__(self, policy: RefreshPolicy, timing: DRAMTiming):
-        if not policy.supports_fused_timeline():
-            raise ValueError(
-                f"policy {policy.name!r} customizes the decision surface without a "
-                "matching timeline_spec; price it with round_walk "
-                "(RefreshOverheadEvaluator does so for such policies)"
-            )
         self.policy = policy
         self.timing = timing
         self._periods = period_cycles(policy, timing)

@@ -3,12 +3,12 @@
 A :class:`MemoryTrace` is three parallel numpy arrays: request issue
 cycle, target row, and a write flag.
 :meth:`~repro.workloads.TraceGenerator.generate` builds one in memory
-for the cycle-level engine and the round walk.  A
-:class:`StreamedTrace` (:meth:`~repro.workloads.TraceGenerator.stream`)
-holds no trace-length int64 array: its issue cycles are stored per
-block of requests as gaps, in the narrowest unsigned dtype that holds
-the block's largest gap (:func:`narrow_gaps`; two bytes a request on
-most workloads), and its rows are produced block by block.  Each pass
+for the cycle-level engine.  A :class:`StreamedTrace`
+(:meth:`~repro.workloads.TraceGenerator.stream`) holds no trace-length
+int64 array: its issue cycles are stored per block of requests as
+gaps, in the narrowest unsigned dtype that holds the block's largest
+gap (:func:`narrow_gaps`; two bytes a request on most workloads), and
+its rows are produced block by block.  Each pass
 decodes a block's gaps into one reused int64 buffer
 (:func:`decoded_cycles`) and yields ``(cycles, rows)`` pairs: the fused
 timeline reads nothing else, so pricing VRL-Access never holds a

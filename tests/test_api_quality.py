@@ -246,6 +246,24 @@ class TestRemovedOptions:
 
         assert not hasattr(MPRSFCalculator, "circuit_restored_fraction")
 
+    @pytest.mark.parametrize(
+        "module,owner,name",
+        [
+            ("repro.sim", None, "round_walk"),
+            ("repro.sim.fastpath", None, "round_walk"),
+            ("repro.controller.refresh", "RefreshPolicy", "supports_fused_timeline"),
+            ("repro.sim.fastpath", "RefreshOverheadEvaluator", "backend"),
+        ],
+    )
+    def test_pricing_ladder_is_gone(self, module, owner, name):
+        # Every policy is priced from its TimelineSpec: the round walk is
+        # the tests' oracle, and nothing picks a pricing path at runtime.
+        target = importlib.import_module(module)
+        if owner is not None:
+            target = getattr(target, owner)
+        assert not hasattr(target, name)
+        assert name not in getattr(target, "__all__", ())
+
     def test_chaos_flag_is_rejected(self, tmp_path, monkeypatch, capsys):
         from repro.experiments.cli import main
 

@@ -222,19 +222,6 @@ class TestStreamMatchesOracle:
         _assert_same_resets(got, reference_access_resets(rows, cycles, first, periods, counts))
         assert len(got[0]) > 1_000
 
-    def test_round_walk_refuses_a_streamed_trace(self):
-        """The round walk reads whole arrays: a streamed trace is a
-        ``TypeError``, not an ``AttributeError`` deep in the walk."""
-        geometry = BankGeometry(64, 8)
-        profile = RetentionProfiler(seed=2).profile(geometry)
-        policy = build_policy("raidr", DEFAULT_TECH, profile, RefreshBinning().assign(profile))
-        policy.supports_fused_timeline = lambda: False
-        evaluator = RefreshOverheadEvaluator(policy, TIMING)
-        assert evaluator.backend == "loop"
-        trace = TraceGenerator(PARSEC_WORKLOADS["vips"], TIMING, geometry).stream(0.01)
-        with pytest.raises(TypeError, match="needs a MemoryTrace"):
-            evaluator.evaluate(TIMING.cycles(0.01), trace)
-
     @pytest.mark.parametrize("name", ["vrl-access", "raidr"])
     def test_fused_pricing_matches_the_whole_trace(self, name):
         """Same statistics and policy end state from either trace form."""

@@ -297,6 +297,22 @@ class TestSeedAndGeometryDomain:
         assert (cell.params["rows"], cell.params["cols"]) == (1, 1)
         assert cell.params.get("seed", 0) == 0
 
+    @pytest.mark.parametrize("bad", [0, -3])
+    def test_empty_rank_rejected(self, bad):
+        with pytest.raises(ValueError, match=(
+            f"^cell kind 'rank-mode', field 'n_banks': "
+            f"expected a positive integer, got {bad}$"
+        )):
+            Cell.of("rank-mode", tech=DEFAULT_TECH, rows=64, cols=8, n_banks=bad,
+                    mode="vrl")
+
+    def test_one_bank_rank_computes(self):
+        cell = Cell.of("rank-mode", tech=DEFAULT_TECH, rows=64, cols=8, n_banks=1,
+                       mode="vrl", seed=3, duration_seconds=0.05)
+        assert cell.params["n_banks"] == 1
+        payload = ExperimentRunner().run([cell]).results[0]
+        assert payload is not None
+
     def test_smallest_cells_compute(self):
         """A seed of 0 on a one-row, one-column bank prices like any other."""
         cell = Cell.of("refresh-overhead", tech=DEFAULT_TECH, rows=1, cols=1, seed=0,
@@ -369,8 +385,8 @@ _WIDTHS = st.one_of(
     st.integers(min_value=1, max_value=MAX_NBITS),
     st.integers(min_value=1, max_value=MAX_NBITS).map(np.int64),
 )
-#: Seeds and bank dimensions ``Cell.of`` accepts; the rejected ones are
-#: ``TestSeedAndGeometryDomain``'s.
+#: Seeds, bank dimensions and rank sizes ``Cell.of`` accepts; the
+#: rejected ones are ``TestSeedAndGeometryDomain``'s.
 _SEEDS = st.one_of(
     st.integers(min_value=0, max_value=2**62),
     st.integers(min_value=0, max_value=2**31).map(np.int64),
@@ -401,7 +417,7 @@ def _request(draw):
                 "policy": _NAMES,
                 "mode": _NAMES,
                 "mechanism": _NAMES,
-                "n_banks": _INTS,
+                "n_banks": _EXTENTS,
                 "temperature": _FLOATS,
                 "start_lo": _FLOATS,
                 "start_hi": _FLOATS,

@@ -12,8 +12,8 @@ hook's calls split at random
 boundaries, so table state must carry across calls.  After every call
 the latencies, ``lookups``, ``hits``, the expiry map's items in order
 and the valid bits must all match.  Since the engine calls only the
-window hook, it refuses a policy customized through the one-request
-``access_latency_cycles`` alone.
+window hook, a policy class customized through the one-request
+``access_latency_cycles`` is refused when it is created.
 """
 
 import numpy as np
@@ -21,8 +21,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.controller.mechanisms import ChargeCachePolicy
-from repro.sim import BankSimulator, DRAMTiming
-from repro.technology import DEFAULT_TECH
 from tests.reference_bank import charge_cache_latency
 
 N_ROWS = 12
@@ -104,14 +102,11 @@ def test_out_of_range_row_raises_before_any_state_change():
     assert batch.lookups == 0 and batch.valid.values.sum() == 0
 
 
-def test_engine_refuses_a_one_request_override():
+def test_a_one_request_override_is_refused():
     """The engine calls the window hook only, so a policy customized
-    through the one-request view alone is refused, not ignored."""
-
-    class OneRequest(ChargeCachePolicy):
-        def access_latency_cycles(self, row, base_cycles, row_hit, cycle):
-            return base_cycles
-
-    policy = OneRequest(N_ROWS, 19, discount_cycles=4, lifetime_cycles=10)
-    with pytest.raises(ValueError, match="overrides access_latency_cycles"):
-        BankSimulator(policy, DRAMTiming.from_technology(DEFAULT_TECH))
+    through the one-request view alone is refused when its class is
+    created, not ignored."""
+    with pytest.raises(TypeError, match="OneRequest overrides access_latency_cycles"):
+        class OneRequest(ChargeCachePolicy):
+            def access_latency_cycles(self, row, base_cycles, row_hit, cycle):
+                return base_cycles

@@ -23,8 +23,9 @@ Two layers of equivalence are asserted on every case:
   ChargeCache lookups/hits);
 * the three refresh statistics are bit-identical across *all*
   refresh-evaluation strategies (invariant 11): the engine, the round
-  walk (:func:`~repro.sim.fastpath.round_walk`), and the evaluator's
-  fused timeline.
+  walk (:func:`tests.reference_refresh.round_walk`), and the
+  evaluator's fused timeline — for every registered mechanism and the
+  ``vrl-temp`` example.
 
 Failure messages carry the case's seeds so any discrepancy reproduces
 from the log alone.
@@ -39,7 +40,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.controller import MECHANISMS, RefreshCommand, RefreshKind, build_policy
+from repro.controller import MECHANISMS, build_policy
 from repro.controller.counters import CounterFile
 from repro.controller.mechanisms import ChargeCachePolicy, DARPPolicy
 from repro.retention import RefreshBinning, RetentionProfiler, TemperatureModel
@@ -51,7 +52,6 @@ from repro.sim import (
     RefreshStats,
     RequestStats,
     SimulationResult,
-    round_walk,
 )
 from repro.sim import engine
 from repro.sim.schedule import (
@@ -63,6 +63,7 @@ from repro.sim.schedule import (
 from repro.technology import BankGeometry, DEFAULT_TECH
 from repro.units import MS
 from tests.reference_bank import Bank, charge_cache_latency
+from tests.reference_refresh import round_walk
 from tests.reference_trace import merge_traces
 
 TIMING = DRAMTiming.from_technology(DEFAULT_TECH)
@@ -460,8 +461,8 @@ class TestAccessResetSemantics:
 # Engine ≡ event-loop oracle: every mechanism, deferral, edge cases      #
 # --------------------------------------------------------------------- #
 
-#: Every built-in registry entry; ``vrl-temp`` (the scalar-form example
-#: in ``examples/custom_policy.py``) is covered alongside them.
+#: Every built-in registry entry; ``vrl-temp`` (the example policy in
+#: ``examples/custom_policy.py``) is covered alongside them.
 MECHANISM_NAMES = (
     "fixed", "fgr-2x", "fgr-4x", "raidr", "vrl", "vrl-access", "darp",
     "chargecache", "avatar",
@@ -482,11 +483,11 @@ def _mechanism(name, geometry, profile_seed=5):
     if name != "vrl-temp":
         return MECHANISMS.build(name, DEFAULT_TECH, profile, binning, nbits=2)
     base = build_policy("vrl-access", DEFAULT_TECH, profile, binning)
-    # Hot every third stretch of 20 refreshes so the override fires.
+    # Every third row hot, so hot and VRL-Access rows interleave.
     return _load_custom_policy_module().VRLTempPolicy(
         binning, base.mprsf.values, tau_full=base.tau_full,
         tau_partial=base.tau_partial, nbits=base.nbits,
-        hot_windows=lambda index: (index // 20) % 3 == 2,
+        hot_rows=np.arange(geometry.rows) % 3 == 2,
     )
 
 
@@ -560,6 +561,23 @@ class TestMechanismsMatchOracle:
             policy, trace, duration_cycles,
             context=f"case_seed={case_seed} window={window_ops}",
         )
+
+    @pytest.mark.parametrize("name", MECHANISM_NAMES + ("vrl-temp",))
+    @pytest.mark.parametrize("case_seed", range(2))
+    def test_every_pricing_path_matches_the_engine(self, name, case_seed):
+        """Invariant 11 for every mechanism: the evaluator, the round walk
+        and the engine give the same refresh statistics, and the round
+        walk leaves the counters the evaluator leaves."""
+        rng = np.random.default_rng(7000 + case_seed)
+        geometry = BankGeometry(int(rng.integers(24, 64)), 8)
+        policy = _mechanism(name, geometry, profile_seed=int(rng.integers(1, 100)))
+        duration_cycles = TIMING.cycles(float(rng.uniform(0.3, 0.8)))
+        trace = _bursty_trace(rng, policy, duration_cycles, n_random=600, n_bursts=30)
+        context = f"case_seed={case_seed}"
+        _assert_equivalent(policy, trace, duration_cycles, context=context)
+        fused_state = _policy_state(policy)
+        round_walk(policy, TIMING, duration_cycles, trace)
+        assert _policy_state(policy) == fused_state, context
 
     @pytest.mark.parametrize("name", MECHANISM_NAMES + ("vrl-temp",))
     def test_refresh_only_and_empty_trace(self, name):
@@ -729,40 +747,3 @@ class TestEngineErrors:
             info.reorders_refresh and info.modulates_access
             for info in (MECHANISMS.get(name) for name in MECHANISM_NAMES)
         )
-
-
-class ScalarChargeCache(ChargeCachePolicy):
-    """ChargeCache customized in scalar form: the engine walks its hooks."""
-
-    name = "chargecache-scalar"
-
-    def on_access(self, row):
-        super().on_access(row)
-
-
-class TestScalarWalk:
-    """Policies the fused automaton cannot represent, through the walk."""
-
-    def test_access_modulating_scalar_policy_matches_oracle(self, window_ops):
-        geometry = BankGeometry(40, 8)
-        policy = ScalarChargeCache(geometry.rows, 19, discount_cycles=4,
-                                   lifetime_cycles=TIMING.cycles(1 * MS))
-        assert not policy.supports_fused_timeline()
-        duration_cycles = TIMING.cycles(300 * MS)
-        trace = _bursty_trace(np.random.default_rng(11), policy, duration_cycles, 1500, 60)
-        _assert_engine_matches_oracle(policy, trace, duration_cycles)
-        assert 0 < policy.hits < policy.lookups
-
-    def test_non_positive_refresh_latency_raises(self):
-        class ZeroRefresh(ScalarChargeCache):
-            def refresh_row(self, row):
-                return RefreshCommand(row, RefreshKind.FULL, 0)
-
-        geometry = BankGeometry(16, 8)
-        policy = ZeroRefresh(geometry.rows, 19, discount_cycles=4, lifetime_cycles=100)
-        duration_cycles = TIMING.cycles(100 * MS)
-        with pytest.raises(ValueError) as oracle_error:
-            reference_bank_run(policy, TIMING, geometry, None, duration_cycles)
-        with pytest.raises(ValueError) as engine_error:
-            BankSimulator(policy, TIMING, geometry).run(None, duration_cycles)
-        assert str(engine_error.value) == str(oracle_error.value)

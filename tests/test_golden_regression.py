@@ -19,9 +19,10 @@ from repro.controller import build_policy
 from repro.experiments import run_fig4, run_table1
 from repro.retention import RefreshBinning, RetentionProfiler
 from repro.runner import ExperimentRunner, ResultCache
-from repro.sim import DRAMTiming, RefreshOverheadEvaluator, round_walk
+from repro.sim import DRAMTiming, RefreshOverheadEvaluator
 from repro.technology import BankGeometry, DEFAULT_TECH
 from repro.workloads import PARSEC_WORKLOADS, TraceGenerator
+from tests.reference_refresh import round_walk
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 

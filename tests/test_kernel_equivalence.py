@@ -23,7 +23,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.controller import (
-    KIND_PARTIAL,
     AVATARPolicy,
     ChargeCachePolicy,
     DARPPolicy,
@@ -189,23 +188,10 @@ class TestKernelValidation:
         assert len(kinds) == 0 and len(latencies) == 0
         policy.on_access_rows(np.empty(0, dtype=np.int64))
 
-    def test_scalar_only_subclass_falls_back(self):
-        """A subclass overriding only refresh_row keeps its semantics
-        when driven through the batch kernel."""
-
-        class AlwaysPartial(VRLPolicy):
-            def refresh_row(self, row):
-                self._check_row(row)
-                self.rcount.increment(row)
-                from repro.controller import RefreshCommand
-
-                return RefreshCommand(row, RefreshKind.PARTIAL, self.tau_partial)
-
-        rng = np.random.default_rng(3)
-        policy = AlwaysPartial(
-            _binning(rng, 6), rng.integers(0, 4, size=6), 19, 11, nbits=2
-        )
-        kinds, latencies = policy.decide(np.arange(6))
-        assert (kinds == KIND_PARTIAL).all()
-        assert (latencies == 11).all()
-        assert (policy.rcount.values >= 1).all()
+    def test_scalar_only_subclass_is_refused(self):
+        """A subclass overriding only refresh_row would not be priced as
+        it decides, so the class is refused when it is created."""
+        with pytest.raises(TypeError, match="AlwaysPartial overrides refresh_row"):
+            class AlwaysPartial(VRLPolicy):
+                def refresh_row(self, row):
+                    raise AssertionError("never called")

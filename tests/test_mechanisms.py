@@ -18,9 +18,8 @@ Pins the tentpole invariants of the mechanism registry refactor:
   rows that stay clean for the full streak and pins failing rows at
   the conservative rate, deterministically per seed;
 * **differential** — every new mechanism prices identically through
-  the evaluator's fused timeline, :func:`round_walk`, and the
-  cycle-level engine, and the evaluator takes the round walk for a
-  scalar-only subclass of each, with results unchanged.
+  the evaluator's fused timeline, the round walk of
+  ``tests/reference_refresh.py``, and the cycle-level engine.
 """
 
 import numpy as np
@@ -32,7 +31,6 @@ from repro.controller import (
     DARPPolicy,
     MECHANISMS,
     MechanismRegistry,
-    RefreshCommand,
     build_policy,
 )
 from repro.retention import RefreshBinning, RetentionProfiler
@@ -43,11 +41,11 @@ from repro.sim import (
     DRAMTiming,
     MemoryTrace,
     RefreshOverheadEvaluator,
-    round_walk,
 )
 from repro.sim.schedule import should_defer_refresh
 from repro.technology import BankGeometry, DEFAULT_TECH
 from repro.units import MS
+from tests.reference_refresh import round_walk
 
 TIMING = DRAMTiming.from_technology(DEFAULT_TECH)
 
@@ -507,15 +505,11 @@ class TestAVATAR:
 
 
 # ------------------------------------------------------------------ #
-# Differential: fused ≡ loop ≡ engine for every new mechanism         #
+# Differential: fused ≡ round walk ≡ engine for every new mechanism   #
 # ------------------------------------------------------------------ #
 
 
 class TestMechanismDifferential:
-    @pytest.mark.parametrize("name", NEW_MECHANISMS)
-    def test_supports_fused_timeline(self, name):
-        assert _policy(name, BankGeometry(32, 8)).supports_fused_timeline()
-
     @pytest.mark.parametrize("name", NEW_MECHANISMS)
     @pytest.mark.parametrize("with_trace", (False, True))
     def test_fused_round_walk_engine_identical(self, name, with_trace):
@@ -533,60 +527,6 @@ class TestMechanismDifferential:
             elif label == "round-walk":
                 stats = round_walk(policy, TIMING, duration, trace)
             else:
-                evaluator = RefreshOverheadEvaluator(policy, TIMING)
-                assert evaluator.backend == "fused"
-                stats = evaluator.evaluate(duration, trace)
+                stats = RefreshOverheadEvaluator(policy, TIMING).evaluate(duration, trace)
             results[label] = _refresh_tuple(stats)
         assert results["evaluator"] == results["round-walk"] == results["engine"]
-
-    @pytest.mark.parametrize("name", NEW_MECHANISMS)
-    def test_scalar_subclass_falls_back_identically(self, name):
-        """The evaluator takes the round walk for a scalar-only subclass,
-        results unchanged and identical to the engine (the fallback
-        contract extended to every new mechanism)."""
-        base = _policy(name, BankGeometry(32, 8))
-
-        class Scalar(type(base)):
-            def refresh_row(self, row) -> RefreshCommand:
-                return super().refresh_row(row)
-
-        def make():
-            policy = _policy(name, BankGeometry(32, 8))
-            policy.__class__ = Scalar
-            return policy
-
-        assert not make().supports_fused_timeline()
-        geometry = BankGeometry(32, 8)
-        duration = TIMING.cycles(400 * MS)
-        trace = _trace(geometry, duration, n=300)
-        results = {}
-        for label in ("evaluator", "round-walk", "engine"):
-            policy = make()
-            if label == "engine":
-                stats = BankSimulator(policy, TIMING).run(
-                    trace=trace, duration_cycles=duration
-                ).refresh
-            elif label == "round-walk":
-                stats = round_walk(policy, TIMING, duration, trace)
-            else:
-                evaluator = RefreshOverheadEvaluator(policy, TIMING)
-                assert evaluator.backend == "loop"
-                stats = evaluator.evaluate(duration, trace)
-            results[label] = _refresh_tuple(stats)
-        assert results["evaluator"] == results["round-walk"] == results["engine"]
-
-    def test_capability_selection_never_changes_statistics(self):
-        """Invariant 15 second half: the evaluator's capability selection
-        is stats-neutral.
-
-        Price each mechanism on the fused path and with the round walk
-        and compare — the selection can only pick between results that
-        are already identical."""
-        geometry = BankGeometry(48, 8)
-        duration = TIMING.cycles(500 * MS)
-        for name in NEW_MECHANISMS:
-            fused = RefreshOverheadEvaluator(
-                _policy(name, geometry), TIMING
-            ).evaluate(duration)
-            loop = round_walk(_policy(name, geometry), TIMING, duration)
-            assert _refresh_tuple(fused) == _refresh_tuple(loop), name

@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 from repro.controller import (
+    MECHANISMS,
+    ChargeCachePolicy,
     FixedRefreshPolicy,
     RAIDRPolicy,
     RefreshKind,
+    RefreshPolicy,
     VRLAccessPolicy,
     VRLPolicy,
     build_policy,
@@ -14,6 +17,7 @@ from repro.controller import (
 from repro.retention import BinningResult, RefreshBinning, RetentionProfiler
 from repro.technology import BankGeometry, DEFAULT_TECH
 from repro.units import MS
+from tests.test_differential_engine_fastpath import _load_custom_policy_module
 
 TECH = DEFAULT_TECH
 
@@ -157,23 +161,72 @@ class TestVRLAccessPolicy:
             assert policy.refresh_row(0).kind is RefreshKind.PARTIAL
 
 
-    def test_batch_access_honours_a_scalar_override(self):
-        """A subclass customizing only ``on_access`` sees every row of a
-        batch through its override, in order."""
-        seen = []
-
-        class Counting(VRLAccessPolicy):
-            def on_access(self, row):
-                seen.append(row)
-                super().on_access(row)
-
+    def test_batch_access_resets_every_row(self):
         binning = _binning([256 * MS] * 3)
-        policy = Counting(binning, np.array([2, 2, 2]), tau_full=19, tau_partial=11)
+        policy = VRLAccessPolicy(binning, np.array([2, 2, 2]), tau_full=19, tau_partial=11)
         for row in range(3):
             policy.refresh_row(row)  # rcount 1 everywhere
         policy.on_access_rows(np.array([2, 0]))
-        assert seen == [2, 0]
         assert policy.rcount.values.tolist() == [0, 1, 0]
+
+
+def _policy_classes():
+    """Every policy class of the registry and ``VRLTempPolicy``, with bases."""
+    profile = RetentionProfiler(seed=5).profile(BankGeometry(32, 8))
+    binning = RefreshBinning().assign(profile)
+    built = [type(MECHANISMS.build(name, TECH, profile, binning)) for name in MECHANISMS.names()]
+    built.append(_load_custom_policy_module().VRLTempPolicy)
+    return sorted(
+        {klass for policy_class in built for klass in policy_class.__mro__
+         if issubclass(klass, RefreshPolicy) and klass is not RefreshPolicy},
+        key=lambda klass: klass.__qualname__,
+    )
+
+
+def _subclass(base, **body):
+    return type("Custom", (base,), body)
+
+
+class TestPolicySurfaceCheck:
+    """``RefreshPolicy.__init_subclass__``: the spec always describes the kernel."""
+
+    @pytest.mark.parametrize("klass", _policy_classes(), ids=lambda k: k.__qualname__)
+    def test_every_policy_class_passes(self, klass):
+        klass.__init_subclass__()
+
+    def test_covers_the_kernel_subclasses(self):
+        names = {klass.__qualname__ for klass in _policy_classes()}
+        assert {"VRLPolicy", "VRLAccessPolicy", "VRLTempPolicy", "DARPPolicy",
+                "ChargeCachePolicy", "AVATARPolicy"} <= names
+
+    @pytest.mark.parametrize(
+        "wrapper",
+        ["decide", "on_access_rows", "refresh_row", "on_access", "access_latency_cycles"],
+    )
+    @pytest.mark.parametrize("base", [RefreshPolicy, VRLAccessPolicy, ChargeCachePolicy])
+    def test_a_wrapper_override_is_refused(self, base, wrapper):
+        with pytest.raises(TypeError) as raised:
+            _subclass(base, **{wrapper: lambda self, *args: None,
+                               "timeline_spec": base.timeline_spec})
+        assert str(raised.value).startswith(f"Custom overrides {wrapper},")
+
+    @pytest.mark.parametrize("hook", ["_decide_batch", "_on_access_batch"])
+    @pytest.mark.parametrize("base", [RefreshPolicy, VRLPolicy, VRLAccessPolicy])
+    def test_a_hook_without_its_spec_is_refused(self, base, hook):
+        with pytest.raises(TypeError) as raised:
+            _subclass(base, **{hook: getattr(base, hook)})
+        assert str(raised.value).startswith(f"Custom defines {hook} without timeline_spec")
+
+    @pytest.mark.parametrize("hook", ["_decide_batch", "_on_access_batch"])
+    def test_a_hook_with_its_spec_is_accepted(self, hook):
+        klass = _subclass(VRLPolicy, **{hook: getattr(VRLAccessPolicy, hook),
+                                        "timeline_spec": VRLAccessPolicy.timeline_spec})
+        assert issubclass(klass, VRLPolicy)
+
+    def test_the_spec_alone_and_flags_are_free(self):
+        _subclass(RAIDRPolicy, timeline_spec=RAIDRPolicy.timeline_spec,
+                  needs_trace=True, row_periods=RAIDRPolicy.row_periods)
+
 
 class TestBuildPolicy:
     @pytest.fixture(scope="class")

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.controller import RefreshCommand, build_policy
+from repro.controller import build_policy
 from repro.retention import RefreshBinning, RetentionProfiler
 from repro.sim import (
     ALL_BANK_ROWS_PER_REF,
@@ -30,6 +30,7 @@ from repro.sim import (
 from repro.sim.timeline import union_length
 from repro.technology import BankGeometry, DEFAULT_TECH
 from repro.units import MS
+from tests.test_differential_engine_fastpath import _load_custom_policy_module
 
 TECH = DEFAULT_TECH
 TIMING = DRAMTiming.from_technology(TECH)
@@ -239,6 +240,14 @@ class TestFusedMatchesOracle:
             duration = amount * all_bank_ref_interval(TIMING, rows) + offset
         _assert_fused_matches_oracle(name, rows, n_banks, duration, all_bank)
 
+    @pytest.mark.parametrize("all_bank", [False, True])
+    def test_example_policy_matches_oracle(self, all_bank):
+        """The ``vrl-temp`` example, registered at import, is priced from its
+        spec like any in-tree policy."""
+        _load_custom_policy_module()
+        _assert_fused_matches_oracle("vrl-temp", GEO.rows, N_BANKS, TIMING.cycles(800 * MS),
+                                     all_bank)
+
     def test_repeated_runs_start_fresh(self):
         """Each run resets the policies: a second run prices the same."""
         simulator = RankSimulator(_policies("vrl"), TIMING, GEO)
@@ -280,24 +289,6 @@ class TestRankValidation:
         sim = RankSimulator(_policies("raidr"), TIMING, GEO)
         with pytest.raises(TypeError, match="unexpected keyword"):
             sim.run(duration_cycles=1000, **{keyword: None})
-
-    @pytest.mark.parametrize("all_bank", [False, True])
-    def test_scalar_only_policy_rejected_at_construction(self, all_bank):
-        policies = _policies("vrl")
-        base = type(policies[1])
-
-        class ScalarVRL(base):
-            def refresh_row(self, row) -> RefreshCommand:
-                return super().refresh_row(row)
-
-        policies[1].__class__ = ScalarVRL
-        assert not policies[1].supports_fused_timeline()
-        with pytest.raises(ValueError) as raised:
-            RankSimulator(policies, TIMING, GEO, all_bank_refresh=all_bank)
-        message = str(raised.value)
-        assert "\n" not in message
-        assert message.startswith("RankSimulator: bank 1 policy 'vrl'")
-        assert "timeline_spec" in message
 
 
 class TestPerBankMode:

@@ -15,20 +15,14 @@ timeline against the engine end to end; this module tests its parts:
 * **access resets** — the bitmap :func:`access_resets` returns exactly
   what the sort-unique of packed keys it replaced returns, whole-bank
   and blocked;
-* **evaluator paths** — the evaluator takes no ``backend=``; its
-  read-only ``backend`` follows the policy, and its fused path matches
-  :func:`round_walk`, the oracle (the rank's fused paths are pinned
-  against their event-loop oracle in ``tests/test_rank.py``);
-* **scalar fallback** — a policy customizing only scalar hooks (the
-  ``examples/custom_policy.py`` VRL-Temp) reports
-  ``supports_fused_timeline() == False``, the evaluator prices it with
-  the round walk, and the fused timeline and the rank refuse it;
+* **evaluator** — the evaluator takes no ``backend=``, prices every
+  policy on its compiled timeline, and matches :func:`round_walk`, the
+  oracle kept in ``tests/reference_refresh.py`` (the rank's fused paths
+  are pinned against their event-loop oracle in ``tests/test_rank.py``);
 * **fail loud** — a failure inside the fused kernels raises out of the
   evaluator and the rank simulator; no other path replays the input.
 """
 
-import importlib.util
-from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -45,7 +39,6 @@ from repro.sim import (
     MemoryTrace,
     RankSimulator,
     RefreshOverheadEvaluator,
-    round_walk,
     service_starts,
     union_length,
 )
@@ -56,6 +49,7 @@ from repro.sim.schedule import deadline_counts
 from repro.sim.timeline import access_resets
 from repro.technology import BankGeometry, DEFAULT_TECH
 from repro.units import MS
+from tests.reference_refresh import round_walk
 from tests.test_rank import _union_length
 
 TIMING = DRAMTiming.from_technology(DEFAULT_TECH)
@@ -383,15 +377,10 @@ class TestEvaluatorBackends:
             build(_policy("vrl", BankGeometry(32, 8)))
 
     @pytest.mark.parametrize("name", ["fixed", "raidr", "vrl", "vrl-access"])
-    def test_backend_follows_the_policy(self, name):
+    def test_the_timeline_is_compiled_once(self, name):
         evaluator = RefreshOverheadEvaluator(_policy(name, BankGeometry(32, 8)), TIMING)
-        assert evaluator.backend == "fused"
         assert isinstance(evaluator.timeline, FusedTimeline)
-
-    def test_backend_is_read_only(self):
-        evaluator = RefreshOverheadEvaluator(_policy("vrl", BankGeometry(32, 8)), TIMING)
-        with pytest.raises(AttributeError):
-            evaluator.backend = "loop"
+        assert evaluator.timeline is evaluator.timeline
 
     @pytest.mark.parametrize("with_trace", [False, True])
     @pytest.mark.parametrize("name", ["fixed", "raidr", "vrl", "vrl-access"])
@@ -487,84 +476,3 @@ class TestFailLoud:
                 return simulator.run(duration_cycles=duration)
         with pytest.raises(ValueError, match="duration must be positive"):
             price(0)
-
-
-def _load_custom_policy_module():
-    path = Path(__file__).resolve().parents[1] / "examples" / "custom_policy.py"
-    spec = importlib.util.spec_from_file_location("custom_policy_example", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-class TestScalarFallback:
-    """A scalar-only subclass rides the round walk, results unchanged."""
-
-    def _custom_policy(self, geometry):
-        module = _load_custom_policy_module()
-        base = _policy("vrl-access", geometry)
-        # Hot every third stretch so the thermal override actually fires.
-        return module.VRLTempPolicy(
-            base.binning,
-            base.mprsf.values,
-            tau_full=base.tau_full,
-            tau_partial=base.tau_partial,
-            nbits=base.nbits,
-            hot_windows=lambda index: (index // 100) % 3 == 2,
-        )
-
-    def test_scalar_override_is_detected(self):
-        policy = self._custom_policy(BankGeometry(32, 8))
-        assert not policy.supports_fused_timeline()
-
-    def test_fused_timeline_refuses_it(self):
-        policy = self._custom_policy(BankGeometry(32, 8))
-        with pytest.raises(ValueError, match="timeline_spec") as raised:
-            FusedTimeline(policy, TIMING)
-        assert "round_walk" in str(raised.value)
-        assert "backend" not in str(raised.value)
-
-    def test_rank_refuses_it(self):
-        geometry = BankGeometry(32, 8)
-        with pytest.raises(ValueError, match="RankSimulator: bank 0 policy 'vrl-temp'"):
-            RankSimulator([self._custom_policy(geometry)], TIMING, geometry)
-
-    def test_evaluator_takes_the_round_walk(self):
-        policy = self._custom_policy(BankGeometry(32, 8))
-        evaluator = RefreshOverheadEvaluator(policy, TIMING)
-        assert evaluator.backend == "loop"
-        assert evaluator.timeline is None
-        assert evaluator.reads_trace
-
-    def test_round_walk_matches_engine(self):
-        """evaluator ≡ ``round_walk`` ≡ engine for the scalar-only policy."""
-        geometry = BankGeometry(32, 8)
-        duration = TIMING.cycles(800 * MS)
-        rng = np.random.default_rng(3)
-        trace = MemoryTrace(
-            np.sort(rng.integers(0, duration, 400)).astype(np.int64),
-            rng.integers(0, geometry.rows, 400).astype(np.int64),
-            rng.random(400) < 0.5,
-            name="fallback",
-        )
-        results = {}
-        for label in ("evaluator", "round-walk", "engine"):
-            policy = self._custom_policy(geometry)
-            if label == "engine":
-                stats = BankSimulator(policy, TIMING).run(
-                    trace=trace, duration_cycles=duration
-                ).refresh
-            elif label == "round-walk":
-                stats = round_walk(policy, TIMING, duration, trace)
-            else:
-                stats = RefreshOverheadEvaluator(policy, TIMING).evaluate(duration, trace)
-            results[label] = (
-                stats.full_refreshes, stats.partial_refreshes,
-                stats.refresh_cycles,
-            )
-        assert results["evaluator"] == results["round-walk"] == results["engine"]
-
-    def test_builtin_policies_stay_fused(self):
-        geometry = BankGeometry(32, 8)
-        for name in ("fixed", "raidr", "vrl", "vrl-access"):
-            assert _policy(name, geometry).supports_fused_timeline(), name

@@ -14,7 +14,7 @@ import re
 
 import pytest
 
-from repro.controller import MECHANISMS, RefreshCommand, build_policy
+from repro.controller import MECHANISMS, build_policy
 from repro.retention import RefreshBinning, RetentionProfiler
 from repro.runner import compute_cell, tech_params
 from repro.runner.cells import _trace
@@ -94,18 +94,6 @@ class TestReadsTraceOracle:
         assert _fields(evaluator.evaluate(duration, trace)) != _fields(
             evaluator.evaluate(duration, None)
         )
-
-    def test_round_walk_is_conservative(self, bank):
-        policy = _cell_policy("raidr", bank)
-
-        class ScalarRAIDR(type(policy)):
-            def refresh_row(self, row) -> RefreshCommand:
-                return super().refresh_row(row)
-
-        policy.__class__ = ScalarRAIDR
-        evaluator = RefreshOverheadEvaluator(policy, TIMING)
-        assert evaluator.backend == "loop"
-        assert evaluator.reads_trace
 
 
 class TestUnknownBenchmarkFails:
