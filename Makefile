@@ -1,6 +1,6 @@
 # Convenience targets for the VRL-DRAM reproduction.
 
-.PHONY: install test bench bench-report importtime peakrss loc repro clean
+.PHONY: install test bench bench-report importtime peakrss loc lanes repro clean
 
 install:
 	pip install -e . --no-build-isolation || python setup.py develop
@@ -46,6 +46,13 @@ loc:
 	[print('%7d  %s' % (count(d.rglob('*.py')), d)) for d in packages]; \
 	print('%7d  %s' % (count(root.glob('*.py')), root / '*.py')); \
 	print('%7d  total' % count(root.rglob('*.py')))"
+
+# SHA-256 of every circuit lane the circuit-anchors verbs compute, and
+# their summed SolverStats: equal output at two commits means the same
+# circuits, bit for bit (SEED=2018 by default).
+SEED ?= 2018
+lanes:
+	PYTHONPATH=src python scripts/circuit_lanes.py --seed $(SEED)
 
 repro:
 	vrl-dram all

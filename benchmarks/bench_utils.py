@@ -38,8 +38,9 @@ def scalar_reference(policy, timing, duration_cycles):
     policy.reset()
     stats = RefreshStats(duration_cycles=duration_cycles)
     n = policy.n_rows
+    periods = policy.row_periods()
     for row in range(n):
-        period = timing.cycles(policy.row_period(row))
+        period = timing.cycles(float(periods[row]))
         first_due = (row * period) // n
         if first_due >= duration_cycles:
             continue

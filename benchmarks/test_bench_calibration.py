@@ -1,8 +1,8 @@
 """Batched-vs-scalar throughput of the circuit calibration (tentpole bar).
 
 Times the Eq. 12 circuit cross-check on a 64-point charge profile two
-ways, both warm (the compiled MNA session and its factorization caches
-already built):
+ways, both warm (the compiled MNA session and its per-step caches
+already built), in process CPU time:
 
 * ``scalar`` — 64 sequential one-point :meth:`circuit_restored_fractions`
   calls with the result memo cleared, one one-lane adaptive transient
@@ -19,8 +19,10 @@ stays comparable across PRs.
 The bar is 5x a *fixed* scalar figure, not 5x the scalar loop timed in
 the same run: both paths share the host's noise, but their ratio swung
 3.5-6.9x between runs on one host, so a same-run ratio failed and
-passed on unchanged code.  The scalar loop is still run, for the lane
-envelope check and the recorded speedup.  The analytic MPRSF vectorization
+passed on unchanged code.  The timings are CPU seconds of this process
+(:func:`time.process_time`), not wall time, so other work on a busy
+host does not count against the bar.  The scalar loop is still run,
+for the lane envelope check and the recorded speedup.  The analytic MPRSF vectorization
 (``mprsf_for_points``) is recorded alongside for the trajectory table;
 its equality contract is exact and pinned by ``tests/test_mprsf_batched.py``.
 """
@@ -50,13 +52,13 @@ BATCHED_FLOOR_LANES_PER_S = SPEEDUP_FLOOR * SCALAR_REFERENCE_LANES_PER_S
 
 
 def _best_of(fn, rounds):
-    """Minimum wall-clock of ``rounds`` calls (steady-state estimate)."""
+    """Minimum process CPU time of ``rounds`` calls (steady-state estimate)."""
     best = float("inf")
     result = None
     for _ in range(rounds):
-        start = time.perf_counter()
+        start = time.process_time()
         result = fn()
-        best = min(best, time.perf_counter() - start)
+        best = min(best, time.process_time() - start)
     return best, result
 
 

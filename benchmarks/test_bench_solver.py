@@ -1,8 +1,8 @@
 """Benchmark of the compiled circuit session vs the seed solver path.
 
-Times a full Fig. 2d refresh transient (the heaviest netlist in the
-repo: 26 MOSFETs, ~44 unknowns, 8000 backward-Euler steps at 5 ps) in
-three configurations:
+Times a full Fig. 2d refresh transient (9 MOSFETs, 29 unknowns, 8000
+backward-Euler steps at 5 ps; the largest verb netlist, Table 1's
+charge-sharing circuit, has 50 unknowns) in three configurations:
 
 1. **reference fixed-step** — the stamping oracle of
    ``tests/reference_assembler.py`` reproduces the seed solver exactly:

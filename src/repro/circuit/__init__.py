@@ -17,8 +17,10 @@ controller serves both one run and a :class:`BatchedCircuitSession`
 batch of ``L`` lanes in lockstep, so a one-lane batch is the adaptive
 run, bit for bit.  There is one
 assembler, dense (the Fig. 2 netlists have tens of unknowns), over the
-library elements; an element with custom ``stamp`` arithmetic is
-refused with a ``TypeError`` when its session compiles.
+element library the Fig. 2 netlists use: resistors, capacitors, voltage
+sources and square-law NMOS/PMOS.  Any other element type, a subclass
+of a library type included, is refused with a ``TypeError`` when its
+session compiles.
 
 Typical use::
 
@@ -33,10 +35,8 @@ Typical use::
 from .netlist import (
     Capacitor,
     Circuit,
-    CurrentSource,
     Element,
     GND,
-    Inductor,
     NMOS,
     PMOS,
     Resistor,
@@ -65,10 +65,8 @@ from .dram_circuits import (
 __all__ = [
     "Capacitor",
     "Circuit",
-    "CurrentSource",
     "Element",
     "GND",
-    "Inductor",
     "NMOS",
     "PMOS",
     "Resistor",

@@ -14,8 +14,6 @@ the one that also runs ``simulate(adaptive=True)`` on one lane) —
   (per-lane convergence masks: converged lanes stop iterating);
 * each round linearizes every lane's devices in one vectorized call and
   solves each lane with the scalar path's own LAPACK ``dgesv``;
-  device-free circuits share a single factorization across every lane
-  and step;
 * a lane that batched Newton cannot converge (or whose system goes
   singular) while others do falls back to the inherited scalar path for
   that one step — subdivision halving and then the gmin/source-stepping
@@ -25,10 +23,8 @@ the one that also runs ``simulate(adaptive=True)`` on one lane) —
 Numerical contract (architecture invariant 14): for given lane states,
 each lane of one :meth:`BatchedCircuitSession._newton_batch` round
 equals :meth:`~repro.circuit.solver.CircuitSession._newton` on that lane
-bit for bit when the circuit has devices, by construction — the same
-stamps and the same ``dgesv`` on the same system.  The
-shared-factorization (device-free) path agrees to machine precision.
-The lanes share one step controller (the worst lane sets the step), so
+bit for bit, by construction — the same stamps and the same ``dgesv``
+on the same system.  The lanes share one step controller (the worst lane sets the step), so
 a lane of an ``L``-lane batch stays within the documented 2 mV circuit
 envelope of its solo adaptive run, and a one-lane batch *is* the solo
 run, stats included.
@@ -42,7 +38,6 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from ..guard import assert_finite
-from .compiled import SingularSystemError
 from .solver import (
     _MAX_NEWTON_STEP,
     MAX_NEWTON_ITERATIONS,
@@ -199,43 +194,38 @@ class BatchedCircuitSession(CircuitSession):
         n_lanes = XP.shape[0]
         XP_new = XP.copy()
         converged = np.zeros(n_lanes, dtype=bool)
-        try:
-            iterate = assembler.prepare_step_batched(XP, t, dt, stats)
-            active = np.arange(n_lanes)
-            for _ in range(MAX_NEWTON_ITERATIONS):
-                XP_active = XP_new[active]
-                X_next, solved = iterate(XP_active, active)
-                n_solved = int(np.count_nonzero(solved))
-                stats.newton_iterations += n_solved
-                if n_solved < active.size:
-                    active = active[solved]
-                    X_next = X_next[solved]
-                    XP_active = XP_active[solved]
-                    if active.size == 0:
-                        break
-                if n_nodes:
-                    diff = np.abs(X_next[:, :n_nodes] - XP_active[:, :n_nodes])
-                    delta = diff.max(axis=1)
-                else:
-                    delta = np.zeros(active.size)
-                damp = delta > _MAX_NEWTON_STEP
-                if not damp.any():
-                    XP_new[active, :size] = X_next
-                else:
-                    idx = active[damp]
-                    XP_new[idx, :size] += (X_next[damp] - XP_new[idx, :size]) * (
-                        _MAX_NEWTON_STEP / delta[damp]
-                    )[:, None]
-                    if not damp.all():
-                        XP_new[active[~damp], :size] = X_next[~damp]
-                done = delta < NEWTON_ABSTOL
-                converged[active[done]] = True
-                active = active[~done]
+        iterate = assembler.prepare_step_batched(XP, t, dt, stats)
+        active = np.arange(n_lanes)
+        for _ in range(MAX_NEWTON_ITERATIONS):
+            XP_active = XP_new[active]
+            X_next, solved = iterate(XP_active, active)
+            n_solved = int(np.count_nonzero(solved))
+            stats.newton_iterations += n_solved
+            if n_solved < active.size:
+                active = active[solved]
+                X_next = X_next[solved]
+                XP_active = XP_active[solved]
                 if active.size == 0:
                     break
-        except SingularSystemError:
-            # Assembly-level failure (e.g. a singular shared linear
-            # base): every unconverged lane goes to the scalar fallback.
-            pass
+            if n_nodes:
+                diff = np.abs(X_next[:, :n_nodes] - XP_active[:, :n_nodes])
+                delta = diff.max(axis=1)
+            else:
+                delta = np.zeros(active.size)
+            damp = delta > _MAX_NEWTON_STEP
+            if not damp.any():
+                XP_new[active, :size] = X_next
+            else:
+                idx = active[damp]
+                XP_new[idx, :size] += (X_next[damp] - XP_new[idx, :size]) * (
+                    _MAX_NEWTON_STEP / delta[damp]
+                )[:, None]
+                if not damp.all():
+                    XP_new[active[~damp], :size] = X_next[~damp]
+            done = delta < NEWTON_ABSTOL
+            converged[active[done]] = True
+            active = active[~done]
+            if active.size == 0:
+                break
         return XP_new, converged
 

@@ -1,11 +1,12 @@
 """Compiled MNA stamping: extract structure once, re-stamp only devices.
 
-The element ``stamp`` protocol (:mod:`repro.circuit.netlist`) would
-rebuild the whole MNA system element-by-element in Python on every
-Newton iteration.  This module performs that walk **once**, at compile
-time, and partitions the circuit (:meth:`Circuit.partition`):
+Rebuilding the whole MNA system element by element in Python on every
+Newton iteration (the tests' stamping oracle,
+``tests/reference_assembler.py``) is slow.  This module walks the
+elements **once**, at compile time, and partitions the circuit by exact
+element type (:meth:`Circuit.partition`):
 
-* **Linear elements** (R, L, C, V/I sources) contribute conductance
+* **Linear elements** (R, C, V sources) contribute conductance
   entries of the form ``const + coef / dt`` — constant for a fixed step
   size.  They are flattened into COO index/value arrays and summed into
   a cached base matrix per distinct ``dt``.
@@ -23,11 +24,12 @@ time, and partitions the circuit (:meth:`Circuit.partition`):
   (``tests/test_circuit_linearize.py``).
 
 Every system is dense: the netlists this layer serves (the Fig. 2
-circuits) have tens of unknowns, 50 at most.  Elements with custom
-``stamp`` arithmetic cannot be described statically, and
-:func:`build_assembler` rejects a circuit holding one.  The per-element
-stamping loop survives as the tests' oracle
-(``tests/reference_assembler.py``, architecture invariant 10).
+circuits) have tens of unknowns, 50 at most.  Every circuit, device-free
+ones included, is solved by the same ``dgesv`` Newton round.  Any
+element that is not exactly a library type cannot be described
+statically, and :func:`build_assembler` rejects a circuit holding one.
+The compiled system must equal the oracle's (architecture invariant
+10).
 
 :class:`CompiledCircuit` exposes the entry points consumed by
 :class:`~repro.circuit.solver.CircuitSession`:
@@ -48,9 +50,8 @@ stamping loop survives as the tests' oracle
 Matrices are stored column-major, the layout LAPACK reads, so both
 paths have ``dgesv`` factor and solve their round buffers in place.
 
-The LAPACK routines (``dgesv``, and ``dgetrf``/``dgetrs`` for the cached
-factorization of device-free circuits) come from SciPy's compiled
-wrapper module, loaded by itself on the first solve (:func:`_lapack`):
+The LAPACK ``dgesv`` routine comes from SciPy's compiled wrapper
+module, loaded by itself on the first solve (:func:`_lapack`):
 the CLI loads no SciPy, and a circuit solve never runs the
 ``scipy.linalg`` package.
 """
@@ -66,15 +67,7 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from .netlist import (
-    GMIN,
-    Capacitor,
-    Circuit,
-    CurrentSource,
-    Inductor,
-    Resistor,
-    VoltageSource,
-)
+from .netlist import GMIN, Capacitor, Circuit, Resistor, VoltageSource
 
 
 class SingularSystemError(RuntimeError):
@@ -84,7 +77,7 @@ class SingularSystemError(RuntimeError):
 #: The eight Jacobian stamps of a MOSFET, as (row, col) picked from the
 #: effective (drain, gate, source) triple, and the sign/kind of each
 #: value: ``gds`` for the output conductance block, ``gm`` for the
-#: transconductance block.  Mirrors ``_MOSFET.stamp`` exactly.
+#: transconductance block.  The oracle's MOSFET stamp mirrors it exactly.
 _FET_STAMPS = (
     ("d", "d", "gds", +1.0),
     ("s", "s", "gds", +1.0),
@@ -147,16 +140,16 @@ def build_assembler(circuit: Circuit, size: int) -> CompiledCircuit:
         size: MNA system size as returned by :meth:`Circuit.assemble`.
 
     Raises:
-        TypeError: an element overrides the library ``stamp`` arithmetic
-            (:meth:`Circuit.partition` finds it opaque).
+        TypeError: an element is not exactly a library type, a subclass
+            of one included (:meth:`Circuit.partition` finds it opaque).
     """
     linear, nonlinear, opaque = circuit.partition()
     if opaque:
         element = opaque[0]
         raise TypeError(
             f"circuit {circuit.name!r}: element {element.name!r} of type "
-            f"{type(element).__name__} has custom stamp arithmetic; the solver "
-            f"compiles library elements only (R, C, L, V/I sources, NMOS/PMOS)"
+            f"{type(element).__name__} is not a library element; the solver "
+            f"compiles Resistor, Capacitor, VoltageSource, NMOS and PMOS only"
         )
     return CompiledCircuit(circuit, size, linear, nonlinear)
 
@@ -203,9 +196,6 @@ class CompiledCircuit:
 
         vs_rows: List[int] = []
         vs_waves: List[Callable[[float], float]] = []
-        is_rows_a: List[int] = []
-        is_rows_b: List[int] = []
-        is_waves: List[Callable[[float], float]] = []
 
         for el in linear:
             if isinstance(el, Resistor):
@@ -224,15 +214,6 @@ class CompiledCircuit:
                 entry(ib, ia, k=-c)
                 history(ia, ia, ib, c)
                 history(ib, ia, ib, -c)
-            elif isinstance(el, Inductor):
-                ia, ib = el._indices
-                k = el._branch_index
-                entry(ia, k, 1.0)
-                entry(ib, k, -1.0)
-                entry(k, ia, 1.0)
-                entry(k, ib, -1.0)
-                entry(k, k, k=-el.inductance)
-                history(k, k, -1, -el.inductance)
             elif isinstance(el, VoltageSource):
                 ia, ib = el._indices
                 k = el._branch_index
@@ -242,11 +223,6 @@ class CompiledCircuit:
                 entry(k, ib, -1.0)
                 vs_rows.append(k)
                 vs_waves.append(el.waveform)
-            elif isinstance(el, CurrentSource):
-                ia, ib = el._indices
-                is_rows_a.append(ia if ia >= 0 else pad)
-                is_rows_b.append(ib if ib >= 0 else pad)
-                is_waves.append(el.waveform)
 
         self._lin_rows = np.asarray(rows, dtype=np.intp)
         self._lin_cols = np.asarray(cols, dtype=np.intp)
@@ -258,9 +234,6 @@ class CompiledCircuit:
         self._h_coef = np.asarray(h_coef)
         self._vs_rows = vs_rows
         self._vs_waves = vs_waves
-        self._is_rows_a = is_rows_a
-        self._is_rows_b = is_rows_b
-        self._is_waves = is_waves
 
         # --- nonlinear devices as parallel arrays ---
         n_fet = len(nonlinear)
@@ -307,11 +280,9 @@ class CompiledCircuit:
 
         self._build_structure(f_d, f_g, f_s)
 
-        # Per-dt cache of the assembled linear base plus, for
-        # device-free circuits, its reusable factorization.
+        # Per-dt cache of the assembled linear base.
         self._lin_cache_dt: Optional[float] = None
         self._lin_cache_base = None
-        self._lin_cache_factor = None
 
     # ------------------------------------------------------------------ #
     # structure construction                                              #
@@ -402,54 +373,13 @@ class CompiledCircuit:
         np.add.at(base.ravel(), self._lin_flat, self._linear_values(dt))
         return base
 
-    def _linear_base(self, dt: float, stats) -> tuple:
-        """The cached ``(base, factor)`` pair for step size ``dt``.
-
-        ``base`` is :meth:`_assemble_linear`'s.  ``factor`` is a reusable
-        factorization when the circuit has no nonlinear devices (the
-        matrix is then constant for the whole ``dt``), else ``None``.
-        """
-        if self._lin_cache_dt == dt:
-            return self._lin_cache_base, self._lin_cache_factor
-        size = self.size
-        base = self._assemble_linear(dt)
-        factor = None
-        if self.n_devices == 0:
-            G = base.T[:size, :size].copy()
-            flat = G.ravel()
-            diag = np.arange(self.n_nodes, dtype=np.intp) * (size + 1)
-            zero = flat[diag] == 0.0
-            if zero.any():
-                flat[diag[zero]] = 1e-12
-            factor = self._dense_factor(G, stats)
-        self._lin_cache_dt = dt
-        self._lin_cache_base = base
-        self._lin_cache_factor = factor
-        return base, factor
-
-    def _dense_factor(self, G: np.ndarray, stats):
-        """LU-factorize a dense matrix for reuse; ``None`` if ill-posed.
-
-        The ``dgetrf``/``dgetrs`` pair that SciPy's ``lu_factor`` and
-        ``lu_solve`` call; a zero pivot (``info > 0``) or a bad argument
-        (``info < 0``) gives ``None``: the per-iteration path then
-        retries (with any rescue gmin applied) and raises there if the
-        system is truly singular.
-        """
-        lapack = _lapack()
-        lu, piv, info = lapack.dgetrf(G)
-        if info != 0:
-            return None
-        stats.factorizations += 1
-        dgetrs = lapack.dgetrs
-
-        def solve(I: np.ndarray) -> np.ndarray:
-            x, info = dgetrs(lu, piv, I)
-            if info != 0:
-                raise ValueError(f"illegal value in argument {-info} of LAPACK dgetrs")
-            return x
-
-        return solve
+    def _linear_base(self, dt: float) -> np.ndarray:
+        """:meth:`_assemble_linear`'s base for step size ``dt``, cached
+        for the last ``dt`` seen."""
+        if self._lin_cache_dt != dt:
+            self._lin_cache_base = self._assemble_linear(dt)
+            self._lin_cache_dt = dt
+        return self._lin_cache_base
 
     # ------------------------------------------------------------------ #
     # per-step / per-iteration stamping                                   #
@@ -460,7 +390,7 @@ class CompiledCircuit:
     ) -> np.ndarray:
         """Source and companion-history RHS for one step (padded vector).
 
-        ``source_scale`` ramps V/I source contributions for the rescue
+        ``source_scale`` ramps voltage-source contributions for the rescue
         ladder's source stepping (1.0 — multiplication by which is exact
         — everywhere outside a rescue).  Companion history terms are
         integration state, not supplies, and are never scaled.
@@ -471,10 +401,6 @@ class CompiledCircuit:
             np.add.at(I, self._h_row, hist)
         for row, wave in zip(self._vs_rows, self._vs_waves):
             I[row] += source_scale * wave(t)
-        for ra, rb, wave in zip(self._is_rows_a, self._is_rows_b, self._is_waves):
-            value = source_scale * wave(t)
-            I[ra] -= value
-            I[rb] += value
         return I
 
     def _rhs_base_batch(self, XP_prev: np.ndarray, t: float, dt: float) -> np.ndarray:
@@ -495,10 +421,6 @@ class CompiledCircuit:
             # exactly as a per-row loop would.
             waves = np.array([wave(t) for wave in self._vs_waves], dtype=float)
             I[:, self._vs_rows] += waves
-        for ra, rb, wave in zip(self._is_rows_a, self._is_rows_b, self._is_waves):
-            value = wave(t)
-            I[:, ra] -= value
-            I[:, rb] += value
         return I
 
     def _device_stamps(self, xp: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -509,9 +431,10 @@ class CompiledCircuit:
         every device's eight Jacobian stamps (device-major), every drain
         ``-ieq``, then every source ``+ieq`` — whose positions
         :meth:`_scatter_positions` gives.  The clamped form below is
-        algebraically identical to ``_MOSFET._ids`` in every operating
-        region, so the compiled system matches the reference one to
-        rounding (a couple of ulps from reassociated products).
+        algebraically identical to the oracle's three-region square law
+        in every operating region, so the compiled system matches the
+        reference one to rounding (a couple of ulps from reassociated
+        products).
 
         ``xp`` may also be a stacked ``(L, size + 1)`` batch of lane
         states; both arrays then grow a trailing lane axis, ``(n, L)`` and
@@ -653,7 +576,7 @@ class CompiledCircuit:
 
         ``gshunt``/``source_scale`` deform the system for the rescue
         ladder (:mod:`repro.circuit.rescue`): a shunt conductance on
-        every node diagonal, and a scale on the V/I source RHS terms.
+        every node diagonal, and a scale on the voltage-source RHS terms.
         At the defaults the assembled system is bit-identical to the
         undeformed one.
 
@@ -664,20 +587,8 @@ class CompiledCircuit:
         would take.
         """
         size = self.size
-        base, factor = self._linear_base(dt, stats)
+        base = self._linear_base(dt)
         I_base = self._rhs_base(xp_prev, t, dt, source_scale)
-
-        if self.n_devices == 0 and factor is not None and gshunt == 0.0:
-            x_static: Optional[np.ndarray] = None
-
-            def iterate_linear(xp: np.ndarray) -> np.ndarray:
-                nonlocal x_static
-                if x_static is None:
-                    x_static = factor(I_base[:size])
-                return x_static
-
-            return iterate_linear
-
         offset = self._rhs_offset
         start = np.empty(offset + size + 1)
         start[:offset] = base.ravel()
@@ -685,7 +596,7 @@ class CompiledCircuit:
         work = np.empty_like(start)
         I = work[offset : offset + size + 1]
 
-        def stamp(xp: np.ndarray) -> None:
+        def assemble(xp: np.ndarray) -> None:
             np.copyto(work, start)
             if self.n_devices:
                 swaps, vals = self._linearize(xp)
@@ -698,7 +609,7 @@ class CompiledCircuit:
         diag_flat = self._diag_flat
 
         def iterate(xp: np.ndarray) -> np.ndarray:
-            stamp(xp)
+            assemble(xp)
             if gshunt:
                 work[diag_flat] += gshunt
             diag = work[diag_flat]
@@ -743,29 +654,13 @@ class CompiledCircuit:
         :meth:`prepare_step`.
 
         The devices of all lanes are linearized by one vectorized
-        :meth:`_device_stamps` call.  Solve backends:
-
-        * device-free + reusable factorization: one multi-RHS solve
-          shared by every lane (to machine precision of the scalar run);
-        * otherwise the scalar path's own LAPACK ``dgesv``, one call per
-          active lane on that lane's padded system, so every lane is
-          bit-identical to its scalar run by construction.
+        :meth:`_device_stamps` call, and each active lane's padded system
+        is solved by the scalar path's own LAPACK ``dgesv``, so every
+        lane is bit-identical to its scalar run by construction.
         """
         size = self.size
-        base, factor = self._linear_base(dt, stats)
+        base = self._linear_base(dt)
         I_all = self._rhs_base_batch(XP_prev, t, dt)
-
-        if self.n_devices == 0 and factor is not None:
-            cache: dict = {}
-
-            def iterate_linear_batch(XP, rows):
-                X = cache.get("X")
-                if X is None:
-                    # dgetrs accepts a (size, L) multi-RHS block directly.
-                    X = cache["X"] = factor(I_all[:, :size].T).T
-                return X[rows], np.ones(len(rows), dtype=bool)
-
-            return iterate_linear_batch
 
         # Each round works in one padded [G | I] row per lane, like the
         # scalar round.
@@ -774,7 +669,7 @@ class CompiledCircuit:
         base = base.reshape(-1)
         buffer, lane_G, lane_I, normal, swapped = self._lane_context(n_lanes)
 
-        def stamp(XP, rows) -> np.ndarray:
+        def assemble(XP, rows) -> np.ndarray:
             k = len(rows)
             work = buffer[:k]
             work[:, :offset] = base
@@ -794,7 +689,7 @@ class CompiledCircuit:
 
         def iterate_batch(XP, rows):
             k = XP.shape[0]
-            work = stamp(XP, rows)
+            work = assemble(XP, rows)
             diag = work[:, self._diag_flat]
             if not diag.all():
                 li, wi = np.nonzero(diag == 0.0)

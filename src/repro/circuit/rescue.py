@@ -15,10 +15,10 @@ Two ladders are attempted, in order:
   trivially convergent) and relaxed rung by rung down to exactly zero.
   The final rung *is* the original problem, so a completed ladder is a
   genuine solution, not an approximation.
-* **source stepping** — every library V/I source's contribution is
+* **source stepping** — every library voltage source's contribution is
   scaled by ``alpha`` ramped from 0 (all supplies off, the quiescent
   system) to exactly 1.  Only the source RHS terms are scaled; companion
-  history (capacitor/inductor state) is never touched.
+  history (capacitor state) is never touched.
 
 Every rung is recorded as a :class:`RescueAttempt` inside a
 :class:`ConvergenceReport`, which travels on

@@ -34,7 +34,7 @@ factorizations, accepted/rejected steps, subdivisions, rescues).
 
 Circuits are built from the library elements of
 :mod:`repro.circuit.netlist`; a session refuses, with a ``TypeError``,
-to compile an element that overrides the library ``stamp`` arithmetic.
+to compile any other element type, a library subclass included.
 """
 
 from __future__ import annotations
@@ -97,9 +97,8 @@ class SolverStats:
 
     Attributes:
         newton_iterations: total Newton-Raphson iterations performed.
-        factorizations: LU factorizations of the MNA matrix.  Lower than
-            ``newton_iterations`` when a factorization is reused (linear
-            circuits at a fixed ``dt`` factor once per step size).
+        factorizations: LU factorizations of the MNA matrix, one per
+            Newton iteration.
         accepted_steps: time steps committed to the trajectory.
         rejected_steps: steps solved but discarded by the adaptive
             local-truncation-error test (always 0 for fixed-step runs).
@@ -226,8 +225,7 @@ class CircuitSession:
 
     Args:
         circuit: the netlist to simulate, of library elements only
-            (compiling raises ``TypeError`` on an element with custom
-            ``stamp`` arithmetic).
+            (compiling raises ``TypeError`` on any other element type).
     """
 
     def __init__(self, circuit: Circuit):

@@ -292,9 +292,5 @@ class AVATARPolicy(RAIDRPolicy):
         self.upgraded_rows = int(np.count_nonzero(periods > conservative))
         self.pinned_rows = self.n_rows - self.upgraded_rows
 
-    def row_period(self, row: int) -> float:
-        self._check_row(row)
-        return float(self._periods[row])
-
     def row_periods(self) -> np.ndarray:
         return self._periods.copy()

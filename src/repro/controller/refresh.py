@@ -16,10 +16,12 @@ and :meth:`~RefreshPolicy.access_latencies` the demand-access latency
 of access-modulating mechanisms.  ``decide`` / ``on_access_rows`` and
 the single-row ``refresh_row`` / ``on_access`` /
 ``access_latency_cycles`` are final wrappers over those hooks; the
-tests' oracles drive the kernel through them.  ``__init_subclass__``
-refuses, with a ``TypeError``, a subclass that overrides a wrapper or
-changes a kernel hook without restating ``timeline_spec``, so the spec
-always describes the kernel.
+tests' oracles drive the kernel through them.  The single-row
+``row_period`` is likewise final, over ``row_periods``.
+``__init_subclass__`` refuses, with a ``TypeError``, a subclass that
+overrides a wrapper or changes a kernel hook without restating
+``timeline_spec``, so the spec always describes the kernel and one
+method states the periods.
 
 Policies are deliberately free of timing bookkeeping — they answer
 "what refresh does this row get", :mod:`repro.sim.schedule` owns
@@ -61,10 +63,17 @@ class RefreshKind(Enum):
 _KIND_BY_CODE = (RefreshKind.FULL, RefreshKind.PARTIAL)
 
 
-#: Final wrappers over the kernel hooks: no subclass may override them.
-_FINAL_WRAPPERS = (
-    "decide", "on_access_rows", "refresh_row", "on_access", "access_latency_cycles",
-)
+#: Final wrappers no subclass may override, each with what to override
+#: instead: the kernel hooks, or ``row_periods`` for the period surface.
+_KERNEL = "_decide_batch / _on_access_batch together with timeline_spec"
+_FINAL_WRAPPERS = {
+    "decide": _KERNEL,
+    "on_access_rows": _KERNEL,
+    "refresh_row": _KERNEL,
+    "on_access": _KERNEL,
+    "access_latency_cycles": _KERNEL,
+    "row_period": "row_periods",
+}
 
 #: Kernel hooks a subclass may override, together with ``timeline_spec``.
 _KERNEL_HOOKS = ("_decide_batch", "_on_access_batch")
@@ -165,9 +174,12 @@ class RefreshPolicy:
         return view
 
     def row_period(self, row: int) -> float:
-        """Refresh period of ``row`` in seconds."""
+        """Refresh period of ``row`` in seconds: ``row_periods()[row]``.
+
+        Final: a policy states its periods once, in :meth:`row_periods`.
+        """
         self._check_row(row)
-        return self._period
+        return float(self.row_periods()[row])
 
     def row_periods(self) -> np.ndarray:
         """Vector of per-row refresh periods (seconds, ``dtype=float``)."""
@@ -176,10 +188,11 @@ class RefreshPolicy:
     def __init_subclass__(cls, **kwargs):
         """Refuse a subclass whose ``timeline_spec`` could miss its kernel.
 
-        The simulators price every policy from :meth:`timeline_spec`, so
-        a class body may neither override a final wrapper (``decide``,
-        ``on_access_rows``, ``refresh_row``, ``on_access``,
-        ``access_latency_cycles``) nor define a kernel hook
+        The simulators price every policy from :meth:`timeline_spec` and
+        :meth:`row_periods`, so a class body may neither override a final
+        wrapper (``decide``, ``on_access_rows``, ``refresh_row``,
+        ``on_access``, ``access_latency_cycles``, ``row_period``) nor
+        define a kernel hook
         (``_decide_batch`` / ``_on_access_batch``) without restating
         ``timeline_spec`` beside it.
 
@@ -188,12 +201,11 @@ class RefreshPolicy:
         """
         super().__init_subclass__(**kwargs)
         body = vars(cls)
-        for name in _FINAL_WRAPPERS:
+        for name, instead in _FINAL_WRAPPERS.items():
             if name in body:
                 raise TypeError(
-                    f"{cls.__name__} overrides {name}, a final wrapper over the "
-                    "kernel hooks; override _decide_batch / _on_access_batch "
-                    "together with timeline_spec instead"
+                    f"{cls.__name__} overrides {name}, a final wrapper; "
+                    f"override {instead} instead"
                 )
         if "timeline_spec" not in body:
             for name in _KERNEL_HOOKS:
@@ -421,10 +433,6 @@ class RAIDRPolicy(RefreshPolicy):
     def __init__(self, binning: BinningResult, tau_full: int):
         super().__init__(len(binning.row_period), tau_full)
         self.binning = binning
-
-    def row_period(self, row: int) -> float:
-        self._check_row(row)
-        return float(self.binning.row_period[row])
 
     def row_periods(self) -> np.ndarray:
         return np.asarray(self.binning.row_period, dtype=float).copy()

@@ -46,6 +46,7 @@ from ..retention.temperature import TemperatureModel
 from ..sim import (
     BankSimulator,
     DRAMTiming,
+    FusedTimeline,
     RankSimulator,
     RefreshOverheadEvaluator,
 )
@@ -305,16 +306,15 @@ def _cell_trace(frozen: tuple, rows: int, cols: int, benchmark: str,
 
 
 def _priced_trace(frozen: tuple, rows: int, cols: int, benchmark: Optional[str],
-                  seed: int, duration_seconds: float,
-                  evaluator: RefreshOverheadEvaluator):
-    """The trace a refresh evaluator prices: ``None`` if it reads none.
+                  seed: int, duration_seconds: float):
+    """The trace a trace-reading evaluator prices: ``None`` without a workload.
 
     Called on a :func:`_priced_stats` miss only, so a workload's trace
     is built once per priced recipe, not once per cell.  The fused
     timeline reads only (row, cycle) pairs, so it gets a streamed
     trace, built for this pricing alone and dropped with it.
     """
-    if not benchmark or not evaluator.reads_trace:
+    if not benchmark:
         return None
     return _generator(frozen, rows, cols, benchmark, seed).stream(duration_seconds)
 
@@ -327,8 +327,10 @@ def _pricing_policy(frozen_tech: tuple, rows: int, cols: int, seed: int,
     Keyed by the registry entry itself, not its name, so a mechanism
     re-registered with ``replace=True`` is built afresh.  Every
     evaluation resets the policy first, so one instance prices any
-    horizon and trace, and its evaluator keeps the compiled timeline.
-    Fig. 4 and the baseline comparison build six policies per bank.
+    horizon and trace.  The evaluator keeps the compiled timeline only
+    of a policy that reads the trace, the one whose recipe is priced
+    again per workload (:func:`_priced_stats`).  Fig. 4 and the baseline
+    comparison build six policies per bank.
     """
     tech = _tech(frozen_tech)
     profile, binning = _profile_binning(frozen_tech, rows, cols, seed)
@@ -343,13 +345,17 @@ def _priced_stats(frozen_tech: tuple, rows: int, cols: int, seed: int,
     """The refresh statistics of one pricing recipe (shared: do not mutate).
 
     ``benchmark`` is ``None`` unless the evaluator reads the trace, so
-    a refresh-only policy is priced once for every workload.  A Fig. 4
-    sweep and the baseline comparison price 18 recipes.
+    a refresh-only policy is priced once for every workload: its fused
+    timeline (~200 KB) is compiled for that one pricing and let go, not
+    kept in the memoized evaluator.  A Fig. 4 sweep and the baseline
+    comparison price 18 recipes.
     """
     _, evaluator = _pricing_policy(frozen_tech, rows, cols, seed, mechanism, nbits)
-    trace = _priced_trace(frozen_tech, rows, cols, benchmark, seed, duration_seconds,
-                          evaluator)
-    return evaluator.evaluate(evaluator.timing.cycles(duration_seconds), trace)
+    horizon = evaluator.timing.cycles(duration_seconds)
+    if not evaluator.reads_trace:
+        return FusedTimeline(evaluator.policy, evaluator.timing).evaluate(horizon)
+    trace = _priced_trace(frozen_tech, rows, cols, benchmark, seed, duration_seconds)
+    return evaluator.evaluate(horizon, trace)
 
 
 def _price(params: Mapping[str, Any], mechanism: str, nbits: int):

@@ -45,6 +45,7 @@ def window_coverage(
     if len(trace) == 0:
         return coverage
 
+    periods = policy.row_periods()
     order = np.argsort(trace.rows, kind="stable")
     rows_sorted = trace.rows[order]
     cycles_sorted = trace.cycles[order]
@@ -58,7 +59,7 @@ def window_coverage(
         if row >= n:
             continue
         accesses = cycles_sorted[group]
-        period = timing.cycles(policy.row_period(row))
+        period = timing.cycles(float(periods[row]))
         first_due = (row * period) // n
         dues = np.arange(first_due, duration_cycles, period, dtype=np.int64)
         if len(dues) == 0:

@@ -9,7 +9,6 @@ from repro.circuit import (
     Capacitor,
     Circuit,
     CircuitSession,
-    CurrentSource,
     GND,
     NMOS,
     Resistor,
@@ -52,15 +51,6 @@ class TestLinearCircuits:
         circuit.add(Resistor("R2", "mid", GND, 1e3))
         result = CircuitSession(circuit).simulate(t_stop=1e-9, dt=1e-11)
         assert result["mid"][-1] == pytest.approx(1.0, rel=1e-6)
-
-    def test_current_source_into_rc(self):
-        # 1 uA into 1 kOhm -> 1 mV steady state.
-        circuit = Circuit()
-        circuit.add(CurrentSource("I1", GND, "a", 1e-6))
-        circuit.add(Resistor("R1", "a", GND, 1e3))
-        circuit.add(Capacitor("C1", "a", GND, 1e-15, ic=0.0))
-        result = CircuitSession(circuit).simulate(t_stop=20e-12, dt=1e-13)
-        assert result["a"][-1] == pytest.approx(1e-3, rel=0.01)
 
     def test_charge_sharing_two_capacitors(self):
         """Two caps through a resistor: final voltage = charge-weighted mean."""

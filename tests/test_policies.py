@@ -201,7 +201,8 @@ class TestPolicySurfaceCheck:
 
     @pytest.mark.parametrize(
         "wrapper",
-        ["decide", "on_access_rows", "refresh_row", "on_access", "access_latency_cycles"],
+        ["decide", "on_access_rows", "refresh_row", "on_access", "access_latency_cycles",
+         "row_period"],
     )
     @pytest.mark.parametrize("base", [RefreshPolicy, VRLAccessPolicy, ChargeCachePolicy])
     def test_a_wrapper_override_is_refused(self, base, wrapper):
@@ -222,6 +223,23 @@ class TestPolicySurfaceCheck:
         klass = _subclass(VRLPolicy, **{hook: getattr(VRLAccessPolicy, hook),
                                         "timeline_spec": VRLAccessPolicy.timeline_spec})
         assert issubclass(klass, VRLPolicy)
+
+    def test_a_row_period_override_alone_is_refused(self):
+        """A policy priced at its parent's ``row_periods()`` whatever its
+        ``row_period`` says cannot be declared."""
+        with pytest.raises(TypeError, match="^Slow overrides row_period, .*row_periods"):
+
+            class Slow(RAIDRPolicy):
+                def row_period(self, row):
+                    return 256 * MS
+
+    def test_row_period_is_row_periods_for_every_mechanism(self):
+        profile = RetentionProfiler(seed=5).profile(BankGeometry(32, 8))
+        binning = RefreshBinning().assign(profile)
+        for name in MECHANISMS.names():
+            policy = MECHANISMS.build(name, TECH, profile, binning)
+            periods = policy.row_periods()
+            assert [policy.row_period(r) for r in range(policy.n_rows)] == periods.tolist(), name
 
     def test_the_spec_alone_and_flags_are_free(self):
         _subclass(RAIDRPolicy, timeline_spec=RAIDRPolicy.timeline_spec,
