@@ -16,7 +16,8 @@ step.  Library elements are stamped by exact type (:data:`STAMPS`);
 any other element must define its own ``element.stamp(G, I, x,
 v_prev, t, dt)`` with custom arithmetic — the test circuits the library
 solver refuses (the rescue-ladder chatter elements,
-``tests/fault_injection.DivergentSource``).  :func:`reference_session`
+``tests/fault_injection.DivergentSource``, and the inductor and current
+source of ``tests/oracle_elements.py``).  :func:`reference_session`
 compiles a session to this oracle through
 ``repro.circuit.solver.build_assembler``, the name
 ``CircuitSession._ensure_compiled`` looks up at call time.

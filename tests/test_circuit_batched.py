@@ -33,7 +33,9 @@ from repro.circuit.dram_circuits import RefreshPhases, build_refresh_circuit
 from repro.circuit.solver import DT_MAX_FACTOR, DT_MIN_DIVISOR, SolverStats
 from repro.model.trfc import RefreshLatencyModel
 from repro.technology import DEFAULT_GEOMETRY, DEFAULT_TECH
+from tests.oracle_elements import ORACLE_NETLISTS
 from tests.reference_adaptive import assert_same_run, reference_adaptive
+from tests.reference_assembler import reference_session
 from tests.test_circuit_compiled import NETLISTS
 
 #: The documented circuit agreement envelope (volts).
@@ -184,11 +186,16 @@ class TestBatchedMatchesScalar:
             reference_adaptive(session, t_stop, 10e-12, initial_overrides=overrides),
         )
 
-    @pytest.mark.parametrize("name", sorted(NETLISTS))
+    @pytest.mark.parametrize("name", sorted({**NETLISTS, **ORACLE_NETLISTS}))
     def test_one_lane_run_equals_the_oracle(self, name):
-        circuit = NETLISTS[name]()
+        # An inductor or current source runs on the stamping oracle.
+        if name in NETLISTS:
+            circuit = NETLISTS[name]()
+            session = CircuitSession(circuit)
+        else:
+            circuit = ORACLE_NETLISTS[name]()
+            session = reference_session(circuit)
         sources = [e.name for e in circuit.elements if isinstance(e, VoltageSource)]
-        session = CircuitSession(circuit)
         assert_same_run(
             session.simulate(2e-9, 10e-12, record_currents=sources, adaptive=True),
             reference_adaptive(session, 2e-9, 10e-12, record_currents=sources),

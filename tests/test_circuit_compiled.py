@@ -3,7 +3,7 @@
 Covers architecture invariant 10 (the compiled assembler and the
 per-element stamping oracle of ``tests/reference_assembler.py`` produce
 identical MNA systems), hypothesis property tests pinning the solver
-against analytic RC solutions, compiled-vs-reference waveform
+against analytic RC/RLC solutions, compiled-vs-reference waveform
 equivalence on every Fig. 2 netlist and on ladders of hundreds of
 unknowns, the refusal of non-library elements, the adaptive integrator,
 session reuse, the SolverStats telemetry, and the loader of SciPy's
@@ -11,6 +11,7 @@ LAPACK wrappers.
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -47,6 +48,7 @@ from repro.circuit.solver import (
     NEWTON_ABSTOL,
 )
 from repro.technology import BankGeometry, DEFAULT_TECH
+from tests.oracle_elements import CurrentSource, Inductor, InductorCircuit
 from tests.reference_assembler import ReferenceAssembler, reference_session
 from tests.test_circuit_waveforms import pulse
 
@@ -91,6 +93,39 @@ class TestAnalyticAccuracy:
         # sup_t |t/(2 tau^2)| e^{1-t/tau} * dt * v0 <= (e/ 2 tau) dt v0.
         tol = 0.7 * v0 * dt / tau + 1e-9
         assert float(np.max(np.abs(result["out"] - exact))) < tol
+
+    @given(
+        r=st.floats(min_value=1.0, max_value=20.0),
+        steps=st.integers(min_value=400, max_value=1200),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_rlc_underdamped_matches_analytic(self, r, steps):
+        """Series RLC ringdown matches the damped-cosine closed form (the
+        inductor is the oracle's, so the session stamps per element)."""
+        L = 1e-9
+        c = 1e-12
+        v0 = 1.0
+        alpha = r / (2.0 * L)
+        w0sq = 1.0 / (L * c)
+        assert alpha * alpha < w0sq  # underdamped by construction
+        wd = math.sqrt(w0sq - alpha * alpha)
+
+        circuit = Circuit(name="rlc")
+        circuit.add(Capacitor("C1", "vc", GND, c, ic=v0))
+        circuit.add(Resistor("R1", "vc", "mid", r))
+        circuit.add(Inductor("L1", "mid", GND, L))
+        session = reference_session(circuit)
+        t_stop = 2.0 * math.pi / wd  # one ring period
+        dt = t_stop / steps
+        result = session.simulate(t_stop, dt, record=["vc"])
+        t = result.time
+        exact = v0 * np.exp(-alpha * t) * (
+            np.cos(wd * t) + (alpha / wd) * np.sin(wd * t)
+        )
+        # First-order integration of an oscillator: error ~ w0 dt per
+        # radian of phase, accumulated over one period.
+        tol = 8.0 * v0 * math.sqrt(w0sq) * dt + 1e-9
+        assert float(np.max(np.abs(result["vc"] - exact))) < tol
 
     def test_rc_adaptive_matches_analytic(self):
         """The adaptive path hits the same analytic curve within lte_tol."""
@@ -412,6 +447,36 @@ class TestSessionApi:
         assert total.subdivisions == 6
         text = total.summary()
         assert "newton=7" in text and "rejected=5" in text
+
+
+class TestInductorElement:
+    """The oracle's inductor and current source: the library refuses
+    them, the stamping oracle solves them."""
+
+    def test_rejects_nonpositive_inductance(self):
+        with pytest.raises(ValueError, match="inductance"):
+            Inductor("L1", "a", "b", 0.0)
+
+    def test_initial_current_flows(self):
+        """An inductor with ic drives its current through a resistor."""
+        circuit = InductorCircuit(name="li")
+        circuit.add(Inductor("L1", "out", GND, 1e-9, ic=1e-3))
+        circuit.add(Resistor("R1", "out", GND, 1e3))
+        result = reference_session(circuit).simulate(1e-12, 1e-13, record=["out"])
+        # One backward-Euler step of the L/R loop: the 1 mA loop current
+        # pulls the node to -(L/dt) i0 / (1 + (L/dt)/R) = -10/11 V.
+        assert result["out"][1] == pytest.approx(-10.0 / 11.0, rel=1e-6)
+
+    def test_current_source_compiles(self):
+        circuit = Circuit(name="cs")
+        circuit.add(CurrentSource("I1", GND, "out", 1e-6))
+        circuit.add(Resistor("R1", "out", GND, 1e3))
+        with pytest.raises(TypeError, match="element 'I1' of type CurrentSource "):
+            CircuitSession(circuit).simulate(1e-10, 1e-12, record=["out"])
+        session = reference_session(circuit)
+        assert isinstance(session.assembler, ReferenceAssembler)
+        result = session.simulate(1e-10, 1e-12, record=["out"])
+        assert result["out"][-1] == pytest.approx(1e-3, rel=1e-6)
 
 
 # --------------------------------------------------------------------- #

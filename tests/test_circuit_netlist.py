@@ -11,6 +11,7 @@ from repro.circuit import (
     Resistor,
     VoltageSource,
 )
+from tests.oracle_elements import CurrentSource
 from tests.reference_assembler import mosfet_ids
 
 
@@ -35,6 +36,10 @@ class TestElementValidation:
         v = VoltageSource("V1", "a", GND, 1.2)
         assert v.waveform(0.0) == 1.2
         assert v.waveform(1e-9) == 1.2
+
+    def test_current_source_accepts_scalar(self):
+        i = CurrentSource("I1", "a", GND, 1e-6)
+        assert i.waveform(5.0) == 1e-6
 
 
 class TestCircuitAssembly:

@@ -2,7 +2,6 @@
 
 import math
 
-import numpy as np
 import pytest
 
 from repro.circuit import (
@@ -15,6 +14,8 @@ from repro.circuit import (
     VoltageSource,
     step,
 )
+from tests.oracle_elements import CurrentSource
+from tests.reference_assembler import reference_session
 
 
 def _rc_discharge(r=1e3, c=1e-12, v0=1.0):
@@ -51,6 +52,15 @@ class TestLinearCircuits:
         circuit.add(Resistor("R2", "mid", GND, 1e3))
         result = CircuitSession(circuit).simulate(t_stop=1e-9, dt=1e-11)
         assert result["mid"][-1] == pytest.approx(1.0, rel=1e-6)
+
+    def test_current_source_into_rc(self):
+        # 1 uA into 1 kOhm -> 1 mV steady state.
+        circuit = Circuit()
+        circuit.add(CurrentSource("I1", GND, "a", 1e-6))
+        circuit.add(Resistor("R1", "a", GND, 1e3))
+        circuit.add(Capacitor("C1", "a", GND, 1e-15, ic=0.0))
+        result = reference_session(circuit).simulate(t_stop=20e-12, dt=1e-13)
+        assert result["a"][-1] == pytest.approx(1e-3, rel=0.01)
 
     def test_charge_sharing_two_capacitors(self):
         """Two caps through a resistor: final voltage = charge-weighted mean."""
