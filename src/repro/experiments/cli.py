@@ -7,13 +7,13 @@ Examples::
     vrl-dram table1 --no-spice
     vrl-dram all --jobs 0 --no-cache    # one worker per CPU, recompute all
 
-Every experiment dispatches through the registry
-(:mod:`repro.service`): the sweep verbs (``fig4``, ``performance``,
-``rank``, ``baselines``, ``mechanisms``, ``temperature``,
-``calibrate``) build their cells with :meth:`~repro.runner.Cell.of`
-and run them through the :class:`~repro.runner.ExperimentRunner` built
-from ``--jobs`` / ``--cache-dir`` / ``--no-cache``, on the calling
-thread.  Cells
+Every experiment dispatches through :data:`VERBS`, the one table
+from verb to driver that :func:`main` and :func:`run_experiment` share:
+the sweep verbs (``fig4``, ``performance``, ``rank``, ``baselines``,
+``mechanisms``, ``temperature``, ``calibrate``) build their cells with
+:meth:`~repro.runner.Cell.of` and run them through the
+:class:`~repro.runner.ExperimentRunner` built from ``--jobs`` /
+``--cache-dir`` / ``--no-cache``, on the calling thread.  Cells
 are cached on disk keyed by the full parameter set (see
 ``--cache-dir``), fanned out over worker processes, and each sweep
 writes an observability manifest to ``--runs-dir``.  A warm re-run
@@ -41,16 +41,92 @@ import os
 import sys
 import time
 from pathlib import Path
-from typing import Optional
+from typing import Any, Callable, Optional
 
 from ..mprsf.optimizer import check_nbits
 from ..runner import ExperimentRunner, ResultCache, latest_manifest
 from ..runner.cells import check_cycles, check_seed, tech_params
-from ..service import experiment_names, experiment_options, run_experiment
 from ..technology import DEFAULT_TECH
+from . import (
+    ExperimentResult,
+    run_baseline_comparison,
+    run_bins_ablation,
+    run_calibration_study,
+    run_fig1a,
+    run_fig1b,
+    run_fig3,
+    run_fig4,
+    run_fig5,
+    run_geometry_ablation,
+    run_guard_ablation,
+    run_latency_breakdown,
+    run_mechanism_matrix,
+    run_nbits_ablation,
+    run_performance_study,
+    run_rank_comparison,
+    run_sensitivity,
+    run_table1,
+    run_table2,
+    run_temperature_study,
+    run_validation,
+)
 
 #: Default directory for the per-run observability manifests.
 DEFAULT_RUNS_DIR = "runs"
+
+
+#: One driver call per verb, from the verb options (the parsed CLI
+#: flags, or :func:`run_experiment`'s keywords over the parser's
+#: defaults) and the runner the sweep verbs run their cells through.
+VERBS: dict[
+    str, Callable[[argparse.Namespace, Optional[ExperimentRunner]], ExperimentResult]
+] = {
+    "fig1a": lambda opts, runner: run_fig1a(with_spice=opts.spice),
+    "fig1b": lambda opts, runner: run_fig1b(),
+    "fig3": lambda opts, runner: run_fig3(seed=opts.seed),
+    "sec31": lambda opts, runner: run_latency_breakdown(seed=opts.seed),
+    "fig4": lambda opts, runner: run_fig4(
+        duration_seconds=opts.duration,
+        benchmarks=opts.benchmarks or None,
+        nbits=opts.nbits,
+        seed=opts.seed,
+        runner=runner,
+    ),
+    "fig5": lambda opts, runner: run_fig5(),
+    "table1": lambda opts, runner: run_table1(with_spice=opts.spice),
+    "table2": lambda opts, runner: run_table2(),
+    "ablation-nbits": lambda opts, runner: run_nbits_ablation(seed=opts.seed),
+    "ablation-guard": lambda opts, runner: run_guard_ablation(seed=opts.seed),
+    "ablation-geometry": lambda opts, runner: run_geometry_ablation(),
+    "ablation-bins": lambda opts, runner: run_bins_ablation(seed=opts.seed),
+    "sensitivity": lambda opts, runner: run_sensitivity(),
+    "rank": lambda opts, runner: run_rank_comparison(seed=opts.seed, runner=runner),
+    "validate": lambda opts, runner: run_validation(),
+    "baselines": lambda opts, runner: run_baseline_comparison(
+        duration_seconds=opts.duration, seed=opts.seed, runner=runner
+    ),
+    "mechanisms": lambda opts, runner: run_mechanism_matrix(
+        **({"mechanisms": opts.mechanisms} if opts.mechanisms else {}),
+        **({"benchmarks": opts.benchmarks} if opts.benchmarks else {}),
+        # The merged-chain engine no longer needs a short horizon
+        # for speed; the cap stays only so the committed
+        # `mechanisms` output digests keep their 0.2 s cells.
+        duration_seconds=min(opts.duration, 0.2),
+        nbits=opts.nbits,
+        seed=opts.seed,
+        runner=runner,
+    ),
+    "temperature": lambda opts, runner: run_temperature_study(
+        seed=opts.seed, runner=runner
+    ),
+    "calibrate": lambda opts, runner: run_calibration_study(runner=runner),
+    "performance": lambda opts, runner: run_performance_study(
+        duration_seconds=min(opts.duration, 0.5),
+        benchmarks=opts.benchmarks or None,
+        seed=opts.seed,
+        runner=runner,
+    ),
+}
 
 
 def default_cache_dir() -> Path:
@@ -101,16 +177,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 @functools.cache
-def _parser(mechanisms: tuple[str, ...]) -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="vrl-dram",
-        description="Reproduce the figures and tables of VRL-DRAM (DAC 2018).",
-    )
-    parser.add_argument(
-        "experiment",
-        choices=sorted(experiment_names()) + ["all"],
-        help="which paper artifact to regenerate",
-    )
+def _verb_options(mechanisms: tuple[str, ...]) -> argparse.ArgumentParser:
+    """The options :data:`VERBS` read, their one declaration and default.
+
+    :func:`build_parser` inherits them; :func:`run_experiment` takes
+    its accepted keywords and their defaults from here.
+    """
+    parser = argparse.ArgumentParser(add_help=False)
     parser.add_argument("--duration", type=float, default=1.0, help="fig4: seconds of simulated time")
     parser.add_argument(
         "--benchmarks", nargs="*", default=None, help="fig4: subset of benchmark names"
@@ -126,16 +199,31 @@ def _parser(mechanisms: tuple[str, ...]) -> argparse.ArgumentParser:
     parser.add_argument("--nbits", type=int, default=2, help="fig4: counter width")
     parser.add_argument("--seed", type=int, default=2018, help="profiling/trace RNG seed")
     parser.add_argument(
-        "--csv",
-        metavar="DIR",
-        default=None,
-        help="also write each result table as <DIR>/<experiment>.csv",
-    )
-    parser.add_argument(
         "--no-spice",
         dest="spice",
         action="store_false",
         help="fig1a/table1: skip the SPICE-lite circuit simulations",
+    )
+    return parser
+
+
+@functools.cache
+def _parser(mechanisms: tuple[str, ...]) -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="vrl-dram",
+        description="Reproduce the figures and tables of VRL-DRAM (DAC 2018).",
+        parents=[_verb_options(mechanisms)],
+    )
+    parser.add_argument(
+        "experiment",
+        choices=sorted(VERBS) + ["all"],
+        help="which paper artifact to regenerate",
+    )
+    parser.add_argument(
+        "--csv",
+        metavar="DIR",
+        default=None,
+        help="also write each result table as <DIR>/<experiment>.csv",
     )
     parser.add_argument(
         "--jobs",
@@ -183,7 +271,6 @@ def _parser(mechanisms: tuple[str, ...]) -> argparse.ArgumentParser:
         help="resume an interrupted sweep from its run manifest (or "
         ".checkpoint.jsonl), recomputing only the unfinished cells",
     )
-    parser.set_defaults(spice=True)
     return parser
 
 
@@ -225,6 +312,28 @@ def _validate_args(args: argparse.Namespace) -> Optional[str]:
     return None
 
 
+def run_experiment(
+    name: str, runner: Optional[ExperimentRunner] = None, **options: Any
+) -> ExperimentResult:
+    """Run one experiment by verb name, as ``vrl-dram <name>`` would.
+
+    Args:
+        name: a verb of :data:`VERBS`.
+        runner: the executor the sweep verbs run their cells through
+            (``None`` builds a serial, uncached one per sweep).
+        **options: verb options by their CLI ``dest`` (``duration``,
+            ``seed``, ``spice``, ...); an unset one takes its flag's
+            default and an unknown one raises :class:`TypeError`.
+    """
+    defaults = vars(_verb_options(tuple(_mechanism_names())).parse_args([]))
+    unknown = sorted(set(options) - set(defaults))
+    if unknown:
+        raise TypeError(f"unknown experiment options: {', '.join(unknown)}")
+    if name not in VERBS:
+        raise KeyError(f"unknown experiment {name!r}; registered: {sorted(VERBS)}")
+    return VERBS[name](argparse.Namespace(**{**defaults, **options}), runner)
+
+
 def main(argv: list[str] | None = None) -> int:
     """Run one (or all) experiments from the CLI."""
     args = build_parser().parse_args(argv)
@@ -236,14 +345,11 @@ def main(argv: list[str] | None = None) -> int:
         args.runs_dir = None
     # One runner per call, so `vrl-dram all` shares its cache and workers.
     runner = _runner_for(args)
-    options = experiment_options(vars(args))
-    names = (
-        sorted(experiment_names()) if args.experiment == "all" else [args.experiment]
-    )
+    names = sorted(VERBS) if args.experiment == "all" else [args.experiment]
     try:
         for name in names:
             t0 = time.perf_counter()
-            result = run_experiment(name, runner=runner, **options)
+            result = VERBS[name](args, runner)
             elapsed = time.perf_counter() - t0
             print(result.format())
             print(f"[{name} completed in {elapsed:.1f}s]\n")

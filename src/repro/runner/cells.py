@@ -609,11 +609,8 @@ def _calibration_sweep_cell(params: Mapping[str, Any]) -> dict:
     """
     frozen = _freeze(params["tech"])
     rows, cols = int(params["rows"]), int(params["cols"])
-    n_points = int(params["n_points"])
-    if n_points < 1:
-        raise ValueError(f"n_points must be >= 1, got {n_points}")
     starts = np.linspace(
-        float(params["start_lo"]), float(params["start_hi"]), n_points
+        float(params["start_lo"]), float(params["start_hi"]), int(params["n_points"])
     )
     restore = params.get("restore_fraction")
     optimizer = _optimizer(frozen, rows, cols)
@@ -685,7 +682,8 @@ def _integer(value: Any) -> int:
 
 
 def _extent(value: Any) -> int:
-    """A bank dimension or a rank's bank count: a positive integer."""
+    """A bank dimension, a rank's bank count or a calibration profile's
+    point count: a positive integer."""
     number = _integer(value)
     if number >= 1:
         return number
@@ -828,7 +826,7 @@ CELL_KINDS: dict[str, CellKind] = {
         CellKind(
             "calibration-sweep",
             (*_BANK, ("restore_fraction", _optional_finite),
-             ("start_lo", _finite), ("start_hi", _finite), ("n_points", _integer)),
+             ("start_lo", _finite), ("start_hi", _finite), ("n_points", _extent)),
             ("start_lo", "start_hi", "n_points"),
             _calibration_label,
             _calibration_sweep_cell,

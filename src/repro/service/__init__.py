@@ -1,12 +1,11 @@
-"""The sweep boundary and the experiment registry.
+"""The sweep boundary.
 
-* :mod:`~repro.service.client` — :class:`LocalClient`, which runs a
-  block of :class:`~repro.runner.cells.Cell` objects through an
-  :class:`~repro.runner.executor.ExperimentRunner` on the calling
-  thread and returns its :class:`~repro.runner.executor.RunReport`;
-  every sweep driver hands its cells to it;
-* :mod:`~repro.service.registry` — the experiment-verb dispatch table
-  shared by the CLI and the examples.
+:class:`LocalClient` (:mod:`~repro.service.client`) runs a block of
+:class:`~repro.runner.cells.Cell` objects through an
+:class:`~repro.runner.executor.ExperimentRunner` on the calling thread
+and returns its :class:`~repro.runner.executor.RunReport`; every sweep
+driver hands its cells to it.  The verb table lives beside the CLI
+parser (:data:`repro.experiments.cli.VERBS`).
 
 Invariant 13 (``docs/architecture.md``): a driver's payloads, given a
 ``runner=``, are bit-identical to
@@ -15,19 +14,5 @@ cold or warm, at any ``jobs``.
 """
 
 from .client import LocalClient
-from .registry import (
-    EXPERIMENT_DEFAULTS,
-    EXPERIMENT_NAMES,
-    experiment_names,
-    experiment_options,
-    run_experiment,
-)
 
-__all__ = [
-    "EXPERIMENT_DEFAULTS",
-    "EXPERIMENT_NAMES",
-    "LocalClient",
-    "experiment_names",
-    "experiment_options",
-    "run_experiment",
-]
+__all__ = ["LocalClient"]

@@ -17,9 +17,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.experiments.cli import run_experiment
 from repro.mprsf.optimizer import MAX_NBITS
 from repro.runner import CELL_KINDS, Cell, ExperimentRunner, cache_key, tech_params
-from repro.service import run_experiment
 from repro.technology import DEFAULT_TECH, TechnologyParams
 from repro.units import to_cycles
 from tests.reference_query import KIND_PARAMS, Query
@@ -260,8 +260,9 @@ _ALL_KINDS = {
 
 
 class TestSeedAndGeometryDomain:
-    """``Cell.of`` rejects a seed numpy cannot take and an empty bank,
-    naming kind and field, instead of failing deep inside the compute."""
+    """``Cell.of`` rejects a seed numpy cannot take, an empty bank and an
+    empty calibration profile, naming kind and field, instead of failing
+    deep inside the compute."""
 
     def test_every_kind_is_listed(self):
         assert set(_ALL_KINDS) == set(CELL_KINDS)
@@ -305,6 +306,15 @@ class TestSeedAndGeometryDomain:
         )):
             Cell.of("rank-mode", tech=DEFAULT_TECH, rows=64, cols=8, n_banks=bad,
                     mode="vrl")
+
+    @pytest.mark.parametrize("bad", [0, -1, np.int64(0)])
+    def test_empty_calibration_profile_rejected(self, bad):
+        with pytest.raises(ValueError, match=(
+            f"^cell kind 'calibration-sweep', field 'n_points': "
+            f"expected a positive integer, got {int(bad)}$"
+        )):
+            Cell.of("calibration-sweep", tech=DEFAULT_TECH, rows=64, cols=8,
+                    start_lo=0.75, start_hi=0.95, n_points=bad)
 
     def test_one_bank_rank_computes(self):
         cell = Cell.of("rank-mode", tech=DEFAULT_TECH, rows=64, cols=8, n_banks=1,
@@ -369,10 +379,6 @@ class TestCanonicalKeys:
 # The typed-query oracle                                                #
 # --------------------------------------------------------------------- #
 
-_INTS = st.one_of(
-    st.integers(min_value=-(2**62), max_value=2**62),
-    st.integers(min_value=-(2**31), max_value=2**31).map(np.int64),
-)
 _FLOATS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
     st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
@@ -385,8 +391,9 @@ _WIDTHS = st.one_of(
     st.integers(min_value=1, max_value=MAX_NBITS),
     st.integers(min_value=1, max_value=MAX_NBITS).map(np.int64),
 )
-#: Seeds, bank dimensions and rank sizes ``Cell.of`` accepts; the
-#: rejected ones are ``TestSeedAndGeometryDomain``'s.
+#: Seeds, bank dimensions, rank sizes and calibration point counts
+#: ``Cell.of`` accepts; the rejected ones are
+#: ``TestSeedAndGeometryDomain``'s.
 _SEEDS = st.one_of(
     st.integers(min_value=0, max_value=2**62),
     st.integers(min_value=0, max_value=2**31).map(np.int64),
@@ -421,7 +428,7 @@ def _request(draw):
                 "temperature": _FLOATS,
                 "start_lo": _FLOATS,
                 "start_hi": _FLOATS,
-                "n_points": _INTS,
+                "n_points": _EXTENTS,
             },
             optional={
                 "seed": _SEEDS,

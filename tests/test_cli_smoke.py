@@ -3,14 +3,14 @@
 Each registered verb is executed through ``main()`` exactly as a user
 would (``--jobs 1 --no-cache`` on tiny inputs), asserting the exit
 code, the completion banner, and a non-empty CSV table — the cheapest
-possible guarantee that no verb's wiring (parser → registry → sweep
-client → driver) is broken.
+possible guarantee that no verb's wiring (parser → verb table → driver
+→ sweep client) is broken.  ``run_experiment`` takes the same table
+with the parser's defaults and refuses an unknown option or verb.
 """
 
 import pytest
 
-from repro.experiments.cli import main
-from repro.service import experiment_names
+from repro.experiments.cli import VERBS, build_parser, main, run_experiment
 
 #: Per-verb flags that shrink the workload to smoke-test size.
 TINY_FLAGS = {
@@ -27,7 +27,7 @@ TINY_FLAGS = {
 }
 
 
-@pytest.mark.parametrize("verb", experiment_names())
+@pytest.mark.parametrize("verb", list(VERBS))
 def test_verb_runs_and_emits_rows(verb, tmp_path, capsys):
     csv_dir = tmp_path / "csv"
     argv = [
@@ -43,9 +43,18 @@ def test_verb_runs_and_emits_rows(verb, tmp_path, capsys):
 
 
 def test_all_verbs_are_covered():
-    """The registry and the CLI choices agree (no orphaned verb)."""
-    from repro.experiments.cli import build_parser
-
+    """The verb table and the CLI choices agree (no orphaned verb)."""
     parser = build_parser()
     action = next(a for a in parser._actions if a.dest == "experiment")
-    assert set(action.choices) == set(experiment_names()) | {"all"}
+    assert action.choices == sorted(VERBS) + ["all"]
+
+
+def test_run_experiment_refuses_unknown_option():
+    with pytest.raises(TypeError, match="^unknown experiment options: duration_seconds$"):
+        run_experiment("fig4", duration_seconds=0.1)
+
+
+def test_run_experiment_refuses_unknown_verb():
+    with pytest.raises(KeyError, match="unknown experiment 'fig6'; registered: ") as info:
+        run_experiment("fig6")
+    assert str(sorted(VERBS)) in str(info.value)

@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 from repro.experiments import ExperimentResult
-from repro.experiments.cli import main
+from repro.experiments.cli import main, run_experiment
 from repro.runner import (
     ExperimentRunner,
     ResultCache,
@@ -26,7 +26,6 @@ from repro.runner import (
     load_manifest,
 )
 from repro.runner.manifest import run_stamp, write_manifest
-from repro.service import run_experiment
 
 STARTED = "2026-08-06T12:00:00.123456+00:00"
 STAMP = run_stamp(STARTED)
